@@ -13,9 +13,10 @@ Exit codes: 0 success, 2 enumeration guard tripped, 3 invalid model or
 parameters, 4 internal numerical inconsistency.
 
 Reports embed the library version, the seed and every guard that shaped the
-run.  All enumerations are deterministic; with ``--threads`` > 1 the per-n
-work is fanned out but recombined in fixed order, so output bytes do not
-depend on the thread count (which is therefore not recorded).
+run.  All enumerations are deterministic and run in the calling thread.
+``analyze`` checks the enumeration guard and ``--ell`` before it enumerates
+anything.  ``--threads`` is still accepted but selects nothing, so output
+bytes do not depend on it (and it is not recorded).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import argparse
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -59,6 +59,7 @@ from .restriction import (
     DEFAULT_GUARD,
     CmiReport,
     RestrictionContext,
+    _check_guard,
     chain_distribution,
     classical_cmi,
     restriction_scan,
@@ -186,7 +187,7 @@ def _per_n_row(
     len_c: int,
     guard: int,
 ) -> dict[str, Any]:
-    summary = restriction_scan(ctx, n, guard=guard, threads=1)
+    summary = restriction_scan(ctx, n, guard=guard)
     geom = ChainGeometry(len_a=len_a, len_b=n, len_c=len_c)
     if finite:
         dist = chain_distribution(K, boundaries, geom, guard=guard)
@@ -213,10 +214,6 @@ def _per_n_row(
 
 
 def _gibbs_block(dist, ell: int) -> dict[str, Any]:
-    if not (1 <= ell <= dist.length - 2):
-        raise ValueError(
-            f"--ell must satisfy 1 <= ell <= sites-2 = {dist.length - 2}, got {ell}"
-        )
     if dist.min_entry <= 0.0:
         dist = dist.smoothed(1e-8)
     h = local_hamiltonian(dist, ell)
@@ -254,20 +251,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     fp = fixed_point(K)
 
-    # Warm the context caches sequentially so threaded rows only read them.
-    _ = ctx.sqrt_sigma
-    for n in range(1, nmax + max(len_a + len_c, 0) + 1):
-        ctx.k2_for(n)
+    # Fail before enumerating: the largest tables are the last windowed block
+    # and the Gibbs chain.  Guard errors come before the --ell check.
+    gibbs_sites = flag_geometry.total
+    if finite:
+        gibbs_sites = len_a + max(gibbs_sites - len_a - len_c, 1) + len_c
+    _check_guard(K.d, max(len_a + nmax + len_c, gibbs_sites), guard)
+    ell = int(args.ell)
+    if not (1 <= ell <= gibbs_sites - 2):
+        raise ValueError(
+            f"--ell must satisfy 1 <= ell <= sites-2 = {gibbs_sites - 2}, got {ell}"
+        )
 
-    def row(n: int) -> dict[str, Any]:
-        return _per_n_row(ctx, n, finite, K, boundaries, len_a, len_c, guard)
-
-    ns = list(range(1, nmax + 1))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=int(args.threads)) as pool:
-            rows = list(pool.map(row, ns))
-    else:
-        rows = [row(n) for n in ns]
+    rows = [
+        _per_n_row(ctx, n, finite, K, boundaries, len_a, len_c, guard)
+        for n in range(1, nmax + 1)
+    ]
 
     w = w_series(K, nmax, guard=guard)
     for r in rows:
@@ -279,14 +278,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         K, _purity_horizon(K.d, nmax, guard), tol=float(args.tol), guard=guard
     )
 
-    gibbs_sites = flag_geometry.total
     if finite:
-        gdist = chain_distribution(
-            K, boundaries, ChainGeometry(len_a, max(gibbs_sites - len_a - len_c, 1), len_c), guard=guard
-        )
+        gdist = chain_distribution(K, boundaries, gibbs_sites, guard=guard)
     else:
         gdist = window_distribution(ctx, gibbs_sites, guard=guard)
-    gibbs = _gibbs_block(gdist, int(args.ell))
+    gibbs = _gibbs_block(gdist, ell)
 
     report = {
         "schema_version": 1,
@@ -298,7 +294,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "guards": {
             "enumeration": guard,
             "nmax": nmax,
-            "ell": int(args.ell),
+            "ell": ell,
             "geometry": [flag_geometry.len_a, flag_geometry.len_b, flag_geometry.len_c],
             "tol": float(args.tol),
         },
@@ -471,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="2,2,2",
         help="a,b,c window sites: a/c flank the block for classical CMI, a+b+c is the fit chain",
     )
-    pa.add_argument("--threads", type=int, default=1, help="worker threads (outputs are thread-count independent)")
+    pa.add_argument("--threads", type=int, default=1, help="ignored (kept for compatibility): enumeration runs in one thread")
     pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("sample", help="draw measurement trajectories")

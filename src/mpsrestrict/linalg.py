@@ -211,40 +211,40 @@ def clock_shift_basis(D: int) -> list[np.ndarray]:
     return basis
 
 
-def gram_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Gram matrix M[x, x'] = Tr(Q_x^dag Q_x') of a list of equal-shape matrices."""
+def _vec_rows(ops: Sequence[np.ndarray], caller: str) -> np.ndarray:
+    """The operators' vectorizations as the rows of one matrix."""
     if len(ops) == 0:
-        raise ShapeMismatch("gram_matrix needs at least one operator")
+        raise ShapeMismatch(f"{caller} needs at least one operator")
     mats = [_as_matrix(o) for o in ops]
     shape = mats[0].shape
     for m in mats[1:]:
         if m.shape != shape:
             raise ShapeMismatch(f"mixed shapes {shape} vs {m.shape}")
-    V = np.stack([m.ravel() for m in mats])
+    return np.stack([m.ravel() for m in mats])
+
+
+def _psd_rank(S: np.ndarray, tol: float) -> int:
+    """Number of eigenvalues of a PSD matrix above tol * lambda_max."""
+    lam = np.linalg.eigvalsh(S)
+    lam_max = lam[-1] if lam.size else 0.0
+    if lam_max <= 0.0:
+        return 0
+    return int(np.count_nonzero(lam > tol * lam_max))
+
+
+def gram_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Gram matrix M[x, x'] = Tr(Q_x^dag Q_x') of a list of equal-shape matrices."""
+    V = _vec_rows(ops, "gram_matrix")
     return V.conj() @ V.T
 
 
 def gram_rank(ops: Sequence[np.ndarray], tol: float = 1e-10) -> int:
     """Rank of the Gram matrix: eigenvalues above tol * lambda_max.
 
-    For sets much larger than the operator space, the rank is computed from
-    S = sum_x vec(Q_x) vec(Q_x)^dag, which shares the Gram matrix's nonzero
-    spectrum (same lambda_max, same count above the threshold) but stays
-    (D1*D2)-dimensional.
+    Computed from S = V^T conj(V), with the vectorized operators as the rows
+    of V: S shares the Gram matrix's nonzero spectrum (same lambda_max, same
+    count above the threshold) but stays (D1*D2)-dimensional however many
+    operators there are.
     """
-    if len(ops) == 0:
-        raise ShapeMismatch("gram_rank needs at least one operator")
-    n_amb = int(np.prod(np.shape(ops[0])))
-    if len(ops) <= max(n_amb, 64):
-        lam = np.linalg.eigvalsh(gram_matrix(ops))
-    else:
-        mats = [_as_matrix(o) for o in ops]
-        S = np.zeros((n_amb, n_amb), dtype=complex)
-        for m in mats:
-            v = m.ravel()
-            S += np.outer(v, v.conj())
-        lam = np.linalg.eigvalsh(S)
-    lam_max = lam[-1] if lam.size else 0.0
-    if lam_max <= 0.0:
-        return 0
-    return int(np.count_nonzero(lam > tol * lam_max))
+    V = _vec_rows(ops, "gram_rank")
+    return _psd_rank(V.T @ V.conj(), tol)

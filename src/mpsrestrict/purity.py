@@ -32,8 +32,18 @@ from .errors import (
     NumericalInconsistency,
     SearchBudgetExceeded,
 )
-from .linalg import clock_shift_basis, exterior_square, gram_rank
-from .restriction import DEFAULT_GUARD, _check_contraction, _check_density
+from .linalg import _psd_rank, clock_shift_basis, exterior_square, gram_rank
+from .restriction import (
+    DEFAULT_GUARD,
+    _adjoint,
+    _check_contraction,
+    _check_density,
+    _products,
+    _string_product,
+    _string_sum,
+    _string_table,
+    _tree_sum,
+)
 
 __all__ = [
     "CorrectableReport",
@@ -134,11 +144,6 @@ class PurityVerdict:
 # --------------------------------------------------------------------- products
 
 
-def _check_guard(d: int, n: int, guard: int) -> None:
-    if d**n > guard:
-        raise EnumerationTooLarge(f"d^n = {d**n} exceeds the guard {guard}")
-
-
 def product_set(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> list[np.ndarray]:
     """All d^n operators A^dag_{x_1}..A^dag_{x_n} A_{x_n}..A_{x_1}, lexicographic.
 
@@ -146,18 +151,8 @@ def product_set(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> list[np.n
     """
     if n < 1:
         raise EnumerationTooLarge(f"product length must be >= 1, got {n}")
-    _check_guard(K.d, n, guard)
-    out: list[np.ndarray] = []
-
-    def walk(W: np.ndarray, depth: int) -> None:
-        if depth == n:
-            out.append(W.conj().T @ W)
-            return
-        for s in range(K.d):
-            walk(K.ops[s] @ W, depth + 1)
-
-    walk(np.eye(K.D, dtype=complex), 0)
-    return out
+    chunks = _products(K.ops, np.eye(K.D, dtype=complex), n, guard)
+    return list(_string_table(chunks, K.d**n, lambda W: _adjoint(W) @ W))
 
 
 def span_purity_test(
@@ -170,33 +165,26 @@ def span_purity_test(
 
     Returns (passed_at, rank_series): passed_at is the least n at which the
     d^n products span the full D^2-dimensional operator space (then purity is
-    certified), or None.  Ranks are computed from the accumulated operator
-    S_n = sum_x vec(M_x) vec(M_x)^dag, which shares the Gram matrix's nonzero
-    spectrum without materializing it.
+    certified), or None.  Ranks are computed from S_n = V^T conj(V), with the
+    vectorized products vec(M_x) as the rows of V, which shares the Gram
+    matrix's nonzero spectrum; it is summed chunk by chunk, so the d^n rows
+    are never all held.
     """
     if n_max < 1:
         raise EnumerationTooLarge(f"n_max must be >= 1, got {n_max}")
-    _check_guard(K.d, n_max, guard)
     D = K.D
-    S = [np.zeros((D * D, D * D), dtype=complex) for _ in range(n_max + 1)]
+    eye = np.eye(D, dtype=complex)
+    levels = [_products(K.ops, eye, n, guard) for n in range(1, n_max + 1)]
 
-    def walk(W: np.ndarray, depth: int) -> None:
-        if depth > 0:
-            v = (W.conj().T @ W).ravel()
-            S[depth] += np.outer(v, v.conj())
-        if depth == n_max:
-            return
-        for s in range(K.d):
-            walk(K.ops[s] @ W, depth + 1)
-
-    walk(np.eye(D, dtype=complex), 0)
+    def chunk_s(W: np.ndarray) -> np.ndarray:
+        V = (_adjoint(W) @ W).reshape(len(W), D * D)
+        return V.T @ V.conj()
 
     ranks: list[int] = []
     passed_at: int | None = None
-    for n in range(1, n_max + 1):
-        lam = np.linalg.eigvalsh(S[n])
-        lam_max = float(lam[-1])
-        rank = 0 if lam_max <= 0.0 else int(np.count_nonzero(lam > tol * lam_max))
+    for n, chunks in enumerate(levels, start=1):
+        S = _tree_sum(np.array([chunk_s(W) for W in chunks]), K.d)
+        rank = _psd_rank(S, tol)
         ranks.append(rank)
         if rank == D * D and passed_at is None:
             passed_at = n
@@ -377,28 +365,25 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
     """
     if n_max < 1:
         raise EnumerationTooLarge(f"n_max must be >= 1, got {n_max}")
-    _check_guard(K.d, n_max, guard)
-    svd_sums = np.zeros(n_max + 1)
-    wedge_sums = np.zeros(n_max + 1)
-
+    levels = [_products(K.ops, np.eye(K.D, dtype=complex), n, guard) for n in range(1, n_max + 1)]
     if K.D < 2:
         values = [(n, 0.0) for n in range(1, n_max + 1)]
         return DecaySeries.from_values(values)
 
-    wedges = [exterior_square(A) for A in K.ops]
-    wD = wedges[0].shape[0]
+    wedges = np.stack([exterior_square(A) for A in K.ops])
+    w_eye = np.eye(wedges.shape[1], dtype=complex)
 
-    def walk(W: np.ndarray, W2: np.ndarray, depth: int) -> None:
-        if depth > 0:
-            s = np.linalg.svd(W, compute_uv=False)
-            svd_sums[depth] += float(s[0] * s[1])
-            wedge_sums[depth] += float(np.linalg.svd(W2, compute_uv=False)[0])
-        if depth == n_max:
-            return
-        for x in range(K.d):
-            walk(K.ops[x] @ W, wedges[x] @ W2, depth + 1)
+    def leaf(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        W, W2 = pair
+        s = np.linalg.svd(W, compute_uv=False)
+        return np.stack([s[:, 0] * s[:, 1], np.linalg.svd(W2, compute_uv=False)[:, 0]], axis=1)
 
-    walk(np.eye(K.D, dtype=complex), np.eye(wD, dtype=complex), 0)
+    svd_sums = np.zeros(n_max + 1)
+    wedge_sums = np.zeros(n_max + 1)
+    for n, chunks in enumerate(levels, start=1):
+        # the split depth depends only on (d, n), so the chunks line up
+        pairs = zip(chunks, _products(wedges, w_eye, n, guard))
+        svd_sums[n], wedge_sums[n] = _string_sum(pairs, K.d, leaf)
 
     for n in range(1, n_max + 1):
         diff = abs(svd_sums[n] - wedge_sums[n])
@@ -430,23 +415,18 @@ def f_series(
     """
     if n_max < 1:
         raise EnumerationTooLarge(f"n_max must be >= 1, got {n_max}")
-    _check_guard(K.d, n_max, guard)
     sigma = _check_density(sigma)
     F = _check_contraction(F)
     root = sqrt_env(sigma)
-    sums = np.zeros(n_max + 1)
+    levels = [_products(K.ops, root, n, guard) for n in range(1, n_max + 1)]
 
-    def walk(P: np.ndarray, depth: int) -> None:
-        if depth > 0:
-            s = np.linalg.svd(F @ P, compute_uv=False)
-            sums[depth] += float(s[0] * s[1]) if s.size > 1 else 0.0
-        if depth == n_max:
-            return
-        for x in range(K.d):
-            walk(K.ops[x] @ P, depth + 1)
+    def leaf(P: np.ndarray) -> np.ndarray:
+        s = np.linalg.svd(F @ P, compute_uv=False)
+        return s[:, 0] * s[:, 1] if K.D > 1 else np.zeros(len(P))
 
-    walk(root, 0)
-    return DecaySeries.from_values((n, sums[n]) for n in range(1, n_max + 1))
+    return DecaySeries.from_values(
+        (n, float(_string_sum(chunks, K.d, leaf))) for n, chunks in enumerate(levels, start=1)
+    )
 
 
 def estimate_rate(series: DecaySeries | Iterable[tuple[int, float]]) -> tuple[float, float]:
@@ -595,9 +575,7 @@ def constructive_purity_family(D: int, d: int = 5) -> KrausFamily:
     for j in range(D):
         for k in range(D):
             string = [3] * k + [1] * j + [0] + [4] * (2 * D - 2 - j - k)
-            W = np.eye(D, dtype=complex)
-            for s in string:
-                W = fam.ops[s] @ W
+            W = _string_product(fam.ops, np.eye(D, dtype=complex), string)
             witnesses.append(W.conj().T @ W)
     if gram_rank(witnesses) != D * D:
         raise NumericalInconsistency(

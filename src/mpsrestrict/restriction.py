@@ -11,16 +11,19 @@ operator inside the trace (normalized), and the average of its von Neumann
 entropy over all strings drives both the quantum CMI (= twice the average
 entropy for a pure global state) and the average purity Q.
 
-All enumerations run depth-first in lexicographic string order (site 1 is
-the most significant digit).  Partial sums are combined in fixed index
-order, so results are bit-identical for any degree of parallelism.
+Every enumeration over the d^n strings, here and in ``purity`` and
+``trajectories``, runs on one engine: ``_products`` builds the string
+products level by level as lexicographic stacks (site 1 is the most
+significant digit), in chunks that are whole subtrees below a prefix, and
+``_tree_sum`` adds per-string values in the order of a depth-first walk
+(each node sums its d children in symbol order, starting from zero).  Results
+do not depend on the chunking and are deterministic bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +68,7 @@ __all__ = [
 ]
 
 DEFAULT_GUARD = 2_000_000  # max d^n strings per enumeration; overridable everywhere
+_CHUNK_STRINGS = 512  # most strings whose products are held at once; bounds peak memory
 
 
 def _check_density(sigma: np.ndarray, what: str = "sigma") -> np.ndarray:
@@ -150,8 +154,6 @@ class RestrictionContext:
         if key not in self._cache:
             envs = self._cache.setdefault("envs", [np.asarray(self.sigma)])
             while len(envs) <= n:
-                from .chain import transfer_apply
-
                 envs.append(transfer_apply(self.kraus, envs[-1]))
             f2 = self.f_op.conj().T @ self.f_op
             self._cache[key] = float(np.trace(f2 @ envs[int(n)]).real)
@@ -212,65 +214,116 @@ def _zero_threshold(d: int, n: int) -> float:
     return 1e-14 * d ** (-n)
 
 
-def _string_matrix(ctx: RestrictionContext, xs: tuple[int, ...]) -> np.ndarray:
-    """T = F A_{x_N} ... A_{x_1} sqrt(sigma); all observables come from T T^dag."""
-    P = ctx.sqrt_sigma
+def _string_product(ops: np.ndarray, root: np.ndarray, xs: Sequence[int]) -> np.ndarray:
+    """A_{x_N} ... A_{x_1} root for one string."""
+    P = root
     for s in xs:
-        P = ctx.kraus.ops[s] @ P
-    return ctx.f_op @ P
+        P = ops[s] @ P
+    return P
+
+
+def _adjoint(T: np.ndarray) -> np.ndarray:
+    return np.swapaxes(T.conj(), -1, -2)
+
+
+def _grow(ops: np.ndarray, stack: np.ndarray, levels: int) -> np.ndarray:
+    """Extend every product of a stack (k, D, D') by ``levels`` more symbols.
+
+    Entry i*d + s of each new level is ops[s] @ stack[i], so the stack stays
+    in lexicographic order with the first symbol most significant.
+    """
+    for _ in range(levels):
+        stack = np.matmul(ops[None], stack[:, None]).reshape(-1, *stack.shape[1:])
+    return stack
+
+
+def _products(
+    ops: np.ndarray, root: np.ndarray, n: int, guard: int
+) -> Iterator[np.ndarray]:
+    """All d^n products A_{x_n}..A_{x_1} root, as lexicographic chunks.
+
+    The guard is checked when this is called, before any product is formed.
+    Each chunk is the subtree below one prefix: there are d^split chunks of
+    d^(n-split) <= _CHUNK_STRINGS products.  The split depth depends only on
+    (d, n), so two families with the same d (the Kraus operators and their
+    exterior squares) yield chunks that line up one to one.
+    """
+    d = ops.shape[0]
+    _check_guard(d, n, guard)
+    split = 0
+    while d ** (n - split) > _CHUNK_STRINGS:
+        split += 1
+    prefixes = _grow(ops, root[None], split)
+    return (_grow(ops, P[None], n - split) for P in prefixes)
+
+
+def _tree_sum(values: np.ndarray, d: int) -> np.ndarray:
+    """Sum the d^k rows of a lexicographic table in depth-first tree order.
+
+    Each node adds its d children in symbol order starting from zero, as a
+    recursive ``acc += child`` walk does, so that walk's sum is reproduced
+    bit for bit, and chunk partials combine to the one-pass total.
+    """
+    while len(values) > 1:
+        values = values.reshape(-1, d, *values.shape[1:])
+        acc = np.zeros_like(values[:, 0])
+        for s in range(d):
+            acc += values[:, s]
+        values = acc
+    return values[0]
+
+
+def _string_sum(
+    chunks: Iterable[Any], d: int, leaf: Callable[[Any], np.ndarray]
+) -> np.ndarray:
+    """Tree-order sum over all strings of the per-string rows leaf(chunk)."""
+    return _tree_sum(np.array([_tree_sum(leaf(c), d) for c in chunks]), d)
+
+
+def _string_table(
+    chunks: Iterable[Any], size: int, leaf: Callable[[Any], np.ndarray]
+) -> np.ndarray:
+    """The per-string rows leaf(chunk) of all strings in one lexicographic table."""
+    table = None
+    pos = 0
+    for c in chunks:
+        rows = leaf(c)
+        if table is None:
+            table = np.empty((size,) + rows.shape[1:], dtype=rows.dtype)
+        table[pos : pos + len(rows)] = rows
+        pos += len(rows)
+    return table
+
+
+def _norm2(T: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(T[i]) ** 2 for every matrix of a stack, bit for bit.
+
+    Like np.linalg.norm it adds the dot products of the real and imaginary
+    parts and takes the square root; the square goes through pow, as ``**``
+    on a scalar does, which can differ from x * x in the last bit.
+    """
+    x = T.reshape(len(T), 1, -1)
+    sq = x.real @ np.swapaxes(x.real, 1, 2) + x.imag @ np.swapaxes(x.imag, 1, 2)
+    return np.float_power(np.sqrt(sq[:, 0, 0]), 2)
 
 
 def string_probability(ctx: RestrictionContext, x: Sequence[int]) -> float:
     """p(x) = ||F A_{x_N}..A_{x_1} sqrt(sigma)||_F^2 / K^2(N), non-negative."""
     xs = _validate_string(x, ctx.kraus.d)
-    T = _string_matrix(ctx, xs)
+    T = ctx.f_op @ _string_product(ctx.kraus.ops, ctx.sqrt_sigma, xs)
     return float(np.linalg.norm(T) ** 2 / ctx.k2_for(len(xs)))
 
 
 def post_measurement_spectrum(ctx: RestrictionContext, x: Sequence[int]) -> Spectrum:
     """Spectrum of the normalized post-measurement state for outcome string x."""
     xs = _validate_string(x, ctx.kraus.d)
-    T = _string_matrix(ctx, xs)
+    T = ctx.f_op @ _string_product(ctx.kraus.ops, ctx.sqrt_sigma, xs)
     lam = np.linalg.eigvalsh(T @ T.conj().T)
     tr = float(lam.sum())
     if tr / ctx.k2_for(len(xs)) < _zero_threshold(ctx.kraus.d, len(xs)):
         raise ZeroProbabilityString(f"string {xs} has probability below threshold")
     vals = np.clip(lam[::-1] / tr, 0.0, None)
     return Spectrum(values=vals)
-
-
-def _scan_chunk(
-    ops: np.ndarray,
-    f_op: np.ndarray | None,
-    P: np.ndarray,
-    depth_left: int,
-    tr_floor: float,
-) -> np.ndarray:
-    """Sequential DFS below one prefix; returns raw accumulator sums.
-
-    Accumulator: [sum tr, sum tr*S, sum lam1, sum lam2, sum sqrt(lam1*lam2)],
-    all un-normalized (division by K^2 happens at the top).
-    """
-    acc = np.zeros(5)
-    d = ops.shape[0]
-    if depth_left == 0:
-        T = P if f_op is None else f_op @ P
-        lam = np.linalg.eigvalsh(T @ T.conj().T)
-        tr = float(lam.sum())
-        acc[0] = tr
-        if tr >= tr_floor:
-            lam1 = float(lam[-1])
-            lam2 = float(lam[-2]) if lam.size > 1 else 0.0
-            q = np.clip(lam / tr, 0.0, 1.0)
-            q = q[q > 0.0]
-            acc[1] = tr * float(-np.sum(q * np.log(q)))
-            acc[2] = lam1
-            acc[3] = max(lam2, 0.0)
-            acc[4] = float(np.sqrt(max(lam1, 0.0) * max(lam2, 0.0)))
-        return acc
-    for s in range(d):
-        acc += _scan_chunk(ops, f_op, ops[s] @ P, depth_left - 1, tr_floor)
-    return acc
 
 
 def restriction_scan(
@@ -282,33 +335,39 @@ def restriction_scan(
     """One lexicographic pass over all d^n strings, aggregating everything.
 
     Zero-probability strings (p < 1e-14 d^-n) contribute only to the raw
-    probability sum.  With ``threads`` > 1 the first symbol is fanned out to
-    a thread pool and the d partial sums are combined in symbol order, so
-    the result is bit-identical to the sequential one.
+    probability sum.  ``threads`` is accepted for compatibility and selects
+    nothing: the pass runs in the calling thread, with the same result for
+    every value.
     """
     d = ctx.kraus.d
-    _check_guard(d, n, guard)
+    chunks = _products(ctx.kraus.ops, ctx.sqrt_sigma, n, guard)
     if n < 1:
         raise SymbolOutOfRange(f"block length must be >= 1, got {n}")
     k2 = ctx.k2_for(n)
     tr_floor = _zero_threshold(d, n) * k2
     eye = np.eye(ctx.kraus.D, dtype=complex)
     f_op = None if np.allclose(ctx.f_op, eye, atol=0.0, rtol=0.0) else ctx.f_op
-    root = ctx.sqrt_sigma
 
-    if threads > 1 and n >= 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            futures = [
-                pool.submit(_scan_chunk, ctx.kraus.ops, f_op, ctx.kraus.ops[s] @ root, n - 1, tr_floor)
-                for s in range(d)
-            ]
-            parts = [f.result() for f in futures]
-        acc = np.zeros(5)
-        for part in parts:  # fixed symbol order, independent of pool scheduling
-            acc += part
-    else:
-        acc = _scan_chunk(ctx.kraus.ops, f_op, root, n, tr_floor)
+    def leaf(P: np.ndarray) -> np.ndarray:
+        # rows [tr, tr*S, lam1, lam2, sqrt(lam1*lam2)], un-normalized
+        T = P if f_op is None else f_op @ P
+        lam = np.linalg.eigvalsh(T @ _adjoint(T))
+        tr = lam.sum(axis=-1)
+        rows = np.zeros((len(T), 5))
+        rows[:, 0] = tr
+        live = tr >= tr_floor
+        lam, tr = lam[live], tr[live]
+        lam1 = lam[:, -1]
+        lam2 = lam[:, -2] if lam.shape[1] > 1 else np.zeros_like(lam1)
+        q = np.clip(lam / tr[:, None], 0.0, 1.0)
+        plogp = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
+        rows[live, 1] = tr * -np.sum(plogp, axis=-1)
+        rows[live, 2] = lam1
+        rows[live, 3] = np.maximum(lam2, 0.0)
+        rows[live, 4] = np.sqrt(np.maximum(lam1, 0.0) * np.maximum(lam2, 0.0))
+        return rows
 
+    acc = _string_sum(chunks, d, leaf)
     return RestrictionSummary(
         n=int(n),
         p_sum=float(acc[0] / k2),
@@ -319,25 +378,19 @@ def restriction_scan(
     )
 
 
-def average_entropy(
-    ctx: RestrictionContext, n: int, guard: int = DEFAULT_GUARD, threads: int = 1
-) -> float:
+def average_entropy(ctx: RestrictionContext, n: int, guard: int = DEFAULT_GUARD) -> float:
     """<S> = sum_x p(x) S[post-measurement state(x)] over all d^n strings."""
-    return restriction_scan(ctx, n, guard=guard, threads=threads).avg_entropy
+    return restriction_scan(ctx, n, guard=guard).avg_entropy
 
 
-def quantum_cmi(
-    ctx: RestrictionContext, n: int, guard: int = DEFAULT_GUARD, threads: int = 1
-) -> float:
+def quantum_cmi(ctx: RestrictionContext, n: int, guard: int = DEFAULT_GUARD) -> float:
     """I(A:C|B) of the block-dephased pure state: exactly twice <S>."""
-    return 2.0 * average_entropy(ctx, n, guard=guard, threads=threads)
+    return 2.0 * average_entropy(ctx, n, guard=guard)
 
 
-def average_purity_q(
-    ctx: RestrictionContext, n: int, guard: int = DEFAULT_GUARD, threads: int = 1
-) -> float:
+def average_purity_q(ctx: RestrictionContext, n: int, guard: int = DEFAULT_GUARD) -> float:
     """Q = 1 - sum_x p(x) ||post-measurement state(x)||, in [0, 1]."""
-    return restriction_scan(ctx, n, guard=guard, threads=threads).avg_purity_q
+    return restriction_scan(ctx, n, guard=guard).avg_purity_q
 
 
 def window_distribution(
@@ -348,23 +401,9 @@ def window_distribution(
     Flat table in lexicographic order (site 1 most significant digit).
     """
     d = ctx.kraus.d
-    _check_guard(d, m, guard)
+    chunks = _products(ctx.kraus.ops, ctx.sqrt_sigma, m, guard)
     k2 = ctx.k2_for(m)
-    table = np.empty(d**m)
-    f_op = ctx.f_op
-    idx = 0
-
-    def walk(P: np.ndarray, depth: int) -> None:
-        nonlocal idx
-        if depth == m:
-            T = f_op @ P
-            table[idx] = np.linalg.norm(T) ** 2 / k2
-            idx += 1
-            return
-        for s in range(d):
-            walk(ctx.kraus.ops[s] @ P, depth + 1)
-
-    walk(ctx.sqrt_sigma, 0)
+    table = _string_table(chunks, d**m, lambda P: _norm2(ctx.f_op @ P) / k2)
     return ChainDistribution(length=m, d=d, table=table)
 
 
@@ -378,26 +417,19 @@ def chain_distribution(
     n = geometry.total if isinstance(geometry, ChainGeometry) else int(geometry)
     if n < 1:
         raise GeometryMismatch(f"chain must have >= 1 site, got {n}")
-    _check_guard(K.d, n, guard)
+    chunks = _products(K.ops, boundaries.L.astype(complex)[:, None], n, guard)
     k2 = normalization_k2(K, boundaries, n)
     if k2 < 1e-12:
         raise ValueError(f"degenerate boundaries: K^2 = {k2!r} < 1e-12")
-    d = K.d
-    table = np.empty(d**n)
-    R = boundaries.R
-    idx = 0
+    R = boundaries.R.conj()
 
-    def walk(v: np.ndarray, depth: int) -> None:
-        nonlocal idx
-        if depth == n:
-            table[idx] = abs(complex(R.conj() @ v)) ** 2 / k2
-            idx += 1
-            return
-        for s in range(d):
-            walk(K.ops[s] @ v, depth + 1)
+    def leaf(v: np.ndarray) -> np.ndarray:
+        # |<R|v>|^2 through hypot and pow, as abs(complex) ** 2 on a scalar
+        amp = (R @ v)[:, 0]
+        return np.float_power(np.hypot(amp.real, amp.imag), 2) / k2
 
-    walk(boundaries.L.astype(complex), 0)
-    return ChainDistribution(length=n, d=d, table=table)
+    table = _string_table(chunks, K.d**n, leaf)
+    return ChainDistribution(length=n, d=K.d, table=table)
 
 
 def classical_cmi(p: ChainDistribution, geometry: ChainGeometry) -> float:
@@ -454,7 +486,6 @@ def cmi_report(
     window_a: int = 2,
     window_c: int = 2,
     guard: int = DEFAULT_GUARD,
-    threads: int = 1,
 ) -> CmiReport:
     """Assemble the per-block CMI report.
 
@@ -464,9 +495,7 @@ def cmi_report(
     environments), which can only lower the classical CMI, so the ordering
     classical <= quantum is preserved.
     """
-    summary = restriction_scan(
-        _absorb_windows(ctx, window_a, window_c), n, guard=guard, threads=threads
-    )
+    summary = restriction_scan(_absorb_windows(ctx, window_a, window_c), n, guard=guard)
     geom = ChainGeometry(len_a=window_a, len_b=n, len_c=window_c)
     dist = window_distribution(ctx, geom.total, guard=guard)
     cls = max(0.0, classical_cmi(dist, geom))

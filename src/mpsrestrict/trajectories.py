@@ -18,7 +18,15 @@ import numpy as np
 
 from .chain import KrausFamily
 from .errors import ZeroProbabilityPath
-from .restriction import DEFAULT_GUARD, _check_guard, _validate_string
+from .restriction import (
+    DEFAULT_GUARD,
+    _adjoint,
+    _norm2,
+    _products,
+    _string_product,
+    _string_sum,
+    _validate_string,
+)
 
 __all__ = [
     "MartingaleTrace",
@@ -105,13 +113,6 @@ def sample_trajectory(
     )
 
 
-def _prefix_product(K: KrausFamily, xs: Sequence[int]) -> np.ndarray:
-    W = np.eye(K.D, dtype=complex)
-    for s in xs:
-        W = K.ops[s] @ W
-    return W
-
-
 def martingale_step_check(K: KrausFamily, x: Sequence[int]) -> float:
     """Spectral-norm residual of sum_y P(y|x) M(x, y) - M(x).
 
@@ -119,7 +120,7 @@ def martingale_step_check(K: KrausFamily, x: Sequence[int]) -> float:
     positive path probability.
     """
     xs = _validate_string(x, K.d)
-    W = _prefix_product(K, xs)
+    W = _string_product(K.ops, np.eye(K.D, dtype=complex), xs)
     tr = float(np.linalg.norm(W) ** 2)
     if tr / K.D < 1e-30:
         raise ZeroProbabilityPath(f"prefix {xs} has zero path probability")
@@ -139,19 +140,9 @@ def mean_m_check(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> float:
     """
     if n < 1:
         raise ValueError(f"step count must be >= 1, got {n}")
-    _check_guard(K.d, n, guard)
     D = K.D
-    acc = np.zeros((D, D), dtype=complex)
-
-    def walk(W: np.ndarray, depth: int) -> None:
-        nonlocal acc
-        if depth == n:
-            acc = acc + W.conj().T @ W
-            return
-        for y in range(K.d):
-            walk(K.ops[y] @ W, depth + 1)
-
-    walk(np.eye(D, dtype=complex), 0)
+    chunks = _products(K.ops, np.eye(D, dtype=complex), n, guard)
+    acc = _string_sum(chunks, K.d, lambda W: _adjoint(W) @ W)
     return float(np.linalg.norm(acc / D - np.eye(D) / D, 2))
 
 
@@ -164,23 +155,20 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
     """
     if n < 1:
         raise ValueError(f"step count must be >= 1, got {n}")
-    _check_guard(K.d, n, guard)
     D = K.D
-    total = 0.0
+    chunks = _products(K.ops, np.eye(D, dtype=complex), n, guard)
+    if D < 2:
+        return 0.0
 
-    def walk(W: np.ndarray, depth: int) -> None:
-        nonlocal total
-        if depth == n:
-            tr = float(np.linalg.norm(W) ** 2)
-            if tr <= 0.0 or D < 2:
-                return
-            lam = np.linalg.eigvalsh(W.conj().T @ W / tr)
-            l1 = max(float(lam[-1]), 0.0)
-            l2 = max(float(lam[-2]), 0.0)
-            total += (tr / D) * np.sqrt(l1 * l2) * D
-            return
-        for y in range(K.d):
-            walk(K.ops[y] @ W, depth + 1)
+    def leaf(W: np.ndarray) -> np.ndarray:
+        tr = _norm2(W)
+        out = np.zeros(len(W))
+        live = tr > 0.0
+        W, tr = W[live], tr[live]
+        lam = np.linalg.eigvalsh(_adjoint(W) @ W / tr[:, None, None])
+        l1 = np.maximum(lam[:, -1], 0.0)
+        l2 = np.maximum(lam[:, -2], 0.0)
+        out[live] = (tr / D) * np.sqrt(l1 * l2) * D
+        return out
 
-    walk(np.eye(D, dtype=complex), 0)
-    return total
+    return float(_string_sum(chunks, K.d, leaf))

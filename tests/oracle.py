@@ -1,0 +1,162 @@
+"""Brute-force references for every quantity summed over the d^n strings.
+
+Each function forms the string products one at a time with
+``itertools.product`` and adds the per-string terms in lexicographic order,
+exactly as the definitions read.  They are slow and only serve the tests.
+``dfs_scan`` is the recursive depth-first walk ``restriction_scan`` used to
+be, kept term for term: the engine must reproduce it bit for bit.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from mpsrestrict.restriction import RestrictionContext, RestrictionSummary
+
+
+def strings(d: int, n: int):
+    return itertools.product(range(d), repeat=n)
+
+
+def product(ops: np.ndarray, root: np.ndarray, xs) -> np.ndarray:
+    P = root
+    for s in xs:
+        P = ops[s] @ P
+    return P
+
+
+def _k2(ctx: RestrictionContext, n: int) -> float:
+    X = ctx.sigma
+    for _ in range(n):
+        X = sum(A @ X @ A.conj().T for A in ctx.kraus.ops)
+    return float(np.trace(ctx.f_op.conj().T @ ctx.f_op @ X).real)
+
+
+def scan(ctx: RestrictionContext, n: int) -> dict[str, float]:
+    """The RestrictionSummary fields, from per-string spectra and SVDs."""
+    K, d = ctx.kraus, ctx.kraus.d
+    k2 = _k2(ctx, n)
+    root = ctx.sqrt_sigma
+    out = dict(p_sum=0.0, avg_entropy=0.0, purity_sum=0.0, lam2_sum_over_k2=0.0, f_value=0.0)
+    for xs in strings(d, n):
+        T = ctx.f_op @ product(K.ops, root, xs)
+        p = np.linalg.norm(T) ** 2 / k2
+        out["p_sum"] += p
+        if p < 1e-14 * d ** (-n):
+            continue
+        lam = np.clip(np.linalg.eigvalsh(T @ T.conj().T)[::-1] / (p * k2), 0.0, 1.0)
+        pos = lam[lam > 0.0]
+        out["avg_entropy"] += p * float(-np.sum(pos * np.log(pos)))
+        out["purity_sum"] += p * lam[0]
+        out["lam2_sum_over_k2"] += p * (lam[1] if lam.size > 1 else 0.0)
+        nu = np.linalg.svd(T, compute_uv=False)
+        out["f_value"] += nu[0] * nu[1] if nu.size > 1 else 0.0
+    out["avg_purity_q"] = 1.0 - out.pop("purity_sum")
+    return out
+
+
+def window(ctx: RestrictionContext, m: int) -> np.ndarray:
+    K, k2 = ctx.kraus, _k2(ctx, m)
+    return np.array(
+        [np.linalg.norm(ctx.f_op @ product(K.ops, ctx.sqrt_sigma, xs)) ** 2 / k2 for xs in strings(K.d, m)]
+    )
+
+
+def chain(K, boundaries, n: int) -> np.ndarray:
+    amps = np.array(
+        [boundaries.R.conj() @ product(K.ops, boundaries.L.astype(complex), xs) for xs in strings(K.d, n)]
+    )
+    weights = np.abs(amps) ** 2
+    return weights / weights.sum()
+
+
+def product_set(K, n: int) -> list[np.ndarray]:
+    eye = np.eye(K.D, dtype=complex)
+    return [W.conj().T @ W for W in (product(K.ops, eye, xs) for xs in strings(K.d, n))]
+
+
+def span_ranks(K, n_max: int, tol: float = 1e-10) -> list[int]:
+    """Ranks of the Gram matrices Tr(M_x^dag M_x') of the product sets."""
+    ranks = []
+    for n in range(1, n_max + 1):
+        V = np.array([M.ravel() for M in product_set(K, n)])
+        lam = np.linalg.eigvalsh(V.conj() @ V.T)
+        ranks.append(int(np.count_nonzero(lam > tol * lam[-1])))
+    return ranks
+
+
+def _nu12_sum(ops: np.ndarray, root: np.ndarray, n: int, left: np.ndarray | None = None) -> float:
+    total = 0.0
+    for xs in strings(ops.shape[0], n):
+        P = product(ops, root, xs)
+        nu = np.linalg.svd(P if left is None else left @ P, compute_uv=False)
+        total += nu[0] * nu[1] if nu.size > 1 else 0.0
+    return total
+
+
+def w_values(K, n_max: int) -> list[float]:
+    eye = np.eye(K.D, dtype=complex)
+    return [_nu12_sum(K.ops, eye, n) for n in range(1, n_max + 1)]
+
+
+def f_values(K, sqrt_sigma: np.ndarray, F: np.ndarray, n_max: int) -> list[float]:
+    return [_nu12_sum(K.ops, sqrt_sigma, n, left=F) for n in range(1, n_max + 1)]
+
+
+def mean_m_residual(K, n: int) -> float:
+    total = sum(product_set(K, n))
+    return float(np.linalg.norm(total / K.D - np.eye(K.D) / K.D, 2))
+
+
+def purification(K, n: int) -> float:
+    """D * E[sqrt(l1 l2)] of the normalized running operator W^dag W / Tr."""
+    total = 0.0
+    for M in product_set(K, n):
+        tr = np.trace(M).real
+        if tr > 0.0:
+            lam = np.clip(np.linalg.eigvalsh(M / tr), 0.0, None)
+            total += tr * np.sqrt(lam[-1] * lam[-2])
+    return total
+
+
+def dfs_scan(ctx: RestrictionContext, n: int) -> RestrictionSummary:
+    """The recursive depth-first walk, with the arithmetic of the package's
+    former ``_scan_chunk`` kept operation for operation."""
+    d = ctx.kraus.d
+    k2 = ctx.k2_for(n)
+    tr_floor = 1e-14 * d ** (-n) * k2
+    eye = np.eye(ctx.kraus.D, dtype=complex)
+    f_op = None if np.allclose(ctx.f_op, eye, atol=0.0, rtol=0.0) else ctx.f_op
+
+    def walk(P: np.ndarray, depth_left: int) -> np.ndarray:
+        acc = np.zeros(5)
+        if depth_left == 0:
+            T = P if f_op is None else f_op @ P
+            lam = np.linalg.eigvalsh(T @ T.conj().T)
+            tr = float(lam.sum())
+            acc[0] = tr
+            if tr >= tr_floor:
+                lam1 = float(lam[-1])
+                lam2 = float(lam[-2]) if lam.size > 1 else 0.0
+                q = np.clip(lam / tr, 0.0, 1.0)
+                q = q[q > 0.0]
+                acc[1] = tr * float(-np.sum(q * np.log(q)))
+                acc[2] = lam1
+                acc[3] = max(lam2, 0.0)
+                acc[4] = float(np.sqrt(max(lam1, 0.0) * max(lam2, 0.0)))
+            return acc
+        for s in range(d):
+            acc += walk(ctx.kraus.ops[s] @ P, depth_left - 1)
+        return acc
+
+    acc = walk(ctx.sqrt_sigma, n)
+    return RestrictionSummary(
+        n=int(n),
+        p_sum=float(acc[0] / k2),
+        avg_entropy=float(acc[1] / k2),
+        avg_purity_q=float(1.0 - acc[2] / k2),
+        lam2_sum_over_k2=float(acc[3] / k2),
+        f_value=float(acc[4]),
+    )

@@ -161,3 +161,28 @@ def test_builtin_parameters(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["fixed_point"]["gap"] == pytest.approx(1.0, abs=1e-10)
     assert main(["analyze", "--builtin", "markov", "--p", "0.5,0.6;0.5,0.5", "--nmax", "2"]) == 3
+
+
+def _forbid_enumeration(monkeypatch):
+    from mpsrestrict import cli
+
+    def enumerated(*args, **kwargs):
+        raise AssertionError("analyze enumerated before validating its plan")
+
+    monkeypatch.setattr(cli, "restriction_scan", enumerated)
+
+
+def test_analyze_guard_fails_before_enumerating(monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    # the first rows fit (3^5 strings), the last windowed block (3^11) does not
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "7", "--guard", "100000"]) == 2
+    # the rows fit (3^3), the Gibbs chain of the geometry (3^14) does not
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "1", "--geometry", "1,12,1", "--guard", "1000"]) == 2
+    # a guard error is reported before a bad --ell
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "7", "--guard", "100000", "--ell", "5"]) == 2
+
+
+def test_analyze_bad_ell_fails_before_enumerating(monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "7", "--ell", "5"]) == 3
+    assert main(["analyze", "--builtin", "aklt", "--geometry", "0,1,0", "--ell", "1"]) == 3
