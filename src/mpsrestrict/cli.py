@@ -12,6 +12,12 @@ Verbs:
 Exit codes: 0 success, 2 enumeration guard tripped, 3 invalid model or
 parameters, 4 internal numerical inconsistency.
 
+``analyze`` chooses its context once: the stationary context, or the bare
+boundary context (sigma = |L><L|, F^dag F = |R><R|) when the model file
+carries boundaries.  Every per-n row is ``restriction.cmi_report`` of that
+context and the Gibbs block fits its ``window_distribution``, so the CLI and
+the library compute the same numbers.
+
 Reports embed the library version, the seed and every guard that shaped the
 run.  All enumerations are deterministic and run in the calling thread.
 ``analyze`` checks the enumeration guard and ``--ell`` before it enumerates
@@ -25,13 +31,14 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
 from . import __version__
-from .chain import BoundaryPair, ChainGeometry, KrausFamily, fixed_point
+from .chain import ChainGeometry, KrausFamily, fixed_point
 from .errors import (
     CompletionFailed,
     EnumerationTooLarge,
@@ -57,12 +64,9 @@ from .purity import (
 )
 from .restriction import (
     DEFAULT_GUARD,
-    CmiReport,
     RestrictionContext,
     _check_guard,
-    chain_distribution,
-    classical_cmi,
-    restriction_scan,
+    cmi_report,
     window_distribution,
 )
 from .trajectories import sample_trajectory
@@ -177,42 +181,6 @@ def _purity_horizon(d: int, nmax: int, guard: int) -> int:
     return n
 
 
-def _per_n_row(
-    ctx: RestrictionContext,
-    n: int,
-    finite: bool,
-    K: KrausFamily,
-    boundaries: BoundaryPair | None,
-    len_a: int,
-    len_c: int,
-    guard: int,
-) -> dict[str, Any]:
-    summary = restriction_scan(ctx, n, guard=guard)
-    geom = ChainGeometry(len_a=len_a, len_b=n, len_c=len_c)
-    if finite:
-        dist = chain_distribution(K, boundaries, geom, guard=guard)
-    else:
-        dist = window_distribution(ctx, geom.total, guard=guard)
-    cls = max(0.0, classical_cmi(dist, geom))
-    report = CmiReport(
-        n=n,
-        classical_cmi=cls,
-        quantum_cmi=2.0 * summary.avg_entropy,
-        avg_entropy=summary.avg_entropy,
-        avg_purity_q=summary.avg_purity_q,
-    )
-    return {
-        "n": n,
-        "p_sum": summary.p_sum,
-        "avg_entropy": report.avg_entropy,
-        "quantum_cmi": report.quantum_cmi,
-        "classical_cmi": report.classical_cmi,
-        "avg_purity_q": report.avg_purity_q,
-        "w": None,  # filled from the w series afterwards
-        "f": summary.f_value,
-    }
-
-
 def _gibbs_block(dist, ell: int) -> dict[str, Any]:
     if dist.min_entry <= 0.0:
         dist = dist.smoothed(1e-8)
@@ -238,24 +206,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if nmax < 1:
         raise ValueError(f"--nmax must be >= 1, got {nmax}")
 
+    # The one mode choice.  A finite chain's K^2 is checked here over the
+    # chain of a one-site block, then over every chain a table covers.
     finite = boundaries is not None
     if finite:
         base = file_geometry if file_geometry is not None else flag_geometry
-        len_a, len_c = base.len_a, base.len_c
         ctx = RestrictionContext.from_boundaries(
-            K, boundaries, ChainGeometry(len_a=len_a, len_b=1, len_c=len_c)
+            K, boundaries, ChainGeometry(len_a=0, len_b=base.len_a + 1 + base.len_c, len_c=0)
         )
     else:
-        len_a, len_c = flag_geometry.len_a, flag_geometry.len_c
+        base = flag_geometry
         ctx = RestrictionContext.stationary(K)
+    len_a, len_c = base.len_a, base.len_c
 
     fp = fixed_point(K)
 
     # Fail before enumerating: the largest tables are the last windowed block
     # and the Gibbs chain.  Guard errors come before the --ell check.
-    gibbs_sites = flag_geometry.total
-    if finite:
-        gibbs_sites = len_a + max(gibbs_sites - len_a - len_c, 1) + len_c
+    gibbs_sites = len_a + max(flag_geometry.total - len_a - len_c, 1) + len_c
     _check_guard(K.d, max(len_a + nmax + len_c, gibbs_sites), guard)
     ell = int(args.ell)
     if not (1 <= ell <= gibbs_sites - 2):
@@ -263,26 +231,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"--ell must satisfy 1 <= ell <= sites-2 = {gibbs_sites - 2}, got {ell}"
         )
 
-    rows = [
-        _per_n_row(ctx, n, finite, K, boundaries, len_a, len_c, guard)
-        for n in range(1, nmax + 1)
-    ]
-
+    reports = [cmi_report(ctx, n, len_a, len_c, guard=guard) for n in range(1, nmax + 1)]
     w = w_series(K, nmax, guard=guard)
-    for r in rows:
-        r["w"] = w.value_at(r["n"])
+    rows = [{**asdict(r), "w": w.value_at(r.n)} for r in reports]
     f_ser = DecaySeries.from_values((r["n"], r["f"]) for r in rows)
     s_ser_rates = estimate_rate((r["n"], r["avg_entropy"]) for r in rows)
 
     verdict = purity_verdict(
         K, _purity_horizon(K.d, nmax, guard), tol=float(args.tol), guard=guard
     )
-
-    if finite:
-        gdist = chain_distribution(K, boundaries, gibbs_sites, guard=guard)
-    else:
-        gdist = window_distribution(ctx, gibbs_sites, guard=guard)
-    gibbs = _gibbs_block(gdist, ell)
+    gibbs = _gibbs_block(window_distribution(ctx, gibbs_sites, guard=guard), ell)
 
     report = {
         "schema_version": 1,

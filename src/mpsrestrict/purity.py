@@ -300,13 +300,10 @@ def purity_verdict(
     guard: int = DEFAULT_GUARD,
 ) -> PurityVerdict:
     """Combine the span certificate, the staircase, and decay evidence."""
+    # the span test checks the guard for every n <= n_max, so w_series cannot trip it
     span_passed_at, span_ranks = span_purity_test(K, n_max, guard=guard)
-    w_rate: float | None = None
-    try:
-        w = w_series(K, min(n_max, 6), guard=guard)
-        w_rate = None if w.all_zero else w.fitted_rate
-    except EnumerationTooLarge:
-        w = None
+    w = w_series(K, min(n_max, 6), guard=guard)
+    w_rate = None if w.all_zero else w.fitted_rate
 
     if span_passed_at is not None:
         status = "SatisfiedCertified"

@@ -2,7 +2,9 @@
 
 A restriction context carries the Kraus family together with the left
 environment sigma = E^{|A|}(|L><L|), the right dressing F = sqrt(E*^{|C|}
-(|R><R|)) and the normalization K^2.  String probabilities are
+(|R><R|)) and the normalization K^2.  The stationary context (sigma = rho,
+F = 1) describes the infinite chain; a finite chain is the bare boundary
+context (sigma = |L><L|, F^dag F = |R><R|).  String probabilities are
 
     p(x_1..x_N) = Tr[F A_{x_N} ... A_{x_1} sigma A^dag ... A^dag F^dag] / K^2,
 
@@ -18,6 +20,12 @@ significant digit), in chunks that are whole subtrees below a prefix, and
 ``_tree_sum`` adds per-string values in the order of a depth-first walk
 (each node sums its d children in symbol order, starting from zero).  Results
 do not depend on the chunking and are deterministic bit for bit.
+
+There is one path of each kind.  ``window_distribution`` tabulates the
+outcomes of any context (``chain_distribution`` is that table for the bare
+boundary context), and ``cmi_report`` sets the classical CMI of a window
+table against the quantum CMI of the block, with the window sites folded
+into the environments.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .errors import (
     FNotContractive,
     GeometryMismatch,
     NotDensityOperator,
+    OutOfRange,
     SymbolOutOfRange,
     ZeroProbabilityString,
 )
@@ -68,7 +77,7 @@ __all__ = [
 ]
 
 DEFAULT_GUARD = 2_000_000  # max d^n strings per enumeration; overridable everywhere
-_CHUNK_STRINGS = 512  # most strings whose products are held at once; bounds peak memory
+_CHUNK_STRINGS = 512  # most square products held at once; bounds peak memory
 
 
 def _check_density(sigma: np.ndarray, what: str = "sigma") -> np.ndarray:
@@ -149,7 +158,9 @@ class RestrictionContext:
         return self._cache["sqrt_sigma"]
 
     def k2_for(self, n: int) -> float:
-        """K^2(n) = Tr(F^dag F E^n(sigma)), cached per n."""
+        """K^2(n) = Tr(F^dag F E^n(sigma)), cached per n >= 0."""
+        if int(n) != n or n < 0:
+            raise OutOfRange(f"block length must be a non-negative integer, got {n!r}")
         key = ("k2", int(n))
         if key not in self._cache:
             envs = self._cache.setdefault("envs", [np.asarray(self.sigma)])
@@ -174,13 +185,19 @@ class RestrictionSummary:
 
 @dataclass(frozen=True)
 class CmiReport:
-    """Classical and quantum CMI for a block of n sites, plus entropy and Q."""
+    """Classical and quantum CMI for a block of n sites, plus entropy and Q.
+
+    ``cmi_report`` also fills the block's probability mass ``p_sum`` and its
+    decay value ``f``; a report built by hand may leave them unset.
+    """
 
     n: int
     classical_cmi: float
     quantum_cmi: float
     avg_entropy: float
     avg_purity_q: float
+    p_sum: float | None = None
+    f: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.classical_cmi <= self.quantum_cmi + 1e-9):
@@ -244,14 +261,18 @@ def _products(
 
     The guard is checked when this is called, before any product is formed.
     Each chunk is the subtree below one prefix: there are d^split chunks of
-    d^(n-split) <= _CHUNK_STRINGS products.  The split depth depends only on
-    (d, n), so two families with the same d (the Kraus operators and their
+    d^(n-split) products.  A chunk holds at most _CHUNK_STRINGS * D / r
+    products of a D x r root, so every chunk fits in as much memory as
+    _CHUNK_STRINGS square products, and a vector walk (r = 1) takes D times
+    as many strings at once.  The split depth depends only on (d, n, r / D),
+    so two square families with the same d (the Kraus operators and their
     exterior squares) yield chunks that line up one to one.
     """
     d = ops.shape[0]
     _check_guard(d, n, guard)
+    D, r = root.shape
     split = 0
-    while d ** (n - split) > _CHUNK_STRINGS:
+    while d ** (n - split) * r > _CHUNK_STRINGS * D:
         split += 1
     prefixes = _grow(ops, root[None], split)
     return (_grow(ops, P[None], n - split) for P in prefixes)
@@ -393,17 +414,39 @@ def average_purity_q(ctx: RestrictionContext, n: int, guard: int = DEFAULT_GUARD
     return restriction_scan(ctx, n, guard=guard).avg_purity_q
 
 
+def _range_factor(M: np.ndarray) -> np.ndarray | None:
+    """X (D x rank) with X X^dag = M for a PSD M, or None if M has full rank.
+
+    The rank counts the eigenvalues above 1e-14 lambda_max, so the part
+    dropped is rounding noise, such as that of a pure |L><L|.
+    """
+    lam, U = np.linalg.eigh(M)
+    keep = lam > 1e-14 * lam[-1]
+    return None if keep.all() else U[:, keep] * np.sqrt(lam[keep])
+
+
 def window_distribution(
     ctx: RestrictionContext, m: int, guard: int = DEFAULT_GUARD
 ) -> ChainDistribution:
     """Joint distribution of m consecutive outcomes under the context.
 
-    Flat table in lexicographic order (site 1 most significant digit).
+    Flat table in lexicographic order (site 1 most significant digit).  Each
+    environment enters through a range factor: the walk starts from a root
+    X (D x rank sigma) with X X^dag = sigma and ends on a cap Y (rank F^dag F
+    x D) with Y^dag Y = F^dag F.  At full rank these are sqrt(sigma) and F
+    themselves; for the pure boundaries of a finite chain the walk runs on
+    vectors.  Raises ValueError if K^2(m) < 1e-12.
     """
     d = ctx.kraus.d
-    chunks = _products(ctx.kraus.ops, ctx.sqrt_sigma, m, guard)
+    root = _range_factor(ctx.sigma)
+    cap = _range_factor(ctx.f_op.conj().T @ ctx.f_op)
+    root = ctx.sqrt_sigma if root is None else root
+    cap = ctx.f_op if cap is None else _adjoint(cap)
+    chunks = _products(ctx.kraus.ops, root, m, guard)
     k2 = ctx.k2_for(m)
-    table = _string_table(chunks, d**m, lambda P: _norm2(ctx.f_op @ P) / k2)
+    if k2 < 1e-12:
+        raise ValueError(f"degenerate context: K^2({m}) = {k2!r} < 1e-12")
+    table = _string_table(chunks, d**m, lambda P: _norm2(cap @ P) / k2)
     return ChainDistribution(length=m, d=d, table=table)
 
 
@@ -413,23 +456,17 @@ def chain_distribution(
     geometry: ChainGeometry | int,
     guard: int = DEFAULT_GUARD,
 ) -> ChainDistribution:
-    """Full-chain restriction p(x) = |<R| A_{x_n}..A_{x_1} |L>|^2 / K^2."""
+    """Full-chain restriction p(x) = |<R| A_{x_n}..A_{x_1} |L>|^2 / K^2.
+
+    The window table of the bare boundary context; raises ValueError for
+    degenerate boundaries (K^2 < 1e-12).
+    """
     n = geometry.total if isinstance(geometry, ChainGeometry) else int(geometry)
     if n < 1:
         raise GeometryMismatch(f"chain must have >= 1 site, got {n}")
-    chunks = _products(K.ops, boundaries.L.astype(complex)[:, None], n, guard)
-    k2 = normalization_k2(K, boundaries, n)
-    if k2 < 1e-12:
-        raise ValueError(f"degenerate boundaries: K^2 = {k2!r} < 1e-12")
-    R = boundaries.R.conj()
-
-    def leaf(v: np.ndarray) -> np.ndarray:
-        # |<R|v>|^2 through hypot and pow, as abs(complex) ** 2 on a scalar
-        amp = (R @ v)[:, 0]
-        return np.float_power(np.hypot(amp.real, amp.imag), 2) / k2
-
-    table = _string_table(chunks, K.d**n, leaf)
-    return ChainDistribution(length=n, d=K.d, table=table)
+    _check_guard(K.d, n, guard)  # before the n-site environment is iterated
+    bare = RestrictionContext.from_boundaries(K, boundaries, ChainGeometry(0, n, 0))
+    return window_distribution(bare, n, guard=guard)
 
 
 def classical_cmi(p: ChainDistribution, geometry: ChainGeometry) -> float:
@@ -463,10 +500,15 @@ def _absorb_windows(
     The block of a (window_a, n, window_c) geometry is separated from the
     context's environments by the flanking window sites, so the conditional
     state given a block outcome sees sigma' = E^{window_a}(sigma) on the left
-    and F'^dag F' = E*^{window_c}(F^dag F) on the right.  For a stationary
-    context both maps leave the environments invariant.
+    and F'^dag F' = E*^{window_c}(F^dag F) on the right.  The chain is the
+    same, so K^2 carries over.  Both maps leave the stationary context
+    invariant, so it is returned as it is rather than folded into itself,
+    which would only add rounding.
     """
     if window_a == 0 and window_c == 0:
+        return ctx
+    eye = np.eye(ctx.kraus.D, dtype=complex)
+    if np.array_equal(ctx.f_op, eye) and np.array_equal(ctx.sigma, fixed_point(ctx.kraus).rho):
         return ctx
     sigma = ctx.sigma
     for _ in range(window_a):
@@ -474,10 +516,7 @@ def _absorb_windows(
     f2 = ctx.f_op.conj().T @ ctx.f_op
     for _ in range(window_c):
         f2 = transfer_adjoint_apply(ctx.kraus, f2)
-    k2 = float(np.trace(f2 @ sigma).real)
-    return RestrictionContext(
-        kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2), k2=k2
-    )
+    return RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2), k2=ctx.k2)
 
 
 def cmi_report(
@@ -487,13 +526,15 @@ def cmi_report(
     window_c: int = 2,
     guard: int = DEFAULT_GUARD,
 ) -> CmiReport:
-    """Assemble the per-block CMI report.
+    """Assemble the per-block CMI report, with the block's p_sum and f.
 
     The quantum side conditions on everything outside the block, i.e. the
     window sites folded into the environments; the classical side probes
     only the ``window_a`` and ``window_c`` visible sites (discarding the
     environments), which can only lower the classical CMI, so the ordering
-    classical <= quantum is preserved.
+    classical <= quantum is preserved.  For the bare boundary context of a
+    finite chain the window table is the chain's full table, so the
+    classical side is that of the whole chain.
     """
     summary = restriction_scan(_absorb_windows(ctx, window_a, window_c), n, guard=guard)
     geom = ChainGeometry(len_a=window_a, len_b=n, len_c=window_c)
@@ -505,4 +546,6 @@ def cmi_report(
         quantum_cmi=2.0 * summary.avg_entropy,
         avg_entropy=summary.avg_entropy,
         avg_purity_q=summary.avg_purity_q,
+        p_sum=summary.p_sum,
+        f=summary.f_value,
     )

@@ -169,7 +169,9 @@ def _forbid_enumeration(monkeypatch):
     def enumerated(*args, **kwargs):
         raise AssertionError("analyze enumerated before validating its plan")
 
-    monkeypatch.setattr(cli, "restriction_scan", enumerated)
+    # analyze enumerates only through these
+    for name in ("cmi_report", "window_distribution", "w_series", "purity_verdict"):
+        monkeypatch.setattr(cli, name, enumerated)
 
 
 def test_analyze_guard_fails_before_enumerating(monkeypatch):
@@ -186,3 +188,97 @@ def test_analyze_bad_ell_fails_before_enumerating(monkeypatch):
     _forbid_enumeration(monkeypatch)
     assert main(["analyze", "--builtin", "aklt", "--nmax", "7", "--ell", "5"]) == 3
     assert main(["analyze", "--builtin", "aklt", "--geometry", "0,1,0", "--ell", "1"]) == 3
+
+
+_CMI_FIELDS = ("n", "p_sum", "avg_entropy", "quantum_cmi", "classical_cmi", "avg_purity_q", "f")
+
+
+@pytest.mark.parametrize("source", ["aklt", "haar-D3-d3"])
+def test_analyze_stationary_rows_are_cmi_report_bit_for_bit(tmp_path, source):
+    from mpsrestrict.models import aklt
+    from mpsrestrict.modelio import save_model
+    from mpsrestrict.purity import haar_kraus
+    from mpsrestrict.restriction import RestrictionContext, cmi_report
+
+    out = tmp_path / "r.json"
+    if source == "aklt":
+        K, flags = aklt(), ["--builtin", "aklt"]
+    else:
+        K = haar_kraus(3, 3, seed=8)
+        save_model(tmp_path / "m.json", K)
+        flags = ["--model", str(tmp_path / "m.json")]
+    assert main(["analyze", *flags, "--nmax", "4", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["per_n"]
+    ctx = RestrictionContext.stationary(K)
+    assert [r["n"] for r in rows] == [1, 2, 3, 4]
+    for row in rows:
+        rep = cmi_report(ctx, row["n"], 2, 2)
+        for field in _CMI_FIELDS:
+            assert row[field] == getattr(rep, field), (row["n"], field)
+
+
+@pytest.mark.parametrize("geometry_flag", [None, "2,2,1"])
+def test_analyze_finite_rows_match_the_oracle_chain(tmp_path, geometry_flag):
+    """Classical CMI from the brute-force chain table, the quantum side from a
+    context dressed with the window sites (the way analyze used to build it)."""
+    import oracle
+    from mpsrestrict.chain import BoundaryPair, ChainGeometry
+    from mpsrestrict.gibbs import ChainDistribution
+    from mpsrestrict.modelio import save_model
+    from mpsrestrict.purity import haar_kraus
+    from mpsrestrict.restriction import RestrictionContext, classical_cmi, restriction_scan
+
+    K = haar_kraus(2, 3, seed=21)
+    rng = np.random.default_rng(21)
+    L, R = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+    b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
+    model, out = tmp_path / "m.json", tmp_path / "r.json"
+    if geometry_flag is None:
+        a, c = 1, 1
+        save_model(model, K, boundaries=b, geometry=ChainGeometry(a, 3, c))
+        flags = []
+    else:
+        a, c = 2, 1
+        save_model(model, K, boundaries=b)
+        flags = ["--geometry", geometry_flag]
+    assert main(["analyze", "--model", str(model), "--nmax", "3", *flags, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["mode"] == "finite"
+    ctx = RestrictionContext.from_boundaries(K, b, ChainGeometry(a, 1, c))
+    for row in rep["per_n"]:
+        n = row["n"]
+        geom = ChainGeometry(a, n, c)
+        table = ChainDistribution(length=geom.total, d=K.d, table=oracle.chain(K, b, geom.total))
+        scan = restriction_scan(ctx, n)
+        want = {
+            "p_sum": scan.p_sum,
+            "avg_entropy": scan.avg_entropy,
+            "quantum_cmi": 2.0 * scan.avg_entropy,
+            "classical_cmi": max(0.0, classical_cmi(table, geom)),
+            "avg_purity_q": scan.avg_purity_q,
+            "f": scan.f_value,
+        }
+        for field, value in want.items():
+            assert abs(row[field] - value) <= 1e-12, (n, field)
+
+
+def test_analyze_finite_checks_k2_over_the_chains_it_tabulates(tmp_path):
+    """A period-2 Markov chain from and to state 0 has K^2 = 0 on odd chains.
+    With windows (1, 0) the one-site block's chain (2 sites) and the Gibbs
+    chain (6 sites) are even, so --nmax 1 runs; --nmax 2 needs the 3-site
+    chain and is rejected.  The 1-site chain of the windows alone is never
+    tabulated, so its K^2 = 0 must not reject the pair."""
+    from mpsrestrict.chain import BoundaryPair, ChainGeometry
+    from mpsrestrict.modelio import save_model
+    from mpsrestrict.models import markov
+
+    e0 = np.array([1.0, 0.0])
+    model = tmp_path / "m.json"
+    save_model(
+        model,
+        markov([[0.0, 1.0], [1.0, 0.0]]),
+        boundaries=BoundaryPair(L=e0, R=e0),
+        geometry=ChainGeometry(len_a=1, len_b=1, len_c=0),
+    )
+    assert main(["analyze", "--model", str(model), "--nmax", "1", "--out", str(tmp_path / "r.json")]) == 0
+    assert main(["analyze", "--model", str(model), "--nmax", "2", "--out", str(tmp_path / "r.json")]) == 3

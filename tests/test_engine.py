@@ -12,6 +12,7 @@ from mpsrestrict.purity import f_series, haar_kraus, product_set, span_purity_te
 from mpsrestrict.restriction import (
     _CHUNK_STRINGS,
     RestrictionContext,
+    _products,
     chain_distribution,
     restriction_scan,
     window_distribution,
@@ -84,3 +85,25 @@ def test_window_distribution_is_the_per_string_norm_bit_for_bit():
     ]
     want = ChainDistribution(length=8, d=3, table=np.array(raw)).table  # renormalized alike
     assert np.array_equal(window_distribution(ctx, 8).table, want)
+
+
+def test_products_bound_each_chunk_by_memory():
+    """A chunk of D x r products holds at most _CHUNK_STRINGS * D / r of
+    them: square stacks split as before, vector walks take D times more."""
+    ops = haar_kraus(3, 5, seed=1).ops
+    for root, per_chunk in ((np.eye(3, dtype=complex), 125), (np.ones((3, 1), dtype=complex), 625)):
+        chunks = list(_products(ops, root, 5, guard=5**5))
+        assert {len(c) for c in chunks} == {per_chunk}
+        assert per_chunk * root.shape[1] <= _CHUNK_STRINGS * 3 < 5 * per_chunk * root.shape[1]
+        want = np.array([oracle.product(ops, root, xs) for xs in oracle.strings(5, 5)])
+        assert np.max(np.abs(np.concatenate(chunks) - want)) <= TOL
+
+
+def test_window_distribution_keeps_small_environment_eigenvalues():
+    """Only rounding noise is cut from an environment's range: eigenvalues of
+    1e-9 and 1e-10 still count, to the oracle's precision."""
+    K = haar_kraus(2, 3, seed=5)
+    ctx = RestrictionContext(
+        kraus=K, sigma=np.diag([1.0 - 1e-9, 1e-9]), f_op=np.diag([1.0, 1e-5]), k2=1.0
+    )
+    assert np.max(np.abs(window_distribution(ctx, 4).table - oracle.window(ctx, 4))) <= TOL

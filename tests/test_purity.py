@@ -282,3 +282,10 @@ def test_correctable_report_rejects_increasing_ranks():
             projectors=(np.eye(2), np.eye(2)),
             residuals=(0.0, 0.0),
         )
+
+
+def test_purity_verdict_guard_below_d_to_the_n_max_raises():
+    # the span test checks the guard for every n <= n_max before any w_series
+    with pytest.raises(EnumerationTooLarge):
+        purity_verdict(aklt(), 4, guard=3**4 - 1)
+    assert purity_verdict(aklt(), 4, guard=3**4).n_max == 4

@@ -7,6 +7,7 @@ from mpsrestrict.chain import BoundaryPair, ChainGeometry
 from mpsrestrict.errors import (
     EnumerationTooLarge,
     GeometryMismatch,
+    OutOfRange,
     SymbolOutOfRange,
     ZeroProbabilityString,
 )
@@ -242,3 +243,43 @@ def test_cmi_report_finite_context_absorbs_window_sites():
     assert rep.quantum_cmi > 1e-6  # the dressed block really is entangled
     # the bare block against the pure left boundary has zero entropy
     assert restriction_scan(ctx, 1).avg_entropy == pytest.approx(0.0, abs=1e-12)
+
+
+def test_k2_for_rejects_bad_lengths_before_the_cache():
+    ctx = RestrictionContext.stationary(damping(0.5))
+    want = [ctx.k2_for(n) for n in range(4)]
+    for n in (-1, -3, -10, 1.5):
+        with pytest.raises(OutOfRange):
+            ctx.k2_for(n)
+    assert [ctx.k2_for(n) for n in range(4)] == want
+    assert len(ctx._cache["envs"]) == 4
+
+
+def test_window_distribution_rejects_a_degenerate_context():
+    K = markov([[0.0, 1.0], [1.0, 0.0]])
+    e0 = np.array([1.0, 0.0])
+    bare = RestrictionContext.from_boundaries(K, BoundaryPair(L=e0, R=e0), ChainGeometry(0, 2, 0))
+    assert window_distribution(bare, 2).table.sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError):
+        window_distribution(bare, 3)  # the chain flips state each site: K^2(3) = 0
+
+
+def test_chain_distribution_is_the_window_table_of_the_bare_context():
+    from mpsrestrict.purity import haar_kraus
+
+    K = haar_kraus(3, 2, seed=2)
+    rng = np.random.default_rng(2)
+    L, R = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+    b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
+    bare = RestrictionContext.from_boundaries(K, b, ChainGeometry(0, 5, 0))
+    assert np.array_equal(chain_distribution(K, b, 5).table, window_distribution(bare, 5).table)
+
+
+def test_stationary_context_is_not_folded_into_itself():
+    from mpsrestrict.restriction import _absorb_windows
+
+    ctx = RestrictionContext.stationary(aklt())
+    assert _absorb_windows(ctx, 2, 2) is ctx
+    # a context that is only close to the fixed point is folded
+    near = RestrictionContext(kraus=ctx.kraus, sigma=np.diag([0.5 + 1e-9, 0.5 - 1e-9]), f_op=ctx.f_op, k2=1.0)
+    assert _absorb_windows(near, 1, 0) is not near
