@@ -20,9 +20,11 @@ the library compute the same numbers.
 
 Reports embed the library version, the seed and every guard that shaped the
 run.  All enumerations are deterministic and run in the calling thread.
-``analyze`` checks the enumeration guard and ``--ell`` before it enumerates
-anything.  ``--threads`` is still accepted but selects nothing, so output
-bytes do not depend on it (and it is not recorded).
+``analyze`` checks the number of outcomes (d >= 2), the enumeration guard
+and ``--ell`` before it enumerates anything.  That one guard bounds every
+enumeration, so the purity verdict covers n = 1..nmax like the per-n rows.
+``--threads`` is still accepted but selects nothing, so output bytes do not
+depend on it (and it is not recorded).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from . import __version__
 from .chain import ChainGeometry, KrausFamily, fixed_point
 from .errors import (
     CompletionFailed,
+    DimensionTooSmall,
     EnumerationTooLarge,
     MpsRestrictError,
     NonConvergent,
@@ -83,10 +86,6 @@ _PER_N_COLUMNS = (
     "w",
     "f",
 )
-
-# The purity staircase materializes all d^n products, so its horizon is
-# capped more tightly than the streaming scans.
-_PURITY_ENUM_CAP = 20_000
 
 
 def _finite_or_none(x: float | None) -> float | None:
@@ -173,14 +172,6 @@ def _normalization_residual(K: KrausFamily) -> float:
     return float(np.linalg.norm(gram - np.eye(K.D)))
 
 
-def _purity_horizon(d: int, nmax: int, guard: int) -> int:
-    cap = min(guard, _PURITY_ENUM_CAP)
-    n = 1
-    while n + 1 <= nmax and d ** (n + 1) <= cap:
-        n += 1
-    return n
-
-
 def _gibbs_block(dist, ell: int) -> dict[str, Any]:
     if dist.min_entry <= 0.0:
         dist = dist.smoothed(1e-8)
@@ -200,6 +191,8 @@ def _gibbs_block(dist, ell: int) -> dict[str, Any]:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     K, label, source, boundaries, file_geometry = _resolve_model(args)
+    if K.d < 2:
+        raise DimensionTooSmall(f"analyze needs d >= 2 outcomes, got d = {K.d}")
     flag_geometry = _parse_geometry(args.geometry)
     guard = int(args.guard)
     nmax = int(args.nmax)
@@ -237,9 +230,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     f_ser = DecaySeries.from_values((r["n"], r["f"]) for r in rows)
     s_ser_rates = estimate_rate((r["n"], r["avg_entropy"]) for r in rows)
 
-    verdict = purity_verdict(
-        K, _purity_horizon(K.d, nmax, guard), tol=float(args.tol), guard=guard
-    )
+    verdict = purity_verdict(K, nmax, tol=float(args.tol), guard=guard)
     gibbs = _gibbs_block(window_distribution(ctx, gibbs_sites, guard=guard), ell)
 
     report = {

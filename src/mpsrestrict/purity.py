@@ -19,7 +19,7 @@ product lengths.  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -212,19 +212,20 @@ def _eig_clusters(lam: np.ndarray, reltol: float) -> list[slice]:
 
 
 def _max_scalar_subspace(
-    products: Sequence[np.ndarray],
-    D: int,
-    tol: float,
-    budget: int,
+    K: KrausFamily, n: int, tol: float, budget: int, guard: int
 ) -> tuple[int, np.ndarray, float]:
     """Depth-first eigenspace refinement for the largest scalar subspace.
 
-    Starts from the full space; whenever a compression B^dag M B fails the
-    scalar test (residual > tol * ||M||), branches over its eigenvalue
-    clusters intersected with the current subspace, pruning branches that
-    cannot beat the best rank found.  Returns (rank, projector, residual).
+    Starts from the full space; whenever a compression B^dag M B of a
+    length-n product M fails the scalar test (residual > tol * ||M||),
+    branches over its eigenvalue clusters intersected with the current
+    subspace, pruning branches that cannot beat the best rank found.  Each
+    node streams the products chunk by chunk, with one batched norm,
+    compression and eigh per chunk, and branches on the first failing
+    product in lexicographic order, so at most one chunk is held.  Returns
+    (rank, projector, residual).
     """
-    scales = [max(float(np.linalg.norm(M, 2)), 1e-300) for M in products]
+    eye = np.eye(K.D, dtype=complex)
     best_rank = 0
     best_basis: np.ndarray | None = None
     best_resid = 0.0
@@ -239,22 +240,25 @@ def _max_scalar_subspace(
         if r <= best_rank:
             return
         worst = 0.0
-        for M, scale in zip(products, scales):
-            C = B.conj().T @ M @ B
-            C = (C + C.conj().T) / 2.0
-            lam, V = np.linalg.eigh(C)
-            resid = float(np.max(np.abs(lam - lam.mean())))
-            if resid > tol * scale:
-                for sl in _eig_clusters(lam, 1e-8):
+        for W in _products(K.ops, eye, n, guard):
+            M = _adjoint(W) @ W
+            scales = np.maximum(np.linalg.norm(M, 2, axis=(1, 2)), 1e-300)
+            C = _adjoint(B) @ M @ B
+            lam, V = np.linalg.eigh((C + _adjoint(C)) / 2.0)
+            resids = np.max(np.abs(lam - lam.mean(axis=1, keepdims=True)), axis=1)
+            failed = np.flatnonzero(resids > tol * scales)
+            if failed.size:
+                i = failed[0]
+                for sl in _eig_clusters(lam[i], 1e-8):
                     if sl.stop - sl.start > best_rank:
-                        dfs(B @ V[:, sl])
+                        dfs(B @ V[i][:, sl])
                 return
-            worst = max(worst, resid / scale)
+            worst = max(worst, float(np.max(resids / scales)))
         best_rank = r
         best_basis = B
         best_resid = worst
 
-    dfs(np.eye(D, dtype=complex))
+    dfs(eye)
     if best_basis is None:  # cannot happen: rank-1 subspaces are always scalar
         raise NumericalInconsistency("subspace search found nothing")
     P = best_basis @ best_basis.conj().T
@@ -268,21 +272,17 @@ def correctable_subspace(
     guard: int = DEFAULT_GUARD,
     budget: int = 200_000,
 ) -> CorrectableReport:
-    """Scalar-compression staircase for n = 1..n_max."""
-    ranks: list[int] = []
-    projs: list[np.ndarray] = []
-    resids: list[float] = []
-    for n in range(1, n_max + 1):
-        products = product_set(K, n, guard=guard)
-        r, P, resid = _max_scalar_subspace(products, K.D, tol, budget)
-        ranks.append(r)
-        projs.append(P)
-        resids.append(resid)
+    """Scalar-compression staircase for n = 1..n_max.
+
+    Every node of each length's search streams the d^n products chunk by
+    chunk from the enumeration engine, so the product set is never held.
+    """
+    steps = [_max_scalar_subspace(K, n, tol, budget, guard) for n in range(1, n_max + 1)]
     return CorrectableReport(
         n_max=int(n_max),
-        max_ranks=tuple(ranks),
-        projectors=tuple(projs),
-        residuals=tuple(resids),
+        max_ranks=tuple(r for r, _, _ in steps),
+        projectors=tuple(P for _, P, _ in steps),
+        residuals=tuple(resid for _, _, resid in steps),
     )
 
 

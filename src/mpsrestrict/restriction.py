@@ -158,7 +158,11 @@ class RestrictionContext:
         return self._cache["sqrt_sigma"]
 
     def k2_for(self, n: int) -> float:
-        """K^2(n) = Tr(F^dag F E^n(sigma)), cached per n >= 0."""
+        """K^2(n) = Tr(F^dag F E^n(sigma)), cached per n >= 0.
+
+        Raises ValueError if K^2(n) < 1e-12: the length-n strings then carry
+        no probability to normalize.
+        """
         if int(n) != n or n < 0:
             raise OutOfRange(f"block length must be a non-negative integer, got {n!r}")
         key = ("k2", int(n))
@@ -168,7 +172,10 @@ class RestrictionContext:
                 envs.append(transfer_apply(self.kraus, envs[-1]))
             f2 = self.f_op.conj().T @ self.f_op
             self._cache[key] = float(np.trace(f2 @ envs[int(n)]).real)
-        return self._cache[key]
+        k2 = self._cache[key]
+        if k2 < 1e-12:
+            raise ValueError(f"degenerate context: K^2({int(n)}) = {k2!r} < 1e-12")
+        return k2
 
 
 @dataclass(frozen=True)
@@ -358,7 +365,7 @@ def restriction_scan(
     Zero-probability strings (p < 1e-14 d^-n) contribute only to the raw
     probability sum.  ``threads`` is accepted for compatibility and selects
     nothing: the pass runs in the calling thread, with the same result for
-    every value.
+    every value.  Raises ValueError if K^2(n) < 1e-12.
     """
     d = ctx.kraus.d
     chunks = _products(ctx.kraus.ops, ctx.sqrt_sigma, n, guard)
@@ -444,8 +451,6 @@ def window_distribution(
     cap = ctx.f_op if cap is None else _adjoint(cap)
     chunks = _products(ctx.kraus.ops, root, m, guard)
     k2 = ctx.k2_for(m)
-    if k2 < 1e-12:
-        raise ValueError(f"degenerate context: K^2({m}) = {k2!r} < 1e-12")
     table = _string_table(chunks, d**m, lambda P: _norm2(cap @ P) / k2)
     return ChainDistribution(length=m, d=d, table=table)
 

@@ -5,6 +5,8 @@ Each function forms the string products one at a time with
 exactly as the definitions read.  They are slow and only serve the tests.
 ``dfs_scan`` is the recursive depth-first walk ``restriction_scan`` used to
 be, kept term for term: the engine must reproduce it bit for bit.
+``max_scalar_subspace`` is the correctable-subspace search as it ran over a
+list of all d^n products, before it streamed them from the engine.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import itertools
 
 import numpy as np
 
+from mpsrestrict.errors import NumericalInconsistency, SearchBudgetExceeded
+from mpsrestrict.purity import _eig_clusters
 from mpsrestrict.restriction import RestrictionContext, RestrictionSummary
 
 
@@ -160,3 +164,54 @@ def dfs_scan(ctx: RestrictionContext, n: int) -> RestrictionSummary:
         lam2_sum_over_k2=float(acc[3] / k2),
         f_value=float(acc[4]),
     )
+
+
+def max_scalar_subspace(products, D: int, tol: float, budget: int):
+    """Depth-first eigenspace refinement for the largest scalar subspace.
+
+    Starts from the full space; whenever a compression B^dag M B fails the
+    scalar test (residual > tol * ||M||), branches over its eigenvalue
+    clusters intersected with the current subspace, pruning branches that
+    cannot beat the best rank found.  Returns (rank, projector, residual).
+    """
+    scales = [max(float(np.linalg.norm(M, 2)), 1e-300) for M in products]
+    best_rank = 0
+    best_basis = None
+    best_resid = 0.0
+    nodes = 0
+
+    def dfs(B: np.ndarray) -> None:
+        nonlocal best_rank, best_basis, best_resid, nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"subspace search exceeded {budget} nodes")
+        r = B.shape[1]
+        if r <= best_rank:
+            return
+        worst = 0.0
+        for M, scale in zip(products, scales):
+            C = B.conj().T @ M @ B
+            C = (C + C.conj().T) / 2.0
+            lam, V = np.linalg.eigh(C)
+            resid = float(np.max(np.abs(lam - lam.mean())))
+            if resid > tol * scale:
+                for sl in _eig_clusters(lam, 1e-8):
+                    if sl.stop - sl.start > best_rank:
+                        dfs(B @ V[:, sl])
+                return
+            worst = max(worst, resid / scale)
+        best_rank = r
+        best_basis = B
+        best_resid = worst
+
+    dfs(np.eye(D, dtype=complex))
+    if best_basis is None:  # cannot happen: rank-1 subspaces are always scalar
+        raise NumericalInconsistency("subspace search found nothing")
+    P = best_basis @ best_basis.conj().T
+    return best_rank, (P + P.conj().T) / 2.0, best_resid
+
+
+def correctable(K, n_max: int, tol: float = 1e-8, budget: int = 200_000):
+    """(ranks, projectors, residuals) of the staircase for n = 1..n_max."""
+    steps = [max_scalar_subspace(product_set(K, n), K.D, tol, budget) for n in range(1, n_max + 1)]
+    return tuple(zip(*steps))

@@ -190,6 +190,39 @@ def test_analyze_bad_ell_fails_before_enumerating(monkeypatch):
     assert main(["analyze", "--builtin", "aklt", "--geometry", "0,1,0", "--ell", "1"]) == 3
 
 
+def test_analyze_rejects_a_single_outcome_before_enumerating(monkeypatch, tmp_path):
+    from mpsrestrict.chain import KrausFamily
+    from mpsrestrict.modelio import save_model
+
+    _forbid_enumeration(monkeypatch)
+    model = tmp_path / "m.json"
+    save_model(model, KrausFamily(ops=np.eye(2, dtype=complex)[None]))
+    assert main(["check", str(model)]) == 0
+    assert main(["analyze", "--model", str(model)]) == 3
+
+
+def test_analyze_purity_covers_nmax_past_twenty_thousand_strings(tmp_path):
+    """The verdict's horizon is --nmax under the one enumeration guard, even
+    where 2^15 products exceed the 20 000 the staircase used to be capped at."""
+    from mpsrestrict.models import damping
+    from mpsrestrict.purity import purity_verdict
+
+    out = tmp_path / "r.json"
+    args = ["--builtin", "damping", "--nmax", "15", "--geometry", "1,1,1", "--ell", "1"]
+    assert main(["analyze", *args, "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["purity"]
+    want = purity_verdict(damping(0.5), 15)
+    assert got == {
+        "status": want.status,
+        "evidence": want.evidence,
+        "n_max": 15,
+        "span_passed_at": want.span_passed_at,
+        "span_ranks": list(want.span_ranks),
+        "correctable_ranks": list(want.correctable_ranks),
+        "w_fitted_rate": want.w_fitted_rate,
+    }
+
+
 _CMI_FIELDS = ("n", "p_sum", "avg_entropy", "quantum_cmi", "classical_cmi", "avg_purity_q", "f")
 
 

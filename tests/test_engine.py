@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 
 import oracle
-from mpsrestrict.chain import BoundaryPair, ChainGeometry
+from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily, renormalize
 from mpsrestrict.gibbs import ChainDistribution
-from mpsrestrict.models import aklt
-from mpsrestrict.purity import f_series, haar_kraus, product_set, span_purity_test, w_series
+from mpsrestrict.models import aklt, aklt_pauli, clock, damping, jordan, markov
+from mpsrestrict.purity import (
+    correctable_subspace,
+    f_series,
+    haar_kraus,
+    product_set,
+    span_purity_test,
+    w_series,
+)
 from mpsrestrict.restriction import (
     _CHUNK_STRINGS,
     RestrictionContext,
@@ -107,3 +114,59 @@ def test_window_distribution_keeps_small_environment_eigenvalues():
         kraus=K, sigma=np.diag([1.0 - 1e-9, 1e-9]), f_op=np.diag([1.0, 1e-5]), k2=1.0
     )
     assert np.max(np.abs(window_distribution(ctx, 4).table - oracle.window(ctx, 4))) <= TOL
+
+
+def _block_diagonal() -> KrausFamily:
+    """kron(1_2, A_x): every projector onto C^2 (x) v compresses to a scalar."""
+    return KrausFamily(ops=np.stack([np.kron(np.eye(2), A) for A in haar_kraus(2, 2, seed=3).ops]))
+
+
+def _near_pauli() -> KrausFamily:
+    """The Pauli family moved by 1e-10: its rank-2 subspaces stay within the
+    scalar tolerance with residuals near 1e-10, well above the test's 1e-12."""
+    rng = np.random.default_rng(0)
+    ops = aklt_pauli().ops
+    return renormalize(ops + 1e-10 * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape)))
+
+
+def _zero_then_damping() -> KrausFamily:
+    return KrausFamily(ops=np.concatenate([np.zeros((1, 2, 2)), damping(0.5).ops]))
+
+
+STAIRCASE_FAMILIES = {
+    "aklt": (aklt, 5),
+    "aklt-pauli": (aklt_pauli, 5),
+    "jordan-2": (lambda: jordan(2), 6),
+    "jordan-4": (lambda: jordan(4), 6),
+    "damping": (lambda: damping(0.5), 7),
+    "markov": (markov, 4),
+    "clock-3": (lambda: clock(3), 3),
+    "haar-D2-d2": (lambda: haar_kraus(2, 2, seed=3), 7),
+    "haar-D3-d3": (lambda: haar_kraus(3, 3, seed=5), 5),
+    "block-diagonal": (_block_diagonal, 5),
+    "near-pauli": (_near_pauli, 4),
+    "zero-then-damping": (_zero_then_damping, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAIRCASE_FAMILIES))
+def test_correctable_subspace_matches_the_list_search(name):
+    make, n_max = STAIRCASE_FAMILIES[name]
+    K = make()
+    rep = correctable_subspace(K, n_max)
+    ranks, projectors, residuals = oracle.correctable(K, n_max)
+    assert rep.max_ranks == ranks
+    assert max(abs(a - b) for a, b in zip(rep.residuals, residuals)) <= TOL
+    assert max(np.max(np.abs(a - b)) for a, b in zip(rep.projectors, projectors)) <= TOL
+
+
+def test_zero_then_damping_branches_on_a_product_in_a_later_chunk():
+    """With a zero operator first, every string holding symbol 0 gives a zero
+    product, so the first non-scalar one is A_1^7, string 1093, in the fifth
+    chunk of 243: the search of that family streams past four chunks first."""
+    K = _zero_then_damping()
+    chunks = [len(c) for c in _products(K.ops, np.eye(2, dtype=complex), 7, guard=3**7)]
+    assert chunks == [243] * 9
+    spread = [np.ptp(np.linalg.eigvalsh(M)) for M in oracle.product_set(K, 7)]
+    assert int(np.flatnonzero(np.array(spread) > 1e-8)[0]) == 1093 == 4 * 243 + 121
+    assert correctable_subspace(K, 7).max_ranks == (1,) * 7

@@ -264,6 +264,23 @@ def test_window_distribution_rejects_a_degenerate_context():
         window_distribution(bare, 3)  # the chain flips state each site: K^2(3) = 0
 
 
+def test_k2_for_rejects_a_degenerate_length_for_every_observable():
+    """K^2 is checked in one place, so the scan and the per-string
+    observables raise where they used to divide by zero."""
+    K = markov([[0.0, 1.0], [1.0, 0.0]])
+    e0 = np.array([1.0, 0.0])
+    bare = RestrictionContext.from_boundaries(K, BoundaryPair(L=e0, R=e0), ChainGeometry(0, 2, 0))
+    assert restriction_scan(bare, 2).p_sum == pytest.approx(1.0, abs=1e-12)
+    for observe in (
+        lambda: restriction_scan(bare, 3),
+        lambda: string_probability(bare, (1, 2, 1)),
+        lambda: post_measurement_spectrum(bare, (1, 2, 1)),
+        lambda: bare.k2_for(3),
+    ):
+        with pytest.raises(ValueError, match="degenerate context"):
+            observe()
+
+
 def test_chain_distribution_is_the_window_table_of_the_bare_context():
     from mpsrestrict.purity import haar_kraus
 
