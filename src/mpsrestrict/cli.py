@@ -230,7 +230,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     f_ser = DecaySeries.from_values((r["n"], r["f"]) for r in rows)
     s_ser_rates = estimate_rate((r["n"], r["avg_entropy"]) for r in rows)
 
-    verdict = purity_verdict(K, nmax, tol=float(args.tol), guard=guard)
+    verdict = purity_verdict(K, nmax, tol=float(args.tol), guard=guard, w=w)
     gibbs = _gibbs_block(window_distribution(ctx, gibbs_sites, guard=guard), ell)
 
     report = {

@@ -172,10 +172,11 @@ def exterior_square(O: np.ndarray) -> np.ndarray:
     with row pairs a<b and column pairs i<j in lexicographic order — i.e. the
     compression of O (x) O to the antisymmetric subspaces in the basis
     (|i>|j> - |j>|i>)/sqrt(2).  Its operator norm is nu_1(O) * nu_2(O), and
-    it is multiplicative: ext(O_B O_A) = ext(O_B) ext(O_A).
+    it is multiplicative: ext(O_B O_A) = ext(O_B) ext(O_A).  A stack of
+    matrices (k, D2, D1) gives the stack of their exterior squares.
     """
-    O = _as_matrix(O)
-    d2, d1 = O.shape
+    O = _as_matrix(O) if np.ndim(O) != 3 else np.asarray(O, dtype=complex)
+    d2, d1 = O.shape[-2:]
     if d1 < 2 or d2 < 2:
         raise DimensionTooSmall(f"exterior square needs both dims >= 2, got {O.shape}")
     rows = np.array(list(combinations(range(d2), 2)))
@@ -184,7 +185,7 @@ def exterior_square(O: np.ndarray) -> np.ndarray:
     b = rows[:, 1][:, None]
     i = cols[:, 0][None, :]
     j = cols[:, 1][None, :]
-    return O[a, i] * O[b, j] - O[a, j] * O[b, i]
+    return O[..., a, i] * O[..., b, j] - O[..., a, j] * O[..., b, i]
 
 
 def clock_shift_basis(D: int) -> list[np.ndarray]:

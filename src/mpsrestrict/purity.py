@@ -19,6 +19,7 @@ product lengths.  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -34,6 +35,7 @@ from .errors import (
 )
 from .linalg import _psd_rank, clock_shift_basis, exterior_square, gram_rank
 from .restriction import (
+    _CHUNK_STRINGS,
     DEFAULT_GUARD,
     _adjoint,
     _check_contraction,
@@ -42,7 +44,6 @@ from .restriction import (
     _string_product,
     _string_sum,
     _string_table,
-    _tree_sum,
 )
 
 __all__ = [
@@ -151,8 +152,8 @@ def product_set(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> list[np.n
     """
     if n < 1:
         raise EnumerationTooLarge(f"product length must be >= 1, got {n}")
-    chunks = _products(K.ops, np.eye(K.D, dtype=complex), n, guard)
-    return list(_string_table(chunks, K.d**n, lambda W: _adjoint(W) @ W))
+    tree = _products(K.ops, np.eye(K.D, dtype=complex), n, guard)
+    return list(_string_table(tree, lambda W: _adjoint(W) @ W))
 
 
 def span_purity_test(
@@ -167,8 +168,8 @@ def span_purity_test(
     d^n products span the full D^2-dimensional operator space (then purity is
     certified), or None.  Ranks are computed from S_n = V^T conj(V), with the
     vectorized products vec(M_x) as the rows of V, which shares the Gram
-    matrix's nonzero spectrum; it is summed chunk by chunk, so the d^n rows
-    are never all held.
+    matrix's nonzero spectrum; it is summed chunk by chunk over the products
+    that are not exactly zero, so the d^n rows are never all held.
     """
     if n_max < 1:
         raise EnumerationTooLarge(f"n_max must be >= 1, got {n_max}")
@@ -182,9 +183,8 @@ def span_purity_test(
 
     ranks: list[int] = []
     passed_at: int | None = None
-    for n, chunks in enumerate(levels, start=1):
-        S = _tree_sum(np.array([chunk_s(W) for W in chunks]), K.d)
-        rank = _psd_rank(S, tol)
+    for n, tree in enumerate(levels, start=1):
+        rank = _psd_rank(sum(chunk_s(W) for _, _, W in tree), tol)
         ranks.append(rank)
         if rank == D * D and passed_at is None:
             passed_at = n
@@ -222,8 +222,10 @@ def _max_scalar_subspace(
     subspace, pruning branches that cannot beat the best rank found.  Each
     node streams the products chunk by chunk, with one batched norm,
     compression and eigh per chunk, and branches on the first failing
-    product in lexicographic order, so at most one chunk is held.  Returns
-    (rank, projector, residual).
+    product in lexicographic order, so at most one chunk is held.  The
+    engine leaves out exact-zero products, which pass the test with residual
+    0, so the first failing product is the same.  Returns (rank, projector,
+    residual).
     """
     eye = np.eye(K.D, dtype=complex)
     best_rank = 0
@@ -240,7 +242,7 @@ def _max_scalar_subspace(
         if r <= best_rank:
             return
         worst = 0.0
-        for W in _products(K.ops, eye, n, guard):
+        for _, _, W in _products(K.ops, eye, n, guard):
             M = _adjoint(W) @ W
             scales = np.maximum(np.linalg.norm(M, 2, axis=(1, 2)), 1e-300)
             C = _adjoint(B) @ M @ B
@@ -298,11 +300,24 @@ def purity_verdict(
     n_max: int,
     tol: float = 1e-8,
     guard: int = DEFAULT_GUARD,
+    w: DecaySeries | None = None,
 ) -> PurityVerdict:
-    """Combine the span certificate, the staircase, and decay evidence."""
+    """Combine the span certificate, the staircase, and decay evidence.
+
+    The decay evidence is the fitted rate of w(1..min(n_max, 6)).  A caller
+    that already holds ``w_series(K, m)`` for some m >= min(n_max, 6) may pass
+    it as ``w``: its first entries hold the same values, so the verdict is the
+    same and the strings are not enumerated again.
+    """
     # the span test checks the guard for every n <= n_max, so w_series cannot trip it
     span_passed_at, span_ranks = span_purity_test(K, n_max, guard=guard)
-    w = w_series(K, min(n_max, 6), guard=guard)
+    m = min(n_max, 6)
+    if w is None:
+        w = w_series(K, m, guard=guard)
+    elif [n for n, _ in w.values[:m]] != list(range(1, m + 1)):
+        raise ValueError(f"w must cover n = 1..{m}, got n = {[n for n, _ in w.values]}")
+    else:
+        w = DecaySeries.from_values(w.values[:m])
     w_rate = None if w.all_zero else w.fitted_rate
 
     if span_passed_at is not None:
@@ -356,9 +371,13 @@ def purity_verdict(
 def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySeries:
     """w(n) = sum over all d^n strings of nu1 * nu2 of A_{x_n}..A_{x_1}.
 
-    Computed by two independent routes — per-string SVD, and the spectral
-    norm of the exterior-square product — which must agree to 1e-9; the
-    submultiplicative law w(n+m) <= w(n) w(m) is checked for all pairs.
+    Computed by two independent routes from the same products — per-string
+    SVD, and the spectral norm of the product's exterior square (its matrix
+    of 2x2 minors) — which must agree to 1e-9; the submultiplicative law
+    w(n+m) <= w(n) w(m) is checked for all pairs.  The reported values are
+    the SVD route's.  The exterior squares of a chunk are formed in slices
+    of at most max(1, _CHUNK_STRINGS D^2 // C(D,2)^2) products, so no slice
+    takes more memory than a chunk of D x D products.
     """
     if n_max < 1:
         raise EnumerationTooLarge(f"n_max must be >= 1, got {n_max}")
@@ -367,20 +386,20 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
         values = [(n, 0.0) for n in range(1, n_max + 1)]
         return DecaySeries.from_values(values)
 
-    wedges = np.stack([exterior_square(A) for A in K.ops])
-    w_eye = np.eye(wedges.shape[1], dtype=complex)
+    per_slice = max(1, _CHUNK_STRINGS * K.D**2 // comb(K.D, 2) ** 2)
 
-    def leaf(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        W, W2 = pair
+    def leaf(W: np.ndarray) -> np.ndarray:
         s = np.linalg.svd(W, compute_uv=False)
-        return np.stack([s[:, 0] * s[:, 1], np.linalg.svd(W2, compute_uv=False)[:, 0]], axis=1)
+        wedge_norms = np.zeros(len(W))
+        for i in range(0, len(W), per_slice):
+            wedges = exterior_square(W[i : i + per_slice])
+            wedge_norms[i : i + per_slice] = np.linalg.svd(wedges, compute_uv=False)[:, 0]
+        return np.stack([s[:, 0] * s[:, 1], wedge_norms], axis=1)
 
     svd_sums = np.zeros(n_max + 1)
     wedge_sums = np.zeros(n_max + 1)
-    for n, chunks in enumerate(levels, start=1):
-        # the split depth depends only on (d, n), so the chunks line up
-        pairs = zip(chunks, _products(wedges, w_eye, n, guard))
-        svd_sums[n], wedge_sums[n] = _string_sum(pairs, K.d, leaf)
+    for n, tree in enumerate(levels, start=1):
+        svd_sums[n], wedge_sums[n] = _string_sum(tree, leaf)
 
     for n in range(1, n_max + 1):
         diff = abs(svd_sums[n] - wedge_sums[n])
@@ -422,7 +441,7 @@ def f_series(
         return s[:, 0] * s[:, 1] if K.D > 1 else np.zeros(len(P))
 
     return DecaySeries.from_values(
-        (n, float(_string_sum(chunks, K.d, leaf))) for n, chunks in enumerate(levels, start=1)
+        (n, float(_string_sum(tree, leaf))) for n, tree in enumerate(levels, start=1)
     )
 
 

@@ -18,8 +18,11 @@ Every enumeration over the d^n strings, here and in ``purity`` and
 products level by level as lexicographic stacks (site 1 is the most
 significant digit), in chunks that are whole subtrees below a prefix, and
 ``_tree_sum`` adds per-string values in the order of a depth-first walk
-(each node sums its d children in symbol order, starting from zero).  Results
-do not depend on the chunking and are deterministic bit for bit.
+(each node sums its d children in symbol order, starting from zero).  A
+product that is exactly zero is dropped where it appears, with its subtree,
+and ``_string_sum``/``_string_table`` give its strings zero rows; since
+x + 0.0 == x, results equal those of the full walk.  Results do not depend
+on the chunking or the pruning and are deterministic bit for bit.
 
 There is one path of each kind.  ``window_distribution`` tabulates the
 outcomes of any context (``chain_distribution`` is that table for the bare
@@ -31,7 +34,7 @@ into the environments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -250,30 +253,67 @@ def _adjoint(T: np.ndarray) -> np.ndarray:
     return np.swapaxes(T.conj(), -1, -2)
 
 
-def _grow(ops: np.ndarray, stack: np.ndarray, levels: int) -> np.ndarray:
+def _grow(
+    ops: np.ndarray, stack: np.ndarray, levels: int, prune: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """Extend every product of a stack (k, D, D') by ``levels`` more symbols.
 
     Entry i*d + s of each new level is ops[s] @ stack[i], so the stack stays
-    in lexicographic order with the first symbol most significant.
+    in lexicographic order with the first symbol most significant.  With
+    ``prune``, a product whose entries are all exactly zero is dropped at the
+    level where it appears, so its subtree, whose products are all zero too,
+    is never formed.  Returns the grown stack and the lexicographic index of
+    each of its products among the k d^levels.
     """
+    d = ops.shape[0]
+    index = np.arange(len(stack))
     for _ in range(levels):
         stack = np.matmul(ops[None], stack[:, None]).reshape(-1, *stack.shape[1:])
-    return stack
+        if prune:
+            index = (index[:, None] * d + np.arange(d)).ravel()
+            live = stack.any(axis=(1, 2))
+            if not live.all():
+                stack, index = stack[live], index[live]
+    return stack, index if prune else np.arange(len(stack))
 
 
-def _products(
-    ops: np.ndarray, root: np.ndarray, n: int, guard: int
-) -> Iterator[np.ndarray]:
+@dataclass(frozen=True)
+class _Tree:
+    """The d^n string products of one enumeration, in ``count`` chunks of
+    ``size`` strings: chunk c holds strings c*size .. (c+1)*size - 1.
+
+    Iterating (once) yields (c, live, stack) for each chunk c that holds a
+    non-zero product, in order: ``stack`` holds the chunk's products that are not
+    exactly zero and ``live`` their in-chunk indices, both lexicographic.
+    Every product left out is exactly zero.
+    """
+
+    d: int
+    count: int
+    size: int
+    empty: np.ndarray  # a stack of no products, with the products' shape
+    chunks: Iterator[tuple[int, np.ndarray, np.ndarray]]
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        return self.chunks
+
+
+def _products(ops: np.ndarray, root: np.ndarray, n: int, guard: int) -> _Tree:
     """All d^n products A_{x_n}..A_{x_1} root, as lexicographic chunks.
 
-    The guard is checked when this is called, before any product is formed.
-    Each chunk is the subtree below one prefix: there are d^split chunks of
-    d^(n-split) products.  A chunk holds at most _CHUNK_STRINGS * D / r
-    products of a D x r root, so every chunk fits in as much memory as
-    _CHUNK_STRINGS square products, and a vector walk (r = 1) takes D times
-    as many strings at once.  The split depth depends only on (d, n, r / D),
-    so two square families with the same d (the Kraus operators and their
-    exterior squares) yield chunks that line up one to one.
+    The guard is checked when this is called, before any product is formed,
+    and it counts all d^n strings.  Each chunk is the subtree below one
+    prefix: there are d^split chunks of d^(n-split) strings.  A chunk holds
+    at most _CHUNK_STRINGS * D / r products of a D x r root, so every chunk
+    fits in as much memory as _CHUNK_STRINGS square products, and a vector
+    walk (r = 1) takes D times as many strings at once.
+
+    Exact-zero subtrees are skipped: a zero product has only zero
+    descendants, so it is dropped where it appears and a chunk left with no
+    product is not yielded.  Only a rank-deficient Kraus operator can turn a
+    non-zero product into zero, so a family whose operators all have full
+    rank is walked without looking for zeros.  That choice changes only the
+    speed: a zero product that is kept gives zero rows all the same.
     """
     d = ops.shape[0]
     _check_guard(d, n, guard)
@@ -281,8 +321,18 @@ def _products(
     split = 0
     while d ** (n - split) * r > _CHUNK_STRINGS * D:
         split += 1
-    prefixes = _grow(ops, root[None], split)
-    return (_grow(ops, P[None], n - split) for P in prefixes)
+    # rank-deficient at the tolerance of np.linalg.matrix_rank
+    nu = np.linalg.svd(ops, compute_uv=False)
+    prune = bool(np.any(nu[:, -1] <= nu[:, 0] * D * np.finfo(float).eps))
+    prefixes, numbers = _grow(ops, root[None], split, prune)
+
+    def chunks() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        for c, P in zip(numbers, prefixes):
+            stack, live = _grow(ops, P[None], n - split, prune)
+            if len(stack):
+                yield int(c), live, stack
+
+    return _Tree(d=d, count=d**split, size=d ** (n - split), empty=prefixes[:0], chunks=chunks())
 
 
 def _tree_sum(values: np.ndarray, d: int) -> np.ndarray:
@@ -301,25 +351,36 @@ def _tree_sum(values: np.ndarray, d: int) -> np.ndarray:
     return values[0]
 
 
-def _string_sum(
-    chunks: Iterable[Any], d: int, leaf: Callable[[Any], np.ndarray]
-) -> np.ndarray:
-    """Tree-order sum over all strings of the per-string rows leaf(chunk)."""
-    return _tree_sum(np.array([_tree_sum(leaf(c), d) for c in chunks]), d)
+def _string_sum(tree: _Tree, leaf: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Tree-order sum over all strings of the per-string rows leaf(stack).
+
+    Each live chunk's rows are placed in a zero-filled chunk and tree-summed,
+    and a chunk with no live product contributes a zero partial.  The leaves
+    map a zero product to zero rows, and x + 0.0 == x for the accumulator,
+    which starts at +0.0, so the sum equals the one over every string bit
+    for bit.  The row shape is that of leaf(tree.empty), so a leaf must take
+    a stack of no products.
+    """
+    empty = leaf(tree.empty)
+    partials = np.zeros((tree.count,) + empty.shape[1:], dtype=empty.dtype)
+    for c, live, stack in tree:
+        rows = leaf(stack)
+        if len(rows) < tree.size:
+            full = np.zeros((tree.size,) + rows.shape[1:], dtype=rows.dtype)
+            full[live] = rows
+            rows = full
+        partials[c] = _tree_sum(rows, tree.d)
+    return _tree_sum(partials, tree.d)
 
 
-def _string_table(
-    chunks: Iterable[Any], size: int, leaf: Callable[[Any], np.ndarray]
-) -> np.ndarray:
-    """The per-string rows leaf(chunk) of all strings in one lexicographic table."""
-    table = None
-    pos = 0
-    for c in chunks:
-        rows = leaf(c)
-        if table is None:
-            table = np.empty((size,) + rows.shape[1:], dtype=rows.dtype)
-        table[pos : pos + len(rows)] = rows
-        pos += len(rows)
+def _string_table(tree: _Tree, leaf: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The per-string rows leaf(stack) of all strings in one lexicographic
+    table; the rows of the zero products left out of the walk are zero.  The
+    row shape is that of leaf(tree.empty), as for ``_string_sum``."""
+    empty = leaf(tree.empty)
+    table = np.zeros((tree.count * tree.size,) + empty.shape[1:], dtype=empty.dtype)
+    for c, live, stack in tree:
+        table[c * tree.size + live] = leaf(stack)
     return table
 
 
@@ -330,7 +391,7 @@ def _norm2(T: np.ndarray) -> np.ndarray:
     parts and takes the square root; the square goes through pow, as ``**``
     on a scalar does, which can differ from x * x in the last bit.
     """
-    x = T.reshape(len(T), 1, -1)
+    x = T.reshape(len(T), 1, T.shape[1] * T.shape[2])
     sq = x.real @ np.swapaxes(x.real, 1, 2) + x.imag @ np.swapaxes(x.imag, 1, 2)
     return np.float_power(np.sqrt(sq[:, 0, 0]), 2)
 
@@ -368,7 +429,7 @@ def restriction_scan(
     every value.  Raises ValueError if K^2(n) < 1e-12.
     """
     d = ctx.kraus.d
-    chunks = _products(ctx.kraus.ops, ctx.sqrt_sigma, n, guard)
+    tree = _products(ctx.kraus.ops, ctx.sqrt_sigma, n, guard)
     if n < 1:
         raise SymbolOutOfRange(f"block length must be >= 1, got {n}")
     k2 = ctx.k2_for(n)
@@ -395,7 +456,7 @@ def restriction_scan(
         rows[live, 4] = np.sqrt(np.maximum(lam1, 0.0) * np.maximum(lam2, 0.0))
         return rows
 
-    acc = _string_sum(chunks, d, leaf)
+    acc = _string_sum(tree, leaf)
     return RestrictionSummary(
         n=int(n),
         p_sum=float(acc[0] / k2),
@@ -449,9 +510,9 @@ def window_distribution(
     cap = _range_factor(ctx.f_op.conj().T @ ctx.f_op)
     root = ctx.sqrt_sigma if root is None else root
     cap = ctx.f_op if cap is None else _adjoint(cap)
-    chunks = _products(ctx.kraus.ops, root, m, guard)
+    tree = _products(ctx.kraus.ops, root, m, guard)
     k2 = ctx.k2_for(m)
-    table = _string_table(chunks, d**m, lambda P: _norm2(cap @ P) / k2)
+    table = _string_table(tree, lambda P: _norm2(cap @ P) / k2)
     return ChainDistribution(length=m, d=d, table=table)
 
 

@@ -141,8 +141,8 @@ def mean_m_check(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> float:
     if n < 1:
         raise ValueError(f"step count must be >= 1, got {n}")
     D = K.D
-    chunks = _products(K.ops, np.eye(D, dtype=complex), n, guard)
-    acc = _string_sum(chunks, K.d, lambda W: _adjoint(W) @ W)
+    tree = _products(K.ops, np.eye(D, dtype=complex), n, guard)
+    acc = _string_sum(tree, lambda W: _adjoint(W) @ W)
     return float(np.linalg.norm(acc / D - np.eye(D) / D, 2))
 
 
@@ -156,7 +156,7 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
     if n < 1:
         raise ValueError(f"step count must be >= 1, got {n}")
     D = K.D
-    chunks = _products(K.ops, np.eye(D, dtype=complex), n, guard)
+    tree = _products(K.ops, np.eye(D, dtype=complex), n, guard)
     if D < 2:
         return 0.0
 
@@ -171,4 +171,4 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
         out[live] = (tr / D) * np.sqrt(l1 * l2) * D
         return out
 
-    return float(_string_sum(chunks, K.d, leaf))
+    return float(_string_sum(tree, leaf))

@@ -223,6 +223,37 @@ def test_analyze_purity_covers_nmax_past_twenty_thousand_strings(tmp_path):
     }
 
 
+def test_analyze_enumerates_the_decay_series_once(monkeypatch, tmp_path):
+    """The verdict fits the w series the rows already hold, with the bits of
+    the verdict that recomputes w(1..6) itself."""
+    from mpsrestrict import cli, purity
+    from mpsrestrict.models import aklt
+
+    want = purity.purity_verdict(aklt(), 8)
+    w_series = purity.w_series
+    calls = []
+
+    def counted(K, n_max, *args, **kwargs):
+        calls.append(n_max)
+        return w_series(K, n_max, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "w_series", counted)
+    monkeypatch.setattr(purity, "w_series", counted)
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "8", "--out", str(out)]) == 0
+    assert calls == [8]
+    rep = json.loads(out.read_text())
+    assert rep["purity"] == {
+        "status": want.status,
+        "evidence": want.evidence,
+        "n_max": 8,
+        "span_passed_at": want.span_passed_at,
+        "span_ranks": list(want.span_ranks),
+        "correctable_ranks": list(want.correctable_ranks),
+        "w_fitted_rate": want.w_fitted_rate,
+    }
+
+
 _CMI_FIELDS = ("n", "p_sum", "avg_entropy", "quantum_cmi", "classical_cmi", "avg_purity_q", "f")
 
 

@@ -1,6 +1,8 @@
 """The chunked product-tree engine against the brute-force oracle and the
 recursive walk it replaced."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,11 @@ from mpsrestrict.purity import (
 from mpsrestrict.restriction import (
     _CHUNK_STRINGS,
     RestrictionContext,
+    _adjoint,
+    _norm2,
     _products,
+    _string_sum,
+    _string_table,
     chain_distribution,
     restriction_scan,
     window_distribution,
@@ -99,11 +105,69 @@ def test_products_bound_each_chunk_by_memory():
     them: square stacks split as before, vector walks take D times more."""
     ops = haar_kraus(3, 5, seed=1).ops
     for root, per_chunk in ((np.eye(3, dtype=complex), 125), (np.ones((3, 1), dtype=complex), 625)):
-        chunks = list(_products(ops, root, 5, guard=5**5))
-        assert {len(c) for c in chunks} == {per_chunk}
+        tree = _products(ops, root, 5, guard=5**5)
+        chunks = list(tree)
+        assert (tree.count, tree.size) == (5**5 // per_chunk, per_chunk)
+        # a Haar family has no zero product: every chunk is whole
+        assert [c for c, _, _ in chunks] == list(range(tree.count))
+        assert all(np.array_equal(live, np.arange(per_chunk)) for _, live, _ in chunks)
+        assert {len(W) for _, _, W in chunks} == {per_chunk}
         assert per_chunk * root.shape[1] <= _CHUNK_STRINGS * 3 < 5 * per_chunk * root.shape[1]
         want = np.array([oracle.product(ops, root, xs) for xs in oracle.strings(5, 5)])
-        assert np.max(np.abs(np.concatenate(chunks) - want)) <= TOL
+        assert np.max(np.abs(np.concatenate([W for _, _, W in chunks]) - want)) <= TOL
+
+
+def test_aklt_window_forms_only_the_live_leaves():
+    """A_+ A_+ = A_- A_- = 0, so of the 3^12 strings of the largest window
+    of ``analyze --builtin aklt --nmax 8`` only 8191 have a non-zero product;
+    only those leaves are formed, in 255 of the 2187 chunks."""
+    ctx = RestrictionContext.stationary(aklt())
+    tree = _products(ctx.kraus.ops, ctx.sqrt_sigma, 12, guard=3**12)
+    chunks = list(tree)
+    assert (tree.count, tree.size) == (3**7, 3**5)
+    assert len(chunks) == 255
+    assert sum(len(W) for _, _, W in chunks) == 8191
+    for c, live, W in chunks:
+        assert np.all(np.diff(live) > 0) and len(live) == len(W)
+        assert np.all(W.reshape(len(W), -1).any(axis=1))
+    strings = np.concatenate([c * tree.size + live for c, live, _ in chunks])
+    assert np.array_equal(np.flatnonzero(window_distribution(ctx, 12).table), strings)
+
+
+def _nilpotent() -> np.ndarray:
+    """Two operators whose every product of length >= 2 is exactly zero."""
+    N = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    return np.stack([N, 0.5 * N])
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_an_enumeration_of_zero_products_gives_zeros_of_the_right_shape(n):
+    ops = _nilpotent()
+    eye = np.eye(2, dtype=complex)
+    assert list(_products(ops, eye, n, guard=2**n)) == []
+    table = _string_table(_products(ops, eye, n, guard=2**n), _norm2)
+    assert table.shape == (2**n,) and table.dtype == float and not table.any()
+    acc = _string_sum(_products(ops, eye, n, guard=2**n), lambda W: _adjoint(W) @ W)
+    assert acc.shape == (2, 2) and acc.dtype == complex and not acc.any()
+    rows = _string_sum(_products(ops, eye, n, guard=2**n), lambda W: np.zeros((len(W), 5)))
+    assert rows.shape == (5,) and not rows.any()
+
+
+def test_w_series_bounds_the_exterior_square_slices():
+    """At D = 8 a chunk's 512 exterior squares (28 x 28) would take 6.4 MB,
+    against 0.5 MB for its 512 products; in slices of 41 wedges the whole
+    series peaks below 8 chunks of products."""
+    K = haar_kraus(8, 2, seed=1)
+    chunk_bytes = _CHUNK_STRINGS * 8 * 8 * 16
+    assert max(1, _CHUNK_STRINGS * 8**2 // 28**2) * 28**2 * 16 <= chunk_bytes
+    tracemalloc.start()
+    try:
+        w = w_series(K, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * chunk_bytes
+    assert abs(w.value_at(9) - oracle.w_values(K, 9)[-1]) <= TOL
 
 
 def test_window_distribution_keeps_small_environment_eigenvalues():
@@ -163,10 +227,15 @@ def test_correctable_subspace_matches_the_list_search(name):
 def test_zero_then_damping_branches_on_a_product_in_a_later_chunk():
     """With a zero operator first, every string holding symbol 0 gives a zero
     product, so the first non-scalar one is A_1^7, string 1093, in the fifth
-    chunk of 243: the search of that family streams past four chunks first."""
+    chunk of 243.  The walk skips the dead chunks before it (those whose
+    prefix holds the zero operator), so the search reaches it first."""
     K = _zero_then_damping()
-    chunks = [len(c) for c in _products(K.ops, np.eye(2, dtype=complex), 7, guard=3**7)]
-    assert chunks == [243] * 9
+    tree = _products(K.ops, np.eye(2, dtype=complex), 7, guard=3**7)
+    assert (tree.count, tree.size) == (9, 243)
+    chunks = [(c, live) for c, live, _ in tree]
+    # chunks 0-3 and 6 have the zero operator in their prefix; chunk 8 is A_2 A_2 = 0
+    assert [c for c, _ in chunks] == [4, 5, 7]
+    assert 4 * 243 + chunks[0][1][0] == 1093 == 4 * 243 + 121
     spread = [np.ptp(np.linalg.eigvalsh(M)) for M in oracle.product_set(K, 7)]
-    assert int(np.flatnonzero(np.array(spread) > 1e-8)[0]) == 1093 == 4 * 243 + 121
+    assert int(np.flatnonzero(np.array(spread) > 1e-8)[0]) == 1093
     assert correctable_subspace(K, 7).max_ranks == (1,) * 7

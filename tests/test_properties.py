@@ -1,20 +1,27 @@
 """Properties of the one table path and the one CMI path over random Haar
 families and boundaries: the engine against the brute-force oracle, and the
-paper's inequalities."""
+paper's inequalities.  Over sparse families, whose exact-zero products the
+engine skips, the engine against the oracle and the dense walk."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from mpsrestrict.chain import BoundaryPair, ChainGeometry
-from mpsrestrict.purity import haar_kraus, w_series
+from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily, renormalize
+from mpsrestrict.gibbs import ChainDistribution
+from mpsrestrict.models import aklt, damping, jordan, markov
+from mpsrestrict.purity import f_series, haar_kraus, span_purity_test, w_series
 from mpsrestrict.restriction import (
     RestrictionContext,
+    _adjoint,
+    _range_factor,
     chain_distribution,
     cmi_report,
     restriction_scan,
+    window_distribution,
 )
+from mpsrestrict.trajectories import mean_m_check, purification_statistic
 
 CASES = st.fixed_dictionaries(
     {
@@ -68,3 +75,82 @@ def test_stationary_cmi_report_quantum_side_is_the_scan(case):
     assert rep.avg_purity_q == scan.avg_purity_q
     assert rep.p_sum == scan.p_sum
     assert rep.f == scan.f_value
+
+
+def _haar_with(kind: str, D: int, d: int, seed: int) -> KrausFamily:
+    """A Haar family with one operator replaced by a zero or a rank-1 matrix."""
+    ops = haar_kraus(D, d, seed).ops.copy()
+    rng = np.random.default_rng([seed, 11])
+    u, v = (rng.standard_normal(D) + 1j * rng.standard_normal(D) for _ in range(2))
+    ops[seed % d] = 0.0 if kind == "zero" else np.outer(u, v.conj())
+    return renormalize(ops)
+
+
+SPARSE_FAMILIES = {
+    "haar-zero": lambda D, d, seed: _haar_with("zero", D, d, seed),
+    "haar-rank-1": lambda D, d, seed: _haar_with("rank-1", D, d, seed),
+    "aklt": lambda *_: aklt(),
+    "jordan-4": lambda *_: jordan(4),
+    "damping": lambda *_: damping(0.5),
+    "markov": lambda *_: markov(),
+    "zero-then-damping": lambda *_: KrausFamily(
+        ops=np.concatenate([np.zeros((1, 2, 2)), damping(0.5).ops])
+    ),
+}
+
+SPARSE = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(sorted(SPARSE_FAMILIES)),
+        "D": st.sampled_from([2, 3]),
+        "d": st.sampled_from([2, 3]),
+        "seed": st.integers(min_value=0, max_value=10**6),
+        "finite": st.booleans(),
+        "n": st.integers(min_value=1, max_value=6),
+    }
+)
+
+
+def _window_oracle(ctx: RestrictionContext, m: int) -> np.ndarray:
+    """The window table from per-string norms, with the roots the table path
+    walks from (the environments' range factors)."""
+    K = ctx.kraus
+    root = _range_factor(ctx.sigma)
+    cap = _range_factor(ctx.f_op.conj().T @ ctx.f_op)
+    root = ctx.sqrt_sigma if root is None else root
+    cap = ctx.f_op if cap is None else _adjoint(cap)
+    raw = [
+        np.linalg.norm(cap @ oracle.product(K.ops, root, xs)) ** 2 / ctx.k2_for(m)
+        for xs in oracle.strings(K.d, m)
+    ]
+    return ChainDistribution(length=m, d=K.d, table=np.array(raw)).table
+
+
+@LIMITS
+@given(SPARSE)
+def test_pruned_engine_is_the_oracle_on_sparse_families(case):
+    K = SPARSE_FAMILIES[case["family"]](case["D"], case["d"], case["seed"])
+    n = min(case["n"], max(m for m in range(1, 7) if K.d**m <= 729))
+    if case["finite"]:
+        rng = np.random.default_rng([case["seed"], 5])
+        L, R = (rng.standard_normal(K.D) + 1j * rng.standard_normal(K.D) for _ in range(2))
+        b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
+        ctx = RestrictionContext.from_boundaries(K, b, ChainGeometry(0, n, 0))
+    else:
+        ctx = RestrictionContext.stationary(K)
+
+    assert np.array_equal(window_distribution(ctx, n).table, _window_oracle(ctx, n))
+    assert restriction_scan(ctx, n) == oracle.dfs_scan(ctx, n)
+
+    for (m, got_w), want_w in zip(w_series(K, n).values, oracle.w_values(K, n)):
+        assert abs(got_w - want_w) <= 1e-12, m
+    f = f_series(K, ctx.sigma, ctx.f_op, n)
+    for (m, got_f), want_f in zip(f.values, oracle.f_values(K, ctx.sqrt_sigma, ctx.f_op, n)):
+        assert abs(got_f - want_f) <= 1e-12, m
+    assert abs(mean_m_check(K, n) - oracle.mean_m_residual(K, n)) <= 1e-12
+    # A generic rank-1 product has a second eigenvalue of rounding size, about
+    # 1e-16, whose square root the statistic adds; engine and oracle round it
+    # apart by up to about 1e-8 (the same at the dense engine).
+    tol = 1e-7 if case["family"] == "haar-rank-1" else 1e-12
+    assert abs(purification_statistic(K, n) - oracle.purification(K, n)) <= tol
+    n_ops = max(m for m in range(1, n + 1) if K.d**m <= 125 or m == 1)
+    assert span_purity_test(K, n_ops)[1] == oracle.span_ranks(K, n_ops)

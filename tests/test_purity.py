@@ -289,3 +289,14 @@ def test_purity_verdict_guard_below_d_to_the_n_max_raises():
     with pytest.raises(EnumerationTooLarge):
         purity_verdict(aklt(), 4, guard=3**4 - 1)
     assert purity_verdict(aklt(), 4, guard=3**4).n_max == 4
+
+
+@pytest.mark.parametrize("factory", [aklt, damping, lambda: haar_kraus(3, 2, seed=4)])
+def test_purity_verdict_reuses_a_longer_w_series(factory):
+    """A series past n = 6 gives the verdict of its first six entries, bit
+    for bit; one that does not cover 1..min(n_max, 6) is rejected."""
+    K = factory()
+    assert purity_verdict(K, 8, w=w_series(K, 8)) == purity_verdict(K, 8)
+    assert purity_verdict(K, 3, w=w_series(K, 5)) == purity_verdict(K, 3)
+    with pytest.raises(ValueError):
+        purity_verdict(K, 8, w=w_series(K, 5))
