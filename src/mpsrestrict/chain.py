@@ -49,6 +49,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _normalization_residual(ops: np.ndarray) -> float:
+    """Frobenius norm of sum_x A_x^dag A_x - 1 for a (d, D, D) stack."""
+    gram = np.einsum("xba,xbc->ac", ops.conj(), ops)
+    return float(np.linalg.norm(gram - np.eye(ops.shape[1])))
+
+
 @dataclass(frozen=True)
 class KrausFamily:
     """Ordered family {A_x}, x = 0..d-1, of D x D complex matrices.
@@ -69,9 +75,7 @@ class KrausFamily:
             raise ShapeMismatch("need d >= 1 Kraus operators of dimension D >= 1")
         if not np.all(np.isfinite(ops.view(float))):
             raise ShapeMismatch("Kraus operators contain NaN or Inf")
-        D = ops.shape[1]
-        gram = np.einsum("xba,xbc->ac", ops.conj(), ops)
-        residual = float(np.linalg.norm(gram - np.eye(D)))
+        residual = _normalization_residual(ops)
         if residual > self.atol:
             raise NotLeftNormalized(residual, self.atol)
         object.__setattr__(self, "ops", _freeze(ops))
@@ -93,7 +97,7 @@ class KrausFamily:
 
 @dataclass(frozen=True)
 class BoundaryPair:
-    """Unit boundary vectors |L>, |R> of length D (norm checked to 1e-12)."""
+    """Finite unit boundary vectors |L>, |R> of length D (norm checked to 1e-12)."""
 
     L: np.ndarray
     R: np.ndarray
@@ -104,6 +108,9 @@ class BoundaryPair:
         if L.shape != R.shape:
             raise ShapeMismatch(f"boundary lengths differ: {L.shape} vs {R.shape}")
         for name, v in (("L", L), ("R", R)):
+            # a NaN norm would pass the comparison below
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"boundary vector {name} contains NaN or Inf")
             if abs(np.linalg.norm(v) - 1.0) > 1e-12:
                 raise ValueError(
                     f"boundary vector {name} has norm {np.linalg.norm(v)!r}, expected 1"

@@ -20,9 +20,10 @@ the library compute the same numbers.
 
 Reports embed the library version, the seed and every guard that shaped the
 run.  All enumerations are deterministic and run in the calling thread.
-``analyze`` checks the number of outcomes (d >= 2), the enumeration guard
-and ``--ell`` before it enumerates anything.  That one guard bounds every
-enumeration, so the purity verdict covers n = 1..nmax like the per-n rows.
+``analyze`` checks the number of outcomes (d >= 2), the enumeration guard,
+``--ell`` and ``--tol`` before it enumerates anything.  That one guard
+bounds every enumeration, so the purity verdict covers n = 1..nmax like the
+per-n rows.
 ``--threads`` is still accepted but selects nothing, so output bytes do not
 depend on it (and it is not recorded).
 """
@@ -40,7 +41,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .chain import ChainGeometry, KrausFamily, fixed_point
+from .chain import ChainGeometry, _normalization_residual, fixed_point
 from .errors import (
     CompletionFailed,
     DimensionTooSmall,
@@ -59,6 +60,7 @@ from .models import BUILTINS, clock, damping, jordan, markov
 from .modelio import load_model, save_model
 from .purity import (
     DecaySeries,
+    _check_tol,
     constructive_purity_family,
     estimate_rate,
     haar_kraus,
@@ -103,19 +105,26 @@ def _rates_obj(series: DecaySeries) -> dict[str, Any]:
     }
 
 
-def _plain(obj: Any) -> Any:
-    """Recursively convert numpy scalars so json can serialize the report."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+def _json_text(doc: dict[str, Any]) -> str:
+    """The report as indented JSON with sorted keys.  numpy scalars that json
+    does not take (np.float64 is a float, so it keeps its bytes) become the
+    equal Python scalars."""
+
+    def scalar(obj: Any) -> Any:
+        if isinstance(obj, np.generic):
+            return obj.item()
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+    return json.dumps(doc, indent=2, sort_keys=True, default=scalar) + "\n"
+
+
+def _csv_text(rows: list[dict[str, Any]], columns: Sequence[str], ints: Sequence[str]) -> str:
+    """Rows as CSV: the ``ints`` columns as str, the others as repr(float)."""
+    buf = io.StringIO()
+    buf.write(",".join(columns) + "\n")
+    for r in rows:
+        buf.write(",".join(str(r[c]) if c in ints else repr(float(r[c])) for c in columns) + "\n")
+    return buf.getvalue()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -165,11 +174,6 @@ def _resolve_model(args: argparse.Namespace):
     else:
         K = BUILTINS[name]()
     return K, name, f"builtin:{name}", None, None
-
-
-def _normalization_residual(K: KrausFamily) -> float:
-    gram = np.einsum("xba,xbc->ac", K.ops.conj(), K.ops)
-    return float(np.linalg.norm(gram - np.eye(K.D)))
 
 
 def _gibbs_block(dist, ell: int) -> dict[str, Any]:
@@ -223,6 +227,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--ell must satisfy 1 <= ell <= sites-2 = {gibbs_sites - 2}, got {ell}"
         )
+    tol = float(args.tol)
+    _check_tol(tol)
 
     reports = [cmi_report(ctx, n, len_a, len_c, guard=guard) for n in range(1, nmax + 1)]
     w = w_series(K, nmax, guard=guard)
@@ -230,7 +236,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     f_ser = DecaySeries.from_values((r["n"], r["f"]) for r in rows)
     s_ser_rates = estimate_rate((r["n"], r["avg_entropy"]) for r in rows)
 
-    verdict = purity_verdict(K, nmax, tol=float(args.tol), guard=guard, w=w)
+    verdict = purity_verdict(K, nmax, tol=tol, guard=guard, w=w)
     gibbs = _gibbs_block(window_distribution(ctx, gibbs_sites, guard=guard), ell)
 
     report = {
@@ -245,12 +251,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "nmax": nmax,
             "ell": ell,
             "geometry": [flag_geometry.len_a, flag_geometry.len_b, flag_geometry.len_c],
-            "tol": float(args.tol),
+            "tol": tol,
         },
         "model": {
             "d": K.d,
             "D": K.D,
-            "normalization_residual": _normalization_residual(K),
+            "normalization_residual": _normalization_residual(K.ops),
         },
         "fixed_point": {
             "gap": fp.gap,
@@ -281,20 +287,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
 
     if args.format == "csv":
-        text = _per_n_csv(rows)
+        text = _csv_text(rows, _PER_N_COLUMNS, ("n",))
     else:
-        text = json.dumps(_plain(report), indent=2, sort_keys=True) + "\n"
+        text = _json_text(report)
     _emit(text, args.out)
     return 0
-
-
-def _per_n_csv(rows: list[dict[str, Any]]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(_PER_N_COLUMNS) + "\n")
-    for r in rows:
-        buf.write(",".join(repr(float(r[c])) if c != "n" else str(r[c]) for c in _PER_N_COLUMNS))
-        buf.write("\n")
-    return buf.getvalue()
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -331,20 +328,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
             "trajectories": count,
             "rows": rows,
         }
-        text = json.dumps(_plain(doc), indent=2, sort_keys=True) + "\n"
+        text = _json_text(doc)
     else:
-        cols = ("trajectory", "step", "outcome", "lambda1", "lambda2", "path_prob")
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for r in rows:
-            buf.write(
-                ",".join(
-                    str(r[c]) if c in ("trajectory", "step", "outcome") else repr(float(r[c]))
-                    for c in cols
-                )
-                + "\n"
-            )
-        text = buf.getvalue()
+        ints = ("trajectory", "step", "outcome")
+        text = _csv_text(rows, ints + ("lambda1", "lambda2", "path_prob"), ints)
     _emit(text, args.out)
     return 0
 
@@ -369,7 +356,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         f"label: {mf.label or '(none)'}",
         f"d: {K.d}",
         f"D: {K.D}",
-        f"normalization residual: {_normalization_residual(K):.3e}",
+        f"normalization residual: {_normalization_residual(K.ops):.3e}",
         f"boundaries: {'present' if mf.boundaries is not None else 'absent'}",
     ]
     if mf.geometry is not None:

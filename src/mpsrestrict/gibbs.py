@@ -214,17 +214,19 @@ def _window_entropy(p: ChainDistribution, j: int, k: int) -> float:
     return shannon_entropy(marginal(p, j, k))
 
 
+def _window_cmi(p: ChainDistribution, b_first: int, b_last: int, last: int) -> float:
+    """I(A:C|B) = H(AB) + H(BC) - H(B) - H(ABC) for the contiguous windows
+    A = 1..b_first-1, B = b_first..b_last, C = b_last+1..last."""
+    h_ab = _window_entropy(p, 1, b_last)
+    h_bc = _window_entropy(p, b_first, last)
+    h_b = _window_entropy(p, b_first, b_last)
+    h_abc = _window_entropy(p, 1, last)
+    return h_ab + h_bc - h_b - h_abc
+
+
 def _cmi_terms(p: ChainDistribution, ell: int) -> list[float]:
-    # I(1..k : k+ell+1 | k+1..k+ell) for k = 1 .. length-ell-1, each from four
-    # contiguous-window marginal entropies.
-    terms = []
-    for k in range(1, p.length - ell):
-        h_ab = _window_entropy(p, 1, k + ell)
-        h_bc = _window_entropy(p, k + 1, k + ell + 1)
-        h_b = _window_entropy(p, k + 1, k + ell)
-        h_abc = _window_entropy(p, 1, k + ell + 1)
-        terms.append(h_ab + h_bc - h_b - h_abc)
-    return terms
+    # I(1..k : k+ell+1 | k+1..k+ell) for k = 1 .. length-ell-1
+    return [_window_cmi(p, k + 1, k + ell, k + ell + 1) for k in range(1, p.length - ell)]
 
 
 def cmi_decomposition_check(p: ChainDistribution, ell: int) -> tuple[float, float]:

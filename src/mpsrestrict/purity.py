@@ -5,7 +5,8 @@ keeps all compressions P A^dag...A^dag A...A P proportional to P across all
 product lengths.  This module provides:
 
 * the one-sided span certificate (products spanning the operator space at
-  some length certifies purity);
+  some length certifies purity), computed by a linear recursion on the
+  D^2 x D^2 operator space without forming any string product;
 * a branch-and-prune search for the largest scalar-compression subspace per
   length (the correctable-subspace staircase);
 * the decay series w(N) (sum over strings of the two largest singular values
@@ -31,6 +32,7 @@ from .errors import (
     EnumerationTooLarge,
     EvenDimension,
     NumericalInconsistency,
+    OutOfRange,
     SearchBudgetExceeded,
 )
 from .linalg import _psd_rank, clock_shift_basis, exterior_square, gram_rank
@@ -40,6 +42,7 @@ from .restriction import (
     _adjoint,
     _check_contraction,
     _check_density,
+    _check_guard,
     _products,
     _string_product,
     _string_sum,
@@ -157,37 +160,35 @@ def product_set(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> list[np.n
 
 
 def span_purity_test(
-    K: KrausFamily,
-    n_max: int,
-    tol: float = 1e-10,
-    guard: int = DEFAULT_GUARD,
+    K: KrausFamily, n_max: int, tol: float = 1e-10
 ) -> tuple[int | None, list[int]]:
-    """Span ranks of the product sets for n = 1..n_max.
+    """Span ranks of the product sets for n = 1..n_max, without enumeration.
 
     Returns (passed_at, rank_series): passed_at is the least n at which the
-    d^n products span the full D^2-dimensional operator space (then purity is
-    certified), or None.  Ranks are computed from S_n = V^T conj(V), with the
-    vectorized products vec(M_x) as the rows of V, which shares the Gram
-    matrix's nonzero spectrum; it is summed chunk by chunk over the products
-    that are not exactly zero, so the d^n rows are never all held.
+    d^n products M_s = A_s^dag A_s span the full D^2-dimensional operator
+    space (then purity is certified), or None.  The rank at length n is that
+    of S_n = sum_s vec(M_s) vec(M_s)^dag, which shares the Gram matrix's
+    nonzero spectrum.  Since M_{x.s} = A_x^dag M_s A_x, and with row-major
+    vec, vec(A^dag M A) = T_x vec(M) for T_x = kron(A_x^dag, A_x^T), it
+    follows the recursion S_{n+1} = sum_x T_x S_n T_x^dag from S_1.  So no
+    string product is formed: the cost is O(n d D^6) time and O(d D^4)
+    memory at any length, and no enumeration guard applies.
     """
     if n_max < 1:
         raise EnumerationTooLarge(f"n_max must be >= 1, got {n_max}")
     D = K.D
-    eye = np.eye(D, dtype=complex)
-    levels = [_products(K.ops, eye, n, guard) for n in range(1, n_max + 1)]
-
-    def chunk_s(W: np.ndarray) -> np.ndarray:
-        V = (_adjoint(W) @ W).reshape(len(W), D * D)
-        return V.T @ V.conj()
-
-    ranks: list[int] = []
-    passed_at: int | None = None
-    for n, tree in enumerate(levels, start=1):
-        rank = _psd_rank(sum(chunk_s(W) for _, _, W in tree), tol)
-        ranks.append(rank)
-        if rank == D * D and passed_at is None:
-            passed_at = n
+    V = (_adjoint(K.ops) @ K.ops).reshape(K.d, D * D)
+    S = V.T @ V.conj()
+    T = np.stack([np.kron(_adjoint(A), A.T) for A in K.ops])
+    ranks = [_psd_rank(S, tol)]
+    for _ in range(1, n_max):
+        # one batched matmul per step: O(d D^6), where a plain einsum is O(d D^8)
+        S = (T @ S @ _adjoint(T)).sum(axis=0)
+        # Tr S_n can decay geometrically until it underflows at long lengths;
+        # scaling by a power of two is exact, so the ranks are those of S_n
+        S *= 2.0 ** -np.frexp(np.trace(S).real)[1]
+        ranks.append(_psd_rank(S, tol))
+    passed_at = next((n for n, r in enumerate(ranks, start=1) if r == D * D), None)
     return passed_at, ranks
 
 
@@ -267,6 +268,12 @@ def _max_scalar_subspace(
     return best_rank, (P + P.conj().T) / 2.0, best_resid
 
 
+def _check_tol(tol: float) -> None:
+    # NaN or inf would pass every scalar test, and a negative tol none
+    if not 0.0 <= tol < float("inf"):
+        raise OutOfRange(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def correctable_subspace(
     K: KrausFamily,
     n_max: int,
@@ -278,7 +285,9 @@ def correctable_subspace(
 
     Every node of each length's search streams the d^n products chunk by
     chunk from the enumeration engine, so the product set is never held.
+    Raises OutOfRange unless tol is a finite number >= 0.
     """
+    _check_tol(tol)
     steps = [_max_scalar_subspace(K, n, tol, budget, guard) for n in range(1, n_max + 1)]
     return CorrectableReport(
         n_max=int(n_max),
@@ -307,10 +316,14 @@ def purity_verdict(
     The decay evidence is the fitted rate of w(1..min(n_max, 6)).  A caller
     that already holds ``w_series(K, m)`` for some m >= min(n_max, 6) may pass
     it as ``w``: its first entries hold the same values, so the verdict is the
-    same and the strings are not enumerated again.
+    same and the strings are not enumerated again.  The span certificate
+    enumerates nothing; the guard bounds the w series and the staircase and
+    is checked against d^n_max first, whichever of them runs.  Raises
+    OutOfRange unless tol is a finite number >= 0.
     """
-    # the span test checks the guard for every n <= n_max, so w_series cannot trip it
-    span_passed_at, span_ranks = span_purity_test(K, n_max, guard=guard)
+    _check_guard(K.d, n_max, guard)
+    _check_tol(tol)
+    span_passed_at, span_ranks = span_purity_test(K, n_max)
     m = min(n_max, 6)
     if w is None:
         w = w_series(K, m, guard=guard)

@@ -42,12 +42,12 @@ from .chain import (
     BoundaryPair,
     ChainGeometry,
     KrausFamily,
+    _iterate,
     fixed_point,
     left_environment,
     normalization_k2,
     right_environment,
     sqrt_env,
-    transfer_adjoint_apply,
     transfer_apply,
 )
 from .errors import (
@@ -59,8 +59,8 @@ from .errors import (
     SymbolOutOfRange,
     ZeroProbabilityString,
 )
-from .gibbs import ChainDistribution
-from .linalg import Spectrum, shannon_entropy
+from .gibbs import ChainDistribution, _window_cmi
+from .linalg import Spectrum
 
 __all__ = [
     "RestrictionContext",
@@ -537,25 +537,12 @@ def chain_distribution(
 
 def classical_cmi(p: ChainDistribution, geometry: ChainGeometry) -> float:
     """I(A:C|B) = H(AB) + H(BC) - H(B) - H(ABC) from marginal entropies."""
-    from .gibbs import marginal
-
     if geometry.total != p.length:
         raise GeometryMismatch(
             f"geometry covers {geometry.total} sites but distribution has {p.length}"
         )
     a, b = geometry.len_a, geometry.len_b
-    total = p.length
-
-    def h(j: int, k: int) -> float:
-        if j > k:
-            return 0.0
-        return shannon_entropy(marginal(p, j, k))
-
-    h_ab = h(1, a + b)
-    h_bc = h(a + 1, total)
-    h_b = h(a + 1, a + b)
-    h_abc = h(1, total)
-    return float(h_ab + h_bc - h_b - h_abc)
+    return _window_cmi(p, a + 1, a + b, p.length)
 
 
 def _absorb_windows(
@@ -576,12 +563,8 @@ def _absorb_windows(
     eye = np.eye(ctx.kraus.D, dtype=complex)
     if np.array_equal(ctx.f_op, eye) and np.array_equal(ctx.sigma, fixed_point(ctx.kraus).rho):
         return ctx
-    sigma = ctx.sigma
-    for _ in range(window_a):
-        sigma = transfer_apply(ctx.kraus, sigma)
-    f2 = ctx.f_op.conj().T @ ctx.f_op
-    for _ in range(window_c):
-        f2 = transfer_adjoint_apply(ctx.kraus, f2)
+    sigma = _iterate(ctx.kraus, ctx.sigma, window_a, adjoint=False)
+    f2 = _iterate(ctx.kraus, ctx.f_op.conj().T @ ctx.f_op, window_c, adjoint=True)
     return RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2), k2=ctx.k2)
 
 

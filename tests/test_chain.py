@@ -180,3 +180,14 @@ def test_renormalize_repairs_and_rejects():
     assert np.linalg.norm(gram - np.eye(2)) < 1e-10
     with pytest.raises(NotPSD):
         renormalize([np.zeros((2, 2))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_boundary_pair_rejects_non_finite_entries(bad):
+    """A NaN entry gives a NaN norm, which the unit-norm comparison lets pass."""
+    v = np.array([1.0, 0.0])
+    w = np.array([bad, 0.0])
+    with pytest.raises(ValueError, match="boundary vector L"):
+        BoundaryPair(L=w, R=v)
+    with pytest.raises(ValueError, match="boundary vector R"):
+        BoundaryPair(L=v, R=np.array([0.0, complex(0.0, bad)]))

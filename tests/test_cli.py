@@ -346,3 +346,29 @@ def test_analyze_finite_checks_k2_over_the_chains_it_tabulates(tmp_path):
     )
     assert main(["analyze", "--model", str(model), "--nmax", "1", "--out", str(tmp_path / "r.json")]) == 0
     assert main(["analyze", "--model", str(model), "--nmax", "2", "--out", str(tmp_path / "r.json")]) == 3
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_analyze_rejects_a_bad_tol_before_enumerating(monkeypatch, tol):
+    """NaN used to report aklt as ViolatedUpToN with a NaN in the JSON, and
+    -1 died in a RecursionError."""
+    _forbid_enumeration(monkeypatch)
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "2", "--tol", tol]) == 3
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_boundaries_fail_check_and_analyze(monkeypatch, tmp_path, bad):
+    from mpsrestrict.chain import BoundaryPair
+    from mpsrestrict.models import damping
+    from mpsrestrict.modelio import save_model
+
+    model = tmp_path / "m.json"
+    v = np.array([1.0, 0.0])
+    save_model(model, damping(0.5), boundaries=BoundaryPair(L=v, R=v))
+    doc = json.loads(model.read_text())
+    doc["boundaries"]["L"][0] = [bad, 0.0]
+    model.write_text(json.dumps(doc))  # written as NaN / Infinity
+    assert ("NaN" if bad != bad else "Infinity") in model.read_text()
+    assert main(["check", str(model)]) == 3
+    _forbid_enumeration(monkeypatch)
+    assert main(["analyze", "--model", str(model), "--nmax", "2"]) == 3

@@ -11,6 +11,7 @@ from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily, renormal
 from mpsrestrict.gibbs import ChainDistribution
 from mpsrestrict.models import aklt, aklt_pauli, clock, damping, jordan, markov
 from mpsrestrict.purity import (
+    constructive_purity_family,
     correctable_subspace,
     f_series,
     haar_kraus,
@@ -239,3 +240,38 @@ def test_zero_then_damping_branches_on_a_product_in_a_later_chunk():
     spread = [np.ptp(np.linalg.eigvalsh(M)) for M in oracle.product_set(K, 7)]
     assert int(np.flatnonzero(np.array(spread) > 1e-8)[0]) == 1093
     assert correctable_subspace(K, 7).max_ranks == (1,) * 7
+
+
+@pytest.mark.parametrize("name", sorted(STAIRCASE_FAMILIES))
+def test_span_recursion_matches_the_enumerated_gram_ranks(name):
+    make, n_max = STAIRCASE_FAMILIES[name]
+    K = make()
+    assert span_purity_test(K, n_max)[1] == oracle.span_ranks(K, n_max)
+
+
+def test_span_purity_test_forms_no_string_product(monkeypatch):
+    from mpsrestrict import purity
+
+    def enumerated(*args, **kwargs):
+        raise AssertionError("span_purity_test walked the product engine")
+
+    monkeypatch.setattr(purity, "_products", enumerated)
+    assert span_purity_test(aklt(), 8) == (None, [2] * 8)
+    assert span_purity_test(haar_kraus(3, 5, seed=0), 4) == (2, [5, 9, 9, 9])
+
+
+def test_span_purity_test_runs_past_the_enumeration_guard():
+    """3^20 strings are far past the default guard of 2,000,000; the
+    recursion's cost does not grow with d^n."""
+    assert span_purity_test(haar_kraus(4, 3, seed=1), 20) == (3, [3, 9] + [16] * 18)
+
+
+def test_span_recursion_does_not_underflow_at_long_lengths():
+    """Tr S_n of this family falls below 1e-303 by n = 700; unscaled, the
+    rank series dropped from 9 to 0 by n = 750."""
+    assert span_purity_test(haar_kraus(3, 3, seed=1), 1000) == (2, [3] + [9] * 999)
+
+
+def test_constructive_family_certifies_by_length_2d_minus_1():
+    """The D = 5 family's witness strings have length 2D - 1 = 9."""
+    assert span_purity_test(constructive_purity_family(5), 9) == (5, [2, 5, 13, 22, 25, 25, 25, 25, 25])

@@ -300,3 +300,16 @@ def test_purity_verdict_reuses_a_longer_w_series(factory):
     assert purity_verdict(K, 3, w=w_series(K, 5)) == purity_verdict(K, 3)
     with pytest.raises(ValueError):
         purity_verdict(K, 8, w=w_series(K, 5))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_scalar_tolerance_must_be_finite_and_non_negative(tol):
+    """NaN or inf would let every product pass the scalar test, and a
+    negative tol would fail every one."""
+    from mpsrestrict.errors import OutOfRange
+
+    with pytest.raises(OutOfRange):
+        correctable_subspace(aklt(), 2, tol=tol)
+    with pytest.raises(OutOfRange):
+        purity_verdict(aklt(), 2, tol=tol)
+    assert correctable_subspace(aklt(), 2, tol=0.0).max_ranks == (1, 1)
