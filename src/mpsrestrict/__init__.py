@@ -84,6 +84,7 @@ from .trajectories import (
     martingale_step_check,
     mean_m_check,
     purification_statistic,
+    sample_trajectories,
     sample_trajectory,
 )
 
@@ -160,6 +161,7 @@ __all__ = [
     # trajectories
     "MartingaleTrace",
     "sample_trajectory",
+    "sample_trajectories",
     "martingale_step_check",
     "mean_m_check",
     "purification_statistic",

@@ -68,13 +68,14 @@ from .purity import (
     w_series,
 )
 from .restriction import (
+    _CHUNK_STRINGS,
     DEFAULT_GUARD,
     RestrictionContext,
     _check_guard,
     cmi_report,
     window_distribution,
 )
-from .trajectories import sample_trajectory
+from .trajectories import sample_trajectories
 
 __all__ = ["main", "build_parser"]
 
@@ -294,29 +295,41 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sample_rows(K, steps: int, seed: int, streams: range) -> list[dict[str, Any]]:
+    """The rows of a block of trajectories, sampled as one batch with one
+    batched eigvalsh.  The block's stacks are freed when it returns, so only
+    the rows outlive it."""
+    outcomes, m_ops, probs = sample_trajectories(K, steps, seed, streams)
+    lam = np.linalg.eigvalsh(m_ops)[..., ::-1]
+    lam2 = lam[..., 1] if K.D > 1 else np.zeros_like(probs)
+    rows = []
+    for t, ys, l1s, l2s, prs in zip(
+        streams, outcomes.tolist(), lam[..., 0].tolist(), lam2.tolist(), probs.tolist()
+    ):
+        for step, (y, l1, l2, pr) in enumerate(zip(ys, l1s, l2s, prs), start=1):
+            rows.append(
+                {
+                    "trajectory": t,
+                    "step": step,
+                    "outcome": y,
+                    "lambda1": l1,
+                    "lambda2": l2,
+                    "path_prob": pr,
+                }
+            )
+    return rows
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     K, label, source, _boundaries, _geometry = _resolve_model(args)
     steps = int(args.nmax)
     count = int(args.trajectories)
     if count < 1:
         raise ValueError(f"--trajectories must be >= 1, got {count}")
-    rows = []
-    for t in range(count):
-        trace = sample_trajectory(K, steps, seed=int(args.seed), stream=t)
-        for step, (y, M, pr) in enumerate(
-            zip(trace.outcomes, trace.m_ops, trace.probs), start=1
-        ):
-            lam = np.linalg.eigvalsh(M)[::-1]
-            rows.append(
-                {
-                    "trajectory": t,
-                    "step": step,
-                    "outcome": y,
-                    "lambda1": float(lam[0]),
-                    "lambda2": float(lam[1]) if lam.size > 1 else 0.0,
-                    "path_prob": pr,
-                }
-            )
+    rows: list[dict[str, Any]] = []
+    # blocks of _CHUNK_STRINGS streams bound the stack of M operators held at once
+    for start in range(0, count, _CHUNK_STRINGS):
+        rows += _sample_rows(K, steps, int(args.seed), range(start, min(start + _CHUNK_STRINGS, count)))
     if args.format == "json":
         doc = {
             "schema_version": 1,

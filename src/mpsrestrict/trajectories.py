@@ -7,6 +7,13 @@ sense that its conditional next-step average equals its current value, and
 the unconditional average at any step is 1/D.  Both identities are exposed
 as exact enumeration checks, along with the purification statistic
 E[sqrt(l1 l2)] * D, an independent route to the dressed decay series.
+
+``sample_trajectories`` samples many trajectories as one batch: each step
+forms the continuations of every stream in one stacked product.  Each
+stream draws from its own generator, so a trajectory has the same bits
+whether it is drawn alone (``sample_trajectory``) or in any batch, and the
+``sample`` command, which draws blocks of 512 streams, writes the same
+bytes as it did when it drew one trajectory at a time.
 """
 
 from __future__ import annotations
@@ -31,12 +38,14 @@ from .restriction import (
 __all__ = [
     "MartingaleTrace",
     "sample_trajectory",
+    "sample_trajectories",
     "martingale_step_check",
     "mean_m_check",
     "purification_statistic",
 ]
 
 _WEIGHT_CUTOFF = 1e-15  # conditional weights below this are treated as zero
+_TRACE_TOL = 1e-10  # largest |Tr M - 1| a sampled operator may have
 
 
 @dataclass(frozen=True)
@@ -52,7 +61,7 @@ class MartingaleTrace:
         if not (len(self.outcomes) == len(self.m_ops) == len(self.probs)):
             raise ValueError("outcomes, m_ops and probs must have equal length")
         for k, M in enumerate(self.m_ops):
-            if abs(np.trace(M).real - 1.0) > 1e-10:
+            if abs(np.trace(M).real - 1.0) > _TRACE_TOL:
                 raise ValueError(f"M at step {k + 1} is not trace-normalized")
 
     @property
@@ -71,45 +80,84 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The outcome of each row of a (T, d) weight table for its uniform u.
+
+    Conditional weights under _WEIGHT_CUTOFF are dropped and the rest
+    renormalized; the outcome is the number of cumulative weights <= u
+    (a right-sided search), capped at d - 1 against a last cumulative
+    weight that rounds below 1.
+    """
+    cond = weights / weights.sum(axis=1, keepdims=True)
+    cond[cond < _WEIGHT_CUTOFF] = 0.0
+    cond = cond / cond.sum(axis=1, keepdims=True)
+    below = np.cumsum(cond, axis=1) <= u[:, None]
+    return np.minimum(below.sum(axis=1), weights.shape[1] - 1)
+
+
+def sample_trajectories(
+    K: KrausFamily,
+    n: int,
+    seed: int,
+    streams: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw an n-step trajectory for each stream, all streams as one stack.
+
+    Each step forms every continuation A_y W of every stream in one
+    broadcast product and draws the outcomes from their weights together.
+    Stream s draws its n uniforms from _rng_for(seed, s), so its trajectory
+    does not depend on which other streams are drawn with it, and
+    ``sample_trajectory(K, n, seed, s)`` is row s of this call.
+
+    Returns the (T, n) outcomes, the (T, n, D, D) normalized operators M_k
+    and the (T, n) path probabilities Tr(W_k^dag W_k)/D of the T streams.
+    """
+    if n < 1:
+        raise ValueError(f"trajectory length must be >= 1, got {n}")
+    T, d, D = len(streams), K.d, K.D
+    u = np.array([_rng_for(seed, s).random(n) for s in streams]).reshape(T, n)
+    rows = np.arange(T)
+    W = np.broadcast_to(np.eye(D, dtype=complex), (T, D, D))
+    outcomes = np.empty((T, n), dtype=int)
+    m_ops = np.empty((T, n, D, D), dtype=complex)
+    probs = np.empty((T, n))
+    for k in range(n):
+        V = K.ops[None] @ W[:, None]  # V[t, y] = A_y W_t
+        weights = _norm2(V.reshape(T * d, D, D)).reshape(T, d)
+        dead = weights.sum(axis=1) <= 0.0
+        if np.any(dead):
+            t = int(np.argmax(dead))
+            raise ZeroProbabilityPath(
+                f"all continuations of {tuple(outcomes[t, :k].tolist())} have zero weight"
+            )
+        y = _draw(weights, u[:, k])
+        W = V[rows, y]
+        tr = weights[rows, y]
+        if np.any(tr <= 0.0):
+            raise ZeroProbabilityPath(f"sampled a zero-weight branch {y[np.argmax(tr <= 0.0)]}")
+        M = _adjoint(W) @ W / tr[:, None, None]
+        outcomes[:, k] = y
+        m_ops[:, k] = (M + _adjoint(M)) / 2.0
+        probs[:, k] = tr / D
+    off = np.abs(np.trace(m_ops, axis1=2, axis2=3).real - 1.0) > _TRACE_TOL
+    if np.any(off):
+        raise ValueError(f"M at step {int(np.nonzero(off)[1].min()) + 1} is not trace-normalized")
+    return outcomes, m_ops, probs
+
+
 def sample_trajectory(
     K: KrausFamily,
     n: int,
     seed: int,
     stream: int = 0,
 ) -> MartingaleTrace:
-    """Draw an n-step trajectory with exact conditional weights."""
-    if n < 1:
-        raise ValueError(f"trajectory length must be >= 1, got {n}")
-    rng = _rng_for(seed, stream)
-    D = K.D
-    W = np.eye(D, dtype=complex)
-    outcomes: list[int] = []
-    m_ops: list[np.ndarray] = []
-    probs: list[float] = []
-    for _ in range(n):
-        weights = np.array(
-            [float(np.linalg.norm(K.ops[y] @ W) ** 2) for y in range(K.d)]
-        )
-        total = weights.sum()
-        if total <= 0.0:
-            raise ZeroProbabilityPath(
-                f"all continuations of {tuple(outcomes)} have zero weight"
-            )
-        cond = weights / total
-        cond[cond < _WEIGHT_CUTOFF] = 0.0
-        cond = cond / cond.sum()
-        y = int(np.searchsorted(np.cumsum(cond), rng.random(), side="right"))
-        y = min(y, K.d - 1)
-        W = K.ops[y] @ W
-        tr = float(np.linalg.norm(W) ** 2)
-        if tr <= 0.0:
-            raise ZeroProbabilityPath(f"sampled a zero-weight branch {y}")
-        M = W.conj().T @ W / tr
-        outcomes.append(y)
-        m_ops.append((M + M.conj().T) / 2.0)
-        probs.append(tr / D)
+    """Draw an n-step trajectory with exact conditional weights: the
+    one-stream call of sample_trajectories."""
+    outcomes, m_ops, probs = sample_trajectories(K, n, seed, [stream])
     return MartingaleTrace(
-        outcomes=tuple(outcomes), m_ops=tuple(m_ops), probs=tuple(probs)
+        outcomes=tuple(outcomes[0].tolist()),
+        m_ops=tuple(m_ops[0]),
+        probs=tuple(probs[0].tolist()),
     )
 
 

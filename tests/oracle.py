@@ -7,6 +7,9 @@ exactly as the definitions read.  They are slow and only serve the tests.
 be, kept term for term: the engine must reproduce it bit for bit.
 ``max_scalar_subspace`` is the correctable-subspace search as it ran over a
 list of all d^n products, before it streamed them from the engine.
+``sample_trajectory`` is the one-trajectory, one-step-at-a-time sampler the
+package had before it drew all streams as one stack; the batch must
+reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import itertools
 
 import numpy as np
 
-from mpsrestrict.errors import NumericalInconsistency, SearchBudgetExceeded
+from mpsrestrict import trajectories
+from mpsrestrict.errors import NumericalInconsistency, SearchBudgetExceeded, ZeroProbabilityPath
 from mpsrestrict.purity import _eig_clusters
 from mpsrestrict.restriction import RestrictionContext, RestrictionSummary
 
@@ -215,3 +219,42 @@ def correctable(K, n_max: int, tol: float = 1e-8, budget: int = 200_000):
     """(ranks, projectors, residuals) of the staircase for n = 1..n_max."""
     steps = [max_scalar_subspace(product_set(K, n), K.D, tol, budget) for n in range(1, n_max + 1)]
     return tuple(zip(*steps))
+
+
+def sample_trajectory(K, n: int, seed: int, stream: int = 0) -> trajectories.MartingaleTrace:
+    """Draw an n-step trajectory with exact conditional weights, one scalar
+    uniform and d separate norms per step.  The stream's generator is looked
+    up on the module at call time, so a test can substitute its draws."""
+    if n < 1:
+        raise ValueError(f"trajectory length must be >= 1, got {n}")
+    rng = trajectories._rng_for(seed, stream)
+    D = K.D
+    W = np.eye(D, dtype=complex)
+    outcomes: list[int] = []
+    m_ops: list[np.ndarray] = []
+    probs: list[float] = []
+    for _ in range(n):
+        weights = np.array(
+            [float(np.linalg.norm(K.ops[y] @ W) ** 2) for y in range(K.d)]
+        )
+        total = weights.sum()
+        if total <= 0.0:
+            raise ZeroProbabilityPath(
+                f"all continuations of {tuple(outcomes)} have zero weight"
+            )
+        cond = weights / total
+        cond[cond < trajectories._WEIGHT_CUTOFF] = 0.0
+        cond = cond / cond.sum()
+        y = int(np.searchsorted(np.cumsum(cond), rng.random(), side="right"))
+        y = min(y, K.d - 1)
+        W = K.ops[y] @ W
+        tr = float(np.linalg.norm(W) ** 2)
+        if tr <= 0.0:
+            raise ZeroProbabilityPath(f"sampled a zero-weight branch {y}")
+        M = W.conj().T @ W / tr
+        outcomes.append(y)
+        m_ops.append((M + M.conj().T) / 2.0)
+        probs.append(tr / D)
+    return trajectories.MartingaleTrace(
+        outcomes=tuple(outcomes), m_ops=tuple(m_ops), probs=tuple(probs)
+    )

@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from mpsrestrict.cli import main
+from mpsrestrict.modelio import load_model
+from mpsrestrict.restriction import _CHUNK_STRINGS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -150,6 +153,42 @@ def test_sample_json(tmp_path):
     assert len(doc["rows"]) == 8
     for row in doc["rows"]:
         assert 0.0 <= row["path_prob"] <= 1.0 + 1e-12
+
+
+def test_sample_blocks_are_the_oracle_rows(tmp_path):
+    """600 trajectories cross the 512-stream block boundary; the JSON and CSV
+    bytes are rows built from the one-step-at-a-time oracle."""
+    model = tmp_path / "haar.json"
+    assert main(["generate", "haar", "--dim", "3", "--phys", "3", "--seed", "4", "--out", str(model)]) == 0
+    K = load_model(model).kraus
+    count = 600
+    assert count > _CHUNK_STRINGS
+    rows = []
+    for t in range(count):
+        trace = oracle.sample_trajectory(K, 4, 3, t)
+        for step, (y, M, pr) in enumerate(zip(trace.outcomes, trace.m_ops, trace.probs), start=1):
+            lam = np.linalg.eigvalsh(M)[::-1]
+            rows.append(
+                {
+                    "trajectory": t,
+                    "step": step,
+                    "outcome": y,
+                    "lambda1": float(lam[0]),
+                    "lambda2": float(lam[1]),
+                    "path_prob": pr,
+                }
+            )
+    args = ["sample", "--model", str(model), "--nmax", "4", "--trajectories", str(count), "--seed", "3"]
+    js, csv = tmp_path / "s.json", tmp_path / "s.csv"
+    assert main(args + ["--out", str(js)]) == 0
+    assert main(args + ["--format", "csv", "--out", str(csv)]) == 0
+    doc = json.loads(js.read_text())
+    doc["rows"] = rows
+    assert js.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    lines = ["trajectory,step,outcome,lambda1,lambda2,path_prob"]
+    for r in rows:
+        lines.append(f"{r['trajectory']},{r['step']},{r['outcome']},{r['lambda1']!r},{r['lambda2']!r},{r['path_prob']!r}")
+    assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_builtin_parameters(tmp_path):

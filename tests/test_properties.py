@@ -1,7 +1,9 @@
 """Properties of the one table path and the one CMI path over random Haar
 families and boundaries: the engine against the brute-force oracle, and the
 paper's inequalities.  Over sparse families, whose exact-zero products the
-engine skips, the engine against the oracle and the dense walk."""
+engine skips, the engine against the oracle and the dense walk.  Over both,
+the submultiplicativity of w and the sandwich of Q between the second
+eigenvalues."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -154,3 +156,54 @@ def test_pruned_engine_is_the_oracle_on_sparse_families(case):
     assert abs(purification_statistic(K, n) - oracle.purification(K, n)) <= tol
     n_ops = max(m for m in range(1, n + 1) if K.d**m <= 125 or m == 1)
     assert span_purity_test(K, n_ops)[1] == oracle.span_ranks(K, n_ops)
+
+
+BOUNDED = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(["haar"] + sorted(SPARSE_FAMILIES)),
+        "D": st.sampled_from([2, 3, 4]),
+        "d": st.sampled_from([2, 3]),
+        "seed": st.integers(min_value=0, max_value=10**6),
+        "finite": st.booleans(),
+    }
+)
+
+
+def _bounded_family(case) -> KrausFamily:
+    if case["family"] == "haar":
+        return haar_kraus(case["D"], case["d"], case["seed"])
+    return SPARSE_FAMILIES[case["family"]](case["D"], case["d"], case["seed"])
+
+
+def _longest(K: KrausFamily, cap: int) -> int:
+    return max(m for m in range(1, cap + 1) if K.d**m <= 729 or m == 1)
+
+
+@LIMITS
+@given(BOUNDED)
+def test_w_is_submultiplicative(case):
+    K = _bounded_family(case)
+    n_max = _longest(K, 6)
+    w = dict(w_series(K, n_max).values)
+    for n in range(1, n_max):
+        for m in range(1, n_max - n + 1):
+            assert w[n + m] <= w[n] * w[m] + 1e-12, (n, m)
+
+
+@LIMITS
+@given(BOUNDED)
+def test_q_lies_between_the_second_eigenvalues(case):
+    """sum_x p(x) lam2(x) <= Q <= (D - 1) sum_x p(x) lam2(x): every eigenvalue
+    below the largest lies between 0 and the second one."""
+    K = _bounded_family(case)
+    if case["finite"]:
+        rng = np.random.default_rng([case["seed"], 3])
+        L, R = (rng.standard_normal(K.D) + 1j * rng.standard_normal(K.D) for _ in range(2))
+        b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
+        ctx = RestrictionContext.from_boundaries(K, b, ChainGeometry(1, 2, 1))
+    else:
+        ctx = RestrictionContext.stationary(K)
+    for n in range(1, _longest(K, 4) + 1):
+        s = restriction_scan(ctx, n)
+        assert s.lam2_sum_over_k2 <= s.avg_purity_q + 1e-12, n
+        assert s.avg_purity_q <= (K.D - 1) * s.lam2_sum_over_k2 + 1e-12, n

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import oracle
+from mpsrestrict import trajectories
+from mpsrestrict.chain import KrausFamily
 from mpsrestrict.errors import EnumerationTooLarge, ZeroProbabilityPath
-from mpsrestrict.models import aklt, clock, damping, jordan, markov
+from mpsrestrict.models import BUILTINS, aklt, clock, damping, jordan, markov
 from mpsrestrict.purity import haar_kraus, w_series
 from mpsrestrict.trajectories import (
     MartingaleTrace,
     martingale_step_check,
     mean_m_check,
     purification_statistic,
+    sample_trajectories,
     sample_trajectory,
 )
 
@@ -100,3 +104,113 @@ def test_martingale_trace_validation():
 def test_trajectory_length_validation():
     with pytest.raises(ValueError):
         sample_trajectory(aklt(), 0, seed=0)
+
+
+SAMPLED_FAMILIES = {
+    "aklt": aklt,  # A_+ A_+ = 0: zero-weight continuations
+    "aklt-pauli": BUILTINS["aklt-pauli"],
+    "damping": lambda: damping(0.5),
+    "markov": markov,
+    "jordan-3": lambda: jordan(3),
+    "clock-3": lambda: clock(3),
+    "haar-D4-d3": lambda: haar_kraus(4, 3, 1),
+    "haar-D2-d5": lambda: haar_kraus(2, 5, 3),
+}
+
+
+def _assert_is_the_oracle(K, n, seed, streams, outcomes, m_ops, probs):
+    for i, s in enumerate(streams):
+        want = oracle.sample_trajectory(K, n, seed, s)
+        assert tuple(outcomes[i].tolist()) == want.outcomes, s
+        assert all(np.array_equal(a, b) for a, b in zip(m_ops[i], want.m_ops)), s
+        assert tuple(probs[i].tolist()) == want.probs, s
+
+
+@pytest.mark.parametrize("family", sorted(SAMPLED_FAMILIES))
+def test_sample_trajectories_is_the_scalar_loop_bit_for_bit(family):
+    K = SAMPLED_FAMILIES[family]()
+    streams = range(200)
+    outcomes, m_ops, probs = sample_trajectories(K, 12, 5, streams)
+    assert outcomes.shape == probs.shape == (200, 12)
+    assert m_ops.shape == (200, 12, K.D, K.D)
+    _assert_is_the_oracle(K, 12, 5, streams, outcomes, m_ops, probs)
+    one = sample_trajectory(K, 12, 5, stream=7)
+    assert one.outcomes == tuple(outcomes[7].tolist())
+    assert all(np.array_equal(a, b) for a, b in zip(one.m_ops, m_ops[7]))
+    assert one.probs == tuple(probs[7].tolist())
+
+
+def test_sample_trajectories_rows_do_not_depend_on_the_other_streams():
+    K = haar_kraus(3, 3, 2)
+    whole = sample_trajectories(K, 6, 9, range(10))
+    part = sample_trajectories(K, 6, 9, [8, 3])
+    for a, b in zip(whole, part):
+        assert np.array_equal(a[[8, 3]], b)
+
+
+class _FixedDraws:
+    """Stands in for a stream's generator: hands out the given uniforms in
+    order, one at a time or as an array."""
+
+    def __init__(self, u):
+        self._u = list(u)
+
+    def random(self, size=None):
+        if size is None:
+            return self._u.pop(0)
+        out, self._u = np.array(self._u[:size]), self._u[size:]
+        return out
+
+
+@pytest.mark.parametrize(
+    "K,u,first",
+    [
+        # weights 1/2, 1/2: a uniform on the boundary 0.5 draws the upper outcome
+        (KrausFamily(ops=np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]]) / np.sqrt(2.0)), 0.5, 1),
+        # conditional weight 7.5e-16 < _WEIGHT_CUTOFF: the last uniform below 1
+        # lands in it unless it is dropped
+        (damping(1.5e-15), np.nextafter(1.0, 0.0), 0),
+    ],
+    ids=["boundary", "cutoff"],
+)
+def test_sample_trajectories_draws_on_the_edges_as_the_scalar_loop(monkeypatch, K, u, first):
+    draws = [[u, 0.25, u], [0.25, u, 0.75]]
+    monkeypatch.setattr(trajectories, "_rng_for", lambda seed, stream: _FixedDraws(draws[stream]))
+    outcomes, m_ops, probs = sample_trajectories(K, 3, 0, [0, 1])
+    assert outcomes[0, 0] == first
+    _assert_is_the_oracle(K, 3, 0, [0, 1], outcomes, m_ops, probs)
+
+
+def test_sample_trajectories_raises_where_the_scalar_loop_does(monkeypatch):
+    # six equal weights and a zero one: the cumulative weights end at the
+    # largest double below 1, so that uniform is capped onto the zero operator
+    K = KrausFamily(ops=np.array([np.eye(2) / np.sqrt(6.0)] * 6 + [np.zeros((2, 2))]))
+    last = np.nextafter(1.0, 0.0)
+    draws = [[0.5, last], [0.5, 0.5]]
+    monkeypatch.setattr(trajectories, "_rng_for", lambda seed, stream: _FixedDraws(draws[stream]))
+    with pytest.raises(ZeroProbabilityPath, match="zero-weight branch 6"):
+        oracle.sample_trajectory(K, 2, 0, 0)
+    with pytest.raises(ZeroProbabilityPath, match="zero-weight branch 6"):
+        sample_trajectories(K, 2, 0, [1, 0])
+    outcomes, _, _ = sample_trajectories(K, 2, 0, [1])
+    assert outcomes.tolist() == [[3, 3]]
+
+
+def test_sample_trajectories_of_no_stream_are_empty():
+    outcomes, m_ops, probs = sample_trajectories(aklt(), 3, 0, [])
+    assert outcomes.shape == probs.shape == (0, 3) and m_ops.shape == (0, 3, 2, 2)
+
+
+def test_sampled_purification_is_w_within_four_standard_errors():
+    """Trajectories are drawn with the path weights Tr(W^dag W)/D, so the
+    sample mean of D sqrt(l1 l2) of M_n estimates w(n), and first outcomes
+    are drawn with Tr(A_y^dag A_y)/D."""
+    K, n, T = haar_kraus(4, 3, 1), 6, 4000
+    outcomes, m_ops, _ = sample_trajectories(K, n, 2024, range(T))
+    lam = np.clip(np.linalg.eigvalsh(m_ops[:, -1]), 0.0, None)
+    stat = K.D * np.sqrt(lam[:, -1] * lam[:, -2])
+    se = stat.std(ddof=1) / np.sqrt(T)
+    assert abs(stat.mean() - w_series(K, n).value_at(n)) <= 4.0 * se
+    p = np.einsum("yij,yij->y", K.ops.conj(), K.ops).real / K.D
+    freq = np.bincount(outcomes[:, 0], minlength=K.d) / T
+    assert np.all(np.abs(freq - p) <= 4.0 * np.sqrt(p * (1.0 - p) / T))
