@@ -21,6 +21,7 @@ from .errors import (
     OutOfRange,
     ShapeMismatch,
 )
+from .linalg import _check_length, _check_tol
 
 __all__ = [
     "KrausFamily",
@@ -41,6 +42,8 @@ __all__ = [
 # Environments are computed by iterated channel application; this caps the
 # iteration count (cost O(n d D^3)) rather than forming D^2 x D^2 powers.
 _MAX_ENV_ITER = 10_000
+_FULL_RANK_TOL = 1e-10  # a fixed point has full rank if lambda_min(rho) exceeds this
+_PSD_TOL = 1e-10  # most negative eigenvalue sqrt_env clamps to zero
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -60,7 +63,7 @@ class KrausFamily:
     """Ordered family {A_x}, x = 0..d-1, of D x D complex matrices.
 
     Left normalization sum_x A_x^dag A_x = 1 is validated at construction
-    (tolerance ``atol``, default 1e-10) and never silently repaired; use
+    (tolerance ``atol``, finite and >= 0) and never silently repaired; use
     :func:`renormalize` explicitly for non-normalized raw matrices.
     """
 
@@ -73,8 +76,9 @@ class KrausFamily:
             raise ShapeMismatch(f"expected (d, D, D) Kraus stack, got {ops.shape}")
         if ops.shape[0] < 1 or ops.shape[1] < 1:
             raise ShapeMismatch("need d >= 1 Kraus operators of dimension D >= 1")
-        if not np.all(np.isfinite(ops.view(float))):
+        if not np.all(np.isfinite(ops)):
             raise ShapeMismatch("Kraus operators contain NaN or Inf")
+        _check_tol(self.atol, "atol")
         residual = _normalization_residual(ops)
         if residual > self.atol:
             raise NotLeftNormalized(residual, self.atol)
@@ -121,22 +125,19 @@ class BoundaryPair:
 
 @dataclass(frozen=True)
 class ChainGeometry:
-    """Site counts (lenA, lenB, lenC) with lenA, lenC >= 0 and lenB >= 1."""
+    """Integer site counts (lenA, lenB, lenC) with lenA, lenC >= 0, lenB >= 1."""
 
     len_a: int
     len_b: int
     len_c: int
 
     def __post_init__(self) -> None:
-        for name, v in (("len_a", self.len_a), ("len_b", self.len_b), ("len_c", self.len_c)):
-            if int(v) != v or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
-        if self.len_b < 1:
-            raise ValueError("len_b must be >= 1")
+        for name, least in (("len_a", 0), ("len_b", 1), ("len_c", 0)):
+            object.__setattr__(self, name, _check_length(getattr(self, name), name, least))
 
     @property
     def total(self) -> int:
-        return int(self.len_a + self.len_b + self.len_c)
+        return self.len_a + self.len_b + self.len_c
 
 
 @dataclass(frozen=True)
@@ -192,14 +193,14 @@ def _unvec(v: np.ndarray, D: int) -> np.ndarray:
     return v.reshape(D, D, order="F")
 
 
-def fixed_point(K: KrausFamily, tol: float = 1e-10) -> TransferFixedPoint:
+def fixed_point(K: KrausFamily) -> TransferFixedPoint:
     """Stationary state, spectral gap and primitivity of the transfer operator.
 
     The eigenvalue-1 multiplicity is counted within 1e-8 of 1.  For a unique
     fixed direction, rho is that eigenvector Hermitized and normalized; for a
     degenerate fixed space, rho is the least-squares projection of 1/D onto
     the fixed eigenspace (still an exact fixed point, and basis-independent),
-    with ``primitive`` False.  Full rank is decided by lambda_min(rho) > tol.
+    with ``primitive`` False.  Full rank is decided by lambda_min(rho) > 1e-10.
     """
     D = K.D
     T = transfer_matrix(K)
@@ -242,18 +243,17 @@ def fixed_point(K: KrausFamily, tol: float = 1e-10) -> TransferFixedPoint:
     second = float(moduli[1]) if moduli.size > 1 else 0.0
     gap = 1.0 - second
     lam_min = float(np.linalg.eigvalsh(rho)[0])
-    primitive = mult == 1 and second < 1.0 - 1e-8 and lam_min > tol
+    primitive = mult == 1 and second < 1.0 - 1e-8 and lam_min > _FULL_RANK_TOL
     return TransferFixedPoint(rho=rho, gap=gap, primitive=primitive)
 
 
 def _iterate(K: KrausFamily, M: np.ndarray, n: int, adjoint: bool) -> np.ndarray:
-    if int(n) != n or n < 0:
-        raise OutOfRange(f"iteration count must be a non-negative integer, got {n!r}")
+    n = _check_length(n, "iteration count", least=0)
     if n > _MAX_ENV_ITER:
         raise OutOfRange(f"n = {n} exceeds the environment iteration cap {_MAX_ENV_ITER}")
     out = np.asarray(M, dtype=complex)
     step = transfer_adjoint_apply if adjoint else transfer_apply
-    for _ in range(int(n)):
+    for _ in range(n):
         out = step(K, out)
     return out
 
@@ -274,16 +274,19 @@ def right_environment(K: KrausFamily, R: np.ndarray, n: int) -> np.ndarray:
     return _iterate(K, np.outer(R, R.conj()), n, adjoint=True)
 
 
-def sqrt_env(M: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """Principal square root of a PSD matrix (Hermitian, PSD, S @ S = M)."""
+def sqrt_env(M: np.ndarray) -> np.ndarray:
+    """Principal square root of a PSD matrix (Hermitian, PSD, S @ S = M).
+    M must be finite; eigenvalues in [-1e-10, 0) are clamped to 0."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotPSD(f"expected a square matrix, got {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise NotPSD("matrix contains NaN or Inf")
     if np.linalg.norm(M - M.conj().T) > 1e-8 * max(np.linalg.norm(M), 1.0):
         raise NotPSD("matrix is not Hermitian")
     lam, U = np.linalg.eigh((M + M.conj().T) / 2.0)
-    if lam[0] < -atol:
-        raise NotPSD(f"negative eigenvalue {lam[0]:.3e} beyond -{atol:.1e}")
+    if lam[0] < -_PSD_TOL:
+        raise NotPSD(f"negative eigenvalue {lam[0]:.3e} beyond -{_PSD_TOL:.1e}")
     S = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.conj().T
     return (S + S.conj().T) / 2.0
 
@@ -298,7 +301,7 @@ def normalization_k2(
     ``geometry`` may be a ChainGeometry (|Lambda| = total) or a plain site
     count; the count 0 gives the bare overlap |<R|L>|^2.
     """
-    n = geometry.total if isinstance(geometry, ChainGeometry) else int(geometry)
+    n = geometry.total if isinstance(geometry, ChainGeometry) else geometry
     sig = left_environment(K, boundaries.L, n)
     val = complex(boundaries.R.conj() @ sig @ boundaries.R)
     return float(min(max(val.real, 0.0), 1.0))

@@ -10,7 +10,8 @@ Verbs:
 * ``check``    — validate a model file and print a short summary.
 
 Exit codes: 0 success, 2 enumeration guard tripped, 3 invalid model or
-parameters, 4 internal numerical inconsistency.
+parameters (a bad length, tolerance or matrix raises a named
+``MpsRestrictError``), 4 internal numerical inconsistency.
 
 ``analyze`` chooses its context once: the stationary context, or the bare
 boundary context (sigma = |L><L|, F^dag F = |R><R|) when the model file
@@ -56,11 +57,11 @@ from .gibbs import (
     local_hamiltonian,
     partition_function,
 )
+from .linalg import _check_length, _check_tol
 from .models import BUILTINS, clock, damping, jordan, markov
 from .modelio import load_model, save_model
 from .purity import (
     DecaySeries,
-    _check_tol,
     constructive_purity_family,
     estimate_rate,
     haar_kraus,
@@ -200,9 +201,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise DimensionTooSmall(f"analyze needs d >= 2 outcomes, got d = {K.d}")
     flag_geometry = _parse_geometry(args.geometry)
     guard = int(args.guard)
-    nmax = int(args.nmax)
-    if nmax < 1:
-        raise ValueError(f"--nmax must be >= 1, got {nmax}")
+    nmax = _check_length(args.nmax, "--nmax")
 
     # The one mode choice.  A finite chain's K^2 is checked here over the
     # chain of a one-site block, then over every chain a table covers.
@@ -323,9 +322,7 @@ def _sample_rows(K, steps: int, seed: int, streams: range) -> list[dict[str, Any
 def cmd_sample(args: argparse.Namespace) -> int:
     K, label, source, _boundaries, _geometry = _resolve_model(args)
     steps = int(args.nmax)
-    count = int(args.trajectories)
-    if count < 1:
-        raise ValueError(f"--trajectories must be >= 1, got {count}")
+    count = _check_length(args.trajectories, "--trajectories")
     rows: list[dict[str, Any]] = []
     # blocks of _CHUNK_STRINGS streams bound the stack of M operators held at once
     for start in range(0, count, _CHUNK_STRINGS):

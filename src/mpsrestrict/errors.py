@@ -3,6 +3,8 @@
 Every contract failure raises a named subclass of :class:`MpsRestrictError`,
 so callers (and the CLI exit-code mapping) can distinguish guard violations,
 invalid models, and internal numeric inconsistencies without string matching.
+A bad length, tolerance or matrix raises a named error such as OutOfRange or
+NotDensityOperator (CLI exit 3); only the enumeration guard gives exit 2.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ class InvalidDistribution(MpsRestrictError):
     """Probability weights are negative or do not sum to one."""
 
 
-class OutOfRange(MpsRestrictError):
-    """Scalar argument outside its documented domain."""
+class OutOfRange(MpsRestrictError, ValueError):
+    """Scalar argument outside its documented domain (a length, a tolerance,
+    a probability); also a ValueError."""
 
 
 class DimensionTooSmall(MpsRestrictError):
@@ -81,7 +84,7 @@ class ZeroProbabilityString(MpsRestrictError):
 
 
 class EnumerationTooLarge(MpsRestrictError):
-    """d^n exceeds the enumeration guard."""
+    """d^n exceeds the enumeration guard, or the guard is NaN."""
 
 
 class GeometryMismatch(MpsRestrictError):
@@ -119,7 +122,7 @@ class EvenDimension(MpsRestrictError):
 
 
 class CompletionFailed(MpsRestrictError):
-    """Unitary completion of the partial isometry failed its check."""
+    """A constructed block column failed its isometry check."""
 
 
 # ---------------------------------------------------------------- trajectories

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -40,6 +40,9 @@ __all__ = [
     "gram_rank",
 ]
 
+_HERM_TOL = 1e-10  # largest ||H - H^dag|| / max(||H||, 1) herm_eigen accepts
+_RANK_TOL = 1e-10  # ranks count the eigenvalues above this times lambda_max
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -62,29 +65,65 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
 
+def _check_length(n: Any, what: str, least: int = 1) -> int:
+    """n as an int if it is an integral number >= least, else OutOfRange."""
+    try:
+        ok = int(n) == n and n >= least
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise OutOfRange(f"{what} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
+def _check_tol(tol: float, what: str = "tol") -> None:
+    # NaN or inf would pass every comparison against it, a negative one none
+    if not 0.0 <= tol < float("inf"):
+        raise OutOfRange(f"{what} must be a finite number >= 0, got {tol!r}")
+
+
 def _as_matrix(obj: np.ndarray | Sequence) -> np.ndarray:
     m = np.asarray(obj, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatch(f"expected a 2-d matrix, got shape {np.shape(obj)}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ShapeMismatch("matrix contains NaN or Inf entries")
     return m
 
 
-def herm_eigen(H: np.ndarray, tol: float = 1e-10) -> Spectrum:
+def _check_density(rho: np.ndarray, what: str) -> np.ndarray:
+    """rho as a complex array, unchanged, if it is finite, Hermitian and of
+    unit trace within 1e-8 and has no eigenvalue below -1e-10."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise NotDensityOperator(f"{what} must be square, got {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise NotDensityOperator(f"{what} contains NaN or Inf")
+    if np.linalg.norm(rho - rho.conj().T) > 1e-8 * max(np.linalg.norm(rho), 1.0):
+        raise NotDensityOperator(f"{what} must be Hermitian")
+    tr = complex(np.trace(rho)).real
+    if abs(tr - 1.0) > 1e-8:
+        raise NotDensityOperator(f"{what} has trace {tr!r}, expected 1")
+    lam = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    if lam[0] < -1e-10:
+        raise NotDensityOperator(f"{what} has negative eigenvalue {lam[0]:.3e}")
+    return rho
+
+
+def herm_eigen(H: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input must satisfy ``||H - H^dag|| <= tol * ||H||``; the returned
-    eigenvalues are real and sorted non-increasing, and the reconstruction
-    ``V diag(w) V^dag`` matches H to 1e-10 * ||H|| (LAPACK guarantee).
+    The input must satisfy ``||H - H^dag|| <= 1e-10 max(||H||, 1)``; the
+    returned eigenvalues are real and sorted non-increasing, and ``V diag(w)
+    V^dag`` matches H to 1e-10 * ||H|| (LAPACK guarantee).
     """
     H = _as_matrix(H)
     if H.shape[0] != H.shape[1]:
         raise NonSquare(f"expected square matrix, got {H.shape}")
     scale = np.linalg.norm(H)
     asym = np.linalg.norm(H - H.conj().T)
-    if asym > tol * max(scale, 1.0):
-        raise NonHermitian(f"||H - H^dag|| = {asym:.3e} exceeds {tol:.1e} * ||H||")
+    if asym > _HERM_TOL * max(scale, 1.0):
+        raise NonHermitian(f"||H - H^dag|| = {asym:.3e} exceeds {_HERM_TOL:.1e} * ||H||")
     w, v = np.linalg.eigh((H + H.conj().T) / 2.0)
     return Spectrum(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
 
@@ -105,19 +144,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     rank-deficient inputs); anything more negative, a trace off 1 by more
     than 1e-8, or a non-Hermitian input raises NotDensityOperator.
     """
-    rho = _as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise NotDensityOperator(f"density operator must be square, got {rho.shape}")
-    scale = max(np.linalg.norm(rho), 1.0)
-    if np.linalg.norm(rho - rho.conj().T) > 1e-8 * scale:
-        raise NotDensityOperator("density operator must be Hermitian")
-    tr = complex(np.trace(rho)).real
-    if abs(tr - 1.0) > 1e-8:
-        raise NotDensityOperator(f"trace {tr!r} differs from 1 beyond 1e-8")
-    lam = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if lam[0] < -1e-10:
-        raise NotDensityOperator(f"negative eigenvalue {lam[0]:.3e} beyond -1e-10")
-    lam = np.clip(lam, 0.0, 1.0)
+    rho = _check_density(_as_matrix(rho), "density operator")
+    lam = np.clip(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), 0.0, 1.0)
     pos = lam[lam > 0.0]
     return float(-np.sum(pos * np.log(pos)))
 
@@ -138,7 +166,7 @@ def shannon_entropy(p: np.ndarray | Sequence[float]) -> float:
 def binary_entropy(t: float) -> float:
     """H_B(t) = -t ln t - (1-t) ln(1-t), with H_B(0) = H_B(1) = 0."""
     t = float(t)
-    if t < 0.0 or t > 1.0:
+    if not 0.0 <= t <= 1.0:
         raise OutOfRange(f"binary_entropy needs t in [0, 1], got {t!r}")
     out = 0.0
     if 0.0 < t:
@@ -154,7 +182,7 @@ def g_func(t: float) -> float:
     Dominates the binary entropy: H_B(t) <= g(t) on [0, 1].
     """
     t = float(t)
-    if t < 0.0 or t > 1.0:
+    if not 0.0 <= t <= 1.0:
         raise OutOfRange(f"g_func needs t in [0, 1], got {t!r}")
     if t == 0.0:
         return 0.0
@@ -224,13 +252,13 @@ def _vec_rows(ops: Sequence[np.ndarray], caller: str) -> np.ndarray:
     return np.stack([m.ravel() for m in mats])
 
 
-def _psd_rank(S: np.ndarray, tol: float) -> int:
-    """Number of eigenvalues of a PSD matrix above tol * lambda_max."""
+def _psd_rank(S: np.ndarray) -> int:
+    """Number of eigenvalues of a PSD matrix above _RANK_TOL * lambda_max."""
     lam = np.linalg.eigvalsh(S)
     lam_max = lam[-1] if lam.size else 0.0
     if lam_max <= 0.0:
         return 0
-    return int(np.count_nonzero(lam > tol * lam_max))
+    return int(np.count_nonzero(lam > _RANK_TOL * lam_max))
 
 
 def gram_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -239,8 +267,8 @@ def gram_matrix(ops: Sequence[np.ndarray]) -> np.ndarray:
     return V.conj() @ V.T
 
 
-def gram_rank(ops: Sequence[np.ndarray], tol: float = 1e-10) -> int:
-    """Rank of the Gram matrix: eigenvalues above tol * lambda_max.
+def gram_rank(ops: Sequence[np.ndarray]) -> int:
+    """Rank of the Gram matrix: eigenvalues above 1e-10 * lambda_max.
 
     Computed from S = V^T conj(V), with the vectorized operators as the rows
     of V: S shares the Gram matrix's nonzero spectrum (same lambda_max, same
@@ -248,4 +276,4 @@ def gram_rank(ops: Sequence[np.ndarray], tol: float = 1e-10) -> int:
     operators there are.
     """
     V = _vec_rows(ops, "gram_rank")
-    return _psd_rank(V.T @ V.conj(), tol)
+    return _psd_rank(V.T @ V.conj())

@@ -29,19 +29,17 @@ from .chain import KrausFamily, sqrt_env
 from .errors import (
     CompletionFailed,
     DimensionTooSmall,
-    EnumerationTooLarge,
     EvenDimension,
     NumericalInconsistency,
-    OutOfRange,
     SearchBudgetExceeded,
 )
-from .linalg import _psd_rank, clock_shift_basis, exterior_square, gram_rank
+from .linalg import _check_density, _check_length, _check_tol, _psd_rank
+from .linalg import clock_shift_basis, exterior_square, gram_rank
 from .restriction import (
     _CHUNK_STRINGS,
     DEFAULT_GUARD,
     _adjoint,
     _check_contraction,
-    _check_density,
     _check_guard,
     _products,
     _string_product,
@@ -66,6 +64,7 @@ __all__ = [
 ]
 
 _STATUSES = ("SatisfiedCertified", "SatisfiedUpToN", "ViolatedUpToN", "Undetermined")
+_INVARIANT_TOL = 1e-12  # largest ||(1 - P) A_x P|| of an invariant range(P)
 
 
 @dataclass(frozen=True)
@@ -153,41 +152,37 @@ def product_set(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> list[np.n
 
     Each is PSD and the set sums to the identity (POVM completeness).
     """
-    if n < 1:
-        raise EnumerationTooLarge(f"product length must be >= 1, got {n}")
     tree = _products(K.ops, np.eye(K.D, dtype=complex), n, guard)
     return list(_string_table(tree, lambda W: _adjoint(W) @ W))
 
 
-def span_purity_test(
-    K: KrausFamily, n_max: int, tol: float = 1e-10
-) -> tuple[int | None, list[int]]:
+def span_purity_test(K: KrausFamily, n_max: int) -> tuple[int | None, list[int]]:
     """Span ranks of the product sets for n = 1..n_max, without enumeration.
 
     Returns (passed_at, rank_series): passed_at is the least n at which the
     d^n products M_s = A_s^dag A_s span the full D^2-dimensional operator
     space (then purity is certified), or None.  The rank at length n is that
     of S_n = sum_s vec(M_s) vec(M_s)^dag, which shares the Gram matrix's
-    nonzero spectrum.  Since M_{x.s} = A_x^dag M_s A_x, and with row-major
+    nonzero spectrum (eigenvalues above 1e-10 lambda_max, as in
+    ``gram_rank``).  Since M_{x.s} = A_x^dag M_s A_x, and with row-major
     vec, vec(A^dag M A) = T_x vec(M) for T_x = kron(A_x^dag, A_x^T), it
     follows the recursion S_{n+1} = sum_x T_x S_n T_x^dag from S_1.  So no
     string product is formed: the cost is O(n d D^6) time and O(d D^4)
     memory at any length, and no enumeration guard applies.
     """
-    if n_max < 1:
-        raise EnumerationTooLarge(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_length(n_max, "n_max")
     D = K.D
     V = (_adjoint(K.ops) @ K.ops).reshape(K.d, D * D)
     S = V.T @ V.conj()
     T = np.stack([np.kron(_adjoint(A), A.T) for A in K.ops])
-    ranks = [_psd_rank(S, tol)]
+    ranks = [_psd_rank(S)]
     for _ in range(1, n_max):
         # one batched matmul per step: O(d D^6), where a plain einsum is O(d D^8)
         S = (T @ S @ _adjoint(T)).sum(axis=0)
         # Tr S_n can decay geometrically until it underflows at long lengths;
         # scaling by a power of two is exact, so the ranks are those of S_n
         S *= 2.0 ** -np.frexp(np.trace(S).real)[1]
-        ranks.append(_psd_rank(S, tol))
+        ranks.append(_psd_rank(S))
     passed_at = next((n for n, r in enumerate(ranks, start=1) if r == D * D), None)
     return passed_at, ranks
 
@@ -268,12 +263,6 @@ def _max_scalar_subspace(
     return best_rank, (P + P.conj().T) / 2.0, best_resid
 
 
-def _check_tol(tol: float) -> None:
-    # NaN or inf would pass every scalar test, and a negative tol none
-    if not 0.0 <= tol < float("inf"):
-        raise OutOfRange(f"tol must be a finite number >= 0, got {tol!r}")
-
-
 def correctable_subspace(
     K: KrausFamily,
     n_max: int,
@@ -285,23 +274,25 @@ def correctable_subspace(
 
     Every node of each length's search streams the d^n products chunk by
     chunk from the enumeration engine, so the product set is never held.
-    Raises OutOfRange unless tol is a finite number >= 0.
+    Raises OutOfRange unless n_max and budget are integers >= 1 and tol is a
+    finite number >= 0.
     """
+    n_max = _check_length(n_max, "n_max")
+    budget = _check_length(budget, "budget")
     _check_tol(tol)
     steps = [_max_scalar_subspace(K, n, tol, budget, guard) for n in range(1, n_max + 1)]
     return CorrectableReport(
-        n_max=int(n_max),
+        n_max=n_max,
         max_ranks=tuple(r for r, _, _ in steps),
         projectors=tuple(P for _, P, _ in steps),
         residuals=tuple(resid for _, _, resid in steps),
     )
 
 
-def _range_invariant(K: KrausFamily, P: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when every A_x maps range(P) into itself within tol."""
-    D = K.D
-    comp = np.eye(D) - P
-    return all(float(np.linalg.norm(comp @ A @ P, 2)) <= tol for A in K.ops)
+def _range_invariant(K: KrausFamily, P: np.ndarray) -> bool:
+    """True when every A_x maps range(P) into itself within 1e-12."""
+    comp = np.eye(K.D) - P
+    return all(float(np.linalg.norm(comp @ A @ P, 2)) <= _INVARIANT_TOL for A in K.ops)
 
 
 def purity_verdict(
@@ -319,8 +310,9 @@ def purity_verdict(
     same and the strings are not enumerated again.  The span certificate
     enumerates nothing; the guard bounds the w series and the staircase and
     is checked against d^n_max first, whichever of them runs.  Raises
-    OutOfRange unless tol is a finite number >= 0.
+    OutOfRange unless n_max is an integer >= 1 and tol a finite number >= 0.
     """
+    n_max = _check_length(n_max, "n_max")
     _check_guard(K.d, n_max, guard)
     _check_tol(tol)
     span_passed_at, span_ranks = span_purity_test(K, n_max)
@@ -370,7 +362,7 @@ def purity_verdict(
     return PurityVerdict(
         status=status,
         evidence=evidence,
-        n_max=int(n_max),
+        n_max=n_max,
         span_passed_at=span_passed_at,
         span_ranks=tuple(span_ranks),
         correctable_ranks=corr_ranks,
@@ -392,8 +384,7 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
     of at most max(1, _CHUNK_STRINGS D^2 // C(D,2)^2) products, so no slice
     takes more memory than a chunk of D x D products.
     """
-    if n_max < 1:
-        raise EnumerationTooLarge(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_length(n_max, "n_max")
     levels = [_products(K.ops, np.eye(K.D, dtype=complex), n, guard) for n in range(1, n_max + 1)]
     if K.D < 2:
         values = [(n, 0.0) for n in range(1, n_max + 1)]
@@ -439,12 +430,11 @@ def f_series(
 ) -> DecaySeries:
     """f(n) = sum over strings of nu1 * nu2 of F A_{x_n}..A_{x_1} sqrt(sigma).
 
-    Requires sigma to be a density operator and F^dag F <= 1; then
+    Requires a finite density operator sigma and F^dag F <= 1; then
     f(n) <= w(n) termwise (the dressing contracts both singular values).
     """
-    if n_max < 1:
-        raise EnumerationTooLarge(f"n_max must be >= 1, got {n_max}")
-    sigma = _check_density(sigma)
+    n_max = _check_length(n_max, "n_max")
+    sigma = _check_density(sigma, "sigma")
     F = _check_contraction(F)
     root = sqrt_env(sigma)
     levels = [_products(K.ops, root, n, guard) for n in range(1, n_max + 1)]
@@ -548,8 +538,9 @@ def build_r_operator(D: int) -> np.ndarray:
 
 
 def constructive_purity_family(D: int, d: int = 5) -> KrausFamily:
-    """Explicit family certifying purity: blocks (sqrt(R)/2, L1/2,
-    sqrt(1-R)/2, L3/2, 1/2) completed to a unitary on C^(D d).
+    """Explicit family certifying purity: the blocks (sqrt(R)/2, L1/2,
+    sqrt(1-R)/2, L3/2, 1/2, then zeros up to d), whose column is an
+    isometry C^D -> C^(D d) (the first D columns of a unitary on C^(D d)).
 
     The length-(2D-1) strings (3 repeated k, 1 repeated j, 0, then 4 padding)
     produce products proportional to U_{jk}^dag R U_{jk}, whose Gram matrix
@@ -576,27 +567,7 @@ def constructive_purity_family(D: int, d: int = 5) -> KrausFamily:
     if np.linalg.norm(col0.conj().T @ col0 - eye) > 1e-10:
         raise CompletionFailed("block column is not an isometry")
 
-    # Gram-Schmidt completion over the canonical basis, deterministic order.
-    cols = [col0[:, i] for i in range(D)]
-    dim = d * D
-    for i in range(dim):
-        if len(cols) == dim:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[i] = 1.0
-        for _ in range(2):  # two passes for numerical orthogonality
-            for q in cols:
-                v = v - q * (q.conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-7:
-            cols.append(v / nrm)
-    if len(cols) != dim:
-        raise CompletionFailed(f"completion found only {len(cols)} of {dim} columns")
-    U = np.stack(cols, axis=1)
-    if np.linalg.norm(U.conj().T @ U - np.eye(dim)) > 1e-10:
-        raise CompletionFailed("completed matrix is not unitary within 1e-10")
-
-    fam = KrausFamily(ops=np.stack([U[x * D : (x + 1) * D, 0:D] for x in range(d)]))
+    fam = KrausFamily(ops=col0.reshape(d, D, D))
 
     # Witness products: strings (3 x k, 1 x j, 0, 4-padding) of length 2D-1
     # give W proportional to sqrt(R) U_{jk}, so W^dag W ~ U_{jk}^dag R U_{jk}.

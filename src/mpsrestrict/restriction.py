@@ -54,13 +54,11 @@ from .errors import (
     EnumerationTooLarge,
     FNotContractive,
     GeometryMismatch,
-    NotDensityOperator,
-    OutOfRange,
     SymbolOutOfRange,
     ZeroProbabilityString,
 )
 from .gibbs import ChainDistribution, _window_cmi
-from .linalg import Spectrum
+from .linalg import Spectrum, _check_density, _check_length
 
 __all__ = [
     "RestrictionContext",
@@ -83,25 +81,13 @@ DEFAULT_GUARD = 2_000_000  # max d^n strings per enumeration; overridable everyw
 _CHUNK_STRINGS = 512  # most square products held at once; bounds peak memory
 
 
-def _check_density(sigma: np.ndarray, what: str = "sigma") -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=complex)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise NotDensityOperator(f"{what} must be square, got {sigma.shape}")
-    if np.linalg.norm(sigma - sigma.conj().T) > 1e-8 * max(np.linalg.norm(sigma), 1.0):
-        raise NotDensityOperator(f"{what} must be Hermitian")
-    lam = np.linalg.eigvalsh((sigma + sigma.conj().T) / 2.0)
-    if lam[0] < -1e-10:
-        raise NotDensityOperator(f"{what} has negative eigenvalue {lam[0]:.3e}")
-    tr = complex(np.trace(sigma)).real
-    if abs(tr - 1.0) > 1e-8:
-        raise NotDensityOperator(f"{what} has trace {tr!r}, expected 1")
-    return sigma
-
-
 def _check_contraction(F: np.ndarray) -> np.ndarray:
+    """F as a complex array, unchanged, if it is finite with F^dag F <= 1."""
     F = np.asarray(F, dtype=complex)
     if F.ndim != 2 or F.shape[0] != F.shape[1]:
         raise FNotContractive(f"F must be square, got {F.shape}")
+    if not np.all(np.isfinite(F)):
+        raise FNotContractive("F contains NaN or Inf")
     lam_max = float(np.linalg.eigvalsh(F.conj().T @ F)[-1])
     if lam_max > 1.0 + 1e-10:
         raise FNotContractive(f"largest eigenvalue of F^dag F is {lam_max!r} > 1")
@@ -114,7 +100,8 @@ class RestrictionContext:
 
     ``k2`` records the construction-geometry normalization; the per-length
     values K^2(N) = Tr(F^dag F E^N(sigma)) are computed lazily and cached, so
-    probabilities sum to 1 exactly for every N.
+    probabilities sum to 1 exactly for every N.  The finite density operator
+    sigma and contraction F are stored as given.
     """
 
     kraus: KrausFamily
@@ -124,7 +111,7 @@ class RestrictionContext:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sigma = _check_density(self.sigma)
+        sigma = _check_density(self.sigma, "sigma")
         f_op = _check_contraction(self.f_op)
         D = self.kraus.D
         if sigma.shape != (D, D) or f_op.shape != (D, D):
@@ -138,7 +125,8 @@ class RestrictionContext:
     def stationary(cls, kraus: KrausFamily) -> "RestrictionContext":
         """Infinite-chain mode: sigma = fixed point rho, F = identity, K^2 = 1."""
         rho = fixed_point(kraus).rho
-        return cls(kraus=kraus, sigma=rho, f_op=np.eye(kraus.D, dtype=complex), k2=1.0)
+        eye = np.eye(kraus.D, dtype=complex)
+        return cls(kraus=kraus, sigma=rho, f_op=eye, k2=1.0, _cache={"rho": rho})
 
     @classmethod
     def from_boundaries(
@@ -155,6 +143,13 @@ class RestrictionContext:
         return cls(kraus=kraus, sigma=sigma, f_op=f_op, k2=k2)
 
     @property
+    def _rho(self) -> np.ndarray:
+        """The family's stationary state, recorded by ``stationary``."""
+        if "rho" not in self._cache:
+            self._cache["rho"] = fixed_point(self.kraus).rho
+        return self._cache["rho"]
+
+    @property
     def sqrt_sigma(self) -> np.ndarray:
         if "sqrt_sigma" not in self._cache:
             self._cache["sqrt_sigma"] = sqrt_env(self.sigma)
@@ -166,18 +161,17 @@ class RestrictionContext:
         Raises ValueError if K^2(n) < 1e-12: the length-n strings then carry
         no probability to normalize.
         """
-        if int(n) != n or n < 0:
-            raise OutOfRange(f"block length must be a non-negative integer, got {n!r}")
-        key = ("k2", int(n))
+        n = _check_length(n, "block length", least=0)
+        key = ("k2", n)
         if key not in self._cache:
             envs = self._cache.setdefault("envs", [np.asarray(self.sigma)])
             while len(envs) <= n:
                 envs.append(transfer_apply(self.kraus, envs[-1]))
             f2 = self.f_op.conj().T @ self.f_op
-            self._cache[key] = float(np.trace(f2 @ envs[int(n)]).real)
+            self._cache[key] = float(np.trace(f2 @ envs[n]).real)
         k2 = self._cache[key]
         if k2 < 1e-12:
-            raise ValueError(f"degenerate context: K^2({int(n)}) = {k2!r} < 1e-12")
+            raise ValueError(f"degenerate context: K^2({n}) = {k2!r} < 1e-12")
         return k2
 
 
@@ -231,8 +225,9 @@ def _validate_string(x: Sequence[int], d: int) -> tuple[int, ...]:
     return xs
 
 
-def _check_guard(d: int, n: int, guard: int) -> None:
-    if d**n > guard:
+def _check_guard(d: int, n: int, guard: float) -> None:
+    # a NaN guard bounds nothing, so it fails; an infinite one means no limit
+    if not d**n <= guard:
         raise EnumerationTooLarge(f"d^n = {d**n} exceeds the guard {guard}")
 
 
@@ -301,12 +296,13 @@ class _Tree:
 def _products(ops: np.ndarray, root: np.ndarray, n: int, guard: int) -> _Tree:
     """All d^n products A_{x_n}..A_{x_1} root, as lexicographic chunks.
 
-    The guard is checked when this is called, before any product is formed,
-    and it counts all d^n strings.  Each chunk is the subtree below one
-    prefix: there are d^split chunks of d^(n-split) strings.  A chunk holds
-    at most _CHUNK_STRINGS * D / r products of a D x r root, so every chunk
-    fits in as much memory as _CHUNK_STRINGS square products, and a vector
-    walk (r = 1) takes D times as many strings at once.
+    The length n (an integer >= 1), then the guard, which counts all d^n
+    strings, are checked when this is called, before any product is formed.
+    Each chunk is the subtree below one prefix: there are d^split chunks of
+    d^(n-split) strings.  A chunk holds at most _CHUNK_STRINGS * D / r
+    products of a D x r root, so every chunk fits in as much memory as
+    _CHUNK_STRINGS square products, and a vector walk (r = 1) takes D times
+    as many strings at once.
 
     Exact-zero subtrees are skipped: a zero product has only zero
     descendants, so it is dropped where it appears and a chunk left with no
@@ -316,6 +312,7 @@ def _products(ops: np.ndarray, root: np.ndarray, n: int, guard: int) -> _Tree:
     speed: a zero product that is kept gives zero rows all the same.
     """
     d = ops.shape[0]
+    n = _check_length(n, "string length")
     _check_guard(d, n, guard)
     D, r = root.shape
     split = 0
@@ -430,8 +427,6 @@ def restriction_scan(
     """
     d = ctx.kraus.d
     tree = _products(ctx.kraus.ops, ctx.sqrt_sigma, n, guard)
-    if n < 1:
-        raise SymbolOutOfRange(f"block length must be >= 1, got {n}")
     k2 = ctx.k2_for(n)
     tr_floor = _zero_threshold(d, n) * k2
     eye = np.eye(ctx.kraus.D, dtype=complex)
@@ -527,9 +522,8 @@ def chain_distribution(
     The window table of the bare boundary context; raises ValueError for
     degenerate boundaries (K^2 < 1e-12).
     """
-    n = geometry.total if isinstance(geometry, ChainGeometry) else int(geometry)
-    if n < 1:
-        raise GeometryMismatch(f"chain must have >= 1 site, got {n}")
+    n = geometry.total if isinstance(geometry, ChainGeometry) else geometry
+    n = _check_length(n, "chain length")
     _check_guard(K.d, n, guard)  # before the n-site environment is iterated
     bare = RestrictionContext.from_boundaries(K, boundaries, ChainGeometry(0, n, 0))
     return window_distribution(bare, n, guard=guard)
@@ -561,7 +555,7 @@ def _absorb_windows(
     if window_a == 0 and window_c == 0:
         return ctx
     eye = np.eye(ctx.kraus.D, dtype=complex)
-    if np.array_equal(ctx.f_op, eye) and np.array_equal(ctx.sigma, fixed_point(ctx.kraus).rho):
+    if np.array_equal(ctx.f_op, eye) and np.array_equal(ctx.sigma, ctx._rho):
         return ctx
     sigma = _iterate(ctx.kraus, ctx.sigma, window_a, adjoint=False)
     f2 = _iterate(ctx.kraus, ctx.f_op.conj().T @ ctx.f_op, window_c, adjoint=True)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .chain import KrausFamily
 from .errors import ZeroProbabilityPath
+from .linalg import _check_length
 from .restriction import (
     DEFAULT_GUARD,
     _adjoint,
@@ -111,9 +112,9 @@ def sample_trajectories(
 
     Returns the (T, n) outcomes, the (T, n, D, D) normalized operators M_k
     and the (T, n) path probabilities Tr(W_k^dag W_k)/D of the T streams.
+    Raises OutOfRange (a ValueError) unless n is an integer >= 1.
     """
-    if n < 1:
-        raise ValueError(f"trajectory length must be >= 1, got {n}")
+    n = _check_length(n, "trajectory length")
     T, d, D = len(streams), K.d, K.D
     u = np.array([_rng_for(seed, s).random(n) for s in streams]).reshape(T, n)
     rows = np.arange(T)
@@ -186,8 +187,6 @@ def mean_m_check(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> float:
     Zero-probability paths contribute nothing, so the sum collapses to
     sum_x W^dag W / D with no per-path normalization.
     """
-    if n < 1:
-        raise ValueError(f"step count must be >= 1, got {n}")
     D = K.D
     tree = _products(K.ops, np.eye(D, dtype=complex), n, guard)
     acc = _string_sum(tree, lambda W: _adjoint(W) @ W)
@@ -201,8 +200,6 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
     not the singular-value route used by the decay series — so the two can
     cross-validate each other.
     """
-    if n < 1:
-        raise ValueError(f"step count must be >= 1, got {n}")
     D = K.D
     tree = _products(K.ops, np.eye(D, dtype=complex), n, guard)
     if D < 2:
