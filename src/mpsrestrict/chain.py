@@ -101,7 +101,8 @@ class KrausFamily:
 
 @dataclass(frozen=True)
 class BoundaryPair:
-    """Finite unit boundary vectors |L>, |R> of length D (norm checked to 1e-12)."""
+    """Finite unit boundary vectors |L>, |R> of length D (norm checked to
+    1e-12; OutOfRange otherwise)."""
 
     L: np.ndarray
     R: np.ndarray
@@ -114,9 +115,9 @@ class BoundaryPair:
         for name, v in (("L", L), ("R", R)):
             # a NaN norm would pass the comparison below
             if not np.all(np.isfinite(v)):
-                raise ValueError(f"boundary vector {name} contains NaN or Inf")
+                raise OutOfRange(f"boundary vector {name} contains NaN or Inf")
             if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValueError(
+                raise OutOfRange(
                     f"boundary vector {name} has norm {np.linalg.norm(v)!r}, expected 1"
                 )
         object.__setattr__(self, "L", _freeze(L))

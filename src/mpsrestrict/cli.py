@@ -294,40 +294,58 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sample_rows(K, steps: int, seed: int, streams: range) -> list[dict[str, Any]]:
-    """The rows of a block of trajectories, sampled as one batch with one
-    batched eigvalsh.  The block's stacks are freed when it returns, so only
-    the rows outlive it."""
+_SAMPLE_COLUMNS = ("trajectory", "step", "outcome", "lambda1", "lambda2", "path_prob")
+# One row of each format, fields in template order: the JSON row is what
+# json.dumps(indent=2, sort_keys=True) writes for a row dict inside "rows",
+# the CSV row follows the header.
+_JSON_ROW_KEYS = tuple(sorted(_SAMPLE_COLUMNS))
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{c}": %s' for c in _JSON_ROW_KEYS) + "\n    }"
+_CSV_ROW = ",".join(["%s"] * len(_SAMPLE_COLUMNS))
+# json.dumps(allow_nan=True) spells the non-finite floats this way
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_EMPTY_ROWS_LINE = '\n  "rows": [],\n'
+
+
+def _float_texts(values: np.ndarray, as_json: bool) -> list[str]:
+    """repr of each float, as json and _csv_text write a finite float; JSON
+    spells nan and +-inf as json does."""
+    texts = list(map(float.__repr__, values.ravel().tolist()))
+    if as_json and not np.all(np.isfinite(values)):
+        texts = [_JSON_NONFINITE.get(s, s) for s in texts]
+    return texts
+
+
+def _sample_text(K, steps: int, seed: int, streams: range, as_json: bool) -> str:
+    """The rows of a block of trajectories as text, sampled as one batch with
+    one batched eigvalsh: JSON rows joined by ",\\n", or CSV lines.  The
+    block's stacks are freed when it returns, so only the text outlives it."""
     outcomes, m_ops, probs = sample_trajectories(K, steps, seed, streams)
     lam = np.linalg.eigvalsh(m_ops)[..., ::-1]
     lam2 = lam[..., 1] if K.D > 1 else np.zeros_like(probs)
-    rows = []
-    for t, ys, l1s, l2s, prs in zip(
-        streams, outcomes.tolist(), lam[..., 0].tolist(), lam2.tolist(), probs.tolist()
-    ):
-        for step, (y, l1, l2, pr) in enumerate(zip(ys, l1s, l2s, prs), start=1):
-            rows.append(
-                {
-                    "trajectory": t,
-                    "step": step,
-                    "outcome": y,
-                    "lambda1": l1,
-                    "lambda2": l2,
-                    "path_prob": pr,
-                }
-            )
-    return rows
+    cols = {
+        "trajectory": [t for t in streams for _ in range(steps)],
+        "step": list(range(1, steps + 1)) * len(streams),
+        "outcome": outcomes.ravel().tolist(),
+        "lambda1": _float_texts(lam[..., 0], as_json),
+        "lambda2": _float_texts(lam2, as_json),
+        "path_prob": _float_texts(probs, as_json),
+    }
+    if as_json:
+        return ",\n".join([_JSON_ROW % r for r in zip(*(cols[c] for c in _JSON_ROW_KEYS))])
+    return "".join([_CSV_ROW % r + "\n" for r in zip(*(cols[c] for c in _SAMPLE_COLUMNS))])
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     K, label, source, _boundaries, _geometry = _resolve_model(args)
     steps = int(args.nmax)
     count = _check_length(args.trajectories, "--trajectories")
-    rows: list[dict[str, Any]] = []
+    as_json = args.format == "json"
     # blocks of _CHUNK_STRINGS streams bound the stack of M operators held at once
-    for start in range(0, count, _CHUNK_STRINGS):
-        rows += _sample_rows(K, steps, int(args.seed), range(start, min(start + _CHUNK_STRINGS, count)))
-    if args.format == "json":
+    blocks = [
+        _sample_text(K, steps, int(args.seed), range(start, min(start + _CHUNK_STRINGS, count)), as_json)
+        for start in range(0, count, _CHUNK_STRINGS)
+    ]
+    if as_json:
         doc = {
             "schema_version": 1,
             "library_version": __version__,
@@ -336,12 +354,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
             "seed": int(args.seed),
             "steps": steps,
             "trajectories": count,
-            "rows": rows,
+            "rows": [],
         }
-        text = _json_text(doc)
+        # json escapes every newline inside a string, so the key's line is unique
+        head, _, tail = _json_text(doc).partition(_EMPTY_ROWS_LINE)
+        text = "".join([head, '\n  "rows": [\n', ",\n".join(blocks), "\n  ],\n", tail])
     else:
-        ints = ("trajectory", "step", "outcome")
-        text = _csv_text(rows, ints + ("lambda1", "lambda2", "path_prob"), ints)
+        text = ",".join(_SAMPLE_COLUMNS) + "\n" + "".join(blocks)
     _emit(text, args.out)
     return 0
 

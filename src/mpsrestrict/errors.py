@@ -33,13 +33,15 @@ class NotPSD(MpsRestrictError):
     """Input is not positive semi-definite within tolerance."""
 
 
-class InvalidDistribution(MpsRestrictError):
-    """Probability weights are negative or do not sum to one."""
+class InvalidDistribution(MpsRestrictError, ValueError):
+    """Probability weights are not finite, are negative or do not sum to one
+    (a table, a weight vector, a transition matrix); also a ValueError."""
 
 
 class OutOfRange(MpsRestrictError, ValueError):
-    """Scalar argument outside its documented domain (a length, a tolerance,
-    a probability); also a ValueError."""
+    """Argument outside its documented domain (a length, a tolerance, a
+    probability, a boundary vector that is not finite of unit norm); also a
+    ValueError."""
 
 
 class DimensionTooSmall(MpsRestrictError):

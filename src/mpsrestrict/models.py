@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import KrausFamily
+from .errors import InvalidDistribution, OutOfRange
+from .linalg import _check_length
 
 __all__ = [
     "aklt",
@@ -51,8 +53,7 @@ def jordan(dim: int = 4) -> KrausFamily:
     products retain rank dim + 1 - n until the chain collapses, producing
     the staircase of correctable-subspace ranks dim, dim-1, ..., 1.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _check_length(dim, "dim")
     D = dim + 1
     a0 = np.zeros((D, D), dtype=complex)
     for k in range(dim):
@@ -73,11 +74,14 @@ def markov(p: np.ndarray | list | None = None) -> KrausFamily:
         p = [[0.8, 0.2], [0.3, 0.7]]
     P = np.asarray(p, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError(f"transition matrix must be square, got {P.shape}")
+        raise InvalidDistribution(f"transition matrix must be square, got {P.shape}")
+    # NaN would pass both comparisons below
+    if not np.all(np.isfinite(P)):
+        raise InvalidDistribution("transition matrix contains NaN or Inf")
     if np.any(P < 0.0):
-        raise ValueError("transition probabilities must be non-negative")
+        raise InvalidDistribution("transition probabilities must be non-negative")
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-10:
-        raise ValueError("transition matrix rows must sum to 1")
+        raise InvalidDistribution("transition matrix rows must sum to 1")
     D = P.shape[0]
     ops = np.zeros((D * D, D, D), dtype=complex)
     for i in range(D):
@@ -94,9 +98,7 @@ def clock(dim: int = 3) -> KrausFamily:
     every length-N product is proportional to a unitary, so M_N = 1/D along
     every path and w(N) = 1 for all N.
     """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    D = dim
+    D = _check_length(dim, "dim", least=2)
     ops = np.zeros((D * D, D, D), dtype=complex)
     for i in range(D):
         for j in range(D):
@@ -115,7 +117,7 @@ def damping(gamma: float = 0.5) -> KrausFamily:
     """
     g = float(gamma)
     if not 0.0 <= g <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {g}")
+        raise OutOfRange(f"gamma must lie in [0, 1], got {g}")
     a0 = np.diag([1.0, np.sqrt(1.0 - g)]).astype(complex)
     a1 = np.zeros((2, 2), dtype=complex)
     a1[0, 1] = np.sqrt(g)

@@ -9,7 +9,8 @@ be, kept term for term: the engine must reproduce it bit for bit.
 list of all d^n products, before it streamed them from the engine.
 ``sample_trajectory`` is the one-trajectory, one-step-at-a-time sampler the
 package had before it drew all streams as one stack; the batch must
-reproduce it bit for bit.
+reproduce it bit for bit.  ``sample_rows`` and ``sample_csv`` are the rows
+``sample`` used to build as dicts from those trajectories, and their CSV.
 """
 
 from __future__ import annotations
@@ -258,3 +259,32 @@ def sample_trajectory(K, n: int, seed: int, stream: int = 0) -> trajectories.Mar
     return trajectories.MartingaleTrace(
         outcomes=tuple(outcomes), m_ops=tuple(m_ops), probs=tuple(probs)
     )
+
+
+def sample_rows(K, n: int, seed: int, count: int) -> list[dict]:
+    """The rows of trajectories 0..count-1 as dicts: one sample_trajectory
+    each, and one eigvalsh per step (lambda2 is 0.0 when D = 1)."""
+    rows = []
+    for t in range(count):
+        trace = sample_trajectory(K, n, seed, t)
+        for step, (y, M, pr) in enumerate(zip(trace.outcomes, trace.m_ops, trace.probs), start=1):
+            lam = np.linalg.eigvalsh(M)[::-1]
+            rows.append(
+                {
+                    "trajectory": t,
+                    "step": step,
+                    "outcome": y,
+                    "lambda1": float(lam[0]),
+                    "lambda2": float(lam[1]) if K.D > 1 else 0.0,
+                    "path_prob": pr,
+                }
+            )
+    return rows
+
+
+def sample_csv(rows: list[dict]) -> str:
+    """The rows as CSV: the int columns as str, the float columns as repr."""
+    lines = ["trajectory,step,outcome,lambda1,lambda2,path_prob"]
+    for r in rows:
+        lines.append(f"{r['trajectory']},{r['step']},{r['outcome']},{r['lambda1']!r},{r['lambda2']!r},{r['path_prob']!r}")
+    return "\n".join(lines) + "\n"

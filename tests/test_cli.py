@@ -163,21 +163,7 @@ def test_sample_blocks_are_the_oracle_rows(tmp_path):
     K = load_model(model).kraus
     count = 600
     assert count > _CHUNK_STRINGS
-    rows = []
-    for t in range(count):
-        trace = oracle.sample_trajectory(K, 4, 3, t)
-        for step, (y, M, pr) in enumerate(zip(trace.outcomes, trace.m_ops, trace.probs), start=1):
-            lam = np.linalg.eigvalsh(M)[::-1]
-            rows.append(
-                {
-                    "trajectory": t,
-                    "step": step,
-                    "outcome": y,
-                    "lambda1": float(lam[0]),
-                    "lambda2": float(lam[1]),
-                    "path_prob": pr,
-                }
-            )
+    rows = oracle.sample_rows(K, 4, 3, count)
     args = ["sample", "--model", str(model), "--nmax", "4", "--trajectories", str(count), "--seed", "3"]
     js, csv = tmp_path / "s.json", tmp_path / "s.csv"
     assert main(args + ["--out", str(js)]) == 0
@@ -185,10 +171,109 @@ def test_sample_blocks_are_the_oracle_rows(tmp_path):
     doc = json.loads(js.read_text())
     doc["rows"] = rows
     assert js.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-    lines = ["trajectory,step,outcome,lambda1,lambda2,path_prob"]
-    for r in rows:
-        lines.append(f"{r['trajectory']},{r['step']},{r['outcome']},{r['lambda1']!r},{r['lambda2']!r},{r['path_prob']!r}")
-    assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert csv.read_bytes() == oracle.sample_csv(rows).encode()
+
+
+_ODD_LABEL = 'he wrote "rows": [] in Z\u00fcrich'
+
+# (builtin flags or None for a model file labelled _ODD_LABEL, steps, trajectories)
+SAMPLE_EDGES = {
+    "one": (["--builtin", "aklt"], 3, 1),
+    "one-block": (["--builtin", "aklt"], 3, _CHUNK_STRINGS),
+    "one-past-a-block": (["--builtin", "aklt"], 3, _CHUNK_STRINGS + 1),
+    "bond-dimension-one": (["--builtin", "markov", "--p", "1"], 3, 4),
+    "odd-label": (None, 2, 3),
+}
+
+
+def _sample_output(args, out, capsys) -> bytes:
+    if out is None:
+        capsys.readouterr()
+        assert main(args) == 0
+        return capsys.readouterr().out.encode()
+    assert main(args + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("dest", ["out", "stdout"])
+@pytest.mark.parametrize("case", sorted(SAMPLE_EDGES))
+def test_sample_edges_are_the_oracle_bytes(tmp_path, capsys, case, dest):
+    from mpsrestrict.models import aklt, markov
+
+    flags, steps, count = SAMPLE_EDGES[case]
+    if flags is None:
+        model = tmp_path / "odd.json"
+        assert main(["generate", "haar", "--dim", "2", "--phys", "3", "--seed", "1", "--label", _ODD_LABEL, "--out", str(model)]) == 0
+        flags, K, label = ["--model", str(model)], load_model(model).kraus, _ODD_LABEL
+    else:
+        K, label = (aklt() if flags[1] == "aklt" else markov([[1.0]])), flags[1]
+    rows = oracle.sample_rows(K, steps, 5, count)
+    args = ["sample", *flags, "--nmax", str(steps), "--trajectories", str(count), "--seed", "5"]
+    js = _sample_output(args, tmp_path / "s.json" if dest == "out" else None, capsys)
+    csv = _sample_output(args + ["--format", "csv"], tmp_path / "s.csv" if dest == "out" else None, capsys)
+    doc = json.loads(js)
+    assert (doc["label"], doc["steps"], doc["trajectories"]) == (label, steps, count)
+    doc["rows"] = rows
+    assert js == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    assert csv == oracle.sample_csv(rows).encode()
+    if K.D == 1:
+        assert {r["lambda2"] for r in rows} == {0.0}
+
+
+def test_sample_writes_non_finite_values_as_json_and_csv_did(monkeypatch, tmp_path):
+    """json.dumps spells nan and +-inf NaN, Infinity and -Infinity; the CSV
+    writes repr: nan, inf and -inf."""
+    from mpsrestrict import cli
+    from mpsrestrict.models import aklt
+
+    drawn = cli.sample_trajectories
+    poison = [float("nan"), float("inf"), float("-inf")]
+
+    def poisoned(*args):
+        outcomes, m_ops, probs = drawn(*args)
+        probs[0, :3] = poison
+        return outcomes, m_ops, probs
+
+    monkeypatch.setattr(cli, "sample_trajectories", poisoned)
+    rows = oracle.sample_rows(aklt(), 4, 0, 2)
+    for row, value in zip(rows, poison):
+        row["path_prob"] = value
+    args = ["sample", "--builtin", "aklt", "--nmax", "4", "--trajectories", "2"]
+    js, csv = tmp_path / "s.json", tmp_path / "s.csv"
+    assert main(args + ["--out", str(js)]) == 0
+    assert main(args + ["--format", "csv", "--out", str(csv)]) == 0
+    doc = json.loads(js.read_text())
+    doc["rows"] = rows
+    assert js.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    assert csv.read_bytes() == oracle.sample_csv(rows).encode()
+    for spelling in ("NaN", "Infinity", "-Infinity"):
+        assert f'"path_prob": {spelling},' in js.read_text()
+    for spelling in ("nan", "inf", "-inf"):
+        assert f",{spelling}\n" in csv.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_failing_sample_writes_no_file(monkeypatch, tmp_path, fmt):
+    """A bad length fails before sampling, and a zero-probability path in the
+    second block after the first was rendered; neither leaves a file."""
+    from mpsrestrict import cli
+    from mpsrestrict.errors import ZeroProbabilityPath
+
+    out = tmp_path / "f"
+    assert main(["sample", "--builtin", "aklt", "--nmax", "0", "--format", fmt, "--out", str(out)]) == 3
+    assert not out.exists()
+
+    drawn = cli.sample_trajectories
+
+    def dies_in_the_second_block(K, n, seed, streams):
+        if streams[0] > 0:
+            raise ZeroProbabilityPath("all continuations have zero weight")
+        return drawn(K, n, seed, streams)
+
+    monkeypatch.setattr(cli, "sample_trajectories", dies_in_the_second_block)
+    count = str(_CHUNK_STRINGS + 1)
+    assert main(["sample", "--builtin", "aklt", "--nmax", "2", "--trajectories", count, "--format", fmt, "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_builtin_parameters(tmp_path):

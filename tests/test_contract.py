@@ -12,11 +12,14 @@ from mpsrestrict import (
     RestrictionContext,
     aklt,
     binary_entropy,
+    clock,
     damping,
     exterior_square,
     g_func,
     gram_rank,
     herm_eigen,
+    jordan,
+    markov,
     singular_values,
     sqrt_env,
     von_neumann_entropy,
@@ -26,6 +29,7 @@ from mpsrestrict.cli import main
 from mpsrestrict.errors import (
     EnumerationTooLarge,
     FNotContractive,
+    InvalidDistribution,
     NotDensityOperator,
     NotPSD,
     OutOfRange,
@@ -198,3 +202,43 @@ def test_analyze_computes_the_fixed_point_twice(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "fixed_point", counted)
     assert main(["analyze", "--builtin", "aklt", "--nmax", "4", "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 2
+
+
+_NAN = float("nan")
+_E0 = np.array([1.0, 0.0])
+
+# a bad argument to a model constructor or a boundary pair: the call, the named
+# error (a ValueError too), a word of its message, and the CLI flags, if any,
+# that pass the same argument (exit 3)
+BAD_MODEL_ARGUMENTS = {
+    "jordan-float": (lambda: jordan(2.5), OutOfRange, "dim", None),
+    "jordan-zero": (lambda: jordan(0), OutOfRange, "dim", ["--builtin", "jordan", "--dim", "0"]),
+    "clock-float": (lambda: clock(2.5), OutOfRange, "dim", None),
+    "clock-one": (lambda: clock(1), OutOfRange, "dim", ["--builtin", "clock", "--dim", "1"]),
+    "damping-nan": (lambda: damping(_NAN), OutOfRange, "gamma", ["--builtin", "damping", "--gamma", "nan"]),
+    "markov-nan": (
+        lambda: markov([[_NAN, 1.0], [0.0, 1.0]]),
+        InvalidDistribution,
+        "transition matrix contains NaN",
+        ["--builtin", "markov", "--p", "nan,1;0,1"],
+    ),
+    "markov-negative": (
+        lambda: markov([[1.5, -0.5], [0.0, 1.0]]),
+        InvalidDistribution,
+        "non-negative",
+        ["--builtin", "markov", "--p", "1.5,-0.5;0,1"],
+    ),
+    "markov-not-square": (lambda: markov([[1.0, 0.0]]), InvalidDistribution, "square", None),
+    "boundary-norm": (lambda: BoundaryPair(L=2 * _E0, R=_E0), OutOfRange, "boundary vector L", None),
+    "boundary-nan": (lambda: BoundaryPair(L=_E0, R=np.array([_NAN, 0.0])), OutOfRange, "boundary vector R", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODEL_ARGUMENTS))
+def test_a_bad_model_argument_raises_its_named_error(case):
+    call, error, words, flags = BAD_MODEL_ARGUMENTS[case]
+    with pytest.raises(error, match=words) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
+    if flags is not None:
+        assert main(["sample", *flags, "--nmax", "1"]) == 3
