@@ -10,6 +10,7 @@ E*(Q) = sum_x A_x^dag Q A_x.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -91,6 +92,15 @@ class KrausFamily:
     @property
     def D(self) -> int:
         return int(self.ops.shape[1])
+
+    @cached_property
+    def _singular(self) -> bool:
+        """Whether some A_x is rank-deficient at the tolerance of
+        np.linalg.matrix_rank.  Only such an operator can turn a non-zero
+        product into zero, so the product engine looks for zero products
+        only then; computed once per family."""
+        nu = np.linalg.svd(self.ops, compute_uv=False)
+        return bool(np.any(nu[:, -1] <= nu[:, 0] * self.D * np.finfo(float).eps))
 
     @classmethod
     def from_matrices(

@@ -26,7 +26,9 @@ run.  All enumerations are deterministic and run in the calling thread.
 bounds every enumeration, so the purity verdict covers n = 1..nmax like the
 per-n rows.
 ``--threads`` is still accepted but selects nothing, so output bytes do not
-depend on it (and it is not recorded).
+depend on it (and it is not recorded).  ``--guard`` and ``--tol`` belong to
+``analyze`` alone: ``sample`` enumerates nothing, and argparse rejects them
+there (exit 2, its usage error).
 """
 
 from __future__ import annotations
@@ -408,8 +410,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the report")
     p.add_argument("--out", default=None, help="write output here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD, help="max d^n strings per enumeration")
-    p.add_argument("--tol", type=float, default=1e-8, help="scalar-compression tolerance for the purity staircase")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(pa)
     _add_common_flags(pa)
     pa.add_argument("--nmax", type=int, default=6, help="largest block length in the per-n table")
+    pa.add_argument("--guard", type=int, default=DEFAULT_GUARD, help="max d^n strings per enumeration")
+    pa.add_argument("--tol", type=float, default=1e-8, help="scalar-compression tolerance for the purity staircase")
     pa.add_argument("--ell", type=int, default=2, help="interaction range of the fitted local Hamiltonian")
     pa.add_argument(
         "--geometry",

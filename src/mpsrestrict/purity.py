@@ -152,7 +152,7 @@ def product_set(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> list[np.n
 
     Each is PSD and the set sums to the identity (POVM completeness).
     """
-    tree = _products(K.ops, np.eye(K.D, dtype=complex), n, guard)
+    tree = _products(K, np.eye(K.D, dtype=complex), n, guard)
     return list(_string_table(tree, lambda W: _adjoint(W) @ W))
 
 
@@ -216,9 +216,9 @@ def _max_scalar_subspace(
     length-n product M fails the scalar test (residual > tol * ||M||),
     branches over its eigenvalue clusters intersected with the current
     subspace, pruning branches that cannot beat the best rank found.  Each
-    node streams the products chunk by chunk, with one batched norm,
-    compression and eigh per chunk, and branches on the first failing
-    product in lexicographic order, so at most one chunk is held.  The
+    node streams the products stack by stack, with one batched norm,
+    compression and eigh per stack, and branches on the first failing
+    product in lexicographic order, so at most one stack is held.  The
     engine leaves out exact-zero products, which pass the test with residual
     0, so the first failing product is the same.  Returns (rank, projector,
     residual).
@@ -238,7 +238,7 @@ def _max_scalar_subspace(
         if r <= best_rank:
             return
         worst = 0.0
-        for _, _, W in _products(K.ops, eye, n, guard):
+        for _, W in _products(K, eye, n, guard):
             M = _adjoint(W) @ W
             scales = np.maximum(np.linalg.norm(M, 2, axis=(1, 2)), 1e-300)
             C = _adjoint(B) @ M @ B
@@ -272,8 +272,8 @@ def correctable_subspace(
 ) -> CorrectableReport:
     """Scalar-compression staircase for n = 1..n_max.
 
-    Every node of each length's search streams the d^n products chunk by
-    chunk from the enumeration engine, so the product set is never held.
+    Every node of each length's search streams the d^n products stack by
+    stack from the enumeration engine, so the product set is never held.
     Raises OutOfRange unless n_max and budget are integers >= 1 and tol is a
     finite number >= 0.
     """
@@ -380,12 +380,12 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
     SVD, and the spectral norm of the product's exterior square (its matrix
     of 2x2 minors) — which must agree to 1e-9; the submultiplicative law
     w(n+m) <= w(n) w(m) is checked for all pairs.  The reported values are
-    the SVD route's.  The exterior squares of a chunk are formed in slices
+    the SVD route's.  The exterior squares of a stack are formed in slices
     of at most max(1, _CHUNK_STRINGS D^2 // C(D,2)^2) products, so no slice
-    takes more memory than a chunk of D x D products.
+    takes more memory than a full stack of D x D products.
     """
     n_max = _check_length(n_max, "n_max")
-    levels = [_products(K.ops, np.eye(K.D, dtype=complex), n, guard) for n in range(1, n_max + 1)]
+    levels = [_products(K, np.eye(K.D, dtype=complex), n, guard) for n in range(1, n_max + 1)]
     if K.D < 2:
         values = [(n, 0.0) for n in range(1, n_max + 1)]
         return DecaySeries.from_values(values)
@@ -437,7 +437,7 @@ def f_series(
     sigma = _check_density(sigma, "sigma")
     F = _check_contraction(F)
     root = sqrt_env(sigma)
-    levels = [_products(K.ops, root, n, guard) for n in range(1, n_max + 1)]
+    levels = [_products(K, root, n, guard) for n in range(1, n_max + 1)]
 
     def leaf(P: np.ndarray) -> np.ndarray:
         s = np.linalg.svd(F @ P, compute_uv=False)

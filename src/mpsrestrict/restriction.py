@@ -14,15 +14,19 @@ entropy over all strings drives both the quantum CMI (= twice the average
 entropy for a pure global state) and the average purity Q.
 
 Every enumeration over the d^n strings, here and in ``purity`` and
-``trajectories``, runs on one engine: ``_products`` builds the string
-products level by level as lexicographic stacks (site 1 is the most
-significant digit), in chunks that are whole subtrees below a prefix, and
-``_tree_sum`` adds per-string values in the order of a depth-first walk
-(each node sums its d children in symbol order, starting from zero).  A
-product that is exactly zero is dropped where it appears, with its subtree,
-and ``_string_sum``/``_string_table`` give its strings zero rows; since
-x + 0.0 == x, results equal those of the full walk.  Results do not depend
-on the chunking or the pruning and are deterministic bit for bit.
+``trajectories``, runs on one engine.  ``_products`` walks the tree of
+string products level by level (site 1 is the most significant digit):
+breadth-first while the next level fits under the stack cap, then in runs
+of whole subtrees below consecutive prefixes, so its stacks come out in
+lexicographic order with each product's global string index.  A product
+that is exactly zero is dropped where it appears, with its subtree, and the
+cap counts only the products kept.  ``_string_table`` places each stack's
+rows by index and gives the dropped strings zero rows; ``_string_sum`` adds
+per-string values in the order of a depth-first walk (each node sums its d
+children in symbol order, starting from zero), reducing each run to
+per-prefix partials, and skips the dropped strings: since x + 0.0 == x,
+results equal those of the full walk.  Results do not depend on the
+splitting or the pruning and are deterministic bit for bit.
 
 There is one path of each kind.  ``window_distribution`` tabulates the
 outcomes of any context (``chain_distribution`` is that table for the bare
@@ -249,135 +253,204 @@ def _adjoint(T: np.ndarray) -> np.ndarray:
 
 
 def _grow(
-    ops: np.ndarray, stack: np.ndarray, levels: int, prune: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extend every product of a stack (k, D, D') by ``levels`` more symbols.
+    ops: np.ndarray, stack: np.ndarray, index: range | np.ndarray, prune: bool
+) -> tuple[np.ndarray, range | np.ndarray]:
+    """Extend every product of a lexicographic stack (k, D, r) by one symbol.
 
-    Entry i*d + s of each new level is ops[s] @ stack[i], so the stack stays
-    in lexicographic order with the first symbol most significant.  With
-    ``prune``, a product whose entries are all exactly zero is dropped at the
-    level where it appears, so its subtree, whose products are all zero too,
-    is never formed.  Returns the grown stack and the lexicographic index of
-    each of its products among the k d^levels.
+    Entry i*d + s of the new stack is ops[s] @ stack[i], so the stack stays
+    in lexicographic order with the first symbol most significant.
+    ``index`` holds each product's global index among the d^depth strings
+    of its length: a range on a walk that does not prune, so that such a
+    walk does no index arithmetic, and an array on one that does.  With
+    ``prune``, a product whose entries are all exactly zero is dropped, so
+    its subtree, whose products are all zero too, is never formed.
     """
     d = ops.shape[0]
-    index = np.arange(len(stack))
-    for _ in range(levels):
-        stack = np.matmul(ops[None], stack[:, None]).reshape(-1, *stack.shape[1:])
-        if prune:
-            index = (index[:, None] * d + np.arange(d)).ravel()
-            live = stack.any(axis=(1, 2))
-            if not live.all():
-                stack, index = stack[live], index[live]
-    return stack, index if prune else np.arange(len(stack))
+    stack = np.matmul(ops[None], stack[:, None]).reshape(-1, *stack.shape[1:])
+    if not prune:
+        return stack, range(index.start * d, index.stop * d)
+    index = (index[:, None] * d + np.arange(d)).ravel()
+    live = stack.any(axis=(1, 2))
+    if not live.all():
+        stack, index = stack[live], index[live]
+    return stack, index
+
+
+@dataclass(frozen=True)
+class _Run:
+    """The subtrees below consecutive prefixes of length ``top``.
+
+    ``stack`` holds their products of length ``depth`` that are not exactly
+    zero, in lexicographic order, and ``index`` the global index of each
+    (see ``_grow``).  At depth n these are leaves; above it, ``runs`` yields
+    in order the runs that continue them, each from a slice of ``stack``.
+    """
+
+    top: int
+    depth: int
+    index: range | np.ndarray
+    stack: np.ndarray
+    runs: Iterator["_Run"]
 
 
 @dataclass(frozen=True)
 class _Tree:
-    """The d^n string products of one enumeration, in ``count`` chunks of
-    ``size`` strings: chunk c holds strings c*size .. (c+1)*size - 1.
+    """The d^n string products A_{x_n}..A_{x_1} root of one enumeration.
 
-    Iterating (once) yields (c, live, stack) for each chunk c that holds a
-    non-zero product, in order: ``stack`` holds the chunk's products that are not
-    exactly zero and ``live`` their in-chunk indices, both lexicographic.
-    Every product left out is exactly zero.
+    The walk is lazy: nothing is formed until the tree is iterated, and each
+    iteration walks afresh.  It yields (index, stack) for each stack of
+    leaves in lexicographic order: ``stack`` holds non-zero products and
+    ``index`` (a slice or an index array) their positions among the d^n
+    strings.  Every product left out is exactly zero.
     """
 
-    d: int
-    count: int
-    size: int
-    empty: np.ndarray  # a stack of no products, with the products' shape
-    chunks: Iterator[tuple[int, np.ndarray, np.ndarray]]
+    ops: np.ndarray
+    root: np.ndarray
+    n: int
+    cap: int  # most products formed at once
+    prune: bool
 
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        return self.chunks
+    @property
+    def d(self) -> int:
+        return self.ops.shape[0]
+
+    @property
+    def empty(self) -> np.ndarray:
+        """A stack of no products, with the products' shape."""
+        return self.root[None][:0]
+
+    def _walk(self) -> _Run:
+        index = np.zeros(1, dtype=np.int64) if self.prune else range(1)
+        return self._run(self.root[None], index, 0)
+
+    def _run(self, stack: np.ndarray, index: range | np.ndarray, top: int) -> _Run:
+        d, n = self.d, self.n
+        depth = top
+        # a run grows at least one level, then while the next level fits
+        while depth < n and len(stack) and (depth == top or len(stack) * d <= self.cap):
+            stack, index = _grow(self.ops, stack, index, self.prune)
+            depth += 1
+        runs: Iterator[_Run] = iter(())
+        if depth < n:
+            # A dense subtree's size is known, so a run takes as many whole
+            # subtrees as fit; a pruned run takes as many prefixes as can all
+            # grow one more level.
+            step = max(1, self.cap // d ** (1 if self.prune else n - depth))
+            runs = (
+                self._run(stack[i : i + step], index[i : i + step], depth)
+                for i in range(0, len(stack), step)
+            )
+        return _Run(top=top, depth=depth, index=index, stack=stack, runs=runs)
+
+    def __iter__(self) -> Iterator[tuple[slice | np.ndarray, np.ndarray]]:
+        def leaves(run: _Run) -> Iterator[tuple[slice | np.ndarray, np.ndarray]]:
+            if run.depth == self.n and len(run.stack):
+                index = run.index
+                if isinstance(index, range):
+                    index = slice(index.start, index.stop)
+                yield index, run.stack
+            for sub in run.runs:
+                yield from leaves(sub)
+
+        return leaves(self._walk())
 
 
-def _products(ops: np.ndarray, root: np.ndarray, n: int, guard: int) -> _Tree:
-    """All d^n products A_{x_n}..A_{x_1} root, as lexicographic chunks.
+def _products(K: KrausFamily, root: np.ndarray, n: int, guard: int) -> _Tree:
+    """All d^n products A_{x_n}..A_{x_1} root, as a lazy walk of stacks.
 
     The length n (an integer >= 1), then the guard, which counts all d^n
     strings, are checked when this is called, before any product is formed.
-    Each chunk is the subtree below one prefix: there are d^split chunks of
-    d^(n-split) strings.  A chunk holds at most _CHUNK_STRINGS * D / r
-    products of a D x r root, so every chunk fits in as much memory as
-    _CHUNK_STRINGS square products, and a vector walk (r = 1) takes D times
-    as many strings at once.
+    The walk grows the products breadth-first while the next level fits
+    under the cap of _CHUNK_STRINGS * D / r products of a D x r root, so
+    every stack fits in as much memory as _CHUNK_STRINGS square products,
+    and a vector walk (r = 1) takes D times as many strings at once.  When
+    the next level does not fit, the walk splits its stack into runs of
+    consecutive prefixes and continues each run in turn, so the stacks come
+    out in lexicographic order and each run is a set of whole subtrees.
 
     Exact-zero subtrees are skipped: a zero product has only zero
-    descendants, so it is dropped where it appears and a chunk left with no
-    product is not yielded.  Only a rank-deficient Kraus operator can turn a
-    non-zero product into zero, so a family whose operators all have full
-    rank is walked without looking for zeros.  That choice changes only the
+    descendants, so it is dropped where it appears, and the cap counts only
+    the products that are kept.  Only a rank-deficient Kraus operator can
+    turn a non-zero product into zero, so a family whose operators all have
+    full rank (``KrausFamily._singular``) is walked without looking for
+    zeros, and without index arithmetic.  That choice changes only the
     speed: a zero product that is kept gives zero rows all the same.
     """
-    d = ops.shape[0]
     n = _check_length(n, "string length")
-    _check_guard(d, n, guard)
+    _check_guard(K.d, n, guard)
     D, r = root.shape
-    split = 0
-    while d ** (n - split) * r > _CHUNK_STRINGS * D:
-        split += 1
-    # rank-deficient at the tolerance of np.linalg.matrix_rank
-    nu = np.linalg.svd(ops, compute_uv=False)
-    prune = bool(np.any(nu[:, -1] <= nu[:, 0] * D * np.finfo(float).eps))
-    prefixes, numbers = _grow(ops, root[None], split, prune)
-
-    def chunks() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        for c, P in zip(numbers, prefixes):
-            stack, live = _grow(ops, P[None], n - split, prune)
-            if len(stack):
-                yield int(c), live, stack
-
-    return _Tree(d=d, count=d**split, size=d ** (n - split), empty=prefixes[:0], chunks=chunks())
+    return _Tree(ops=K.ops, root=root, n=n, cap=_CHUNK_STRINGS * D // r, prune=K._singular)
 
 
-def _tree_sum(values: np.ndarray, d: int) -> np.ndarray:
-    """Sum the d^k rows of a lexicographic table in depth-first tree order.
+def _tree_reduce(
+    rows: np.ndarray, index: range | np.ndarray, d: int, levels: int
+) -> tuple[np.ndarray, range | np.ndarray]:
+    """Tree-order partial sums ``levels`` levels up of the rows of the nodes
+    ``index`` (increasing), with the indices of their ancestors.
 
-    Each node adds its d children in symbol order starting from zero, as a
-    recursive ``acc += child`` walk does, so that walk's sum is reproduced
-    bit for bit, and chunk partials combine to the one-pass total.
+    The parent of node i is i // d, and each parent adds its children in
+    symbol order starting from +0.0; a parent none of whose children is
+    listed is left out.  A child that is not listed is exactly zero, and
+    x + 0.0 == x for an accumulator that starts at +0.0, so the partials are
+    those of the full tree bit for bit.  A range of nodes is whole subtrees
+    and is summed without index arithmetic.
     """
-    while len(values) > 1:
-        values = values.reshape(-1, d, *values.shape[1:])
-        acc = np.zeros_like(values[:, 0])
+    for _ in range(levels):
+        if isinstance(index, range):
+            rows = rows.reshape(-1, d, *rows.shape[1:])
+            index = range(index.start // d, index.stop // d)
+        else:
+            parent = index // d
+            first = np.ones(len(parent), dtype=bool)
+            np.not_equal(parent[1:], parent[:-1], out=first[1:])
+            slot = np.cumsum(first) - 1
+            full = np.zeros((len(parent) and slot[-1] + 1, d) + rows.shape[1:], dtype=rows.dtype)
+            full[slot, index - parent * d] = rows
+            rows, index = full, parent[first]
+        acc = np.zeros_like(rows[:, 0])
         for s in range(d):
-            acc += values[:, s]
-        values = acc
-    return values[0]
+            acc += rows[:, s]
+        rows = acc
+    return rows, index
 
 
 def _string_sum(tree: _Tree, leaf: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Tree-order sum over all strings of the per-string rows leaf(stack).
 
-    Each live chunk's rows are placed in a zero-filled chunk and tree-summed,
-    and a chunk with no live product contributes a zero partial.  The leaves
-    map a zero product to zero rows, and x + 0.0 == x for the accumulator,
-    which starts at +0.0, so the sum equals the one over every string bit
-    for bit.  The row shape is that of leaf(tree.empty), so a leaf must take
-    a stack of no products.
+    Each run's rows are reduced up to the run's top, and the caller joins
+    the per-prefix partials of its runs, in order, and reduces them in turn,
+    so no more rows than a stack's are held at any depth.  The order is the
+    depth-first walk's bit for bit: the leaves map a zero product to zero
+    rows, and a skipped zero changes no sum (see ``_tree_reduce``).  The row
+    shape is that of leaf(tree.empty), so a leaf must take a stack of no
+    products.
     """
     empty = leaf(tree.empty)
-    partials = np.zeros((tree.count,) + empty.shape[1:], dtype=empty.dtype)
-    for c, live, stack in tree:
-        rows = leaf(stack)
-        if len(rows) < tree.size:
-            full = np.zeros((tree.size,) + rows.shape[1:], dtype=rows.dtype)
-            full[live] = rows
-            rows = full
-        partials[c] = _tree_sum(rows, tree.d)
-    return _tree_sum(partials, tree.d)
+
+    def partial(run: _Run) -> tuple[np.ndarray, range | np.ndarray]:
+        if run.depth == tree.n:
+            rows, index = leaf(run.stack), run.index
+        else:
+            parts = [partial(sub) for sub in run.runs]
+            rows = np.concatenate([empty] + [p for p, _ in parts])
+            index = run.index  # a dense run's subruns cover it
+            if not isinstance(index, range):
+                index = np.concatenate([index[:0]] + [i for _, i in parts])
+        return _tree_reduce(rows, index, tree.d, run.depth - run.top)
+
+    total, _ = partial(tree._walk())
+    return total[0] if len(total) else np.zeros(empty.shape[1:], dtype=empty.dtype)
 
 
 def _string_table(tree: _Tree, leaf: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """The per-string rows leaf(stack) of all strings in one lexicographic
-    table; the rows of the zero products left out of the walk are zero.  The
-    row shape is that of leaf(tree.empty), as for ``_string_sum``."""
+    table, each stack's rows placed by global index; the rows of the zero
+    products left out of the walk are zero.  The row shape is that of
+    leaf(tree.empty), as for ``_string_sum``."""
     empty = leaf(tree.empty)
-    table = np.zeros((tree.count * tree.size,) + empty.shape[1:], dtype=empty.dtype)
-    for c, live, stack in tree:
-        table[c * tree.size + live] = leaf(stack)
+    table = np.zeros((tree.d**tree.n,) + empty.shape[1:], dtype=empty.dtype)
+    for index, stack in tree:
+        table[index] = leaf(stack)
     return table
 
 
@@ -426,7 +499,7 @@ def restriction_scan(
     every value.  Raises ValueError if K^2(n) < 1e-12.
     """
     d = ctx.kraus.d
-    tree = _products(ctx.kraus.ops, ctx.sqrt_sigma, n, guard)
+    tree = _products(ctx.kraus, ctx.sqrt_sigma, n, guard)
     k2 = ctx.k2_for(n)
     tr_floor = _zero_threshold(d, n) * k2
     eye = np.eye(ctx.kraus.D, dtype=complex)
@@ -505,7 +578,7 @@ def window_distribution(
     cap = _range_factor(ctx.f_op.conj().T @ ctx.f_op)
     root = ctx.sqrt_sigma if root is None else root
     cap = ctx.f_op if cap is None else _adjoint(cap)
-    tree = _products(ctx.kraus.ops, root, m, guard)
+    tree = _products(ctx.kraus, root, m, guard)
     k2 = ctx.k2_for(m)
     table = _string_table(tree, lambda P: _norm2(cap @ P) / k2)
     return ChainDistribution(length=m, d=d, table=table)

@@ -188,7 +188,7 @@ def mean_m_check(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> float:
     sum_x W^dag W / D with no per-path normalization.
     """
     D = K.D
-    tree = _products(K.ops, np.eye(D, dtype=complex), n, guard)
+    tree = _products(K, np.eye(D, dtype=complex), n, guard)
     acc = _string_sum(tree, lambda W: _adjoint(W) @ W)
     return float(np.linalg.norm(acc / D - np.eye(D) / D, 2))
 
@@ -201,7 +201,7 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
     cross-validate each other.
     """
     D = K.D
-    tree = _products(K.ops, np.eye(D, dtype=complex), n, guard)
+    tree = _products(K, np.eye(D, dtype=complex), n, guard)
     if D < 2:
         return 0.0
 

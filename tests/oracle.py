@@ -130,6 +130,19 @@ def purification(K, n: int) -> float:
     return total
 
 
+def tree_sum(values: np.ndarray, d: int) -> np.ndarray:
+    """Sum the d^k rows of a lexicographic table in depth-first tree order:
+    each node adds its d children in symbol order, starting from zero, as
+    the recursive walk of ``dfs_scan`` does."""
+    while len(values) > 1:
+        values = values.reshape(-1, d, *values.shape[1:])
+        acc = np.zeros_like(values[:, 0])
+        for s in range(d):
+            acc += values[:, s]
+        values = acc
+    return values[0]
+
+
 def dfs_scan(ctx: RestrictionContext, n: int) -> RestrictionSummary:
     """The recursive depth-first walk, with the arithmetic of the package's
     former ``_scan_chunk`` kept operation for operation."""

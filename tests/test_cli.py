@@ -101,6 +101,20 @@ def test_exit_code_guard():
     assert main(["analyze", "--builtin", "aklt", "--nmax", "20", "--guard", "100"]) == 2
 
 
+@pytest.mark.parametrize("flag", [["--guard", "-5"], ["--tol", "nan"]])
+def test_sample_rejects_the_analyze_only_flags(flag, capsys):
+    """sample enumerates nothing, so it has no guard and no tolerance:
+    argparse rejects both flags with its usage error instead of ignoring
+    them, while analyze keeps exit 2 for its guard and 3 for a bad tol."""
+    argv = ["sample", "--builtin", "aklt", "--nmax", "1", "--trajectories", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    want = {"--guard": 2, "--tol": 3}[flag[0]]
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "2"] + flag) == want
+
+
 def test_exit_code_bad_model(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "kraus-family", "schema_version": 1, "d": 1, "D": 1, "matrices": [[[[0.5, 0.0]]]]}')

@@ -1,4 +1,4 @@
-"""The chunked product-tree engine against the brute-force oracle and the
+"""The product-tree engine against the brute-force oracle and the
 recursive walk it replaced."""
 
 import tracemalloc
@@ -36,7 +36,7 @@ from mpsrestrict.trajectories import mean_m_check, purification_statistic
 TOL = 1e-12
 
 # n keeps the oracle small (d^n <= 125), except one case, 3^8, above the
-# chunk size of 512 strings
+# stack cap of 512 products
 CASES = [
     (D, d, mode, {2: 6, 3: 4, 5: 3}[d])
     for D in (2, 3, 4)
@@ -102,36 +102,44 @@ def test_window_distribution_is_the_per_string_norm_bit_for_bit():
 
 
 def test_products_bound_each_chunk_by_memory():
-    """A chunk of D x r products holds at most _CHUNK_STRINGS * D / r of
-    them: square stacks split as before, vector walks take D times more."""
-    ops = haar_kraus(3, 5, seed=1).ops
-    for root, per_chunk in ((np.eye(3, dtype=complex), 125), (np.ones((3, 1), dtype=complex), 625)):
-        tree = _products(ops, root, 5, guard=5**5)
-        chunks = list(tree)
-        assert (tree.count, tree.size) == (5**5 // per_chunk, per_chunk)
-        # a Haar family has no zero product: every chunk is whole
-        assert [c for c, _, _ in chunks] == list(range(tree.count))
-        assert all(np.array_equal(live, np.arange(per_chunk)) for _, live, _ in chunks)
-        assert {len(W) for _, _, W in chunks} == {per_chunk}
-        assert per_chunk * root.shape[1] <= _CHUNK_STRINGS * 3 < 5 * per_chunk * root.shape[1]
-        want = np.array([oracle.product(ops, root, xs) for xs in oracle.strings(5, 5)])
-        assert np.max(np.abs(np.concatenate([W for _, _, W in chunks]) - want)) <= TOL
+    """A stack of D x r products holds at most _CHUNK_STRINGS * D / r of
+    them: square stacks and vector walks, which take D times more.  A dense
+    walk takes as many whole subtrees as fit, so its stacks are near the cap,
+    and it indexes them by slices, with no index arithmetic."""
+    K = haar_kraus(3, 5, seed=1)
+    # eye: the walk splits 125 prefixes of length 3 into runs of 20 whole
+    # subtrees of 25 leaves; vector: 625 prefixes of length 4 into runs of 307
+    walks = [
+        (np.eye(3, dtype=complex), [500] * 6 + [125]),
+        (np.ones((3, 1), dtype=complex), [1535, 1535, 55]),
+    ]
+    for root, sizes in walks:
+        stacks = list(_products(K, root, 5, guard=5**5))
+        assert [len(W) for _, W in stacks] == sizes
+        assert max(sizes) * root.shape[1] <= _CHUNK_STRINGS * 3
+        # a Haar family has no zero product: the slices tile all strings in order
+        assert all(isinstance(index, slice) for index, _ in stacks)
+        strings = np.concatenate([np.arange(5**5)[index] for index, _ in stacks])
+        assert np.array_equal(strings, np.arange(5**5))
+        want = np.array([oracle.product(K.ops, root, xs) for xs in oracle.strings(5, 5)])
+        assert np.max(np.abs(np.concatenate([W for _, W in stacks]) - want)) <= TOL
 
 
 def test_aklt_window_forms_only_the_live_leaves():
     """A_+ A_+ = A_- A_- = 0, so of the 3^12 strings of the largest window
-    of ``analyze --builtin aklt --nmax 8`` only 8191 have a non-zero product;
-    only those leaves are formed, in 255 of the 2187 chunks."""
+    of ``analyze --builtin aklt --nmax 8`` only 8191 have a non-zero product.
+    Only those leaves are formed, and the cap counts only them, so they come
+    in 28 stacks, where splitting by the 3^12 strings gave 255 chunks."""
     ctx = RestrictionContext.stationary(aklt())
-    tree = _products(ctx.kraus.ops, ctx.sqrt_sigma, 12, guard=3**12)
-    chunks = list(tree)
-    assert (tree.count, tree.size) == (3**7, 3**5)
-    assert len(chunks) == 255
-    assert sum(len(W) for _, _, W in chunks) == 8191
-    for c, live, W in chunks:
-        assert np.all(np.diff(live) > 0) and len(live) == len(W)
+    stacks = list(_products(ctx.kraus, ctx.sqrt_sigma, 12, guard=3**12))
+    assert len(stacks) == 28
+    assert sum(len(W) for _, W in stacks) == 8191
+    assert max(len(W) for _, W in stacks) <= _CHUNK_STRINGS
+    for index, W in stacks:
+        assert len(index) == len(W)
         assert np.all(W.reshape(len(W), -1).any(axis=1))
-    strings = np.concatenate([c * tree.size + live for c, live, _ in chunks])
+    strings = np.concatenate([index for index, _ in stacks])
+    assert np.all(np.diff(strings) > 0)
     assert np.array_equal(np.flatnonzero(window_distribution(ctx, 12).table), strings)
 
 
@@ -143,21 +151,22 @@ def _nilpotent() -> np.ndarray:
 
 @pytest.mark.parametrize("n", [2, 3, 10])
 def test_an_enumeration_of_zero_products_gives_zeros_of_the_right_shape(n):
-    ops = _nilpotent()
+    # not left-normalized: a family whose length-2 products all vanish cannot be
+    K = KrausFamily(ops=_nilpotent(), atol=2.0)
     eye = np.eye(2, dtype=complex)
-    assert list(_products(ops, eye, n, guard=2**n)) == []
-    table = _string_table(_products(ops, eye, n, guard=2**n), _norm2)
+    assert list(_products(K, eye, n, guard=2**n)) == []
+    table = _string_table(_products(K, eye, n, guard=2**n), _norm2)
     assert table.shape == (2**n,) and table.dtype == float and not table.any()
-    acc = _string_sum(_products(ops, eye, n, guard=2**n), lambda W: _adjoint(W) @ W)
+    acc = _string_sum(_products(K, eye, n, guard=2**n), lambda W: _adjoint(W) @ W)
     assert acc.shape == (2, 2) and acc.dtype == complex and not acc.any()
-    rows = _string_sum(_products(ops, eye, n, guard=2**n), lambda W: np.zeros((len(W), 5)))
+    rows = _string_sum(_products(K, eye, n, guard=2**n), lambda W: np.zeros((len(W), 5)))
     assert rows.shape == (5,) and not rows.any()
 
 
 def test_w_series_bounds_the_exterior_square_slices():
-    """At D = 8 a chunk's 512 exterior squares (28 x 28) would take 6.4 MB,
+    """At D = 8 a stack's 512 exterior squares (28 x 28) would take 6.4 MB,
     against 0.5 MB for its 512 products; in slices of 41 wedges the whole
-    series peaks below 8 chunks of products."""
+    series peaks below 8 stacks of products."""
     K = haar_kraus(8, 2, seed=1)
     chunk_bytes = _CHUNK_STRINGS * 8 * 8 * 16
     assert max(1, _CHUNK_STRINGS * 8**2 // 28**2) * 28**2 * 16 <= chunk_bytes
@@ -169,6 +178,38 @@ def test_w_series_bounds_the_exterior_square_slices():
         tracemalloc.stop()
     assert peak <= 8 * chunk_bytes
     assert abs(w.value_at(9) - oracle.w_values(K, 9)[-1]) <= TOL
+
+
+def test_w_series_streams_its_rows():
+    """The 2^15 leaves of a dense D = 2 family give 512 KB of w rows, 16
+    stacks' worth of products.  The engine reduces each run's rows before it
+    forms the next, so the series peaks below 8 stacks, and a walk that
+    collected every row before reducing would fail here."""
+    K = haar_kraus(2, 2, seed=1)
+    stack_bytes = _CHUNK_STRINGS * 2 * 2 * 16
+    assert 2**15 * 2 * 8 == 16 * stack_bytes
+    tracemalloc.start()
+    try:
+        w = w_series(K, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * stack_bytes
+    products = K.ops
+    for _ in range(14):
+        products = np.matmul(K.ops[None], products[:, None]).reshape(-1, 2, 2)
+    s = np.linalg.svd(products, compute_uv=False)
+    assert w.value_at(15) == oracle.tree_sum(s[:, 0] * s[:, 1], 2)
+
+
+def test_pruning_is_decided_once_per_family():
+    """The engine looks for zero products only in a family with a singular
+    operator, at the tolerance of np.linalg.matrix_rank, and decides so at
+    the family's first walk."""
+    for K in (aklt(), damping(0.5), _zero_then_damping(), haar_kraus(3, 3, seed=2), markov()):
+        assert "_singular" not in vars(K)
+        window_distribution(RestrictionContext.stationary(K), 3)
+        assert vars(K)["_singular"] == any(np.linalg.matrix_rank(A) < K.D for A in K.ops)
 
 
 def test_window_distribution_keeps_small_environment_eigenvalues():
@@ -227,16 +268,16 @@ def test_correctable_subspace_matches_the_list_search(name):
 
 def test_zero_then_damping_branches_on_a_product_in_a_later_chunk():
     """With a zero operator first, every string holding symbol 0 gives a zero
-    product, so the first non-scalar one is A_1^7, string 1093, in the fifth
-    chunk of 243.  The walk skips the dead chunks before it (those whose
-    prefix holds the zero operator), so the search reaches it first."""
+    product, so the first non-scalar one is A_1^7, string 1093.  The walk
+    drops the dead subtrees before it (those whose prefix holds the zero
+    operator), so its first leaf is that string and the search reaches it
+    first."""
     K = _zero_then_damping()
-    tree = _products(K.ops, np.eye(2, dtype=complex), 7, guard=3**7)
-    assert (tree.count, tree.size) == (9, 243)
-    chunks = [(c, live) for c, live, _ in tree]
-    # chunks 0-3 and 6 have the zero operator in their prefix; chunk 8 is A_2 A_2 = 0
-    assert [c for c, _ in chunks] == [4, 5, 7]
-    assert 4 * 243 + chunks[0][1][0] == 1093 == 4 * 243 + 121
+    eye = np.eye(2, dtype=complex)
+    stacks = list(_products(K, eye, 7, guard=3**7))
+    assert stacks[0][0][0] == 1093
+    want = [i for i, xs in enumerate(oracle.strings(3, 7)) if oracle.product(K.ops, eye, xs).any()]
+    assert np.concatenate([index for index, _ in stacks]).tolist() == want
     spread = [np.ptp(np.linalg.eigvalsh(M)) for M in oracle.product_set(K, 7)]
     assert int(np.flatnonzero(np.array(spread) > 1e-8)[0]) == 1093
     assert correctable_subspace(K, 7).max_ranks == (1,) * 7

@@ -6,6 +6,7 @@ the submultiplicativity of w and the sandwich of Q between the second
 eigenvalues."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,11 +14,16 @@ import oracle
 from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily, renormalize
 from mpsrestrict.gibbs import ChainDistribution
 from mpsrestrict.models import aklt, damping, jordan, markov
+from mpsrestrict import restriction
 from mpsrestrict.purity import f_series, haar_kraus, span_purity_test, w_series
 from mpsrestrict.restriction import (
     RestrictionContext,
     _adjoint,
+    _norm2,
+    _products,
     _range_factor,
+    _string_sum,
+    _string_table,
     chain_distribution,
     cmi_report,
     restriction_scan,
@@ -177,6 +183,42 @@ def _bounded_family(case) -> KrausFamily:
 
 def _longest(K: KrausFamily, cap: int) -> int:
     return max(m for m in range(1, cap + 1) if K.d**m <= 729 or m == 1)
+
+
+SPLITS = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(["haar"] + sorted(SPARSE_FAMILIES)),
+        "D": st.sampled_from([2, 3]),
+        "d": st.sampled_from([2, 3]),
+        "seed": st.integers(min_value=0, max_value=10**6),
+        "vector": st.booleans(),
+        "cap": st.integers(min_value=1, max_value=40),
+        "n": st.integers(min_value=1, max_value=6),
+    }
+)
+
+
+@LIMITS
+@given(SPLITS)
+def test_split_walks_give_the_dense_table_and_its_tree_sum_bit_for_bit(case):
+    """With a cap of a few products the walk splits its runs at every depth.
+    Its table is still the dense per-string table, and its sum that table's
+    tree-order sum, bit for bit, on dense and pruned walks alike."""
+    K = _bounded_family(case)
+    n = min(case["n"], _longest(K, 6))
+    root = np.eye(K.D, dtype=complex)
+    if case["vector"]:
+        root = np.ones((K.D, 1), dtype=complex) / np.sqrt(K.D)
+    dense = root[None]
+    for _ in range(n):
+        dense = np.matmul(K.ops[None], dense[:, None]).reshape(-1, *root.shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(restriction, "_CHUNK_STRINGS", case["cap"])
+        for leaf in (_norm2, lambda W: _adjoint(W) @ W):
+            table = leaf(dense)
+            tree = _products(K, root, n, guard=K.d**n)
+            assert np.array_equal(_string_table(tree, leaf), table)
+            assert np.array_equal(_string_sum(tree, leaf), oracle.tree_sum(table, K.d))
 
 
 @LIMITS
