@@ -78,6 +78,7 @@ from .restriction import (
     string_probability,
     post_measurement_spectrum,
     window_distribution,
+    window_distributions,
 )
 from .trajectories import (
     MartingaleTrace,
@@ -141,6 +142,7 @@ __all__ = [
     "average_purity_q",
     "restriction_scan",
     "window_distribution",
+    "window_distributions",
     "chain_distribution",
     "classical_cmi",
     "cmi_report",

@@ -11,13 +11,15 @@ Verbs:
 
 Exit codes: 0 success, 2 enumeration guard tripped, 3 invalid model or
 parameters (a bad length, tolerance or matrix raises a named
-``MpsRestrictError``), 4 internal numerical inconsistency.
+``MpsRestrictError``, and argparse's usage error exits 3 too), 4 internal
+numerical inconsistency.  Only the guard gives exit 2.
 
 ``analyze`` chooses its context once: the stationary context, or the bare
 boundary context (sigma = |L><L|, F^dag F = |R><R|) when the model file
-carries boundaries.  Every per-n row is ``restriction.cmi_report`` of that
-context and the Gibbs block fits its ``window_distribution``, so the CLI and
-the library compute the same numbers.
+carries boundaries.  One ``window_distributions`` walk gives the Gibbs
+chain's table and every per-n row's window table; each row is then what
+``restriction.cmi_report`` of that context gives (through the same private
+``_cmi_row``), so the CLI and the library compute the same numbers.
 
 Reports embed the library version, the seed and every guard that shaped the
 run.  All enumerations are deterministic and run in the calling thread.
@@ -28,7 +30,7 @@ per-n rows.
 ``--threads`` is still accepted but selects nothing, so output bytes do not
 depend on it (and it is not recorded).  ``--guard`` and ``--tol`` belong to
 ``analyze`` alone: ``sample`` enumerates nothing, and argparse rejects them
-there (exit 2, its usage error).
+there (exit 3, its usage error).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 import numpy as np
 
@@ -75,8 +77,8 @@ from .restriction import (
     DEFAULT_GUARD,
     RestrictionContext,
     _check_guard,
-    cmi_report,
-    window_distribution,
+    _cmi_row,
+    window_distributions,
 )
 from .trajectories import sample_trajectories
 
@@ -232,14 +234,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     tol = float(args.tol)
     _check_tol(tol)
 
-    reports = [cmi_report(ctx, n, len_a, len_c, guard=guard) for n in range(1, nmax + 1)]
+    # One walk gives the Gibbs chain's table and every row's.  The Gibbs
+    # table is taken first, so no raw table outlives its row.
+    blocks = [ChainGeometry(len_a, n, len_c) for n in range(1, nmax + 1)]
+    tables = window_distributions(ctx, [gibbs_sites] + [g.total for g in blocks], guard=guard)
+    gibbs = _gibbs_block(next(tables), ell)
+    reports = [_cmi_row(ctx, g, dist, guard) for g, dist in zip(blocks, tables)]
     w = w_series(K, nmax, guard=guard)
     rows = [{**asdict(r), "w": w.value_at(r.n)} for r in reports]
     f_ser = DecaySeries.from_values((r["n"], r["f"]) for r in rows)
     s_ser_rates = estimate_rate((r["n"], r["avg_entropy"]) for r in rows)
 
     verdict = purity_verdict(K, nmax, tol=tol, guard=guard, w=w)
-    gibbs = _gibbs_block(window_distribution(ctx, gibbs_sites, guard=guard), ell)
 
     report = {
         "schema_version": 1,
@@ -412,8 +418,18 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage error exits 3, the code of bad input,
+    where argparse's own exits 2, the guard's code.  Subparsers inherit the
+    class; --help and --version still exit 0."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mpsrestrict",
         description="classical restrictions of matrix product states: "
         "entropies, conditional mutual information, local-Hamiltonian fits, "

@@ -78,7 +78,7 @@ class ChainDistribution:
         s = float(t.sum())
         if abs(s - 1.0) > 1e-9:
             raise InvalidDistribution(f"table sums to {s!r}, not 1 (tol 1e-9)")
-        t = t / s
+        t /= s  # t is clip's copy, so no caller's array changes
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "length", int(self.length))

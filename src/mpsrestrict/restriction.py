@@ -20,25 +20,29 @@ breadth-first while the next level fits under the stack cap, then in runs
 of whole subtrees below consecutive prefixes, so its stacks come out in
 lexicographic order with each product's global string index.  A product
 that is exactly zero is dropped where it appears, with its subtree, and the
-cap counts only the products kept.  ``_string_table`` places each stack's
-rows by index and gives the dropped strings zero rows; ``_string_sum`` adds
-per-string values in the order of a depth-first walk (each node sums its d
-children in symbol order, starting from zero), reducing each run to
-per-prefix partials, and skips the dropped strings: since x + 0.0 == x,
-results equal those of the full walk.  Results do not depend on the
-splitting or the pruning and are deterministic bit for bit.
+cap counts only the products kept.  The level-m nodes of a tree are the
+products of length m, so one walk can report several depths, each node by
+the run that grows it.  ``_string_tables`` fills the table of each
+requested depth from one walk, placing each stack's rows by index and
+giving the dropped strings zero rows; ``_string_sum`` adds per-string
+values in the order of a depth-first walk (each node sums its d children in
+symbol order, starting from zero), reducing each run to per-prefix
+partials, and skips the dropped strings: since x + 0.0 == x, results equal
+those of the full walk.  Results do not depend on the splitting or the
+pruning and are deterministic bit for bit.
 
-There is one path of each kind.  ``window_distribution`` tabulates the
-outcomes of any context (``chain_distribution`` is that table for the bare
-boundary context), and ``cmi_report`` sets the classical CMI of a window
-table against the quantum CMI of the block, with the window sites folded
-into the environments.
+There is one path of each kind.  ``window_distributions`` tabulates the
+outcomes of any context for several window lengths from one walk
+(``window_distribution`` is its one-length call, and ``chain_distribution``
+that table for the bare boundary context), and ``cmi_report`` sets the
+classical CMI of a window table against the quantum CMI of the block, with
+the window sites folded into the environments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,6 +80,7 @@ __all__ = [
     "average_purity_q",
     "restriction_scan",
     "window_distribution",
+    "window_distributions",
     "chain_distribution",
     "classical_cmi",
     "cmi_report",
@@ -152,6 +157,15 @@ class RestrictionContext:
         if "rho" not in self._cache:
             self._cache["rho"] = fixed_point(self.kraus).rho
         return self._cache["rho"]
+
+    @property
+    def _f_is_identity(self) -> bool:
+        """Whether F is exactly the identity, as in the stationary context.
+        The walks then skip multiplying by it, which would change no bit."""
+        if "f_is_identity" not in self._cache:
+            eye = np.eye(self.kraus.D)
+            self._cache["f_is_identity"] = bool(np.array_equal(self.f_op, eye))
+        return self._cache["f_is_identity"]
 
     @property
     def sqrt_sigma(self) -> np.ndarray:
@@ -284,6 +298,8 @@ class _Run:
     zero, in lexicographic order, and ``index`` the global index of each
     (see ``_grow``).  At depth n these are leaves; above it, ``runs`` yields
     in order the runs that continue them, each from a slice of ``stack``.
+    ``levels`` holds, top-down, the (depth, index, stack) of each non-empty
+    level this run grew at a depth the walk reports (see ``_Tree.levels``).
     """
 
     top: int
@@ -291,17 +307,21 @@ class _Run:
     index: range | np.ndarray
     stack: np.ndarray
     runs: Iterator["_Run"]
+    levels: tuple[tuple[int, range | np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
 class _Tree:
-    """The d^n string products A_{x_n}..A_{x_1} root of one enumeration.
+    """The d^m string products A_{x_m}..A_{x_1} root of one enumeration,
+    for every m up to the tree's depth n.
 
     The walk is lazy: nothing is formed until the tree is iterated, and each
-    iteration walks afresh.  It yields (index, stack) for each stack of
-    leaves in lexicographic order: ``stack`` holds non-zero products and
-    ``index`` (a slice or an index array) their positions among the d^n
-    strings.  Every product left out is exactly zero.
+    iteration walks afresh.  ``levels`` yields the stacks of any set of
+    depths from one walk; iterating the tree yields (index, stack) for each
+    stack of leaves (depth n) in lexicographic order.  ``stack`` holds
+    non-zero products and ``index`` (a slice or an index array) their
+    positions among the d^m strings of their length.  Every product left
+    out is exactly zero.
     """
 
     ops: np.ndarray
@@ -319,17 +339,22 @@ class _Tree:
         """A stack of no products, with the products' shape."""
         return self.root[None][:0]
 
-    def _walk(self) -> _Run:
+    def _walk(self, depths: frozenset[int] = frozenset()) -> _Run:
         index = np.zeros(1, dtype=np.int64) if self.prune else range(1)
-        return self._run(self.root[None], index, 0)
+        return self._run(self.root[None], index, 0, depths)
 
-    def _run(self, stack: np.ndarray, index: range | np.ndarray, top: int) -> _Run:
+    def _run(
+        self, stack: np.ndarray, index: range | np.ndarray, top: int, depths: frozenset[int]
+    ) -> _Run:
         d, n = self.d, self.n
         depth = top
+        levels = []
         # a run grows at least one level, then while the next level fits
         while depth < n and len(stack) and (depth == top or len(stack) * d <= self.cap):
             stack, index = _grow(self.ops, stack, index, self.prune)
             depth += 1
+            if depth in depths and len(stack):
+                levels.append((depth, index, stack))
         runs: Iterator[_Run] = iter(())
         if depth < n:
             # A dense subtree's size is known, so a run takes as many whole
@@ -337,22 +362,33 @@ class _Tree:
             # grow one more level.
             step = max(1, self.cap // d ** (1 if self.prune else n - depth))
             runs = (
-                self._run(stack[i : i + step], index[i : i + step], depth)
+                self._run(stack[i : i + step], index[i : i + step], depth, depths)
                 for i in range(0, len(stack), step)
             )
-        return _Run(top=top, depth=depth, index=index, stack=stack, runs=runs)
+        return _Run(top=top, depth=depth, index=index, stack=stack, runs=runs, levels=tuple(levels))
 
-    def __iter__(self) -> Iterator[tuple[slice | np.ndarray, np.ndarray]]:
-        def leaves(run: _Run) -> Iterator[tuple[slice | np.ndarray, np.ndarray]]:
-            if run.depth == self.n and len(run.stack):
-                index = run.index
+    def levels(self, depths: Iterable[int]) -> Iterator[tuple[int, slice | np.ndarray, np.ndarray]]:
+        """(depth, index, stack) for the stacks of each of ``depths`` (in
+        1..n), all from one walk.
+
+        Each node of a listed depth is yielded once, by the run that grows
+        it, never by the runs below it.  A run yields its own levels
+        top-down before its sub-runs' levels, so the stacks of each depth
+        come in lexicographic order.
+        """
+
+        def walk(run: _Run) -> Iterator[tuple[int, slice | np.ndarray, np.ndarray]]:
+            for depth, index, stack in run.levels:
                 if isinstance(index, range):
                     index = slice(index.start, index.stop)
-                yield index, run.stack
+                yield depth, index, stack
             for sub in run.runs:
-                yield from leaves(sub)
+                yield from walk(sub)
 
-        return leaves(self._walk())
+        return walk(self._walk(frozenset(depths)))
+
+    def __iter__(self) -> Iterator[tuple[slice | np.ndarray, np.ndarray]]:
+        return ((index, stack) for _, index, stack in self.levels({self.n}))
 
 
 def _products(K: KrausFamily, root: np.ndarray, n: int, guard: int) -> _Tree:
@@ -442,16 +478,58 @@ def _string_sum(tree: _Tree, leaf: Callable[[np.ndarray], np.ndarray]) -> np.nda
     return total[0] if len(total) else np.zeros(empty.shape[1:], dtype=empty.dtype)
 
 
+def _joined(parts: list[tuple[slice | np.ndarray, np.ndarray]]) -> tuple[slice | np.ndarray, np.ndarray]:
+    """Consecutive stacks of one depth as one stack.  A dense walk's stacks
+    tile their depth in order, so their slices join into one."""
+    if len(parts) == 1:
+        return parts[0]
+    first, last = parts[0][0], parts[-1][0]
+    if isinstance(first, slice):
+        index = slice(first.start, last.stop)
+    else:
+        index = np.concatenate([i for i, _ in parts])
+    return index, np.concatenate([s for _, s in parts])
+
+
+def _string_tables(
+    tree: _Tree, depths: Iterable[int], leaf: Callable[[int, np.ndarray], np.ndarray]
+) -> dict[int, np.ndarray]:
+    """For each of ``depths``, the per-string rows leaf(depth, stack) of all
+    strings of that length in one lexicographic table, from one walk.
+
+    Each stack's rows are placed by global index; the rows of the zero
+    products left out of the walk are zero.  The runs below a deep split
+    hold few nodes of a shallower depth each, so a depth's stacks are joined
+    up to the tree's cap before the leaf sees them: rows are per product, so
+    joining changes no bit.  The row shape is that of leaf(depth,
+    tree.empty), as for ``_string_sum``.
+    """
+    tables = {}
+    for m in set(depths):
+        empty = leaf(m, tree.empty)
+        tables[m] = np.zeros((tree.d**m,) + empty.shape[1:], dtype=empty.dtype)
+    held: dict[int, list] = {m: [] for m in tables}
+    count = dict.fromkeys(tables, 0)
+
+    def place(m: int) -> None:
+        index, stack = _joined(held[m])
+        tables[m][index] = leaf(m, stack)
+        held[m], count[m] = [], 0
+
+    for m, index, stack in tree.levels(tables):
+        if count[m] and count[m] + len(stack) > tree.cap:
+            place(m)
+        held[m].append((index, stack))
+        count[m] += len(stack)
+    for m in tables:
+        if held[m]:
+            place(m)
+    return tables
+
+
 def _string_table(tree: _Tree, leaf: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The per-string rows leaf(stack) of all strings in one lexicographic
-    table, each stack's rows placed by global index; the rows of the zero
-    products left out of the walk are zero.  The row shape is that of
-    leaf(tree.empty), as for ``_string_sum``."""
-    empty = leaf(tree.empty)
-    table = np.zeros((tree.d**tree.n,) + empty.shape[1:], dtype=empty.dtype)
-    for index, stack in tree:
-        table[index] = leaf(stack)
-    return table
+    """The leaves' table of ``_string_tables``, for a leaf of one stack."""
+    return _string_tables(tree, [tree.n], lambda _, stack: leaf(stack))[tree.n]
 
 
 def _norm2(T: np.ndarray) -> np.ndarray:
@@ -502,8 +580,7 @@ def restriction_scan(
     tree = _products(ctx.kraus, ctx.sqrt_sigma, n, guard)
     k2 = ctx.k2_for(n)
     tr_floor = _zero_threshold(d, n) * k2
-    eye = np.eye(ctx.kraus.D, dtype=complex)
-    f_op = None if np.allclose(ctx.f_op, eye, atol=0.0, rtol=0.0) else ctx.f_op
+    f_op = None if ctx._f_is_identity else ctx.f_op
 
     def leaf(P: np.ndarray) -> np.ndarray:
         # rows [tr, tr*S, lam1, lam2, sqrt(lam1*lam2)], un-normalized
@@ -561,6 +638,44 @@ def _range_factor(M: np.ndarray) -> np.ndarray | None:
     return None if keep.all() else U[:, keep] * np.sqrt(lam[keep])
 
 
+def window_distributions(
+    ctx: RestrictionContext, lengths: Iterable[int], guard: int = DEFAULT_GUARD
+) -> Iterator[ChainDistribution]:
+    """The ``window_distribution`` of each of ``lengths``, in order, from
+    one walk of the product tree to the longest.
+
+    The level-m nodes of that tree are the products of the m-site window, so
+    one walk fills every table.  The lengths, then the guard (on the
+    longest) and K^2 of each length are checked and the walk runs when this
+    is called; each ChainDistribution is built when it is taken, and a raw
+    table is dropped once its last entry of ``lengths`` has been taken.
+    """
+    lengths = [_check_length(m, "string length") for m in lengths]
+    if not lengths:
+        return iter(())
+    root = _range_factor(ctx.sigma)
+    root = ctx.sqrt_sigma if root is None else root
+    if ctx._f_is_identity:
+        cap = None
+    else:
+        cap = _range_factor(ctx.f_op.conj().T @ ctx.f_op)
+        cap = ctx.f_op if cap is None else _adjoint(cap)
+    tree = _products(ctx.kraus, root, max(lengths), guard)
+    k2 = {m: ctx.k2_for(m) for m in lengths}
+    tables = _string_tables(tree, k2, lambda m, P: _norm2(P if cap is None else cap @ P) / k2[m])
+    last = {m: i for i, m in enumerate(lengths)}
+
+    def taken() -> Iterator[ChainDistribution]:
+        for i, m in enumerate(lengths):
+            # the popped table is bound to no name, so it goes when its
+            # ChainDistribution has made its normalized copy
+            yield ChainDistribution(
+                length=m, d=ctx.kraus.d, table=tables[m] if i < last[m] else tables.pop(m)
+            )
+
+    return taken()
+
+
 def window_distribution(
     ctx: RestrictionContext, m: int, guard: int = DEFAULT_GUARD
 ) -> ChainDistribution:
@@ -570,18 +685,11 @@ def window_distribution(
     environment enters through a range factor: the walk starts from a root
     X (D x rank sigma) with X X^dag = sigma and ends on a cap Y (rank F^dag F
     x D) with Y^dag Y = F^dag F.  At full rank these are sqrt(sigma) and F
-    themselves; for the pure boundaries of a finite chain the walk runs on
-    vectors.  Raises ValueError if K^2(m) < 1e-12.
+    themselves (an identity F is skipped); for the pure boundaries of a
+    finite chain the walk runs on vectors.  Raises ValueError if K^2(m) <
+    1e-12.  The one-length call of ``window_distributions``.
     """
-    d = ctx.kraus.d
-    root = _range_factor(ctx.sigma)
-    cap = _range_factor(ctx.f_op.conj().T @ ctx.f_op)
-    root = ctx.sqrt_sigma if root is None else root
-    cap = ctx.f_op if cap is None else _adjoint(cap)
-    tree = _products(ctx.kraus, root, m, guard)
-    k2 = ctx.k2_for(m)
-    table = _string_table(tree, lambda P: _norm2(cap @ P) / k2)
-    return ChainDistribution(length=m, d=d, table=table)
+    return next(window_distributions(ctx, [m], guard=guard))
 
 
 def chain_distribution(
@@ -627,12 +735,27 @@ def _absorb_windows(
     """
     if window_a == 0 and window_c == 0:
         return ctx
-    eye = np.eye(ctx.kraus.D, dtype=complex)
-    if np.array_equal(ctx.f_op, eye) and np.array_equal(ctx.sigma, ctx._rho):
+    if ctx._f_is_identity and np.array_equal(ctx.sigma, ctx._rho):
         return ctx
     sigma = _iterate(ctx.kraus, ctx.sigma, window_a, adjoint=False)
     f2 = _iterate(ctx.kraus, ctx.f_op.conj().T @ ctx.f_op, window_c, adjoint=True)
     return RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2), k2=ctx.k2)
+
+
+def _cmi_row(
+    ctx: RestrictionContext, geom: ChainGeometry, dist: ChainDistribution, guard: int
+) -> CmiReport:
+    """The CmiReport of the block of ``geom``, given its window table."""
+    summary = restriction_scan(_absorb_windows(ctx, geom.len_a, geom.len_c), geom.len_b, guard=guard)
+    return CmiReport(
+        n=geom.len_b,
+        classical_cmi=max(0.0, classical_cmi(dist, geom)),
+        quantum_cmi=2.0 * summary.avg_entropy,
+        avg_entropy=summary.avg_entropy,
+        avg_purity_q=summary.avg_purity_q,
+        p_sum=summary.p_sum,
+        f=summary.f_value,
+    )
 
 
 def cmi_report(
@@ -652,16 +775,5 @@ def cmi_report(
     finite chain the window table is the chain's full table, so the
     classical side is that of the whole chain.
     """
-    summary = restriction_scan(_absorb_windows(ctx, window_a, window_c), n, guard=guard)
     geom = ChainGeometry(len_a=window_a, len_b=n, len_c=window_c)
-    dist = window_distribution(ctx, geom.total, guard=guard)
-    cls = max(0.0, classical_cmi(dist, geom))
-    return CmiReport(
-        n=int(n),
-        classical_cmi=cls,
-        quantum_cmi=2.0 * summary.avg_entropy,
-        avg_entropy=summary.avg_entropy,
-        avg_purity_q=summary.avg_purity_q,
-        p_sum=summary.p_sum,
-        f=summary.f_value,
-    )
+    return _cmi_row(ctx, geom, window_distribution(ctx, geom.total, guard=guard), guard)

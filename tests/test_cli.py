@@ -27,6 +27,73 @@ def test_analyze_golden_report(tmp_path):
     assert out.read_bytes() == (GOLDEN / "aklt_nmax4.json").read_bytes()
 
 
+def test_analyze_finite_golden_report(tmp_path, monkeypatch):
+    """Byte-exact regression of a finite-chain report: the Haar D3 d3 family
+    of seed 7 with fixed boundaries L = e0 and R = (1, i, 1)/sqrt(3), whose
+    window tables are walks on vectors with F != 1.  The model path is relative, so
+    the report's ``source`` does not depend on where the tests run."""
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / "report.json"
+    rc = main(["analyze", "--model", "haar_d3_d3_finite_model.json", "--nmax", "3", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / "haar_d3_d3_finite_nmax3.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags,sites",
+    [
+        (["--builtin", "aklt", "--nmax", "8"], 12),
+        (["--model", str(GOLDEN / "haar_d3_d3_finite_model.json"), "--nmax", "3"], 7),
+    ],
+)
+def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypatch, capsys):
+    """The rows' window tables (a+1+c .. a+nmax+c sites) and the Gibbs
+    chain's come from one walk of the product tree to the longest window;
+    every other walk of the restriction module is a row's scan."""
+    import sys
+
+    from mpsrestrict import restriction
+
+    walks = []
+    products = restriction._products
+
+    def counted(K, root, n, guard):
+        walks.append((sys._getframe(1).f_code.co_name, n))
+        return products(K, root, n, guard)
+
+    monkeypatch.setattr(restriction, "_products", counted)
+    assert main(["analyze", *flags]) == 0
+    assert [n for caller, n in walks if caller == "window_distributions"] == [sites]
+    assert {caller for caller, _ in walks} == {"window_distributions", "restriction_scan"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--builtin", "aklt", "--nmax", "x"],
+        ["analyze", "--nmax", "2"],
+        ["analyze", "--builtin", "aklt", "--format", "xml"],
+        ["nosuch"],
+        [],
+    ],
+)
+def test_usage_errors_exit_3(argv, capsys):
+    """A malformed, missing or unknown flag is bad input (exit 3); exit 2
+    is the enumeration guard's alone."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["sample", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_analyze_thread_count_does_not_change_bytes(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -104,12 +171,13 @@ def test_exit_code_guard():
 @pytest.mark.parametrize("flag", [["--guard", "-5"], ["--tol", "nan"]])
 def test_sample_rejects_the_analyze_only_flags(flag, capsys):
     """sample enumerates nothing, so it has no guard and no tolerance:
-    argparse rejects both flags with its usage error instead of ignoring
-    them, while analyze keeps exit 2 for its guard and 3 for a bad tol."""
+    argparse rejects both flags with its usage error (exit 3) instead of
+    ignoring them, while analyze keeps exit 2 for its guard and 3 for a bad
+    tol."""
     argv = ["sample", "--builtin", "aklt", "--nmax", "1", "--trajectories", "1"]
     with pytest.raises(SystemExit) as exc:
         main(argv + flag)
-    assert exc.value.code == 2
+    assert exc.value.code == 3
     assert "unrecognized arguments" in capsys.readouterr().err
     want = {"--guard": 2, "--tol": 3}[flag[0]]
     assert main(["analyze", "--builtin", "aklt", "--nmax", "2"] + flag) == want
@@ -308,7 +376,7 @@ def _forbid_enumeration(monkeypatch):
         raise AssertionError("analyze enumerated before validating its plan")
 
     # analyze enumerates only through these
-    for name in ("cmi_report", "window_distribution", "w_series", "purity_verdict"):
+    for name in ("window_distributions", "_cmi_row", "w_series", "purity_verdict"):
         monkeypatch.setattr(cli, name, enumerated)
 
 

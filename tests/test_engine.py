@@ -28,8 +28,10 @@ from mpsrestrict.restriction import (
     _string_sum,
     _string_table,
     chain_distribution,
+    _string_tables,
     restriction_scan,
     window_distribution,
+    window_distributions,
 )
 from mpsrestrict.trajectories import mean_m_check, purification_statistic
 
@@ -141,6 +143,72 @@ def test_aklt_window_forms_only_the_live_leaves():
     strings = np.concatenate([index for index, _ in stacks])
     assert np.all(np.diff(strings) > 0)
     assert np.array_equal(np.flatnonzero(window_distribution(ctx, 12).table), strings)
+
+
+def test_one_walk_reports_each_aklt_level_once():
+    """Walked to 12 sites, the AKLT tree reports every level from the run
+    that grows it: level m has 2^(m+1) - 1 non-zero products, each yielded
+    once and in lexicographic order, and the level-12 stacks are the ones
+    a walk of the leaves alone yields."""
+    ctx = RestrictionContext.stationary(aklt())
+    tree = _products(ctx.kraus, ctx.sqrt_sigma, 12, guard=3**12)
+    seen = {m: [] for m in range(1, 13)}
+    leaves = []
+    for m, index, stack in tree.levels(range(1, 13)):
+        assert len(index) == len(stack) <= _CHUNK_STRINGS
+        seen[m].append(index)
+        if m == 12:
+            leaves.append(index)
+    for m, parts in seen.items():
+        strings = np.concatenate(parts)
+        assert len(strings) == 2 ** (m + 1) - 1, m
+        assert np.all(np.diff(strings) > 0), m
+    assert all(np.array_equal(a, b) for (a, _), b in zip(tree, leaves, strict=True))
+
+
+def test_tables_join_a_levels_small_stacks_up_to_the_cap():
+    """On a dense vector walk of 5^8 strings each run below the split at
+    depth 4 holds two prefixes, so depth 5 comes in 313 stacks of at most
+    10 nodes.  The table path joins them up to the cap of 1536 nodes, so
+    the leaf runs 3 times at depth 5, with the table of the run-by-run
+    leaves bit for bit.  The leaves (1250 per run) are left as they come."""
+    K = haar_kraus(3, 5, seed=1)
+    root = np.ones((3, 1), dtype=complex) / np.sqrt(3)
+    tree = _products(K, root, 8, guard=5**8)
+    assert tree.cap == 1536
+    assert len([s for m, _, s in tree.levels([5]) if m == 5]) == 313
+    calls = {5: 0, 8: 0}
+
+    def leaf(m, W):
+        calls[m] += len(W) > 0
+        return _norm2(W)
+
+    tables = _string_tables(tree, [5, 8], leaf)
+    assert calls == {5: 3, 8: 313}
+    want = np.zeros(5**5)
+    for m, index, W in tree.levels([5]):
+        want[index] = _norm2(W)
+    assert np.array_equal(tables[5], want)
+    assert np.array_equal(tables[8], _string_table(_products(K, root, 8, guard=5**8), _norm2))
+
+
+def test_window_distributions_hold_no_more_than_one_table_built_alone():
+    """``analyze --builtin aklt --nmax 8`` takes its window tables of 5..12
+    sites from one walk, so the smaller raw tables (half a 12-site table in
+    all) are held together.  They must not raise the peak: the walk and all
+    eight ChainDistributions stay below the 12-site table built on its own
+    the way it used to be, raw table, clipped copy and quotient at once."""
+    ctx = RestrictionContext.stationary(aklt())
+    ctx.k2_for(12)  # the cached environments are not the tables' memory
+    assert list(window_distributions(ctx, [])) == []
+    tracemalloc.start()
+    try:
+        dists = list(window_distributions(ctx, range(5, 13)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * 3**12
+    assert [p.length for p in dists] == list(range(5, 13))
 
 
 def _nilpotent() -> np.ndarray:

@@ -28,6 +28,7 @@ from mpsrestrict.restriction import (
     cmi_report,
     restriction_scan,
     window_distribution,
+    window_distributions,
 )
 from mpsrestrict.trajectories import mean_m_check, purification_statistic
 
@@ -219,6 +220,67 @@ def test_split_walks_give_the_dense_table_and_its_tree_sum_bit_for_bit(case):
             tree = _products(K, root, n, guard=K.d**n)
             assert np.array_equal(_string_table(tree, leaf), table)
             assert np.array_equal(_string_sum(tree, leaf), oracle.tree_sum(table, K.d))
+
+
+MULTI = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(["haar"] + sorted(SPARSE_FAMILIES)),
+        "D": st.sampled_from([2, 3]),
+        "d": st.sampled_from([2, 3]),
+        "seed": st.integers(min_value=0, max_value=10**6),
+        # stationary: square root, F = 1; bare: vector root and cap;
+        # dressed: square root, F != 1
+        "context": st.sampled_from(["stationary", "bare", "dressed"]),
+        "cap": st.integers(min_value=1, max_value=40),
+        "lengths": st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5),
+    }
+)
+
+
+@LIMITS
+@given(MULTI)
+def test_one_walk_gives_every_window_table_bit_for_bit(case):
+    """With a cap of a few products the walk splits its runs at every depth,
+    so each level's nodes come from many runs.  The walk reports each node of
+    a listed depth exactly once, in lexicographic order, and the tables of
+    one walk equal the per-length tables and the per-string oracle bit for
+    bit, for lengths unsorted and repeated."""
+    K = _bounded_family(case)
+    longest = _longest(K, 6)
+    lengths = [min(m, longest) for m in case["lengths"]]
+    if case["context"] == "stationary":
+        ctx = RestrictionContext.stationary(K)
+    else:
+        rng = np.random.default_rng([case["seed"], 13])
+        L, R = (rng.standard_normal(K.D) + 1j * rng.standard_normal(K.D) for _ in range(2))
+        b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
+        flank = 1 if case["context"] == "dressed" else 0
+        ctx = RestrictionContext.from_boundaries(K, b, ChainGeometry(flank, 1, flank))
+    root = _range_factor(ctx.sigma)
+    root = ctx.sqrt_sigma if root is None else root
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(restriction, "_CHUNK_STRINGS", case["cap"])
+        tree = _products(K, root, max(lengths), guard=K.d ** max(lengths))
+        dense = {0: root[None]}
+        for m in range(1, max(lengths) + 1):
+            dense[m] = np.matmul(K.ops[None], dense[m - 1][:, None]).reshape(-1, *root.shape)
+        seen = {m: [] for m in lengths}
+        for m, index, stack in tree.levels(lengths):
+            assert np.array_equal(stack, dense[m][index]), m
+            seen[m].append(np.arange(K.d**m)[index])
+        dists = list(window_distributions(ctx, lengths))
+        single = {m: window_distribution(ctx, m).table for m in seen}
+
+    for m, parts in seen.items():
+        live = np.arange(K.d**m)
+        if tree.prune:
+            live = np.flatnonzero(dense[m].reshape(K.d**m, -1).any(axis=1))
+        assert np.array_equal(np.concatenate([live[:0]] + parts), live), m
+    assert [p.length for p in dists] == lengths
+    for p in dists:
+        assert np.array_equal(p.table, single[p.length])
+        assert np.array_equal(p.table, _window_oracle(ctx, p.length))
 
 
 @LIMITS
