@@ -9,7 +9,7 @@ E*(Q) = sum_x A_x^dag Q A_x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 

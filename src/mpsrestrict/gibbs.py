@@ -28,7 +28,7 @@ from .errors import (
     RangeError,
     ShapeMismatch,
 )
-from .linalg import shannon_entropy
+from .linalg import _integral, shannon_entropy
 
 __all__ = [
     "ChainDistribution",
@@ -62,9 +62,9 @@ class ChainDistribution:
 
     def __post_init__(self) -> None:
         t = np.asarray(self.table, dtype=float).ravel()
-        if int(self.length) != self.length or self.length < 1:
+        if not (_integral(self.length) and self.length >= 1):
             raise InvalidDistribution(f"length must be a positive integer, got {self.length!r}")
-        if int(self.d) != self.d or self.d < 2:
+        if not (_integral(self.d) and self.d >= 2):
             raise InvalidDistribution(f"local dimension must be >= 2, got {self.d!r}")
         if t.size != self.d**self.length:
             raise InvalidDistribution(
@@ -106,7 +106,7 @@ class ChainDistribution:
 
 
 def _check_window(p: ChainDistribution, j: int, k: int) -> None:
-    if int(j) != j or int(k) != k or not (1 <= j <= k <= p.length):
+    if not (_integral(j) and _integral(k) and 1 <= j <= k <= p.length):
         raise RangeError(f"window ({j}, {k}) violates 1 <= j <= k <= {p.length}")
 
 
@@ -137,7 +137,7 @@ class LocalHamiltonian:
 
 def local_hamiltonian(p: ChainDistribution, ell: int) -> LocalHamiltonian:
     """Build h^ell from the distribution's own window marginals (log domain)."""
-    if int(ell) != ell or not (1 <= ell <= p.length - 2):
+    if not (_integral(ell) and 1 <= ell <= p.length - 2):
         raise EllOutOfRange(f"ell = {ell!r} outside 1 <= ell <= {p.length - 2}")
     windows = []
     for j in range(1, p.length - ell + 1):

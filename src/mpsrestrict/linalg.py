@@ -65,13 +65,17 @@ class Spectrum:
         object.__setattr__(self, "values", v)
 
 
+def _integral(n: Any) -> bool:
+    """Whether n is an integral number; NaN, inf, None and strings are not."""
+    try:
+        return bool(int(n) == n)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _check_length(n: Any, what: str, least: int = 1) -> int:
     """n as an int if it is an integral number >= least, else OutOfRange."""
-    try:
-        ok = int(n) == n and n >= least
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+    if not (_integral(n) and n >= least):
         raise OutOfRange(f"{what} must be an integer >= {least}, got {n!r}")
     return int(n)
 
@@ -224,7 +228,7 @@ def clock_shift_basis(D: int) -> list[np.ndarray]:
     flat as j*D + k.  Satisfies Tr(U_{jk}^dag U_{j'k'}) = D delta delta and the
     exchange relation U_{j'k'} U_{jk} = w^(k'j - j'k) U_{jk} U_{j'k'}.
     """
-    D = int(D)
+    D = _check_length(D, "D")
     if D < 2:
         raise DimensionTooSmall(f"clock/shift basis needs D >= 2, got {D}")
     omega = np.exp(2j * np.pi / D)

@@ -488,9 +488,11 @@ def haar_kraus(D: int, d: int, seed: int) -> KrausFamily:
     left normalization is the isometry property of that block column.
     Deterministic per seed (PCG64 seeded via SeedSequence(seed)).
     """
+    D, d = _check_length(D, "D"), _check_length(d, "d")
     if D < 2 or d < 2:
         raise DimensionTooSmall(f"need D >= 2 and d >= 2, got D={D}, d={d}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    seed = _check_length(seed, "seed", least=0)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     U = _haar_unitary(D * d, rng)
     ops = np.stack([U[x * D : (x + 1) * D, 0:D] for x in range(d)])
     return KrausFamily(ops=ops)
@@ -506,7 +508,7 @@ def build_r_operator(D: int) -> np.ndarray:
     Tr(U_{jk}^dag R) equals D*c (or D*r on the identity) — all nonzero.
     Odd D only.
     """
-    D = int(D)
+    D = _check_length(D, "D")
     if D % 2 == 0:
         raise EvenDimension(f"R construction requires odd D, got {D}")
     if D < 3:
@@ -546,7 +548,7 @@ def constructive_purity_family(D: int, d: int = 5) -> KrausFamily:
     produce products proportional to U_{jk}^dag R U_{jk}, whose Gram matrix
     has full rank D^2 — verified before returning.
     """
-    D = int(D)
+    D, d = _check_length(D, "D"), _check_length(d, "d")
     if D % 2 == 0:
         raise EvenDimension(f"constructive family requires odd D, got {D}")
     if D < 3:

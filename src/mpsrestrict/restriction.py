@@ -22,14 +22,16 @@ lexicographic order with each product's global string index.  A product
 that is exactly zero is dropped where it appears, with its subtree, and the
 cap counts only the products kept.  The level-m nodes of a tree are the
 products of length m, so one walk can report several depths, each node by
-the run that grows it.  ``_string_tables`` fills the table of each
-requested depth from one walk, placing each stack's rows by index and
-giving the dropped strings zero rows; ``_string_sum`` adds per-string
-values in the order of a depth-first walk (each node sums its d children in
-symbol order, starting from zero), reducing each run to per-prefix
-partials, and skips the dropped strings: since x + 0.0 == x, results equal
-those of the full walk.  Results do not depend on the splitting or the
-pruning and are deterministic bit for bit.
+the run that grows it.  Only the walk knows how it splits; its readers see
+a stream of stacks.  ``_string_tables`` fills the table of each requested
+depth from one walk, placing each stack's rows by index and giving the
+dropped strings zero rows.  ``_string_sum`` reads the stream of leaf stacks
+alone and adds per-string values in the order of a depth-first walk (each
+node sums its d children in symbol order, starting from zero): each level
+of the tree holds its nodes up to the stack cap, then sums its complete
+families into the level above.  It skips the dropped strings: since
+x + 0.0 == x, results equal those of the full walk.  Results do not depend
+on the splitting or the pruning and are deterministic bit for bit.
 
 There is one path of each kind.  ``window_distributions`` tabulates the
 outcomes of any context for several window lengths from one walk
@@ -66,7 +68,7 @@ from .errors import (
     ZeroProbabilityString,
 )
 from .gibbs import ChainDistribution, _window_cmi
-from .linalg import Spectrum, _check_density, _check_length
+from .linalg import Spectrum, _check_density, _check_length, _integral
 
 __all__ = [
     "RestrictionContext",
@@ -234,13 +236,15 @@ class CmiReport:
 
 
 def _validate_string(x: Sequence[int], d: int) -> tuple[int, ...]:
-    xs = tuple(int(s) for s in x)
+    """x as a tuple of ints if it is not empty and each symbol is an integer
+    in [0, d), else SymbolOutOfRange."""
+    xs = tuple(x)
     if len(xs) < 1:
         raise SymbolOutOfRange("measurement string must have length >= 1")
     for s in xs:
-        if not (0 <= s < d):
-            raise SymbolOutOfRange(f"symbol {s} outside [0, {d})")
-    return xs
+        if not (_integral(s) and 0 <= s < d):
+            raise SymbolOutOfRange(f"symbol {s!r} is not an integer in [0, {d})")
+    return tuple(int(s) for s in xs)
 
 
 def _check_guard(d: int, n: int, guard: float) -> None:
@@ -291,37 +295,19 @@ def _grow(
 
 
 @dataclass(frozen=True)
-class _Run:
-    """The subtrees below consecutive prefixes of length ``top``.
-
-    ``stack`` holds their products of length ``depth`` that are not exactly
-    zero, in lexicographic order, and ``index`` the global index of each
-    (see ``_grow``).  At depth n these are leaves; above it, ``runs`` yields
-    in order the runs that continue them, each from a slice of ``stack``.
-    ``levels`` holds, top-down, the (depth, index, stack) of each non-empty
-    level this run grew at a depth the walk reports (see ``_Tree.levels``).
-    """
-
-    top: int
-    depth: int
-    index: range | np.ndarray
-    stack: np.ndarray
-    runs: Iterator["_Run"]
-    levels: tuple[tuple[int, range | np.ndarray, np.ndarray], ...]
-
-
-@dataclass(frozen=True)
 class _Tree:
     """The d^m string products A_{x_m}..A_{x_1} root of one enumeration,
     for every m up to the tree's depth n.
 
-    The walk is lazy: nothing is formed until the tree is iterated, and each
-    iteration walks afresh.  ``levels`` yields the stacks of any set of
-    depths from one walk; iterating the tree yields (index, stack) for each
-    stack of leaves (depth n) in lexicographic order.  ``stack`` holds
-    non-zero products and ``index`` (a slice or an index array) their
-    positions among the d^m strings of their length.  Every product left
-    out is exactly zero.
+    The walk is a lazy stream: nothing is formed until the tree is
+    iterated, each iteration walks afresh, and each stack goes out as soon
+    as it is grown.  ``levels`` yields the stacks of any set of depths from
+    one walk; iterating the tree yields (index, stack) for each stack of
+    leaves (depth n) in lexicographic order.  ``stack`` holds non-zero
+    products and ``index`` (a slice on a dense walk, an index array on a
+    pruned one) their positions among the d^m strings of their length.
+    Every product left out is exactly zero.  Only ``_run`` knows how the
+    walk splits.
     """
 
     ops: np.ndarray
@@ -339,53 +325,39 @@ class _Tree:
         """A stack of no products, with the products' shape."""
         return self.root[None][:0]
 
-    def _walk(self, depths: frozenset[int] = frozenset()) -> _Run:
-        index = np.zeros(1, dtype=np.int64) if self.prune else range(1)
-        return self._run(self.root[None], index, 0, depths)
-
     def _run(
         self, stack: np.ndarray, index: range | np.ndarray, top: int, depths: frozenset[int]
-    ) -> _Run:
+    ) -> Iterator[tuple[int, slice | np.ndarray, np.ndarray]]:
+        """(depth, index, stack) for each non-empty level of ``depths`` below
+        the prefixes ``stack`` of length ``top``: the levels this run grows,
+        as it grows them, then those of its sub-runs, in order."""
         d, n = self.d, self.n
         depth = top
-        levels = []
         # a run grows at least one level, then while the next level fits
         while depth < n and len(stack) and (depth == top or len(stack) * d <= self.cap):
             stack, index = _grow(self.ops, stack, index, self.prune)
             depth += 1
             if depth in depths and len(stack):
-                levels.append((depth, index, stack))
-        runs: Iterator[_Run] = iter(())
+                yield depth, slice(index.start, index.stop) if isinstance(index, range) else index, stack
         if depth < n:
             # A dense subtree's size is known, so a run takes as many whole
             # subtrees as fit; a pruned run takes as many prefixes as can all
             # grow one more level.
             step = max(1, self.cap // d ** (1 if self.prune else n - depth))
-            runs = (
-                self._run(stack[i : i + step], index[i : i + step], depth, depths)
-                for i in range(0, len(stack), step)
-            )
-        return _Run(top=top, depth=depth, index=index, stack=stack, runs=runs, levels=tuple(levels))
+            for i in range(0, len(stack), step):
+                yield from self._run(stack[i : i + step], index[i : i + step], depth, depths)
 
     def levels(self, depths: Iterable[int]) -> Iterator[tuple[int, slice | np.ndarray, np.ndarray]]:
         """(depth, index, stack) for the stacks of each of ``depths`` (in
         1..n), all from one walk.
 
         Each node of a listed depth is yielded once, by the run that grows
-        it, never by the runs below it.  A run yields its own levels
-        top-down before its sub-runs' levels, so the stacks of each depth
+        it, never by the runs below it.  A run yields its own levels as it
+        grows them, then its sub-runs' levels, so the stacks of each depth
         come in lexicographic order.
         """
-
-        def walk(run: _Run) -> Iterator[tuple[int, slice | np.ndarray, np.ndarray]]:
-            for depth, index, stack in run.levels:
-                if isinstance(index, range):
-                    index = slice(index.start, index.stop)
-                yield depth, index, stack
-            for sub in run.runs:
-                yield from walk(sub)
-
-        return walk(self._walk(frozenset(depths)))
+        index = np.zeros(1, dtype=np.int64) if self.prune else range(1)
+        return self._run(self.root[None], index, 0, frozenset(depths))
 
     def __iter__(self) -> Iterator[tuple[slice | np.ndarray, np.ndarray]]:
         return ((index, stack) for _, index, stack in self.levels({self.n}))
@@ -410,7 +382,8 @@ def _products(K: KrausFamily, root: np.ndarray, n: int, guard: int) -> _Tree:
     turn a non-zero product into zero, so a family whose operators all have
     full rank (``KrausFamily._singular``) is walked without looking for
     zeros, and without index arithmetic.  That choice changes only the
-    speed: a zero product that is kept gives zero rows all the same.
+    speed: a zero product that is kept gives zero rows all the same, and
+    one that is skipped changes no tree-order sum, since x + 0.0 == x.
     """
     n = _check_length(n, "string length")
     _check_guard(K.d, n, guard)
@@ -419,75 +392,94 @@ def _products(K: KrausFamily, root: np.ndarray, n: int, guard: int) -> _Tree:
 
 
 def _tree_reduce(
-    rows: np.ndarray, index: range | np.ndarray, d: int, levels: int
+    rows: np.ndarray, index: range | np.ndarray, d: int
 ) -> tuple[np.ndarray, range | np.ndarray]:
-    """Tree-order partial sums ``levels`` levels up of the rows of the nodes
-    ``index`` (increasing), with the indices of their ancestors.
+    """Tree-order sums one level up of the rows of the nodes ``index``
+    (increasing, whole families), with the indices of their parents.
 
     The parent of node i is i // d, and each parent adds its children in
-    symbol order starting from +0.0; a parent none of whose children is
-    listed is left out.  A child that is not listed is exactly zero, and
-    x + 0.0 == x for an accumulator that starts at +0.0, so the partials are
-    those of the full tree bit for bit.  A range of nodes is whole subtrees
-    and is summed without index arithmetic.
+    symbol order starting from +0.0.  A child that is not listed is exactly
+    zero, and x + 0.0 == x for an accumulator that starts at +0.0, so the
+    sums are those of the full tree bit for bit.  A range of nodes is whole
+    families and is summed without index arithmetic.
     """
-    for _ in range(levels):
-        if isinstance(index, range):
-            rows = rows.reshape(-1, d, *rows.shape[1:])
-            index = range(index.start // d, index.stop // d)
-        else:
-            parent = index // d
-            first = np.ones(len(parent), dtype=bool)
-            np.not_equal(parent[1:], parent[:-1], out=first[1:])
-            slot = np.cumsum(first) - 1
-            full = np.zeros((len(parent) and slot[-1] + 1, d) + rows.shape[1:], dtype=rows.dtype)
-            full[slot, index - parent * d] = rows
-            rows, index = full, parent[first]
-        acc = np.zeros_like(rows[:, 0])
-        for s in range(d):
-            acc += rows[:, s]
-        rows = acc
-    return rows, index
+    if isinstance(index, range):
+        rows = rows.reshape(-1, d, *rows.shape[1:])
+        index = range(index.start // d, index.stop // d)
+    else:
+        parent = index // d
+        first = np.ones(len(parent), dtype=bool)
+        np.not_equal(parent[1:], parent[:-1], out=first[1:])
+        slot = np.cumsum(first) - 1
+        full = np.zeros((slot[-1] + 1, d) + rows.shape[1:], dtype=rows.dtype)
+        full[slot, index - parent * d] = rows
+        rows, index = full, parent[first]
+    acc = np.zeros_like(rows[:, 0])
+    for s in range(d):
+        acc += rows[:, s]
+    return acc, index
 
 
 def _string_sum(tree: _Tree, leaf: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Tree-order sum over all strings of the per-string rows leaf(stack).
 
-    Each run's rows are reduced up to the run's top, and the caller joins
-    the per-prefix partials of its runs, in order, and reduces them in turn,
-    so no more rows than a stack's are held at any depth.  The order is the
-    depth-first walk's bit for bit: the leaves map a zero product to zero
-    rows, and a skipped zero changes no sum (see ``_tree_reduce``).  The row
-    shape is that of leaf(tree.empty), so a leaf must take a stack of no
-    products.
+    The leaf stacks stream from the walk in lexicographic order.  Each level
+    of the tree holds its nodes up to the tree's cap, as ``_string_tables``
+    joins a depth's stacks, then sums every complete family into its parent
+    (``_tree_reduce``), a node of the level above; the last family waits for
+    the rest of its children unless its last symbol has come.  When the
+    walk ends, the levels close bottom-up.  So each parent adds all its
+    children in symbol order starting from +0.0, as the depth-first walk
+    does, bit for bit.  The row shape is that of leaf(tree.empty), so a leaf
+    must take a stack of no products.
     """
+    d = tree.d
     empty = leaf(tree.empty)
+    held: list[list] = [[] for _ in range(tree.n + 1)]  # per level: (index, rows) not yet summed
+    count = [0] * (tree.n + 1)
 
-    def partial(run: _Run) -> tuple[np.ndarray, range | np.ndarray]:
-        if run.depth == tree.n:
-            rows, index = leaf(run.stack), run.index
-        else:
-            parts = [partial(sub) for sub in run.runs]
-            rows = np.concatenate([empty] + [p for p, _ in parts])
-            index = run.index  # a dense run's subruns cover it
-            if not isinstance(index, range):
-                index = np.concatenate([index[:0]] + [i for _, i in parts])
-        return _tree_reduce(rows, index, tree.d, run.depth - run.top)
+    def add(m: int, index: range | np.ndarray, rows: np.ndarray) -> None:
+        if count[m] and count[m] + len(rows) > tree.cap:
+            close(m, final=False)
+        held[m].append((index, rows))
+        count[m] += len(rows)
 
-    total, _ = partial(tree._walk())
-    return total[0] if len(total) else np.zeros(empty.shape[1:], dtype=empty.dtype)
+    def close(m: int, final: bool) -> None:
+        index, rows = _joined(held[m])
+        cut = len(index)
+        last = index[-1]
+        if not (final or last % d == d - 1):
+            start = last - last % d  # the last family's first child
+            cut = start - index.start if isinstance(index, range) else int(index.searchsorted(start))
+        held[m] = [(index[cut:], rows[cut:])] if cut < len(index) else []
+        count[m] = len(index) - cut
+        if cut:
+            rows, index = _tree_reduce(rows[:cut], index[:cut], d)
+            add(m - 1, index, rows)
+
+    for index, stack in tree:
+        add(tree.n, range(index.start, index.stop) if isinstance(index, slice) else index, leaf(stack))
+    for m in range(tree.n, 0, -1):
+        if held[m]:
+            close(m, final=True)
+    if not held[0]:  # every product is zero
+        return np.zeros(empty.shape[1:], dtype=empty.dtype)
+    ((_, root),) = held[0]
+    return root[0]
 
 
-def _joined(parts: list[tuple[slice | np.ndarray, np.ndarray]]) -> tuple[slice | np.ndarray, np.ndarray]:
+def _joined(
+    parts: list[tuple[slice | range | np.ndarray, np.ndarray]],
+) -> tuple[slice | range | np.ndarray, np.ndarray]:
     """Consecutive stacks of one depth as one stack.  A dense walk's stacks
-    tile their depth in order, so their slices join into one."""
+    tile their depth in order, so their slices (or ranges) join into one."""
     if len(parts) == 1:
         return parts[0]
     first, last = parts[0][0], parts[-1][0]
-    if isinstance(first, slice):
-        index = slice(first.start, last.stop)
-    else:
+    if isinstance(first, np.ndarray):
         index = np.concatenate([i for i, _ in parts])
+    else:
+        index = type(first)(first.start, last.stop)
     return index, np.concatenate([s for _, s in parts])
 
 

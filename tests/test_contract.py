@@ -27,14 +27,21 @@ from mpsrestrict import (
 from mpsrestrict import restriction
 from mpsrestrict.cli import main
 from mpsrestrict.errors import (
+    EllOutOfRange,
     EnumerationTooLarge,
     FNotContractive,
     InvalidDistribution,
     NotDensityOperator,
     NotPSD,
     OutOfRange,
+    RangeError,
+    SymbolOutOfRange,
 )
+from mpsrestrict.gibbs import ChainDistribution, cmi_decomposition_check, local_hamiltonian, marginal
+from mpsrestrict.linalg import clock_shift_basis
 from mpsrestrict.purity import (
+    build_r_operator,
+    constructive_purity_family,
     correctable_subspace,
     f_series,
     haar_kraus,
@@ -48,11 +55,14 @@ from mpsrestrict.restriction import (
     average_purity_q,
     chain_distribution,
     cmi_report,
+    post_measurement_spectrum,
     quantum_cmi,
     restriction_scan,
+    string_probability,
     window_distribution,
 )
 from mpsrestrict.trajectories import (
+    martingale_step_check,
     mean_m_check,
     purification_statistic,
     sample_trajectories,
@@ -242,3 +252,73 @@ def test_a_bad_model_argument_raises_its_named_error(case):
     assert isinstance(exc.value, ValueError)
     if flags is not None:
         assert main(["sample", *flags, "--nmax", "1"]) == 3
+
+
+# every public entry point that takes a measurement string, as a call on it
+STRING_ENTRY_POINTS = {
+    "string_probability": lambda x: string_probability(_CTX, x),
+    "post_measurement_spectrum": lambda x: post_measurement_spectrum(_CTX, x),
+    "martingale_step_check": lambda x: martingale_step_check(_K, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRING_ENTRY_POINTS))
+@pytest.mark.parametrize("symbol", [0.5, 1.9, _NAN, float("inf"), None, "1", -1, 3])
+def test_a_bad_symbol_is_out_of_range(name, symbol):
+    """A fractional symbol is not cut to an integer, and NaN, inf and None
+    raise the named error, not a bare ValueError, OverflowError or TypeError."""
+    with pytest.raises(SymbolOutOfRange):
+        STRING_ENTRY_POINTS[name]([1, symbol])
+
+
+@pytest.mark.parametrize("name", sorted(STRING_ENTRY_POINTS))
+def test_integral_symbols_are_those_integers(name):
+    call = STRING_ENTRY_POINTS[name]
+    assert _same(call([1.0, np.int64(0)]), call([1, 0]))
+
+
+_P = ChainDistribution(length=4, d=2, table=np.full(16, 1 / 16))
+
+# a non-integral index to a Gibbs function: the call and its named error
+BAD_GIBBS_INDICES = {
+    "length": (lambda v: ChainDistribution(length=v, d=2, table=np.full(4, 0.25)), InvalidDistribution),
+    "d": (lambda v: ChainDistribution(length=2, d=v, table=np.full(4, 0.25)), InvalidDistribution),
+    "ell": (lambda v: local_hamiltonian(_P, v), EllOutOfRange),
+    "window-first": (lambda v: marginal(_P, v, 2), RangeError),
+    "window-last": (lambda v: marginal(_P, 1, v), RangeError),
+    "decomposition-ell": (lambda v: cmi_decomposition_check(_P, v), EllOutOfRange),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GIBBS_INDICES))
+@pytest.mark.parametrize("value", [1.5, _NAN, float("inf"), None])
+def test_a_bad_gibbs_index_raises_its_named_error(case, value):
+    call, error = BAD_GIBBS_INDICES[case]
+    with pytest.raises(error):
+        call(value)
+
+
+# a dimension or seed that is not an integer >= 1 (>= 0 for a seed)
+BAD_DIMENSIONS = {
+    "clock_shift_basis": lambda v: clock_shift_basis(v),
+    "build_r_operator": lambda v: build_r_operator(v),
+    "haar_kraus-D": lambda v: haar_kraus(v, 2, 1),
+    "haar_kraus-d": lambda v: haar_kraus(2, v, 1),
+    "haar_kraus-seed": lambda v: haar_kraus(2, 2, v),
+    "constructive_purity_family-D": lambda v: constructive_purity_family(v),
+    "constructive_purity_family-d": lambda v: constructive_purity_family(3, v),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DIMENSIONS))
+@pytest.mark.parametrize("value", [2.5, 5.5, _NAN, float("inf"), None, -1])
+def test_a_bad_dimension_is_out_of_range(case, value):
+    with pytest.raises(OutOfRange):
+        BAD_DIMENSIONS[case](value)
+
+
+def test_an_integral_float_dimension_is_that_integer():
+    assert len(clock_shift_basis(3.0)) == 9
+    assert np.array_equal(build_r_operator(3.0), build_r_operator(3))
+    assert np.array_equal(haar_kraus(2.0, 3.0, 1.0).ops, haar_kraus(2, 3, 1).ops)
+    assert np.array_equal(constructive_purity_family(3.0, 5.0).ops, constructive_purity_family(3, 5).ops)

@@ -1,6 +1,7 @@
 """The product-tree engine against the brute-force oracle and the
 recursive walk it replaced."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import oracle
 from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily, renormalize
 from mpsrestrict.gibbs import ChainDistribution
 from mpsrestrict.models import aklt, aklt_pauli, clock, damping, jordan, markov
+from mpsrestrict import restriction
 from mpsrestrict.purity import (
     constructive_purity_family,
     correctable_subspace,
@@ -278,6 +280,43 @@ def test_pruning_is_decided_once_per_family():
         assert "_singular" not in vars(K)
         window_distribution(RestrictionContext.stationary(K), 3)
         assert vars(K)["_singular"] == any(np.linalg.matrix_rank(A) < K.D for A in K.ops)
+
+
+# dense and sparse families, down to one whose products of length >= 2 are
+# all zero; the square roots of the dense ones split at the stack cap
+PRUNE_FAMILIES = {
+    "haar-D3-d3": (lambda: haar_kraus(3, 3, seed=3), 6),
+    "haar-D2-d5": (lambda: haar_kraus(2, 5, seed=4), 4),
+    "aklt": (aklt, 7),
+    "damping": (lambda: damping(0.5), 10),
+    "jordan3": (lambda: jordan(3), 10),
+    "nilpotent": (lambda: KrausFamily(ops=_nilpotent(), atol=2.0), 10),
+}
+
+
+@pytest.mark.parametrize("cap", [_CHUNK_STRINGS, 4])
+@pytest.mark.parametrize("vector", [False, True], ids=["square", "vector"])
+@pytest.mark.parametrize("name", sorted(PRUNE_FAMILIES))
+def test_the_prune_choice_changes_only_the_speed(name, vector, cap, monkeypatch):
+    """A walk that looks for zero products and one that does not give the
+    same sums and tables bit for bit: a dense family walked with index
+    arrays, and a sparse one with its zero products kept and indexed by
+    slices.  A cap of a few products splits every walk into many stacks.
+    Bytes are compared, so a sign of zero counts: every sum starts from
+    +0.0, so the -0.0 rows of the nilpotent family's zero products sum to
+    +0.0, as its pruned walk, which forms none, does."""
+    monkeypatch.setattr(restriction, "_CHUNK_STRINGS", cap)
+    make, n = PRUNE_FAMILIES[name]
+    K = make()
+    root = np.ones((K.D, 1), dtype=complex) / np.sqrt(K.D) if vector else np.eye(K.D, dtype=complex)
+    tree = _products(K, root, n, guard=K.d**n)
+    other = dataclasses.replace(tree, prune=not tree.prune)
+    for leaf in (_norm2, lambda W: -_norm2(W), lambda W: _adjoint(W) @ W):
+        assert _string_sum(tree, leaf).tobytes() == _string_sum(other, leaf).tobytes()
+    depths = range(1, n + 1)
+    tables = _string_tables(tree, depths, lambda m, W: _norm2(W))
+    for m, table in _string_tables(other, depths, lambda m, W: _norm2(W)).items():
+        assert table.tobytes() == tables[m].tobytes(), m
 
 
 def test_window_distribution_keeps_small_environment_eigenvalues():
