@@ -18,14 +18,17 @@ Every enumeration over the d^n strings, here and in ``purity`` and
 string products level by level (site 1 is the most significant digit):
 breadth-first while the next level fits under the stack cap, then in runs
 of whole subtrees below consecutive prefixes, so its stacks come out in
-lexicographic order with each product's global string index.  A product
-that is exactly zero is dropped where it appears, with its subtree, and the
-cap counts only the products kept.  The level-m nodes of a tree are the
-products of length m, so one walk can report several depths, each node by
-the run that grows it.  Only the walk knows how it splits; its readers see
-a stream of stacks.  ``_string_tables`` fills the table of each requested
-depth from one walk, placing each stack's rows by index and giving the
-dropped strings zero rows.  ``_string_sum`` reads the stream of leaf stacks
+lexicographic order with each product's global string index.  A level
+grows with one BLAS call per prefix: the Kraus operators stacked as one
+(d*D x D) matrix times the prefix's product form all d children at once,
+and each child gets the bits of its own prefix's call, wherever the walk
+splits.  A product that is exactly zero is dropped where it appears, with
+its subtree, and the cap counts only the products kept.  The level-m nodes
+of a tree are the products of length m, so one walk can report several
+depths, each node by the run that grows it.  Only the walk knows how it
+splits; its readers see a stream of stacks.  ``_string_tables`` fills the
+table of each requested depth from one walk, placing each stack's rows by
+index and giving the dropped strings zero rows.  ``_string_sum`` reads the stream of leaf stacks
 alone and adds per-string values in the order of a depth-first walk (each
 node sums its d children in symbol order, starting from zero): each level
 of the tree holds its nodes up to the stack cap, then sums its complete
@@ -236,9 +239,12 @@ class CmiReport:
 
 
 def _validate_string(x: Sequence[int], d: int) -> tuple[int, ...]:
-    """x as a tuple of ints if it is not empty and each symbol is an integer
-    in [0, d), else SymbolOutOfRange."""
-    xs = tuple(x)
+    """x as a tuple of ints if it is a non-empty sequence and each symbol is
+    an integer in [0, d), else SymbolOutOfRange."""
+    try:
+        xs = tuple(x)
+    except TypeError:
+        raise SymbolOutOfRange(f"measurement string {x!r} is not a sequence of symbols") from None
     if len(xs) < 1:
         raise SymbolOutOfRange("measurement string must have length >= 1")
     for s in xs:
@@ -271,20 +277,25 @@ def _adjoint(T: np.ndarray) -> np.ndarray:
 
 
 def _grow(
-    ops: np.ndarray, stack: np.ndarray, index: range | np.ndarray, prune: bool
+    stacked: np.ndarray, stack: np.ndarray, index: range | np.ndarray, prune: bool
 ) -> tuple[np.ndarray, range | np.ndarray]:
     """Extend every product of a lexicographic stack (k, D, r) by one symbol.
 
-    Entry i*d + s of the new stack is ops[s] @ stack[i], so the stack stays
-    in lexicographic order with the first symbol most significant.
-    ``index`` holds each product's global index among the d^depth strings
-    of its length: a range on a walk that does not prune, so that such a
-    walk does no index arithmetic, and an array on one that does.  With
-    ``prune``, a product whose entries are all exactly zero is dropped, so
-    its subtree, whose products are all zero too, is never formed.
+    ``stacked`` is the (d*D, D) column of the Kraus operators, A_s in row
+    block s, so one BLAS call per prefix forms all d of its children: entry
+    i*d + s of the new stack is A_s @ stack[i], and the stack stays in
+    lexicographic order with the first symbol most significant.  Each entry
+    is a length-D dot product from the call of its own prefix, so its bits
+    do not depend on the other prefixes of the stack.  ``index`` holds each
+    product's global index among the d^depth strings of its length: a range
+    on a walk that does not prune, so that such a walk does no index
+    arithmetic, and an array on one that does.  With ``prune``, a product
+    whose entries are all exactly zero is dropped, so its subtree, whose
+    products are all zero too, is never formed.
     """
-    d = ops.shape[0]
-    stack = np.matmul(ops[None], stack[:, None]).reshape(-1, *stack.shape[1:])
+    k, D, r = stack.shape
+    d = stacked.shape[0] // D
+    stack = np.matmul(stacked, stack).reshape(k * d, D, r)
     if not prune:
         return stack, range(index.start * d, index.stop * d)
     index = (index[:, None] * d + np.arange(d)).ravel()
@@ -310,7 +321,7 @@ class _Tree:
     walk splits.
     """
 
-    ops: np.ndarray
+    stacked: np.ndarray  # (d*D, D): the Kraus operators, A_s in row block s
     root: np.ndarray
     n: int
     cap: int  # most products formed at once
@@ -318,7 +329,7 @@ class _Tree:
 
     @property
     def d(self) -> int:
-        return self.ops.shape[0]
+        return self.stacked.shape[0] // self.root.shape[0]
 
     @property
     def empty(self) -> np.ndarray:
@@ -335,7 +346,7 @@ class _Tree:
         depth = top
         # a run grows at least one level, then while the next level fits
         while depth < n and len(stack) and (depth == top or len(stack) * d <= self.cap):
-            stack, index = _grow(self.ops, stack, index, self.prune)
+            stack, index = _grow(self.stacked, stack, index, self.prune)
             depth += 1
             if depth in depths and len(stack):
                 yield depth, slice(index.start, index.stop) if isinstance(index, range) else index, stack
@@ -388,7 +399,8 @@ def _products(K: KrausFamily, root: np.ndarray, n: int, guard: int) -> _Tree:
     n = _check_length(n, "string length")
     _check_guard(K.d, n, guard)
     D, r = root.shape
-    return _Tree(ops=K.ops, root=root, n=n, cap=_CHUNK_STRINGS * D // r, prune=K._singular)
+    stacked = K.ops.reshape(K.d * D, D)
+    return _Tree(stacked=stacked, root=root, n=n, cap=_CHUNK_STRINGS * D // r, prune=K._singular)
 
 
 def _tree_reduce(

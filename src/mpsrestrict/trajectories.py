@@ -105,10 +105,11 @@ def sample_trajectories(
     """Draw an n-step trajectory for each stream, all streams as one stack.
 
     Each step forms every continuation A_y W of every stream in one
-    broadcast product and draws the outcomes from their weights together.
-    Stream s draws its n uniforms from _rng_for(seed, s), so its trajectory
-    does not depend on which other streams are drawn with it, and
-    ``sample_trajectory(K, n, seed, s)`` is row s of this call.
+    product with the stacked (d*D, D) operator, one BLAS call per stream,
+    and draws the outcomes from their weights together.  Stream s draws its
+    n uniforms from _rng_for(seed, s), so its trajectory does not depend on
+    which other streams are drawn with it, and ``sample_trajectory(K, n,
+    seed, s)`` is row s of this call.
 
     Returns the (T, n) outcomes, the (T, n, D, D) normalized operators M_k
     and the (T, n) path probabilities Tr(W_k^dag W_k)/D of the T streams.
@@ -119,11 +120,12 @@ def sample_trajectories(
     u = np.array([_rng_for(seed, s).random(n) for s in streams]).reshape(T, n)
     rows = np.arange(T)
     W = np.broadcast_to(np.eye(D, dtype=complex), (T, D, D))
+    stacked = K.ops.reshape(d * D, D)  # A_y in row block y
     outcomes = np.empty((T, n), dtype=int)
     m_ops = np.empty((T, n, D, D), dtype=complex)
     probs = np.empty((T, n))
     for k in range(n):
-        V = K.ops[None] @ W[:, None]  # V[t, y] = A_y W_t
+        V = np.matmul(stacked, W).reshape(T, d, D, D)  # V[t, y] = A_y W_t
         weights = _norm2(V.reshape(T * d, D, D)).reshape(T, d)
         dead = weights.sum(axis=1) <= 0.0
         if np.any(dead):

@@ -272,6 +272,15 @@ def test_a_bad_symbol_is_out_of_range(name, symbol):
 
 
 @pytest.mark.parametrize("name", sorted(STRING_ENTRY_POINTS))
+@pytest.mark.parametrize("string", [5, 3, None, 2.5])
+def test_a_string_that_is_not_a_sequence_is_out_of_range(name, string):
+    """A measurement string that cannot be iterated raises the named error,
+    not a bare TypeError."""
+    with pytest.raises(SymbolOutOfRange, match="not a sequence"):
+        STRING_ENTRY_POINTS[name](string)
+
+
+@pytest.mark.parametrize("name", sorted(STRING_ENTRY_POINTS))
 def test_integral_symbols_are_those_integers(name):
     call = STRING_ENTRY_POINTS[name]
     assert _same(call([1.0, np.int64(0)]), call([1, 0]))

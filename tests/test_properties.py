@@ -19,6 +19,7 @@ from mpsrestrict.purity import f_series, haar_kraus, span_purity_test, w_series
 from mpsrestrict.restriction import (
     RestrictionContext,
     _adjoint,
+    _grow,
     _norm2,
     _products,
     _range_factor,
@@ -220,6 +221,61 @@ def test_split_walks_give_the_dense_table_and_its_tree_sum_bit_for_bit(case):
             tree = _products(K, root, n, guard=K.d**n)
             assert np.array_equal(_string_table(tree, leaf), table)
             assert np.array_equal(_string_sum(tree, leaf), oracle.tree_sum(table, K.d))
+
+
+KERNEL = st.fixed_dictionaries(
+    {
+        "D": st.integers(min_value=1, max_value=8),
+        "d": st.integers(min_value=1, max_value=5),
+        "k": st.integers(min_value=1, max_value=12),
+        "vector": st.booleans(),
+        # a stack as grown, every other product of one, or every other
+        # column of one
+        "layout": st.sampled_from(["contiguous", "strided-products", "strided-columns"]),
+        # an exactly zero operator and exactly zero prefixes give zero children
+        "zero_symbol": st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+        "zero_prefixes": st.lists(st.integers(min_value=0, max_value=11), max_size=3),
+        "seed": st.integers(min_value=0, max_value=10**6),
+    }
+)
+
+
+@settings(max_examples=200, deadline=2000)
+@given(KERNEL)
+def test_grow_forms_each_child_as_its_own_product_bit_for_bit(case):
+    """Row i*d + s of a grown stack is ops[s] @ stack[i] with the same bits,
+    whatever the stack's length or strides, so one BLAS call per prefix
+    gives each product the bits of its own pair.  A pruned walk keeps the
+    non-zero children in that order, with their global indices."""
+    D, d, k = case["D"], case["d"], case["k"]
+    r = 1 if case["vector"] else D
+    rng = np.random.default_rng(case["seed"])
+    ops = rng.standard_normal((d, D, D)) + 1j * rng.standard_normal((d, D, D))
+    if case["zero_symbol"] is not None and case["zero_symbol"] < d:
+        ops[case["zero_symbol"]] = 0.0
+    base = rng.standard_normal((2 * k, D, 2 * r)) + 1j * rng.standard_normal((2 * k, D, 2 * r))
+    stack = {
+        "contiguous": np.ascontiguousarray(base[:k, :, :r]),
+        "strided-products": base[::2, :, :r],
+        "strided-columns": base[:k, :, ::2][:, :, :r],
+    }[case["layout"]]
+    stack[[i for i in case["zero_prefixes"] if i < k]] = 0.0
+    children = [(i * d + s, ops[s] @ stack[i]) for i in range(k) for s in range(d)]
+    stacked = ops.reshape(d * D, D)
+
+    grown, index = _grow(stacked, stack, range(k), prune=False)
+    assert index == range(k * d)
+    assert grown.shape == (k * d, D, r)
+    for row, (_, child) in zip(grown, children):
+        assert row.tobytes() == child.tobytes()
+
+    global_index = 3 * np.arange(k, dtype=np.int64) + 1  # a pruned walk's increasing indices
+    grown, index = _grow(stacked, stack, global_index, prune=True)
+    kept = [(global_index[j // d] * d + j % d, child) for j, child in children if child.any()]
+    assert index.tolist() == [j for j, _ in kept]
+    assert grown.shape == (len(kept), D, r)
+    for row, (_, child) in zip(grown, kept):
+        assert row.tobytes() == child.tobytes()
 
 
 MULTI = st.fixed_dictionaries(

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from mpsrestrict.errors import (
     NumericalInconsistency,
     SearchBudgetExceeded,
 )
-from mpsrestrict.linalg import clock_shift_basis, gram_rank
+from mpsrestrict import purity
+from mpsrestrict.linalg import clock_shift_basis, exterior_square, gram_rank
 from mpsrestrict.models import aklt, aklt_pauli, clock, damping, jordan, markov
 from mpsrestrict.purity import (
     DecaySeries,
+    _wedge_norms,
     build_r_operator,
     constructive_purity_family,
     correctable_subspace,
@@ -270,6 +273,32 @@ def test_submultiplicativity_enforced():
         for n in range(1, 6):
             for m in range(1, 7 - n):
                 assert vals[n + m] <= vals[n] * vals[m] + 1e-12
+
+
+def test_the_wedge_route_gives_exact_zeros_without_a_warning():
+    """Every AKLT product but A_0^n has rank 1 and exactly zero 2x2 minors.
+    The Gram route gives those exactly 0, with no RuntimeWarning, and the
+    top singular value's digits elsewhere."""
+    W = np.stack(product_set(aklt(), 4))
+    wedges = exterior_square(W)
+    zero = ~wedges.any(axis=(1, 2))
+    assert zero.sum() == 3**4 - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = _wedge_norms(W, per_slice=7)
+        w = w_series(aklt(), 8)
+    assert np.all(norms[zero] == 0.0)
+    assert np.allclose(norms, np.linalg.svd(wedges, compute_uv=False)[:, 0], rtol=1e-14, atol=0.0)
+    assert [v for _, v in w.values] == pytest.approx([3.0**-n for n in range(1, 9)], rel=1e-10)
+
+
+def test_a_corrupted_wedge_route_is_an_inconsistency(monkeypatch):
+    """The exterior-square route cross-checks the SVD route: minors off by
+    one part in 1e6 make w_series raise."""
+    minors = purity.exterior_square
+    monkeypatch.setattr(purity, "exterior_square", lambda O: minors(O) * (1.0 + 1e-6))
+    with pytest.raises(NumericalInconsistency, match="routes disagree"):
+        w_series(haar_kraus(3, 2, seed=4), 4)
 
 
 def test_correctable_report_rejects_increasing_ranks():
