@@ -66,7 +66,10 @@ class Spectrum:
 
 
 def _integral(n: Any) -> bool:
-    """Whether n is an integral number; NaN, inf, None and strings are not."""
+    """Whether n is an integral number; NaN, inf, None, strings and booleans
+    (which int() would read as 0 and 1) are not."""
+    if isinstance(n, (bool, np.bool_)):
+        return False
     try:
         return bool(int(n) == n)
     except (TypeError, ValueError, OverflowError):

@@ -2,13 +2,16 @@
 
 The on-disk format is JSON: complex entries are [re, im] pairs, matrices are
 row-major nested lists, and the d Kraus operators live under "matrices".
-Optional blocks carry boundary vectors and a chain geometry.  Loading
-re-checks left normalization at 1e-8 and rejects anything malformed with a
-message naming the offending field.
+Optional blocks carry boundary vectors and a chain geometry.  One decoder
+reads every array, whose entries must be pairs of finite numbers (not
+booleans); ``d``, ``D`` and the geometry lengths must be integers and go
+through the shared length check.  Loading re-checks left normalization at
+1e-8; anything malformed raises a ValueError naming the field (exit 3).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +20,7 @@ from typing import Any
 import numpy as np
 
 from .chain import BoundaryPair, ChainGeometry, KrausFamily
+from .linalg import _check_length
 
 __all__ = ["ModelFile", "load_model", "save_model"]
 
@@ -34,44 +38,30 @@ class ModelFile:
     label: str | None = None
 
 
-def _encode_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _encode(a: np.ndarray) -> list:
+    """A complex array as nested lists with [re, im] pairs at the leaves."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _encode_matrix(M: np.ndarray) -> list[list[list[float]]]:
-    return [[_encode_complex(M[r, c]) for c in range(M.shape[1])] for r in range(M.shape[0])]
+def _decode(obj: Any, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """The inverse of ``_encode`` for an array of the given shape.
 
-
-def _encode_vector(v: np.ndarray) -> list[list[float]]:
-    return [_encode_complex(z) for z in v]
-
-
-def _decode_complex(obj: Any, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(t, (int, float)) for t in obj)
-    ):
-        raise ValueError(f"{where}: complex entries must be [re, im] pairs, got {obj!r}")
-    return complex(obj[0], obj[1])
-
-
-def _decode_matrix(obj: Any, rows: int, cols: int, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != rows:
-        raise ValueError(f"{where}: expected {rows} rows")
-    M = np.zeros((rows, cols), dtype=complex)
-    for r, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ValueError(f"{where}: row {r} must have {cols} entries")
-        for c, entry in enumerate(row):
-            M[r, c] = _decode_complex(entry, f"{where}[{r}][{c}]")
-    return M
-
-
-def _decode_vector(obj: Any, dim: int, where: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise ValueError(f"{where}: expected a length-{dim} vector")
-    return np.array([_decode_complex(e, f"{where}[{i}]") for i, e in enumerate(obj)])
+    Every leaf must be an [re, im] pair of finite numbers (booleans are not
+    numbers here); the ValueError names the first part that does not fit.
+    """
+    if not shape:
+        if isinstance(obj, list) and len(obj) == 2 and all(type(t) in (int, float) for t in obj):
+            with contextlib.suppress(OverflowError):  # an int too large for a float
+                z = complex(obj[0], obj[1])
+                if np.isfinite(z):
+                    return np.array(z)
+        raise ValueError(
+            f"{where}: complex entries must be [re, im] pairs of finite numbers, got {obj!r}"
+        )
+    items = ("entries", "rows", "matrices")[len(shape) - 1]
+    if not isinstance(obj, list) or len(obj) != shape[0]:
+        raise ValueError(f"{where}: expected a list of {shape[0]} {items}")
+    return np.array([_decode(o, shape[1:], f"{where}[{i}]") for i, o in enumerate(obj)])
 
 
 def save_model(
@@ -87,15 +77,12 @@ def save_model(
         "schema_version": SCHEMA_VERSION,
         "d": kraus.d,
         "D": kraus.D,
-        "matrices": [_encode_matrix(A) for A in kraus.ops],
+        "matrices": _encode(kraus.ops),
     }
     if label is not None:
         doc["label"] = str(label)
     if boundaries is not None:
-        doc["boundaries"] = {
-            "L": _encode_vector(boundaries.L),
-            "R": _encode_vector(boundaries.R),
-        }
+        doc["boundaries"] = {"L": _encode(boundaries.L), "R": _encode(boundaries.R)}
     if geometry is not None:
         doc["geometry"] = {
             "len_a": geometry.len_a,
@@ -109,9 +96,9 @@ def save_model(
 def load_model(path: str | Path) -> ModelFile:
     """Parse and validate a model file.
 
-    Raises ValueError for structural problems and NotLeftNormalized (with the
-    residual in the message) when the matrices fail the isometry check at
-    atol = 1e-8.
+    Raises ValueError for a malformed file (OutOfRange for a bad length) and
+    NotLeftNormalized, with the residual, when the matrices fail the
+    isometry check at atol = 1e-8.
     """
     raw = Path(path).read_text(encoding="utf-8")
     try:
@@ -124,20 +111,9 @@ def load_model(path: str | Path) -> ModelFile:
         raise ValueError(f"unsupported format {doc.get('format')!r}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    try:
-        d = int(doc["d"])
-        D = int(doc["D"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("model file must carry integer fields 'd' and 'D'") from exc
-    if d < 1 or D < 1:
-        raise ValueError(f"dimensions must be positive, got d={d}, D={D}")
-    mats = doc.get("matrices")
-    if not isinstance(mats, list) or len(mats) != d:
-        raise ValueError(f"'matrices' must list exactly d = {d} operators")
-    ops = np.stack(
-        [_decode_matrix(m, D, D, f"matrices[{x}]") for x, m in enumerate(mats)]
-    )
-    kraus = KrausFamily(ops=ops, atol=1e-8)
+    d = _check_length(doc.get("d"), "model field 'd'")
+    D = _check_length(doc.get("D"), "model field 'D'")
+    kraus = KrausFamily(ops=_decode(doc.get("matrices"), (d, D, D), "matrices"), atol=1e-8)
 
     boundaries = None
     if "boundaries" in doc:
@@ -145,8 +121,8 @@ def load_model(path: str | Path) -> ModelFile:
         if not isinstance(bl, dict) or "L" not in bl or "R" not in bl:
             raise ValueError("'boundaries' must carry vectors 'L' and 'R'")
         boundaries = BoundaryPair(
-            L=_decode_vector(bl["L"], D, "boundaries.L"),
-            R=_decode_vector(bl["R"], D, "boundaries.R"),
+            L=_decode(bl["L"], (D,), "boundaries.L"),
+            R=_decode(bl["R"], (D,), "boundaries.R"),
         )
 
     geometry = None
@@ -154,14 +130,7 @@ def load_model(path: str | Path) -> ModelFile:
         gm = doc["geometry"]
         if not isinstance(gm, dict):
             raise ValueError("'geometry' must be an object")
-        try:
-            geometry = ChainGeometry(
-                len_a=int(gm["len_a"]),
-                len_b=int(gm["len_b"]),
-                len_c=int(gm["len_c"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError("'geometry' needs integer len_a, len_b, len_c") from exc
+        geometry = ChainGeometry(**{k: gm.get(k) for k in ("len_a", "len_b", "len_c")})
 
     label = doc.get("label")
     if label is not None and not isinstance(label, str):

@@ -65,6 +65,7 @@ __all__ = [
 
 _STATUSES = ("SatisfiedCertified", "SatisfiedUpToN", "ViolatedUpToN", "Undetermined")
 _INVARIANT_TOL = 1e-12  # largest ||(1 - P) A_x P|| of an invariant range(P)
+_SEARCH_BUDGET = 200_000  # most staircase nodes one length's search may visit
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def _eig_clusters(lam: np.ndarray, reltol: float) -> list[slice]:
 
 
 def _max_scalar_subspace(
-    K: KrausFamily, n: int, tol: float, budget: int, guard: int
+    K: KrausFamily, n: int, tol: float, guard: int
 ) -> tuple[int, np.ndarray, float]:
     """Depth-first eigenspace refinement for the largest scalar subspace.
 
@@ -232,10 +233,13 @@ def _max_scalar_subspace(
     def dfs(B: np.ndarray) -> None:
         nonlocal best_rank, best_basis, best_resid, nodes
         nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(f"subspace search exceeded {budget} nodes")
+        if nodes > _SEARCH_BUDGET:
+            raise SearchBudgetExceeded(f"subspace search exceeded {_SEARCH_BUDGET} nodes")
         r = B.shape[1]
         if r <= best_rank:
+            return
+        if r == 1:  # every compression is 1x1, so scalar with residual exactly 0
+            best_rank, best_basis, best_resid = 1, B, 0.0
             return
         worst = 0.0
         for _, W in _products(K, eye, n, guard):
@@ -268,19 +272,20 @@ def correctable_subspace(
     n_max: int,
     tol: float = 1e-8,
     guard: int = DEFAULT_GUARD,
-    budget: int = 200_000,
 ) -> CorrectableReport:
     """Scalar-compression staircase for n = 1..n_max.
 
     Every node of each length's search streams the d^n products stack by
-    stack from the enumeration engine, so the product set is never held.
-    Raises OutOfRange unless n_max and budget are integers >= 1 and tol is a
-    finite number >= 0.
+    stack from the enumeration engine, so the product set is never held; a
+    rank-1 node is accepted without a walk.  A length whose search visits
+    more than _SEARCH_BUDGET = 200,000 nodes raises SearchBudgetExceeded.
+    Raises OutOfRange unless n_max is an integer >= 1 and tol a finite
+    number >= 0, and EnumerationTooLarge when d^n_max exceeds the guard.
     """
     n_max = _check_length(n_max, "n_max")
-    budget = _check_length(budget, "budget")
+    _check_guard(K.d, n_max, guard)
     _check_tol(tol)
-    steps = [_max_scalar_subspace(K, n, tol, budget, guard) for n in range(1, n_max + 1)]
+    steps = [_max_scalar_subspace(K, n, tol, guard) for n in range(1, n_max + 1)]
     return CorrectableReport(
         n_max=n_max,
         max_ranks=tuple(r for r, _, _ in steps),

@@ -2,6 +2,7 @@
 recursive walk it replaced."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -270,6 +271,25 @@ def test_w_series_streams_its_rows():
         products = np.matmul(K.ops[None], products[:, None]).reshape(-1, 2, 2)
     s = np.linalg.svd(products, compute_uv=False)
     assert w.value_at(15) == oracle.tree_sum(s[:, 0] * s[:, 1], 2)
+
+
+def test_the_tree_order_sum_is_within_two_ulp_of_the_exact_sum():
+    """Over 2^14 strings the tree order is 0-1 ulp from a correctly rounded
+    sum in both columns; in the nu1 nu2 column a lexicographic running sum
+    is off by thousands of ulp and adding np.sum(axis=0) of each stack by
+    tens.  That accuracy is what the order is kept for."""
+    K = haar_kraus(2, 2, seed=3)
+
+    def leaf(W):
+        s = np.linalg.svd(W, compute_uv=False)
+        return np.stack([(s**2).sum(axis=1), s[:, 0] * s[:, 1]], axis=1)
+
+    eye = np.eye(2, dtype=complex)
+    total = _string_sum(_products(K, eye, 14, 2**14), leaf)
+    table = _string_table(_products(K, eye, 14, 2**14), leaf)
+    for col in range(2):
+        exact = math.fsum(table[:, col])
+        assert abs(total[col] - exact) <= 2 * np.spacing(exact)
 
 
 def test_pruning_is_decided_once_per_family():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,3 +100,61 @@ def test_loader_tolerance_is_relaxed(tmp_path):
     path.write_text(json.dumps(doc))
     mf = load_model(path)
     assert mf.kraus.d == 1
+
+
+def _full_model(path):
+    """AKLT (d = 3, D = 2) with boundaries, geometry and a label, as a dict."""
+    v = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    g = ChainGeometry(len_a=1, len_b=2, len_c=1)
+    save_model(path, aklt(), boundaries=BoundaryPair(L=v, R=v), geometry=g, label="full")
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "mutate,fragment",
+    [
+        (lambda d: d.update(d=3.7), "'d'"),
+        (lambda d: d.update(D="2"), "'D'"),
+        (lambda d: d.update(d=None), "'d'"),
+        (lambda d: d["geometry"].update(len_a=1.9), "len_a"),
+        (lambda d: d["geometry"].update(len_b=2.5), "len_b"),
+        (lambda d: d["geometry"].pop("len_c"), "len_c"),
+        (lambda d: d["geometry"].update(len_b=True), "len_b"),
+        (lambda d: d["matrices"][0][0].__setitem__(0, [True, 0.0]), "matrices[0][0][0]"),
+        (lambda d: d["matrices"][1][0].__setitem__(1, [10**400, 0.0]), "matrices[1][0][1]"),
+    ],
+    ids=["d-float", "D-string", "d-null", "len_a-float", "len_b-float", "no-len_c",
+         "len_b-bool", "bool-entry", "huge-int-entry"],
+)
+def test_load_rejects_what_the_shared_contract_rejects(tmp_path, mutate, fragment):
+    """Lengths that are not integers, booleans and integers too large for a
+    float are named ValueErrors (exit 3), not truncated, read as 1, or an
+    uncaught OverflowError."""
+    from mpsrestrict.cli import main
+
+    path = tmp_path / "m.json"
+    doc = _full_model(path)
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert fragment in str(exc.value)
+    assert main(["check", str(path)]) == 3
+    assert main(["analyze", "--model", str(path), "--nmax", "2"]) == 3
+
+
+def test_resaving_the_golden_model_rewrites_it_byte_for_byte(tmp_path):
+    golden = Path(__file__).parent / "golden" / "haar_d3_d3_finite_model.json"
+    mf = load_model(golden)
+    out = tmp_path / "m.json"
+    save_model(out, mf.kraus, mf.boundaries, mf.geometry, mf.label)
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_round_trips_keep_the_bytes_with_boundaries_and_geometry(tmp_path):
+    paths = [tmp_path / f"m{i}.json" for i in range(3)]
+    _full_model(paths[0])
+    for src, dst in zip(paths, paths[1:]):
+        mf = load_model(src)
+        save_model(dst, mf.kraus, mf.boundaries, mf.geometry, mf.label)
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()

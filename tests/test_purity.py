@@ -158,10 +158,22 @@ def test_correctable_staircase_jordan():
     assert max(rep.residuals) <= 1e-8
 
 
-def test_correctable_staircase_search_budget():
+def test_correctable_staircase_search_budget(monkeypatch):
     # jordan products have degenerate spectra, so the refinement must branch
+    monkeypatch.setattr(purity, "_SEARCH_BUDGET", 1)
     with pytest.raises(SearchBudgetExceeded):
-        correctable_subspace(jordan(4), 2, budget=1)
+        correctable_subspace(jordan(4), 2)
+
+
+def test_correctable_staircase_accepts_a_rank_one_node_without_a_walk(monkeypatch):
+    """On markov each length's root fails and branches into rank-1 nodes,
+    whose 1x1 compressions are scalar: only the root walks the products."""
+    calls = []
+    real = purity._products
+    monkeypatch.setattr(purity, "_products", lambda *a: calls.append(a[2]) or real(*a))
+    rep = correctable_subspace(markov(), 4)
+    assert calls == [1, 2, 3, 4]
+    assert rep.max_ranks == (1, 1, 1, 1) and rep.residuals == (0.0,) * 4
 
 
 @pytest.mark.parametrize(
