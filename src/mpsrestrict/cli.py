@@ -17,9 +17,9 @@ numerical inconsistency.  Only the guard gives exit 2.
 ``analyze`` chooses its context once: the stationary context, or the bare
 boundary context (sigma = |L><L|, F^dag F = |R><R|) when the model file
 carries boundaries.  One ``window_distributions`` walk gives the Gibbs
-chain's table and every per-n row's window table; each row is then what
-``restriction.cmi_report`` of that context gives (through the same private
-``_cmi_row``), so the CLI and the library compute the same numbers.
+chain's table and every per-n row's window table, and one call of the
+private ``_cmi_rows`` (``restriction.cmi_report`` is its one-row call) scans
+every block, so the CLI and the library compute the same numbers.
 
 Reports embed the library version, the seed and every guard that shaped the
 run.  All enumerations are deterministic and run in the calling thread.
@@ -77,7 +77,7 @@ from .restriction import (
     DEFAULT_GUARD,
     RestrictionContext,
     _check_guard,
-    _cmi_row,
+    _cmi_rows,
     window_distributions,
 )
 from .trajectories import sample_trajectories
@@ -239,7 +239,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     blocks = [ChainGeometry(len_a, n, len_c) for n in range(1, nmax + 1)]
     tables = window_distributions(ctx, [gibbs_sites] + [g.total for g in blocks], guard=guard)
     gibbs = _gibbs_block(next(tables), ell)
-    reports = [_cmi_row(ctx, g, dist, guard) for g, dist in zip(blocks, tables)]
+    reports = _cmi_rows(ctx, blocks, tables, guard)
     w = w_series(K, nmax, guard=guard)
     rows = [{**asdict(r), "w": w.value_at(r.n)} for r in reports]
     f_ser = DecaySeries.from_values((r["n"], r["f"]) for r in rows)
@@ -280,17 +280,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "fekete": _finite_or_none(s_ser_rates[1]),
             },
         },
-        "purity": {
-            "status": verdict.status,
-            "evidence": verdict.evidence,
-            "n_max": verdict.n_max,
-            "span_passed_at": verdict.span_passed_at,
-            "span_ranks": list(verdict.span_ranks),
-            "correctable_ranks": None
-            if verdict.correctable_ranks is None
-            else list(verdict.correctable_ranks),
-            "w_fitted_rate": _finite_or_none(verdict.w_fitted_rate),
-        },
+        "purity": {**asdict(verdict), "w_fitted_rate": _finite_or_none(verdict.w_fitted_rate)},
         "gibbs": gibbs,
     }
 

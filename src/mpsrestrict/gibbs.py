@@ -110,6 +110,12 @@ def _check_window(p: ChainDistribution, j: int, k: int) -> None:
         raise RangeError(f"window ({j}, {k}) violates 1 <= j <= k <= {p.length}")
 
 
+def _check_ell(p: ChainDistribution, ell: int) -> int:
+    if not (_integral(ell) and 1 <= ell <= p.length - 2):
+        raise EllOutOfRange(f"ell = {ell!r} outside 1 <= ell <= {p.length - 2}")
+    return int(ell)
+
+
 def marginal(p: ChainDistribution, j: int, k: int) -> np.ndarray:
     """Marginal over sites j..k (1-based, inclusive) as a flat table."""
     _check_window(p, j, k)
@@ -137,8 +143,7 @@ class LocalHamiltonian:
 
 def local_hamiltonian(p: ChainDistribution, ell: int) -> LocalHamiltonian:
     """Build h^ell from the distribution's own window marginals (log domain)."""
-    if not (_integral(ell) and 1 <= ell <= p.length - 2):
-        raise EllOutOfRange(f"ell = {ell!r} outside 1 <= ell <= {p.length - 2}")
+    ell = _check_ell(p, ell)
     windows = []
     for j in range(1, p.length - ell + 1):
         m = marginal(p, j, j + ell)
@@ -159,7 +164,7 @@ def local_hamiltonian(p: ChainDistribution, ell: int) -> LocalHamiltonian:
     return LocalHamiltonian(
         length=p.length,
         d=p.d,
-        ell=int(ell),
+        ell=ell,
         window_terms=tuple(windows),
         overlap_terms=tuple(overlaps),
     )
@@ -226,6 +231,7 @@ def _window_cmi(p: ChainDistribution, b_first: int, b_last: int, last: int) -> f
 
 def _cmi_terms(p: ChainDistribution, ell: int) -> list[float]:
     # I(1..k : k+ell+1 | k+1..k+ell) for k = 1 .. length-ell-1
+    ell = _check_ell(p, ell)
     return [_window_cmi(p, k + 1, k + ell, k + ell + 1) for k in range(1, p.length - ell)]
 
 

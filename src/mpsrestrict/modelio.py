@@ -105,6 +105,8 @@ def load_model(path: str | Path) -> ModelFile:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"model file is not valid JSON: {exc}") from exc
+    except ValueError:  # only an integer literal past the interpreter's digit limit
+        raise ValueError("model file holds an integer with too many digits to read") from None
     if not isinstance(doc, dict):
         raise ValueError("model file must contain a JSON object")
     if doc.get("format") != FORMAT_NAME:

@@ -44,7 +44,7 @@ from .restriction import (
     _products,
     _string_product,
     _string_sum,
-    _string_table,
+    _string_tables,
 )
 
 __all__ = [
@@ -105,8 +105,14 @@ class DecaySeries:
 
     @classmethod
     def from_values(cls, pairs: Iterable[tuple[int, float]]) -> "DecaySeries":
-        vals = tuple((int(n), float(v)) for n, v in pairs)
-        fitted, fekete = estimate_rate(vals)
+        vals = tuple((_check_length(n, "series length"), float(v)) for n, v in pairs)
+        pos = [(n, v) for n, v in vals if v > 0.0]
+        fitted = fekete = float("-inf")
+        if pos:
+            ns = np.array([n for n, _ in pos], dtype=float)
+            logs = np.log([v for _, v in pos])
+            fekete = float(np.min(logs / ns))
+            fitted = float(np.polyfit(ns, logs, 1)[0]) if len(pos) > 1 else float("nan")
         all_zero = all(v <= 0.0 for _, v in vals)
         return cls(values=vals, fitted_rate=fitted, fekete_rate=fekete, all_zero=all_zero)
 
@@ -154,7 +160,7 @@ def product_set(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> list[np.n
     Each is PSD and the set sums to the identity (POVM completeness).
     """
     tree = _products(K, np.eye(K.D, dtype=complex), n, guard)
-    return list(_string_table(tree, lambda W: _adjoint(W) @ W))
+    return list(_string_tables(tree, [tree.n], lambda _, W: _adjoint(W) @ W)[tree.n])
 
 
 def span_purity_test(K: KrausFamily, n_max: int) -> tuple[int | None, list[int]]:
@@ -242,7 +248,7 @@ def _max_scalar_subspace(
             best_rank, best_basis, best_resid = 1, B, 0.0
             return
         worst = 0.0
-        for _, W in _products(K, eye, n, guard):
+        for _, _, W in _products(K, eye, n, guard).levels([n]):
             M = _adjoint(W) @ W
             scales = np.maximum(np.linalg.norm(M, 2, axis=(1, 2)), 1e-300)
             C = _adjoint(B) @ M @ B
@@ -415,14 +421,14 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
 
     per_slice = max(1, _CHUNK_STRINGS * K.D**2 // comb(K.D, 2) ** 2)
 
-    def leaf(W: np.ndarray) -> np.ndarray:
+    def leaf(_: int, W: np.ndarray) -> np.ndarray:
         s = np.linalg.svd(W, compute_uv=False)
         return np.stack([s[:, 0] * s[:, 1], _wedge_norms(W, per_slice)], axis=1)
 
     svd_sums = np.zeros(n_max + 1)
     wedge_sums = np.zeros(n_max + 1)
     for n, tree in enumerate(levels, start=1):
-        svd_sums[n], wedge_sums[n] = _string_sum(tree, leaf)
+        svd_sums[n], wedge_sums[n] = _string_sum(tree, [n], leaf)[n]
 
     for n in range(1, n_max + 1):
         diff = abs(svd_sums[n] - wedge_sums[n])
@@ -458,12 +464,12 @@ def f_series(
     root = sqrt_env(sigma)
     levels = [_products(K, root, n, guard) for n in range(1, n_max + 1)]
 
-    def leaf(P: np.ndarray) -> np.ndarray:
+    def leaf(_: int, P: np.ndarray) -> np.ndarray:
         s = np.linalg.svd(F @ P, compute_uv=False)
         return s[:, 0] * s[:, 1] if K.D > 1 else np.zeros(len(P))
 
     return DecaySeries.from_values(
-        (n, float(_string_sum(tree, leaf))) for n, tree in enumerate(levels, start=1)
+        (n, float(_string_sum(tree, [n], leaf)[n])) for n, tree in enumerate(levels, start=1)
     )
 
 
@@ -474,17 +480,8 @@ def estimate_rate(series: DecaySeries | Iterable[tuple[int, float]]) -> tuple[fl
     entry yields (-inf, -inf).  With a single positive point the fit is
     undefined (nan) but the Fekete bound is still reported.
     """
-    pairs = series.values if isinstance(series, DecaySeries) else tuple(series)
-    pos = [(int(n), float(v)) for n, v in pairs if v > 0.0]
-    if not pos:
-        return float("-inf"), float("-inf")
-    ns = np.array([n for n, _ in pos], dtype=float)
-    logs = np.log([v for _, v in pos])
-    fekete = float(np.min(logs / ns))
-    if len(pos) < 2:
-        return float("nan"), fekete
-    slope = float(np.polyfit(ns, logs, 1)[0])
-    return slope, fekete
+    series = series if isinstance(series, DecaySeries) else DecaySeries.from_values(series)
+    return series.fitted_rate, series.fekete_rate
 
 
 # ------------------------------------------------------ typicality constructions

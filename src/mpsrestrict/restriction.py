@@ -18,30 +18,32 @@ Every enumeration over the d^n strings, here and in ``purity`` and
 string products level by level (site 1 is the most significant digit):
 breadth-first while the next level fits under the stack cap, then in runs
 of whole subtrees below consecutive prefixes, so its stacks come out in
-lexicographic order with each product's global string index.  A level
-grows with one BLAS call per prefix: the Kraus operators stacked as one
-(d*D x D) matrix times the prefix's product form all d children at once,
-and each child gets the bits of its own prefix's call, wherever the walk
-splits.  A product that is exactly zero is dropped where it appears, with
-its subtree, and the cap counts only the products kept.  The level-m nodes
-of a tree are the products of length m, so one walk can report several
-depths, each node by the run that grows it.  Only the walk knows how it
-splits; its readers see a stream of stacks.  ``_string_tables`` fills the
-table of each requested depth from one walk, placing each stack's rows by
-index and giving the dropped strings zero rows.  ``_string_sum`` reads the stream of leaf stacks
-alone and adds per-string values in the order of a depth-first walk (each
-node sums its d children in symbol order, starting from zero): each level
-of the tree holds its nodes up to the stack cap, then sums its complete
-families into the level above.  It skips the dropped strings: since
-x + 0.0 == x, results equal those of the full walk.  Results do not depend
-on the splitting or the pruning and are deterministic bit for bit.
+lexicographic order with each product's global string index.  A level grows
+with one BLAS call per prefix: the Kraus operators stacked as one (d*D x D)
+matrix times the prefix's product form all d children at once, and each
+child gets the bits of its own prefix's call, wherever the walk splits.  A
+product that is exactly zero is dropped where it appears, with its subtree,
+and the cap counts only the products kept.  The level-m nodes of a tree are
+the products of length m, so one walk can report several depths, each node
+by the run that grows it.  Only the walk knows how it splits; its readers
+see a stream of stacks and read any set of depths from one walk.
+``_string_tables`` fills each depth's table, placing each stack's rows by
+index and giving the dropped strings zero rows.  ``_string_sum`` adds each
+depth's per-string values in the order of a depth-first walk (each node
+sums its d children in symbol order, starting from zero), each level
+holding its nodes up to the stack cap, then summing its complete families
+into the level above.  Since x + 0.0 == x, skipping the dropped strings
+changes no sum.  Results do not depend on the splitting or the pruning and
+are deterministic bit for bit.
 
 There is one path of each kind.  ``window_distributions`` tabulates the
 outcomes of any context for several window lengths from one walk
 (``window_distribution`` is its one-length call, and ``chain_distribution``
-that table for the bare boundary context), and ``cmi_report`` sets the
-classical CMI of a window table against the quantum CMI of the block, with
-the window sites folded into the environments.
+that table for the bare boundary context).  ``_cmi_rows`` sets the
+classical CMI of each window table against the quantum CMI of its block,
+with the window sites folded into the environments once and every block
+scanned from one walk (``_scans``); ``cmi_report`` is its one-row call, and
+``analyze`` takes all its rows from one call.
 """
 
 from __future__ import annotations
@@ -310,12 +312,11 @@ class _Tree:
     """The d^m string products A_{x_m}..A_{x_1} root of one enumeration,
     for every m up to the tree's depth n.
 
-    The walk is a lazy stream: nothing is formed until the tree is
-    iterated, each iteration walks afresh, and each stack goes out as soon
-    as it is grown.  ``levels`` yields the stacks of any set of depths from
-    one walk; iterating the tree yields (index, stack) for each stack of
-    leaves (depth n) in lexicographic order.  ``stack`` holds non-zero
-    products and ``index`` (a slice on a dense walk, an index array on a
+    The walk is a lazy stream: nothing is formed until ``levels`` is
+    iterated, each call walks afresh, and each stack goes out as soon as it
+    is grown.  ``levels`` yields the stacks of any set of depths from one
+    walk, each depth in lexicographic order.  ``stack`` holds non-zero
+    products and ``index`` (a range on a dense walk, an index array on a
     pruned one) their positions among the d^m strings of their length.
     Every product left out is exactly zero.  Only ``_run`` knows how the
     walk splits.
@@ -338,7 +339,7 @@ class _Tree:
 
     def _run(
         self, stack: np.ndarray, index: range | np.ndarray, top: int, depths: frozenset[int]
-    ) -> Iterator[tuple[int, slice | np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[int, range | np.ndarray, np.ndarray]]:
         """(depth, index, stack) for each non-empty level of ``depths`` below
         the prefixes ``stack`` of length ``top``: the levels this run grows,
         as it grows them, then those of its sub-runs, in order."""
@@ -349,7 +350,7 @@ class _Tree:
             stack, index = _grow(self.stacked, stack, index, self.prune)
             depth += 1
             if depth in depths and len(stack):
-                yield depth, slice(index.start, index.stop) if isinstance(index, range) else index, stack
+                yield depth, index, stack
         if depth < n:
             # A dense subtree's size is known, so a run takes as many whole
             # subtrees as fit; a pruned run takes as many prefixes as can all
@@ -358,7 +359,7 @@ class _Tree:
             for i in range(0, len(stack), step):
                 yield from self._run(stack[i : i + step], index[i : i + step], depth, depths)
 
-    def levels(self, depths: Iterable[int]) -> Iterator[tuple[int, slice | np.ndarray, np.ndarray]]:
+    def levels(self, depths: Iterable[int]) -> Iterator[tuple[int, range | np.ndarray, np.ndarray]]:
         """(depth, index, stack) for the stacks of each of ``depths`` (in
         1..n), all from one walk.
 
@@ -369,9 +370,6 @@ class _Tree:
         """
         index = np.zeros(1, dtype=np.int64) if self.prune else range(1)
         return self._run(self.root[None], index, 0, frozenset(depths))
-
-    def __iter__(self) -> Iterator[tuple[slice | np.ndarray, np.ndarray]]:
-        return ((index, stack) for _, index, stack in self.levels({self.n}))
 
 
 def _products(K: KrausFamily, root: np.ndarray, n: int, guard: int) -> _Tree:
@@ -432,66 +430,67 @@ def _tree_reduce(
     return acc, index
 
 
-def _string_sum(tree: _Tree, leaf: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Tree-order sum over all strings of the per-string rows leaf(stack).
+def _string_sum(
+    tree: _Tree, depths: Iterable[int], leaf: Callable[[int, np.ndarray], np.ndarray]
+) -> dict[int, np.ndarray]:
+    """For each of ``depths``, the tree-order sum over all strings of that
+    length of the per-string rows leaf(depth, stack), from one walk.
 
-    The leaf stacks stream from the walk in lexicographic order.  Each level
-    of the tree holds its nodes up to the tree's cap, as ``_string_tables``
-    joins a depth's stacks, then sums every complete family into its parent
-    (``_tree_reduce``), a node of the level above; the last family waits for
-    the rest of its children unless its last symbol has come.  When the
-    walk ends, the levels close bottom-up.  So each parent adds all its
-    children in symbol order starting from +0.0, as the depth-first walk
-    does, bit for bit.  The row shape is that of leaf(tree.empty), so a leaf
-    must take a stack of no products.
+    Each level of each depth's tree holds its nodes up to the tree's cap, as
+    ``_string_tables`` joins a depth's stacks, then sums every complete
+    family into its parent (``_tree_reduce``), a node of the level above;
+    the last family waits for the rest of its children unless its last
+    symbol has come.  When the walk ends, the levels close bottom-up.  So
+    each parent adds all its children in symbol order starting from +0.0,
+    as the depth-first walk does, bit for bit, however the walk splits.
+    The row shape is that of leaf(depth, tree.empty).
     """
     d = tree.d
-    empty = leaf(tree.empty)
-    held: list[list] = [[] for _ in range(tree.n + 1)]  # per level: (index, rows) not yet summed
-    count = [0] * (tree.n + 1)
+    # per (depth, level): the (index, rows) not yet summed, and their count
+    held = {(m, level): [] for m in depths for level in range(m + 1)}
+    count = dict.fromkeys(held, 0)
 
-    def add(m: int, index: range | np.ndarray, rows: np.ndarray) -> None:
-        if count[m] and count[m] + len(rows) > tree.cap:
-            close(m, final=False)
-        held[m].append((index, rows))
-        count[m] += len(rows)
+    def add(key: tuple[int, int], index: range | np.ndarray, rows: np.ndarray) -> None:
+        if count[key] and count[key] + len(rows) > tree.cap:
+            close(key, final=False)
+        held[key].append((index, rows))
+        count[key] += len(rows)
 
-    def close(m: int, final: bool) -> None:
-        index, rows = _joined(held[m])
+    def close(key: tuple[int, int], final: bool) -> None:
+        index, rows = _joined(held[key])
         cut = len(index)
         last = index[-1]
         if not (final or last % d == d - 1):
             start = last - last % d  # the last family's first child
             cut = start - index.start if isinstance(index, range) else int(index.searchsorted(start))
-        held[m] = [(index[cut:], rows[cut:])] if cut < len(index) else []
-        count[m] = len(index) - cut
+        held[key] = [(index[cut:], rows[cut:])] if cut < len(index) else []
+        count[key] = len(index) - cut
         if cut:
             rows, index = _tree_reduce(rows[:cut], index[:cut], d)
-            add(m - 1, index, rows)
+            add((key[0], key[1] - 1), index, rows)
 
-    for index, stack in tree:
-        add(tree.n, range(index.start, index.stop) if isinstance(index, slice) else index, leaf(stack))
-    for m in range(tree.n, 0, -1):
-        if held[m]:
-            close(m, final=True)
-    if not held[0]:  # every product is zero
-        return np.zeros(empty.shape[1:], dtype=empty.dtype)
-    ((_, root),) = held[0]
-    return root[0]
+    for m, index, stack in tree.levels(depths):
+        add((m, m), index, leaf(m, stack))
+    for m in depths:
+        for level in range(m, 0, -1):
+            if held[m, level]:
+                close((m, level), final=True)
+    # held[m, 0] is [(root index, root row)], or empty when every product is zero
+    return {m: held[m, 0][0][1][0] if held[m, 0] else leaf(m, tree.empty).sum(axis=0) for m in depths}
 
 
 def _joined(
-    parts: list[tuple[slice | range | np.ndarray, np.ndarray]],
-) -> tuple[slice | range | np.ndarray, np.ndarray]:
+    parts: list[tuple[range | np.ndarray, np.ndarray]],
+) -> tuple[range | np.ndarray, np.ndarray]:
     """Consecutive stacks of one depth as one stack.  A dense walk's stacks
-    tile their depth in order, so their slices (or ranges) join into one."""
+    tile their depth in order, so their ranges join into one."""
     if len(parts) == 1:
         return parts[0]
     first, last = parts[0][0], parts[-1][0]
-    if isinstance(first, np.ndarray):
-        index = np.concatenate([i for i, _ in parts])
+    if isinstance(first, range):
+        index = range(first.start, last.stop)
     else:
-        index = type(first)(first.start, last.stop)
+        index = np.concatenate([i for i, _ in parts])
     return index, np.concatenate([s for _, s in parts])
 
 
@@ -517,7 +516,7 @@ def _string_tables(
 
     def place(m: int) -> None:
         index, stack = _joined(held[m])
-        tables[m][index] = leaf(m, stack)
+        tables[m][slice(index.start, index.stop) if isinstance(index, range) else index] = leaf(m, stack)
         held[m], count[m] = [], 0
 
     for m, index, stack in tree.levels(tables):
@@ -529,11 +528,6 @@ def _string_tables(
         if held[m]:
             place(m)
     return tables
-
-
-def _string_table(tree: _Tree, leaf: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The leaves' table of ``_string_tables``, for a leaf of one stack."""
-    return _string_tables(tree, [tree.n], lambda _, stack: leaf(stack))[tree.n]
 
 
 def _norm2(T: np.ndarray) -> np.ndarray:
@@ -567,33 +561,23 @@ def post_measurement_spectrum(ctx: RestrictionContext, x: Sequence[int]) -> Spec
     return Spectrum(values=vals)
 
 
-def restriction_scan(
-    ctx: RestrictionContext,
-    n: int,
-    guard: int = DEFAULT_GUARD,
-    threads: int = 1,
-) -> RestrictionSummary:
-    """One lexicographic pass over all d^n strings, aggregating everything.
-
-    Zero-probability strings (p < 1e-14 d^-n) contribute only to the raw
-    probability sum.  ``threads`` is accepted for compatibility and selects
-    nothing: the pass runs in the calling thread, with the same result for
-    every value.  Raises ValueError if K^2(n) < 1e-12.
-    """
-    d = ctx.kraus.d
-    tree = _products(ctx.kraus, ctx.sqrt_sigma, n, guard)
-    k2 = ctx.k2_for(n)
-    tr_floor = _zero_threshold(d, n) * k2
+def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, RestrictionSummary]:
+    """The RestrictionSummary of each length of ``ns``, from one walk of the
+    product tree to the longest.  Zero-probability strings (p < 1e-14 d^-n)
+    contribute only to the raw probability sum."""
+    ns = [_check_length(n, "string length") for n in ns]
+    tree = _products(ctx.kraus, ctx.sqrt_sigma, max(ns), guard)
+    k2 = {n: ctx.k2_for(n) for n in ns}
     f_op = None if ctx._f_is_identity else ctx.f_op
 
-    def leaf(P: np.ndarray) -> np.ndarray:
+    def leaf(n: int, P: np.ndarray) -> np.ndarray:
         # rows [tr, tr*S, lam1, lam2, sqrt(lam1*lam2)], un-normalized
         T = P if f_op is None else f_op @ P
         lam = np.linalg.eigvalsh(T @ _adjoint(T))
         tr = lam.sum(axis=-1)
         rows = np.zeros((len(T), 5))
         rows[:, 0] = tr
-        live = tr >= tr_floor
+        live = tr >= _zero_threshold(ctx.kraus.d, n) * k2[n]
         lam, tr = lam[live], tr[live]
         lam1 = lam[:, -1]
         lam2 = lam[:, -2] if lam.shape[1] > 1 else np.zeros_like(lam1)
@@ -605,15 +589,25 @@ def restriction_scan(
         rows[live, 4] = np.sqrt(np.maximum(lam1, 0.0) * np.maximum(lam2, 0.0))
         return rows
 
-    acc = _string_sum(tree, leaf)
-    return RestrictionSummary(
-        n=int(n),
-        p_sum=float(acc[0] / k2),
-        avg_entropy=float(acc[1] / k2),
-        avg_purity_q=float(1.0 - acc[2] / k2),
-        lam2_sum_over_k2=float(acc[3] / k2),
-        f_value=float(acc[4]),
-    )
+    scans = {}
+    for n, acc in _string_sum(tree, k2, leaf).items():
+        p_sum, entropy, lam1, lam2 = (float(x) for x in acc[:4] / k2[n])
+        scans[n] = RestrictionSummary(n, p_sum, entropy, 1.0 - lam1, lam2, f_value=float(acc[4]))
+    return scans
+
+
+def restriction_scan(
+    ctx: RestrictionContext,
+    n: int,
+    guard: int = DEFAULT_GUARD,
+    threads: int = 1,
+) -> RestrictionSummary:
+    """One lexicographic pass over all d^n strings, aggregating everything:
+    the one-length call of ``_scans``.  ``threads`` is accepted for
+    compatibility and selects nothing: the pass runs in the calling thread,
+    with the same result for every value.  Raises ValueError if
+    K^2(n) < 1e-12."""
+    return _scans(ctx, [n], guard)[n]
 
 
 def average_entropy(ctx: RestrictionContext, n: int, guard: int = DEFAULT_GUARD) -> float:
@@ -746,20 +740,26 @@ def _absorb_windows(
     return RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2), k2=ctx.k2)
 
 
-def _cmi_row(
-    ctx: RestrictionContext, geom: ChainGeometry, dist: ChainDistribution, guard: int
-) -> CmiReport:
-    """The CmiReport of the block of ``geom``, given its window table."""
-    summary = restriction_scan(_absorb_windows(ctx, geom.len_a, geom.len_c), geom.len_b, guard=guard)
-    return CmiReport(
-        n=geom.len_b,
-        classical_cmi=max(0.0, classical_cmi(dist, geom)),
-        quantum_cmi=2.0 * summary.avg_entropy,
-        avg_entropy=summary.avg_entropy,
-        avg_purity_q=summary.avg_purity_q,
-        p_sum=summary.p_sum,
-        f=summary.f_value,
-    )
+def _cmi_rows(
+    ctx: RestrictionContext, geoms: Sequence[ChainGeometry], dists: Iterable[ChainDistribution], guard: int
+) -> list[CmiReport]:
+    """The CmiReport of each block of ``geoms`` given its window table, each
+    built as its table is taken.  The geometries share their window sites,
+    which are folded into the environments once; one walk scans every block."""
+    inner = _absorb_windows(ctx, geoms[0].len_a, geoms[0].len_c)
+    scans = _scans(inner, [g.len_b for g in geoms], guard)
+    return [
+        CmiReport(
+            n=geom.len_b,
+            classical_cmi=max(0.0, classical_cmi(dist, geom)),
+            quantum_cmi=2.0 * scan.avg_entropy,
+            avg_entropy=scan.avg_entropy,
+            avg_purity_q=scan.avg_purity_q,
+            p_sum=scan.p_sum,
+            f=scan.f_value,
+        )
+        for geom, dist, scan in zip(geoms, dists, [scans[g.len_b] for g in geoms])
+    ]
 
 
 def cmi_report(
@@ -771,13 +771,14 @@ def cmi_report(
 ) -> CmiReport:
     """Assemble the per-block CMI report, with the block's p_sum and f.
 
-    The quantum side conditions on everything outside the block, i.e. the
-    window sites folded into the environments; the classical side probes
-    only the ``window_a`` and ``window_c`` visible sites (discarding the
-    environments), which can only lower the classical CMI, so the ordering
-    classical <= quantum is preserved.  For the bare boundary context of a
-    finite chain the window table is the chain's full table, so the
-    classical side is that of the whole chain.
+    The one-row call of ``_cmi_rows``.  The quantum side conditions on
+    everything outside the block, i.e. the window sites folded into the
+    environments; the classical side probes only the ``window_a`` and
+    ``window_c`` visible sites (discarding the environments), which can only
+    lower the classical CMI, so the ordering classical <= quantum is
+    preserved.  For the bare boundary context of a finite chain the window
+    table is the chain's full table, so the classical side is that of the
+    whole chain.
     """
     geom = ChainGeometry(len_a=window_a, len_b=n, len_c=window_c)
-    return _cmi_row(ctx, geom, window_distribution(ctx, geom.total, guard=guard), guard)
+    return _cmi_rows(ctx, [geom], window_distributions(ctx, [geom.total], guard=guard), guard)[0]

@@ -77,7 +77,7 @@ def _rng_for(seed: int, stream: int) -> np.random.Generator:
     trajectory i of a run is identical no matter how many trajectories are
     drawn or in which order.
     """
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream),))
+    ss = np.random.SeedSequence(seed, spawn_key=(stream,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -113,9 +113,12 @@ def sample_trajectories(
 
     Returns the (T, n) outcomes, the (T, n, D, D) normalized operators M_k
     and the (T, n) path probabilities Tr(W_k^dag W_k)/D of the T streams.
-    Raises OutOfRange (a ValueError) unless n is an integer >= 1.
+    Raises OutOfRange (a ValueError) unless n is an integer >= 1 and the
+    seed and every stream integers >= 0.
     """
     n = _check_length(n, "trajectory length")
+    seed = _check_length(seed, "seed", least=0)
+    streams = [_check_length(s, "stream", least=0) for s in streams]
     T, d, D = len(streams), K.d, K.D
     u = np.array([_rng_for(seed, s).random(n) for s in streams]).reshape(T, n)
     rows = np.arange(T)
@@ -191,7 +194,7 @@ def mean_m_check(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> float:
     """
     D = K.D
     tree = _products(K, np.eye(D, dtype=complex), n, guard)
-    acc = _string_sum(tree, lambda W: _adjoint(W) @ W)
+    acc = _string_sum(tree, [tree.n], lambda _, W: _adjoint(W) @ W)[tree.n]
     return float(np.linalg.norm(acc / D - np.eye(D) / D, 2))
 
 
@@ -207,7 +210,7 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
     if D < 2:
         return 0.0
 
-    def leaf(W: np.ndarray) -> np.ndarray:
+    def leaf(_: int, W: np.ndarray) -> np.ndarray:
         tr = _norm2(W)
         out = np.zeros(len(W))
         live = tr > 0.0
@@ -218,4 +221,4 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
         out[live] = (tr / D) * np.sqrt(l1 * l2) * D
         return out
 
-    return float(_string_sum(tree, leaf))
+    return float(_string_sum(tree, [tree.n], leaf)[tree.n])

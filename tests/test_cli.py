@@ -48,8 +48,9 @@ def test_analyze_finite_golden_report(tmp_path, monkeypatch):
 )
 def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypatch, capsys):
     """The rows' window tables (a+1+c .. a+nmax+c sites) and the Gibbs
-    chain's come from one walk of the product tree to the longest window;
-    every other walk of the restriction module is a row's scan."""
+    chain's come from one walk of the product tree to the longest window,
+    and every row's scan from one walk to the longest block; the
+    restriction module walks no other tree."""
     import sys
 
     from mpsrestrict import restriction
@@ -63,8 +64,26 @@ def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypat
 
     monkeypatch.setattr(restriction, "_products", counted)
     assert main(["analyze", *flags]) == 0
-    assert [n for caller, n in walks if caller == "window_distributions"] == [sites]
-    assert {caller for caller, _ in walks} == {"window_distributions", "restriction_scan"}
+    nmax = int(flags[-1])
+    assert walks == [("window_distributions", sites), ("_scans", nmax)]
+
+
+def test_analyze_folds_the_window_sites_once(monkeypatch, capsys):
+    """A finite chain's rows share their window sites, so analyze folds them
+    into the environments once for all its blocks."""
+    from mpsrestrict import restriction
+
+    folds = []
+    absorb = restriction._absorb_windows
+
+    def counted(ctx, window_a, window_c):
+        folds.append((window_a, window_c))
+        return absorb(ctx, window_a, window_c)
+
+    monkeypatch.setattr(restriction, "_absorb_windows", counted)
+    model = str(GOLDEN / "haar_d3_d3_finite_model.json")
+    assert main(["analyze", "--model", model, "--nmax", "3", "--geometry", "1,2,2"]) == 0
+    assert folds == [(1, 2)]
 
 
 @pytest.mark.parametrize(
@@ -376,7 +395,7 @@ def _forbid_enumeration(monkeypatch):
         raise AssertionError("analyze enumerated before validating its plan")
 
     # analyze enumerates only through these
-    for name in ("window_distributions", "_cmi_row", "w_series", "purity_verdict"):
+    for name in ("window_distributions", "_cmi_rows", "w_series", "purity_verdict"):
         monkeypatch.setattr(cli, name, enumerated)
 
 

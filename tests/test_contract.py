@@ -37,12 +37,20 @@ from mpsrestrict.errors import (
     RangeError,
     SymbolOutOfRange,
 )
-from mpsrestrict.gibbs import ChainDistribution, cmi_decomposition_check, local_hamiltonian, marginal
+from mpsrestrict.gibbs import (
+    ChainDistribution,
+    cmi_decomposition_check,
+    local_hamiltonian,
+    marginal,
+    tail_bound_check,
+)
 from mpsrestrict.linalg import clock_shift_basis
 from mpsrestrict.purity import (
+    DecaySeries,
     build_r_operator,
     constructive_purity_family,
     correctable_subspace,
+    estimate_rate,
     f_series,
     haar_kraus,
     product_set,
@@ -294,18 +302,20 @@ BAD_GIBBS_INDICES = {
     "window-first": (lambda v: marginal(_P, v, 2), RangeError),
     "window-last": (lambda v: marginal(_P, 1, v), RangeError),
     "decomposition-ell": (lambda v: cmi_decomposition_check(_P, v), EllOutOfRange),
+    "tail-bound-ell": (lambda v: tail_bound_check(_P, v, lambda ell: 1.0), EllOutOfRange),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_GIBBS_INDICES))
-@pytest.mark.parametrize("value", [1.5, _NAN, float("inf"), None])
+@pytest.mark.parametrize("value", [1.5, _NAN, float("inf"), None, 0])
 def test_a_bad_gibbs_index_raises_its_named_error(case, value):
     call, error = BAD_GIBBS_INDICES[case]
     with pytest.raises(error):
         call(value)
 
 
-# a dimension or seed that is not an integer >= 1 (>= 0 for a seed)
+# a dimension, series length, seed or stream that is not an integer >= 1
+# (>= 0 for a seed or a stream)
 BAD_DIMENSIONS = {
     "clock_shift_basis": lambda v: clock_shift_basis(v),
     "build_r_operator": lambda v: build_r_operator(v),
@@ -314,14 +324,24 @@ BAD_DIMENSIONS = {
     "haar_kraus-seed": lambda v: haar_kraus(2, 2, v),
     "constructive_purity_family-D": lambda v: constructive_purity_family(v),
     "constructive_purity_family-d": lambda v: constructive_purity_family(3, v),
+    "DecaySeries.from_values-n": lambda v: DecaySeries.from_values([(1, 0.5), (v, 0.25)]),
+    "estimate_rate-n": lambda v: estimate_rate([(1, 0.5), (v, 0.25)]),
+    "sample_trajectory-seed": lambda v: sample_trajectory(_K, 5, seed=v),
+    "sample_trajectory-stream": lambda v: sample_trajectory(_K, 5, seed=7, stream=v),
+    "sample_trajectories-stream": lambda v: sample_trajectories(_K, 3, 0, [0, v]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_DIMENSIONS))
-@pytest.mark.parametrize("value", [2.5, 5.5, _NAN, float("inf"), None, -1])
+@pytest.mark.parametrize("value", [2.5, 5.5, _NAN, float("inf"), None, -1, True])
 def test_a_bad_dimension_is_out_of_range(case, value):
     with pytest.raises(OutOfRange):
         BAD_DIMENSIONS[case](value)
+
+
+def test_a_negative_seed_is_named_by_sample(capsys):
+    assert main(["sample", "--builtin", "aklt", "--nmax", "1", "--seed", "-1"]) == 3
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_an_integral_float_dimension_is_that_integer():
@@ -329,3 +349,4 @@ def test_an_integral_float_dimension_is_that_integer():
     assert np.array_equal(build_r_operator(3.0), build_r_operator(3))
     assert np.array_equal(haar_kraus(2.0, 3.0, 1.0).ops, haar_kraus(2, 3, 1).ops)
     assert np.array_equal(constructive_purity_family(3.0, 5.0).ops, constructive_purity_family(3, 5).ops)
+    assert _same(sample_trajectory(_K, 5, seed=7.0, stream=2.0), sample_trajectory(_K, 5, seed=7, stream=2))

@@ -29,9 +29,8 @@ from mpsrestrict.restriction import (
     _norm2,
     _products,
     _string_sum,
-    _string_table,
-    chain_distribution,
     _string_tables,
+    chain_distribution,
     restriction_scan,
     window_distribution,
     window_distributions,
@@ -48,6 +47,11 @@ CASES = [
     for d in (2, 3, 5)
     for mode in ("stationary", "finite")
 ] + [(3, 3, "finite", 8)]
+
+
+def _leaf_stacks(tree) -> list:
+    """(index, stack) for each stack of the tree's leaves, in walk order."""
+    return [(index, W) for _, index, W in tree.levels([tree.n])]
 
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -110,7 +114,7 @@ def test_products_bound_each_chunk_by_memory():
     """A stack of D x r products holds at most _CHUNK_STRINGS * D / r of
     them: square stacks and vector walks, which take D times more.  A dense
     walk takes as many whole subtrees as fit, so its stacks are near the cap,
-    and it indexes them by slices, with no index arithmetic."""
+    and it indexes them by ranges, with no index arithmetic."""
     K = haar_kraus(3, 5, seed=1)
     # eye: the walk splits 125 prefixes of length 3 into runs of 20 whole
     # subtrees of 25 leaves; vector: 625 prefixes of length 4 into runs of 307
@@ -119,11 +123,11 @@ def test_products_bound_each_chunk_by_memory():
         (np.ones((3, 1), dtype=complex), [1535, 1535, 55]),
     ]
     for root, sizes in walks:
-        stacks = list(_products(K, root, 5, guard=5**5))
+        stacks = _leaf_stacks(_products(K, root, 5, guard=5**5))
         assert [len(W) for _, W in stacks] == sizes
         assert max(sizes) * root.shape[1] <= _CHUNK_STRINGS * 3
-        # a Haar family has no zero product: the slices tile all strings in order
-        assert all(isinstance(index, slice) for index, _ in stacks)
+        # a Haar family has no zero product: the ranges tile all strings in order
+        assert all(isinstance(index, range) for index, _ in stacks)
         strings = np.concatenate([np.arange(5**5)[index] for index, _ in stacks])
         assert np.array_equal(strings, np.arange(5**5))
         want = np.array([oracle.product(K.ops, root, xs) for xs in oracle.strings(5, 5)])
@@ -136,7 +140,7 @@ def test_aklt_window_forms_only_the_live_leaves():
     Only those leaves are formed, and the cap counts only them, so they come
     in 28 stacks, where splitting by the 3^12 strings gave 255 chunks."""
     ctx = RestrictionContext.stationary(aklt())
-    stacks = list(_products(ctx.kraus, ctx.sqrt_sigma, 12, guard=3**12))
+    stacks = _leaf_stacks(_products(ctx.kraus, ctx.sqrt_sigma, 12, guard=3**12))
     assert len(stacks) == 28
     assert sum(len(W) for _, W in stacks) == 8191
     assert max(len(W) for _, W in stacks) <= _CHUNK_STRINGS
@@ -166,7 +170,7 @@ def test_one_walk_reports_each_aklt_level_once():
         strings = np.concatenate(parts)
         assert len(strings) == 2 ** (m + 1) - 1, m
         assert np.all(np.diff(strings) > 0), m
-    assert all(np.array_equal(a, b) for (a, _), b in zip(tree, leaves, strict=True))
+    assert all(np.array_equal(a, b) for (a, _), b in zip(_leaf_stacks(tree), leaves, strict=True))
 
 
 def test_tables_join_a_levels_small_stacks_up_to_the_cap():
@@ -192,7 +196,8 @@ def test_tables_join_a_levels_small_stacks_up_to_the_cap():
     for m, index, W in tree.levels([5]):
         want[index] = _norm2(W)
     assert np.array_equal(tables[5], want)
-    assert np.array_equal(tables[8], _string_table(_products(K, root, 8, guard=5**8), _norm2))
+    alone = _string_tables(_products(K, root, 8, guard=5**8), [8], lambda _, W: _norm2(W))
+    assert np.array_equal(tables[8], alone[8])
 
 
 def test_window_distributions_hold_no_more_than_one_table_built_alone():
@@ -225,12 +230,12 @@ def test_an_enumeration_of_zero_products_gives_zeros_of_the_right_shape(n):
     # not left-normalized: a family whose length-2 products all vanish cannot be
     K = KrausFamily(ops=_nilpotent(), atol=2.0)
     eye = np.eye(2, dtype=complex)
-    assert list(_products(K, eye, n, guard=2**n)) == []
-    table = _string_table(_products(K, eye, n, guard=2**n), _norm2)
+    assert _leaf_stacks(_products(K, eye, n, guard=2**n)) == []
+    table = _string_tables(_products(K, eye, n, guard=2**n), [n], lambda _, W: _norm2(W))[n]
     assert table.shape == (2**n,) and table.dtype == float and not table.any()
-    acc = _string_sum(_products(K, eye, n, guard=2**n), lambda W: _adjoint(W) @ W)
+    acc = _string_sum(_products(K, eye, n, guard=2**n), [n], lambda _, W: _adjoint(W) @ W)[n]
     assert acc.shape == (2, 2) and acc.dtype == complex and not acc.any()
-    rows = _string_sum(_products(K, eye, n, guard=2**n), lambda W: np.zeros((len(W), 5)))
+    rows = _string_sum(_products(K, eye, n, guard=2**n), [n], lambda _, W: np.zeros((len(W), 5)))[n]
     assert rows.shape == (5,) and not rows.any()
 
 
@@ -273,6 +278,26 @@ def test_w_series_streams_its_rows():
     assert w.value_at(15) == oracle.tree_sum(s[:, 0] * s[:, 1], 2)
 
 
+def test_one_walk_scans_stream_their_rows():
+    """Scanned from one walk, lengths 1..15 of a dense D = 2 family hold
+    each length's partial families at once: about 610 KB at the peak, 19
+    stacks' worth of products, against 300 KB for fifteen walks.  The bound
+    of 24 stacks leaves a quarter for allocator noise; holding every row of
+    the 2^16 strings before reducing (2.6 MB) would fail here.  Each summary
+    is that of its own walk, bit for bit."""
+    ctx = RestrictionContext.stationary(haar_kraus(2, 2, seed=1))
+    ctx.k2_for(15)  # the cached environments are not the scans' memory
+    stack_bytes = _CHUNK_STRINGS * 2 * 2 * 16
+    tracemalloc.start()
+    try:
+        scans = restriction._scans(ctx, range(1, 16), guard=2**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * stack_bytes
+    assert scans == {n: restriction_scan(ctx, n) for n in range(1, 16)}
+
+
 def test_the_tree_order_sum_is_within_two_ulp_of_the_exact_sum():
     """Over 2^14 strings the tree order is 0-1 ulp from a correctly rounded
     sum in both columns; in the nu1 nu2 column a lexicographic running sum
@@ -280,13 +305,13 @@ def test_the_tree_order_sum_is_within_two_ulp_of_the_exact_sum():
     tens.  That accuracy is what the order is kept for."""
     K = haar_kraus(2, 2, seed=3)
 
-    def leaf(W):
+    def leaf(_, W):
         s = np.linalg.svd(W, compute_uv=False)
         return np.stack([(s**2).sum(axis=1), s[:, 0] * s[:, 1]], axis=1)
 
     eye = np.eye(2, dtype=complex)
-    total = _string_sum(_products(K, eye, 14, 2**14), leaf)
-    table = _string_table(_products(K, eye, 14, 2**14), leaf)
+    total = _string_sum(_products(K, eye, 14, 2**14), [14], leaf)[14]
+    table = _string_tables(_products(K, eye, 14, 2**14), [14], leaf)[14]
     for col in range(2):
         exact = math.fsum(table[:, col])
         assert abs(total[col] - exact) <= 2 * np.spacing(exact)
@@ -321,7 +346,7 @@ def test_the_prune_choice_changes_only_the_speed(name, vector, cap, monkeypatch)
     """A walk that looks for zero products and one that does not give the
     same sums and tables bit for bit: a dense family walked with index
     arrays, and a sparse one with its zero products kept and indexed by
-    slices.  A cap of a few products splits every walk into many stacks.
+    ranges.  A cap of a few products splits every walk into many stacks.
     Bytes are compared, so a sign of zero counts: every sum starts from
     +0.0, so the -0.0 rows of the nilpotent family's zero products sum to
     +0.0, as its pruned walk, which forms none, does."""
@@ -331,9 +356,11 @@ def test_the_prune_choice_changes_only_the_speed(name, vector, cap, monkeypatch)
     root = np.ones((K.D, 1), dtype=complex) / np.sqrt(K.D) if vector else np.eye(K.D, dtype=complex)
     tree = _products(K, root, n, guard=K.d**n)
     other = dataclasses.replace(tree, prune=not tree.prune)
-    for leaf in (_norm2, lambda W: -_norm2(W), lambda W: _adjoint(W) @ W):
-        assert _string_sum(tree, leaf).tobytes() == _string_sum(other, leaf).tobytes()
     depths = range(1, n + 1)
+    for leaf in (_norm2, lambda W: -_norm2(W), lambda W: _adjoint(W) @ W):
+        sums = _string_sum(tree, depths, lambda m, W: leaf(W))
+        for m, total in _string_sum(other, depths, lambda m, W: leaf(W)).items():
+            assert total.tobytes() == sums[m].tobytes(), m
     tables = _string_tables(tree, depths, lambda m, W: _norm2(W))
     for m, table in _string_tables(other, depths, lambda m, W: _norm2(W)).items():
         assert table.tobytes() == tables[m].tobytes(), m
@@ -401,7 +428,7 @@ def test_zero_then_damping_branches_on_a_product_in_a_later_chunk():
     first."""
     K = _zero_then_damping()
     eye = np.eye(2, dtype=complex)
-    stacks = list(_products(K, eye, 7, guard=3**7))
+    stacks = _leaf_stacks(_products(K, eye, 7, guard=3**7))
     assert stacks[0][0][0] == 1093
     want = [i for i, xs in enumerate(oracle.strings(3, 7)) if oracle.product(K.ops, eye, xs).any()]
     assert np.concatenate([index for index, _ in stacks]).tolist() == want

@@ -85,6 +85,22 @@ def test_load_rejects_non_json(tmp_path):
         load_model(path)
 
 
+def test_an_integer_too_long_to_read_is_named_without_interpreter_advice(tmp_path, capsys):
+    """A 5000-digit integer fails inside the JSON parser, past the digits
+    int() reads from a string; the loader says what is wrong in the file,
+    and ``check`` and ``analyze`` exit 3 with that message."""
+    from mpsrestrict.cli import main
+
+    path = tmp_path / "m.json"
+    path.write_text('{"d": 1' + "0" * 4999 + "}")
+    with pytest.raises(ValueError, match="model file holds an integer with too many digits"):
+        load_model(path)
+    for argv in (["check", str(path)], ["analyze", "--model", str(path), "--nmax", "2"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "too many digits" in err and "set_int_max_str_digits" not in err
+
+
 def test_loader_tolerance_is_relaxed(tmp_path):
     """Files are accepted at 1e-8 even when in-memory construction uses the
     stricter 1e-10 default."""

@@ -24,7 +24,7 @@ from mpsrestrict.restriction import (
     _products,
     _range_factor,
     _string_sum,
-    _string_table,
+    _string_tables,
     chain_distribution,
     cmi_report,
     restriction_scan,
@@ -196,6 +196,7 @@ SPLITS = st.fixed_dictionaries(
         "vector": st.booleans(),
         "cap": st.integers(min_value=1, max_value=40),
         "n": st.integers(min_value=1, max_value=6),
+        "depths": st.sets(st.integers(min_value=1, max_value=6), min_size=1),
     }
 )
 
@@ -204,23 +205,28 @@ SPLITS = st.fixed_dictionaries(
 @given(SPLITS)
 def test_split_walks_give_the_dense_table_and_its_tree_sum_bit_for_bit(case):
     """With a cap of a few products the walk splits its runs at every depth.
-    Its table is still the dense per-string table, and its sum that table's
-    tree-order sum, bit for bit, on dense and pruned walks alike."""
+    For any set of depths of a tree walked to n, each depth's table is still
+    the dense per-string table, and its sum that table's tree-order sum,
+    byte for byte, on dense and pruned walks alike."""
     K = _bounded_family(case)
     n = min(case["n"], _longest(K, 6))
+    depths = sorted(m for m in case["depths"] if m <= n) or [n]
     root = np.eye(K.D, dtype=complex)
     if case["vector"]:
         root = np.ones((K.D, 1), dtype=complex) / np.sqrt(K.D)
-    dense = root[None]
-    for _ in range(n):
-        dense = np.matmul(K.ops[None], dense[:, None]).reshape(-1, *root.shape)
+    dense = {0: root[None]}
+    for m in range(1, n + 1):
+        dense[m] = np.matmul(K.ops[None], dense[m - 1][:, None]).reshape(-1, *root.shape)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(restriction, "_CHUNK_STRINGS", case["cap"])
         for leaf in (_norm2, lambda W: _adjoint(W) @ W):
-            table = leaf(dense)
             tree = _products(K, root, n, guard=K.d**n)
-            assert np.array_equal(_string_table(tree, leaf), table)
-            assert np.array_equal(_string_sum(tree, leaf), oracle.tree_sum(table, K.d))
+            tables = _string_tables(tree, depths, lambda m, W: leaf(W))
+            sums = _string_sum(tree, depths, lambda m, W: leaf(W))
+            for m in depths:
+                table = leaf(dense[m])
+                assert np.array_equal(tables[m], table), m
+                assert sums[m].tobytes() == oracle.tree_sum(table, K.d).tobytes(), m
 
 
 KERNEL = st.fixed_dictionaries(
