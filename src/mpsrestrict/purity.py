@@ -461,11 +461,13 @@ def f_series(
     n_max = _check_length(n_max, "n_max")
     sigma = _check_density(sigma, "sigma")
     F = _check_contraction(F)
+    # an identity F is skipped, as the scans skip it: multiplying by it changes no bit
+    F = None if np.array_equal(F, np.eye(K.D)) else F
     root = sqrt_env(sigma)
     levels = [_products(K, root, n, guard) for n in range(1, n_max + 1)]
 
     def leaf(_: int, P: np.ndarray) -> np.ndarray:
-        s = np.linalg.svd(F @ P, compute_uv=False)
+        s = np.linalg.svd(P if F is None else F @ P, compute_uv=False)
         return s[:, 0] * s[:, 1] if K.D > 1 else np.zeros(len(P))
 
     return DecaySeries.from_values(

@@ -39,7 +39,8 @@ are deterministic bit for bit.
 There is one path of each kind.  ``window_distributions`` tabulates the
 outcomes of any context for several window lengths from one walk
 (``window_distribution`` is its one-length call, and ``chain_distribution``
-that table for the bare boundary context).  ``_cmi_rows`` sets the
+that table for the bare boundary context); its leaf calls no BLAS, so
+each entry has the bits of its own product alone.  ``_cmi_rows`` sets the
 classical CMI of each window table against the quantum CMI of its block,
 with the window sites folded into the environments once and every block
 scanned from one walk (``_scans``); ``cmi_report`` is its one-row call, and
@@ -535,11 +536,24 @@ def _norm2(T: np.ndarray) -> np.ndarray:
 
     Like np.linalg.norm it adds the dot products of the real and imaginary
     parts and takes the square root; the square goes through pow, as ``**``
-    on a scalar does, which can differ from x * x in the last bit.
+    on a scalar does, which can differ from x * x in the last bit.  The
+    sampler's weights and ``purification_statistic`` use it; the window
+    tables use ``_capped_norm2``.
     """
     x = T.reshape(len(T), 1, T.shape[1] * T.shape[2])
     sq = x.real @ np.swapaxes(x.real, 1, 2) + x.imag @ np.swapaxes(x.imag, 1, 2)
     return np.float_power(np.sqrt(sq[:, 0, 0]), 2)
+
+
+def _capped_norm2(cap: np.ndarray | None, P: np.ndarray) -> np.ndarray:
+    """||cap @ P[i]||_F^2 for every product of a stack (||P[i]||_F^2 with no
+    cap), in plain einsum loops that call no BLAS.  The loops reduce each
+    row over its own entries alone, so a row's bits depend only on its
+    product and the cap: not on the stack, the split or the BLAS kernel.
+    """
+    T = P if cap is None else np.einsum("cd,kdr->kcr", cap, P)
+    x = T.reshape(len(T), T.shape[1] * T.shape[2])
+    return np.einsum("ki,ki->k", x.real, x.real) + np.einsum("ki,ki->k", x.imag, x.imag)
 
 
 def string_probability(ctx: RestrictionContext, x: Sequence[int]) -> float:
@@ -643,7 +657,9 @@ def window_distributions(
     one walk of the product tree to the longest.
 
     The level-m nodes of that tree are the products of the m-site window, so
-    one walk fills every table.  The lengths, then the guard (on the
+    one walk fills every table.  Each entry is ||cap P||_F^2 / K^2(m) of its
+    string's product P, from one BLAS-free kernel per stack
+    (``_capped_norm2``).  The lengths, then the guard (on the
     longest) and K^2 of each length are checked and the walk runs when this
     is called; each ChainDistribution is built when it is taken, and a raw
     table is dropped once its last entry of ``lengths`` has been taken.
@@ -660,7 +676,7 @@ def window_distributions(
         cap = ctx.f_op if cap is None else _adjoint(cap)
     tree = _products(ctx.kraus, root, max(lengths), guard)
     k2 = {m: ctx.k2_for(m) for m in lengths}
-    tables = _string_tables(tree, k2, lambda m, P: _norm2(P if cap is None else cap @ P) / k2[m])
+    tables = _string_tables(tree, k2, lambda m, P: _capped_norm2(cap, P) / k2[m])
     last = {m: i for i, m in enumerate(lengths)}
 
     def taken() -> Iterator[ChainDistribution]:
@@ -684,8 +700,9 @@ def window_distribution(
     X (D x rank sigma) with X X^dag = sigma and ends on a cap Y (rank F^dag F
     x D) with Y^dag Y = F^dag F.  At full rank these are sqrt(sigma) and F
     themselves (an identity F is skipped); for the pure boundaries of a
-    finite chain the walk runs on vectors.  Raises ValueError if K^2(m) <
-    1e-12.  The one-length call of ``window_distributions``.
+    finite chain the walk runs on vectors.  Each entry is ||Y P||_F^2 /
+    K^2(m) of its string's product P, with no BLAS call.  Raises ValueError
+    if K^2(m) < 1e-12.  The one-length call of ``window_distributions``.
     """
     return next(window_distributions(ctx, [m], guard=guard))
 

@@ -4,6 +4,7 @@ recursive walk it replaced."""
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mpsrestrict.restriction import (
     _CHUNK_STRINGS,
     RestrictionContext,
     _adjoint,
+    _capped_norm2,
     _norm2,
     _products,
     _string_sum,
@@ -100,10 +102,12 @@ def test_restriction_scan_is_the_depth_first_walk_bit_for_bit():
 
 
 def test_window_distribution_is_the_per_string_norm_bit_for_bit():
+    """Each entry is the table leaf's squared norm of its string's product,
+    formed one string at a time, however the walk splits and batches."""
     K = haar_kraus(3, 3, seed=4)
     ctx = RestrictionContext.stationary(K)
     raw = [
-        np.linalg.norm(ctx.f_op @ oracle.product(K.ops, ctx.sqrt_sigma, xs)) ** 2 / ctx.k2_for(8)
+        _capped_norm2(ctx.f_op, oracle.product(K.ops, ctx.sqrt_sigma, xs)[None])[0] / ctx.k2_for(8)
         for xs in oracle.strings(3, 8)
     ]
     want = ChainDistribution(length=8, d=3, table=np.array(raw)).table  # renormalized alike
@@ -315,6 +319,59 @@ def test_the_tree_order_sum_is_within_two_ulp_of_the_exact_sum():
     for col in range(2):
         exact = math.fsum(table[:, col])
         assert abs(total[col] - exact) <= 2 * np.spacing(exact)
+
+
+def _exact_norm2(cap: np.ndarray, P: np.ndarray) -> tuple[Fraction, Fraction]:
+    """||cap @ P||_F^2 of the floats as given, in exact rational arithmetic,
+    and sum_{c,r} S_cr^2 with S_cr = sum_j |cap_cj| |P_jr| (in floats)."""
+    F = Fraction
+    norm2 = F(0)
+    for c in range(cap.shape[0]):
+        for r in range(P.shape[1]):
+            terms = [(F(a.real), F(a.imag), F(b.real), F(b.imag)) for a, b in zip(cap[c], P[:, r])]
+            re = sum(ar * br - ai * bi for ar, ai, br, bi in terms)
+            im = sum(ar * bi + ai * br for ar, ai, br, bi in terms)
+            norm2 += re * re + im * im
+    scale = float(np.sum((np.abs(cap) @ np.abs(P)) ** 2))
+    return norm2, F(scale)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("c,r", [(1, 1), (2, 1), (1, 2), (2, 2), (4, 1), (3, 3), (1, 9)])
+@pytest.mark.parametrize("cap_kind", ["none", "adjoint"])
+def test_the_table_leaf_is_within_a_few_eps_of_the_exact_norm(seed, c, r, cap_kind):
+    """Against exact rational arithmetic, the table leaf's ||cap @ P||^2 is
+    off by at most (2 D + c r + 4) eps sum_{c,r} S_cr^2, where S_cr =
+    sum_j |cap_cj| |P_jr| bounds each entry's terms: the forward error of a
+    length-D complex dot product, squared and summed over c r entries.  The
+    bound is on the terms, not on the result, so rows built to cancel (a cap
+    nearly orthogonal to the columns of P) test it where the result is tiny.
+    The np.linalg.norm route the tables took before keeps the same bound."""
+    rng = np.random.default_rng([seed, c, r])
+    D = 3 if cap_kind == "adjoint" else c
+    P = rng.standard_normal((12, D, r)) + 1j * rng.standard_normal((12, D, r))
+    P *= 2.0 ** rng.integers(-30, 30, size=(12, 1, 1))  # rows of unrelated size
+    Y = rng.standard_normal((D, c)) + 1j * rng.standard_normal((D, c))
+    cancel = range(8, 12) if cap_kind == "adjoint" and r < D else range(0)
+    if cancel:
+        # the cap's rows are orthogonal to span(B), and the columns of the
+        # last products lie in span(B) up to 1e-9
+        B = np.linalg.qr(P[0] / np.linalg.norm(P[0]))[0]
+        Y -= B @ (B.conj().T @ Y)
+        for i in cancel:
+            G = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+            P[i] = B @ G + 1e-9 * P[i] / np.linalg.norm(P[i])
+    cap = None if cap_kind == "none" else _adjoint(Y)
+    got = _capped_norm2(cap, P)
+    eps = np.finfo(float).eps
+    m = 2 * D + c * r + 4
+    for i in range(len(P)):
+        exact, scale = _exact_norm2(np.eye(D) if cap is None else cap, P[i])
+        if i in cancel:
+            assert exact < 1e-12 * scale
+        old = np.linalg.norm(P[i] if cap is None else cap @ P[i]) ** 2
+        assert abs(Fraction(float(got[i])) - exact) <= m * eps * scale, i
+        assert abs(Fraction(float(old)) - exact) <= m * eps * scale, i
 
 
 def test_pruning_is_decided_once_per_family():

@@ -17,8 +17,10 @@ from mpsrestrict.models import aklt, damping, jordan, markov
 from mpsrestrict import restriction
 from mpsrestrict.purity import f_series, haar_kraus, span_purity_test, w_series
 from mpsrestrict.restriction import (
+    _CHUNK_STRINGS,
     RestrictionContext,
     _adjoint,
+    _capped_norm2,
     _grow,
     _norm2,
     _products,
@@ -121,15 +123,16 @@ SPARSE = st.fixed_dictionaries(
 
 
 def _window_oracle(ctx: RestrictionContext, m: int) -> np.ndarray:
-    """The window table from per-string norms, with the roots the table path
-    walks from (the environments' range factors)."""
+    """The window table from per-string products, one string at a time, with
+    the roots the table path walks from (the environments' range factors)
+    and the table leaf's contraction on a stack of one."""
     K = ctx.kraus
     root = _range_factor(ctx.sigma)
     cap = _range_factor(ctx.f_op.conj().T @ ctx.f_op)
     root = ctx.sqrt_sigma if root is None else root
     cap = ctx.f_op if cap is None else _adjoint(cap)
     raw = [
-        np.linalg.norm(cap @ oracle.product(K.ops, root, xs)) ** 2 / ctx.k2_for(m)
+        _capped_norm2(cap, oracle.product(K.ops, root, xs)[None])[0] / ctx.k2_for(m)
         for xs in oracle.strings(K.d, m)
     ]
     return ChainDistribution(length=m, d=K.d, table=np.array(raw)).table
@@ -219,7 +222,7 @@ def test_split_walks_give_the_dense_table_and_its_tree_sum_bit_for_bit(case):
         dense[m] = np.matmul(K.ops[None], dense[m - 1][:, None]).reshape(-1, *root.shape)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(restriction, "_CHUNK_STRINGS", case["cap"])
-        for leaf in (_norm2, lambda W: _adjoint(W) @ W):
+        for leaf in (_norm2, lambda W: _capped_norm2(None, W), lambda W: _adjoint(W) @ W):
             tree = _products(K, root, n, guard=K.d**n)
             tables = _string_tables(tree, depths, lambda m, W: leaf(W))
             sums = _string_sum(tree, depths, lambda m, W: leaf(W))
@@ -282,6 +285,54 @@ def test_grow_forms_each_child_as_its_own_product_bit_for_bit(case):
     assert grown.shape == (len(kept), D, r)
     for row, (_, child) in zip(grown, kept):
         assert row.tobytes() == child.tobytes()
+
+
+LEAF = st.fixed_dictionaries(
+    {
+        # (c, r): c rows of the cap (of the product with no cap), r columns,
+        # c * r in {1, 2, 4, 9}
+        "shape": st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (4, 1), (1, 4), (3, 3), (9, 1), (1, 9)]),
+        "D": st.integers(min_value=1, max_value=5),
+        # none: no cap; adjoint: the (c, D) view _adjoint gives of a (D, c) factor
+        "cap": st.sampled_from(["none", "adjoint"]),
+        "k": st.integers(min_value=1, max_value=_CHUNK_STRINGS * 5),
+        "slices": st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=_CHUNK_STRINGS * 5),
+                st.integers(min_value=0, max_value=_CHUNK_STRINGS * 5),
+                st.integers(min_value=1, max_value=3),
+            ),
+            max_size=4,
+        ),
+        "zero_rows": st.lists(st.integers(min_value=0, max_value=_CHUNK_STRINGS * 5), max_size=3),
+        "seed": st.integers(min_value=0, max_value=10**6),
+    }
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(LEAF)
+def test_the_table_leaf_gives_each_row_the_bits_of_its_product_alone(case):
+    """The window-table leaf's row for a product has the same bits in a
+    stack of any size up to the tree's cap, in every sub-slice of the stack
+    and alone, with no cap and with a cap that is not contiguous: a row
+    depends on nothing but its own product and the cap."""
+    c, r = case["shape"]
+    D = c if case["cap"] == "none" else case["D"]
+    k = min(case["k"], _CHUNK_STRINGS * D // r)  # at most a tree's cap of (D, r) products
+    rng = np.random.default_rng(case["seed"])
+    P = rng.standard_normal((k, D, r)) + 1j * rng.standard_normal((k, D, r))
+    P[[i for i in case["zero_rows"] if i < k]] = 0.0
+    cap = None
+    if case["cap"] == "adjoint":
+        cap = _adjoint(rng.standard_normal((D, c)) + 1j * rng.standard_normal((D, c)))
+    rows = _capped_norm2(cap, P)
+    assert rows.shape == (k,)
+    for i in range(k):
+        assert rows[i : i + 1].tobytes() == _capped_norm2(cap, P[i : i + 1]).tobytes(), i
+    for start, stop, step in case["slices"]:
+        part = slice(start, stop, step)
+        assert rows[part].tobytes() == _capped_norm2(cap, P[part]).tobytes(), part
 
 
 MULTI = st.fixed_dictionaries(
