@@ -56,11 +56,7 @@ from .errors import (
     NumericalInconsistency,
     SearchBudgetExceeded,
 )
-from .gibbs import (
-    cmi_decomposition_check,
-    local_hamiltonian,
-    partition_function,
-)
+from .gibbs import _fit, _partition
 from .linalg import _check_length, _check_tol
 from .models import BUILTINS, clock, damping, jordan, markov
 from .modelio import load_model, save_model
@@ -185,14 +181,13 @@ def _resolve_model(args: argparse.Namespace):
 def _gibbs_block(dist, ell: int) -> dict[str, Any]:
     if dist.min_entry <= 0.0:
         dist = dist.smoothed(1e-8)
-    h = local_hamiltonian(dist, ell)
-    z = partition_function(h)
-    lhs, rhs = cmi_decomposition_check(dist, ell)
+    logp, lhs, terms = _fit(dist, ell)
+    rhs = float(sum(terms))
     return {
         "sites": dist.length,
         "ell": ell,
         "smoothing_eps": dist.smoothing_eps,
-        "partition_function": z,
+        "partition_function": _partition(logp),
         "relative_entropy": lhs,
         "cmi_sum": rhs,
         "identity_gap": abs(lhs - rhs),

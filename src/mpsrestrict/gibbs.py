@@ -189,14 +189,20 @@ def _energies(h: LocalHamiltonian) -> np.ndarray:
 
 def partition_function(h: LocalHamiltonian) -> float:
     """Z(h^ell) = sum_x exp(-h^ell(x)); equals 1 exactly for constructed h."""
-    logp = -_energies(h).ravel()
+    return _partition(-_energies(h).ravel())
+
+
+def _partition(logp: np.ndarray) -> float:
     m = float(logp.max())
     return float(np.exp(m) * np.sum(np.exp(logp - m)))
 
 
 def gibbs_distribution(h: LocalHamiltonian) -> ChainDistribution:
     """p^ell(x) = exp(-h^ell(x)) / Z, computed in the log domain."""
-    logp = -_energies(h).ravel()
+    return _gibbs(h, -_energies(h).ravel())
+
+
+def _gibbs(h: LocalHamiltonian, logp: np.ndarray) -> ChainDistribution:
     m = float(logp.max())
     logz = m + float(np.log(np.sum(np.exp(logp - m))))
     return ChainDistribution(length=h.length, d=h.d, table=np.exp(logp - logz))
@@ -229,10 +235,14 @@ def _window_cmi(p: ChainDistribution, b_first: int, b_last: int, last: int) -> f
     return h_ab + h_bc - h_b - h_abc
 
 
-def _cmi_terms(p: ChainDistribution, ell: int) -> list[float]:
-    # I(1..k : k+ell+1 | k+1..k+ell) for k = 1 .. length-ell-1
-    ell = _check_ell(p, ell)
-    return [_window_cmi(p, k + 1, k + ell, k + ell + 1) for k in range(1, p.length - ell)]
+def _fit(p: ChainDistribution, ell: int) -> tuple[np.ndarray, float, list[float]]:
+    """The range-ell fit of p, with h^ell and its energies built once: the
+    log-weights -h^ell(x) of every string (flat), S(p || p^ell) and the
+    sliding CMI terms I(1..k : k+ell+1 | k+1..k+ell), k = 1..length-ell-1."""
+    h = local_hamiltonian(p, ell)
+    logp = -_energies(h).ravel()
+    terms = [_window_cmi(p, k + 1, k + h.ell, k + h.ell + 1) for k in range(1, p.length - h.ell)]
+    return logp, relative_entropy(p, _gibbs(h, logp)), terms
 
 
 def cmi_decomposition_check(p: ChainDistribution, ell: int) -> tuple[float, float]:
@@ -243,10 +253,8 @@ def cmi_decomposition_check(p: ChainDistribution, ell: int) -> tuple[float, floa
     informations I(1..k : k+ell+1 | k+1..k+ell) over k.  They agree to 1e-9
     for strictly positive p.
     """
-    h = local_hamiltonian(p, ell)
-    lhs = relative_entropy(p, gibbs_distribution(h))
-    rhs = float(sum(_cmi_terms(p, ell)))
-    return lhs, rhs
+    _, lhs, terms = _fit(p, ell)
+    return lhs, float(sum(terms))
 
 
 def tail_bound_check(
@@ -258,9 +266,8 @@ def tail_bound_check(
     Conclusion: S(p || p^ell) <= (length - ell - 1) * xi(ell).
     Returns True only when both hold (slack 1e-12).
     """
-    terms = _cmi_terms(p, ell)
+    _, lhs, terms = _fit(p, ell)
     bound = float(xi(ell))
     premise = all(t <= bound + 1e-12 for t in terms)
-    lhs, _ = cmi_decomposition_check(p, ell)
     conclusion = lhs <= (p.length - ell - 1) * bound + 1e-12
     return bool(premise and conclusion)

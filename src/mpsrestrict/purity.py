@@ -242,8 +242,6 @@ def _max_scalar_subspace(
         if nodes > _SEARCH_BUDGET:
             raise SearchBudgetExceeded(f"subspace search exceeded {_SEARCH_BUDGET} nodes")
         r = B.shape[1]
-        if r <= best_rank:
-            return
         if r == 1:  # every compression is 1x1, so scalar with residual exactly 0
             best_rank, best_basis, best_resid = 1, B, 0.0
             return
@@ -354,7 +352,7 @@ def purity_verdict(
                 f"(staircase {list(report.max_ranks)}); non-increasing ranks "
                 f"extend this to all longer products"
             )
-        elif report.max_ranks[-1] >= 2 and _range_invariant(K, report.projectors[-1]):
+        elif _range_invariant(K, report.projectors[-1]):
             status = "ViolatedUpToN"
             evidence = (
                 f"a rank-{report.max_ranks[-1]} subspace stays scalar through "

@@ -39,8 +39,9 @@ are deterministic bit for bit.
 There is one path of each kind.  ``window_distributions`` tabulates the
 outcomes of any context for several window lengths from one walk
 (``window_distribution`` is its one-length call, and ``chain_distribution``
-that table for the bare boundary context); its leaf calls no BLAS, so
-each entry has the bits of its own product alone.  ``_cmi_rows`` sets the
+that table for the bare boundary context); its leaf, ``_capped_norm2``, is
+the one squared norm of a string product and calls no BLAS, so each entry
+has the bits of its own product alone.  ``_cmi_rows`` sets the
 classical CMI of each window table against the quantum CMI of its block,
 with the window sites folded into the environments once and every block
 scanned from one walk (``_scans``); ``cmi_report`` is its one-row call, and
@@ -531,25 +532,13 @@ def _string_tables(
     return tables
 
 
-def _norm2(T: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(T[i]) ** 2 for every matrix of a stack, bit for bit.
-
-    Like np.linalg.norm it adds the dot products of the real and imaginary
-    parts and takes the square root; the square goes through pow, as ``**``
-    on a scalar does, which can differ from x * x in the last bit.  The
-    sampler's weights and ``purification_statistic`` use it; the window
-    tables use ``_capped_norm2``.
-    """
-    x = T.reshape(len(T), 1, T.shape[1] * T.shape[2])
-    sq = x.real @ np.swapaxes(x.real, 1, 2) + x.imag @ np.swapaxes(x.imag, 1, 2)
-    return np.float_power(np.sqrt(sq[:, 0, 0]), 2)
-
-
 def _capped_norm2(cap: np.ndarray | None, P: np.ndarray) -> np.ndarray:
     """||cap @ P[i]||_F^2 for every product of a stack (||P[i]||_F^2 with no
-    cap), in plain einsum loops that call no BLAS.  The loops reduce each
-    row over its own entries alone, so a row's bits depend only on its
-    product and the cap: not on the stack, the split or the BLAS kernel.
+    cap), in plain einsum loops that call no BLAS: the window tables,
+    ``string_probability``, the sampler's weights, ``purification_statistic``
+    and ``martingale_step_check`` all take it.  The loops reduce each row
+    over its own entries alone, so a row's bits depend only on its product
+    and the cap: not on the stack, the split or the BLAS kernel.
     """
     T = P if cap is None else np.einsum("cd,kdr->kcr", cap, P)
     x = T.reshape(len(T), T.shape[1] * T.shape[2])
@@ -559,8 +548,9 @@ def _capped_norm2(cap: np.ndarray | None, P: np.ndarray) -> np.ndarray:
 def string_probability(ctx: RestrictionContext, x: Sequence[int]) -> float:
     """p(x) = ||F A_{x_N}..A_{x_1} sqrt(sigma)||_F^2 / K^2(N), non-negative."""
     xs = _validate_string(x, ctx.kraus.d)
-    T = ctx.f_op @ _string_product(ctx.kraus.ops, ctx.sqrt_sigma, xs)
-    return float(np.linalg.norm(T) ** 2 / ctx.k2_for(len(xs)))
+    cap = None if ctx._f_is_identity else ctx.f_op
+    P = _string_product(ctx.kraus.ops, ctx.sqrt_sigma, xs)
+    return float(_capped_norm2(cap, P[None])[0] / ctx.k2_for(len(xs)))
 
 
 def post_measurement_spectrum(ctx: RestrictionContext, x: Sequence[int]) -> Spectrum:

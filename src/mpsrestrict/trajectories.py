@@ -9,11 +9,12 @@ as exact enumeration checks, along with the purification statistic
 E[sqrt(l1 l2)] * D, an independent route to the dressed decay series.
 
 ``sample_trajectories`` samples many trajectories as one batch: each step
-forms the continuations of every stream in one stacked product.  Each
+forms the continuations of every stream in one stacked product and weighs
+them with the window tables' BLAS-free kernel (``_capped_norm2``).  Each
 stream draws from its own generator, so a trajectory has the same bits
 whether it is drawn alone (``sample_trajectory``) or in any batch, and the
-``sample`` command, which draws blocks of 512 streams, writes the same
-bytes as it did when it drew one trajectory at a time.
+``sample`` command, which draws blocks of 512 streams, writes the bytes of
+a loop that draws one trajectory at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .linalg import _check_length
 from .restriction import (
     DEFAULT_GUARD,
     _adjoint,
-    _norm2,
+    _capped_norm2,
     _products,
     _string_product,
     _string_sum,
@@ -129,7 +130,7 @@ def sample_trajectories(
     probs = np.empty((T, n))
     for k in range(n):
         V = np.matmul(stacked, W).reshape(T, d, D, D)  # V[t, y] = A_y W_t
-        weights = _norm2(V.reshape(T * d, D, D)).reshape(T, d)
+        weights = _capped_norm2(None, V.reshape(T * d, D, D)).reshape(T, d)
         dead = weights.sum(axis=1) <= 0.0
         if np.any(dead):
             t = int(np.argmax(dead))
@@ -175,7 +176,7 @@ def martingale_step_check(K: KrausFamily, x: Sequence[int]) -> float:
     """
     xs = _validate_string(x, K.d)
     W = _string_product(K.ops, np.eye(K.D, dtype=complex), xs)
-    tr = float(np.linalg.norm(W) ** 2)
+    tr = float(_capped_norm2(None, W[None])[0])
     if tr / K.D < 1e-30:
         raise ZeroProbabilityPath(f"prefix {xs} has zero path probability")
     M = W.conj().T @ W / tr
@@ -211,7 +212,7 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
         return 0.0
 
     def leaf(_: int, W: np.ndarray) -> np.ndarray:
-        tr = _norm2(W)
+        tr = _capped_norm2(None, W)
         out = np.zeros(len(W))
         live = tr > 0.0
         W, tr = W[live], tr[live]

@@ -22,7 +22,7 @@ import numpy as np
 from mpsrestrict import trajectories
 from mpsrestrict.errors import NumericalInconsistency, SearchBudgetExceeded, ZeroProbabilityPath
 from mpsrestrict.purity import _eig_clusters
-from mpsrestrict.restriction import RestrictionContext, RestrictionSummary
+from mpsrestrict.restriction import RestrictionContext, RestrictionSummary, _capped_norm2
 
 
 def strings(d: int, n: int):
@@ -237,8 +237,9 @@ def correctable(K, n_max: int, tol: float = 1e-8, budget: int = 200_000):
 
 def sample_trajectory(K, n: int, seed: int, stream: int = 0) -> trajectories.MartingaleTrace:
     """Draw an n-step trajectory with exact conditional weights, one scalar
-    uniform and d separate norms per step.  The stream's generator is looked
-    up on the module at call time, so a test can substitute its draws."""
+    uniform and d separate norms per step, each the table leaf's kernel on
+    one product.  The stream's generator is looked up on the module at call
+    time, so a test can substitute its draws."""
     if n < 1:
         raise ValueError(f"trajectory length must be >= 1, got {n}")
     rng = trajectories._rng_for(seed, stream)
@@ -248,9 +249,7 @@ def sample_trajectory(K, n: int, seed: int, stream: int = 0) -> trajectories.Mar
     m_ops: list[np.ndarray] = []
     probs: list[float] = []
     for _ in range(n):
-        weights = np.array(
-            [float(np.linalg.norm(K.ops[y] @ W) ** 2) for y in range(K.d)]
-        )
+        weights = np.array([_capped_norm2(None, (K.ops[y] @ W)[None])[0] for y in range(K.d)])
         total = weights.sum()
         if total <= 0.0:
             raise ZeroProbabilityPath(
@@ -262,7 +261,7 @@ def sample_trajectory(K, n: int, seed: int, stream: int = 0) -> trajectories.Mar
         y = int(np.searchsorted(np.cumsum(cond), rng.random(), side="right"))
         y = min(y, K.d - 1)
         W = K.ops[y] @ W
-        tr = float(np.linalg.norm(W) ** 2)
+        tr = float(_capped_norm2(None, W[None])[0])
         if tr <= 0.0:
             raise ZeroProbabilityPath(f"sampled a zero-weight branch {y}")
         M = W.conj().T @ W / tr

@@ -187,6 +187,22 @@ def test_exit_code_guard():
     assert main(["analyze", "--builtin", "aklt", "--nmax", "20", "--guard", "100"]) == 2
 
 
+def test_exit_code_inconsistency(monkeypatch, capsys):
+    from mpsrestrict import cli, purity
+    from mpsrestrict.errors import NumericalInconsistency
+
+    def broken(*args, **kwargs):
+        raise NumericalInconsistency("w(1) routes disagree")
+
+    monkeypatch.setattr(cli, "w_series", broken)
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "2"]) == 4
+    assert "w(1) routes disagree" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr(purity, "_SEARCH_BUDGET", 1)
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "2"]) == 4
+    assert "subspace search exceeded 1 nodes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [["--guard", "-5"], ["--tol", "nan"]])
 def test_sample_rejects_the_analyze_only_flags(flag, capsys):
     """sample enumerates nothing, so it has no guard and no tolerance:
@@ -477,6 +493,17 @@ def test_analyze_enumerates_the_decay_series_once(monkeypatch, tmp_path):
         "correctable_ranks": list(want.correctable_ranks),
         "w_fitted_rate": want.w_fitted_rate,
     }
+
+
+def test_analyze_builds_its_gibbs_fit_once(monkeypatch, tmp_path):
+    from mpsrestrict import gibbs
+
+    calls = []
+    for name in ("local_hamiltonian", "_energies"):
+        real = getattr(gibbs, name)
+        monkeypatch.setattr(gibbs, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "4", "--out", str(tmp_path / "r.json")]) == 0
+    assert sorted(calls) == ["_energies", "local_hamiltonian"]
 
 
 _CMI_FIELDS = ("n", "p_sum", "avg_entropy", "quantum_cmi", "classical_cmi", "avg_purity_q", "f")

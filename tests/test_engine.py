@@ -20,6 +20,7 @@ from mpsrestrict.purity import (
     f_series,
     haar_kraus,
     product_set,
+    purity_verdict,
     span_purity_test,
     w_series,
 )
@@ -28,7 +29,6 @@ from mpsrestrict.restriction import (
     RestrictionContext,
     _adjoint,
     _capped_norm2,
-    _norm2,
     _products,
     _string_sum,
     _string_tables,
@@ -192,15 +192,15 @@ def test_tables_join_a_levels_small_stacks_up_to_the_cap():
 
     def leaf(m, W):
         calls[m] += len(W) > 0
-        return _norm2(W)
+        return _capped_norm2(None, W)
 
     tables = _string_tables(tree, [5, 8], leaf)
     assert calls == {5: 3, 8: 313}
     want = np.zeros(5**5)
     for m, index, W in tree.levels([5]):
-        want[index] = _norm2(W)
+        want[index] = _capped_norm2(None, W)
     assert np.array_equal(tables[5], want)
-    alone = _string_tables(_products(K, root, 8, guard=5**8), [8], lambda _, W: _norm2(W))
+    alone = _string_tables(_products(K, root, 8, guard=5**8), [8], lambda _, W: _capped_norm2(None, W))
     assert np.array_equal(tables[8], alone[8])
 
 
@@ -235,7 +235,7 @@ def test_an_enumeration_of_zero_products_gives_zeros_of_the_right_shape(n):
     K = KrausFamily(ops=_nilpotent(), atol=2.0)
     eye = np.eye(2, dtype=complex)
     assert _leaf_stacks(_products(K, eye, n, guard=2**n)) == []
-    table = _string_tables(_products(K, eye, n, guard=2**n), [n], lambda _, W: _norm2(W))[n]
+    table = _string_tables(_products(K, eye, n, guard=2**n), [n], lambda _, W: _capped_norm2(None, W))[n]
     assert table.shape == (2**n,) and table.dtype == float and not table.any()
     acc = _string_sum(_products(K, eye, n, guard=2**n), [n], lambda _, W: _adjoint(W) @ W)[n]
     assert acc.shape == (2, 2) and acc.dtype == complex and not acc.any()
@@ -414,12 +414,12 @@ def test_the_prune_choice_changes_only_the_speed(name, vector, cap, monkeypatch)
     tree = _products(K, root, n, guard=K.d**n)
     other = dataclasses.replace(tree, prune=not tree.prune)
     depths = range(1, n + 1)
-    for leaf in (_norm2, lambda W: -_norm2(W), lambda W: _adjoint(W) @ W):
+    for leaf in (lambda W: _capped_norm2(None, W), lambda W: -_capped_norm2(None, W), lambda W: _adjoint(W) @ W):
         sums = _string_sum(tree, depths, lambda m, W: leaf(W))
         for m, total in _string_sum(other, depths, lambda m, W: leaf(W)).items():
             assert total.tobytes() == sums[m].tobytes(), m
-    tables = _string_tables(tree, depths, lambda m, W: _norm2(W))
-    for m, table in _string_tables(other, depths, lambda m, W: _norm2(W)).items():
+    tables = _string_tables(tree, depths, lambda m, W: _capped_norm2(None, W))
+    for m, table in _string_tables(other, depths, lambda m, W: _capped_norm2(None, W)).items():
         assert table.tobytes() == tables[m].tobytes(), m
 
 
@@ -475,6 +475,16 @@ def test_correctable_subspace_matches_the_list_search(name):
     assert rep.max_ranks == ranks
     assert max(abs(a - b) for a, b in zip(rep.residuals, residuals)) <= TOL
     assert max(np.max(np.abs(a - b)) for a, b in zip(rep.projectors, projectors)) <= TOL
+
+
+def test_block_diagonal_purity_is_undetermined():
+    """The span stalls at rank 4 < 16 and the staircase stays at rank 2 on a
+    subspace that is not invariant, so neither certificate nor witness is
+    found.  Its dark subspace C^2 (x) v makes the true status a violation."""
+    v = purity_verdict(_block_diagonal(), 5)
+    assert v.status == "Undetermined"
+    assert v.span_ranks == (2, 4, 4, 4, 4) and v.correctable_ranks == (2,) * 5
+    assert "span rank stalled at 4 < 16" in v.evidence
 
 
 def test_zero_then_damping_branches_on_a_product_in_a_later_chunk():

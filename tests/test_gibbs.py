@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpsrestrict import gibbs
 from mpsrestrict.errors import (
     EllOutOfRange,
     InvalidDistribution,
@@ -167,6 +168,33 @@ def test_tail_bound_check():
     )  # rhs = sum of terms >= max term
     assert tail_bound_check(p, 1, lambda ell: terms_max)
     assert not tail_bound_check(p, 1, lambda ell: -1.0)
+
+
+def _count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(gibbs, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(gibbs, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_a_check_builds_its_fit_once(tail, monkeypatch):
+    """h^ell, its energies and each sliding CMI term are built once per
+    check, and S(p || p^ell) keeps the bits of the public calls."""
+    p = _random_dist(6, 2, seed=7, floor=1e-3)
+    want = relative_entropy(p, gibbs_distribution(local_hamiltonian(p, 2)))
+    calls = _count_calls(monkeypatch, ["local_hamiltonian", "_energies", "_window_cmi"])
+    if tail:
+        assert tail_bound_check(p, 2, lambda ell: 1.0)
+    else:
+        assert cmi_decomposition_check(p, 2)[0] == want
+    assert calls == {"local_hamiltonian": 1, "_energies": 1, "_window_cmi": 3}
 
 
 def test_smoothed_records_eps():

@@ -57,3 +57,45 @@ def test_every_import_is_used(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for each module-level function, class or variable whose
+    name starts with a single underscore."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            names = [node.name]
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _reads(node: ast.AST, skip: ast.AST | None = None):
+    """The names read below node, as bare names or attributes, leaving out
+    the subtree ``skip``."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, skip)
+
+
+def test_every_private_name_is_read_in_the_package():
+    """A private helper that only the tests still call, such as a kernel
+    that another has replaced, is deleted rather than kept."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    unread = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            read = any(name in _reads(t, node if t is tree else None) for t in trees.values())
+            if not read:
+                unread.append(f"{module}: {name} (line {node.lineno})")
+    assert not unread, f"private names never read in src: {unread}"

@@ -22,7 +22,6 @@ from mpsrestrict.restriction import (
     _adjoint,
     _capped_norm2,
     _grow,
-    _norm2,
     _products,
     _range_factor,
     _string_sum,
@@ -222,7 +221,7 @@ def test_split_walks_give_the_dense_table_and_its_tree_sum_bit_for_bit(case):
         dense[m] = np.matmul(K.ops[None], dense[m - 1][:, None]).reshape(-1, *root.shape)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(restriction, "_CHUNK_STRINGS", case["cap"])
-        for leaf in (_norm2, lambda W: _capped_norm2(None, W), lambda W: _adjoint(W) @ W):
+        for leaf in (lambda W: _capped_norm2(None, W), lambda W: _adjoint(W) @ W):
             tree = _products(K, root, n, guard=K.d**n)
             tables = _string_tables(tree, depths, lambda m, W: leaf(W))
             sums = _string_sum(tree, depths, lambda m, W: leaf(W))

@@ -16,6 +16,7 @@ from mpsrestrict.errors import (
 from mpsrestrict import purity
 from mpsrestrict.linalg import clock_shift_basis, exterior_square, gram_rank
 from mpsrestrict.models import aklt, aklt_pauli, clock, damping, jordan, markov
+from mpsrestrict.trajectories import purification_statistic
 from mpsrestrict.purity import (
     DecaySeries,
     _wedge_norms,
@@ -354,3 +355,16 @@ def test_scalar_tolerance_must_be_finite_and_non_negative(tol):
     with pytest.raises(OutOfRange):
         purity_verdict(aklt(), 2, tol=tol)
     assert correctable_subspace(aklt(), 2, tol=0.0).max_ranks == (1, 1)
+
+
+def test_one_dimensional_bonds_have_no_second_singular_value():
+    """At D = 1 every product is a scalar: w, f and the purification
+    statistic are exactly zero, and the guard still bounds each of them."""
+    K = KrausFamily(ops=[[[0.6]], [[0.8]]])
+    one = np.eye(1)
+    assert w_series(K, 4).values == tuple((n, 0.0) for n in range(1, 5))
+    assert f_series(K, one, one, 4).values == tuple((n, 0.0) for n in range(1, 5))
+    assert purification_statistic(K, 4) == 0.0
+    for call in (w_series, lambda K, n, guard: f_series(K, one, one, n, guard), purification_statistic):
+        with pytest.raises(EnumerationTooLarge):
+            call(K, 4, guard=8)

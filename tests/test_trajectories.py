@@ -182,15 +182,16 @@ def test_sample_trajectories_draws_on_the_edges_as_the_scalar_loop(monkeypatch, 
 
 
 def test_sample_trajectories_raises_where_the_scalar_loop_does(monkeypatch):
-    # six equal weights and a zero one: the cumulative weights end at the
-    # largest double below 1, so that uniform is capped onto the zero operator
-    K = KrausFamily(ops=np.array([np.eye(2) / np.sqrt(6.0)] * 6 + [np.zeros((2, 2))]))
+    # seven equal weights and a zero one: at steps 1 and 2 the cumulative
+    # weights end below 1, so the largest double below 1 is capped onto the
+    # zero operator
+    K = KrausFamily(ops=np.array([np.eye(2) / np.sqrt(7.0)] * 7 + [np.zeros((2, 2))]))
     last = np.nextafter(1.0, 0.0)
     draws = [[0.5, last], [0.5, 0.5]]
     monkeypatch.setattr(trajectories, "_rng_for", lambda seed, stream: _FixedDraws(draws[stream]))
-    with pytest.raises(ZeroProbabilityPath, match="zero-weight branch 6"):
+    with pytest.raises(ZeroProbabilityPath, match="zero-weight branch 7"):
         oracle.sample_trajectory(K, 2, 0, 0)
-    with pytest.raises(ZeroProbabilityPath, match="zero-weight branch 6"):
+    with pytest.raises(ZeroProbabilityPath, match="zero-weight branch 7"):
         sample_trajectories(K, 2, 0, [1, 0])
     outcomes, _, _ = sample_trajectories(K, 2, 0, [1])
     assert outcomes.tolist() == [[3, 3]]
