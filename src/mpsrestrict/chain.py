@@ -4,7 +4,7 @@ A translationally invariant chain is specified by a left-normalized Kraus
 family {A_x} (sum_x A_x^dag A_x = 1), a pair of unit boundary vectors |L>,
 |R>, and a geometry (lenA, lenB, lenC).  The transfer operator is the
 trace-preserving map E(chi) = sum_x A_x chi A_x^dag with unital adjoint
-E*(Q) = sum_x A_x^dag Q A_x.
+E*(Q) = sum_x A_x^dag Q A_x (ShapeMismatch on a mis-sized or non-finite input).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     OutOfRange,
     ShapeMismatch,
 )
-from .linalg import _check_length, _check_tol
+from .linalg import _check_hermitian, _check_length, _check_square, _check_tol
 
 __all__ = [
     "KrausFamily",
@@ -168,22 +168,15 @@ class TransferFixedPoint:
         object.__setattr__(self, "rho", _freeze(self.rho))
 
 
-def _check_square(K: KrausFamily, M: np.ndarray, what: str) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
-    if M.shape != (K.D, K.D):
-        raise ShapeMismatch(f"{what} must be {K.D}x{K.D}, got {M.shape}")
-    return M
-
-
 def transfer_apply(K: KrausFamily, chi: np.ndarray) -> np.ndarray:
-    """E(chi) = sum_x A_x chi A_x^dag (trace preserving)."""
-    chi = _check_square(K, chi, "chi")
+    """E(chi) = sum_x A_x chi A_x^dag (trace preserving) of a finite D x D chi."""
+    chi = _check_square(chi, "chi", ShapeMismatch, K.D)
     return np.einsum("xab,bc,xdc->ad", K.ops, chi, K.ops.conj())
 
 
 def transfer_adjoint_apply(K: KrausFamily, Q: np.ndarray) -> np.ndarray:
-    """E*(Q) = sum_x A_x^dag Q A_x (unital)."""
-    Q = _check_square(K, Q, "Q")
+    """E*(Q) = sum_x A_x^dag Q A_x (unital) of a finite D x D Q."""
+    Q = _check_square(Q, "Q", ShapeMismatch, K.D)
     return np.einsum("xba,bc,xcd->ad", K.ops.conj(), Q, K.ops)
 
 
@@ -269,32 +262,29 @@ def _iterate(K: KrausFamily, M: np.ndarray, n: int, adjoint: bool) -> np.ndarray
     return out
 
 
+def _projector(K: KrausFamily, v: np.ndarray, what: str) -> np.ndarray:
+    """|v><v| for a finite vector v of length D, else ShapeMismatch."""
+    v = np.asarray(v, dtype=complex).ravel()
+    if v.shape != (K.D,) or not np.all(np.isfinite(v)):
+        raise ShapeMismatch(f"{what} must be a finite vector of length {K.D}, got {v}")
+    return np.outer(v, v.conj())
+
+
 def left_environment(K: KrausFamily, L: np.ndarray, n: int) -> np.ndarray:
-    """sigma = E^n(|L><L|): the reduced environment after n traced-out sites."""
-    L = np.asarray(L, dtype=complex).ravel()
-    if L.shape != (K.D,):
-        raise ShapeMismatch(f"L must have length {K.D}, got {L.shape}")
-    return _iterate(K, np.outer(L, L.conj()), n, adjoint=False)
+    """sigma = E^n(|L><L|), the environment after n traced-out sites, of a finite L."""
+    return _iterate(K, _projector(K, L, "L"), n, adjoint=False)
 
 
 def right_environment(K: KrausFamily, R: np.ndarray, n: int) -> np.ndarray:
-    """F^dag F = E*^n(|R><R|); contractive since E* is unital and |R><R| <= 1."""
-    R = np.asarray(R, dtype=complex).ravel()
-    if R.shape != (K.D,):
-        raise ShapeMismatch(f"R must have length {K.D}, got {R.shape}")
-    return _iterate(K, np.outer(R, R.conj()), n, adjoint=True)
+    """F^dag F = E*^n(|R><R|) of a finite R; contractive as E* is unital, |R><R| <= 1."""
+    return _iterate(K, _projector(K, R, "R"), n, adjoint=True)
 
 
 def sqrt_env(M: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix (Hermitian, PSD, S @ S = M).
-    M must be finite; eigenvalues in [-1e-10, 0) are clamped to 0."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotPSD(f"expected a square matrix, got {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise NotPSD("matrix contains NaN or Inf")
-    if np.linalg.norm(M - M.conj().T) > 1e-8 * max(np.linalg.norm(M), 1.0):
-        raise NotPSD("matrix is not Hermitian")
+    M must be finite, square and Hermitian within 1e-8 max(||M||, 1) (NotPSD
+    otherwise); eigenvalues in [-1e-10, 0) are clamped to 0."""
+    M = _check_hermitian(M, "matrix", NotPSD)
     lam, U = np.linalg.eigh((M + M.conj().T) / 2.0)
     if lam[0] < -_PSD_TOL:
         raise NotPSD(f"negative eigenvalue {lam[0]:.3e} beyond -{_PSD_TOL:.1e}")

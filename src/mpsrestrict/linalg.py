@@ -6,6 +6,12 @@ Conventions used throughout the package:
 * spectra are reported sorted non-increasing;
 * the antisymmetric (exterior-square) subspace is spanned by
   (|i>|j> - |j>|i>)/sqrt(2) for i < j, pairs ordered lexicographically.
+
+The input contract: ``_check_length`` and ``_check_tol`` judge lengths and
+tolerances, and a matrix passes ``_as_matrix`` (finite, 2-d), ``_check_square``
+(and square, D x D when D is known), ``_check_hermitian`` (and Hermitian within
+1e-8 max(||M||, 1)) or ``_check_density`` (and trace 1, spectrum >= -1e-10).
+Each raises the error its caller documents, so one rule judges every matrix.
 """
 
 from __future__ import annotations
@@ -89,25 +95,36 @@ def _check_tol(tol: float, what: str = "tol") -> None:
         raise OutOfRange(f"{what} must be a finite number >= 0, got {tol!r}")
 
 
-def _as_matrix(obj: np.ndarray | Sequence) -> np.ndarray:
-    m = np.asarray(obj, dtype=complex)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeMismatch(f"expected a 2-d matrix, got shape {np.shape(obj)}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeMismatch("matrix contains NaN or Inf entries")
-    return m
+def _as_matrix(M: Any, what: str = "matrix", error: type = ShapeMismatch) -> np.ndarray:
+    """M as a complex array, unchanged, if it is a finite non-empty 2-d array, else error."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
+        raise error(f"{what} must be a non-empty 2-d array, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise error(f"{what} contains NaN or Inf")
+    return M
 
 
-def _check_density(rho: np.ndarray, what: str) -> np.ndarray:
-    """rho as a complex array, unchanged, if it is finite, Hermitian and of
-    unit trace within 1e-8 and has no eigenvalue below -1e-10."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise NotDensityOperator(f"{what} must be square, got {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise NotDensityOperator(f"{what} contains NaN or Inf")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-8 * max(np.linalg.norm(rho), 1.0):
-        raise NotDensityOperator(f"{what} must be Hermitian")
+def _check_square(M: Any, what: str, error: type, size: int | None = None) -> np.ndarray:
+    """M as by ``_as_matrix`` if it is square (size x size when a size is given)."""
+    M = _as_matrix(M, what, error)
+    if M.shape[0] != M.shape[1] or (size is not None and M.shape[0] != size):
+        shape = "square" if size is None else f"{size}x{size}"
+        raise error(f"{what} must be {shape}, got shape {M.shape}")
+    return M
+
+
+def _check_hermitian(M: Any, what: str, error: type, size: int | None = None) -> np.ndarray:
+    """M as by ``_check_square``, if also ||M - M^dag|| <= 1e-8 max(||M||, 1)."""
+    M = _check_square(M, what, error, size)
+    if np.linalg.norm(M - M.conj().T) > 1e-8 * max(np.linalg.norm(M), 1.0):
+        raise error(f"{what} must be Hermitian")
+    return M
+
+
+def _check_density(rho: np.ndarray, what: str, size: int | None = None) -> np.ndarray:
+    """rho as by ``_check_hermitian`` if of trace 1 within 1e-8 and spectrum >= -1e-10."""
+    rho = _check_hermitian(rho, what, NotDensityOperator, size)
     tr = complex(np.trace(rho)).real
     if abs(tr - 1.0) > 1e-8:
         raise NotDensityOperator(f"{what} has trace {tr!r}, expected 1")
@@ -124,9 +141,7 @@ def herm_eigen(H: np.ndarray) -> Spectrum:
     returned eigenvalues are real and sorted non-increasing, and ``V diag(w)
     V^dag`` matches H to 1e-10 * ||H|| (LAPACK guarantee).
     """
-    H = _as_matrix(H)
-    if H.shape[0] != H.shape[1]:
-        raise NonSquare(f"expected square matrix, got {H.shape}")
+    H = _check_square(_as_matrix(H), "H", NonSquare)  # ShapeMismatch if not finite 2-d
     scale = np.linalg.norm(H)
     asym = np.linalg.norm(H - H.conj().T)
     if asym > _HERM_TOL * max(scale, 1.0):
@@ -149,9 +164,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
     Eigenvalues in [-1e-10, 0) are clamped to 0 (eigensolver noise on
     rank-deficient inputs); anything more negative, a trace off 1 by more
-    than 1e-8, or a non-Hermitian input raises NotDensityOperator.
+    than 1e-8, or an input that is not finite, square and Hermitian raises
+    NotDensityOperator.
     """
-    rho = _check_density(_as_matrix(rho), "density operator")
+    rho = _check_density(rho, "density operator")
     lam = np.clip(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), 0.0, 1.0)
     pos = lam[lam > 0.0]
     return float(-np.sum(pos * np.log(pos)))

@@ -6,7 +6,7 @@ import numpy as np
 
 from .chain import KrausFamily
 from .errors import InvalidDistribution, OutOfRange
-from .linalg import _check_length
+from .linalg import _check_length, _check_square
 
 __all__ = [
     "aklt",
@@ -72,12 +72,7 @@ def markov(p: np.ndarray | list | None = None) -> KrausFamily:
     """
     if p is None:
         p = [[0.8, 0.2], [0.3, 0.7]]
-    P = np.asarray(p, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise InvalidDistribution(f"transition matrix must be square, got {P.shape}")
-    # NaN would pass both comparisons below
-    if not np.all(np.isfinite(P)):
-        raise InvalidDistribution("transition matrix contains NaN or Inf")
+    P = _check_square(np.asarray(p, dtype=float), "transition matrix", InvalidDistribution).real
     if np.any(P < 0.0):
         raise InvalidDistribution("transition probabilities must be non-negative")
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-10:

@@ -34,7 +34,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .linalg import _check_density, _check_length, _check_tol, _psd_rank
-from .linalg import clock_shift_basis, exterior_square, gram_rank
+from .linalg import clock_shift_basis, exterior_square
 from .restriction import (
     _CHUNK_STRINGS,
     DEFAULT_GUARD,
@@ -42,7 +42,6 @@ from .restriction import (
     _check_contraction,
     _check_guard,
     _products,
-    _string_product,
     _string_sum,
     _string_tables,
 )
@@ -66,6 +65,7 @@ __all__ = [
 _STATUSES = ("SatisfiedCertified", "SatisfiedUpToN", "ViolatedUpToN", "Undetermined")
 _INVARIANT_TOL = 1e-12  # largest ||(1 - P) A_x P|| of an invariant range(P)
 _SEARCH_BUDGET = 200_000  # most staircase nodes one length's search may visit
+_W_MARGIN = 1e-9  # how far below 1 a w(m) must fall to rule out a dark subspace
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,8 @@ class PurityVerdict:
     SatisfiedCertified: products span the operator space at some length
     (sufficient condition; failure refutes nothing).
     SatisfiedUpToN: the scalar-subspace staircase reached rank 1 — no rank-2
-    subspace survives, and the staircase is non-increasing.
+    subspace survives, and the staircase is non-increasing.  At D >= 3, where
+    the search is not exhaustive, also some w(m) < 1 - 1e-9, m <= min(n_max, 6).
     ViolatedUpToN: a rank >= 2 subspace survived through n_max *and* is
     exactly invariant under every A_x, which extends the violation to all N.
     Undetermined: anything else within the explored horizon.
@@ -313,7 +314,8 @@ def purity_verdict(
 ) -> PurityVerdict:
     """Combine the span certificate, the staircase, and decay evidence.
 
-    The decay evidence is the fitted rate of w(1..min(n_max, 6)).  A caller
+    The decay evidence is w(1..min(n_max, 6)): its fitted rate, and at D >= 3
+    the first w(m) < 1 - 1e-9 that a staircase reaching rank 1 needs.  A caller
     that already holds ``w_series(K, m)`` for some m >= min(n_max, 6) may pass
     it as ``w``: its first entries hold the same values, so the verdict is the
     same and the strings are not enumerated again.  The span certificate
@@ -345,13 +347,24 @@ def purity_verdict(
         report = correctable_subspace(K, n_max, tol=tol, guard=guard)
         corr_ranks = report.max_ranks
         if 1 in report.max_ranks:
-            first = report.max_ranks.index(1) + 1
-            status = "SatisfiedUpToN"
-            evidence = (
-                f"no rank-2 scalar subspace survives length {first} "
-                f"(staircase {list(report.max_ranks)}); non-increasing ranks "
-                f"extend this to all longer products"
-            )
+            ranks = list(report.max_ranks)
+            below = [(n, v) for n, v in w.values if v < 1.0 - _W_MARGIN]
+            status = "SatisfiedUpToN" if K.D <= 2 or below else "Undetermined"
+            if K.D <= 2:
+                evidence = (
+                    f"no rank-2 scalar subspace survives length {ranks.index(1) + 1} (staircase "
+                    f"{ranks}); non-increasing ranks extend this to all longer products"
+                )
+            elif below:  # a rank-2 scalar subspace at length m forces w(m) >= 1
+                evidence = (
+                    f"w({below[0][0]}) = {below[0][1]:.6g} < 1 rules out a rank-2 scalar "
+                    f"subspace at length {below[0][0]} and beyond (staircase {ranks})"
+                )
+            else:
+                evidence = (
+                    f"span rank {max(span_ranks)} < {K.D**2} by n = {n_max}; the staircase {ranks} "
+                    f"reached rank 1, but it is exhaustive only at D = 2, and w >= 1 through n = {m}"
+                )
         elif _range_invariant(K, report.projectors[-1]):
             status = "ViolatedUpToN"
             evidence = (
@@ -453,15 +466,14 @@ def f_series(
 ) -> DecaySeries:
     """f(n) = sum over strings of nu1 * nu2 of F A_{x_n}..A_{x_1} sqrt(sigma).
 
-    Requires a finite density operator sigma and F^dag F <= 1; then
-    f(n) <= w(n) termwise (the dressing contracts both singular values).
+    Requires a D x D density operator sigma and a D x D F with F^dag F <= 1;
+    then f(n) <= w(n) termwise (the dressing contracts both singular values).
     """
     n_max = _check_length(n_max, "n_max")
-    sigma = _check_density(sigma, "sigma")
-    F = _check_contraction(F)
+    root = sqrt_env(_check_density(sigma, "sigma", K.D))
+    F = _check_contraction(F, K.D)
     # an identity F is skipped, as the scans skip it: multiplying by it changes no bit
     F = None if np.array_equal(F, np.eye(K.D)) else F
-    root = sqrt_env(sigma)
     levels = [_products(K, root, n, guard) for n in range(1, n_max + 1)]
 
     def leaf(_: int, P: np.ndarray) -> np.ndarray:
@@ -561,8 +573,9 @@ def constructive_purity_family(D: int, d: int = 5) -> KrausFamily:
     isometry C^D -> C^(D d) (the first D columns of a unitary on C^(D d)).
 
     The length-(2D-1) strings (3 repeated k, 1 repeated j, 0, then 4 padding)
-    produce products proportional to U_{jk}^dag R U_{jk}, whose Gram matrix
-    has full rank D^2 — verified before returning.
+    produce products proportional to U_{jk}^dag R U_{jk}, which span the
+    operator space; ``span_purity_test`` at length 2D-1 checks this before
+    returning (NumericalInconsistency if it fails).
     """
     D, d = _check_length(D, "D"), _check_length(d, "d")
     if D % 2 == 0:
@@ -587,16 +600,9 @@ def constructive_purity_family(D: int, d: int = 5) -> KrausFamily:
 
     fam = KrausFamily(ops=col0.reshape(d, D, D))
 
-    # Witness products: strings (3 x k, 1 x j, 0, 4-padding) of length 2D-1
-    # give W proportional to sqrt(R) U_{jk}, so W^dag W ~ U_{jk}^dag R U_{jk}.
-    witnesses = []
-    for j in range(D):
-        for k in range(D):
-            string = [3] * k + [1] * j + [0] + [4] * (2 * D - 2 - j - k)
-            W = _string_product(fam.ops, np.eye(D, dtype=complex), string)
-            witnesses.append(W.conj().T @ W)
-    if gram_rank(witnesses) != D * D:
+    passed_at, ranks = span_purity_test(fam, 2 * D - 1)
+    if passed_at is None:
         raise NumericalInconsistency(
-            f"witness products do not span: rank {gram_rank(witnesses)} != {D * D}"
+            f"length-{2 * D - 1} products do not span: rank {ranks[-1]} != {D * D}"
         )
     return fam

@@ -75,7 +75,7 @@ from .errors import (
     ZeroProbabilityString,
 )
 from .gibbs import ChainDistribution, _window_cmi
-from .linalg import Spectrum, _check_density, _check_length, _integral
+from .linalg import Spectrum, _check_density, _check_length, _check_square, _integral
 
 __all__ = [
     "RestrictionContext",
@@ -99,13 +99,9 @@ DEFAULT_GUARD = 2_000_000  # max d^n strings per enumeration; overridable everyw
 _CHUNK_STRINGS = 512  # most square products held at once; bounds peak memory
 
 
-def _check_contraction(F: np.ndarray) -> np.ndarray:
-    """F as a complex array, unchanged, if it is finite with F^dag F <= 1."""
-    F = np.asarray(F, dtype=complex)
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
-        raise FNotContractive(f"F must be square, got {F.shape}")
-    if not np.all(np.isfinite(F)):
-        raise FNotContractive("F contains NaN or Inf")
+def _check_contraction(F: np.ndarray, size: int) -> np.ndarray:
+    """F as by ``_check_square`` (size x size) if F^dag F <= 1, else FNotContractive."""
+    F = _check_square(F, "F", FNotContractive, size)
     lam_max = float(np.linalg.eigvalsh(F.conj().T @ F)[-1])
     if lam_max > 1.0 + 1e-10:
         raise FNotContractive(f"largest eigenvalue of F^dag F is {lam_max!r} > 1")
@@ -118,8 +114,8 @@ class RestrictionContext:
 
     ``k2`` records the construction-geometry normalization; the per-length
     values K^2(N) = Tr(F^dag F E^N(sigma)) are computed lazily and cached, so
-    probabilities sum to 1 exactly for every N.  The finite density operator
-    sigma and contraction F are stored as given.
+    probabilities sum to 1 exactly for every N.  The D x D density operator
+    sigma and contraction F are stored as given; a k2 not >= 1e-12 is refused.
     """
 
     kraus: KrausFamily
@@ -129,15 +125,10 @@ class RestrictionContext:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sigma = _check_density(self.sigma, "sigma")
-        f_op = _check_contraction(self.f_op)
-        D = self.kraus.D
-        if sigma.shape != (D, D) or f_op.shape != (D, D):
-            raise FNotContractive(f"environments must be {D}x{D}")
-        if self.k2 < 1e-12:
-            raise ValueError(f"context rejected: K^2 = {self.k2!r} < 1e-12")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "f_op", f_op)
+        object.__setattr__(self, "sigma", _check_density(self.sigma, "sigma", self.kraus.D))
+        object.__setattr__(self, "f_op", _check_contraction(self.f_op, self.kraus.D))
+        if not self.k2 >= 1e-12:  # NaN fails every comparison
+            raise ValueError(f"context rejected: K^2 = {self.k2!r} is not >= 1e-12")
 
     @classmethod
     def stationary(cls, kraus: KrausFamily) -> "RestrictionContext":

@@ -2,10 +2,12 @@
 by shared checks, before any work, with one documented exception type each."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+import mpsrestrict
 from mpsrestrict import (
     BoundaryPair,
     KrausFamily,
@@ -19,9 +21,13 @@ from mpsrestrict import (
     gram_rank,
     herm_eigen,
     jordan,
+    left_environment,
     markov,
+    right_environment,
     singular_values,
     sqrt_env,
+    transfer_adjoint_apply,
+    transfer_apply,
     von_neumann_entropy,
 )
 from mpsrestrict import restriction
@@ -31,10 +37,12 @@ from mpsrestrict.errors import (
     EnumerationTooLarge,
     FNotContractive,
     InvalidDistribution,
+    NonSquare,
     NotDensityOperator,
     NotPSD,
     OutOfRange,
     RangeError,
+    ShapeMismatch,
     SymbolOutOfRange,
 )
 from mpsrestrict.gibbs import (
@@ -172,20 +180,96 @@ def test_a_broadcast_kraus_family_is_accepted():
     assert np.array_equal(KrausFamily(ops=ops).ops, np.stack([np.eye(2) / np.sqrt(2)] * 2))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_matrices_are_rejected_with_their_documented_type(bad):
-    eye = np.eye(2, dtype=complex)
-    poisoned = np.array([[0.5, 0.0], [0.0, bad]], dtype=complex)
-    with pytest.raises(NotDensityOperator):
-        RestrictionContext(kraus=_K, sigma=poisoned, f_op=eye, k2=1.0)
-    with pytest.raises(FNotContractive):
-        RestrictionContext(kraus=_K, sigma=eye / 2, f_op=poisoned, k2=1.0)
-    with pytest.raises(NotPSD):
-        sqrt_env(poisoned)
-    with pytest.raises(NotDensityOperator):
-        f_series(_K, poisoned, eye, 2)
-    with pytest.raises(FNotContractive):
-        f_series(_K, eye / 2, poisoned, 2)
+_EYE = np.eye(2, dtype=complex)
+_E0 = np.array([1.0, 0.0])
+
+# bad matrices and boundary vectors for a family with D = 2; "wrong-size" is
+# a valid 3x3 density operator and contraction, wrong only in its size
+BAD_MATRICES = {
+    "nan": np.array([[0.5, 0.0], [0.0, np.nan]]),
+    "inf": np.array([[0.5, 0.0], [0.0, np.inf]]),
+    "non-square": np.full((2, 3), 0.25),
+    "wrong-size": np.eye(3) / 3,
+    "nan-vector": np.array([np.nan, 0.0]),
+    "inf-vector": np.array([np.inf, 0.0]),
+    "wrong-size-vector": np.array([1.0, 0.0, 0.0]),
+}
+_SQUARE = ("nan", "inf", "non-square", "wrong-size")
+_ANY_SIZE = ("nan", "inf", "non-square")
+_VECTOR = ("nan-vector", "inf-vector", "wrong-size-vector")
+
+# every public entry point that takes a square matrix or a boundary vector, as
+# "function-parameter": the call on a bad argument and the error each bad kind
+# raises (sizes bound by the family are checked against D = 2)
+MATRIX_ENTRY_POINTS = {
+    "RestrictionContext-sigma": (
+        lambda M: RestrictionContext(kraus=_K, sigma=M, f_op=_EYE, k2=1.0),
+        dict.fromkeys(_SQUARE, NotDensityOperator),
+    ),
+    "RestrictionContext-f_op": (
+        lambda M: RestrictionContext(kraus=_K, sigma=_EYE / 2, f_op=M, k2=1.0),
+        dict.fromkeys(_SQUARE, FNotContractive),
+    ),
+    "f_series-sigma": (lambda M: f_series(_K, M, _EYE, 2), dict.fromkeys(_SQUARE, NotDensityOperator)),
+    "f_series-F": (lambda M: f_series(_K, _EYE / 2, M, 2), dict.fromkeys(_SQUARE, FNotContractive)),
+    "transfer_apply-chi": (lambda M: transfer_apply(_K, M), dict.fromkeys(_SQUARE, ShapeMismatch)),
+    "transfer_adjoint_apply-Q": (lambda M: transfer_adjoint_apply(_K, M), dict.fromkeys(_SQUARE, ShapeMismatch)),
+    "sqrt_env-M": (sqrt_env, dict.fromkeys(_ANY_SIZE, NotPSD)),
+    "von_neumann_entropy-rho": (von_neumann_entropy, dict.fromkeys(_ANY_SIZE, NotDensityOperator)),
+    "herm_eigen-H": (herm_eigen, {"nan": ShapeMismatch, "inf": ShapeMismatch, "non-square": NonSquare}),
+    "left_environment-L": (lambda v: left_environment(_K, v, 0), dict.fromkeys(_VECTOR, ShapeMismatch)),
+    "right_environment-R": (lambda v: right_environment(_K, v, 0), dict.fromkeys(_VECTOR, ShapeMismatch)),
+    "BoundaryPair-L": (
+        lambda v: BoundaryPair(L=v, R=_E0),
+        {"nan-vector": OutOfRange, "inf-vector": OutOfRange, "wrong-size-vector": ShapeMismatch},
+    ),
+    "BoundaryPair-R": (
+        lambda v: BoundaryPair(L=_E0, R=v),
+        {"nan-vector": OutOfRange, "inf-vector": OutOfRange, "wrong-size-vector": ShapeMismatch},
+    ),
+}
+# the parameter names that hold a square matrix or a boundary vector
+_MATRIX_PARAMETERS = {"chi", "Q", "M", "H", "rho", "sigma", "F", "f_op", "L", "R"}
+
+
+@pytest.mark.parametrize(
+    "name,kind", [(name, kind) for name, (_, errors) in sorted(MATRIX_ENTRY_POINTS.items()) for kind in errors]
+)
+def test_a_bad_matrix_raises_its_documented_error(name, kind):
+    """NaN, Inf, a non-square or a mis-sized argument raises the entry point's
+    named error, not a numpy error or a result full of NaN."""
+    call, errors = MATRIX_ENTRY_POINTS[name]
+    with pytest.raises(errors[kind]):
+        call(BAD_MATRICES[kind])
+
+
+def test_every_public_matrix_entry_point_is_in_the_registry():
+    """A new public function or class that takes a square matrix or a boundary
+    vector must join MATRIX_ENTRY_POINTS, and so the checks above.
+    TransferFixedPoint is a result that fixed_point builds, not an input."""
+    taken = set()
+    for name in mpsrestrict.__all__:
+        obj = getattr(mpsrestrict, name)
+        if callable(obj) and name != "TransferFixedPoint":
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:  # an exception class, which has no signature
+                continue
+            taken |= {f"{name}-{p}" for p in params if p in _MATRIX_PARAMETERS}
+    assert taken == set(MATRIX_ENTRY_POINTS)
+
+
+def test_a_mis_sized_sigma_is_named_as_sigma():
+    """sigma is judged by its own rule before F, so a mis-sized sigma raises
+    NotDensityOperator naming sigma, even when F is mis-sized too."""
+    with pytest.raises(NotDensityOperator, match="sigma must be 2x2"):
+        RestrictionContext(kraus=_K, sigma=np.eye(3) / 3, f_op=np.eye(3), k2=1.0)
+
+
+def test_a_nan_k2_is_rejected():
+    """NaN fails every comparison, so the check reads not k2 >= 1e-12."""
+    with pytest.raises(ValueError, match="K\\^2 = nan"):
+        RestrictionContext(kraus=_K, sigma=_EYE / 2, f_op=_EYE, k2=float("nan"))
 
 
 def test_nan_scalars_are_rejected():
@@ -221,7 +305,6 @@ def test_analyze_computes_the_fixed_point_twice(monkeypatch, tmp_path):
 
 
 _NAN = float("nan")
-_E0 = np.array([1.0, 0.0])
 
 # a bad argument to a model constructor or a boundary pair: the call, the named
 # error (a ValueError too), a word of its message, and the CLI flags, if any,
@@ -245,6 +328,7 @@ BAD_MODEL_ARGUMENTS = {
         ["--builtin", "markov", "--p", "1.5,-0.5;0,1"],
     ),
     "markov-not-square": (lambda: markov([[1.0, 0.0]]), InvalidDistribution, "square", None),
+    "markov-empty": (lambda: markov(np.zeros((0, 0))), InvalidDistribution, "non-empty", None),
     "boundary-norm": (lambda: BoundaryPair(L=2 * _E0, R=_E0), OutOfRange, "boundary vector L", None),
     "boundary-nan": (lambda: BoundaryPair(L=_E0, R=np.array([_NAN, 0.0])), OutOfRange, "boundary vector R", None),
 }

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpsrestrict.chain import KrausFamily
 from mpsrestrict.errors import (
@@ -202,6 +204,70 @@ def test_violated_verdict_requires_exact_invariance():
     assert v.span_passed_at is None
 
 
+def _code_d3() -> KrausFamily:
+    """span(e0, e1) is invariant and each A_x acts on it as 1/sqrt(2) times 1
+    or sigma_x: a rank-2 dark subspace, so purity fails."""
+    beta, r = 0.4, 1 / np.sqrt(2)
+    t = np.sqrt((1 - 2 * beta**2) / 2)
+    return KrausFamily.from_matrices(
+        [np.array([[r, 0, beta], [0, r, 0], [0, 0, t]]), np.array([[0, r, 0], [r, 0, -beta], [0, 0, t]])]
+    )
+
+
+def test_a_dark_subspace_the_staircase_misses_is_never_satisfied():
+    """The staircase reaches rank 1 on code-D3, which it cannot search
+    exhaustively at D = 3, while w stays >= 1: no certificate holds."""
+    K = _code_d3()
+    v = purity_verdict(K, 6)
+    assert v.correctable_ranks == (1,) * 6 and v.span_passed_at is None
+    assert v.status == "Undetermined"
+    assert "reached rank 1" in v.evidence and "w >= 1 through n = 6" in v.evidence
+    assert min(w for _, w in w_series(K, 8).values) >= 1.0
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_a_w_below_one_certifies_and_names_its_length(dim):
+    """jordan(dim) has D = dim + 1 >= 3, w(n) = 1 for n < dim and w(dim) = 0."""
+    v = purity_verdict(jordan(dim), 6)
+    assert v.status == "SatisfiedUpToN"
+    assert v.evidence.startswith(f"w({dim}) = 0 < 1 rules out a rank-2 scalar subspace")
+
+
+@pytest.mark.parametrize("gap,status", [(0.5e-9, "Undetermined"), (2e-9, "SatisfiedUpToN")])
+def test_w_certifies_only_below_one_by_the_margin(gap, status):
+    """A w handed in is read as it is: w(3) = 1 - gap certifies code-D3 only
+    when gap exceeds the rounding margin of 1e-9."""
+    w = DecaySeries.from_values([(1, 1.25), (2, 1.25), (3, 1.0 - gap)])
+    assert purity_verdict(_code_d3(), 3, w=w).status == status
+
+
+def _dark_block_family(r: int, s: int, d: int, seed: int) -> KrausFamily:
+    """A_x = [[sqrt(c_x) U_x, B_x], [0, C_x]] with an r x r unitary U_x and
+    sum c_x = 1: the first r columns of the isometry are the scaled unitaries,
+    the other s any orthonormal completion."""
+    rng = np.random.default_rng(seed)
+    D = r + s
+    c = rng.dirichlet(np.ones(d))
+    head = np.zeros((d * D, r), dtype=complex)
+    for x in range(d):
+        head[x * D : x * D + r] = np.sqrt(c[x]) * purity._haar_unitary(r, rng)
+    Z = rng.standard_normal((d * D, s)) + 1j * rng.standard_normal((d * D, s))
+    tail = np.linalg.qr(Z - head @ (head.conj().T @ Z))[0]
+    return KrausFamily(ops=np.hstack([head, tail]).reshape(d, D, D))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 2), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_a_dark_block_keeps_w_at_one_or_more(r, s, d, seed):
+    """The lemma behind the w certificate: a rank-r subspace on which every
+    P A_s^dag A_s P = c_s P forces w(n) >= 1, since nu1 nu2(A_s) >= c_s and
+    sum c_s = 1.  So such a family is never reported Satisfied*."""
+    K = _dark_block_family(r, s, d, seed)
+    w = w_series(K, 3)
+    assert min(v for _, v in w.values) >= 1.0 - 1e-12
+    assert not purity_verdict(K, 3, w=w).status.startswith("Satisfied")
+
+
 def test_haar_kraus_normalized_and_deterministic():
     K1 = haar_kraus(3, 5, seed=42)
     K2 = haar_kraus(3, 5, seed=42)
@@ -269,6 +335,24 @@ def test_constructive_family_blocks_and_witnesses():
             assert np.linalg.norm(W.conj().T @ W - expected) < 1e-12
             witnesses.append(W.conj().T @ W)
     assert gram_rank(witnesses) == D * D
+
+
+@pytest.mark.parametrize("D,d,passed_at", [(3, 5, 4), (5, 6, 5), (7, 5, 6), (9, 6, 8)])
+def test_constructive_family_spans_by_length_2d_minus_1(D, d, passed_at):
+    assert span_purity_test(constructive_purity_family(D, d), 2 * D - 1)[0] == passed_at
+
+
+def test_constructive_family_raises_when_its_products_do_not_span(monkeypatch):
+    calls = []
+
+    def stalled(K, n_max):
+        calls.append(n_max)
+        return None, [1] * n_max
+
+    monkeypatch.setattr(purity, "span_purity_test", stalled)
+    with pytest.raises(NumericalInconsistency, match="length-5 products do not span: rank 1 != 9"):
+        constructive_purity_family(3)
+    assert calls == [5]
 
 
 def test_constructive_family_rejects_bad_dimensions():
