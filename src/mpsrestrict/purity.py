@@ -66,6 +66,7 @@ _STATUSES = ("SatisfiedCertified", "SatisfiedUpToN", "ViolatedUpToN", "Undetermi
 _INVARIANT_TOL = 1e-12  # largest ||(1 - P) A_x P|| of an invariant range(P)
 _SEARCH_BUDGET = 200_000  # most staircase nodes one length's search may visit
 _W_MARGIN = 1e-9  # how far below 1 a w(m) must fall to rule out a dark subspace
+_GRAM_SWITCH = 1e-4  # least lambda2 / lambda1 whose Gram root w_series' check takes
 
 
 @dataclass(frozen=True)
@@ -395,58 +396,85 @@ def purity_verdict(
 # ----------------------------------------------------------------- decay series
 
 
-def _wedge_norms(W: np.ndarray, per_slice: int) -> np.ndarray:
-    """The spectral norm nu1 * nu2 of each exterior square of a stack of
-    products, the squares formed ``per_slice`` at a time.
+def _wedge_norms(W: np.ndarray) -> np.ndarray:
+    """The spectral norm nu1 * nu2 of the exterior square of each product
+    of a stack.
 
     The norm is the root of the top eigenvalue of the Gram matrix
     ext^dag ext.  eigvalsh gives that eigenvalue to O(eps) relative
     accuracy, as the top singular value would be, at a fraction of an
-    SVD's cost.  An exterior square that is exactly zero gives exactly 0.
+    SVD's cost.  The minors themselves carry O(eps) nu1^2, so this route
+    keeps nu1 nu2 to about eps nu1^2 however small nu2 is.  An exterior
+    square that is exactly zero gives exactly 0.
     """
-    norms = np.zeros(len(W))
-    for i in range(0, len(W), per_slice):
-        wedges = exterior_square(W[i : i + per_slice])
-        top = np.linalg.eigvalsh(_adjoint(wedges) @ wedges)[:, -1]
-        norms[i : i + per_slice] = np.sqrt(np.maximum(top, 0.0))
+    wedges = exterior_square(W)
+    top = np.linalg.eigvalsh(_adjoint(wedges) @ wedges)[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def _check_norms(W: np.ndarray, per_slice: int) -> np.ndarray:
+    """nu1 * nu2 of each product of a stack (k, D, D), D >= 2, by a route
+    independent of the SVD: the cross-check of ``w_series``.
+
+    At D = 2 it is |det W|, the product's one 2x2 minor (its exterior
+    square), with no LAPACK call.  At D >= 3 it is sqrt(lambda1 lambda2)
+    from one batched eigvalsh of the Gram matrices W^dag W, for every
+    product with lambda2 >= 1e-4 lambda1 (nu2 >= nu1 / 100).  eigvalsh of
+    the formed Gram is backward stable, so |delta lambda2| <~ (D + c) eps
+    lambda1, and above the switch the root keeps nu1 nu2 to about 1e-11
+    relative or better.  Below it the root would keep only half the digits,
+    so those products, and any NaN, take the norm of the exterior square
+    (``_wedge_norms``), formed ``per_slice`` products at a time.
+    """
+    if W.shape[-1] == 2:  # the exterior square is 1 x 1: no eigensolver
+        return np.abs(exterior_square(W)[:, 0, 0])
+    lam = np.linalg.eigvalsh(_adjoint(W) @ W)
+    top, second = lam[:, -1], lam[:, -2]
+    gram = second >= _GRAM_SWITCH * top
+    norms = np.sqrt(np.where(gram, top * second, 0.0))
+    rest = np.flatnonzero(~gram)
+    for i in range(0, len(rest), per_slice):
+        take = rest[i : i + per_slice]
+        norms[take] = _wedge_norms(W[take])
     return norms
 
 
 def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySeries:
     """w(n) = sum over all d^n strings of nu1 * nu2 of A_{x_n}..A_{x_1}.
 
-    Computed by two independent routes from the same products — per-string
-    SVD, and the spectral norm of the product's exterior square (its matrix
-    of 2x2 minors, ``_wedge_norms``) — which must agree to 1e-9; the
-    submultiplicative law w(n+m) <= w(n) w(m) is checked for all pairs.
-    The reported values are the SVD route's.  The exterior squares of a
-    stack are formed in slices of at most max(1, _CHUNK_STRINGS D^2 //
-    C(D,2)^2) products, so no slice takes more memory than a full stack of
-    D x D products.
+    Computed by two independent routes from the same products, which must
+    agree to 1e-9 max(1, w(n)): the per-string SVD, whose values are
+    reported, and ``_check_norms`` (|det| at D = 2; at D >= 3 the root of
+    the top two Gram eigenvalues where nu2 >= nu1 / 100, else the spectral
+    norm of the exterior square, the matrix of 2x2 minors), which keeps each
+    product's nu1 nu2 to about 1e-11 relative, or O(eps) nu1^2 below the
+    switch.  The submultiplicative law w(n+m) <= w(n) w(m) is checked for
+    all pairs.  The exterior squares of a stack are formed in slices of at
+    most max(1, _CHUNK_STRINGS D^2 // C(D,2)^2) products, so no slice takes
+    more memory than a full stack of D x D products.
     """
     n_max = _check_length(n_max, "n_max")
+    if K.D < 2:  # a 1 x 1 product has no nu2: nothing to walk
+        _check_guard(K.d, n_max, guard)
+        return DecaySeries.from_values((n, 0.0) for n in range(1, n_max + 1))
     levels = [_products(K, np.eye(K.D, dtype=complex), n, guard) for n in range(1, n_max + 1)]
-    if K.D < 2:
-        values = [(n, 0.0) for n in range(1, n_max + 1)]
-        return DecaySeries.from_values(values)
-
     per_slice = max(1, _CHUNK_STRINGS * K.D**2 // comb(K.D, 2) ** 2)
 
     def leaf(_: int, W: np.ndarray) -> np.ndarray:
         s = np.linalg.svd(W, compute_uv=False)
-        return np.stack([s[:, 0] * s[:, 1], _wedge_norms(W, per_slice)], axis=1)
+        return np.stack([s[:, 0] * s[:, 1], _check_norms(W, per_slice)], axis=1)
 
     svd_sums = np.zeros(n_max + 1)
-    wedge_sums = np.zeros(n_max + 1)
+    check_sums = np.zeros(n_max + 1)
     for n, tree in enumerate(levels, start=1):
-        svd_sums[n], wedge_sums[n] = _string_sum(tree, [n], leaf)[n]
+        svd_sums[n], check_sums[n] = _string_sum(tree, [n], leaf)[n]
 
     for n in range(1, n_max + 1):
-        diff = abs(svd_sums[n] - wedge_sums[n])
+        diff = abs(svd_sums[n] - check_sums[n])
         if diff > 1e-9 * max(1.0, svd_sums[n]):
             raise NumericalInconsistency(
-                f"w({n}) routes disagree: svd {svd_sums[n]!r} vs exterior "
-                f"square {wedge_sums[n]!r}"
+                f"w({n}) routes disagree: svd {svd_sums[n]!r} vs check route "
+                f"{check_sums[n]!r}"
             )
     for n in range(1, n_max + 1):
         for m in range(1, n_max + 1 - n):
@@ -472,13 +500,16 @@ def f_series(
     n_max = _check_length(n_max, "n_max")
     root = sqrt_env(_check_density(sigma, "sigma", K.D))
     F = _check_contraction(F, K.D)
+    if K.D < 2:  # a 1 x 1 product has no nu2: nothing to walk
+        _check_guard(K.d, n_max, guard)
+        return DecaySeries.from_values((n, 0.0) for n in range(1, n_max + 1))
     # an identity F is skipped, as the scans skip it: multiplying by it changes no bit
     F = None if np.array_equal(F, np.eye(K.D)) else F
     levels = [_products(K, root, n, guard) for n in range(1, n_max + 1)]
 
     def leaf(_: int, P: np.ndarray) -> np.ndarray:
         s = np.linalg.svd(P if F is None else F @ P, compute_uv=False)
-        return s[:, 0] * s[:, 1] if K.D > 1 else np.zeros(len(P))
+        return s[:, 0] * s[:, 1]
 
     return DecaySeries.from_values(
         (n, float(_string_sum(tree, [n], leaf)[n])) for n, tree in enumerate(levels, start=1)

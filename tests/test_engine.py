@@ -13,7 +13,7 @@ import oracle
 from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily, renormalize
 from mpsrestrict.gibbs import ChainDistribution
 from mpsrestrict.models import aklt, aklt_pauli, clock, damping, jordan, markov
-from mpsrestrict import restriction
+from mpsrestrict import purity, restriction
 from mpsrestrict.purity import (
     constructive_purity_family,
     correctable_subspace,
@@ -246,7 +246,8 @@ def test_an_enumeration_of_zero_products_gives_zeros_of_the_right_shape(n):
 def test_w_series_bounds_the_exterior_square_slices():
     """At D = 8 a stack's 512 exterior squares (28 x 28) would take 6.4 MB,
     against 0.5 MB for its 512 products; in slices of 41 wedges the whole
-    series peaks below 8 stacks of products."""
+    series peaks below 8 stacks of products.  Most Haar products take the
+    Gram route, whose W^dag W stack is the size of the products."""
     K = haar_kraus(8, 2, seed=1)
     chunk_bytes = _CHUNK_STRINGS * 8 * 8 * 16
     assert max(1, _CHUNK_STRINGS * 8**2 // 28**2) * 28**2 * 16 <= chunk_bytes
@@ -258,6 +259,34 @@ def test_w_series_bounds_the_exterior_square_slices():
         tracemalloc.stop()
     assert peak <= 8 * chunk_bytes
     assert abs(w.value_at(9) - oracle.w_values(K, 9)[-1]) <= TOL
+
+
+def test_w_series_bounds_the_exterior_square_slices_of_rank_one_products(monkeypatch):
+    """Every product of A_x = u_x e_x^dag (D = d = 8) has rank 1, so all of
+    them take the exterior square, 4096 at length 4 in stacks of 512:
+    unsliced, one stack's squares alone (6.4 MB) would break the bound of 8
+    stacks of products that the slices of 41 keep."""
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    K = KrausFamily(ops=np.einsum("xi,xj->xij", u / np.linalg.norm(u, axis=1)[:, None], np.eye(8)))
+    formed = []
+    minors = purity.exterior_square
+
+    def spy(O):
+        formed.append(len(O))
+        return minors(O)
+
+    monkeypatch.setattr(purity, "exterior_square", spy)
+    chunk_bytes = _CHUNK_STRINGS * 8 * 8 * 16
+    tracemalloc.start()
+    try:
+        w = w_series(K, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * chunk_bytes
+    assert sum(formed) == 8 + 8**2 + 8**3 + 8**4 and max(formed) == 41
+    assert abs(w.value_at(4) - oracle.w_values(K, 4)[-1]) <= TOL
 
 
 def test_w_series_streams_its_rows():

@@ -11,9 +11,11 @@ from mpsrestrict.errors import (
     NonHermitian,
     NonSquare,
     NotDensityOperator,
+    NotPSD,
     OutOfRange,
     ShapeMismatch,
 )
+from mpsrestrict.chain import sqrt_env
 from mpsrestrict.linalg import (
     Spectrum,
     binary_entropy,
@@ -44,6 +46,25 @@ def test_herm_eigen_rejects_bad_input():
         herm_eigen(np.ones((2, 3)))
     with pytest.raises(NonHermitian):
         herm_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_one_hermitian_rule_for_herm_eigen_and_sqrt_env():
+    """[[1, 1e-9], [0, 1]] is Hermitian within 1e-8 max(||M||, 1): both entry
+    points accept it and decompose its Hermitian part; [[1, 1e-7], [0, 1]]
+    is not, and both refuse it with their own error."""
+    M = np.array([[1.0, 1e-9], [0.0, 1.0]])
+    part = (M + M.T) / 2.0
+    spec = herm_eigen(M)
+    rebuilt = (spec.vectors * spec.values) @ spec.vectors.conj().T
+    assert np.linalg.norm(rebuilt - part) < 1e-10 * np.linalg.norm(M)
+    assert spec.values == pytest.approx([1.0 + 5e-10, 1.0 - 5e-10], rel=0.0, abs=1e-15)
+    root = sqrt_env(M)
+    assert np.linalg.norm(root @ root - part) < 1e-10
+    M[0, 1] = 1e-7
+    with pytest.raises(NonHermitian):
+        herm_eigen(M)
+    with pytest.raises(NotPSD):
+        sqrt_env(M)
 
 
 def test_singular_values_known():

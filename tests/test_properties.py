@@ -14,7 +14,7 @@ import oracle
 from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily, renormalize
 from mpsrestrict.gibbs import ChainDistribution
 from mpsrestrict.models import aklt, damping, jordan, markov
-from mpsrestrict import restriction
+from mpsrestrict import purity, restriction
 from mpsrestrict.purity import f_series, haar_kraus, span_purity_test, w_series
 from mpsrestrict.restriction import (
     _CHUNK_STRINGS,
@@ -423,3 +423,68 @@ def test_q_lies_between_the_second_eigenvalues(case):
         s = restriction_scan(ctx, n)
         assert s.lam2_sum_over_k2 <= s.avg_purity_q + 1e-12, n
         assert s.avg_purity_q <= (K.D - 1) * s.lam2_sum_over_k2 + 1e-12, n
+
+
+@settings(max_examples=200, deadline=2000)
+@given(
+    D=st.integers(min_value=2, max_value=6),
+    log_ratio=st.floats(min_value=-9.0, max_value=0.0),
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_the_check_route_keeps_nu1_nu2_across_its_switch(D, log_ratio, log_scale, seed):
+    """W = scale U diag(1, ratio, ...) V^dag, ratio = nu2 / nu1 in [1e-9, 1]:
+    w_series' check route is within 1e-10 of nu1 nu2, relative, on both
+    sides of its switch at nu2 = nu1 / 100.  Forming W moves nu2 by about
+    eps nu1, so below nu2 of about 1e-6 nu1 no double-precision route keeps
+    1e-10 of nu2; the bound adds 1e-14 nu1^2 for that, which the exterior
+    square keeps (about 1e-17 nu1^2) and a Gram root there would not."""
+    rng = np.random.default_rng(seed)
+    ratio, scale = 10.0**log_ratio, 10.0**log_scale
+    s = np.concatenate([[1.0, ratio], np.sort(ratio * rng.uniform(size=D - 2))[::-1]])
+    U, V = (purity._haar_unitary(D, rng) for _ in range(2))
+    W = scale * (U * s) @ V.conj().T
+    want = scale**2 * ratio
+    got = purity._check_norms(W[None], per_slice=1)[0]
+    assert abs(got - want) <= 1e-10 * want + 1e-14 * scale**2
+
+
+def _renormalized_rank_one() -> KrausFamily:
+    """renormalize of three complex rank-1 3 x 3 outer products from default_rng(3)."""
+    rng = np.random.default_rng(3)
+    uv = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
+    return renormalize([np.outer(u, v.conj()) for u, v in uv])
+
+
+RANK_DEFICIENT = {
+    **{f"haar-rank-1-{seed}": lambda seed=seed: _haar_with("rank-1", 3, 3, seed) for seed in range(3)},
+    "jordan-4": lambda: jordan(4),
+    "damping": lambda: damping(0.5),
+    "renormalized-rank-1": _renormalized_rank_one,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
+def test_rank_deficient_products_take_the_exterior_square(name, monkeypatch):
+    """On families with rank-deficient products the routes of w_series
+    agree, and every product with 0 < nu2 < nu1 / 200 had its exterior
+    square formed; at D >= 3 no product with nu2 > nu1 / 50 did."""
+    K = RANK_DEFICIENT[name]()
+    low, near, formed = [], [], []
+    check, minors = purity._check_norms, purity.exterior_square
+
+    def spy_check(W, per_slice):
+        s = np.linalg.svd(W, compute_uv=False)
+        ratio = np.divide(s[:, 1], s[:, 0], out=np.ones(len(W)), where=s[:, 0] > 0.0)
+        low.append(int(np.count_nonzero(ratio < 5e-3)))
+        near.append(int(np.count_nonzero(ratio < 2e-2)) if K.D > 2 else len(W))
+        return check(W, per_slice)
+
+    def spy_minors(O):
+        formed.append(len(O))
+        return minors(O)
+
+    monkeypatch.setattr(purity, "_check_norms", spy_check)
+    monkeypatch.setattr(purity, "exterior_square", spy_minors)
+    w_series(K, 5)  # raises NumericalInconsistency if the routes disagree
+    assert 0 < sum(low) <= sum(formed) <= sum(near)

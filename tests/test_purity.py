@@ -15,7 +15,7 @@ from mpsrestrict.errors import (
     NumericalInconsistency,
     SearchBudgetExceeded,
 )
-from mpsrestrict import purity
+from mpsrestrict import purity, restriction
 from mpsrestrict.linalg import clock_shift_basis, exterior_square, gram_rank
 from mpsrestrict.models import aklt, aklt_pauli, clock, damping, jordan, markov
 from mpsrestrict.trajectories import purification_statistic
@@ -382,20 +382,77 @@ def test_the_wedge_route_gives_exact_zeros_without_a_warning():
     assert zero.sum() == 3**4 - 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norms = _wedge_norms(W, per_slice=7)
+        norms = _wedge_norms(W)
         w = w_series(aklt(), 8)
     assert np.all(norms[zero] == 0.0)
     assert np.allclose(norms, np.linalg.svd(wedges, compute_uv=False)[:, 0], rtol=1e-14, atol=0.0)
     assert [v for _, v in w.values] == pytest.approx([3.0**-n for n in range(1, 9)], rel=1e-10)
 
 
-def test_a_corrupted_wedge_route_is_an_inconsistency(monkeypatch):
-    """The exterior-square route cross-checks the SVD route: minors off by
-    one part in 1e6 make w_series raise."""
+def _skewed_family(ratio: float) -> KrausFamily:
+    """A D = 3, d = 3 family whose operators A_x = U_x diag(s_x) all have
+    nu2 = ratio * nu1: s_x holds a at entry x and ratio * a elsewhere."""
+    rng = np.random.default_rng(0)
+    a = 1.0 / np.sqrt(1.0 + 2.0 * ratio**2)
+    ops = []
+    for x in range(3):
+        s = np.full(3, ratio * a)
+        s[x] = a
+        ops.append(purity._haar_unitary(3, rng) * s)
+    return KrausFamily(ops=np.stack(ops))
+
+
+def _count_wedges(monkeypatch, corrupt: float = 0.0) -> list[int]:
+    """Count the products whose exterior square purity forms, and scale
+    their minors by 1 + corrupt."""
+    formed = []
     minors = purity.exterior_square
-    monkeypatch.setattr(purity, "exterior_square", lambda O: minors(O) * (1.0 + 1e-6))
+
+    def spy(O):
+        formed.append(len(O))
+        return minors(O) * (1.0 + corrupt)
+
+    monkeypatch.setattr(purity, "exterior_square", spy)
+    return formed
+
+
+def test_a_corrupted_wedge_route_is_an_inconsistency(monkeypatch):
+    """The exterior-square route cross-checks the SVD route where nu2 <
+    nu1 / 100: minors off by one part in 1e6 make w_series raise.  Every
+    product of this family takes that route, and w(1) = 0.015 is large
+    enough for the corruption (1.5e-8) to exceed the 1e-9 tolerance."""
+    K = _skewed_family(0.005)
+    assert w_series(K, 1).value_at(1) == pytest.approx(0.015, rel=1e-3)
+    formed = _count_wedges(monkeypatch)
+    w_series(K, 1)
+    assert sum(formed) == 3
+    _count_wedges(monkeypatch, corrupt=1e-6)
     with pytest.raises(NumericalInconsistency, match="routes disagree"):
-        w_series(haar_kraus(3, 2, seed=4), 4)
+        w_series(K, 4)
+
+
+def test_a_corrupted_determinant_is_an_inconsistency(monkeypatch):
+    """At D = 2 the check route is |det W|, the one minor of the exterior
+    square, for every product: off by one part in 1e6 it makes w_series
+    raise on AKLT (w(1) = 1/3)."""
+    formed = _count_wedges(monkeypatch, corrupt=1e-6)
+    with pytest.raises(NumericalInconsistency, match="routes disagree"):
+        w_series(aklt(), 4)
+    assert formed[0] == 3  # the three products of length 1
+
+
+def test_corrupted_gram_eigenvalues_are_an_inconsistency(monkeypatch):
+    """At D >= 3 the check route is sqrt(lambda1 lambda2) of W^dag W where
+    nu2 >= nu1 / 100, which every product of this Haar family has: Gram
+    eigenvalues off by one part in 1e6 make w_series raise, and no
+    exterior square is formed."""
+    K = haar_kraus(3, 2, seed=4)
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: eigvalsh(G) * (1.0 + 1e-6))
+    formed = _count_wedges(monkeypatch)
+    with pytest.raises(NumericalInconsistency, match="routes disagree"):
+        w_series(K, 4)
+    assert formed == []
 
 
 def test_correctable_report_rejects_increasing_ranks():
@@ -439,6 +496,26 @@ def test_scalar_tolerance_must_be_finite_and_non_negative(tol):
     with pytest.raises(OutOfRange):
         purity_verdict(aklt(), 2, tol=tol)
     assert correctable_subspace(aklt(), 2, tol=0.0).max_ranks == (1, 1)
+
+
+def test_decay_series_form_no_product_at_d_one(monkeypatch):
+    """At D = 1, w and f are zero after the length and guard checks,
+    without walking the d^n strings."""
+    grown = []
+    grow = restriction._grow
+
+    def counted(*args):
+        grown.append(1)
+        return grow(*args)
+
+    monkeypatch.setattr(restriction, "_grow", counted)
+    K = KrausFamily(ops=[[[0.6]], [[0.8]]])
+    one = np.eye(1)
+    assert w_series(K, 10).values == tuple((n, 0.0) for n in range(1, 11))
+    assert f_series(K, one, one, 10).values == tuple((n, 0.0) for n in range(1, 11))
+    assert grown == []
+    f_series(haar_kraus(2, 2, 1), np.eye(2) / 2, np.eye(2), 2)
+    assert grown  # the count sees a walk at D = 2
 
 
 def test_one_dimensional_bonds_have_no_second_singular_value():
