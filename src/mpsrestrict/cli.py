@@ -46,7 +46,7 @@ from typing import Any, NoReturn, Sequence
 import numpy as np
 
 from . import __version__
-from .chain import ChainGeometry, _normalization_residual, fixed_point
+from .chain import ChainGeometry, _normalization_residual
 from .errors import (
     CompletionFailed,
     DimensionTooSmall,
@@ -215,7 +215,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ctx = RestrictionContext.stationary(K)
     len_a, len_c = base.len_a, base.len_c
 
-    fp = fixed_point(K)
+    fp = ctx._fixed_point  # the stationary context's own; computed once in finite mode
 
     # Fail before enumerating: the largest tables are the last windowed block
     # and the Gibbs chain.  Guard errors come before the --ell check.

@@ -20,7 +20,6 @@ product lengths.  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -36,11 +35,11 @@ from .errors import (
 from .linalg import _check_density, _check_length, _check_tol, _psd_rank
 from .linalg import clock_shift_basis, exterior_square
 from .restriction import (
-    _CHUNK_STRINGS,
     DEFAULT_GUARD,
     _adjoint,
     _check_contraction,
     _check_guard,
+    _nu12,
     _products,
     _string_sum,
     _string_tables,
@@ -66,7 +65,6 @@ _STATUSES = ("SatisfiedCertified", "SatisfiedUpToN", "ViolatedUpToN", "Undetermi
 _INVARIANT_TOL = 1e-12  # largest ||(1 - P) A_x P|| of an invariant range(P)
 _SEARCH_BUDGET = 200_000  # most staircase nodes one length's search may visit
 _W_MARGIN = 1e-9  # how far below 1 a w(m) must fall to rule out a dark subspace
-_GRAM_SWITCH = 1e-4  # least lambda2 / lambda1 whose Gram root w_series' check takes
 
 
 @dataclass(frozen=True)
@@ -396,47 +394,18 @@ def purity_verdict(
 # ----------------------------------------------------------------- decay series
 
 
-def _wedge_norms(W: np.ndarray) -> np.ndarray:
-    """The spectral norm nu1 * nu2 of the exterior square of each product
-    of a stack.
-
-    The norm is the root of the top eigenvalue of the Gram matrix
-    ext^dag ext.  eigvalsh gives that eigenvalue to O(eps) relative
-    accuracy, as the top singular value would be, at a fraction of an
-    SVD's cost.  The minors themselves carry O(eps) nu1^2, so this route
-    keeps nu1 nu2 to about eps nu1^2 however small nu2 is.  An exterior
-    square that is exactly zero gives exactly 0.
-    """
-    wedges = exterior_square(W)
-    top = np.linalg.eigvalsh(_adjoint(wedges) @ wedges)[:, -1]
-    return np.sqrt(np.maximum(top, 0.0))
-
-
-def _check_norms(W: np.ndarray, per_slice: int) -> np.ndarray:
+def _check_norms(W: np.ndarray) -> np.ndarray:
     """nu1 * nu2 of each product of a stack (k, D, D), D >= 2, by a route
     independent of the SVD: the cross-check of ``w_series``.
 
     At D = 2 it is |det W|, the product's one 2x2 minor (its exterior
-    square), with no LAPACK call.  At D >= 3 it is sqrt(lambda1 lambda2)
-    from one batched eigvalsh of the Gram matrices W^dag W, for every
-    product with lambda2 >= 1e-4 lambda1 (nu2 >= nu1 / 100).  eigvalsh of
-    the formed Gram is backward stable, so |delta lambda2| <~ (D + c) eps
-    lambda1, and above the switch the root keeps nu1 nu2 to about 1e-11
-    relative or better.  Below it the root would keep only half the digits,
-    so those products, and any NaN, take the norm of the exterior square
-    (``_wedge_norms``), formed ``per_slice`` products at a time.
+    square), with no LAPACK call.  At D >= 3 it is ``_nu12`` of one batched
+    eigvalsh of the Gram matrices W^dag W: their root where nu2 >= nu1 / 100,
+    else the norm of the exterior square.
     """
     if W.shape[-1] == 2:  # the exterior square is 1 x 1: no eigensolver
         return np.abs(exterior_square(W)[:, 0, 0])
-    lam = np.linalg.eigvalsh(_adjoint(W) @ W)
-    top, second = lam[:, -1], lam[:, -2]
-    gram = second >= _GRAM_SWITCH * top
-    norms = np.sqrt(np.where(gram, top * second, 0.0))
-    rest = np.flatnonzero(~gram)
-    for i in range(0, len(rest), per_slice):
-        take = rest[i : i + per_slice]
-        norms[take] = _wedge_norms(W[take])
-    return norms
+    return _nu12(W, np.linalg.eigvalsh(_adjoint(W) @ W))
 
 
 def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySeries:
@@ -444,25 +413,23 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
 
     Computed by two independent routes from the same products, which must
     agree to 1e-9 max(1, w(n)): the per-string SVD, whose values are
-    reported, and ``_check_norms`` (|det| at D = 2; at D >= 3 the root of
-    the top two Gram eigenvalues where nu2 >= nu1 / 100, else the spectral
-    norm of the exterior square, the matrix of 2x2 minors), which keeps each
-    product's nu1 nu2 to about 1e-11 relative, or O(eps) nu1^2 below the
-    switch.  The submultiplicative law w(n+m) <= w(n) w(m) is checked for
-    all pairs.  The exterior squares of a stack are formed in slices of at
-    most max(1, _CHUNK_STRINGS D^2 // C(D,2)^2) products, so no slice takes
-    more memory than a full stack of D x D products.
+    reported, and ``_check_norms`` (|det| at D = 2; at D >= 3 the one nu1 nu2
+    kernel ``restriction._nu12``: the root of the top two Gram eigenvalues
+    where nu2 >= nu1 / 100, else the spectral norm of the exterior square,
+    the matrix of 2x2 minors, in slices no larger than a stack of products),
+    which keeps each product's nu1 nu2 to about 1e-11 relative, or O(eps)
+    nu1^2 below the switch.  The submultiplicative law w(n+m) <= w(n) w(m)
+    is checked for all pairs.
     """
     n_max = _check_length(n_max, "n_max")
     if K.D < 2:  # a 1 x 1 product has no nu2: nothing to walk
         _check_guard(K.d, n_max, guard)
         return DecaySeries.from_values((n, 0.0) for n in range(1, n_max + 1))
     levels = [_products(K, np.eye(K.D, dtype=complex), n, guard) for n in range(1, n_max + 1)]
-    per_slice = max(1, _CHUNK_STRINGS * K.D**2 // comb(K.D, 2) ** 2)
 
     def leaf(_: int, W: np.ndarray) -> np.ndarray:
         s = np.linalg.svd(W, compute_uv=False)
-        return np.stack([s[:, 0] * s[:, 1], _check_norms(W, per_slice)], axis=1)
+        return np.stack([s[:, 0] * s[:, 1], _check_norms(W)], axis=1)
 
     svd_sums = np.zeros(n_max + 1)
     check_sums = np.zeros(n_max + 1)

@@ -1,10 +1,11 @@
 """Classical restrictions of a matrix product state.
 
 A restriction context carries the Kraus family together with the left
-environment sigma = E^{|A|}(|L><L|), the right dressing F = sqrt(E*^{|C|}
-(|R><R|)) and the normalization K^2.  The stationary context (sigma = rho,
-F = 1) describes the infinite chain; a finite chain is the bare boundary
-context (sigma = |L><L|, F^dag F = |R><R|).  String probabilities are
+environment sigma = E^{|A|}(|L><L|) and the right dressing F = sqrt(E*^{|C|}
+(|R><R|)), from which it computes the normalization K^2 of each length.
+The stationary context (sigma = rho, F = 1) describes the infinite chain; a
+finite chain is the bare boundary context (sigma = |L><L|, F^dag F =
+|R><R|).  String probabilities are
 
     p(x_1..x_N) = Tr[F A_{x_N} ... A_{x_1} sigma A^dag ... A^dag F^dag] / K^2,
 
@@ -41,16 +42,21 @@ outcomes of any context for several window lengths from one walk
 (``window_distribution`` is its one-length call, and ``chain_distribution``
 that table for the bare boundary context); its leaf, ``_capped_norm2``, is
 the one squared norm of a string product and calls no BLAS, so each entry
-has the bits of its own product alone.  ``_cmi_rows`` sets the
-classical CMI of each window table against the quantum CMI of its block,
-with the window sites folded into the environments once and every block
-scanned from one walk (``_scans``); ``cmi_report`` is its one-row call, and
-``analyze`` takes all its rows from one call.
+has the bits of its own product alone.  ``_nu12`` is the one nu1 nu2 of a
+string product, given the eigenvalues of its Gram matrices, besides the
+SVDs whose values ``purity``'s decay series report: the scans' f, the
+cross-check of ``w_series`` and ``purification_statistic`` take it.
+``_cmi_rows`` sets the classical CMI of each window table against the
+quantum CMI of its block, with the window sites folded into the
+environments once and every block scanned from one walk (``_scans``);
+``cmi_report`` is its one-row call, and ``analyze`` takes all its rows from
+one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,10 +65,10 @@ from .chain import (
     BoundaryPair,
     ChainGeometry,
     KrausFamily,
+    TransferFixedPoint,
     _iterate,
     fixed_point,
     left_environment,
-    normalization_k2,
     right_environment,
     sqrt_env,
     transfer_apply,
@@ -75,7 +81,7 @@ from .errors import (
     ZeroProbabilityString,
 )
 from .gibbs import ChainDistribution, _window_cmi
-from .linalg import Spectrum, _check_density, _check_length, _check_square, _integral
+from .linalg import Spectrum, _check_density, _check_length, _check_square, _integral, exterior_square
 
 __all__ = [
     "RestrictionContext",
@@ -97,6 +103,7 @@ __all__ = [
 
 DEFAULT_GUARD = 2_000_000  # max d^n strings per enumeration; overridable everywhere
 _CHUNK_STRINGS = 512  # most square products held at once; bounds peak memory
+_GRAM_SWITCH = 1e-4  # least lambda2 / lambda1 whose Gram root _nu12 takes
 
 
 def _check_contraction(F: np.ndarray, size: int) -> np.ndarray:
@@ -110,32 +117,31 @@ def _check_contraction(F: np.ndarray, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RestrictionContext:
-    """Kraus family dressed with environments (sigma, F) and normalization.
+    """Kraus family dressed with environments (sigma, F).
 
-    ``k2`` records the construction-geometry normalization; the per-length
-    values K^2(N) = Tr(F^dag F E^N(sigma)) are computed lazily and cached, so
-    probabilities sum to 1 exactly for every N.  The D x D density operator
-    sigma and contraction F are stored as given; a k2 not >= 1e-12 is refused.
+    The per-length normalizations K^2(N) = Tr(F^dag F E^N(sigma)) are
+    computed lazily and cached, so probabilities sum to 1 exactly for every
+    N.  The D x D density operator sigma and contraction F are stored as
+    given.
     """
 
     kraus: KrausFamily
     sigma: np.ndarray
     f_op: np.ndarray
-    k2: float
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", _check_density(self.sigma, "sigma", self.kraus.D))
         object.__setattr__(self, "f_op", _check_contraction(self.f_op, self.kraus.D))
-        if not self.k2 >= 1e-12:  # NaN fails every comparison
-            raise ValueError(f"context rejected: K^2 = {self.k2!r} is not >= 1e-12")
 
     @classmethod
     def stationary(cls, kraus: KrausFamily) -> "RestrictionContext":
-        """Infinite-chain mode: sigma = fixed point rho, F = identity, K^2 = 1."""
-        rho = fixed_point(kraus).rho
-        eye = np.eye(kraus.D, dtype=complex)
-        return cls(kraus=kraus, sigma=rho, f_op=eye, k2=1.0, _cache={"rho": rho})
+        """Infinite-chain mode: sigma = fixed point rho, F = identity, K^2 = 1.
+        The context records the fixed point it was built from."""
+        fp = fixed_point(kraus)
+        ctx = cls(kraus=kraus, sigma=fp.rho, f_op=np.eye(kraus.D, dtype=complex))
+        ctx._cache["fixed_point"] = fp
+        return ctx
 
     @classmethod
     def from_boundaries(
@@ -144,19 +150,20 @@ class RestrictionContext:
         boundaries: BoundaryPair,
         geometry: ChainGeometry,
     ) -> "RestrictionContext":
-        """Finite-chain mode: sigma = E^lenA(L), F = sqrt(E*^lenC(R))."""
+        """Finite-chain mode: sigma = E^lenA(L), F = sqrt(E*^lenC(R)).
+        Degenerate boundaries, K^2(lenB) < 1e-12, raise ValueError here."""
         sigma = left_environment(kraus, boundaries.L, geometry.len_a)
-        f2 = right_environment(kraus, boundaries.R, geometry.len_c)
-        f_op = sqrt_env(f2)
-        k2 = normalization_k2(kraus, boundaries, geometry)
-        return cls(kraus=kraus, sigma=sigma, f_op=f_op, k2=k2)
+        f_op = sqrt_env(right_environment(kraus, boundaries.R, geometry.len_c))
+        ctx = cls(kraus=kraus, sigma=sigma, f_op=f_op)
+        ctx.k2_for(geometry.len_b)
+        return ctx
 
     @property
-    def _rho(self) -> np.ndarray:
-        """The family's stationary state, recorded by ``stationary``."""
-        if "rho" not in self._cache:
-            self._cache["rho"] = fixed_point(self.kraus).rho
-        return self._cache["rho"]
+    def _fixed_point(self) -> TransferFixedPoint:
+        """The family's transfer fixed point, recorded by ``stationary``."""
+        if "fixed_point" not in self._cache:
+            self._cache["fixed_point"] = fixed_point(self.kraus)
+        return self._cache["fixed_point"]
 
     @property
     def _f_is_identity(self) -> bool:
@@ -176,8 +183,8 @@ class RestrictionContext:
     def k2_for(self, n: int) -> float:
         """K^2(n) = Tr(F^dag F E^n(sigma)), cached per n >= 0.
 
-        Raises ValueError if K^2(n) < 1e-12: the length-n strings then carry
-        no probability to normalize.
+        Raises ValueError unless K^2(n) >= 1e-12: the length-n strings then
+        carry no probability to normalize.
         """
         n = _check_length(n, "block length", least=0)
         key = ("k2", n)
@@ -188,7 +195,7 @@ class RestrictionContext:
             f2 = self.f_op.conj().T @ self.f_op
             self._cache[key] = float(np.trace(f2 @ envs[n]).real)
         k2 = self._cache[key]
-        if k2 < 1e-12:
+        if not k2 >= 1e-12:  # NaN fails every comparison
             raise ValueError(f"degenerate context: K^2({n}) = {k2!r} < 1e-12")
         return k2
 
@@ -526,14 +533,42 @@ def _string_tables(
 def _capped_norm2(cap: np.ndarray | None, P: np.ndarray) -> np.ndarray:
     """||cap @ P[i]||_F^2 for every product of a stack (||P[i]||_F^2 with no
     cap), in plain einsum loops that call no BLAS: the window tables,
-    ``string_probability``, the sampler's weights, ``purification_statistic``
-    and ``martingale_step_check`` all take it.  The loops reduce each row
+    ``string_probability``, the sampler's weights and
+    ``martingale_step_check`` all take it.  The loops reduce each row
     over its own entries alone, so a row's bits depend only on its product
     and the cap: not on the stack, the split or the BLAS kernel.
     """
     T = P if cap is None else np.einsum("cd,kdr->kcr", cap, P)
     x = T.reshape(len(T), T.shape[1] * T.shape[2])
     return np.einsum("ki,ki->k", x.real, x.real) + np.einsum("ki,ki->k", x.imag, x.imag)
+
+
+def _nu12(W: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """nu1 * nu2 of each product of a stack (k, D, D), D >= 2, given the
+    ascending eigenvalues ``lam`` of its Gram matrices (W^dag W or W W^dag).
+
+    Where lambda2 >= 1e-4 lambda1 (nu2 >= nu1 / 100) it is sqrt(lambda1
+    lambda2): eigvalsh of a formed Gram moves lambda2 by about D eps lambda1,
+    so the root keeps nu1 nu2 to about 1e-11 relative.  Below the switch,
+    and at NaN, the root would keep half the digits, so it is the spectral
+    norm of the exterior square (the matrix of 2x2 minors), which keeps
+    about eps nu1^2 however small nu2 is, and exactly 0 for zero minors.
+    The squares are formed in slices of max(1, _CHUNK_STRINGS D^2 //
+    C(D,2)^2) products, each no larger than a stack of D x D products.
+    """
+    top, second = lam[:, -1], lam[:, -2]
+    gram = second >= _GRAM_SWITCH * top
+    norms = np.sqrt(np.where(gram, top * second, 0.0))
+    rest = np.flatnonzero(~gram)
+    D = W.shape[-1]
+    per_slice = max(1, _CHUNK_STRINGS * D**2 // comb(D, 2) ** 2)
+    for i in range(0, len(rest), per_slice):
+        take = rest[i : i + per_slice]
+        wedges = exterior_square(W[take])
+        top = np.linalg.eigvalsh(_adjoint(wedges) @ wedges)[:, -1]
+        norms[take] = np.sqrt(np.maximum(top, 0.0))
+        del wedges  # before the next slice's squares are formed
+    return norms
 
 
 def string_probability(ctx: RestrictionContext, x: Sequence[int]) -> float:
@@ -559,20 +594,24 @@ def post_measurement_spectrum(ctx: RestrictionContext, x: Sequence[int]) -> Spec
 def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, RestrictionSummary]:
     """The RestrictionSummary of each length of ``ns``, from one walk of the
     product tree to the longest.  Zero-probability strings (p < 1e-14 d^-n)
-    contribute only to the raw probability sum."""
+    contribute only to the raw probability sum.  One eigvalsh of T T^dag per
+    product gives the entropy and the two eigenvalue sums, and ``_nu12``
+    takes f's nu1 nu2 from the same eigenvalues."""
     ns = [_check_length(n, "string length") for n in ns]
     tree = _products(ctx.kraus, ctx.sqrt_sigma, max(ns), guard)
     k2 = {n: ctx.k2_for(n) for n in ns}
     f_op = None if ctx._f_is_identity else ctx.f_op
 
     def leaf(n: int, P: np.ndarray) -> np.ndarray:
-        # rows [tr, tr*S, lam1, lam2, sqrt(lam1*lam2)], un-normalized
+        # rows [tr, tr*S, lam1, lam2, nu1*nu2], un-normalized
         T = P if f_op is None else f_op @ P
         lam = np.linalg.eigvalsh(T @ _adjoint(T))
         tr = lam.sum(axis=-1)
         rows = np.zeros((len(T), 5))
         rows[:, 0] = tr
         live = tr >= _zero_threshold(ctx.kraus.d, n) * k2[n]
+        if lam.shape[1] > 1:  # a 1 x 1 product has no nu2: its rows keep 0
+            rows[live, 4] = _nu12(T, lam)[live]
         lam, tr = lam[live], tr[live]
         lam1 = lam[:, -1]
         lam2 = lam[:, -2] if lam.shape[1] > 1 else np.zeros_like(lam1)
@@ -581,7 +620,6 @@ def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, 
         rows[live, 1] = tr * -np.sum(plogp, axis=-1)
         rows[live, 2] = lam1
         rows[live, 3] = np.maximum(lam2, 0.0)
-        rows[live, 4] = np.sqrt(np.maximum(lam1, 0.0) * np.maximum(lam2, 0.0))
         return rows
 
     scans = {}
@@ -725,17 +763,18 @@ def _absorb_windows(
     context's environments by the flanking window sites, so the conditional
     state given a block outcome sees sigma' = E^{window_a}(sigma) on the left
     and F'^dag F' = E*^{window_c}(F^dag F) on the right.  The chain is the
-    same, so K^2 carries over.  Both maps leave the stationary context
+    same, so each K^2(n) of the folded context is that of the n + window_a +
+    window_c sites of the given one.  Both maps leave the stationary context
     invariant, so it is returned as it is rather than folded into itself,
     which would only add rounding.
     """
     if window_a == 0 and window_c == 0:
         return ctx
-    if ctx._f_is_identity and np.array_equal(ctx.sigma, ctx._rho):
+    if ctx._f_is_identity and np.array_equal(ctx.sigma, ctx._fixed_point.rho):
         return ctx
     sigma = _iterate(ctx.kraus, ctx.sigma, window_a, adjoint=False)
     f2 = _iterate(ctx.kraus, ctx.f_op.conj().T @ ctx.f_op, window_c, adjoint=True)
-    return RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2), k2=ctx.k2)
+    return RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2))
 
 
 def _cmi_rows(

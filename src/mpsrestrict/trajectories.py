@@ -6,7 +6,8 @@ normalized running operator M = W^dag W / Tr(W^dag W) is a martingale in the
 sense that its conditional next-step average equals its current value, and
 the unconditional average at any step is 1/D.  Both identities are exposed
 as exact enumeration checks, along with the purification statistic
-E[sqrt(l1 l2)] * D, an independent route to the dressed decay series.
+E[sqrt(l1 l2)] * D, which equals w(n) and takes it by the eigenvalue route
+of w's cross-check, independent of the reported SVD.
 
 ``sample_trajectories`` samples many trajectories as one batch: each step
 forms the continuations of every stream in one stacked product and weighs
@@ -27,6 +28,7 @@ import numpy as np
 from .chain import KrausFamily
 from .errors import ZeroProbabilityPath
 from .linalg import _check_length
+from .purity import _check_norms
 from .restriction import (
     DEFAULT_GUARD,
     _adjoint,
@@ -202,24 +204,14 @@ def mean_m_check(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> float:
 def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -> float:
     """E[sqrt(l1 l2 of M_n)] * D over trajectories, by exact enumeration.
 
-    Uses the eigenvalues of the normalized M along each path — deliberately
-    not the singular-value route used by the decay series — so the two can
-    cross-validate each other.
+    A path W has probability Tr(W^dag W) / D and M = W^dag W / Tr(W^dag W),
+    so its term (Tr / D) sqrt(l1 l2 of M) D is exactly nu1 nu2 of W, and a
+    zero-probability path adds 0.  Each path's term is the eigenvalue route
+    of ``w_series``' cross-check (``purity._check_norms``) — deliberately not
+    the singular-value route whose values the decay series report — so the
+    two cross-validate each other.
     """
-    D = K.D
-    tree = _products(K, np.eye(D, dtype=complex), n, guard)
-    if D < 2:
+    tree = _products(K, np.eye(K.D, dtype=complex), n, guard)
+    if K.D < 2:
         return 0.0
-
-    def leaf(_: int, W: np.ndarray) -> np.ndarray:
-        tr = _capped_norm2(None, W)
-        out = np.zeros(len(W))
-        live = tr > 0.0
-        W, tr = W[live], tr[live]
-        lam = np.linalg.eigvalsh(_adjoint(W) @ W / tr[:, None, None])
-        l1 = np.maximum(lam[:, -1], 0.0)
-        l2 = np.maximum(lam[:, -2], 0.0)
-        out[live] = (tr / D) * np.sqrt(l1 * l2) * D
-        return out
-
-    return float(_string_sum(tree, [tree.n], leaf)[tree.n])
+    return float(_string_sum(tree, [tree.n], lambda _, W: _check_norms(W))[tree.n])

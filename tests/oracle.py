@@ -21,6 +21,7 @@ import numpy as np
 
 from mpsrestrict import trajectories
 from mpsrestrict.errors import NumericalInconsistency, SearchBudgetExceeded, ZeroProbabilityPath
+from mpsrestrict.linalg import exterior_square
 from mpsrestrict.purity import _eig_clusters
 from mpsrestrict.restriction import RestrictionContext, RestrictionSummary, _capped_norm2
 
@@ -145,7 +146,9 @@ def tree_sum(values: np.ndarray, d: int) -> np.ndarray:
 
 def dfs_scan(ctx: RestrictionContext, n: int) -> RestrictionSummary:
     """The recursive depth-first walk, with the arithmetic of the package's
-    former ``_scan_chunk`` kept operation for operation."""
+    former ``_scan_chunk`` kept operation for operation, but for f's nu1 nu2:
+    that takes the Gram root only where lambda2 >= 1e-4 lambda1, and the
+    norm of the exterior square below, as the scans' leaf does."""
     d = ctx.kraus.d
     k2 = ctx.k2_for(n)
     tr_floor = 1e-14 * d ** (-n) * k2
@@ -167,7 +170,14 @@ def dfs_scan(ctx: RestrictionContext, n: int) -> RestrictionSummary:
                 acc[1] = tr * float(-np.sum(q * np.log(q)))
                 acc[2] = lam1
                 acc[3] = max(lam2, 0.0)
-                acc[4] = float(np.sqrt(max(lam1, 0.0) * max(lam2, 0.0)))
+                if lam.size < 2:
+                    acc[4] = 0.0
+                elif lam2 >= 1e-4 * lam1:  # the Gram root, above the switch
+                    acc[4] = float(np.sqrt(lam1 * lam2))
+                else:  # the norm of the exterior square, below it
+                    wedge = exterior_square(T[None])
+                    top = np.linalg.eigvalsh(np.swapaxes(wedge.conj(), -1, -2) @ wedge)[0, -1]
+                    acc[4] = float(np.sqrt(max(top, 0.0)))
             return acc
         for s in range(d):
             acc += walk(ctx.kraus.ops[s] @ P, depth_left - 1)

@@ -203,11 +203,11 @@ _VECTOR = ("nan-vector", "inf-vector", "wrong-size-vector")
 # raises (sizes bound by the family are checked against D = 2)
 MATRIX_ENTRY_POINTS = {
     "RestrictionContext-sigma": (
-        lambda M: RestrictionContext(kraus=_K, sigma=M, f_op=_EYE, k2=1.0),
+        lambda M: RestrictionContext(kraus=_K, sigma=M, f_op=_EYE),
         dict.fromkeys(_SQUARE, NotDensityOperator),
     ),
     "RestrictionContext-f_op": (
-        lambda M: RestrictionContext(kraus=_K, sigma=_EYE / 2, f_op=M, k2=1.0),
+        lambda M: RestrictionContext(kraus=_K, sigma=_EYE / 2, f_op=M),
         dict.fromkeys(_SQUARE, FNotContractive),
     ),
     "f_series-sigma": (lambda M: f_series(_K, M, _EYE, 2), dict.fromkeys(_SQUARE, NotDensityOperator)),
@@ -263,13 +263,7 @@ def test_a_mis_sized_sigma_is_named_as_sigma():
     """sigma is judged by its own rule before F, so a mis-sized sigma raises
     NotDensityOperator naming sigma, even when F is mis-sized too."""
     with pytest.raises(NotDensityOperator, match="sigma must be 2x2"):
-        RestrictionContext(kraus=_K, sigma=np.eye(3) / 3, f_op=np.eye(3), k2=1.0)
-
-
-def test_a_nan_k2_is_rejected():
-    """NaN fails every comparison, so the check reads not k2 >= 1e-12."""
-    with pytest.raises(ValueError, match="K\\^2 = nan"):
-        RestrictionContext(kraus=_K, sigma=_EYE / 2, f_op=_EYE, k2=float("nan"))
+        RestrictionContext(kraus=_K, sigma=np.eye(3) / 3, f_op=np.eye(3))
 
 
 def test_nan_scalars_are_rejected():
@@ -287,10 +281,10 @@ def test_nan_scalars_are_rejected():
             fn(nan)
 
 
-def test_analyze_computes_the_fixed_point_twice(monkeypatch, tmp_path):
-    """Once for the stationary context, which carries it, and once for the
-    report's fixed-point block; not once more per row."""
-    from mpsrestrict import chain, cli
+def test_analyze_computes_the_fixed_point_once(monkeypatch, tmp_path):
+    """The stationary context records the fixed point it is built from, and
+    the report's fixed-point block reads it there; no row computes it again."""
+    from mpsrestrict import chain
 
     calls = []
 
@@ -299,9 +293,8 @@ def test_analyze_computes_the_fixed_point_twice(monkeypatch, tmp_path):
         return chain.fixed_point(K)
 
     monkeypatch.setattr(restriction, "fixed_point", counted)
-    monkeypatch.setattr(cli, "fixed_point", counted)
     assert main(["analyze", "--builtin", "aklt", "--nmax", "4", "--out", str(tmp_path / "r.json")]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 _NAN = float("nan")

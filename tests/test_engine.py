@@ -261,32 +261,63 @@ def test_w_series_bounds_the_exterior_square_slices():
     assert abs(w.value_at(9) - oracle.w_values(K, 9)[-1]) <= TOL
 
 
-def test_w_series_bounds_the_exterior_square_slices_of_rank_one_products(monkeypatch):
-    """Every product of A_x = u_x e_x^dag (D = d = 8) has rank 1, so all of
-    them take the exterior square, 4096 at length 4 in stacks of 512:
-    unsliced, one stack's squares alone (6.4 MB) would break the bound of 8
-    stacks of products that the slices of 41 keep."""
+def _rank_one_family() -> KrausFamily:
+    """A_x = u_x e_x^dag (D = d = 8): every product has rank 1."""
     rng = np.random.default_rng(1)
     u = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    K = KrausFamily(ops=np.einsum("xi,xj->xij", u / np.linalg.norm(u, axis=1)[:, None], np.eye(8)))
+    return KrausFamily(ops=np.einsum("xi,xj->xij", u / np.linalg.norm(u, axis=1)[:, None], np.eye(8)))
+
+
+# per caller: its call on the rank-1 family, the oracle of its value and the
+# lengths whose products it weighs
+RANK_ONE_CALLERS = {
+    "w_series": (
+        lambda K, ctx: w_series(K, 4).value_at(4),
+        lambda K, ctx: oracle.w_values(K, 4)[-1],
+        range(1, 5),
+    ),
+    "restriction_scan": (
+        lambda K, ctx: restriction_scan(ctx, 4).f_value,
+        lambda K, ctx: oracle.scan(ctx, 4)["f_value"],
+        [4],
+    ),
+    "purification_statistic": (
+        lambda K, ctx: purification_statistic(K, 4),
+        lambda K, ctx: oracle.w_values(K, 4)[-1],
+        [4],
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(RANK_ONE_CALLERS))
+def test_w_series_bounds_the_exterior_square_slices_of_rank_one_products(caller, monkeypatch):
+    """Every product of the rank-1 family takes the exterior square, 4096 at
+    length 4 in stacks of 512: unsliced, one stack's squares alone (6.4 MB)
+    would break the bound of 8 stacks of products that the slices of 41
+    keep.  The same kernel slices them for w_series' check, the scans' f and
+    purification_statistic."""
+    K = _rank_one_family()
+    ctx = RestrictionContext.stationary(K)
+    ctx.k2_for(4)  # the cached environments are not the caller's memory
+    call, want, lengths = RANK_ONE_CALLERS[caller]
     formed = []
-    minors = purity.exterior_square
+    minors = restriction.exterior_square
 
     def spy(O):
         formed.append(len(O))
         return minors(O)
 
-    monkeypatch.setattr(purity, "exterior_square", spy)
+    monkeypatch.setattr(restriction, "exterior_square", spy)
     chunk_bytes = _CHUNK_STRINGS * 8 * 8 * 16
     tracemalloc.start()
     try:
-        w = w_series(K, 4)
+        got = call(K, ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * chunk_bytes
-    assert sum(formed) == 8 + 8**2 + 8**3 + 8**4 and max(formed) == 41
-    assert abs(w.value_at(4) - oracle.w_values(K, 4)[-1]) <= TOL
+    assert sum(formed) == sum(8**n for n in lengths) and max(formed) == 41
+    assert abs(got - want(K, ctx)) <= TOL
 
 
 def test_w_series_streams_its_rows():
@@ -456,9 +487,7 @@ def test_window_distribution_keeps_small_environment_eigenvalues():
     """Only rounding noise is cut from an environment's range: eigenvalues of
     1e-9 and 1e-10 still count, to the oracle's precision."""
     K = haar_kraus(2, 3, seed=5)
-    ctx = RestrictionContext(
-        kraus=K, sigma=np.diag([1.0 - 1e-9, 1e-9]), f_op=np.diag([1.0, 1e-5]), k2=1.0
-    )
+    ctx = RestrictionContext(kraus=K, sigma=np.diag([1.0 - 1e-9, 1e-9]), f_op=np.diag([1.0, 1e-5]))
     assert np.max(np.abs(window_distribution(ctx, 4).table - oracle.window(ctx, 4))) <= TOL
 
 

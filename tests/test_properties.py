@@ -160,8 +160,8 @@ def test_pruned_engine_is_the_oracle_on_sparse_families(case):
         assert abs(got_f - want_f) <= 1e-12, m
     assert abs(mean_m_check(K, n) - oracle.mean_m_residual(K, n)) <= 1e-12
     # A generic rank-1 product has a second eigenvalue of rounding size, about
-    # 1e-16, whose square root the statistic adds; engine and oracle round it
-    # apart by up to about 1e-8 (the same at the dense engine).
+    # 1e-16, whose square root the oracle's statistic adds, up to about 1e-8;
+    # the engine takes such a product's nu1 nu2 from its exterior square.
     tol = 1e-7 if case["family"] == "haar-rank-1" else 1e-12
     assert abs(purification_statistic(K, n) - oracle.purification(K, n)) <= tol
     n_ops = max(m for m in range(1, n + 1) if K.d**m <= 125 or m == 1)
@@ -434,8 +434,9 @@ def test_q_lies_between_the_second_eigenvalues(case):
 )
 def test_the_check_route_keeps_nu1_nu2_across_its_switch(D, log_ratio, log_scale, seed):
     """W = scale U diag(1, ratio, ...) V^dag, ratio = nu2 / nu1 in [1e-9, 1]:
-    w_series' check route is within 1e-10 of nu1 nu2, relative, on both
-    sides of its switch at nu2 = nu1 / 100.  Forming W moves nu2 by about
+    the nu1 nu2 kernel, given the eigenvalues of W^dag W or of W W^dag, and
+    w_series' check route are within 1e-10 of nu1 nu2, relative, on both
+    sides of the switch at nu2 = nu1 / 100.  Forming W moves nu2 by about
     eps nu1, so below nu2 of about 1e-6 nu1 no double-precision route keeps
     1e-10 of nu2; the bound adds 1e-14 nu1^2 for that, which the exterior
     square keeps (about 1e-17 nu1^2) and a Gram root there would not."""
@@ -445,7 +446,10 @@ def test_the_check_route_keeps_nu1_nu2_across_its_switch(D, log_ratio, log_scale
     U, V = (purity._haar_unitary(D, rng) for _ in range(2))
     W = scale * (U * s) @ V.conj().T
     want = scale**2 * ratio
-    got = purity._check_norms(W[None], per_slice=1)[0]
+    for gram in (W.conj().T @ W, W @ W.conj().T):
+        got = restriction._nu12(W[None], np.linalg.eigvalsh(gram)[None])[0]
+        assert abs(got - want) <= 1e-10 * want + 1e-14 * scale**2
+    got = purity._check_norms(W[None])[0]
     assert abs(got - want) <= 1e-10 * want + 1e-14 * scale**2
 
 
@@ -471,20 +475,52 @@ def test_rank_deficient_products_take_the_exterior_square(name, monkeypatch):
     square formed; at D >= 3 no product with nu2 > nu1 / 50 did."""
     K = RANK_DEFICIENT[name]()
     low, near, formed = [], [], []
-    check, minors = purity._check_norms, purity.exterior_square
+    check, minors = purity._check_norms, restriction.exterior_square
 
-    def spy_check(W, per_slice):
+    def spy_check(W):
         s = np.linalg.svd(W, compute_uv=False)
         ratio = np.divide(s[:, 1], s[:, 0], out=np.ones(len(W)), where=s[:, 0] > 0.0)
         low.append(int(np.count_nonzero(ratio < 5e-3)))
         near.append(int(np.count_nonzero(ratio < 2e-2)) if K.D > 2 else len(W))
-        return check(W, per_slice)
+        return check(W)
 
     def spy_minors(O):
         formed.append(len(O))
         return minors(O)
 
     monkeypatch.setattr(purity, "_check_norms", spy_check)
+    # the kernel forms the squares at D >= 3, the |det| of _check_norms at D = 2
+    monkeypatch.setattr(restriction, "exterior_square", spy_minors)
     monkeypatch.setattr(purity, "exterior_square", spy_minors)
     w_series(K, 5)  # raises NumericalInconsistency if the routes disagree
     assert 0 < sum(low) <= sum(formed) <= sum(near)
+
+
+@pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
+def test_the_scans_f_stays_below_w_on_rank_deficient_families(name):
+    """f(n) <= w(n): the dressing by sqrt(sigma) and F contracts both
+    singular values.  A rank-1 product's f takes its nu1 nu2 from the
+    exterior square, not from the root of a rounding-size lambda2 (which
+    read 5.6e-9 against w(2) = 2.5e-16 on the renormalized rank-1 family).
+    The finite context is the bare one, whose pure boundaries give every
+    product rank 1."""
+    K = RANK_DEFICIENT[name]()
+    n_max = _longest(K, 6)
+    w = dict(w_series(K, n_max).values)
+    rng = np.random.default_rng(9)
+    L, R = (rng.standard_normal(K.D) + 1j * rng.standard_normal(K.D) for _ in range(2))
+    b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
+    for ctx in (RestrictionContext.stationary(K), RestrictionContext.from_boundaries(K, b, ChainGeometry(0, 1, 0))):
+        for n in range(1, n_max + 1):
+            assert restriction_scan(ctx, n).f_value <= w[n] + 1e-12, n
+
+
+@pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
+def test_the_purification_statistic_is_w_on_rank_deficient_families(name):
+    """Each path's (Tr / D) sqrt(l1 l2 of M) D is nu1 nu2 of its product, so
+    the statistic is w(n), to 1e-12 also where nu2 is of rounding size (a
+    Gram root of M differed by up to 1.78e-8 on the rank-1 Haar families)."""
+    K = RANK_DEFICIENT[name]()
+    n_max = _longest(K, 4)
+    for n, want in w_series(K, n_max).values:
+        assert abs(purification_statistic(K, n) - want) <= 1e-12, n

@@ -21,7 +21,6 @@ from mpsrestrict.models import aklt, aklt_pauli, clock, damping, jordan, markov
 from mpsrestrict.trajectories import purification_statistic
 from mpsrestrict.purity import (
     DecaySeries,
-    _wedge_norms,
     build_r_operator,
     constructive_purity_family,
     correctable_subspace,
@@ -374,15 +373,16 @@ def test_submultiplicativity_enforced():
 
 def test_the_wedge_route_gives_exact_zeros_without_a_warning():
     """Every AKLT product but A_0^n has rank 1 and exactly zero 2x2 minors.
-    The Gram route gives those exactly 0, with no RuntimeWarning, and the
-    top singular value's digits elsewhere."""
+    The nu1 nu2 kernel, sent down its exterior-square route (a NaN Gram
+    spectrum takes it), gives those exactly 0, with no RuntimeWarning, and
+    the top singular value's digits elsewhere."""
     W = np.stack(product_set(aklt(), 4))
     wedges = exterior_square(W)
     zero = ~wedges.any(axis=(1, 2))
     assert zero.sum() == 3**4 - 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norms = _wedge_norms(W)
+        norms = restriction._nu12(W, np.full((len(W), 2), np.nan))
         w = w_series(aklt(), 8)
     assert np.all(norms[zero] == 0.0)
     assert np.allclose(norms, np.linalg.svd(wedges, compute_uv=False)[:, 0], rtol=1e-14, atol=0.0)
@@ -403,15 +403,17 @@ def _skewed_family(ratio: float) -> KrausFamily:
 
 
 def _count_wedges(monkeypatch, corrupt: float = 0.0) -> list[int]:
-    """Count the products whose exterior square purity forms, and scale
-    their minors by 1 + corrupt."""
+    """Count the products whose exterior square w's check route forms (in the
+    nu1 nu2 kernel at D >= 3, as |det| at D = 2), and scale their minors by
+    1 + corrupt."""
     formed = []
-    minors = purity.exterior_square
+    minors = restriction.exterior_square
 
     def spy(O):
         formed.append(len(O))
         return minors(O) * (1.0 + corrupt)
 
+    monkeypatch.setattr(restriction, "exterior_square", spy)
     monkeypatch.setattr(purity, "exterior_square", spy)
     return formed
 

@@ -37,7 +37,6 @@ def aklt_ctx():
 def test_stationary_context_fields(aklt_ctx):
     assert np.allclose(aklt_ctx.sigma, np.eye(2) / 2, atol=1e-12)
     assert np.allclose(aklt_ctx.f_op, np.eye(2), atol=1e-12)
-    assert aklt_ctx.k2 == 1.0
     for n in range(1, 4):
         assert aklt_ctx.k2_for(n) == pytest.approx(1.0, abs=1e-12)
 
@@ -45,11 +44,9 @@ def test_stationary_context_fields(aklt_ctx):
 def test_context_rejects_bad_environments():
     K = aklt()
     with pytest.raises(Exception):
-        RestrictionContext(kraus=K, sigma=np.diag([0.7, 0.7]), f_op=np.eye(2), k2=1.0)
+        RestrictionContext(kraus=K, sigma=np.diag([0.7, 0.7]), f_op=np.eye(2))
     with pytest.raises(Exception):
-        RestrictionContext(kraus=K, sigma=np.eye(2) / 2, f_op=2.0 * np.eye(2), k2=1.0)
-    with pytest.raises(ValueError):
-        RestrictionContext(kraus=K, sigma=np.eye(2) / 2, f_op=np.eye(2), k2=0.0)
+        RestrictionContext(kraus=K, sigma=np.eye(2) / 2, f_op=2.0 * np.eye(2))
 
 
 def test_all_zeros_string_probability(aklt_ctx):
@@ -298,5 +295,5 @@ def test_stationary_context_is_not_folded_into_itself():
     ctx = RestrictionContext.stationary(aklt())
     assert _absorb_windows(ctx, 2, 2) is ctx
     # a context that is only close to the fixed point is folded
-    near = RestrictionContext(kraus=ctx.kraus, sigma=np.diag([0.5 + 1e-9, 0.5 - 1e-9]), f_op=ctx.f_op, k2=1.0)
+    near = RestrictionContext(kraus=ctx.kraus, sigma=np.diag([0.5 + 1e-9, 0.5 - 1e-9]), f_op=ctx.f_op)
     assert _absorb_windows(near, 1, 0) is not near
