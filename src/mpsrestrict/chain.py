@@ -102,6 +102,18 @@ class KrausFamily:
         nu = np.linalg.svd(self.ops, compute_uv=False)
         return bool(np.any(nu[:, -1] <= nu[:, 0] * self.D * np.finfo(float).eps))
 
+    @cached_property
+    def _w_sums(self) -> dict[int, tuple[float, float]]:
+        """Per length n, the two tree-order sums of nu1 nu2 over the d^n
+        products that ``purity.w_series`` forms: its reported SVD sum and
+        its ``_check_norms`` sum.  ``w_series`` writes an entry for each
+        length it walks and walks only the lengths missing here;
+        ``trajectories.purification_statistic`` returns the check sum of a
+        length found here.  Both run their checks on every call.  The ops
+        are frozen, so the sums are a fixed function of the family; only
+        scalars are kept."""
+        return {}
+
     @classmethod
     def from_matrices(
         cls, matrices: Sequence[np.ndarray], atol: float = 1e-10

@@ -420,6 +420,11 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
     which keeps each product's nu1 nu2 to about 1e-11 relative, or O(eps)
     nu1^2 below the switch.  The submultiplicative law w(n+m) <= w(n) w(m)
     is checked for all pairs.
+
+    Both sums of each length walked go into the family's record
+    (``KrausFamily._w_sums``), and a later call walks only the lengths the
+    record lacks.  The length and guard checks come first, and both
+    consistency checks run over every returned length, recorded or not.
     """
     n_max = _check_length(n_max, "n_max")
     if K.D < 2:  # a 1 x 1 product has no nu2: nothing to walk
@@ -431,10 +436,12 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
         s = np.linalg.svd(W, compute_uv=False)
         return np.stack([s[:, 0] * s[:, 1], _check_norms(W)], axis=1)
 
-    svd_sums = np.zeros(n_max + 1)
-    check_sums = np.zeros(n_max + 1)
+    record = K._w_sums
     for n, tree in enumerate(levels, start=1):
-        svd_sums[n], check_sums[n] = _string_sum(tree, [n], leaf)[n]
+        if n not in record:
+            svd, check = _string_sum(tree, [n], leaf)[n]
+            record[n] = (float(svd), float(check))
+    svd_sums, check_sums = np.array([(0.0, 0.0)] + [record[n] for n in range(1, n_max + 1)]).T
 
     for n in range(1, n_max + 1):
         diff = abs(svd_sums[n] - check_sums[n])

@@ -6,8 +6,9 @@ normalized running operator M = W^dag W / Tr(W^dag W) is a martingale in the
 sense that its conditional next-step average equals its current value, and
 the unconditional average at any step is 1/D.  Both identities are exposed
 as exact enumeration checks, along with the purification statistic
-E[sqrt(l1 l2)] * D, which equals w(n) and takes it by the eigenvalue route
-of w's cross-check, independent of the reported SVD.
+E[sqrt(l1 l2)] * D: w(n) by the check route of ``w_series``, bit for bit,
+read from the family's record when ``w_series`` has already enumerated
+that length.
 
 ``sample_trajectories`` samples many trajectories as one batch: each step
 forms the continuations of every stream in one stacked product and weighs
@@ -206,12 +207,17 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
 
     A path W has probability Tr(W^dag W) / D and M = W^dag W / Tr(W^dag W),
     so its term (Tr / D) sqrt(l1 l2 of M) D is exactly nu1 nu2 of W, and a
-    zero-probability path adds 0.  Each path's term is the eigenvalue route
-    of ``w_series``' cross-check (``purity._check_norms``) — deliberately not
-    the singular-value route whose values the decay series report — so the
-    two cross-validate each other.
+    zero-probability path adds 0.  The statistic is therefore w(n) by the
+    check route of ``w_series`` (``purity._check_norms``), summed in the same
+    tree order, so it equals that route's sum bit for bit; it cross-checks
+    the reported SVD route only as ``w_series`` does.  When ``w_series`` has
+    already enumerated length n on this family, the sum is read from the
+    family's record (``KrausFamily._w_sums``); otherwise it is walked.  The
+    length and guard checks run first either way.
     """
     tree = _products(K, np.eye(K.D, dtype=complex), n, guard)
     if K.D < 2:
         return 0.0
+    if tree.n in K._w_sums:
+        return K._w_sums[tree.n][1]
     return float(_string_sum(tree, [tree.n], lambda _, W: _check_norms(W))[tree.n])

@@ -89,7 +89,9 @@ _K = aklt()
 _CTX = RestrictionContext.stationary(_K)
 _EDGE = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
-# every public entry point that takes a length, as a call of that length
+# every public entry point that takes a length, as a call of that length; a
+# family records the w sums of the lengths it has walked, so the calls that
+# read that record take a fresh family and walk every time
 LENGTH_ENTRY_POINTS = {
     "restriction_scan": lambda n: restriction_scan(_CTX, n),
     "average_entropy": lambda n: average_entropy(_CTX, n),
@@ -101,11 +103,11 @@ LENGTH_ENTRY_POINTS = {
     "product_set": lambda n: product_set(_K, n),
     "span_purity_test": lambda n: span_purity_test(_K, n),
     "correctable_subspace": lambda n: correctable_subspace(_K, n),
-    "purity_verdict": lambda n: purity_verdict(_K, n),
-    "w_series": lambda n: w_series(_K, n),
+    "purity_verdict": lambda n: purity_verdict(aklt(), n),
+    "w_series": lambda n: w_series(aklt(), n),
     "f_series": lambda n: f_series(_K, _CTX.sigma, _CTX.f_op, n),
     "mean_m_check": lambda n: mean_m_check(_K, n),
-    "purification_statistic": lambda n: purification_statistic(_K, n),
+    "purification_statistic": lambda n: purification_statistic(aklt(), n),
     "sample_trajectory": lambda n: sample_trajectory(_K, n, seed=0),
     "sample_trajectories": lambda n: sample_trajectories(_K, n, 0, [0, 1]),
 }
@@ -147,7 +149,7 @@ def test_only_the_guard_raises_enumeration_too_large():
             w_series(_K, n)
     with pytest.raises(EnumerationTooLarge):
         w_series(_K, 3, guard=26)
-    assert w_series(_K, 3, guard=float("inf")) == w_series(_K, 3)
+    assert w_series(_K, 3, guard=float("inf")) == w_series(aklt(), 3)
 
 
 def _transposed(a: np.ndarray) -> np.ndarray:

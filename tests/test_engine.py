@@ -77,6 +77,8 @@ def test_engine_matches_brute_force(D, d, mode, n):
     assert np.max(np.abs(window_distribution(ctx, n).table - oracle.window(ctx, n))) <= TOL
     assert np.max(np.abs(chain_distribution(K, b, n).table - oracle.chain(K, b, n))) <= TOL
 
+    # the statistic walks before w_series records its length on the family
+    assert abs(purification_statistic(K, n) - oracle.purification(K, n)) <= TOL
     w = w_series(K, n)
     f = f_series(K, ctx.sigma, ctx.f_op, n)
     for (m, got_w), want_w in zip(w.values, oracle.w_values(K, n)):
@@ -84,7 +86,6 @@ def test_engine_matches_brute_force(D, d, mode, n):
     for (m, got_f), want_f in zip(f.values, oracle.f_values(K, ctx.sqrt_sigma, ctx.f_op, n)):
         assert abs(got_f - want_f) <= TOL, m
     assert abs(mean_m_check(K, n) - oracle.mean_m_residual(K, n)) <= TOL
-    assert abs(purification_statistic(K, n) - oracle.purification(K, n)) <= TOL
 
     # the operator-space objects grow as d^n x D^4; keep them small
     n_ops = max(m for m in range(1, n + 1) if d**m <= 125)

@@ -14,7 +14,7 @@ import oracle
 from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily, renormalize
 from mpsrestrict.gibbs import ChainDistribution
 from mpsrestrict.models import aklt, damping, jordan, markov
-from mpsrestrict import purity, restriction
+from mpsrestrict import purity, restriction, trajectories
 from mpsrestrict.purity import f_series, haar_kraus, span_purity_test, w_series
 from mpsrestrict.restriction import (
     _CHUNK_STRINGS,
@@ -153,17 +153,18 @@ def test_pruned_engine_is_the_oracle_on_sparse_families(case):
     assert np.array_equal(window_distribution(ctx, n).table, _window_oracle(ctx, n))
     assert restriction_scan(ctx, n) == oracle.dfs_scan(ctx, n)
 
+    # A generic rank-1 product has a second eigenvalue of rounding size, about
+    # 1e-16, whose square root the oracle's statistic adds, up to about 1e-8;
+    # the engine takes such a product's nu1 nu2 from its exterior square.
+    # The statistic walks before w_series records its length on the family.
+    tol = 1e-7 if case["family"] == "haar-rank-1" else 1e-12
+    assert abs(purification_statistic(K, n) - oracle.purification(K, n)) <= tol
     for (m, got_w), want_w in zip(w_series(K, n).values, oracle.w_values(K, n)):
         assert abs(got_w - want_w) <= 1e-12, m
     f = f_series(K, ctx.sigma, ctx.f_op, n)
     for (m, got_f), want_f in zip(f.values, oracle.f_values(K, ctx.sqrt_sigma, ctx.f_op, n)):
         assert abs(got_f - want_f) <= 1e-12, m
     assert abs(mean_m_check(K, n) - oracle.mean_m_residual(K, n)) <= 1e-12
-    # A generic rank-1 product has a second eigenvalue of rounding size, about
-    # 1e-16, whose square root the oracle's statistic adds, up to about 1e-8;
-    # the engine takes such a product's nu1 nu2 from its exterior square.
-    tol = 1e-7 if case["family"] == "haar-rank-1" else 1e-12
-    assert abs(purification_statistic(K, n) - oracle.purification(K, n)) <= tol
     n_ops = max(m for m in range(1, n + 1) if K.d**m <= 125 or m == 1)
     assert span_purity_test(K, n_ops)[1] == oracle.span_ranks(K, n_ops)
 
@@ -519,8 +520,48 @@ def test_the_scans_f_stays_below_w_on_rank_deficient_families(name):
 def test_the_purification_statistic_is_w_on_rank_deficient_families(name):
     """Each path's (Tr / D) sqrt(l1 l2 of M) D is nu1 nu2 of its product, so
     the statistic is w(n), to 1e-12 also where nu2 is of rounding size (a
-    Gram root of M differed by up to 1.78e-8 on the rank-1 Haar families)."""
+    Gram root of M differed by up to 1.78e-8 on the rank-1 Haar families).
+    Each statistic walks before w_series records its length on the family."""
     K = RANK_DEFICIENT[name]()
     n_max = _longest(K, 4)
-    for n, want in w_series(K, n_max).values:
-        assert abs(purification_statistic(K, n) - want) <= 1e-12, n
+    stats = [purification_statistic(K, n) for n in range(1, n_max + 1)]
+    for (n, want), got in zip(w_series(K, n_max).values, stats):
+        assert abs(got - want) <= 1e-12, n
+
+
+# families of every shape the record serves, each with the longest length
+# it is enumerated to here
+RECORD_FAMILIES = {
+    "aklt": (aklt, 6),
+    "jordan-3": (lambda: jordan(3), 8),
+    "damping": (lambda: damping(0.5), 8),
+    **{f"haar-rank-1-{seed}": (lambda seed=seed: _haar_with("rank-1", 3, 3, seed), 6) for seed in range(3)},
+    **{f"haar-D{D}": (lambda D=D: haar_kraus(D, 3, seed=D), 6) for D in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FAMILIES))
+def test_the_recorded_w_sums_are_the_walked_ones_bit_for_bit(name, monkeypatch):
+    """A family records the two sums of every length w_series walks.  The
+    statistic read from that record is the one walked on a fresh family,
+    and both are w_series' check-route sum; a shorter w_series read from
+    the record is a fresh one, and neither read forms a product."""
+    make, n = RECORD_FAMILIES[name]
+    walked = purification_statistic(make(), n)
+    fresh = [w_series(make(), m).values for m in range(1, n + 1)]
+    K = make()
+    w_series(K, n)
+    assert K._w_sums[n][1] == walked
+
+    sums = []
+    real = restriction._string_sum
+
+    def spy(*args):
+        sums.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(purity, "_string_sum", spy)
+    monkeypatch.setattr(trajectories, "_string_sum", spy)
+    assert purification_statistic(K, n) == walked
+    assert [w_series(K, m).values for m in range(1, n + 1)] == fresh
+    assert sums == []

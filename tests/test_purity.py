@@ -13,6 +13,7 @@ from mpsrestrict.errors import (
     EnumerationTooLarge,
     EvenDimension,
     NumericalInconsistency,
+    OutOfRange,
     SearchBudgetExceeded,
 )
 from mpsrestrict import purity, restriction
@@ -422,15 +423,16 @@ def test_a_corrupted_wedge_route_is_an_inconsistency(monkeypatch):
     """The exterior-square route cross-checks the SVD route where nu2 <
     nu1 / 100: minors off by one part in 1e6 make w_series raise.  Every
     product of this family takes that route, and w(1) = 0.015 is large
-    enough for the corruption (1.5e-8) to exceed the 1e-9 tolerance."""
-    K = _skewed_family(0.005)
-    assert w_series(K, 1).value_at(1) == pytest.approx(0.015, rel=1e-3)
+    enough for the corruption (1.5e-8) to exceed the 1e-9 tolerance.  Each
+    walk is counted on a fresh family: a family records the sums of every
+    length w_series has walked and does not walk it again."""
+    assert w_series(_skewed_family(0.005), 1).value_at(1) == pytest.approx(0.015, rel=1e-3)
     formed = _count_wedges(monkeypatch)
-    w_series(K, 1)
+    w_series(_skewed_family(0.005), 1)
     assert sum(formed) == 3
     _count_wedges(monkeypatch, corrupt=1e-6)
     with pytest.raises(NumericalInconsistency, match="routes disagree"):
-        w_series(K, 4)
+        w_series(_skewed_family(0.005), 4)
 
 
 def test_a_corrupted_determinant_is_an_inconsistency(monkeypatch):
@@ -457,6 +459,28 @@ def test_corrupted_gram_eigenvalues_are_an_inconsistency(monkeypatch):
     assert formed == []
 
 
+def test_a_recorded_length_still_runs_every_check():
+    """Once w_series has walked n = 9, the statistic and the series still
+    check the length and the guard before they read the family's record,
+    and the series checks the routes and submultiplicativity over every
+    length it returns, recorded or not."""
+    K = haar_kraus(4, 3, seed=1)
+    w_series(K, 9)
+    for call in (purification_statistic, w_series):
+        with pytest.raises(EnumerationTooLarge):
+            call(K, 9, guard=3**9 - 1)
+        with pytest.raises(OutOfRange):
+            call(K, 0)
+    svd, check = K._w_sums[3]
+    K._w_sums[3] = (svd, check * (1.0 + 1e-6))
+    with pytest.raises(NumericalInconsistency, match="routes disagree"):
+        w_series(K, 9)
+    K._w_sums[3] = (svd, check)
+    K._w_sums[2] = (1e3, 1e3)
+    with pytest.raises(NumericalInconsistency, match="submultiplicativity"):
+        w_series(K, 9)
+
+
 def test_correctable_report_rejects_increasing_ranks():
     from mpsrestrict.purity import CorrectableReport
 
@@ -481,8 +505,9 @@ def test_purity_verdict_reuses_a_longer_w_series(factory):
     """A series past n = 6 gives the verdict of its first six entries, bit
     for bit; one that does not cover 1..min(n_max, 6) is rejected."""
     K = factory()
-    assert purity_verdict(K, 8, w=w_series(K, 8)) == purity_verdict(K, 8)
-    assert purity_verdict(K, 3, w=w_series(K, 5)) == purity_verdict(K, 3)
+    # the verdicts without w take fresh families, so each walks its own series
+    assert purity_verdict(K, 8, w=w_series(K, 8)) == purity_verdict(factory(), 8)
+    assert purity_verdict(K, 3, w=w_series(K, 5)) == purity_verdict(factory(), 3)
     with pytest.raises(ValueError):
         purity_verdict(K, 8, w=w_series(K, 5))
 
@@ -491,8 +516,6 @@ def test_purity_verdict_reuses_a_longer_w_series(factory):
 def test_scalar_tolerance_must_be_finite_and_non_negative(tol):
     """NaN or inf would let every product pass the scalar test, and a
     negative tol would fail every one."""
-    from mpsrestrict.errors import OutOfRange
-
     with pytest.raises(OutOfRange):
         correctable_subspace(aklt(), 2, tol=tol)
     with pytest.raises(OutOfRange):

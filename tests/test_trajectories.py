@@ -82,14 +82,14 @@ def test_mean_m_guard():
 )
 def test_purification_statistic_equals_w(factory):
     """E[sqrt(l1 l2)] * D over paths reproduces the decay series w(n): the
-    two are computed by different spectral routes (eigenvalues of normalized
-    M vs singular values of the bare product)."""
+    statistic takes w's check route, the series reports the singular values
+    of the bare products.  Each statistic walks before w_series records its
+    length on the family."""
     K = factory()
+    stats = {n: purification_statistic(K, n) for n in (1, 3, 5)}
     w = w_series(K, 5)
-    for n in (1, 3, 5):
-        assert purification_statistic(K, n) == pytest.approx(
-            w.value_at(n), abs=1e-9
-        )
+    for n, got in stats.items():
+        assert got == pytest.approx(w.value_at(n), abs=1e-9)
 
 
 def test_martingale_trace_validation():
