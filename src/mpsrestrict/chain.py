@@ -105,13 +105,12 @@ class KrausFamily:
     @cached_property
     def _w_sums(self) -> dict[int, tuple[float, float]]:
         """Per length n, the two tree-order sums of nu1 nu2 over the d^n
-        products that ``purity.w_series`` forms: its reported SVD sum and
-        its ``_check_norms`` sum.  ``w_series`` writes an entry for each
-        length it walks and walks only the lengths missing here;
-        ``trajectories.purification_statistic`` returns the check sum of a
-        length found here.  Both run their checks on every call.  The ops
-        are frozen, so the sums are a fixed function of the family; only
-        scalars are kept."""
+        bare products: the SVD sum that ``purity.w_series`` reports and the
+        ``_check_norms`` sum that ``trajectories.purification_statistic``
+        returns.  ``purity._w_pair``, through which both read a length, is
+        the one writer: it walks a length missing here once and records it,
+        and checks the routes on every call.  The ops are frozen, so the
+        sums are a fixed function of the family; only scalars are kept."""
         return {}
 
     @classmethod

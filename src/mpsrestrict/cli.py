@@ -240,7 +240,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     f_ser = DecaySeries.from_values((r["n"], r["f"]) for r in rows)
     s_ser_rates = estimate_rate((r["n"], r["avg_entropy"]) for r in rows)
 
-    verdict = purity_verdict(K, nmax, tol=tol, guard=guard, w=w)
+    verdict = purity_verdict(K, nmax, tol=tol, guard=guard)
 
     report = {
         "schema_version": 1,

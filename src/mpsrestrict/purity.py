@@ -10,7 +10,8 @@ product lengths.  This module provides:
 * a branch-and-prune search for the largest scalar-compression subspace per
   length (the correctable-subspace staircase);
 * the decay series w(N) (sum over strings of the two largest singular values
-  of the bare products, computed by two independent routes) and f(N) (same
+  of the bare products, by two independent routes, recorded per family by
+  ``_w_pair``) and f(N) (the f column of ``restriction``'s scans: the same
   for the environment-dressed products F A..A sqrt(sigma));
 * the typicality constructions: Haar-random families, the full-overlap
   operator R on odd dimensions, and the explicit five-block family whose
@@ -32,15 +33,16 @@ from .errors import (
     NumericalInconsistency,
     SearchBudgetExceeded,
 )
-from .linalg import _check_density, _check_length, _check_tol, _psd_rank
+from .linalg import _check_length, _check_tol, _psd_rank
 from .linalg import clock_shift_basis, exterior_square
 from .restriction import (
     DEFAULT_GUARD,
+    RestrictionContext,
     _adjoint,
-    _check_contraction,
     _check_guard,
     _nu12,
     _products,
+    _scans,
     _string_sum,
     _string_tables,
 )
@@ -309,30 +311,24 @@ def purity_verdict(
     n_max: int,
     tol: float = 1e-8,
     guard: int = DEFAULT_GUARD,
-    w: DecaySeries | None = None,
 ) -> PurityVerdict:
     """Combine the span certificate, the staircase, and decay evidence.
 
     The decay evidence is w(1..min(n_max, 6)): its fitted rate, and at D >= 3
-    the first w(m) < 1 - 1e-9 that a staircase reaching rank 1 needs.  A caller
-    that already holds ``w_series(K, m)`` for some m >= min(n_max, 6) may pass
-    it as ``w``: its first entries hold the same values, so the verdict is the
-    same and the strings are not enumerated again.  The span certificate
-    enumerates nothing; the guard bounds the w series and the staircase and
-    is checked against d^n_max first, whichever of them runs.  Raises
-    OutOfRange unless n_max is an integer >= 1 and tol a finite number >= 0.
+    the first w(m) < 1 - 1e-9 that a staircase reaching rank 1 needs.  Its
+    ``w_series`` reads the lengths the family has recorded, so after a
+    longer ``w_series`` on the same family (as ``analyze`` runs) it forms
+    no product.  The span certificate enumerates nothing; the guard bounds
+    the w series and the staircase and is checked against d^n_max first,
+    whichever of them runs.  Raises OutOfRange unless n_max is an integer
+    >= 1 and tol a finite number >= 0.
     """
     n_max = _check_length(n_max, "n_max")
     _check_guard(K.d, n_max, guard)
     _check_tol(tol)
     span_passed_at, span_ranks = span_purity_test(K, n_max)
     m = min(n_max, 6)
-    if w is None:
-        w = w_series(K, m, guard=guard)
-    elif [n for n, _ in w.values[:m]] != list(range(1, m + 1)):
-        raise ValueError(f"w must cover n = 1..{m}, got n = {[n for n, _ in w.values]}")
-    else:
-        w = DecaySeries.from_values(w.values[:m])
+    w = w_series(K, m, guard=guard)
     w_rate = None if w.all_zero else w.fitted_rate
 
     if span_passed_at is not None:
@@ -408,6 +404,34 @@ def _check_norms(W: np.ndarray) -> np.ndarray:
     return _nu12(W, np.linalg.eigvalsh(_adjoint(W) @ W))
 
 
+def _w_leaf(_: int, W: np.ndarray) -> np.ndarray:
+    s = np.linalg.svd(W, compute_uv=False)
+    return np.stack([s[:, 0] * s[:, 1], _check_norms(W)], axis=1)
+
+
+def _w_pair(K: KrausFamily, n: int, guard: int) -> tuple[float, float]:
+    """The SVD and ``_check_norms`` tree-order sums of nu1 nu2 over the d^n
+    bare products, after the length and guard checks (both 0 at D < 2).
+
+    The one owner of ``KrausFamily._w_sums``: a length missing there is
+    walked once and recorded.  The routes must agree to 1e-9 max(1, svd) on
+    every call, recorded or not.
+    """
+    tree = _products(K, np.eye(K.D, dtype=complex), n, guard)
+    if K.D < 2:  # a 1 x 1 product has no nu2: nothing to walk
+        return 0.0, 0.0
+    record = K._w_sums
+    if tree.n not in record:
+        svd, check = _string_sum(tree, [tree.n], _w_leaf)[tree.n]
+        record[tree.n] = (float(svd), float(check))
+    svd, check = record[tree.n]
+    if abs(svd - check) > 1e-9 * max(1.0, svd):
+        raise NumericalInconsistency(
+            f"w({tree.n}) routes disagree: svd {svd!r} vs check route {check!r}"
+        )
+    return svd, check
+
+
 def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySeries:
     """w(n) = sum over all d^n strings of nu1 * nu2 of A_{x_n}..A_{x_1}.
 
@@ -421,35 +445,14 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
     nu1^2 below the switch.  The submultiplicative law w(n+m) <= w(n) w(m)
     is checked for all pairs.
 
-    Both sums of each length walked go into the family's record
-    (``KrausFamily._w_sums``), and a later call walks only the lengths the
-    record lacks.  The length and guard checks come first, and both
-    consistency checks run over every returned length, recorded or not.
+    Each length is one walk, taken and recorded on the family by
+    ``_w_pair``, so a later call walks only the lengths the record lacks.
+    The guard is checked on n_max before any walk, and both checks run over
+    every returned length, recorded or not.
     """
     n_max = _check_length(n_max, "n_max")
-    if K.D < 2:  # a 1 x 1 product has no nu2: nothing to walk
-        _check_guard(K.d, n_max, guard)
-        return DecaySeries.from_values((n, 0.0) for n in range(1, n_max + 1))
-    levels = [_products(K, np.eye(K.D, dtype=complex), n, guard) for n in range(1, n_max + 1)]
-
-    def leaf(_: int, W: np.ndarray) -> np.ndarray:
-        s = np.linalg.svd(W, compute_uv=False)
-        return np.stack([s[:, 0] * s[:, 1], _check_norms(W)], axis=1)
-
-    record = K._w_sums
-    for n, tree in enumerate(levels, start=1):
-        if n not in record:
-            svd, check = _string_sum(tree, [n], leaf)[n]
-            record[n] = (float(svd), float(check))
-    svd_sums, check_sums = np.array([(0.0, 0.0)] + [record[n] for n in range(1, n_max + 1)]).T
-
-    for n in range(1, n_max + 1):
-        diff = abs(svd_sums[n] - check_sums[n])
-        if diff > 1e-9 * max(1.0, svd_sums[n]):
-            raise NumericalInconsistency(
-                f"w({n}) routes disagree: svd {svd_sums[n]!r} vs check route "
-                f"{check_sums[n]!r}"
-            )
+    _check_guard(K.d, n_max, guard)
+    svd_sums = [0.0] + [_w_pair(K, n, guard)[0] for n in range(1, n_max + 1)]
     for n in range(1, n_max + 1):
         for m in range(1, n_max + 1 - n):
             if svd_sums[n + m] > svd_sums[n] * svd_sums[m] + 1e-12:
@@ -468,26 +471,20 @@ def f_series(
 ) -> DecaySeries:
     """f(n) = sum over strings of nu1 * nu2 of F A_{x_n}..A_{x_1} sqrt(sigma).
 
-    Requires a D x D density operator sigma and a D x D F with F^dag F <= 1;
-    then f(n) <= w(n) termwise (the dressing contracts both singular values).
+    The ``f_value`` column of the scans of ``RestrictionContext(K, sigma,
+    F)`` for n = 1..n_max, from one walk, bit for bit: sigma must be a D x D
+    density operator (NotDensityOperator) and F^dag F <= 1 (FNotContractive),
+    so f(n) <= w(n) termwise.  As in ``restriction_scan``, strings below the
+    zero threshold 1e-14 d^-n K^2(n) add nothing, and K^2(n) < 1e-12 raises
+    ValueError.
     """
     n_max = _check_length(n_max, "n_max")
-    root = sqrt_env(_check_density(sigma, "sigma", K.D))
-    F = _check_contraction(F, K.D)
+    ctx = RestrictionContext(kraus=K, sigma=sigma, f_op=F)
     if K.D < 2:  # a 1 x 1 product has no nu2: nothing to walk
         _check_guard(K.d, n_max, guard)
         return DecaySeries.from_values((n, 0.0) for n in range(1, n_max + 1))
-    # an identity F is skipped, as the scans skip it: multiplying by it changes no bit
-    F = None if np.array_equal(F, np.eye(K.D)) else F
-    levels = [_products(K, root, n, guard) for n in range(1, n_max + 1)]
-
-    def leaf(_: int, P: np.ndarray) -> np.ndarray:
-        s = np.linalg.svd(P if F is None else F @ P, compute_uv=False)
-        return s[:, 0] * s[:, 1]
-
-    return DecaySeries.from_values(
-        (n, float(_string_sum(tree, [n], leaf)[n])) for n, tree in enumerate(levels, start=1)
-    )
+    scans = _scans(ctx, range(1, n_max + 1), guard)
+    return DecaySeries.from_values((n, scans[n].f_value) for n in range(1, n_max + 1))
 
 
 def estimate_rate(series: DecaySeries | Iterable[tuple[int, float]]) -> tuple[float, float]:

@@ -44,8 +44,8 @@ that table for the bare boundary context); its leaf, ``_capped_norm2``, is
 the one squared norm of a string product and calls no BLAS, so each entry
 has the bits of its own product alone.  ``_nu12`` is the one nu1 nu2 of a
 string product, given the eigenvalues of its Gram matrices, besides the
-SVDs whose values ``purity``'s decay series report: the scans' f, the
-cross-check of ``w_series`` and ``purification_statistic`` take it.
+SVD whose values ``w_series`` reports: the scans' f (so ``f_series``) and
+the check route of ``w_series`` (so ``purification_statistic``) take it.
 ``_cmi_rows`` sets the classical CMI of each window table against the
 quantum CMI of its block, with the window sites folded into the
 environments once and every block scanned from one walk (``_scans``);

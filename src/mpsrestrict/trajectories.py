@@ -7,8 +7,8 @@ sense that its conditional next-step average equals its current value, and
 the unconditional average at any step is 1/D.  Both identities are exposed
 as exact enumeration checks, along with the purification statistic
 E[sqrt(l1 l2)] * D: w(n) by the check route of ``w_series``, bit for bit,
-read from the family's record when ``w_series`` has already enumerated
-that length.
+taken from ``purity._w_pair``, the one owner of the family's record of
+both w sums.
 
 ``sample_trajectories`` samples many trajectories as one batch: each step
 forms the continuations of every stream in one stacked product and weighs
@@ -29,7 +29,7 @@ import numpy as np
 from .chain import KrausFamily
 from .errors import ZeroProbabilityPath
 from .linalg import _check_length
-from .purity import _check_norms
+from .purity import _w_pair
 from .restriction import (
     DEFAULT_GUARD,
     _adjoint,
@@ -208,16 +208,7 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
     A path W has probability Tr(W^dag W) / D and M = W^dag W / Tr(W^dag W),
     so its term (Tr / D) sqrt(l1 l2 of M) D is exactly nu1 nu2 of W, and a
     zero-probability path adds 0.  The statistic is therefore w(n) by the
-    check route of ``w_series`` (``purity._check_norms``), summed in the same
-    tree order, so it equals that route's sum bit for bit; it cross-checks
-    the reported SVD route only as ``w_series`` does.  When ``w_series`` has
-    already enumerated length n on this family, the sum is read from the
-    family's record (``KrausFamily._w_sums``); otherwise it is walked.  The
-    length and guard checks run first either way.
+    check route of ``w_series``: that route's sum as ``purity._w_pair``
+    records it on the family, with both routes walked and checked there.
     """
-    tree = _products(K, np.eye(K.D, dtype=complex), n, guard)
-    if K.D < 2:
-        return 0.0
-    if tree.n in K._w_sums:
-        return K._w_sums[tree.n][1]
-    return float(_string_sum(tree, [tree.n], lambda _, W: _check_norms(W))[tree.n])
+    return _w_pair(K, n, guard)[1]

@@ -465,24 +465,24 @@ def test_analyze_purity_covers_nmax_past_twenty_thousand_strings(tmp_path):
 
 
 def test_analyze_enumerates_the_decay_series_once(monkeypatch, tmp_path):
-    """The verdict fits the w series the rows already hold, with the bits of
-    the verdict that recomputes w(1..6) itself."""
-    from mpsrestrict import cli, purity
+    """Each length of w is walked once: the verdict fits the w(1..6) that the
+    rows' series recorded on the family, with the bits of the verdict that
+    walks w(1..6) itself."""
+    from mpsrestrict import purity, restriction
     from mpsrestrict.models import aklt
 
     want = purity.purity_verdict(aklt(), 8)
-    w_series = purity.w_series
-    calls = []
+    real = restriction._string_sum
+    walks = []
 
-    def counted(K, n_max, *args, **kwargs):
-        calls.append(n_max)
-        return w_series(K, n_max, *args, **kwargs)
+    def counted(*args):
+        walks.append(args[1])
+        return real(*args)
 
-    monkeypatch.setattr(cli, "w_series", counted)
-    monkeypatch.setattr(purity, "w_series", counted)
+    monkeypatch.setattr(purity, "_string_sum", counted)
     out = tmp_path / "r.json"
     assert main(["analyze", "--builtin", "aklt", "--nmax", "8", "--out", str(out)]) == 0
-    assert calls == [8]
+    assert walks == [[n] for n in range(1, 9)]
     rep = json.loads(out.read_text())
     assert rep["purity"] == {
         "status": want.status,

@@ -262,6 +262,23 @@ def test_w_series_bounds_the_exterior_square_slices():
     assert abs(w.value_at(9) - oracle.w_values(K, 9)[-1]) <= TOL
 
 
+def test_f_series_peaks_below_eight_stacks():
+    """f_series walks one tree to n = 9 (3^9 products of a D = 4 Haar
+    family) and reduces each run's rows as it goes: with the scans' other
+    columns beside f, it still peaks below 8 stacks of products."""
+    K = haar_kraus(4, 3, seed=1)
+    ctx = RestrictionContext.stationary(K)
+    chunk_bytes = _CHUNK_STRINGS * 4 * 4 * 16
+    tracemalloc.start()
+    try:
+        f = f_series(K, ctx.sigma, ctx.f_op, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * chunk_bytes
+    assert f.value_at(9) == restriction_scan(ctx, 9).f_value
+
+
 def _rank_one_family() -> KrausFamily:
     """A_x = u_x e_x^dag (D = d = 8): every product has rank 1."""
     rng = np.random.default_rng(1)

@@ -504,7 +504,8 @@ def test_the_scans_f_stays_below_w_on_rank_deficient_families(name):
     exterior square, not from the root of a rounding-size lambda2 (which
     read 5.6e-9 against w(2) = 2.5e-16 on the renormalized rank-1 family).
     The finite context is the bare one, whose pure boundaries give every
-    product rank 1."""
+    product rank 1.  f_series, the same column of one walk, is held to the
+    same bound."""
     K = RANK_DEFICIENT[name]()
     n_max = _longest(K, 6)
     w = dict(w_series(K, n_max).values)
@@ -512,8 +513,10 @@ def test_the_scans_f_stays_below_w_on_rank_deficient_families(name):
     L, R = (rng.standard_normal(K.D) + 1j * rng.standard_normal(K.D) for _ in range(2))
     b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
     for ctx in (RestrictionContext.stationary(K), RestrictionContext.from_boundaries(K, b, ChainGeometry(0, 1, 0))):
+        f = dict(f_series(K, ctx.sigma, ctx.f_op, n_max).values)
         for n in range(1, n_max + 1):
             assert restriction_scan(ctx, n).f_value <= w[n] + 1e-12, n
+            assert f[n] <= w[n] + 1e-12, n
 
 
 @pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
@@ -565,3 +568,54 @@ def test_the_recorded_w_sums_are_the_walked_ones_bit_for_bit(name, monkeypatch):
     assert purification_statistic(K, n) == walked
     assert [w_series(K, m).values for m in range(1, n + 1)] == fresh
     assert sums == []
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FAMILIES))
+def test_the_statistic_records_both_sums_for_w_series(name, monkeypatch):
+    """On a fresh family the statistic walks length n with both routes and
+    records the pair a fresh w_series records, so a later w_series walks
+    only the shorter lengths and returns the fresh series bit for bit."""
+    make, n = RECORD_FAMILIES[name]
+    fresh = make()
+    want = w_series(fresh, n)
+    K = make()
+    assert purification_statistic(K, n) == fresh._w_sums[n][1]
+    assert K._w_sums == {n: fresh._w_sums[n]}
+
+    walks = []
+    real = restriction._string_sum
+
+    def spy(*args):
+        walks.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(purity, "_string_sum", spy)
+    assert w_series(K, n) == want
+    assert walks == [[m] for m in range(1, n)]
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FAMILIES))
+def test_f_series_is_the_scans_f_bit_for_bit(name, monkeypatch):
+    """f_series is the f column of the scans of its context: each f(m)
+    equals restriction_scan's f_value with ==, and the series grows one
+    tree, to its longest length.  The finite context has a mixed sigma and
+    F != 1."""
+    make, n = RECORD_FAMILIES[name]
+    K = make()
+    rng = np.random.default_rng(5)
+    L, R = (rng.standard_normal(K.D) + 1j * rng.standard_normal(K.D) for _ in range(2))
+    b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
+    for ctx in (RestrictionContext.stationary(K), RestrictionContext.from_boundaries(K, b, ChainGeometry(1, 1, 1))):
+        trees = []
+        real = restriction._products
+
+        def spy(*args):
+            trees.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(restriction, "_products", spy)
+        monkeypatch.setattr(purity, "_products", spy)
+        f = f_series(K, ctx.sigma, ctx.f_op, n)
+        monkeypatch.undo()
+        assert trees == [n]
+        assert f.values == tuple((m, restriction_scan(ctx, m).f_value) for m in range(1, n + 1))

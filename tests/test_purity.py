@@ -12,6 +12,8 @@ from mpsrestrict.errors import (
     DimensionTooSmall,
     EnumerationTooLarge,
     EvenDimension,
+    FNotContractive,
+    NotDensityOperator,
     NumericalInconsistency,
     OutOfRange,
     SearchBudgetExceeded,
@@ -119,10 +121,17 @@ def test_f_series_aklt_stationary():
 
 def test_f_series_validates_inputs():
     K = aklt()
-    with pytest.raises(Exception):
+    with pytest.raises(NotDensityOperator):
         f_series(K, np.diag([0.7, 0.7]), np.eye(2), 2)
-    with pytest.raises(Exception):
+    with pytest.raises(FNotContractive):
         f_series(K, np.eye(2) / 2, 3.0 * np.eye(2), 2)
+
+
+def test_f_series_of_a_zero_dressing_is_a_degenerate_context():
+    """F = 0 leaves the strings no probability: K^2(n) = 0 < 1e-12, so
+    f_series raises the scans' ValueError rather than report zeros."""
+    with pytest.raises(ValueError, match="degenerate context"):
+        f_series(aklt(), np.eye(2) / 2, np.zeros((2, 2)), 3)
 
 
 def test_estimate_rate_paths():
@@ -235,10 +244,11 @@ def test_a_w_below_one_certifies_and_names_its_length(dim):
 
 @pytest.mark.parametrize("gap,status", [(0.5e-9, "Undetermined"), (2e-9, "SatisfiedUpToN")])
 def test_w_certifies_only_below_one_by_the_margin(gap, status):
-    """A w handed in is read as it is: w(3) = 1 - gap certifies code-D3 only
+    """A recorded w is read as it is: w(3) = 1 - gap certifies code-D3 only
     when gap exceeds the rounding margin of 1e-9."""
-    w = DecaySeries.from_values([(1, 1.25), (2, 1.25), (3, 1.0 - gap)])
-    assert purity_verdict(_code_d3(), 3, w=w).status == status
+    K = _code_d3()
+    K._w_sums.update({1: (1.25, 1.25), 2: (1.25, 1.25), 3: (1.0 - gap, 1.0 - gap)})
+    assert purity_verdict(K, 3).status == status
 
 
 def _dark_block_family(r: int, s: int, d: int, seed: int) -> KrausFamily:
@@ -265,7 +275,7 @@ def test_a_dark_block_keeps_w_at_one_or_more(r, s, d, seed):
     K = _dark_block_family(r, s, d, seed)
     w = w_series(K, 3)
     assert min(v for _, v in w.values) >= 1.0 - 1e-12
-    assert not purity_verdict(K, 3, w=w).status.startswith("Satisfied")
+    assert not purity_verdict(K, 3).status.startswith("Satisfied")
 
 
 def test_haar_kraus_normalized_and_deterministic():
@@ -461,9 +471,10 @@ def test_corrupted_gram_eigenvalues_are_an_inconsistency(monkeypatch):
 
 def test_a_recorded_length_still_runs_every_check():
     """Once w_series has walked n = 9, the statistic and the series still
-    check the length and the guard before they read the family's record,
-    and the series checks the routes and submultiplicativity over every
-    length it returns, recorded or not."""
+    check the length and the guard before they read the family's record.
+    Both check the routes of every length they read, recorded or not, and
+    the series also checks submultiplicativity over every length it
+    returns."""
     K = haar_kraus(4, 3, seed=1)
     w_series(K, 9)
     for call in (purification_statistic, w_series):
@@ -475,6 +486,8 @@ def test_a_recorded_length_still_runs_every_check():
     K._w_sums[3] = (svd, check * (1.0 + 1e-6))
     with pytest.raises(NumericalInconsistency, match="routes disagree"):
         w_series(K, 9)
+    with pytest.raises(NumericalInconsistency, match="routes disagree"):
+        purification_statistic(K, 3)
     K._w_sums[3] = (svd, check)
     K._w_sums[2] = (1e3, 1e3)
     with pytest.raises(NumericalInconsistency, match="submultiplicativity"):
@@ -501,15 +514,25 @@ def test_purity_verdict_guard_below_d_to_the_n_max_raises():
 
 
 @pytest.mark.parametrize("factory", [aklt, damping, lambda: haar_kraus(3, 2, seed=4)])
-def test_purity_verdict_reuses_a_longer_w_series(factory):
-    """A series past n = 6 gives the verdict of its first six entries, bit
-    for bit; one that does not cover 1..min(n_max, 6) is rejected."""
+def test_purity_verdict_reuses_a_longer_w_series(factory, monkeypatch):
+    """After w_series(K, 8) the verdicts at n_max = 8 and 3 read their
+    w(1..6) and w(1..3) from the family's record, forming no product for
+    them, and equal the verdicts of fresh families, which walk their own
+    series, bit for bit."""
+    want = {n: purity_verdict(factory(), n) for n in (8, 3)}
     K = factory()
-    # the verdicts without w take fresh families, so each walks its own series
-    assert purity_verdict(K, 8, w=w_series(K, 8)) == purity_verdict(factory(), 8)
-    assert purity_verdict(K, 3, w=w_series(K, 5)) == purity_verdict(factory(), 3)
-    with pytest.raises(ValueError):
-        purity_verdict(K, 8, w=w_series(K, 5))
+    w_series(K, 8)
+    sums = []
+    real = restriction._string_sum
+
+    def spy(*args):
+        sums.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(purity, "_string_sum", spy)
+    assert purity_verdict(K, 8) == want[8]
+    assert purity_verdict(K, 3) == want[3]
+    assert sums == []
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
