@@ -113,6 +113,14 @@ class KrausFamily:
         sums are a fixed function of the family; only scalars are kept."""
         return {}
 
+    @cached_property
+    def _fixed_point(self) -> TransferFixedPoint:
+        """The transfer fixed point, computed once per family: the
+        stationary context's sigma, the stationary test of
+        ``restriction._absorb_windows`` and the report's fixed-point block
+        all read it here.  The public ``fixed_point`` recomputes it."""
+        return fixed_point(self)
+
     @classmethod
     def from_matrices(
         cls, matrices: Sequence[np.ndarray], atol: float = 1e-10

@@ -108,16 +108,9 @@ def _rates_obj(series: DecaySeries) -> dict[str, Any]:
 
 
 def _json_text(doc: dict[str, Any]) -> str:
-    """The report as indented JSON with sorted keys.  numpy scalars that json
-    does not take (np.float64 is a float, so it keeps its bytes) become the
-    equal Python scalars."""
-
-    def scalar(obj: Any) -> Any:
-        if isinstance(obj, np.generic):
-            return obj.item()
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-    return json.dumps(doc, indent=2, sort_keys=True, default=scalar) + "\n"
+    """The report as indented JSON with sorted keys.  Every field is a Python
+    scalar, list or dict (np.float64 is a float, so it keeps its bytes)."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(rows: list[dict[str, Any]], columns: Sequence[str], ints: Sequence[str]) -> str:
@@ -215,7 +208,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ctx = RestrictionContext.stationary(K)
     len_a, len_c = base.len_a, base.len_c
 
-    fp = ctx._fixed_point  # the stationary context's own; computed once in finite mode
+    fp = K._fixed_point  # computed once per family; the stationary sigma is its rho
 
     # Fail before enumerating: the largest tables are the last windowed block
     # and the Gibbs chain.  Guard errors come before the --ell check.

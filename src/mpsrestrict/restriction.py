@@ -55,7 +55,8 @@ one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -65,9 +66,7 @@ from .chain import (
     BoundaryPair,
     ChainGeometry,
     KrausFamily,
-    TransferFixedPoint,
     _iterate,
-    fixed_point,
     left_environment,
     right_environment,
     sqrt_env,
@@ -106,42 +105,32 @@ _CHUNK_STRINGS = 512  # most square products held at once; bounds peak memory
 _GRAM_SWITCH = 1e-4  # least lambda2 / lambda1 whose Gram root _nu12 takes
 
 
-def _check_contraction(F: np.ndarray, size: int) -> np.ndarray:
-    """F as by ``_check_square`` (size x size) if F^dag F <= 1, else FNotContractive."""
-    F = _check_square(F, "F", FNotContractive, size)
-    lam_max = float(np.linalg.eigvalsh(F.conj().T @ F)[-1])
-    if lam_max > 1.0 + 1e-10:
-        raise FNotContractive(f"largest eigenvalue of F^dag F is {lam_max!r} > 1")
-    return F
-
-
 @dataclass(frozen=True)
 class RestrictionContext:
     """Kraus family dressed with environments (sigma, F).
 
-    The per-length normalizations K^2(N) = Tr(F^dag F E^N(sigma)) are
-    computed lazily and cached, so probabilities sum to 1 exactly for every
-    N.  The D x D density operator sigma and contraction F are stored as
-    given.
+    The D x D density operator sigma and contraction F are stored as given.
+    Each operator derived from them is formed once, when first read: F^dag F,
+    the walks' cap F, sqrt(sigma) and the environments E^n(sigma), from which
+    ``k2_for`` takes K^2(N), so probabilities sum to 1 exactly for every N.
     """
 
     kraus: KrausFamily
     sigma: np.ndarray
     f_op: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", _check_density(self.sigma, "sigma", self.kraus.D))
-        object.__setattr__(self, "f_op", _check_contraction(self.f_op, self.kraus.D))
+        object.__setattr__(self, "f_op", _check_square(self.f_op, "F", FNotContractive, self.kraus.D))
+        lam_max = float(np.linalg.eigvalsh(self._f2)[-1])
+        if lam_max > 1.0 + 1e-10:
+            raise FNotContractive(f"largest eigenvalue of F^dag F is {lam_max!r} > 1")
 
     @classmethod
     def stationary(cls, kraus: KrausFamily) -> "RestrictionContext":
-        """Infinite-chain mode: sigma = fixed point rho, F = identity, K^2 = 1.
-        The context records the fixed point it was built from."""
-        fp = fixed_point(kraus)
-        ctx = cls(kraus=kraus, sigma=fp.rho, f_op=np.eye(kraus.D, dtype=complex))
-        ctx._cache["fixed_point"] = fp
-        return ctx
+        """Infinite-chain mode: sigma = the family's fixed point rho
+        (``KrausFamily._fixed_point``, computed once), F = identity, K^2 = 1."""
+        return cls(kraus=kraus, sigma=kraus._fixed_point.rho, f_op=np.eye(kraus.D, dtype=complex))
 
     @classmethod
     def from_boundaries(
@@ -158,43 +147,39 @@ class RestrictionContext:
         ctx.k2_for(geometry.len_b)
         return ctx
 
-    @property
-    def _fixed_point(self) -> TransferFixedPoint:
-        """The family's transfer fixed point, recorded by ``stationary``."""
-        if "fixed_point" not in self._cache:
-            self._cache["fixed_point"] = fixed_point(self.kraus)
-        return self._cache["fixed_point"]
+    @cached_property
+    def _f2(self) -> np.ndarray:
+        """F^dag F, the right environment: the contraction check, K^2 and
+        the folded and range-factored caps all read this one product."""
+        return self.f_op.conj().T @ self.f_op
 
-    @property
-    def _f_is_identity(self) -> bool:
-        """Whether F is exactly the identity, as in the stationary context.
-        The walks then skip multiplying by it, which would change no bit."""
-        if "f_is_identity" not in self._cache:
-            eye = np.eye(self.kraus.D)
-            self._cache["f_is_identity"] = bool(np.array_equal(self.f_op, eye))
-        return self._cache["f_is_identity"]
+    @cached_property
+    def _cap(self) -> np.ndarray | None:
+        """F as the walks apply it, or None when F is exactly the identity,
+        as in the stationary context: multiplying by it would change no bit."""
+        return None if np.array_equal(self.f_op, np.eye(self.kraus.D)) else self.f_op
 
-    @property
+    @cached_property
     def sqrt_sigma(self) -> np.ndarray:
-        if "sqrt_sigma" not in self._cache:
-            self._cache["sqrt_sigma"] = sqrt_env(self.sigma)
-        return self._cache["sqrt_sigma"]
+        """sqrt(sigma), the root of every string product of the context."""
+        return sqrt_env(self.sigma)
+
+    @cached_property
+    def _envs(self) -> list[np.ndarray]:
+        """[sigma, E(sigma), E^2(sigma), ...], as far as ``k2_for`` has asked."""
+        return [np.asarray(self.sigma)]
 
     def k2_for(self, n: int) -> float:
-        """K^2(n) = Tr(F^dag F E^n(sigma)), cached per n >= 0.
+        """K^2(n) = Tr(F^dag F E^n(sigma)) for n >= 0; a bad length extends no environment.
 
         Raises ValueError unless K^2(n) >= 1e-12: the length-n strings then
         carry no probability to normalize.
         """
         n = _check_length(n, "block length", least=0)
-        key = ("k2", n)
-        if key not in self._cache:
-            envs = self._cache.setdefault("envs", [np.asarray(self.sigma)])
-            while len(envs) <= n:
-                envs.append(transfer_apply(self.kraus, envs[-1]))
-            f2 = self.f_op.conj().T @ self.f_op
-            self._cache[key] = float(np.trace(f2 @ envs[n]).real)
-        k2 = self._cache[key]
+        envs = self._envs
+        while len(envs) <= n:
+            envs.append(transfer_apply(self.kraus, envs[-1]))
+        k2 = float(np.trace(self._f2 @ envs[n]).real)
         if not k2 >= 1e-12:  # NaN fails every comparison
             raise ValueError(f"degenerate context: K^2({n}) = {k2!r} < 1e-12")
         return k2
@@ -574,9 +559,8 @@ def _nu12(W: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def string_probability(ctx: RestrictionContext, x: Sequence[int]) -> float:
     """p(x) = ||F A_{x_N}..A_{x_1} sqrt(sigma)||_F^2 / K^2(N), non-negative."""
     xs = _validate_string(x, ctx.kraus.d)
-    cap = None if ctx._f_is_identity else ctx.f_op
     P = _string_product(ctx.kraus.ops, ctx.sqrt_sigma, xs)
-    return float(_capped_norm2(cap, P[None])[0] / ctx.k2_for(len(xs)))
+    return float(_capped_norm2(ctx._cap, P[None])[0] / ctx.k2_for(len(xs)))
 
 
 def post_measurement_spectrum(ctx: RestrictionContext, x: Sequence[int]) -> Spectrum:
@@ -600,11 +584,11 @@ def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, 
     ns = [_check_length(n, "string length") for n in ns]
     tree = _products(ctx.kraus, ctx.sqrt_sigma, max(ns), guard)
     k2 = {n: ctx.k2_for(n) for n in ns}
-    f_op = None if ctx._f_is_identity else ctx.f_op
+    cap = ctx._cap
 
     def leaf(n: int, P: np.ndarray) -> np.ndarray:
         # rows [tr, tr*S, lam1, lam2, nu1*nu2], un-normalized
-        T = P if f_op is None else f_op @ P
+        T = P if cap is None else cap @ P
         lam = np.linalg.eigvalsh(T @ _adjoint(T))
         tr = lam.sum(axis=-1)
         rows = np.zeros((len(T), 5))
@@ -688,11 +672,10 @@ def window_distributions(
         return iter(())
     root = _range_factor(ctx.sigma)
     root = ctx.sqrt_sigma if root is None else root
-    if ctx._f_is_identity:
-        cap = None
-    else:
-        cap = _range_factor(ctx.f_op.conj().T @ ctx.f_op)
-        cap = ctx.f_op if cap is None else _adjoint(cap)
+    cap = ctx._cap
+    if cap is not None:
+        Y = _range_factor(ctx._f2)
+        cap = cap if Y is None else _adjoint(Y)
     tree = _products(ctx.kraus, root, max(lengths), guard)
     k2 = {m: ctx.k2_for(m) for m in lengths}
     tables = _string_tables(tree, k2, lambda m, P: _capped_norm2(cap, P) / k2[m])
@@ -770,10 +753,10 @@ def _absorb_windows(
     """
     if window_a == 0 and window_c == 0:
         return ctx
-    if ctx._f_is_identity and np.array_equal(ctx.sigma, ctx._fixed_point.rho):
+    if ctx._cap is None and np.array_equal(ctx.sigma, ctx.kraus._fixed_point.rho):
         return ctx
     sigma = _iterate(ctx.kraus, ctx.sigma, window_a, adjoint=False)
-    f2 = _iterate(ctx.kraus, ctx.f_op.conj().T @ ctx.f_op, window_c, adjoint=True)
+    f2 = _iterate(ctx.kraus, ctx._f2, window_c, adjoint=True)
     return RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2))
 
 

@@ -113,10 +113,14 @@ def sample_trajectories(
     and draws the outcomes from their weights together.  Stream s draws its
     n uniforms from _rng_for(seed, s), so its trajectory does not depend on
     which other streams are drawn with it, and ``sample_trajectory(K, n,
-    seed, s)`` is row s of this call.
+    seed, s)`` is row s of this call.  After each step W is scaled by the
+    power of two that brings Tr(W^dag W) into [1/2, 2), with the exponent
+    carried, so W does not underflow as its path probability does; this
+    changes no bit of a weight, a draw or an M while nothing is subnormal.
 
     Returns the (T, n) outcomes, the (T, n, D, D) normalized operators M_k
-    and the (T, n) path probabilities Tr(W_k^dag W_k)/D of the T streams.
+    and the (T, n) path probabilities Tr(W_k^dag W_k)/D of the T streams,
+    which round to zero where they leave the floats.
     Raises OutOfRange (a ValueError) unless n is an integer >= 1 and the
     seed and every stream integers >= 0.
     """
@@ -131,6 +135,7 @@ def sample_trajectories(
     outcomes = np.empty((T, n), dtype=int)
     m_ops = np.empty((T, n, D, D), dtype=complex)
     probs = np.empty((T, n))
+    shift = np.zeros(T, dtype=np.int64)  # W[t] is 2^-shift[t] times its path's product
     for k in range(n):
         V = np.matmul(stacked, W).reshape(T, d, D, D)  # V[t, y] = A_y W_t
         weights = _capped_norm2(None, V.reshape(T * d, D, D)).reshape(T, d)
@@ -148,7 +153,10 @@ def sample_trajectories(
         M = _adjoint(W) @ W / tr[:, None, None]
         outcomes[:, k] = y
         m_ops[:, k] = (M + _adjoint(M)) / 2.0
-        probs[:, k] = tr / D
+        probs[:, k] = np.ldexp(tr, 2 * shift) / D
+        half = np.frexp(tr)[1] // 2
+        W *= np.ldexp(1.0, -half)[:, None, None]
+        shift += half
     off = np.abs(np.trace(m_ops, axis1=2, axis2=3).real - 1.0) > _TRACE_TOL
     if np.any(off):
         raise ValueError(f"M at step {int(np.nonzero(off)[1].min()) + 1} is not trace-normalized")
@@ -174,14 +182,19 @@ def sample_trajectory(
 def martingale_step_check(K: KrausFamily, x: Sequence[int]) -> float:
     """Spectral-norm residual of sum_y P(y|x) M(x, y) - M(x).
 
-    Exact enumeration over the next symbol; requires the prefix x to have
-    positive path probability.
+    Exact enumeration over the next symbol.  The prefix's product W is
+    scaled by the power of two that brings its largest |entry| into [1/2,
+    1), which changes no bit of the residual, so only an exactly zero W
+    raises ZeroProbabilityPath.
     """
     xs = _validate_string(x, K.d)
     W = _string_product(K.ops, np.eye(K.D, dtype=complex), xs)
-    tr = float(_capped_norm2(None, W[None])[0])
-    if tr / K.D < 1e-30:
+    peak = float(np.abs(W).max())
+    if peak == 0.0:
         raise ZeroProbabilityPath(f"prefix {xs} has zero path probability")
+    e = int(np.frexp(peak)[1])
+    W.real, W.imag = np.ldexp(W.real, -e), np.ldexp(W.imag, -e)
+    tr = float(_capped_norm2(None, W[None])[0])
     M = W.conj().T @ W / tr
     total = np.zeros_like(M)
     for y in range(K.d):

@@ -159,7 +159,7 @@ def test_analyze_csv(capsys):
     assert float(first[6]) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
-def test_analyze_finite_model(tmp_path):
+def test_analyze_finite_model(tmp_path, capsys):
     model = tmp_path / "m.json"
     out = tmp_path / "r.json"
     from mpsrestrict.chain import BoundaryPair, ChainGeometry
@@ -174,6 +174,8 @@ def test_analyze_finite_model(tmp_path):
         geometry=ChainGeometry(len_a=1, len_b=2, len_c=1),
         label="damped",
     )
+    assert main(["check", str(model)]) == 0
+    assert "geometry: (1, 2, 1)" in capsys.readouterr().out.splitlines()
     assert main(["analyze", "--model", str(model), "--nmax", "3", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["mode"] == "finite"
@@ -228,6 +230,18 @@ def test_exit_code_bad_model(tmp_path):
     assert main(["analyze", "--builtin", "aklt", "--geometry", "1,2"]) == 3
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--builtin", "aklt", "--geometry", "2,x,2"], "--geometry entries must be integers, got '2,x,2'"),
+        (["--builtin", "markov", "--p", "0.8,x;0.3,0.7"], "--p expects rows like '0.8,0.2;0.3,0.7'"),
+    ],
+)
+def test_a_malformed_flag_value_exits_3_with_its_message(flags, message, capsys):
+    assert main(["analyze", *flags, "--nmax", "2"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_generate_check_analyze_pipeline(tmp_path, capsys):
     model = tmp_path / "haar.json"
     assert main(["generate", "haar", "--dim", "2", "--phys", "3", "--seed", "5", "--out", str(model)]) == 0
@@ -270,6 +284,17 @@ def test_sample_json(tmp_path):
     assert len(doc["rows"]) == 8
     for row in doc["rows"]:
         assert 0.0 <= row["path_prob"] <= 1.0 + 1e-12
+
+
+def test_sample_runs_past_the_float_floor_of_the_path_probability(tmp_path):
+    """clock's path probability 9^-n leaves the floats near n = 340; the
+    sampler used to die there with all continuations at zero weight."""
+    out = tmp_path / "s.json"
+    assert main(["sample", "--builtin", "clock", "--nmax", "400", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 100 * 400
+    assert all(np.isfinite(r["lambda1"]) and np.isfinite(r["lambda2"]) for r in rows)
+    assert rows[-1]["path_prob"] == 0.0
 
 
 def test_sample_blocks_are_the_oracle_rows(tmp_path):

@@ -3,6 +3,7 @@ by shared checks, before any work, with one documented exception type each."""
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,20 +284,33 @@ def test_nan_scalars_are_rejected():
             fn(nan)
 
 
-def test_analyze_computes_the_fixed_point_once(monkeypatch, tmp_path):
-    """The stationary context records the fixed point it is built from, and
-    the report's fixed-point block reads it there; no row computes it again."""
+_FINITE_MODEL = str(Path(__file__).parent / "golden" / "haar_d3_d3_finite_model.json")
+
+
+@pytest.mark.parametrize(
+    "source", [["--builtin", "aklt"], ["--model", _FINITE_MODEL]], ids=["stationary", "finite"]
+)
+def test_analyze_computes_the_fixed_point_once(monkeypatch, tmp_path, source):
+    """The family computes its transfer fixed point once
+    (``KrausFamily._fixed_point``): a stationary context is built from it,
+    a finite chain's report reads it for its fixed-point block, and no row
+    computes it again.  Two stationary contexts of one family share it."""
     from mpsrestrict import chain
 
     calls = []
+    real = chain.fixed_point  # bound before patching, so the spy does not call itself
 
     def counted(K):
         calls.append(K)
-        return chain.fixed_point(K)
+        return real(K)
 
-    monkeypatch.setattr(restriction, "fixed_point", counted)
-    assert main(["analyze", "--builtin", "aklt", "--nmax", "4", "--out", str(tmp_path / "r.json")]) == 0
+    monkeypatch.setattr(chain, "fixed_point", counted)
+    assert main(["analyze", *source, "--nmax", "4", "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 1
+    K = damping(0.5)
+    RestrictionContext.stationary(K)
+    RestrictionContext.stationary(K)
+    assert len(calls) == 2 and calls[1] is K
 
 
 _NAN = float("nan")

@@ -494,6 +494,12 @@ def test_a_recorded_length_still_runs_every_check():
         w_series(K, 9)
 
 
+def test_eig_clusters_split_at_the_largest_gap_when_no_gap_clears_the_tolerance():
+    # the relative gap 5e-9 is below 1e-8, so no cut is found; the split is forced
+    assert purity._eig_clusters(np.array([1.0, 1.0 + 5e-9]), 1e-8) == [slice(0, 1), slice(1, 2)]
+    assert purity._eig_clusters(np.array([1.0, 1.0, 1.0 + 5e-9]), 1e-8) == [slice(0, 2), slice(2, 3)]
+
+
 def test_correctable_report_rejects_increasing_ranks():
     from mpsrestrict.purity import CorrectableReport
 

@@ -249,7 +249,7 @@ def test_k2_for_rejects_bad_lengths_before_the_cache():
         with pytest.raises(OutOfRange):
             ctx.k2_for(n)
     assert [ctx.k2_for(n) for n in range(4)] == want
-    assert len(ctx._cache["envs"]) == 4
+    assert len(ctx._envs) == 4
 
 
 def test_window_distribution_rejects_a_degenerate_context():

@@ -64,6 +64,41 @@ def test_martingale_step_check_rejects_zero_prefix():
         martingale_step_check(K, (1, 1))  # A_+ A_+ = 0
 
 
+@pytest.mark.parametrize("n", [32, 40, 300])
+def test_martingale_step_check_takes_a_prefix_of_any_small_probability(n):
+    """The prefix 0^n of clock(3) has probability 9^-n, below 1e-30 from n =
+    32 on: the check scales the product by a power of two and rejects only
+    an exactly zero one."""
+    assert martingale_step_check(clock(3), [0] * n) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "factory,x,want",
+    [
+        (aklt, [0, 1, 2], "0x1.0000000000000p-52"),
+        (lambda: clock(3), [0] * 5, "0x1.000613a73f892p-54"),
+        (lambda: clock(3), [1, 4, 7], "0x1.0d0f96bac8756p-54"),
+    ],
+)
+def test_martingale_step_check_keeps_its_bits_on_short_prefixes(factory, x, want):
+    """Scaling by a power of two changes no bit of M or of its successors:
+    these residuals are those of the unscaled product."""
+    assert martingale_step_check(factory(), x).hex() == want
+
+
+def test_a_long_trajectory_keeps_its_operators_past_the_float_floor():
+    """A clock(3) path has probability 9^-n, which leaves the normal floats
+    near n = 323; the sampler carries its running product scaled by powers
+    of two, so every M stays finite with trace 1, and each path probability
+    is exact until it rounds to a subnormal or zero."""
+    outcomes, m_ops, probs = sample_trajectories(clock(3), 400, 0, range(2))
+    assert outcomes.shape == (2, 400)
+    assert np.all(np.isfinite(m_ops))
+    assert np.allclose(np.trace(m_ops, axis1=2, axis2=3), 1.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(probs[:, :300], np.broadcast_to(9.0 ** -np.arange(1, 301), (2, 300)), rtol=1e-12)
+    assert np.all(probs[:, 340:] == 0.0)
+
+
 @pytest.mark.parametrize(
     "factory,n",
     [(aklt, 5), (lambda: haar_kraus(3, 5, 0), 4), (lambda: jordan(4), 5)],
