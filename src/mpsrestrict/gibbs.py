@@ -153,14 +153,8 @@ def local_hamiltonian(p: ChainDistribution, ell: int) -> LocalHamiltonian:
                 f"use ChainDistribution.smoothed() explicitly if appropriate"
             )
         windows.append(-np.log(m))
-    overlaps = []
-    for j in range(1, p.length - ell):
-        m = marginal(p, j + 1, j + ell)
-        if m.min() <= 0.0:
-            raise NonPositiveMarginal(
-                f"marginal over sites {j + 1}..{j + ell} has a zero entry"
-            )
-        overlaps.append(-np.log(m))
+    # an overlap entry sums the non-negative entries behind positive window entries
+    overlaps = [-np.log(marginal(p, j + 1, j + ell)) for j in range(1, p.length - ell)]
     return LocalHamiltonian(
         length=p.length,
         d=p.d,

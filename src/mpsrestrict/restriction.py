@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, frexp, ldexp
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -225,9 +225,26 @@ class CmiReport:
             raise ValueError(f"average purity {self.avg_purity_q!r} outside [0, 1]")
 
 
-def _validate_string(x: Sequence[int], d: int) -> tuple[int, ...]:
-    """x as a tuple of ints if it is a non-empty sequence and each symbol is
-    an integer in [0, d), else SymbolOutOfRange."""
+def _check_guard(d: int, n: int, guard: float) -> None:
+    # a NaN guard bounds nothing, so it fails; an infinite one means no limit
+    if not d**n <= guard:
+        raise EnumerationTooLarge(f"d^n = {d**n} exceeds the guard {guard}")
+
+
+def _zero_threshold(d: int, n: int) -> tuple[float, int]:
+    # strings below probability 1e-14 d^-n are left out of entropy/purity sums;
+    # it is t 2^s with t near 1e-14 (b the bit length of d^n), so no n underflows
+    b = (d**n).bit_length()
+    return 1e-14 * ((1 << b) / d**n), -b
+
+
+def _string_product(
+    ops: np.ndarray, root: np.ndarray, x: Sequence[int]
+) -> tuple[tuple[int, ...], np.ndarray, int]:
+    """The string x as ints (SymbolOutOfRange unless a non-empty sequence of
+    integers in [0, len(ops))) and its product A_{x_N} ... A_{x_1} root as P 2^e:
+    after each symbol P is divided by the power of two that brings its largest
+    |entry| into [1/2, 1), which changes no bit while nothing is subnormal."""
     try:
         xs = tuple(x)
     except TypeError:
@@ -235,28 +252,16 @@ def _validate_string(x: Sequence[int], d: int) -> tuple[int, ...]:
     if len(xs) < 1:
         raise SymbolOutOfRange("measurement string must have length >= 1")
     for s in xs:
-        if not (_integral(s) and 0 <= s < d):
-            raise SymbolOutOfRange(f"symbol {s!r} is not an integer in [0, {d})")
-    return tuple(int(s) for s in xs)
-
-
-def _check_guard(d: int, n: int, guard: float) -> None:
-    # a NaN guard bounds nothing, so it fails; an infinite one means no limit
-    if not d**n <= guard:
-        raise EnumerationTooLarge(f"d^n = {d**n} exceeds the guard {guard}")
-
-
-def _zero_threshold(d: int, n: int) -> float:
-    # strings below this probability are excluded from entropy/purity sums
-    return 1e-14 * d ** (-n)
-
-
-def _string_product(ops: np.ndarray, root: np.ndarray, xs: Sequence[int]) -> np.ndarray:
-    """A_{x_N} ... A_{x_1} root for one string."""
-    P = root
+        if not (_integral(s) and 0 <= s < len(ops)):
+            raise SymbolOutOfRange(f"symbol {s!r} is not an integer in [0, {len(ops)})")
+    xs = tuple(int(s) for s in xs)
+    P, e = root, 0
     for s in xs:
         P = ops[s] @ P
-    return P
+        shift = frexp(float(np.abs(P).max()))[1]
+        P.real, P.imag = np.ldexp(P.real, -shift), np.ldexp(P.imag, -shift)
+        e += shift
+    return xs, P, e
 
 
 def _adjoint(T: np.ndarray) -> np.ndarray:
@@ -557,19 +562,24 @@ def _nu12(W: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def string_probability(ctx: RestrictionContext, x: Sequence[int]) -> float:
-    """p(x) = ||F A_{x_N}..A_{x_1} sqrt(sigma)||_F^2 / K^2(N), non-negative."""
-    xs = _validate_string(x, ctx.kraus.d)
-    P = _string_product(ctx.kraus.ops, ctx.sqrt_sigma, xs)
-    return float(_capped_norm2(ctx._cap, P[None])[0] / ctx.k2_for(len(xs)))
+    """p(x) = ||F A_{x_N}..A_{x_1} sqrt(sigma)||_F^2 / K^2(N), non-negative;
+    it rounds to zero only where it leaves the floats."""
+    xs, P, e = _string_product(ctx.kraus.ops, ctx.sqrt_sigma, x)
+    return ldexp(float(_capped_norm2(ctx._cap, P[None])[0]) / ctx.k2_for(len(xs)), 2 * e)
 
 
 def post_measurement_spectrum(ctx: RestrictionContext, x: Sequence[int]) -> Spectrum:
-    """Spectrum of the normalized post-measurement state for outcome string x."""
-    xs = _validate_string(x, ctx.kraus.d)
-    T = ctx.f_op @ _string_product(ctx.kraus.ops, ctx.sqrt_sigma, xs)
+    """Spectrum of the normalized post-measurement state for outcome string x.
+    Raises ValueError if K^2(N) < 1e-12 and ZeroProbabilityString if p(x) is
+    below ``_zero_threshold``, compared by exponent so neither side underflows."""
+    xs, P, e = _string_product(ctx.kraus.ops, ctx.sqrt_sigma, x)
+    k2 = ctx.k2_for(len(xs))
+    T = P if ctx._cap is None else ctx._cap @ P
     lam = np.linalg.eigvalsh(T @ T.conj().T)
     tr = float(lam.sum())
-    if tr / ctx.k2_for(len(xs)) < _zero_threshold(ctx.kraus.d, len(xs)):
+    t, s = _zero_threshold(ctx.kraus.d, len(xs))
+    (mp, ep), (mt, et) = frexp(tr / k2), frexp(t)
+    if tr <= 0.0 or (ep + 2 * e, mp) < (et + s, mt):
         raise ZeroProbabilityString(f"string {xs} has probability below threshold")
     vals = np.clip(lam[::-1] / tr, 0.0, None)
     return Spectrum(values=vals)
@@ -593,7 +603,7 @@ def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, 
         tr = lam.sum(axis=-1)
         rows = np.zeros((len(T), 5))
         rows[:, 0] = tr
-        live = tr >= _zero_threshold(ctx.kraus.d, n) * k2[n]
+        live = tr >= ldexp(*_zero_threshold(ctx.kraus.d, n)) * k2[n]
         if lam.shape[1] > 1:  # a 1 x 1 product has no nu2: its rows keep 0
             rows[live, 4] = _nu12(T, lam)[live]
         lam, tr = lam[live], tr[live]

@@ -37,7 +37,6 @@ from .restriction import (
     _products,
     _string_product,
     _string_sum,
-    _validate_string,
 )
 
 __all__ = [
@@ -182,18 +181,14 @@ def sample_trajectory(
 def martingale_step_check(K: KrausFamily, x: Sequence[int]) -> float:
     """Spectral-norm residual of sum_y P(y|x) M(x, y) - M(x).
 
-    Exact enumeration over the next symbol.  The prefix's product W is
-    scaled by the power of two that brings its largest |entry| into [1/2,
-    1), which changes no bit of the residual, so only an exactly zero W
-    raises ZeroProbabilityPath.
+    Exact enumeration over the next symbol.  The prefix's product W comes
+    from ``_string_product`` with its largest |entry| in [1/2, 1), which
+    changes no bit of the residual, so only an exactly zero W raises
+    ZeroProbabilityPath.
     """
-    xs = _validate_string(x, K.d)
-    W = _string_product(K.ops, np.eye(K.D, dtype=complex), xs)
-    peak = float(np.abs(W).max())
-    if peak == 0.0:
+    xs, W, _ = _string_product(K.ops, np.eye(K.D, dtype=complex), x)
+    if not W.any():
         raise ZeroProbabilityPath(f"prefix {xs} has zero path probability")
-    e = int(np.frexp(peak)[1])
-    W.real, W.imag = np.ldexp(W.real, -e), np.ldexp(W.imag, -e)
     tr = float(_capped_norm2(None, W[None])[0])
     M = W.conj().T @ W / tr
     total = np.zeros_like(M)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
+from mpsrestrict import __version__
 from mpsrestrict.cli import main
 from mpsrestrict.modelio import load_model
 from mpsrestrict.restriction import _CHUNK_STRINGS
@@ -17,6 +21,22 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "mpsrestrict" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,code,out",
+    [(["--version"], 0, f"mpsrestrict {__version__}\n"), (["--no-such-flag"], 3, "")],
+)
+def test_python_dash_m_passes_the_exit_code_through(argv, code, out):
+    """``python -m mpsrestrict`` runs the CLI and exits with its code: 0 for
+    --version, 3 for a usage error."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-m", "mpsrestrict", *argv], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == code
+    assert run.stdout == out
+    assert ("usage:" in run.stderr) == (code == 3)
 
 
 def test_analyze_golden_report(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -86,8 +87,22 @@ def test_post_measurement_spectrum(aklt_ctx):
     spec = post_measurement_spectrum(aklt_ctx, (0, 0))
     assert spec.values.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(spec.values, [0.5, 0.5], atol=1e-12)
-    with pytest.raises(ZeroProbabilityString):
-        post_measurement_spectrum(aklt_ctx, (1, 1))  # A_+ A_+ = 0
+    for x in [(1, 1), (0,) * 1200 + (1, 1)]:  # A_+ A_+ = 0, short and past the float floor
+        with pytest.raises(ZeroProbabilityString):
+            post_measurement_spectrum(aklt_ctx, x)
+
+
+@pytest.mark.parametrize("n", [400, 1200])
+def test_post_measurement_spectrum_of_a_string_past_the_float_floor(n):
+    """clock(3)'s string 0^n has probability 9^-n, which leaves the floats
+    from n = 340 on, and its threshold 1e-14 9^-n from n = 325: the product
+    is carried as P 2^e and the rule compared by exponent, so the state
+    stays maximally mixed, with no invalid division."""
+    ctx = RestrictionContext.stationary(clock(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals = post_measurement_spectrum(ctx, [0] * n).values
+    assert np.allclose(vals, 1.0 / 3.0, rtol=0.0, atol=1e-12)
 
 
 def test_post_measurement_isospectral_routes(aklt_ctx):

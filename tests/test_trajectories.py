@@ -60,15 +60,17 @@ def test_martingale_step_check_exact(factory):
 
 def test_martingale_step_check_rejects_zero_prefix():
     K = aklt()
-    with pytest.raises(ZeroProbabilityPath):
-        martingale_step_check(K, (1, 1))  # A_+ A_+ = 0
+    for x in [(1, 1), (0,) * 1200 + (1, 1)]:  # A_+ A_+ = 0, short and past the float floor
+        with pytest.raises(ZeroProbabilityPath):
+            martingale_step_check(K, x)
 
 
-@pytest.mark.parametrize("n", [32, 40, 300])
+@pytest.mark.parametrize("n", [32, 40, 300, 1200])
 def test_martingale_step_check_takes_a_prefix_of_any_small_probability(n):
     """The prefix 0^n of clock(3) has probability 9^-n, below 1e-30 from n =
-    32 on: the check scales the product by a power of two and rejects only
-    an exactly zero one."""
+    32 on, and its unscaled product underflows from about n = 680: the
+    product is scaled by a power of two after each symbol, and only an
+    exactly zero one is rejected."""
     assert martingale_step_check(clock(3), [0] * n) <= 1e-12
 
 
