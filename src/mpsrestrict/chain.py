@@ -243,19 +243,12 @@ def fixed_point(K: KrausFamily) -> TransferFixedPoint:
     coef, *_ = np.linalg.lstsq(Vfix, target, rcond=None)
     X = _unvec(Vfix @ coef, D)
 
-    # Hermitize: E preserves adjoints, so both Hermitian parts are fixed
-    # points; keep the one carrying the trace.
-    H1 = (X + X.conj().T) / 2.0
-    H2 = (X - X.conj().T) / 2.0j
-    H = H1 if abs(np.trace(H1)) >= abs(np.trace(H2)) else H2
-    if np.trace(H).real < 0:
-        H = -H
-    lam, U = np.linalg.eigh(H)
+    # The fixed eigenspace is closed under adjoints and holds the state, so X
+    # is Hermitian up to rounding and tr X = D ||X||_F^2 >= 1/D: its
+    # Hermitian part is a fixed point whose positive part has trace >= 1/D.
+    lam, U = np.linalg.eigh((X + X.conj().T) / 2.0)
     lam = np.clip(lam, 0.0, None)
-    total = float(lam.sum())
-    if total <= 1e-12:
-        raise NonConvergent("fixed eigenspace carries no positive part")
-    rho = (U * (lam / total)) @ U.conj().T
+    rho = (U * (lam / float(lam.sum()))) @ U.conj().T
     rho = (rho + rho.conj().T) / 2.0
 
     resid = np.linalg.norm(transfer_apply(K, rho) - rho)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from families import block_diagonal, code_d3, dark_block_family, near_pauli
 from mpsrestrict.chain import (
     BoundaryPair,
     ChainGeometry,
@@ -21,7 +22,8 @@ from mpsrestrict.errors import (
     OutOfRange,
     ShapeMismatch,
 )
-from mpsrestrict.models import aklt, aklt_pauli, clock, damping, jordan, markov
+from mpsrestrict.models import BUILTINS, aklt, aklt_pauli, clock, damping, jordan, markov
+from mpsrestrict.purity import haar_kraus
 
 
 def test_kraus_family_accepts_normalized():
@@ -131,6 +133,30 @@ def test_fixed_point_degenerate_unitary_family():
     assert np.allclose(fp.rho, np.eye(2) / 2, atol=1e-10)
     assert not fp.primitive
     assert np.linalg.norm(transfer_apply(K, fp.rho) - fp.rho) < 1e-12
+
+
+def _fixed_point_families() -> list[KrausFamily]:
+    """The built-ins, Haar draws at D in {2, 3, 4, 6} and d in {2, 3, 5}, and
+    families with degenerate, nearly degenerate or dark fixed spaces."""
+    families = [factory() for factory in BUILTINS.values()]
+    families += [haar_kraus(D, d, seed) for D in (2, 3, 4, 6) for d in (2, 3, 5) for seed in range(3)]
+    families += [block_diagonal(), near_pauli(), code_d3(), KrausFamily(ops=np.array([[[0, 1], [1, 0]]]))]
+    dark = [(2, 1, 2, 0), (3, 2, 3, 1), (2, 2, 3, 2)]
+    return families + [dark_block_family(r, s, d, seed) for r, s, d, seed in dark]
+
+
+def test_the_projection_of_one_over_d_has_real_trace_at_least_one_over_d():
+    """fixed_point takes rho from the Hermitian part of X, the least-squares
+    projection of 1/D onto the fixed eigenspace.  That span is closed under
+    adjoints and holds the state, so tr X = D ||X||_F^2 >= 1/D is real, and
+    the Hermitian part alone carries the trace."""
+    for K in _fixed_point_families():
+        D = K.D
+        vals, vecs = np.linalg.eig(transfer_matrix(K))
+        fixed = vecs[:, np.abs(vals - 1.0) <= 1e-8]
+        coef, *_ = np.linalg.lstsq(fixed, np.eye(D, dtype=complex).reshape(-1) / D, rcond=None)
+        trace = np.trace((fixed @ coef).reshape(D, D, order="F"))
+        assert abs(trace.imag) <= 1e-12 and trace.real >= 1.0 / D - 1e-12, (D, trace)
 
 
 def test_environments_iterate_channel():

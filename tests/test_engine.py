@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import oracle
-from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily, renormalize
+from families import block_diagonal, near_pauli
+from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily
 from mpsrestrict.gibbs import ChainDistribution
 from mpsrestrict.models import aklt, aklt_pauli, clock, damping, jordan, markov
 from mpsrestrict import purity, restriction
@@ -509,19 +510,6 @@ def test_window_distribution_keeps_small_environment_eigenvalues():
     assert np.max(np.abs(window_distribution(ctx, 4).table - oracle.window(ctx, 4))) <= TOL
 
 
-def _block_diagonal() -> KrausFamily:
-    """kron(1_2, A_x): every projector onto C^2 (x) v compresses to a scalar."""
-    return KrausFamily(ops=np.stack([np.kron(np.eye(2), A) for A in haar_kraus(2, 2, seed=3).ops]))
-
-
-def _near_pauli() -> KrausFamily:
-    """The Pauli family moved by 1e-10: its rank-2 subspaces stay within the
-    scalar tolerance with residuals near 1e-10, well above the test's 1e-12."""
-    rng = np.random.default_rng(0)
-    ops = aklt_pauli().ops
-    return renormalize(ops + 1e-10 * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape)))
-
-
 def _zero_then_damping() -> KrausFamily:
     return KrausFamily(ops=np.concatenate([np.zeros((1, 2, 2)), damping(0.5).ops]))
 
@@ -536,8 +524,8 @@ STAIRCASE_FAMILIES = {
     "clock-3": (lambda: clock(3), 3),
     "haar-D2-d2": (lambda: haar_kraus(2, 2, seed=3), 7),
     "haar-D3-d3": (lambda: haar_kraus(3, 3, seed=5), 5),
-    "block-diagonal": (_block_diagonal, 5),
-    "near-pauli": (_near_pauli, 4),
+    "block-diagonal": (block_diagonal, 5),
+    "near-pauli": (near_pauli, 4),
     "zero-then-damping": (_zero_then_damping, 7),
 }
 
@@ -557,7 +545,7 @@ def test_block_diagonal_purity_is_undetermined():
     """The span stalls at rank 4 < 16 and the staircase stays at rank 2 on a
     subspace that is not invariant, so neither certificate nor witness is
     found.  Its dark subspace C^2 (x) v makes the true status a violation."""
-    v = purity_verdict(_block_diagonal(), 5)
+    v = purity_verdict(block_diagonal(), 5)
     assert v.status == "Undetermined"
     assert v.span_ranks == (2, 4, 4, 4, 4) and v.correctable_ranks == (2,) * 5
     assert "span rank stalled at 4 < 16" in v.evidence
