@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import _check_hermitian, _check_length, _check_square, _check_tol
+
+if TYPE_CHECKING:  # restriction imports this module
+    from .restriction import RestrictionSummary
 
 __all__ = [
     "KrausFamily",
@@ -66,6 +69,12 @@ class KrausFamily:
     Left normalization sum_x A_x^dag A_x = 1 is validated at construction
     (tolerance ``atol``, finite and >= 0) and never silently repaired; use
     :func:`renormalize` explicitly for non-normalized raw matrices.
+
+    The ops are frozen, so what is computed from them alone is kept on the
+    family, each record with one writer: the transfer fixed point
+    (``_fixed_point``), the two sums of w per length (``_w_sums``, written by
+    ``purity._w_pair``) and each context's scan summaries per length
+    (``_summaries``, written by ``restriction._scans``).
     """
 
     ops: np.ndarray  # shape (d, D, D)
@@ -111,6 +120,18 @@ class KrausFamily:
         the one writer: it walks a length missing here once and records it,
         and checks the routes on every call.  The ops are frozen, so the
         sums are a fixed function of the family; only scalars are kept."""
+        return {}
+
+    @cached_property
+    def _summaries(self) -> dict[tuple[bytes, bytes], dict[int, RestrictionSummary]]:
+        """Per context and length n, the ``RestrictionSummary`` of the scan
+        of the d^n products F A..A sqrt(sigma), keyed by the exact bytes of
+        the context's (sigma, F): contexts that differ in any bit never
+        share an entry.  ``restriction._scans``, through which every scan
+        reads a length, is the one writer: it walks one tree to the longest
+        length missing here, records the missing lengths, and runs the
+        length, guard and K^2 checks on every call.  The summaries are
+        frozen scalars, so an entry costs its key and six floats a length."""
         return {}
 
     @cached_property

@@ -11,8 +11,9 @@ product lengths.  This module provides:
   length (the correctable-subspace staircase);
 * the decay series w(N) (sum over strings of the two largest singular values
   of the bare products, by two independent routes, recorded per family by
-  ``_w_pair``) and f(N) (the f column of ``restriction``'s scans: the same
-  for the environment-dressed products F A..A sqrt(sigma));
+  ``_w_pair``) and f(N) (the f column of ``restriction``'s scans, recorded
+  per family and context by ``restriction._scans``: the same for the
+  environment-dressed products F A..A sqrt(sigma));
 * the typicality constructions: Haar-random families, the full-overlap
   operator R on odd dimensions, and the explicit five-block family whose
   length-(2D-1) products certifiably span.
@@ -472,16 +473,20 @@ def f_series(
     """f(n) = sum over strings of nu1 * nu2 of F A_{x_n}..A_{x_1} sqrt(sigma).
 
     The ``f_value`` column of the scans of ``RestrictionContext(K, sigma,
-    F)`` for n = 1..n_max, from one walk, bit for bit: sigma must be a D x D
-    density operator (NotDensityOperator) and F^dag F <= 1 (FNotContractive),
-    so f(n) <= w(n) termwise.  As in ``restriction_scan``, strings below the
+    F)`` for n = 1..n_max, bit for bit: it reads the family's record of that
+    context's scans (``restriction._scans``) and walks one tree, to the
+    longest length the record lacks, for the missing lengths only, so after
+    ``restriction_scan`` of every length it forms no product.  The length,
+    guard and K^2 checks run on every call.  sigma must be a D x D density
+    operator (NotDensityOperator) and F^dag F <= 1 (FNotContractive), so
+    f(n) <= w(n) termwise.  As in ``restriction_scan``, strings below the
     zero threshold 1e-14 d^-n K^2(n) add nothing, and K^2(n) < 1e-12 raises
     ValueError.
     """
     n_max = _check_length(n_max, "n_max")
     ctx = RestrictionContext(kraus=K, sigma=sigma, f_op=F)
+    _check_guard(K.d, n_max, guard)  # before the lengths 1..n_max are listed
     if K.D < 2:  # a 1 x 1 product has no nu2: nothing to walk
-        _check_guard(K.d, n_max, guard)
         return DecaySeries.from_values((n, 0.0) for n in range(1, n_max + 1))
     scans = _scans(ctx, range(1, n_max + 1), guard)
     return DecaySeries.from_values((n, scans[n].f_value) for n in range(1, n_max + 1))

@@ -51,13 +51,21 @@ quantum CMI of its block, with the window sites folded into the
 environments once and every block scanned from one walk (``_scans``);
 ``cmi_report`` is its one-row call, and ``analyze`` takes all its rows from
 one call.
+
+A family records the summary of each length it has scanned for each
+context, keyed by the exact bytes of the context's (sigma, F)
+(``KrausFamily._summaries``), beside the sums of w that ``purity._w_pair``
+records.  ``_scans`` is that record's one reader and writer, so
+``restriction_scan``, ``f_series``, ``cmi_report`` and ``_cmi_rows`` walk
+only the lengths the record lacks, from one tree to the longest of them,
+while every call still checks its lengths, the guard and K^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, frexp, ldexp
+from math import comb, frexp, inf, ldexp
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -103,6 +111,7 @@ __all__ = [
 DEFAULT_GUARD = 2_000_000  # max d^n strings per enumeration; overridable everywhere
 _CHUNK_STRINGS = 512  # most square products held at once; bounds peak memory
 _GRAM_SWITCH = 1e-4  # least lambda2 / lambda1 whose Gram root _nu12 takes
+_PRINTED_DIGITS = 40  # most digits of a d^n that a guard error writes in decimal
 
 
 @dataclass(frozen=True)
@@ -226,9 +235,18 @@ class CmiReport:
 
 
 def _check_guard(d: int, n: int, guard: float) -> None:
-    # a NaN guard bounds nothing, so it fails; an infinite one means no limit
-    if not d**n <= guard:
-        raise EnumerationTooLarge(f"d^n = {d**n} exceeds the guard {guard}")
+    # A NaN guard bounds nothing, so it fails; an infinite one means no limit.
+    # Any other guard is below 2^b, b the bit length of its integer part, and
+    # d^n >= 2^n for d >= 2, so d^n is compared only while n < b: a long n
+    # fails without forming it, and a d^n too long to print is written as
+    # the power, such as 3^10000.
+    if guard == inf:
+        return
+    bits = int(guard).bit_length() if abs(guard) < inf else 0
+    if (d == 1 or n < bits) and d**n <= guard:
+        return
+    size = d**n if n * len(str(d)) <= _PRINTED_DIGITS else f"{d}^{n}"
+    raise EnumerationTooLarge(f"d^n = {size} exceeds the guard {guard}")
 
 
 def _zero_threshold(d: int, n: int) -> tuple[float, int]:
@@ -586,14 +604,23 @@ def post_measurement_spectrum(ctx: RestrictionContext, x: Sequence[int]) -> Spec
 
 
 def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, RestrictionSummary]:
-    """The RestrictionSummary of each length of ``ns``, from one walk of the
-    product tree to the longest.  Zero-probability strings (p < 1e-14 d^-n)
-    contribute only to the raw probability sum.  One eigvalsh of T T^dag per
-    product gives the entropy and the two eigenvalue sums, and ``_nu12``
-    takes f's nu1 nu2 from the same eigenvalues."""
+    """The RestrictionSummary of each length of ``ns``, from the family's
+    record of its context's scans, after the length checks, the guard on
+    the longest and K^2 of each length, which run on every call.
+
+    The one owner of ``KrausFamily._summaries``: the lengths missing there
+    are scanned from one walk of the product tree to the longest of them
+    and recorded.  Zero-probability strings (p < 1e-14 d^-n) contribute
+    only to the raw probability sum.  One eigvalsh of T T^dag per product
+    gives the entropy and the two eigenvalue sums, and ``_nu12`` takes f's
+    nu1 nu2 from the same eigenvalues.  A summary does not depend on which
+    other lengths share its walk, so a recorded one is a walked one bit
+    for bit."""
     ns = [_check_length(n, "string length") for n in ns]
-    tree = _products(ctx.kraus, ctx.sqrt_sigma, max(ns), guard)
+    _check_guard(ctx.kraus.d, max(ns), guard)
     k2 = {n: ctx.k2_for(n) for n in ns}
+    record = ctx.kraus._summaries.setdefault((ctx.sigma.tobytes(), ctx.f_op.tobytes()), {})
+    missing = [n for n in k2 if n not in record]
     cap = ctx._cap
 
     def leaf(n: int, P: np.ndarray) -> np.ndarray:
@@ -616,11 +643,12 @@ def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, 
         rows[live, 3] = np.maximum(lam2, 0.0)
         return rows
 
-    scans = {}
-    for n, acc in _string_sum(tree, k2, leaf).items():
-        p_sum, entropy, lam1, lam2 = (float(x) for x in acc[:4] / k2[n])
-        scans[n] = RestrictionSummary(n, p_sum, entropy, 1.0 - lam1, lam2, f_value=float(acc[4]))
-    return scans
+    if missing:  # one walk, to the longest missing length, leafs only those
+        tree = _products(ctx.kraus, ctx.sqrt_sigma, max(missing), guard)
+        for n, acc in _string_sum(tree, missing, leaf).items():
+            p_sum, entropy, lam1, lam2 = (float(x) for x in acc[:4] / k2[n])
+            record[n] = RestrictionSummary(n, p_sum, entropy, 1.0 - lam1, lam2, f_value=float(acc[4]))
+    return {n: record[n] for n in ns}
 
 
 def restriction_scan(
@@ -630,10 +658,11 @@ def restriction_scan(
     threads: int = 1,
 ) -> RestrictionSummary:
     """One lexicographic pass over all d^n strings, aggregating everything:
-    the one-length call of ``_scans``.  ``threads`` is accepted for
-    compatibility and selects nothing: the pass runs in the calling thread,
-    with the same result for every value.  Raises ValueError if
-    K^2(n) < 1e-12."""
+    the one-length call of ``_scans``, so a length the family has recorded
+    for this context (``KrausFamily._summaries``) is read, not walked, after
+    the same checks.  ``threads`` is accepted for compatibility and selects
+    nothing: the pass runs in the calling thread, with the same result for
+    every value.  Raises ValueError if K^2(n) < 1e-12."""
     return _scans(ctx, [n], guard)[n]
 
 

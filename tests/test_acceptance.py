@@ -11,7 +11,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from mpsrestrict.chain import BoundaryPair, ChainGeometry
 from mpsrestrict.cli import main

@@ -3,6 +3,7 @@ by shared checks, before any work, with one documented exception type each."""
 
 import dataclasses
 import inspect
+import time
 from pathlib import Path
 
 import numpy as np
@@ -90,23 +91,29 @@ _K = aklt()
 _CTX = RestrictionContext.stationary(_K)
 _EDGE = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
+
+def _fresh_ctx() -> RestrictionContext:
+    return RestrictionContext.stationary(aklt())
+
+
 # every public entry point that takes a length, as a call of that length; a
-# family records the w sums of the lengths it has walked, so the calls that
-# read that record take a fresh family and walk every time
+# family records the w sums and each context's scans of the lengths it has
+# walked, so the calls that read those records take a fresh family and walk
+# every time
 LENGTH_ENTRY_POINTS = {
-    "restriction_scan": lambda n: restriction_scan(_CTX, n),
-    "average_entropy": lambda n: average_entropy(_CTX, n),
-    "quantum_cmi": lambda n: quantum_cmi(_CTX, n),
-    "average_purity_q": lambda n: average_purity_q(_CTX, n),
+    "restriction_scan": lambda n: restriction_scan(_fresh_ctx(), n),
+    "average_entropy": lambda n: average_entropy(_fresh_ctx(), n),
+    "quantum_cmi": lambda n: quantum_cmi(_fresh_ctx(), n),
+    "average_purity_q": lambda n: average_purity_q(_fresh_ctx(), n),
     "window_distribution": lambda n: window_distribution(_CTX, n),
     "chain_distribution": lambda n: chain_distribution(damping(0.5), BoundaryPair(L=_EDGE, R=_EDGE), n),
-    "cmi_report": lambda n: cmi_report(_CTX, n),
+    "cmi_report": lambda n: cmi_report(_fresh_ctx(), n),
     "product_set": lambda n: product_set(_K, n),
     "span_purity_test": lambda n: span_purity_test(_K, n),
     "correctable_subspace": lambda n: correctable_subspace(_K, n),
     "purity_verdict": lambda n: purity_verdict(aklt(), n),
     "w_series": lambda n: w_series(aklt(), n),
-    "f_series": lambda n: f_series(_K, _CTX.sigma, _CTX.f_op, n),
+    "f_series": lambda n: f_series(aklt(), _CTX.sigma, _CTX.f_op, n),
     "mean_m_check": lambda n: mean_m_check(_K, n),
     "purification_statistic": lambda n: purification_statistic(aklt(), n),
     "sample_trajectory": lambda n: sample_trajectory(_K, n, seed=0),
@@ -142,6 +149,45 @@ def test_a_bad_length_is_out_of_range_before_any_product(name, n, monkeypatch):
 @pytest.mark.parametrize("name", sorted(LENGTH_ENTRY_POINTS))
 def test_an_integral_float_length_is_that_integer(name):
     assert _same(LENGTH_ENTRY_POINTS[name](2.0), LENGTH_ENTRY_POINTS[name](2))
+
+
+# the entry points of LENGTH_ENTRY_POINTS that enumerate under the guard
+ENUMERATORS = sorted(set(LENGTH_ENTRY_POINTS) - {"span_purity_test", "sample_trajectory", "sample_trajectories"})
+
+
+@pytest.mark.parametrize("name", ENUMERATORS)
+@pytest.mark.parametrize("n", [10**4, 10**7])
+def test_a_long_length_fails_the_guard_at_once(name, n):
+    """Past the guard's bit length d^n is neither formed nor written in
+    decimal (3^10000 has 4772 digits, more than Python converts), so the
+    guard fails at once and names the power."""
+    start = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match=r"d\^n = \d+\^\d+ exceeds the guard"):
+        LENGTH_ENTRY_POINTS[name](n)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", ["10000", "10000000"])
+def test_analyze_at_a_long_length_exits_with_the_guard(n):
+    start = time.perf_counter()
+    assert main(["analyze", "--builtin", "aklt", "--nmax", n]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_guard_keeps_its_edges():
+    """A NaN guard fails and an infinite one passes at every length; a short
+    d^n is written in decimal, and d = 1 is compared however long n is."""
+    nan, inf = float("nan"), float("inf")
+    for d, n in ((1, 4), (3, 40), (3, 10**7)):
+        with pytest.raises(EnumerationTooLarge):
+            restriction._check_guard(d, n, nan)
+        restriction._check_guard(d, n, inf)
+    with pytest.raises(EnumerationTooLarge, match=r"d\^n = 243 exceeds the guard 242$"):
+        restriction._check_guard(3, 5, 242)
+    restriction._check_guard(3, 5, 243)
+    restriction._check_guard(1, 10**7, 1)
+    with pytest.raises(EnumerationTooLarge):
+        restriction._check_guard(1, 10**7, 0.5)
 
 
 def test_only_the_guard_raises_enumeration_too_large():

@@ -266,7 +266,8 @@ def test_w_series_bounds_the_exterior_square_slices():
 def test_f_series_peaks_below_eight_stacks():
     """f_series walks one tree to n = 9 (3^9 products of a D = 4 Haar
     family) and reduces each run's rows as it goes: with the scans' other
-    columns beside f, it still peaks below 8 stacks of products."""
+    columns beside f, it still peaks below 8 stacks of products.  Its f(9)
+    is that of a length-9 walk on a fresh family."""
     K = haar_kraus(4, 3, seed=1)
     ctx = RestrictionContext.stationary(K)
     chunk_bytes = _CHUNK_STRINGS * 4 * 4 * 16
@@ -277,7 +278,7 @@ def test_f_series_peaks_below_eight_stacks():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * chunk_bytes
-    assert f.value_at(9) == restriction_scan(ctx, 9).f_value
+    assert f.value_at(9) == restriction_scan(RestrictionContext.stationary(haar_kraus(4, 3, seed=1)), 9).f_value
 
 
 def _rank_one_family() -> KrausFamily:
@@ -367,7 +368,7 @@ def test_one_walk_scans_stream_their_rows():
     stacks' worth of products, against 300 KB for fifteen walks.  The bound
     of 24 stacks leaves a quarter for allocator noise; holding every row of
     the 2^16 strings before reducing (2.6 MB) would fail here.  Each summary
-    is that of its own walk, bit for bit."""
+    is that of its own walk on a fresh family, bit for bit."""
     ctx = RestrictionContext.stationary(haar_kraus(2, 2, seed=1))
     ctx.k2_for(15)  # the cached environments are not the scans' memory
     stack_bytes = _CHUNK_STRINGS * 2 * 2 * 16
@@ -378,7 +379,8 @@ def test_one_walk_scans_stream_their_rows():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * stack_bytes
-    assert scans == {n: restriction_scan(ctx, n) for n in range(1, 16)}
+    fresh = RestrictionContext.stationary(haar_kraus(2, 2, seed=1))
+    assert scans == {n: restriction_scan(fresh, n) for n in range(1, 16)}
 
 
 def test_the_tree_order_sum_is_within_two_ulp_of_the_exact_sum():

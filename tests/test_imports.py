@@ -1,8 +1,9 @@
-"""Every import in the package is used: each name a module imports is read
-somewhere in it or exported through its ``__all__``.  ``from .m import *``
-binds the names of m's literal ``__all__``, and ``__all__ += m.__all__``
-exports them.  The source checks use the standard library only; the last
-test imports the package to check the names it exports."""
+"""Every import in the package and in its tests is used: each name a module
+imports is read somewhere in it or exported through its ``__all__``.
+``from .m import *`` binds the names of m's literal ``__all__``, and
+``__all__ += m.__all__`` exports them.  The source checks use the standard
+library only; the last test imports the package to check the names it
+exports."""
 
 import ast
 import importlib
@@ -70,17 +71,31 @@ def _used(tree: ast.Module) -> set[str]:
 
 
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+# (file, name) of the one import made for its side effect, not for a name:
+# conftest's hypothesis.extra._patching, on a line marked noqa: F401
+SIDE_EFFECT_IMPORTS = {("conftest.py", "hypothesis")}
 
 
 def test_the_check_sees_every_module():
     assert len(MODULES) >= 12
+    assert len(TESTS) >= 18
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def _side_effect(path: Path, name: str, line: int) -> bool:
+    text = path.read_text(encoding="utf-8").splitlines()[line - 1]
+    return (path.name, name) in SIDE_EFFECT_IMPORTS and "# noqa: F401" in text
+
+
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)
-    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
+    unused = [
+        f"{name} (line {line})"
+        for name, line in _imported(tree)
+        if name not in used and not _side_effect(path, name, line)
+    ]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 

@@ -77,10 +77,11 @@ def test_cmi_report_on_bare_boundaries_keeps_the_bounds(case):
 @LIMITS
 @given(CASES)
 def test_stationary_cmi_report_quantum_side_is_the_scan(case):
+    # the scan walks on a fresh family, not reading the report's record
     K, _ = _family(case)
     ctx = RestrictionContext.stationary(K)
     rep = cmi_report(ctx, case["n"], case["a"], case["c"])
-    scan = restriction_scan(ctx, case["n"])
+    scan = restriction_scan(RestrictionContext.stationary(_family(case)[0]), case["n"])
     assert rep.avg_entropy == scan.avg_entropy
     assert rep.quantum_cmi == 2.0 * scan.avg_entropy
     assert rep.avg_purity_q == scan.avg_purity_q
@@ -504,16 +505,18 @@ def test_the_scans_f_stays_below_w_on_rank_deficient_families(name):
     exterior square, not from the root of a rounding-size lambda2 (which
     read 5.6e-9 against w(2) = 2.5e-16 on the renormalized rank-1 family).
     The finite context is the bare one, whose pure boundaries give every
-    product rank 1.  f_series, the same column of one walk, is held to the
-    same bound."""
+    product rank 1.  f_series, the same column of one walk (on a fresh
+    family, so that the scans do not read its record), is held to the same
+    bound."""
     K = RANK_DEFICIENT[name]()
     n_max = _longest(K, 6)
     w = dict(w_series(K, n_max).values)
     rng = np.random.default_rng(9)
     L, R = (rng.standard_normal(K.D) + 1j * rng.standard_normal(K.D) for _ in range(2))
     b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
-    for ctx in (RestrictionContext.stationary(K), RestrictionContext.from_boundaries(K, b, ChainGeometry(0, 1, 0))):
-        f = dict(f_series(K, ctx.sigma, ctx.f_op, n_max).values)
+    for context in (RestrictionContext.stationary, lambda K: RestrictionContext.from_boundaries(K, b, ChainGeometry(0, 1, 0))):
+        ctx, fresh = context(K), context(RANK_DEFICIENT[name]())
+        f = dict(f_series(fresh.kraus, fresh.sigma, fresh.f_op, n_max).values)
         for n in range(1, n_max + 1):
             assert restriction_scan(ctx, n).f_value <= w[n] + 1e-12, n
             assert f[n] <= w[n] + 1e-12, n
@@ -597,15 +600,19 @@ def test_the_statistic_records_both_sums_for_w_series(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(RECORD_FAMILIES))
 def test_f_series_is_the_scans_f_bit_for_bit(name, monkeypatch):
     """f_series is the f column of the scans of its context: each f(m)
-    equals restriction_scan's f_value with ==, and the series grows one
-    tree, to its longest length.  The finite context has a mixed sigma and
-    F != 1."""
+    equals with == the f_value of restriction_scan's own length-m walk on a
+    fresh family, and the series grows one tree, to its longest length.
+    The finite context has a mixed sigma and F != 1."""
     make, n = RECORD_FAMILIES[name]
     K = make()
     rng = np.random.default_rng(5)
     L, R = (rng.standard_normal(K.D) + 1j * rng.standard_normal(K.D) for _ in range(2))
     b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
-    for ctx in (RestrictionContext.stationary(K), RestrictionContext.from_boundaries(K, b, ChainGeometry(1, 1, 1))):
+
+    def contexts(K: KrausFamily) -> tuple[RestrictionContext, RestrictionContext]:
+        return RestrictionContext.stationary(K), RestrictionContext.from_boundaries(K, b, ChainGeometry(1, 1, 1))
+
+    for ctx, fresh in zip(contexts(K), contexts(make())):
         trees = []
         real = restriction._products
 
@@ -618,4 +625,4 @@ def test_f_series_is_the_scans_f_bit_for_bit(name, monkeypatch):
         f = f_series(K, ctx.sigma, ctx.f_op, n)
         monkeypatch.undo()
         assert trees == [n]
-        assert f.values == tuple((m, restriction_scan(ctx, m).f_value) for m in range(1, n + 1))
+        assert f.values == tuple((m, restriction_scan(fresh, m).f_value) for m in range(1, n + 1))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from families import code_d3, dark_block_family
 from mpsrestrict.chain import KrausFamily
 from mpsrestrict.errors import (
-    CompletionFailed,
     DimensionTooSmall,
     EnumerationTooLarge,
     EvenDimension,

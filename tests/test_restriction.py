@@ -12,8 +12,10 @@ from mpsrestrict.errors import (
     SymbolOutOfRange,
     ZeroProbabilityString,
 )
+from mpsrestrict import purity, restriction
 from mpsrestrict.gibbs import marginal
 from mpsrestrict.models import aklt, clock, damping, markov
+from mpsrestrict.purity import f_series, haar_kraus
 from mpsrestrict.restriction import (
     CmiReport,
     RestrictionContext,
@@ -155,9 +157,10 @@ def test_purity_sandwich_tight_for_bond_two(aklt_ctx):
         assert s.avg_purity_q == pytest.approx(s.lam2_sum_over_k2, abs=1e-12)
 
 
-def test_scan_thread_determinism(aklt_ctx):
-    a = restriction_scan(aklt_ctx, 4, threads=1)
-    b = restriction_scan(aklt_ctx, 4, threads=3)
+def test_scan_thread_determinism():
+    # each call walks on a fresh family, so neither reads the other's record
+    a = restriction_scan(RestrictionContext.stationary(aklt()), 4, threads=1)
+    b = restriction_scan(RestrictionContext.stationary(aklt()), 4, threads=3)
     assert a == b  # bit-identical fields, not merely approximately equal
 
 
@@ -312,3 +315,136 @@ def test_stationary_context_is_not_folded_into_itself():
     # a context that is only close to the fixed point is folded
     near = RestrictionContext(kraus=ctx.kraus, sigma=np.diag([0.5 + 1e-9, 0.5 - 1e-9]), f_op=ctx.f_op)
     assert _absorb_windows(near, 1, 0) is not near
+
+
+# ------------------------------------------------- the family's record of scans
+
+
+def _spy_walks(monkeypatch) -> tuple[list[int], list[list[int]]]:
+    """The depth of every tree the scans and f_series form, and the depths
+    each scan walk leafs."""
+    trees, leafed = [], []
+    products, string_sum = restriction._products, restriction._string_sum
+
+    def spy_products(*args):
+        trees.append(args[2])
+        return products(*args)
+
+    def spy_sum(tree, depths, leaf):
+        leafed.append(list(depths))
+        return string_sum(tree, depths, leaf)
+
+    monkeypatch.setattr(restriction, "_products", spy_products)
+    monkeypatch.setattr(purity, "_products", spy_products)
+    monkeypatch.setattr(restriction, "_string_sum", spy_sum)
+    return trees, leafed
+
+
+def test_f_series_after_the_scans_forms_no_product(monkeypatch):
+    """After restriction_scan of n = 1..9 on Haar D4 d3, f_series(9) reads
+    the family's record: it forms no product (a fresh family's takes one
+    walk of 29,523 leaves) and equals the fresh family's series."""
+    K = haar_kraus(4, 3, seed=1)
+    ctx = RestrictionContext.stationary(K)
+    scans = [restriction_scan(ctx, m) for m in range(1, 10)]
+    trees, leafed = _spy_walks(monkeypatch)
+    f = f_series(K, ctx.sigma, ctx.f_op, 9)
+    assert trees == [] and leafed == []
+    monkeypatch.undo()
+    fresh = RestrictionContext.stationary(haar_kraus(4, 3, seed=1))
+    assert f == f_series(fresh.kraus, fresh.sigma, fresh.f_op, 9)
+    assert scans == [restriction_scan(fresh, m) for m in range(1, 10)]
+
+
+def test_a_longer_call_walks_only_the_missing_lengths(monkeypatch):
+    """After f_series(5), f_series(7) walks one tree of depth 7 and leafs
+    only 6 and 7; a one-length scan leafs its own length alone.  Every
+    summary equals a fresh family's walk of its own length."""
+    K = haar_kraus(4, 3, seed=1)
+    ctx = RestrictionContext.stationary(K)
+    f_series(K, ctx.sigma, ctx.f_op, 5)
+    trees, leafed = _spy_walks(monkeypatch)
+    f = f_series(K, ctx.sigma, ctx.f_op, 7)
+    assert trees == [7] and leafed == [[6, 7]]
+    scan = restriction_scan(ctx, 8)
+    assert trees == [7, 8] and leafed == [[6, 7], [8]]
+    monkeypatch.undo()
+    fresh = RestrictionContext.stationary(haar_kraus(4, 3, seed=1))
+    assert f.values == tuple((m, restriction_scan(fresh, m).f_value) for m in range(1, 8))
+    assert scan == restriction_scan(fresh, 8)
+    assert sorted(K._summaries[ctx.sigma.tobytes(), ctx.f_op.tobytes()]) == list(range(1, 9))
+
+
+def test_contexts_of_one_family_keep_separate_entries():
+    """The stationary and a finite context of one family, and a context
+    whose sigma differs in one bit, each keep their own entry, and each
+    reads what a fresh family's walk gives."""
+
+    def contexts(K):
+        rng = np.random.default_rng(3)
+        L, R = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+        b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
+        stationary = RestrictionContext.stationary(K)
+        sigma = stationary.sigma.copy()
+        sigma[0, 0] = np.nextafter(sigma[0, 0].real, 1.0)
+        nudged = RestrictionContext(kraus=K, sigma=sigma, f_op=stationary.f_op)
+        return stationary, RestrictionContext.from_boundaries(K, b, ChainGeometry(1, 1, 1)), nudged
+
+    K = haar_kraus(3, 2, seed=2)
+    got = [restriction_scan(ctx, 4) for ctx in contexts(K)]
+    assert len(K._summaries) == 3
+    assert got[0] != got[1]
+    want = [restriction_scan(ctx, 4) for ctx in contexts(haar_kraus(3, 2, seed=2))]
+    assert got == want
+
+
+def test_a_repeated_cmi_report_scans_nothing(monkeypatch):
+    """cmi_report folds its window sites into a new context each call; the
+    record is keyed by that context's bytes, so a second report on one
+    context reads its scan and returns the same report."""
+    K = damping(0.5)
+    v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    ctx = RestrictionContext.from_boundaries(K, BoundaryPair(L=v, R=v), ChainGeometry(1, 3, 1))
+    first = cmi_report(ctx, 3, window_a=1, window_c=1)
+    _, leafed = _spy_walks(monkeypatch)
+    assert cmi_report(ctx, 3, window_a=1, window_c=1) == first
+    assert leafed == []
+
+
+def test_a_recorded_scan_still_runs_every_check(monkeypatch):
+    """Once n = 1..9 are recorded, a scan still checks every length, then
+    the guard on the longest, then K^2 of each length, in that order,
+    before it reads the record; so does f_series."""
+    K = haar_kraus(4, 3, seed=1)
+    ctx = RestrictionContext.stationary(K)
+    f_series(K, ctx.sigma, ctx.f_op, 9)
+    calls = (
+        lambda n, guard=restriction.DEFAULT_GUARD: restriction_scan(ctx, n, guard=guard),
+        lambda n, guard=restriction.DEFAULT_GUARD: f_series(K, ctx.sigma, ctx.f_op, n, guard=guard),
+    )
+    for call in calls:
+        with pytest.raises(EnumerationTooLarge):
+            call(9, guard=3**9 - 1)
+        with pytest.raises(OutOfRange):
+            call(0)
+        with pytest.raises(OutOfRange):
+            call(0, guard=0)  # the length before the guard
+    asked = []
+    k2_for = RestrictionContext.k2_for
+    monkeypatch.setattr(RestrictionContext, "k2_for", lambda self, n: asked.append(n) or k2_for(self, n))
+    with pytest.raises(OutOfRange):
+        restriction._scans(ctx, [3, 0], guard=0)
+    with pytest.raises(EnumerationTooLarge):
+        restriction._scans(ctx, [3, 9], guard=3**9 - 1)
+    assert asked == []  # K^2 comes after the length and the guard
+    restriction._scans(ctx, [3, 9, 1], guard=3**9)
+    assert asked == [3, 9, 1]
+
+
+def test_a_recorded_length_does_not_skip_k2_of_another():
+    K = markov([[0.0, 1.0], [1.0, 0.0]])
+    e0 = np.array([1.0, 0.0])
+    bare = RestrictionContext.from_boundaries(K, BoundaryPair(L=e0, R=e0), ChainGeometry(0, 2, 0))
+    restriction_scan(bare, 2)
+    with pytest.raises(ValueError, match="degenerate context"):
+        restriction._scans(bare, [2, 3], guard=restriction.DEFAULT_GUARD)
