@@ -2,7 +2,8 @@
 
 A Kraus family satisfies the purity condition when no projector of rank >= 2
 keeps all compressions P A^dag...A^dag A...A P proportional to P across all
-product lengths.  This module provides:
+product lengths.  ``purity_verdict`` decides it by the first answer of an
+ordered list of certificates, ``_CERTIFICATES``, built on:
 
 * the one-sided span certificate (products spanning the operator space at
   some length certifies purity), computed by a linear recursion on the
@@ -10,17 +11,18 @@ product lengths.  This module provides:
 * a branch-and-prune search for the largest scalar-compression subspace per
   length (the correctable-subspace staircase);
 * the decay series w(N) (sum over strings of the two largest singular values
-  of the bare products, by two independent routes, recorded per family by
-  ``_w_pair``) and f(N) (the f column of ``restriction``'s scans, recorded
-  per family and context by ``restriction._scans``: the same for the
-  environment-dressed products F A..A sqrt(sigma));
-* the typicality constructions: Haar-random families, the full-overlap
-  operator R on odd dimensions, and the explicit five-block family whose
-  length-(2D-1) products certifiably span.
+  of the bare products, recorded per family by ``_w_pair``), which a rank-2
+  scalar subspace keeps >= 1.
+
+It also gives f(N) (the f column of ``restriction``'s scans: the same for the
+products F A..A sqrt(sigma)) and the typicality constructions: Haar-random
+families, the full-overlap operator R on odd dimensions, and the explicit
+five-block family whose length-(2D-1) products certifiably span.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -127,7 +129,7 @@ class DecaySeries:
 
 @dataclass(frozen=True)
 class PurityVerdict:
-    """Outcome of the two implemented certificates plus decay evidence.
+    """The first answer of the ordered certificates, plus decay evidence.
 
     SatisfiedCertified: products span the operator space at some length
     (sufficient condition; failure refutes nothing).
@@ -135,7 +137,8 @@ class PurityVerdict:
     subspace survives, and the staircase is non-increasing.  At D >= 3, where
     the search is not exhaustive, also some w(m) < 1 - 1e-9, m <= min(n_max, 6).
     ViolatedUpToN: a rank >= 2 subspace survived through n_max *and* is
-    exactly invariant under every A_x, which extends the violation to all N.
+    exactly invariant under every A_x, which extends the violation to all N,
+    and no w(m) < 1 - 1e-9, m <= min(n_max, 6), refutes it.
     Undetermined: anything else within the explored horizon.
     """
 
@@ -234,10 +237,8 @@ def _max_scalar_subspace(
     residual).
     """
     eye = np.eye(K.D, dtype=complex)
-    best_rank = 0
+    best_rank, best_resid, nodes = 0, 0.0, 0
     best_basis: np.ndarray | None = None
-    best_resid = 0.0
-    nodes = 0
 
     def dfs(B: np.ndarray) -> None:
         nonlocal best_rank, best_basis, best_resid, nodes
@@ -263,9 +264,7 @@ def _max_scalar_subspace(
                         dfs(B @ V[i][:, sl])
                 return
             worst = max(worst, float(np.max(resids / scales)))
-        best_rank = r
-        best_basis = B
-        best_resid = worst
+        best_rank, best_basis, best_resid = r, B, worst
 
     dfs(eye)
     if best_basis is None:  # cannot happen: rank-1 subspaces are always scalar
@@ -275,19 +274,15 @@ def _max_scalar_subspace(
 
 
 def correctable_subspace(
-    K: KrausFamily,
-    n_max: int,
-    tol: float = 1e-8,
-    guard: int = DEFAULT_GUARD,
+    K: KrausFamily, n_max: int, tol: float = 1e-8, guard: int = DEFAULT_GUARD
 ) -> CorrectableReport:
-    """Scalar-compression staircase for n = 1..n_max.
+    """Scalar-compression staircase for n = 1..n_max: one
+    ``_max_scalar_subspace`` search per length.
 
-    Every node of each length's search streams the d^n products stack by
-    stack from the enumeration engine, so the product set is never held; a
-    rank-1 node is accepted without a walk.  A length whose search visits
-    more than _SEARCH_BUDGET = 200,000 nodes raises SearchBudgetExceeded.
-    Raises OutOfRange unless n_max is an integer >= 1 and tol a finite
-    number >= 0, and EnumerationTooLarge when d^n_max exceeds the guard.
+    A length whose search visits more than _SEARCH_BUDGET = 200,000 nodes
+    raises SearchBudgetExceeded.  Raises OutOfRange unless n_max is an
+    integer >= 1 and tol a finite number >= 0, and EnumerationTooLarge when
+    d^n_max exceeds the guard.
     """
     n_max = _check_length(n_max, "n_max")
     _check_guard(K.d, n_max, guard)
@@ -301,89 +296,103 @@ def correctable_subspace(
     )
 
 
-def _range_invariant(K: KrausFamily, P: np.ndarray) -> bool:
-    """True when every A_x maps range(P) into itself within 1e-12."""
+def _below_one(w: DecaySeries) -> tuple[int, float] | None:
+    """The first (m, w(m)) below 1 - _W_MARGIN, or None.  A rank-2 scalar
+    subspace at length m, P W^dag W P = c P, forces w(m) >= sum c = 1."""
+    return next(((m, v) for m, v in w.values if v < 1.0 - _W_MARGIN), None)
+
+
+# The certificates, tried in the order of _CERTIFICATES.  Each maps (K, n_max,
+# span, w, stair) to (status, evidence) or None, for the pair span_purity_test
+# gives, w(1..min(n_max, 6)) and the staircase report stair(), formed once.
+def _span_certificate(K, n_max, span, w, stair):
+    if span[0] is not None:
+        return "SatisfiedCertified", (
+            f"length-{span[0]} products span the full operator space "
+            f"(rank series {span[1]}, target {K.D**2})"
+        )
+
+
+def _exhaustive_staircase(K, n_max, span, w, stair):
+    ranks = list(stair().max_ranks) if K.D <= 2 else []  # the search is exact at D <= 2
+    if 1 in ranks:
+        return "SatisfiedUpToN", (
+            f"no rank-2 scalar subspace survives length {ranks.index(1) + 1} (staircase "
+            f"{ranks}); non-increasing ranks extend this to all longer products"
+        )
+
+
+def _w_certificate(K, n_max, span, w, stair):
+    below, ranks = _below_one(w), list(stair().max_ranks)
+    if below and 1 in ranks:
+        return "SatisfiedUpToN", (
+            f"w({below[0]}) = {below[1]:.6g} < 1 rules out a rank-2 scalar "
+            f"subspace at length {below[0]} and beyond (staircase {ranks})"
+        )
+
+
+def _invariant_witness(K, n_max, span, w, stair):
+    # an invariant range(P) stays scalar at every length, so w(m) < 1 refutes it
+    rank, P = stair().max_ranks[-1], stair().projectors[-1]
     comp = np.eye(K.D) - P
-    return all(float(np.linalg.norm(comp @ A @ P, 2)) <= _INVARIANT_TOL for A in K.ops)
+    if rank >= 2 and not _below_one(w) and all(
+        float(np.linalg.norm(comp @ A @ P, 2)) <= _INVARIANT_TOL for A in K.ops
+    ):
+        return "ViolatedUpToN", (
+            f"a rank-{rank} subspace stays scalar through n = {n_max} and is exactly "
+            f"invariant under every Kraus operator, extending the violation to all lengths"
+        )
+
+
+def _undetermined(K, n_max, span, w, stair):
+    ranks, below, stalled = list(stair().max_ranks), _below_one(w), f"{max(span[1])} < {K.D**2}"
+    if 1 in ranks:  # so D >= 3, and w >= 1 throughout
+        return "Undetermined", (
+            f"span rank {stalled} by n = {n_max}; the staircase {ranks} reached rank 1, "
+            f"but it is exhaustive only at D = 2, and w >= 1 through n = {len(w.values)}"
+        )
+    return "Undetermined", f"span rank stalled at {stalled} and the scalar staircase {ranks} " + (
+        f"kept rank {ranks[-1]} through n = {n_max}, but w({below[0]}) = {below[1]:.6g} < 1 "
+        "rules out a rank-2 scalar subspace, so tol admits non-scalar compressions"
+        if below
+        else f"neither reached 1 nor stabilized on an invariant subspace by n = {n_max}"
+    )
+
+
+_CERTIFICATES = (  # the last entry always answers
+    _span_certificate, _exhaustive_staircase, _w_certificate, _invariant_witness, _undetermined
+)
 
 
 def purity_verdict(
-    K: KrausFamily,
-    n_max: int,
-    tol: float = 1e-8,
-    guard: int = DEFAULT_GUARD,
+    K: KrausFamily, n_max: int, tol: float = 1e-8, guard: int = DEFAULT_GUARD
 ) -> PurityVerdict:
-    """Combine the span certificate, the staircase, and decay evidence.
+    """The first answer of ``_CERTIFICATES``, its evidence followed by the
+    fitted rate of w(1..min(n_max, 6)).
 
-    The decay evidence is w(1..min(n_max, 6)): its fitted rate, and at D >= 3
-    the first w(m) < 1 - 1e-9 that a staircase reaching rank 1 needs.  Its
-    ``w_series`` reads the lengths the family has recorded, so after a
-    longer ``w_series`` on the same family (as ``analyze`` runs) it forms
-    no product.  The span certificate enumerates nothing; the guard bounds
-    the w series and the staircase and is checked against d^n_max first,
-    whichever of them runs.  Raises OutOfRange unless n_max is an integer
-    >= 1 and tol a finite number >= 0.
+    w is read from the family's record, so after a longer ``w_series`` (as
+    ``analyze`` runs) it forms no product.  The staircase runs at most once,
+    and only if an entry reads it: a span pass runs none.  The guard is
+    checked against d^n_max first.  Raises OutOfRange unless n_max is an
+    integer >= 1 and tol a finite number >= 0.
     """
     n_max = _check_length(n_max, "n_max")
     _check_guard(K.d, n_max, guard)
     _check_tol(tol)
-    span_passed_at, span_ranks = span_purity_test(K, n_max)
-    m = min(n_max, 6)
-    w = w_series(K, m, guard=guard)
+    span = span_purity_test(K, n_max)
+    w = w_series(K, min(n_max, 6), guard=guard)
     w_rate = None if w.all_zero else w.fitted_rate
-
-    if span_passed_at is not None:
-        status = "SatisfiedCertified"
-        corr_ranks = None
-        evidence = (
-            f"length-{span_passed_at} products span the full operator space "
-            f"(rank series {span_ranks}, target {K.D**2})"
-        )
-    else:
-        report = correctable_subspace(K, n_max, tol=tol, guard=guard)
-        corr_ranks = report.max_ranks
-        if 1 in report.max_ranks:
-            ranks = list(report.max_ranks)
-            below = [(n, v) for n, v in w.values if v < 1.0 - _W_MARGIN]
-            status = "SatisfiedUpToN" if K.D <= 2 or below else "Undetermined"
-            if K.D <= 2:
-                evidence = (
-                    f"no rank-2 scalar subspace survives length {ranks.index(1) + 1} (staircase "
-                    f"{ranks}); non-increasing ranks extend this to all longer products"
-                )
-            elif below:  # a rank-2 scalar subspace at length m forces w(m) >= 1
-                evidence = (
-                    f"w({below[0][0]}) = {below[0][1]:.6g} < 1 rules out a rank-2 scalar "
-                    f"subspace at length {below[0][0]} and beyond (staircase {ranks})"
-                )
-            else:
-                evidence = (
-                    f"span rank {max(span_ranks)} < {K.D**2} by n = {n_max}; the staircase {ranks} "
-                    f"reached rank 1, but it is exhaustive only at D = 2, and w >= 1 through n = {m}"
-                )
-        elif _range_invariant(K, report.projectors[-1]):
-            status = "ViolatedUpToN"
-            evidence = (
-                f"a rank-{report.max_ranks[-1]} subspace stays scalar through "
-                f"n = {n_max} and is exactly invariant under every Kraus "
-                f"operator, extending the violation to all lengths"
-            )
-        else:
-            status = "Undetermined"
-            evidence = (
-                f"span rank stalled at {max(span_ranks)} < {K.D**2} and the "
-                f"scalar staircase {list(report.max_ranks)} neither reached 1 "
-                f"nor stabilized on an invariant subspace by n = {n_max}"
-            )
+    stair = functools.cache(lambda: correctable_subspace(K, n_max, tol=tol, guard=guard))
+    status, evidence = next(filter(None, (c(K, n_max, span, w, stair) for c in _CERTIFICATES)))
     if w_rate is not None:
         evidence += f"; w-series fitted rate {w_rate:.6f}"
     return PurityVerdict(
         status=status,
         evidence=evidence,
         n_max=n_max,
-        span_passed_at=span_passed_at,
-        span_ranks=tuple(span_ranks),
-        correctable_ranks=corr_ranks,
+        span_passed_at=span[0],
+        span_ranks=tuple(span[1]),
+        correctable_ranks=stair().max_ranks if stair.cache_info().currsize else None,
         w_fitted_rate=w_rate,
     )
 
@@ -438,13 +447,10 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
 
     Computed by two independent routes from the same products, which must
     agree to 1e-9 max(1, w(n)): the per-string SVD, whose values are
-    reported, and ``_check_norms`` (|det| at D = 2; at D >= 3 the one nu1 nu2
-    kernel ``restriction._nu12``: the root of the top two Gram eigenvalues
-    where nu2 >= nu1 / 100, else the spectral norm of the exterior square,
-    the matrix of 2x2 minors, in slices no larger than a stack of products),
-    which keeps each product's nu1 nu2 to about 1e-11 relative, or O(eps)
-    nu1^2 below the switch.  The submultiplicative law w(n+m) <= w(n) w(m)
-    is checked for all pairs.
+    reported, and ``_check_norms``, which keeps each product's nu1 nu2 to
+    about 1e-11 relative, or O(eps) nu1^2 below its switch to the exterior
+    square.  The submultiplicative law w(n+m) <= w(n) w(m) is checked for
+    all pairs.
 
     Each length is one walk, taken and recorded on the family by
     ``_w_pair``, so a later call walks only the lengths the record lacks.
@@ -464,18 +470,13 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
 
 
 def f_series(
-    K: KrausFamily,
-    sigma: np.ndarray,
-    F: np.ndarray,
-    n_max: int,
-    guard: int = DEFAULT_GUARD,
+    K: KrausFamily, sigma: np.ndarray, F: np.ndarray, n_max: int, guard: int = DEFAULT_GUARD
 ) -> DecaySeries:
     """f(n) = sum over strings of nu1 * nu2 of F A_{x_n}..A_{x_1} sqrt(sigma).
 
     The ``f_value`` column of the scans of ``RestrictionContext(K, sigma,
-    F)`` for n = 1..n_max, bit for bit: it reads the family's record of that
-    context's scans (``restriction._scans``) and walks one tree, to the
-    longest length the record lacks, for the missing lengths only, so after
+    F)`` for n = 1..n_max, bit for bit, read from the family's record of
+    that context's scans (``restriction._scans``), so after
     ``restriction_scan`` of every length it forms no product.  The length,
     guard and K^2 checks run on every call.  sigma must be a D x D density
     operator (NotDensityOperator) and F^dag F <= 1 (FNotContractive), so
@@ -594,10 +595,9 @@ def constructive_purity_family(D: int, d: int = 5) -> KrausFamily:
 
     R = build_r_operator(D)
     basis = clock_shift_basis(D)
-    lam1 = basis[1 * D + 0]
-    lam3 = basis[0 * D + 1]
     eye = np.eye(D, dtype=complex)
-    blocks = [sqrt_env(R) / 2, lam1 / 2, sqrt_env(eye - R) / 2, lam3 / 2, eye / 2]
+    # basis[D] and basis[1] are the clock/shift elements U_{1,0} and U_{0,1}
+    blocks = [sqrt_env(R) / 2, basis[D] / 2, sqrt_env(eye - R) / 2, basis[1] / 2, eye / 2]
 
     col0 = np.zeros((d * D, D), dtype=complex)
     for x, b in enumerate(blocks):

@@ -169,6 +169,16 @@ def test_analyze_clock_replacement_row(tmp_path):
     assert rep["purity"]["status"] == "ViolatedUpToN"
 
 
+def test_analyze_at_a_loose_tol_reports_no_violation_that_w_refutes(capsys):
+    """At --tol 0.5 the staircase keeps AKLT's invariant full space through
+    n = 4, but w(1) = 1/3 < 1 rules out any rank-2 scalar subspace."""
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "4", "--tol", "0.5"]) == 0
+    purity = json.loads(capsys.readouterr().out)["purity"]
+    assert purity["correctable_ranks"] == [2, 2, 2, 2]
+    assert purity["status"] == "Undetermined"
+    assert "w(1) = 0.333333 < 1 rules out a rank-2 scalar subspace" in purity["evidence"]
+
+
 def test_analyze_csv(capsys):
     assert main(["analyze", "--builtin", "aklt", "--nmax", "2", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from families import code_d3, dark_block_family
+from families import block_diagonal, code_d3, dark_block_family
 from mpsrestrict.chain import KrausFamily
 from mpsrestrict.errors import (
     DimensionTooSmall,
@@ -253,6 +254,74 @@ def test_a_dark_block_keeps_w_at_one_or_more(r, s, d, seed):
     assert not purity_verdict(K, 3).status.startswith("Satisfied")
 
 
+def _certificate_inputs(K, n_max, tol=1e-8):
+    """The shared inputs that purity_verdict hands each certificate."""
+    stair = functools.cache(lambda: correctable_subspace(K, n_max, tol=tol))
+    return K, n_max, span_purity_test(K, n_max), w_series(K, min(n_max, 6)), stair
+
+
+CERTIFICATES = pytest.mark.parametrize("entry", purity._CERTIFICATES, ids=lambda c: c.__name__)
+# families with some w(m) < 1 - 1e-9, m <= 4: none has a rank-2 scalar subspace
+W_BELOW_ONE = pytest.mark.parametrize(
+    "factory",
+    [aklt, markov, lambda: damping(0.5), lambda: jordan(3)],
+    ids=["aklt", "markov", "damping(0.5)", "jordan(3)"],
+)
+
+
+@CERTIFICATES
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 2), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_no_certificate_satisfies_a_dark_block(entry, r, s, d, seed):
+    """Every entry, applied on its own, answers no Satisfied* on a family
+    with a dark block, so a new certificate is tested by being listed."""
+    answer = entry(*_certificate_inputs(dark_block_family(r, s, d, seed), 3))
+    assert answer is None or not answer[0].startswith("Satisfied")
+
+
+@CERTIFICATES
+@pytest.mark.parametrize("factory", [code_d3, block_diagonal])
+def test_no_certificate_satisfies_a_dark_subspace(entry, factory):
+    """code-D3 and block-diagonal hide dark subspaces the staircase misses."""
+    answer = entry(*_certificate_inputs(factory(), 5))
+    assert answer is None or not answer[0].startswith("Satisfied")
+
+
+@CERTIFICATES
+@pytest.mark.parametrize("tol", [1e-8, 0.5, 10.0])
+@W_BELOW_ONE
+def test_no_certificate_violates_where_w_falls_below_one(entry, factory, tol):
+    """Every entry, applied on its own, answers no Violated* where a w(m)
+    below 1 rules out a rank-2 scalar subspace, however loose the tol."""
+    inputs = _certificate_inputs(factory(), 4, tol)
+    assert min(v for _, v in inputs[3].values) < 1.0 - 1e-9
+    answer = entry(*inputs)
+    assert answer is None or not answer[0].startswith("Violated")
+
+
+@pytest.mark.parametrize("tol", [0.5, 1.0, 10.0])
+@W_BELOW_ONE
+def test_a_loose_tol_reports_no_violation_that_w_refutes(factory, tol):
+    """A loose tol lets the staircase keep an invariant rank >= 2 subspace,
+    but w(m) < 1 refutes it, so the verdict is Undetermined and says so."""
+    v = purity_verdict(factory(), 4, tol=tol)
+    assert v.correctable_ranks[-1] >= 2
+    assert v.status == "Undetermined"
+    assert "< 1 rules out a rank-2 scalar subspace, so tol admits" in v.evidence
+
+
+def test_a_span_pass_runs_no_staircase(monkeypatch):
+    """The staircase is formed only when an entry reads it, and the span
+    pass answers first: the analyze-finite workload relies on this."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the staircase ran after a span pass")
+
+    monkeypatch.setattr(purity, "correctable_subspace", refuse)
+    v = purity_verdict(haar_kraus(3, 5, 0), 4)
+    assert v.status == "SatisfiedCertified" and v.correctable_ranks is None
+
+
 def test_haar_kraus_normalized_and_deterministic():
     K1 = haar_kraus(3, 5, seed=42)
     K2 = haar_kraus(3, 5, seed=42)
@@ -488,7 +557,7 @@ def test_correctable_report_rejects_increasing_ranks():
 
 
 def test_purity_verdict_guard_below_d_to_the_n_max_raises():
-    # the span test checks the guard for every n <= n_max before any w_series
+    # purity_verdict checks the guard on d^n_max itself, before the span test
     with pytest.raises(EnumerationTooLarge):
         purity_verdict(aklt(), 4, guard=3**4 - 1)
     assert purity_verdict(aklt(), 4, guard=3**4).n_max == 4
