@@ -21,6 +21,12 @@ chain's table and every per-n row's window table, and one call of the
 private ``_cmi_rows`` (``restriction.cmi_report`` is its one-row call) scans
 every block, so the CLI and the library compute the same numbers.
 
+Both verbs open their destination (``--out``, else stdout) before any model
+work, so a bad path fails at once, and a file is written whole or not at
+all.  ``sample`` writes its rows as it renders them, so it holds one block
+of trajectories, not its whole output; on stdout the rows already written
+stay written when a later block fails.
+
 Reports embed the library version, the seed and every guard that shaped the
 run.  All enumerations are deterministic and run in the calling thread.
 ``analyze`` checks the number of outcomes (d >= 2), the enumeration guard,
@@ -38,10 +44,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import stat
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, NoReturn, Sequence
+from typing import Any, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -122,11 +131,44 @@ def _csv_text(rows: list[dict[str, Any]], columns: Sequence[str], ints: Sequence
     return buf.getvalue()
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _destination(out: str | None) -> Iterator[Callable[[str], object]]:
+    """The write function of a verb's output: stdout's, or that of the file
+    ``out``, opened here so that a bad path fails before any model work.
+
+    A new or regular file is written whole or not at all: the text goes to a
+    temporary sibling, which replaces ``out`` when the verb returns and is
+    removed on any exception.  The sibling is created as open(out, "w")
+    creates a file, so the umask applies, and takes the mode of the file it
+    replaces.  Anything else at ``out`` (a FIFO, a device, a symlink such as
+    /dev/stdout) is written in place, as open(out, "w") writes it.
+    """
+    if not out:
+        yield sys.stdout.write
+        return
+    try:
+        old = os.lstat(out)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(out, "w", encoding="utf-8") as fh:
+            yield fh.write
+        return
+    path = Path(out)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, out) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            yield fh.write
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_geometry(raw: str) -> ChainGeometry:
@@ -188,6 +230,13 @@ def _gibbs_block(dist, ell: int) -> dict[str, Any]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    with _destination(args.out) as write:
+        write(_analyze_text(args))
+    return 0
+
+
+def _analyze_text(args: argparse.Namespace) -> str:
+    """The report of ``analyze`` as JSON, or its per-n rows as CSV."""
     K, label, source, boundaries, file_geometry = _resolve_model(args)
     if K.d < 2:
         raise DimensionTooSmall(f"analyze needs d >= 2 outcomes, got d = {K.d}")
@@ -273,11 +322,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
 
     if args.format == "csv":
-        text = _csv_text(rows, _PER_N_COLUMNS, ("n",))
-    else:
-        text = _json_text(report)
-    _emit(text, args.out)
-    return 0
+        return _csv_text(rows, _PER_N_COLUMNS, ("n",))
+    return _json_text(report)
 
 
 _SAMPLE_COLUMNS = ("trajectory", "step", "outcome", "lambda1", "lambda2", "path_prob")
@@ -301,53 +347,66 @@ def _float_texts(values: np.ndarray, as_json: bool) -> list[str]:
     return texts
 
 
-def _sample_text(K, steps: int, seed: int, streams: range, as_json: bool) -> str:
+def _sample_text(K, steps: int, seed: int, streams: range, as_json: bool) -> Iterator[str]:
     """The rows of a block of trajectories as text, sampled as one batch with
-    one batched eigvalsh: JSON rows joined by ",\\n", or CSV lines.  The
-    block's stacks are freed when it returns, so only the text outlives it."""
+    one batched eigvalsh and yielded in slices of at most _CHUNK_STRINGS rows
+    (one trajectory when it is longer): JSON rows joined by ",\\n", or CSV
+    lines.  The M stack is freed once its eigenvalues are taken, so the
+    block's arrays and one slice's text are all it holds."""
     outcomes, m_ops, probs = sample_trajectories(K, steps, seed, streams)
     lam = np.linalg.eigvalsh(m_ops)[..., ::-1]
+    del m_ops
     lam2 = lam[..., 1] if K.D > 1 else np.zeros_like(probs)
-    cols = {
-        "trajectory": [t for t in streams for _ in range(steps)],
-        "step": list(range(1, steps + 1)) * len(streams),
-        "outcome": outcomes.ravel().tolist(),
-        "lambda1": _float_texts(lam[..., 0], as_json),
-        "lambda2": _float_texts(lam2, as_json),
-        "path_prob": _float_texts(probs, as_json),
-    }
-    if as_json:
-        return ",\n".join([_JSON_ROW % r for r in zip(*(cols[c] for c in _JSON_ROW_KEYS))])
-    return "".join([_CSV_ROW % r + "\n" for r in zip(*(cols[c] for c in _SAMPLE_COLUMNS))])
+    per = max(1, _CHUNK_STRINGS // steps)  # trajectories a slice renders
+    for i in range(0, len(streams), per):
+        part = slice(i, i + per)
+        cols = {
+            "trajectory": [t for t in streams[part] for _ in range(steps)],
+            "step": list(range(1, steps + 1)) * len(streams[part]),
+            "outcome": outcomes[part].ravel().tolist(),
+            "lambda1": _float_texts(lam[part, :, 0], as_json),
+            "lambda2": _float_texts(lam2[part], as_json),
+            "path_prob": _float_texts(probs[part], as_json),
+        }
+        if as_json:
+            yield ",\n".join([_JSON_ROW % r for r in zip(*(cols[c] for c in _JSON_ROW_KEYS))])
+        else:
+            yield "".join([_CSV_ROW % r + "\n" for r in zip(*(cols[c] for c in _SAMPLE_COLUMNS))])
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    K, label, source, _boundaries, _geometry = _resolve_model(args)
-    steps = int(args.nmax)
+    steps = _check_length(args.nmax, "--nmax")
     count = _check_length(args.trajectories, "--trajectories")
+    seed = _check_length(args.seed, "--seed", least=0)
     as_json = args.format == "json"
-    # blocks of _CHUNK_STRINGS streams bound the stack of M operators held at once
-    blocks = [
-        _sample_text(K, steps, int(args.seed), range(start, min(start + _CHUNK_STRINGS, count)), as_json)
-        for start in range(0, count, _CHUNK_STRINGS)
-    ]
-    if as_json:
-        doc = {
-            "schema_version": 1,
-            "library_version": __version__,
-            "label": label,
-            "source": source,
-            "seed": int(args.seed),
-            "steps": steps,
-            "trajectories": count,
-            "rows": [],
-        }
-        # json escapes every newline inside a string, so the key's line is unique
-        head, _, tail = _json_text(doc).partition(_EMPTY_ROWS_LINE)
-        text = "".join([head, '\n  "rows": [\n', ",\n".join(blocks), "\n  ],\n", tail])
-    else:
-        text = ",".join(_SAMPLE_COLUMNS) + "\n" + "".join(blocks)
-    _emit(text, args.out)
+    with _destination(args.out) as write:
+        K, label, source, _boundaries, _geometry = _resolve_model(args)
+        if as_json:
+            doc = {
+                "schema_version": 1,
+                "library_version": __version__,
+                "label": label,
+                "source": source,
+                "seed": seed,
+                "steps": steps,
+                "trajectories": count,
+                "rows": [],
+            }
+            # json escapes every newline inside a string, so the key's line is unique
+            head, _, tail = _json_text(doc).partition(_EMPTY_ROWS_LINE)
+            write(head + '\n  "rows": [\n')
+        else:
+            write(",".join(_SAMPLE_COLUMNS) + "\n")
+        # blocks of _CHUNK_STRINGS streams bound the stack of M operators held
+        # at once, and each slice is written as soon as it is rendered
+        sep, joiner = "", ",\n" if as_json else ""
+        for start in range(0, count, _CHUNK_STRINGS):
+            for text in _sample_text(K, steps, seed, range(start, min(start + _CHUNK_STRINGS, count)), as_json):
+                write(sep)
+                write(text)
+                sep = joiner
+        if as_json:
+            write("\n  ],\n" + tail)
     return 0
 
 

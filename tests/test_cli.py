@@ -353,6 +353,10 @@ SAMPLE_EDGES = {
     "one": (["--builtin", "aklt"], 3, 1),
     "one-block": (["--builtin", "aklt"], 3, _CHUNK_STRINGS),
     "one-past-a-block": (["--builtin", "aklt"], 3, _CHUNK_STRINGS + 1),
+    # a block is rendered in slices of _CHUNK_STRINGS // steps trajectories
+    "one-past-a-slice": (["--builtin", "aklt"], 3, _CHUNK_STRINGS // 3 + 1),
+    # a slice holds one trajectory when it has more steps than _CHUNK_STRINGS
+    "longer-than-a-slice": (["--builtin", "aklt"], _CHUNK_STRINGS + 1, 2),
     "bond-dimension-one": (["--builtin", "markov", "--p", "1"], 3, 4),
     "odd-label": (None, 2, 3),
 }
@@ -446,6 +450,144 @@ def test_a_failing_sample_writes_no_file(monkeypatch, tmp_path, fmt):
     count = str(_CHUNK_STRINGS + 1)
     assert main(["sample", "--builtin", "aklt", "--nmax", "2", "--trajectories", count, "--format", fmt, "--out", str(out)]) == 3
     assert not out.exists()
+
+
+def _dies_in_the_second_block(monkeypatch):
+    from mpsrestrict import cli
+    from mpsrestrict.errors import ZeroProbabilityPath
+
+    drawn = cli.sample_trajectories
+
+    def dies(K, n, seed, streams):
+        if streams[0] > 0:
+            raise ZeroProbabilityPath("all continuations have zero weight")
+        return drawn(K, n, seed, streams)
+
+    monkeypatch.setattr(cli, "sample_trajectories", dies)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_failing_sample_on_stdout_keeps_the_rows_it_wrote(monkeypatch, capsys, fmt):
+    """Rows stream to stdout as they are rendered: a run that dies in its
+    second block exits 3 with the first block's two slices written."""
+    from mpsrestrict.models import aklt
+
+    _dies_in_the_second_block(monkeypatch)
+    count = _CHUNK_STRINGS + 1
+    capsys.readouterr()
+    assert main(["sample", "--builtin", "aklt", "--nmax", "2", "--trajectories", str(count), "--format", fmt]) == 3
+    out = capsys.readouterr().out
+    rows = oracle.sample_rows(aklt(), 2, 0, _CHUNK_STRINGS)
+    if fmt == "csv":
+        assert out == oracle.sample_csv(rows)
+    else:
+        doc = {
+            "schema_version": 1, "library_version": __version__, "label": "aklt", "source": "builtin:aklt",
+            "seed": 0, "steps": 2, "trajectories": count, "rows": rows,
+        }
+        # the document up to the last row written: no closing bracket, no tail
+        assert out == json.dumps(doc, indent=2, sort_keys=True).partition("\n  ],\n")[0]
+
+
+@pytest.mark.parametrize("verb", ["sample", "analyze"])
+def test_a_bad_out_fails_before_any_model_work(tmp_path, capsys, verb):
+    """The destination is opened first, so a missing directory exits 3 at
+    once, not after seconds of sampling or enumeration."""
+    import time
+
+    model = tmp_path / "haar.json"
+    assert main(["generate", "haar", "--dim", "4", "--phys", "3", "--seed", "1", "--out", str(model)]) == 0
+    # seconds of work each: 20,000 trajectories, or 3^13 dense strings per table
+    work = {
+        "sample": ["--nmax", "20", "--trajectories", "20000"],
+        "analyze": ["--nmax", "11", "--geometry", "1,11,1"],
+    }[verb]
+    out = tmp_path / "missing" / "r.json"
+    t0 = time.perf_counter()
+    assert main([verb, "--model", str(model), *work, "--out", str(out)]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert str(out) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [model]
+
+
+# (argv, exit code): sample dies in its second block, analyze at the guard
+_FAILING_RUNS = {
+    "sample": (["sample", "--builtin", "aklt", "--nmax", "2", "--trajectories", str(_CHUNK_STRINGS + 1)], 3),
+    "analyze": (["analyze", "--builtin", "aklt", "--nmax", "20", "--guard", "100"], 2),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_FAILING_RUNS))
+def test_a_failing_run_leaves_an_existing_out_as_it_was(monkeypatch, tmp_path, verb):
+    _dies_in_the_second_block(monkeypatch)
+    out = tmp_path / "r.json"
+    out.write_bytes(b"the previous report\n")
+    argv, code = _FAILING_RUNS[verb]
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.read_bytes() == b"the previous report\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_out_gets_the_mode_open_would_leave(tmp_path):
+    import stat
+
+    args = ["sample", "--builtin", "aklt", "--nmax", "2", "--trajectories", "3"]
+    plain = tmp_path / "plain"
+    open(plain, "w").close()
+    new = tmp_path / "new.json"
+    assert main(args + ["--out", str(new)]) == 0
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    # an existing file keeps its mode, as when open(path, "w") truncates it
+    new.chmod(0o604)
+    assert main(args + ["--out", str(new)]) == 0
+    assert stat.S_IMODE(new.stat().st_mode) == 0o604
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "plain"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("verb", ["sample", "analyze"])
+def test_a_fifo_out_is_written_in_place(tmp_path, verb):
+    """A FIFO is not replaced by a file: it gets the bytes a regular --out
+    gets and is still a FIFO afterwards."""
+    import stat
+    import threading
+
+    argv = [verb, "--builtin", "aklt", "--nmax", "3"] + (["--trajectories", "200"] if verb == "sample" else [])
+    regular = tmp_path / "regular"
+    assert main(argv + ["--out", str(regular)]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(argv + ["--out", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=5)
+        if reader.is_alive():  # the FIFO was never opened for writing: release the reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=5)
+    assert got == [regular.read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "regular"]
+
+
+def test_sample_memory_does_not_grow_with_trajectories(tmp_path):
+    """Rows are written as they are rendered, so the traced peak at four
+    blocks of trajectories stays that of one block."""
+    import tracemalloc
+
+    def peak(count: int) -> int:
+        out = tmp_path / f"s{count}.json"
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--builtin", "aklt", "--nmax", "20", "--trajectories", str(count), "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # builds the builtin's cached state untraced
+    assert peak(4 * _CHUNK_STRINGS) <= 1.25 * peak(_CHUNK_STRINGS)
 
 
 def test_builtin_parameters(tmp_path):
