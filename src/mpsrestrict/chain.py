@@ -5,13 +5,15 @@ family {A_x} (sum_x A_x^dag A_x = 1), a pair of unit boundary vectors |L>,
 |R>, and a geometry (lenA, lenB, lenC).  The transfer operator is the
 trace-preserving map E(chi) = sum_x A_x chi A_x^dag with unital adjoint
 E*(Q) = sum_x A_x^dag Q A_x (ShapeMismatch on a mis-sized or non-finite input).
+A family keeps its per-length sums in one record, ``KrausFamily._sums``,
+whose one reader and writer is ``restriction._recorded``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +25,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import _check_hermitian, _check_length, _check_square, _check_tol
-
-if TYPE_CHECKING:  # restriction imports this module
-    from .restriction import RestrictionSummary
 
 __all__ = [
     "KrausFamily",
@@ -71,10 +70,8 @@ class KrausFamily:
     :func:`renormalize` explicitly for non-normalized raw matrices.
 
     The ops are frozen, so what is computed from them alone is kept on the
-    family, each record with one writer: the transfer fixed point
-    (``_fixed_point``), the two sums of w per length (``_w_sums``, written by
-    ``purity._w_pair``) and each context's scan summaries per length
-    (``_summaries``, written by ``restriction._scans``).
+    family: the transfer fixed point (``_fixed_point``) and the per-length
+    sums of w and of each context's scans (``_sums``).
     """
 
     ops: np.ndarray  # shape (d, D, D)
@@ -112,26 +109,11 @@ class KrausFamily:
         return bool(np.any(nu[:, -1] <= nu[:, 0] * self.D * np.finfo(float).eps))
 
     @cached_property
-    def _w_sums(self) -> dict[int, tuple[float, float]]:
-        """Per length n, the two tree-order sums of nu1 nu2 over the d^n
-        bare products: the SVD sum that ``purity.w_series`` reports and the
-        ``_check_norms`` sum that ``trajectories.purification_statistic``
-        returns.  ``purity._w_pair``, through which both read a length, is
-        the one writer: it walks a length missing here once and records it,
-        and checks the routes on every call.  The ops are frozen, so the
-        sums are a fixed function of the family; only scalars are kept."""
-        return {}
-
-    @cached_property
-    def _summaries(self) -> dict[tuple[bytes, bytes], dict[int, RestrictionSummary]]:
-        """Per context and length n, the ``RestrictionSummary`` of the scan
-        of the d^n products F A..A sqrt(sigma), keyed by the exact bytes of
-        the context's (sigma, F): contexts that differ in any bit never
-        share an entry.  ``restriction._scans``, through which every scan
-        reads a length, is the one writer: it walks one tree to the longest
-        length missing here, records the missing lengths, and runs the
-        length, guard and K^2 checks on every call.  The summaries are
-        frozen scalars, so an entry costs its key and six floats a length."""
+    def _sums(self) -> dict[tuple, dict[int, np.ndarray]]:
+        """Per reduction and context, then per length n, the raw tree-order
+        sums over the d^n products: w's two of the bare products, and the
+        scan sums of each context, keyed by the exact bytes of its (sigma,
+        F).  ``restriction._recorded`` is its one reader and writer."""
         return {}
 
     @cached_property

@@ -141,11 +141,14 @@ def _destination(out: str | None) -> Iterator[Callable[[str], object]]:
     removed on any exception.  The sibling is created as open(out, "w")
     creates a file, so the umask applies, and takes the mode of the file it
     replaces.  Anything else at ``out`` (a FIFO, a device, a symlink such as
-    /dev/stdout) is written in place, as open(out, "w") writes it.
+    /dev/stdout) is written in place, as open(out, "w") writes it.  Only a
+    missing ``out`` means stdout: an empty one names no file.
     """
-    if not out:
+    if out is None:
         yield sys.stdout.write
         return
+    if not out:
+        raise ValueError("--out names no file: the path is empty")
     try:
         old = os.lstat(out)
     except FileNotFoundError:

@@ -11,8 +11,8 @@ ordered list of certificates, ``_CERTIFICATES``, built on:
 * a branch-and-prune search for the largest scalar-compression subspace per
   length (the correctable-subspace staircase);
 * the decay series w(N) (sum over strings of the two largest singular values
-  of the bare products, recorded per family by ``_w_pair``), which a rank-2
-  scalar subspace keeps >= 1.
+  of the bare products, recorded per family by ``restriction._recorded``),
+  which a rank-2 scalar subspace keeps >= 1.
 
 It also gives f(N) (the f column of ``restriction``'s scans: the same for the
 products F A..A sqrt(sigma)) and the typicality constructions: Haar-random
@@ -45,8 +45,8 @@ from .restriction import (
     _check_guard,
     _nu12,
     _products,
+    _recorded,
     _scans,
-    _string_sum,
     _string_tables,
 )
 
@@ -423,21 +423,19 @@ def _w_pair(K: KrausFamily, n: int, guard: int) -> tuple[float, float]:
     """The SVD and ``_check_norms`` tree-order sums of nu1 nu2 over the d^n
     bare products, after the length and guard checks (both 0 at D < 2).
 
-    The one owner of ``KrausFamily._w_sums``: a length missing there is
-    walked once and recorded.  The routes must agree to 1e-9 max(1, svd) on
-    every call, recorded or not.
+    The sums are read from the family's record (``_recorded``), where a
+    missing length is walked once.  The routes must agree to 1e-9
+    max(1, svd) on every call, recorded or not.
     """
-    tree = _products(K, np.eye(K.D, dtype=complex), n, guard)
+    n = _check_length(n, "string length")
+    _check_guard(K.d, n, guard)
     if K.D < 2:  # a 1 x 1 product has no nu2: nothing to walk
         return 0.0, 0.0
-    record = K._w_sums
-    if tree.n not in record:
-        svd, check = _string_sum(tree, [tree.n], _w_leaf)[tree.n]
-        record[tree.n] = (float(svd), float(check))
-    svd, check = record[tree.n]
+    eye = np.eye(K.D, dtype=complex)
+    svd, check = (float(x) for x in _recorded(K, ("w",), eye, [n], guard, _w_leaf)[n])
     if abs(svd - check) > 1e-9 * max(1.0, svd):
         raise NumericalInconsistency(
-            f"w({tree.n}) routes disagree: svd {svd!r} vs check route {check!r}"
+            f"w({n}) routes disagree: svd {svd!r} vs check route {check!r}"
         )
     return svd, check
 
@@ -452,10 +450,10 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
     square.  The submultiplicative law w(n+m) <= w(n) w(m) is checked for
     all pairs.
 
-    Each length is one walk, taken and recorded on the family by
-    ``_w_pair``, so a later call walks only the lengths the record lacks.
-    The guard is checked on n_max before any walk, and both checks run over
-    every returned length, recorded or not.
+    Each length is one walk, recorded on the family (``_recorded``), so a
+    later call walks only the lengths the record lacks.  The guard is
+    checked on n_max before any walk, and both checks run over every
+    returned length, recorded or not.
     """
     n_max = _check_length(n_max, "n_max")
     _check_guard(K.d, n_max, guard)
@@ -476,7 +474,7 @@ def f_series(
 
     The ``f_value`` column of the scans of ``RestrictionContext(K, sigma,
     F)`` for n = 1..n_max, bit for bit, read from the family's record of
-    that context's scans (``restriction._scans``), so after
+    that context's scans (``restriction._recorded``), so after
     ``restriction_scan`` of every length it forms no product.  The length,
     guard and K^2 checks run on every call.  sigma must be a D x D density
     operator (NotDensityOperator) and F^dag F <= 1 (FNotContractive), so

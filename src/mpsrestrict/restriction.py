@@ -52,13 +52,10 @@ environments once and every block scanned from one walk (``_scans``);
 ``cmi_report`` is its one-row call, and ``analyze`` takes all its rows from
 one call.
 
-A family records the summary of each length it has scanned for each
-context, keyed by the exact bytes of the context's (sigma, F)
-(``KrausFamily._summaries``), beside the sums of w that ``purity._w_pair``
-records.  ``_scans`` is that record's one reader and writer, so
-``restriction_scan``, ``f_series``, ``cmi_report`` and ``_cmi_rows`` walk
-only the lengths the record lacks, from one tree to the longest of them,
-while every call still checks its lengths, the guard and K^2.
+A family records the raw sums of w and of each context's scans per length
+(``KrausFamily._sums``), and ``_recorded`` is that record's one reader and
+writer, so the decay series, the scans and the CMI rows walk only the
+lengths it lacks, from one tree, while every call still runs its checks.
 """
 
 from __future__ import annotations
@@ -74,6 +71,7 @@ from .chain import (
     BoundaryPair,
     ChainGeometry,
     KrausFamily,
+    _freeze,
     _iterate,
     left_environment,
     right_environment,
@@ -118,7 +116,8 @@ _PRINTED_DIGITS = 40  # most digits of a d^n that a guard error writes in decima
 class RestrictionContext:
     """Kraus family dressed with environments (sigma, F).
 
-    The D x D density operator sigma and contraction F are stored as given.
+    The D x D density operator sigma and contraction F are stored as frozen
+    copies, so a caller that changes its own arrays changes no context.
     Each operator derived from them is formed once, when first read: F^dag F,
     the walks' cap F, sqrt(sigma) and the environments E^n(sigma), from which
     ``k2_for`` takes K^2(N), so probabilities sum to 1 exactly for every N.
@@ -129,8 +128,8 @@ class RestrictionContext:
     f_op: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", _check_density(self.sigma, "sigma", self.kraus.D))
-        object.__setattr__(self, "f_op", _check_square(self.f_op, "F", FNotContractive, self.kraus.D))
+        object.__setattr__(self, "sigma", _freeze(_check_density(self.sigma, "sigma", self.kraus.D)))
+        object.__setattr__(self, "f_op", _freeze(_check_square(self.f_op, "F", FNotContractive, self.kraus.D)))
         lam_max = float(np.linalg.eigvalsh(self._f2)[-1])
         if lam_max > 1.0 + 1e-10:
             raise FNotContractive(f"largest eigenvalue of F^dag F is {lam_max!r} > 1")
@@ -603,24 +602,38 @@ def post_measurement_spectrum(ctx: RestrictionContext, x: Sequence[int]) -> Spec
     return Spectrum(values=vals)
 
 
-def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, RestrictionSummary]:
-    """The RestrictionSummary of each length of ``ns``, from the family's
-    record of its context's scans, after the length checks, the guard on
-    the longest and K^2 of each length, which run on every call.
+def _recorded(
+    K: KrausFamily, key: tuple, root: np.ndarray, ns: list[int], guard: int,
+    leaf: Callable[[int, np.ndarray], np.ndarray],
+) -> dict[int, np.ndarray]:
+    """The tree-order sums of leaf's rows over the strings of each checked
+    length of ``ns``, for the reduction and context named by ``key``.
 
-    The one owner of ``KrausFamily._summaries``: the lengths missing there
-    are scanned from one walk of the product tree to the longest of them
-    and recorded.  Zero-probability strings (p < 1e-14 d^-n) contribute
-    only to the raw probability sum.  One eigvalsh of T T^dag per product
-    gives the entropy and the two eigenvalue sums, and ``_nu12`` takes f's
-    nu1 nu2 from the same eigenvalues.  A summary does not depend on which
-    other lengths share its walk, so a recorded one is a walked one bit
-    for bit."""
+    The one reader and writer of ``KrausFamily._sums``: the lengths missing
+    there are summed from one walk of ``root``'s tree to the longest of
+    them and recorded.  A sum does not depend on which lengths share its
+    walk, so a recorded one is a walked one bit for bit."""
+    record = K._sums.setdefault(key, {})
+    missing = [n for n in dict.fromkeys(ns) if n not in record]
+    if missing:
+        record.update(_string_sum(_products(K, root, max(missing), guard), missing, leaf))
+    return {n: record[n] for n in ns}
+
+
+def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, RestrictionSummary]:
+    """The RestrictionSummary of each length of ``ns``, after the length
+    checks, the guard on the longest and K^2 of each length, which run on
+    every call.
+
+    The sums come from the family's record of its context's scans
+    (``_recorded``), keyed by the exact bytes of the context's (sigma, F).
+    Zero-probability strings (p < 1e-14 d^-n) contribute only to the raw
+    probability sum.  One eigvalsh of T T^dag per product gives the entropy
+    and the two eigenvalue sums, and ``_nu12`` takes f's nu1 nu2 from the
+    same eigenvalues."""
     ns = [_check_length(n, "string length") for n in ns]
     _check_guard(ctx.kraus.d, max(ns), guard)
     k2 = {n: ctx.k2_for(n) for n in ns}
-    record = ctx.kraus._summaries.setdefault((ctx.sigma.tobytes(), ctx.f_op.tobytes()), {})
-    missing = [n for n in k2 if n not in record]
     cap = ctx._cap
 
     def leaf(n: int, P: np.ndarray) -> np.ndarray:
@@ -643,12 +656,12 @@ def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, 
         rows[live, 3] = np.maximum(lam2, 0.0)
         return rows
 
-    if missing:  # one walk, to the longest missing length, leafs only those
-        tree = _products(ctx.kraus, ctx.sqrt_sigma, max(missing), guard)
-        for n, acc in _string_sum(tree, missing, leaf).items():
-            p_sum, entropy, lam1, lam2 = (float(x) for x in acc[:4] / k2[n])
-            record[n] = RestrictionSummary(n, p_sum, entropy, 1.0 - lam1, lam2, f_value=float(acc[4]))
-    return {n: record[n] for n in ns}
+    key = ("scan", ctx.sigma.tobytes(), ctx.f_op.tobytes())
+    summaries = {}
+    for n, acc in _recorded(ctx.kraus, key, ctx.sqrt_sigma, ns, guard, leaf).items():
+        p_sum, entropy, lam1, lam2 = (float(x) for x in acc[:4] / k2[n])
+        summaries[n] = RestrictionSummary(n, p_sum, entropy, 1.0 - lam1, lam2, f_value=float(acc[4]))
+    return summaries
 
 
 def restriction_scan(
@@ -659,8 +672,8 @@ def restriction_scan(
 ) -> RestrictionSummary:
     """One lexicographic pass over all d^n strings, aggregating everything:
     the one-length call of ``_scans``, so a length the family has recorded
-    for this context (``KrausFamily._summaries``) is read, not walked, after
-    the same checks.  ``threads`` is accepted for compatibility and selects
+    for this context (``_recorded``) is read, not walked, after the same
+    checks.  ``threads`` is accepted for compatibility and selects
     nothing: the pass runs in the calling thread, with the same result for
     every value.  Raises ValueError if K^2(n) < 1e-12."""
     return _scans(ctx, [n], guard)[n]

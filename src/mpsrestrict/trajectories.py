@@ -7,8 +7,8 @@ sense that its conditional next-step average equals its current value, and
 the unconditional average at any step is 1/D.  Both identities are exposed
 as exact enumeration checks, along with the purification statistic
 E[sqrt(l1 l2)] * D: w(n) by the check route of ``w_series``, bit for bit,
-taken from ``purity._w_pair``, the one owner of the family's record of
-both w sums.
+read through ``purity._w_pair`` from the family's record of both w sums,
+whose one owner is ``restriction._recorded``.
 
 ``sample_trajectories`` samples many trajectories as one batch: each step
 forms the continuations of every stream in one stacked product and weighs
@@ -216,7 +216,8 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
     A path W has probability Tr(W^dag W) / D and M = W^dag W / Tr(W^dag W),
     so its term (Tr / D) sqrt(l1 l2 of M) D is exactly nu1 nu2 of W, and a
     zero-probability path adds 0.  The statistic is therefore w(n) by the
-    check route of ``w_series``: that route's sum as ``purity._w_pair``
-    records it on the family, with both routes walked and checked there.
+    check route of ``w_series``: that route's sum as the family records it
+    (``restriction._recorded``), read and checked against the SVD route by
+    ``purity._w_pair``.
     """
     return _w_pair(K, n, guard)[1]

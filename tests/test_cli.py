@@ -69,8 +69,8 @@ def test_analyze_finite_golden_report(tmp_path, monkeypatch):
 def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypatch, capsys):
     """The rows' window tables (a+1+c .. a+nmax+c sites) and the Gibbs
     chain's come from one walk of the product tree to the longest window,
-    and every row's scan from one walk to the longest block; the
-    restriction module walks no other tree."""
+    every row's scan from one walk to the longest block, and each length
+    of w from one walk; the restriction module walks no other tree."""
     import sys
 
     from mpsrestrict import restriction
@@ -79,13 +79,17 @@ def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypat
     products = restriction._products
 
     def counted(K, root, n, guard):
-        walks.append((sys._getframe(1).f_code.co_name, n))
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_recorded":  # named by the reduction it records
+            caller = caller.f_back
+        walks.append((caller.f_code.co_name, n))
         return products(K, root, n, guard)
 
     monkeypatch.setattr(restriction, "_products", counted)
     assert main(["analyze", *flags]) == 0
     nmax = int(flags[-1])
-    assert walks == [("window_distributions", sites), ("_scans", nmax)]
+    w_walks = [("_w_pair", n) for n in range(1, nmax + 1)]
+    assert walks == [("window_distributions", sites), ("_scans", nmax), *w_walks]
 
 
 def test_analyze_folds_the_window_sites_once(monkeypatch, capsys):
@@ -510,6 +514,20 @@ def test_a_bad_out_fails_before_any_model_work(tmp_path, capsys, verb):
     assert list(tmp_path.iterdir()) == [model]
 
 
+@pytest.mark.parametrize("verb", ["sample", "analyze"])
+def test_an_empty_out_exits_3_before_any_model_work(tmp_path, capsys, verb, monkeypatch):
+    """An empty --out names no file, as for generate: it exits 3 with a
+    message naming --out, not a report on stdout, and reads no model."""
+    from mpsrestrict import cli
+
+    monkeypatch.setattr(cli, "_resolve_model", lambda args: pytest.fail("resolved the model"))
+    monkeypatch.chdir(tmp_path)
+    assert main([verb, "--builtin", "aklt", "--nmax", "2", "--out", ""]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "--out" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # (argv, exit code): sample dies in its second block, analyze at the guard
 _FAILING_RUNS = {
     "sample": (["sample", "--builtin", "aklt", "--nmax", "2", "--trajectories", str(_CHUNK_STRINGS + 1)], 3),
@@ -662,9 +680,9 @@ def test_analyze_purity_covers_nmax_past_twenty_thousand_strings(tmp_path):
 
 
 def test_analyze_enumerates_the_decay_series_once(monkeypatch, tmp_path):
-    """Each length of w is walked once: the verdict fits the w(1..6) that the
-    rows' series recorded on the family, with the bits of the verdict that
-    walks w(1..6) itself."""
+    """Each length of w is walked once, and the scans of the rows once: the
+    verdict fits the w(1..6) that the rows' series recorded on the family,
+    with the bits of the verdict that walks w(1..6) itself."""
     from mpsrestrict import purity, restriction
     from mpsrestrict.models import aklt
 
@@ -672,14 +690,14 @@ def test_analyze_enumerates_the_decay_series_once(monkeypatch, tmp_path):
     real = restriction._string_sum
     walks = []
 
-    def counted(*args):
-        walks.append(args[1])
-        return real(*args)
+    def counted(tree, depths, leaf):
+        walks.append((leaf is purity._w_leaf, depths))
+        return real(tree, depths, leaf)
 
-    monkeypatch.setattr(purity, "_string_sum", counted)
+    monkeypatch.setattr(restriction, "_string_sum", counted)
     out = tmp_path / "r.json"
     assert main(["analyze", "--builtin", "aklt", "--nmax", "8", "--out", str(out)]) == 0
-    assert walks == [[n] for n in range(1, 9)]
+    assert walks == [(False, list(range(1, 9)))] + [(True, [n]) for n in range(1, 9)]
     rep = json.loads(out.read_text())
     assert rep["purity"] == {
         "status": want.status,

@@ -546,6 +546,12 @@ RECORD_FAMILIES = {
 }
 
 
+def _record(K: KrausFamily) -> dict:
+    """The family's record of sums, with each length's sums as a list of
+    floats, so that == compares every bit of every entry."""
+    return {key: {n: s.tolist() for n, s in sums.items()} for key, sums in K._sums.items()}
+
+
 @pytest.mark.parametrize("name", sorted(RECORD_FAMILIES))
 def test_the_recorded_w_sums_are_the_walked_ones_bit_for_bit(name, monkeypatch):
     """A family records the two sums of every length w_series walks.  The
@@ -557,7 +563,7 @@ def test_the_recorded_w_sums_are_the_walked_ones_bit_for_bit(name, monkeypatch):
     fresh = [w_series(make(), m).values for m in range(1, n + 1)]
     K = make()
     w_series(K, n)
-    assert K._w_sums[n][1] == walked
+    assert K._sums["w",][n][1] == walked
 
     sums = []
     real = restriction._string_sum
@@ -566,7 +572,7 @@ def test_the_recorded_w_sums_are_the_walked_ones_bit_for_bit(name, monkeypatch):
         sums.append(args[1])
         return real(*args)
 
-    monkeypatch.setattr(purity, "_string_sum", spy)
+    monkeypatch.setattr(restriction, "_string_sum", spy)
     monkeypatch.setattr(trajectories, "_string_sum", spy)
     assert purification_statistic(K, n) == walked
     assert [w_series(K, m).values for m in range(1, n + 1)] == fresh
@@ -582,8 +588,8 @@ def test_the_statistic_records_both_sums_for_w_series(name, monkeypatch):
     fresh = make()
     want = w_series(fresh, n)
     K = make()
-    assert purification_statistic(K, n) == fresh._w_sums[n][1]
-    assert K._w_sums == {n: fresh._w_sums[n]}
+    assert purification_statistic(K, n) == fresh._sums["w",][n][1]
+    assert _record(K) == {("w",): {n: _record(fresh)["w",][n]}}
 
     walks = []
     real = restriction._string_sum
@@ -592,7 +598,7 @@ def test_the_statistic_records_both_sums_for_w_series(name, monkeypatch):
         walks.append(args[1])
         return real(*args)
 
-    monkeypatch.setattr(purity, "_string_sum", spy)
+    monkeypatch.setattr(restriction, "_string_sum", spy)
     assert w_series(K, n) == want
     assert walks == [[m] for m in range(1, n)]
 

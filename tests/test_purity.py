@@ -238,7 +238,7 @@ def test_w_certifies_only_below_one_by_the_margin(gap, status):
     """A recorded w is read as it is: w(3) = 1 - gap certifies code-D3 only
     when gap exceeds the rounding margin of 1e-9."""
     K = code_d3()
-    K._w_sums.update({1: (1.25, 1.25), 2: (1.25, 1.25), 3: (1.0 - gap, 1.0 - gap)})
+    K._sums["w",] = {1: np.array([1.25, 1.25]), 2: np.array([1.25, 1.25]), 3: np.array([1.0 - gap] * 2)}
     assert purity_verdict(K, 3).status == status
 
 
@@ -526,14 +526,15 @@ def test_a_recorded_length_still_runs_every_check():
             call(K, 9, guard=3**9 - 1)
         with pytest.raises(OutOfRange):
             call(K, 0)
-    svd, check = K._w_sums[3]
-    K._w_sums[3] = (svd, check * (1.0 + 1e-6))
+    record = K._sums["w",]
+    svd, check = record[3]
+    record[3] = np.array([svd, check * (1.0 + 1e-6)])
     with pytest.raises(NumericalInconsistency, match="routes disagree"):
         w_series(K, 9)
     with pytest.raises(NumericalInconsistency, match="routes disagree"):
         purification_statistic(K, 3)
-    K._w_sums[3] = (svd, check)
-    K._w_sums[2] = (1e3, 1e3)
+    record[3] = np.array([svd, check])
+    record[2] = np.array([1e3, 1e3])
     with pytest.raises(NumericalInconsistency, match="submultiplicativity"):
         w_series(K, 9)
 
@@ -579,7 +580,7 @@ def test_purity_verdict_reuses_a_longer_w_series(factory, monkeypatch):
         sums.append(args[1])
         return real(*args)
 
-    monkeypatch.setattr(purity, "_string_sum", spy)
+    monkeypatch.setattr(restriction, "_string_sum", spy)
     assert purity_verdict(K, 8) == want[8]
     assert purity_verdict(K, 3) == want[3]
     assert sums == []

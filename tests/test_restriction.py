@@ -307,6 +307,24 @@ def test_chain_distribution_is_the_window_table_of_the_bare_context():
     assert np.array_equal(chain_distribution(K, b, 5).table, window_distribution(bare, 5).table)
 
 
+def test_a_context_keeps_sigma_and_f_as_they_were_given():
+    """A context holds frozen copies of sigma and F: changing the caller's
+    arrays in place after a scan changes neither that context's scans nor
+    those of a new context on the same family, which read the new bits
+    and agree with a fresh family's."""
+    K = haar_kraus(2, 2, seed=1)
+    sigma, F = np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex)
+    ctx = RestrictionContext(kraus=K, sigma=sigma, f_op=F)
+    before = restriction_scan(ctx, 3)
+    sigma[...] = np.diag([0.9, 0.1])
+    F[...] = np.diag([1.0, 0.5])
+    assert restriction_scan(ctx, 3) == before
+    assert not (ctx.sigma.flags.writeable or ctx.f_op.flags.writeable)
+    moved = restriction_scan(RestrictionContext(kraus=K, sigma=sigma, f_op=F), 3)
+    fresh = restriction_scan(RestrictionContext(kraus=haar_kraus(2, 2, seed=1), sigma=sigma, f_op=F), 3)
+    assert moved == fresh and moved != before
+
+
 def test_stationary_context_is_not_folded_into_itself():
     from mpsrestrict.restriction import _absorb_windows
 
@@ -372,13 +390,13 @@ def test_a_longer_call_walks_only_the_missing_lengths(monkeypatch):
     fresh = RestrictionContext.stationary(haar_kraus(4, 3, seed=1))
     assert f.values == tuple((m, restriction_scan(fresh, m).f_value) for m in range(1, 8))
     assert scan == restriction_scan(fresh, 8)
-    assert sorted(K._summaries[ctx.sigma.tobytes(), ctx.f_op.tobytes()]) == list(range(1, 9))
+    assert sorted(K._sums["scan", ctx.sigma.tobytes(), ctx.f_op.tobytes()]) == list(range(1, 9))
 
 
 def test_contexts_of_one_family_keep_separate_entries():
-    """The stationary and a finite context of one family, and a context
-    whose sigma differs in one bit, each keep their own entry, and each
-    reads what a fresh family's walk gives."""
+    """w, the stationary and a finite context of one family, and a context
+    whose sigma differs in one bit, each keep their own entry of the one
+    record, and each reads what a fresh family's walk gives."""
 
     def contexts(K):
         rng = np.random.default_rng(3)
@@ -391,11 +409,14 @@ def test_contexts_of_one_family_keep_separate_entries():
         return stationary, RestrictionContext.from_boundaries(K, b, ChainGeometry(1, 1, 1)), nudged
 
     K = haar_kraus(3, 2, seed=2)
+    w = purity.w_series(K, 4)
     got = [restriction_scan(ctx, 4) for ctx in contexts(K)]
-    assert len(K._summaries) == 3
+    assert [key[0] for key in K._sums] == ["w", "scan", "scan", "scan"]
+    assert [sorted(sums) for sums in K._sums.values()] == [[1, 2, 3, 4], [4], [4], [4]]
     assert got[0] != got[1]
     want = [restriction_scan(ctx, 4) for ctx in contexts(haar_kraus(3, 2, seed=2))]
     assert got == want
+    assert w == purity.w_series(haar_kraus(3, 2, seed=2), 4)
 
 
 def test_a_repeated_cmi_report_scans_nothing(monkeypatch):
