@@ -21,11 +21,11 @@ chain's table and every per-n row's window table, and one call of the
 private ``_cmi_rows`` (``restriction.cmi_report`` is its one-row call) scans
 every block, so the CLI and the library compute the same numbers.
 
-Both verbs open their destination (``--out``, else stdout) before any model
-work, so a bad path fails at once, and a file is written whole or not at
-all.  ``sample`` writes its rows as it renders them, so it holds one block
-of trajectories, not its whole output; on stdout the rows already written
-stay written when a later block fails.
+``analyze``, ``sample`` and ``generate`` open their destination (``--out``,
+else stdout) before any model work, so a bad path fails at once, and a file
+is written whole or not at all.  ``sample`` writes its rows as it renders
+them, so it holds one block of trajectories, not its whole output; on stdout
+the rows already written stay written when a later block fails.
 
 Reports embed the library version, the seed and every guard that shaped the
 run.  All enumerations are deterministic and run in the calling thread.
@@ -68,7 +68,7 @@ from .errors import (
 from .gibbs import _fit, _partition
 from .linalg import _check_length, _check_tol
 from .models import BUILTINS, clock, damping, jordan, markov
-from .modelio import load_model, save_model
+from .modelio import _model_text, load_model
 from .purity import (
     DecaySeries,
     constructive_purity_family,
@@ -414,13 +414,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "haar":
-        K = haar_kraus(int(args.dim), int(args.phys), int(args.seed))
-        label = f"haar-D{args.dim}-d{args.phys}-seed{args.seed}"
-    else:
-        K = constructive_purity_family(int(args.dim), int(args.phys))
-        label = f"constructive-D{args.dim}-d{args.phys}"
-    save_model(args.out, K, label=args.label or label)
+    with _destination(args.out) as write:
+        if args.kind == "haar":
+            K = haar_kraus(int(args.dim), int(args.phys), int(args.seed))
+            label = f"haar-D{args.dim}-d{args.phys}-seed{args.seed}"
+        else:
+            K = constructive_purity_family(int(args.dim), int(args.phys))
+            label = f"constructive-D{args.dim}-d{args.phys}"
+        write(_model_text(K, label=args.label or label))
     sys.stderr.write(f"wrote {args.out}: d={K.d}, D={K.D}, label={args.label or label}\n")
     return 0
 

@@ -64,14 +64,13 @@ def _decode(obj: Any, shape: tuple[int, ...], where: str) -> np.ndarray:
     return np.array([_decode(o, shape[1:], f"{where}[{i}]") for i, o in enumerate(obj)])
 
 
-def save_model(
-    path: str | Path,
+def _model_text(
     kraus: KrausFamily,
     boundaries: BoundaryPair | None = None,
     geometry: ChainGeometry | None = None,
     label: str | None = None,
-) -> None:
-    """Write a model file; fields are emitted in sorted order for stable diffs."""
+) -> str:
+    """A model file's text, its fields in sorted order for stable diffs."""
     doc: dict[str, Any] = {
         "format": FORMAT_NAME,
         "schema_version": SCHEMA_VERSION,
@@ -89,8 +88,18 @@ def save_model(
             "len_b": geometry.len_b,
             "len_c": geometry.len_c,
         }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def save_model(
+    path: str | Path,
+    kraus: KrausFamily,
+    boundaries: BoundaryPair | None = None,
+    geometry: ChainGeometry | None = None,
+    label: str | None = None,
+) -> None:
+    """Write a model file; fields are emitted in sorted order for stable diffs."""
+    Path(path).write_text(_model_text(kraus, boundaries, geometry, label), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> ModelFile:

@@ -78,7 +78,8 @@ class CorrectableReport:
 
     ``max_ranks[k]`` is the found maximal rank at length n = k+1 (a certified
     lower bound on the true maximum; the eigenspace-refinement search is exact
-    on eigenspace-aligned families).  Ranks are non-increasing in n.
+    on eigenspace-aligned families).  Ranks are non-increasing in n, and
+    every length after the first rank-1 one repeats its projector.
     """
 
     n_max: int
@@ -277,7 +278,16 @@ def correctable_subspace(
     K: KrausFamily, n_max: int, tol: float = 1e-8, guard: int = DEFAULT_GUARD
 ) -> CorrectableReport:
     """Scalar-compression staircase for n = 1..n_max: one
-    ``_max_scalar_subspace`` search per length.
+    ``_max_scalar_subspace`` search per length, up to the first length whose
+    search finds rank 1.
+
+    The ranks cannot increase with n: sum_x A_x^dag A_x = 1 makes W^dag W of
+    a length-n string the sum of the Gram matrices of its d extensions, so a
+    subspace scalar for every length-(n+1) product is scalar at length n.  A
+    rank is never below 1, so every length after the first rank-1 one gets
+    rank 1, that length's projector and residual 0.0 (a 1x1 compression is
+    exactly scalar) without a search.  Any rank-1 projector is correct
+    there; an exhaustive search could report another.
 
     A length whose search visits more than _SEARCH_BUDGET = 200,000 nodes
     raises SearchBudgetExceeded.  Raises OutOfRange unless n_max is an
@@ -287,7 +297,11 @@ def correctable_subspace(
     n_max = _check_length(n_max, "n_max")
     _check_guard(K.d, n_max, guard)
     _check_tol(tol)
-    steps = [_max_scalar_subspace(K, n, tol, guard) for n in range(1, n_max + 1)]
+    steps = []
+    for n in range(1, n_max + 1):
+        if not steps or steps[-1][0] > 1:  # rank 1 decides every later length
+            step = _max_scalar_subspace(K, n, tol, guard)
+        steps.append(step)
     return CorrectableReport(
         n_max=n_max,
         max_ranks=tuple(r for r, _, _ in steps),
@@ -368,7 +382,8 @@ def purity_verdict(
     K: KrausFamily, n_max: int, tol: float = 1e-8, guard: int = DEFAULT_GUARD
 ) -> PurityVerdict:
     """The first answer of ``_CERTIFICATES``, its evidence followed by the
-    fitted rate of w(1..min(n_max, 6)).
+    fitted rate of w(1..min(n_max, 6)), and by a note that the staircase is
+    vacuous when it was read at tol >= 1.
 
     w is read from the family's record, so after a longer ``w_series`` (as
     ``analyze`` runs) it forms no product.  The staircase runs at most once,
@@ -386,6 +401,12 @@ def purity_verdict(
     status, evidence = next(filter(None, (c(K, n_max, span, w, stair) for c in _CERTIFICATES)))
     if w_rate is not None:
         evidence += f"; w-series fitted rate {w_rate:.6f}"
+    if tol >= 1.0 and stair.cache_info().currsize:
+        # a compression of a PSD M has its eigenvalues in [0, ||M||]
+        evidence += (
+            f"; at tol {tol:g} >= 1 every compression passes the scalar test, "
+            f"so the staircase keeps rank {K.D} at every length and shows nothing"
+        )
     return PurityVerdict(
         status=status,
         evidence=evidence,

@@ -528,6 +528,16 @@ def test_an_empty_out_exits_3_before_any_model_work(tmp_path, capsys, verb, monk
     assert list(tmp_path.iterdir()) == []
 
 
+def test_generate_with_an_empty_out_exits_3_before_building_the_family(tmp_path, capsys, monkeypatch):
+    from mpsrestrict import cli
+
+    monkeypatch.setattr(cli, "haar_kraus", lambda *a: pytest.fail("built the family"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "haar", "--out", ""]) == 3
+    assert capsys.readouterr().err == "error: --out names no file: the path is empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # (argv, exit code): sample dies in its second block, analyze at the guard
 _FAILING_RUNS = {
     "sample": (["sample", "--builtin", "aklt", "--nmax", "2", "--trajectories", str(_CHUNK_STRINGS + 1)], 3),

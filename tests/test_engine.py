@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from families import block_diagonal, near_pauli
+from families import block_diagonal, dark_block_family, near_pauli
 from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily
 from mpsrestrict.gibbs import ChainDistribution
 from mpsrestrict.models import aklt, aklt_pauli, clock, damping, jordan, markov
@@ -534,13 +536,74 @@ STAIRCASE_FAMILIES = {
 
 @pytest.mark.parametrize("name", sorted(STAIRCASE_FAMILIES))
 def test_correctable_subspace_matches_the_list_search(name):
+    """The oracle searches every length, so it proves the ranks the staircase
+    gives without a search after its first rank-1 length; up to that length
+    the two searches agree, and after it the staircase repeats its rank-1
+    projector with residual 0."""
     make, n_max = STAIRCASE_FAMILIES[name]
     K = make()
     rep = correctable_subspace(K, n_max)
     ranks, projectors, residuals = oracle.correctable(K, n_max)
     assert rep.max_ranks == ranks
-    assert max(abs(a - b) for a, b in zip(rep.residuals, residuals)) <= TOL
-    assert max(np.max(np.abs(a - b)) for a, b in zip(rep.projectors, projectors)) <= TOL
+    stop = ranks.index(1) + 1 if 1 in ranks else n_max
+    assert max(abs(a - b) for a, b in zip(rep.residuals[:stop], residuals)) <= TOL
+    assert max(np.max(np.abs(a - b)) for a, b in zip(rep.projectors[:stop], projectors)) <= TOL
+    assert all(r == 0.0 for r in rep.residuals[stop:])
+    assert all(P is rep.projectors[stop - 1] for P in rep.projectors[stop:])
+
+
+def _real_family(D: int, d: int, seed: int) -> KrausFamily:
+    """A real isometry from the QR of a Gaussian (d D) x D matrix."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((d * D, D)))[0]
+    return KrausFamily(ops=Q.reshape(d, D, D).astype(complex))
+
+
+def _check_ranks_never_rise(K: KrausFamily, n_max: int, tol: float) -> None:
+    """The lemma the staircase's stop rests on: the oracle, which searches
+    every length, finds non-increasing ranks, and the staircase gives them."""
+    ranks = oracle.correctable(K, n_max, tol)[0]
+    assert all(a >= b for a, b in zip(ranks, ranks[1:])), ranks
+    assert correctable_subspace(K, n_max, tol=tol).max_ranks == ranks
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-3])
+@pytest.mark.parametrize("name", sorted(STAIRCASE_FAMILIES))
+def test_staircase_ranks_never_rise_on_the_named_families(name, tol):
+    make, n_max = STAIRCASE_FAMILIES[name]
+    _check_ranks_never_rise(make(), n_max, tol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([haar_kraus, _real_family]),
+    st.integers(2, 3),
+    st.integers(2, 3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-8, 1e-3]),
+)
+def test_staircase_ranks_never_rise_on_random_families(make, D, d, seed, tol):
+    _check_ranks_never_rise(make(D, d, seed), 3, tol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 2), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_staircase_ranks_never_rise_on_dark_blocks(r, s, d, seed):
+    """At tol 1e-8: at a loose tol the search's ranks can rise on these, as
+    ``test_a_loose_search_may_find_a_dark_block_late`` shows."""
+    _check_ranks_never_rise(dark_block_family(r, s, d, seed), 3, 1e-8)
+
+
+def test_a_loose_search_may_find_a_dark_block_late():
+    """At D >= 3 the search gives a lower bound, and at a loose tol it can
+    find a near-scalar subspace at a longer length that it missed at a
+    shorter one: on this D = 3 family with an exactly scalar rank-2 block the
+    oracle finds (1, 1, 2).  The staircase stops at rank 1 and gives
+    (1, 1, 1), also a lower bound, and the verdict, which trusts rank 1 only
+    at D <= 2 or beside some w(m) < 1, stays Undetermined."""
+    K = dark_block_family(2, 1, 2, 53)
+    assert oracle.correctable(K, 3, 1e-3)[0] == (1, 1, 2)
+    assert correctable_subspace(K, 3, tol=1e-3).max_ranks == (1, 1, 1)
+    assert purity_verdict(K, 3, tol=1e-3).status == "Undetermined"
 
 
 def test_block_diagonal_purity_is_undetermined():

@@ -179,14 +179,32 @@ def test_correctable_staircase_search_budget(monkeypatch):
 
 
 def test_correctable_staircase_accepts_a_rank_one_node_without_a_walk(monkeypatch):
-    """On markov each length's root fails and branches into rank-1 nodes,
-    whose 1x1 compressions are scalar: only the root walks the products."""
+    """On markov the length-1 root fails and branches into rank-1 nodes,
+    whose 1x1 compressions are scalar: only the root walks the products, and
+    rank 1 at n = 1 decides every later length without a search."""
     calls = []
     real = purity._products
     monkeypatch.setattr(purity, "_products", lambda *a: calls.append(a[2]) or real(*a))
     rep = correctable_subspace(markov(), 4)
-    assert calls == [1, 2, 3, 4]
+    assert calls == [1]
     assert rep.max_ranks == (1, 1, 1, 1) and rep.residuals == (0.0,) * 4
+
+
+def test_the_staircase_stops_searching_at_its_first_rank_one_length(monkeypatch):
+    """Ranks never rise with n and never fall below 1, so the first rank-1
+    length decides every later one: AKLT reaches rank 1 at n = 1, jordan(4)
+    at n = 4, and clock(3), whose ranks stay at 3, searches every length."""
+    calls = []
+    real = purity._max_scalar_subspace
+    monkeypatch.setattr(purity, "_max_scalar_subspace", lambda K, n, *a: calls.append(n) or real(K, n, *a))
+    assert purity_verdict(aklt(), 8).correctable_ranks == (1,) * 8
+    assert calls == [1]
+    calls.clear()
+    assert correctable_subspace(jordan(4), 6).max_ranks == (4, 3, 2, 1, 1, 1)
+    assert calls == [1, 2, 3, 4]
+    calls.clear()
+    assert correctable_subspace(clock(3), 4).max_ranks == (3,) * 4
+    assert calls == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize(
@@ -303,11 +321,14 @@ def test_no_certificate_violates_where_w_falls_below_one(entry, factory, tol):
 @W_BELOW_ONE
 def test_a_loose_tol_reports_no_violation_that_w_refutes(factory, tol):
     """A loose tol lets the staircase keep an invariant rank >= 2 subspace,
-    but w(m) < 1 refutes it, so the verdict is Undetermined and says so."""
+    but w(m) < 1 refutes it, so the verdict is Undetermined and says so.  At
+    tol >= 1 every compression is scalar within tol, and the evidence adds
+    that the staircase shows nothing."""
     v = purity_verdict(factory(), 4, tol=tol)
     assert v.correctable_ranks[-1] >= 2
     assert v.status == "Undetermined"
     assert "< 1 rules out a rank-2 scalar subspace, so tol admits" in v.evidence
+    assert ("every compression passes the scalar test" in v.evidence) == (tol >= 1.0)
 
 
 def test_a_span_pass_runs_no_staircase(monkeypatch):
