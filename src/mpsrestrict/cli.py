@@ -264,9 +264,15 @@ def _analyze_text(args: argparse.Namespace) -> str:
 
     # Fail before enumerating: the largest tables are the last windowed block
     # and the Gibbs chain.  Guard errors come before the --ell check.
-    gibbs_sites = len_a + max(flag_geometry.total - len_a - len_c, 1) + len_c
+    gibbs_block = max(flag_geometry.total - len_a - len_c, 1)
+    gibbs_sites = len_a + gibbs_block + len_c
     _check_guard(K.d, max(len_a + nmax + len_c, gibbs_sites), guard)
     ell = int(args.ell)
+    if gibbs_sites < 3:
+        raise ValueError(
+            f"--ell needs a Gibbs chain of at least 3 sites (1 <= ell <= sites-2), "
+            f"but geometry {len_a},{gibbs_block},{len_c} gives {gibbs_sites}"
+        )
     if not (1 <= ell <= gibbs_sites - 2):
         raise ValueError(
             f"--ell must satisfy 1 <= ell <= sites-2 = {gibbs_sites - 2}, got {ell}"

@@ -16,7 +16,7 @@ storage is flat row-major with site 1 as the most significant digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -61,7 +61,26 @@ class ChainDistribution:
     smoothing_eps: float | None = None
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.table, dtype=float).ravel()
+        # the public constructor copies, so no caller's array changes
+        self._settle(np.asarray(self.table, dtype=float).ravel(), owned=False)
+
+    @classmethod
+    def _adopt(
+        cls, length: int, d: int, table: np.ndarray, smoothing_eps: float | None = None
+    ) -> "ChainDistribution":
+        """The distribution of a fresh float table that no one else holds,
+        checked as by the constructor, then clipped and normalized in place:
+        the same bits as the constructor's copy, with no second table."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "smoothing_eps", smoothing_eps)
+        object.__setattr__(p, "length", length)
+        object.__setattr__(p, "d", d)
+        p._settle(np.asarray(table, dtype=float).ravel(), owned=True)
+        return p
+
+    def _settle(self, t: np.ndarray, owned: bool) -> None:
+        """Check the flat table t and store it clipped at 0, normalized and
+        read-only; t itself becomes the table if ``owned``, else a copy."""
         if not (_integral(self.length) and self.length >= 1):
             raise InvalidDistribution(f"length must be a positive integer, got {self.length!r}")
         if not (_integral(self.d) and self.d >= 2):
@@ -74,11 +93,11 @@ class ChainDistribution:
             raise InvalidDistribution("table contains NaN or Inf")
         if np.min(t) < -1e-12:
             raise InvalidDistribution(f"negative entry {np.min(t):.3e}")
-        t = np.clip(t, 0.0, None)
+        t = np.clip(t, 0.0, None, out=t if owned else None)
         s = float(t.sum())
         if abs(s - 1.0) > 1e-9:
             raise InvalidDistribution(f"table sums to {s!r}, not 1 (tol 1e-9)")
-        t /= s  # t is clip's copy, so no caller's array changes
+        t /= s
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
         object.__setattr__(self, "length", int(self.length))
@@ -102,7 +121,9 @@ class ChainDistribution:
         if not (0.0 < eps < 1.0):
             raise InvalidDistribution(f"smoothing eps must be in (0, 1), got {eps!r}")
         u = 1.0 / self.table.size
-        return replace(self, table=(1.0 - eps) * self.table + eps * u, smoothing_eps=float(eps))
+        t = (1.0 - eps) * self.table
+        t += eps * u
+        return ChainDistribution._adopt(self.length, self.d, t, smoothing_eps=float(eps))
 
 
 def _check_window(p: ChainDistribution, j: int, k: int) -> None:
@@ -174,10 +195,10 @@ def _energies(h: LocalHamiltonian) -> np.ndarray:
 
     for idx, t in enumerate(h.window_terms):
         j = idx + 1
-        E = E + t.reshape(bshape(j, j + ell))
+        E += t.reshape(bshape(j, j + ell))
     for idx, t in enumerate(h.overlap_terms):
         j = idx + 1
-        E = E - t.reshape(bshape(j + 1, j + ell))
+        E -= t.reshape(bshape(j + 1, j + ell))
     return E
 
 
@@ -188,7 +209,13 @@ def partition_function(h: LocalHamiltonian) -> float:
 
 def _partition(logp: np.ndarray) -> float:
     m = float(logp.max())
-    return float(np.exp(m) * np.sum(np.exp(logp - m)))
+    return float(np.exp(m) * np.sum(_exp_shifted(logp, m)))
+
+
+def _exp_shifted(logp: np.ndarray, shift: float) -> np.ndarray:
+    """exp(logp - shift), formed in the difference's own buffer."""
+    t = logp - shift
+    return np.exp(t, out=t)
 
 
 def gibbs_distribution(h: LocalHamiltonian) -> ChainDistribution:
@@ -198,8 +225,8 @@ def gibbs_distribution(h: LocalHamiltonian) -> ChainDistribution:
 
 def _gibbs(h: LocalHamiltonian, logp: np.ndarray) -> ChainDistribution:
     m = float(logp.max())
-    logz = m + float(np.log(np.sum(np.exp(logp - m))))
-    return ChainDistribution(length=h.length, d=h.d, table=np.exp(logp - logz))
+    logz = m + float(np.log(np.sum(_exp_shifted(logp, m))))
+    return ChainDistribution._adopt(h.length, h.d, _exp_shifted(logp, logz))
 
 
 def relative_entropy(p1: ChainDistribution, p2: ChainDistribution) -> float:
@@ -210,9 +237,14 @@ def relative_entropy(p1: ChainDistribution, p2: ChainDistribution) -> float:
         )
     if p2.min_entry <= 0.0:
         raise NonPositiveMarginal("reference distribution has a zero entry")
-    mask = p1.table > 0.0
-    a = p1.table[mask]
-    return float(np.sum(a * (np.log(a) - np.log(p2.table[mask]))))
+    a, b = p1.table, p2.table
+    if p1.min_entry <= 0.0:
+        mask = a > 0.0
+        a, b = a[mask], b[mask]
+    r = np.log(a)  # the log ratio, then its terms, in this one buffer
+    r -= np.log(b)
+    r *= a
+    return float(np.sum(r))
 
 
 def _window_entropy(p: ChainDistribution, j: int, k: int) -> float:

@@ -172,16 +172,22 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def shannon_entropy(p: np.ndarray | Sequence[float]) -> float:
-    """H(p) = -sum p ln p in nats, with 0 ln 0 := 0."""
+    """H(p) = -sum p ln p in nats, with 0 ln 0 := 0.
+
+    Beside p it holds one temporary of p's size (and a subset of p's
+    positive entries only when some entry is not positive)."""
     p = np.asarray(p, dtype=float).ravel()
     if p.size == 0 or not np.all(np.isfinite(p)):
         raise InvalidDistribution("weights must be a non-empty finite vector")
-    if np.min(p) < -1e-10:
-        raise InvalidDistribution(f"negative weight {np.min(p):.3e}")
+    least = np.min(p)
+    if least < -1e-10:
+        raise InvalidDistribution(f"negative weight {least:.3e}")
     if abs(p.sum() - 1.0) > 1e-10:
         raise InvalidDistribution(f"weights sum to {p.sum()!r}, not 1")
-    pos = p[p > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    pos = p[p > 0.0] if least <= 0.0 else p
+    terms = np.log(pos)  # then pos ln pos, in the log's own buffer
+    terms *= pos
+    return float(-np.sum(terms))
 
 
 def binary_entropy(t: float) -> float:

@@ -716,8 +716,10 @@ def window_distributions(
     string's product P, from one BLAS-free kernel per stack
     (``_capped_norm2``).  The lengths, then the guard (on the
     longest) and K^2 of each length are checked and the walk runs when this
-    is called; each ChainDistribution is built when it is taken, and a raw
-    table is dropped once its last entry of ``lengths`` has been taken.
+    is called.  Each ChainDistribution is built when its length is first
+    taken, by normalizing its raw table in place, so no table is held twice;
+    a length listed again gives the same (immutable) distribution, and it is
+    dropped once its last entry of ``lengths`` has been taken.
     """
     lengths = [_check_length(m, "string length") for m in lengths]
     if not lengths:
@@ -734,12 +736,11 @@ def window_distributions(
     last = {m: i for i, m in enumerate(lengths)}
 
     def taken() -> Iterator[ChainDistribution]:
+        made: dict[int, ChainDistribution] = {}
         for i, m in enumerate(lengths):
-            # the popped table is bound to no name, so it goes when its
-            # ChainDistribution has made its normalized copy
-            yield ChainDistribution(
-                length=m, d=ctx.kraus.d, table=tables[m] if i < last[m] else tables.pop(m)
-            )
+            if m not in made:  # the distribution adopts the raw table it pops
+                made[m] = ChainDistribution._adopt(m, ctx.kraus.d, tables.pop(m))
+            yield made[m] if i < last[m] else made.pop(m)
 
     return taken()
 

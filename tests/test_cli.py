@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -603,7 +604,6 @@ def test_a_fifo_out_is_written_in_place(tmp_path, verb):
 def test_sample_memory_does_not_grow_with_trajectories(tmp_path):
     """Rows are written as they are rendered, so the traced peak at four
     blocks of trajectories stays that of one block."""
-    import tracemalloc
 
     def peak(count: int) -> int:
         out = tmp_path / f"s{count}.json"
@@ -654,6 +654,40 @@ def test_analyze_bad_ell_fails_before_enumerating(monkeypatch):
     _forbid_enumeration(monkeypatch)
     assert main(["analyze", "--builtin", "aklt", "--nmax", "7", "--ell", "5"]) == 3
     assert main(["analyze", "--builtin", "aklt", "--geometry", "0,1,0", "--ell", "1"]) == 3
+
+
+@pytest.mark.parametrize("geometry, sites", [("0,1,0", 1), ("1,1,0", 2)])
+def test_a_gibbs_chain_under_three_sites_names_its_geometry(geometry, sites, monkeypatch, capsys):
+    """The range-ell fit needs 1 <= ell <= sites-2, so a chain of one or two
+    sites has no ell at all: the error says so, before any walk."""
+    _forbid_enumeration(monkeypatch)
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "1", "--geometry", geometry]) == 3
+    err = capsys.readouterr().err
+    assert f"geometry {geometry} gives {sites}" in err and "at least 3 sites" in err
+    assert "= -1" not in err and "= 0," not in err
+
+
+def test_the_gibbs_block_holds_few_tables():
+    """The fit of the 10-site valence-bond table of --geometry 3,4,3 (which
+    has zero strings, so it is smoothed first) peaks within 5.5 of its
+    tables: the smoothed table, the log-weights, the Gibbs table and the log
+    ratio with one temporary.  Copies of each, and the expression
+    temporaries of the energies and entropies, took 7.1."""
+    from mpsrestrict import cli
+    from mpsrestrict.models import aklt
+    from mpsrestrict.restriction import RestrictionContext, window_distribution
+
+    ctx = RestrictionContext.stationary(aklt())
+    table = window_distribution(ctx, 10)
+    assert table.min_entry == 0.0
+    tracemalloc.start()
+    try:
+        block = cli._gibbs_block(table, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * table.table.nbytes
+    assert block["sites"] == 10 and block["smoothing_eps"] == 1e-8
 
 
 def test_analyze_rejects_a_single_outcome_before_enumerating(monkeypatch, tmp_path):

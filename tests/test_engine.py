@@ -227,6 +227,61 @@ def test_window_distributions_hold_no_more_than_one_table_built_alone():
     assert [p.length for p in dists] == list(range(5, 13))
 
 
+def test_window_distributions_adopt_their_raw_tables():
+    """Each ChainDistribution normalizes its raw table in place, so the walk
+    and all eight distributions of 5..12 sites on the valence-bond chain
+    peak within 1.2 times their raw tables' bytes: a clipped copy of the
+    12-site table alone would take a further 0.67 of them."""
+    ctx = RestrictionContext.stationary(aklt())
+    ctx.k2_for(12)  # the cached environments are not the tables' memory
+    raw_bytes = sum(8 * 3**m for m in range(5, 13))
+    tracemalloc.start()
+    try:
+        dists = list(window_distributions(ctx, range(5, 13)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * raw_bytes
+    assert sum(p.table.nbytes for p in dists) == raw_bytes
+
+
+def test_a_length_listed_twice_gives_one_distribution():
+    """The Gibbs chain and a block of the same size share one table: the
+    same read-only object, bit for bit that of the length taken alone."""
+    ctx = RestrictionContext.stationary(haar_kraus(2, 3, seed=2))
+    first, other, again = window_distributions(ctx, [6, 4, 6])
+    assert first is again and other.length == 4
+    assert not first.table.flags.writeable
+    assert np.array_equal(first.table, window_distribution(ctx, 6).table)
+
+
+def test_classical_cmi_holds_one_temporary_of_its_table():
+    """The classical CMI of the dense 5^8 finite table of a Haar D3 d5
+    family (no zero strings) takes its four entropies with one temporary
+    each, so it peaks within 1.25 tables once the table is built: a masked
+    copy, a log array and a product array would take three."""
+    rng = np.random.default_rng(35)
+    L, R = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+    K = haar_kraus(3, 5, 1)
+    geom = ChainGeometry(2, 4, 2)
+    p = chain_distribution(K, BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R)), geom)
+    assert p.min_entry > 0.0
+    tracemalloc.start()
+    try:
+        cmi = restriction.classical_cmi(p, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * p.table.nbytes
+
+    def h(m):  # the masked product summed, as the entropies were taken before
+        pos = m.ravel()[m.ravel() > 0.0]
+        return float(-np.sum(pos * np.log(pos)))
+
+    arr = p.as_array()
+    assert cmi == h(arr.sum(axis=(6, 7))) + h(arr.sum(axis=(0, 1))) - h(arr.sum(axis=(0, 1, 6, 7))) - h(arr)
+
+
 def _nilpotent() -> np.ndarray:
     """Two operators whose every product of length >= 2 is exactly zero."""
     N = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,54 @@ def test_chain_distribution_clips_tiny_negatives():
     p = ChainDistribution(length=1, d=2, table=np.array([1.0 + 5e-13, -5e-13]))
     assert p.table[1] == 0.0
     assert p.table.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+_TABLES = st.integers(1, 4).flatmap(
+    lambda length: st.tuples(
+        st.just(length),
+        st.lists(st.floats(-1e-13, 1.0), min_size=2**length, max_size=2**length),
+        st.floats(-5e-10, 5e-10),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TABLES)
+def test_the_constructor_copies_and_adopting_gives_the_same_bits(case):
+    """The public constructor leaves the caller's array as it was and
+    writeable; the engine's private path normalizes its own fresh table in
+    place, to the constructor's bits, and rejects what it rejects."""
+    length, entries, off = case
+    t = np.array(entries)
+    if t.sum() <= 0.0:
+        t[0] = 1.0
+    t = t / t.sum() * (1.0 + off)
+    before = t.copy()
+    try:
+        copied = ChainDistribution(length=length, d=2, table=t)
+    except InvalidDistribution as e:
+        with pytest.raises(InvalidDistribution, match=f"^{re.escape(str(e))}$"):
+            ChainDistribution._adopt(length, 2, t.copy())
+        return
+    finally:
+        assert np.array_equal(t, before) and t.flags.writeable
+    adopted = ChainDistribution._adopt(length, 2, t.copy())
+    assert adopted.table.tobytes() == copied.table.tobytes()
+    assert (adopted.length, adopted.d, adopted.smoothing_eps) == (length, 2, None)
+    assert not adopted.table.flags.writeable and not copied.table.flags.writeable
+    assert not np.shares_memory(copied.table, t)
+
+
+@pytest.mark.parametrize(
+    "length, d, table",
+    [(2, 2, np.full(5, 0.2)), (1, 2, np.array([0.9, 0.2])), (1, 2, np.array([1.1, -0.1])),
+     (1, 2, np.array([np.nan, 1.0])), (0, 2, np.ones(1)), (1, 1, np.ones(1))],
+)
+def test_adopting_rejects_what_the_constructor_rejects(length, d, table):
+    with pytest.raises(InvalidDistribution) as public:
+        ChainDistribution(length=length, d=d, table=table.copy())
+    with pytest.raises(InvalidDistribution, match=f"^{re.escape(str(public.value))}$"):
+        ChainDistribution._adopt(length, d, table.copy())
 
 
 def test_as_array_site_one_most_significant():
@@ -206,3 +256,15 @@ def test_smoothed_records_eps():
     assert q.table.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InvalidDistribution):
         p.smoothed(0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 0.3])
+def test_smoothed_is_the_mixture_bit_for_bit(eps):
+    """The mixture formed in place and adopted has the bits of the mixture
+    expression passed through the public constructor."""
+    t = _random_dist(5, 3, seed=7).table
+    t = np.where(t < 0.002, 0.0, t)  # a quarter of the entries
+    p = ChainDistribution(length=5, d=3, table=t / t.sum())
+    want = ChainDistribution(length=5, d=3, table=(1.0 - eps) * p.table + eps * (1.0 / p.table.size))
+    got = p.smoothed(eps)
+    assert got.table.tobytes() == want.table.tobytes() and got.smoothing_eps == eps

@@ -94,6 +94,49 @@ def test_shannon_entropy_handles_zeros():
         shannon_entropy(np.array([1.2, -0.2]))
 
 
+def _entropy_reference(p: np.ndarray) -> float:
+    pos = p[p > 0.0]
+    return float(-np.sum(pos * np.log(pos)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=600),
+    st.floats(0.0, 0.9),
+    st.integers(0, 2**32 - 1),
+)
+def test_shannon_entropy_is_the_masked_sum_bit_for_bit(weights, zero_frac, seed):
+    """With or without zeros (and the clipped -1e-10 ones), the entropy has
+    the bits of the masked product summed as before."""
+    p = np.array(weights)
+    p[np.random.default_rng(seed).random(p.size) < zero_frac] = 0.0
+    if p.sum() == 0.0:
+        p[0] = 1.0
+    p /= p.sum()
+    assert shannon_entropy(p) == _entropy_reference(p)
+    q = p.copy()
+    q[q == 0.0] = -1e-11
+    q /= q.sum()
+    assert shannon_entropy(q) == _entropy_reference(q)
+    assert np.array_equal(shannon_entropy(p.reshape(1, -1)), _entropy_reference(p))
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ([0.5, np.nan, 0.5], "^weights must be a non-empty finite vector$"),
+        ([0.5, np.inf], "^weights must be a non-empty finite vector$"),
+        ([], "^weights must be a non-empty finite vector$"),
+        ([1.2, -0.2], "^negative weight -2.000e-01$"),
+        ([0.7, 0.7], r"^weights sum to (np\.float64\()?1\.4\)?, not 1$"),
+        ([0.5, 0.5 + 2e-10], r"^weights sum to (np\.float64\()?1\.0000000002\)?, not 1$"),
+    ],
+)
+def test_shannon_entropy_rejects_bad_weights_as_before(p, message):
+    with pytest.raises(InvalidDistribution, match=message):
+        shannon_entropy(np.array(p, dtype=float))
+
+
 def test_binary_entropy_and_g():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(0.5) == pytest.approx(np.log(2), abs=1e-12)
