@@ -10,9 +10,13 @@ Verbs:
 * ``check``    — validate a model file and print a short summary.
 
 Exit codes: 0 success, 2 enumeration guard tripped, 3 invalid model or
-parameters (a bad length, tolerance or matrix raises a named
-``MpsRestrictError``, and argparse's usage error exits 3 too), 4 internal
-numerical inconsistency.  Only the guard gives exit 2.
+parameters (argparse's usage error included), 4 internal numerical
+inconsistency: ``main`` returns the ``exit_code`` of the error class it
+catches, and 3 for a bare ValueError, KeyError or OSError.
+
+``--dim``, ``--gamma`` and ``--p`` are passed, when given, as keywords to the
+built-in family's constructor, whose signature decides which apply; a flag
+it does not take, or any with ``--model``, exits 3 before any model work.
 
 ``analyze`` chooses its context once: the stationary context, or the bare
 boundary context (sigma = |L><L|, F^dag F = |R><R|) when the model file
@@ -42,6 +46,7 @@ there (exit 3, its usage error).
 from __future__ import annotations
 
 import argparse
+import inspect
 import io
 import json
 import os
@@ -56,18 +61,10 @@ import numpy as np
 
 from . import __version__
 from .chain import ChainGeometry, _normalization_residual
-from .errors import (
-    CompletionFailed,
-    DimensionTooSmall,
-    EnumerationTooLarge,
-    MpsRestrictError,
-    NonConvergent,
-    NumericalInconsistency,
-    SearchBudgetExceeded,
-)
-from .gibbs import _fit, _partition
+from .errors import DimensionTooSmall, MpsRestrictError
+from .gibbs import _fit
 from .linalg import _check_length, _check_tol
-from .models import BUILTINS, clock, damping, jordan, markov
+from .models import BUILTINS
 from .modelio import _model_text, load_model
 from .purity import (
     DecaySeries,
@@ -194,7 +191,10 @@ def _parse_transition(raw: str) -> list[list[float]]:
 
 def _resolve_model(args: argparse.Namespace):
     """Returns (kraus, label, source, boundaries, file_geometry)."""
+    given = {f: v for f in ("dim", "gamma", "p") if (v := getattr(args, f)) is not None}
     if args.model:
+        if given:
+            raise ValueError(f"--{next(iter(given))} does not apply to --model")
         mf = load_model(args.model)
         label = mf.label or Path(args.model).stem
         return mf.kraus, label, str(args.model), mf.boundaries, mf.geometry
@@ -203,29 +203,26 @@ def _resolve_model(args: argparse.Namespace):
         raise ValueError(
             f"unknown builtin {name!r}; choices: {', '.join(sorted(BUILTINS))}"
         )
-    if name == "jordan":
-        K = jordan(args.dim if args.dim is not None else 4)
-    elif name == "clock":
-        K = clock(args.dim if args.dim is not None else 3)
-    elif name == "damping":
-        K = damping(args.gamma)
-    elif name == "markov":
-        K = markov(_parse_transition(args.p) if args.p else None)
-    else:
-        K = BUILTINS[name]()
-    return K, name, f"builtin:{name}", None, None
+    family = BUILTINS[name]
+    takes = inspect.signature(family).parameters
+    for flag in given:
+        if flag not in takes:
+            raise ValueError(f"--{flag} does not apply to builtin {name!r}")
+    if "p" in given:
+        given["p"] = _parse_transition(given["p"])
+    return family(**given), name, f"builtin:{name}", None, None
 
 
 def _gibbs_block(dist, ell: int) -> dict[str, Any]:
     if dist.min_entry <= 0.0:
         dist = dist.smoothed(1e-8)
-    logp, lhs, terms = _fit(dist, ell)
+    z, lhs, terms = _fit(dist, ell)
     rhs = float(sum(terms))
     return {
         "sites": dist.length,
         "ell": ell,
         "smoothing_eps": dist.smoothing_eps,
-        "partition_function": _partition(logp),
+        "partition_function": z,
         "relative_entropy": lhs,
         "cmi_sum": rhs,
         "identity_gap": abs(lhs - rhs),
@@ -455,7 +452,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--builtin", help=f"built-in family: {', '.join(sorted(BUILTINS))}")
     grp.add_argument("--model", help="path to a kraus-family model file (JSON)")
     p.add_argument("--dim", type=int, default=None, help="builtin parameter: jordan block size / clock dimension")
-    p.add_argument("--gamma", type=float, default=0.5, help="builtin parameter: damping strength")
+    p.add_argument("--gamma", type=float, default=None, help="builtin parameter: damping strength")
     p.add_argument("--p", default=None, help="builtin parameter: markov rows, e.g. '0.8,0.2;0.3,0.7'")
 
 
@@ -528,18 +525,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return int(args.func(args))
-    except EnumerationTooLarge as exc:
+    except (MpsRestrictError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (NumericalInconsistency, NonConvergent, SearchBudgetExceeded, CompletionFailed) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except MpsRestrictError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (ValueError, KeyError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

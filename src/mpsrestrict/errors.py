@@ -1,10 +1,10 @@
 """Exception taxonomy for the whole package.
 
 Every contract failure raises a named subclass of :class:`MpsRestrictError`,
-so callers (and the CLI exit-code mapping) can distinguish guard violations,
-invalid models, and internal numeric inconsistencies without string matching.
-A bad length, tolerance or matrix raises a named error such as OutOfRange or
-NotDensityOperator (CLI exit 3); only the enumeration guard gives exit 2.
+so callers can tell bad input, the guard and internal inconsistencies apart
+without string matching.  Each class carries its CLI exit code as
+``exit_code``: 3 (bad input, such as OutOfRange) unless it says otherwise,
+2 for the guard's EnumerationTooLarge alone, 4 for internal failures.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 class MpsRestrictError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 3
 
 
 # ---------------------------------------------------------------- linear algebra
@@ -73,6 +75,8 @@ class NotLeftNormalized(MpsRestrictError):
 class NonConvergent(MpsRestrictError):
     """Fixed-point extraction failed to produce a valid stationary state."""
 
+    exit_code = 4
+
 
 # ---------------------------------------------------------------- restriction
 
@@ -87,6 +91,8 @@ class ZeroProbabilityString(MpsRestrictError):
 
 class EnumerationTooLarge(MpsRestrictError):
     """d^n exceeds the enumeration guard, or the guard is NaN."""
+
+    exit_code = 2
 
 
 class GeometryMismatch(MpsRestrictError):
@@ -114,6 +120,8 @@ class NonPositiveMarginal(MpsRestrictError):
 class SearchBudgetExceeded(MpsRestrictError):
     """Subspace search exceeded its node budget."""
 
+    exit_code = 4
+
 
 class FNotContractive(MpsRestrictError):
     """Operator F violates F^dag F <= identity."""
@@ -125,6 +133,8 @@ class EvenDimension(MpsRestrictError):
 
 class CompletionFailed(MpsRestrictError):
     """A constructed block column failed its isometry check."""
+
+    exit_code = 4
 
 
 # ---------------------------------------------------------------- trajectories
@@ -142,5 +152,6 @@ class NumericalInconsistency(MpsRestrictError):
 
     Raised e.g. when the singular-value and exterior-square routes to w(N)
     differ beyond 1e-9, or a constructed operator violates its own contract.
-    Mapped to CLI exit code 4.
     """
+
+    exit_code = 4

@@ -204,29 +204,25 @@ def _energies(h: LocalHamiltonian) -> np.ndarray:
 
 def partition_function(h: LocalHamiltonian) -> float:
     """Z(h^ell) = sum_x exp(-h^ell(x)); equals 1 exactly for constructed h."""
-    return _partition(-_energies(h).ravel())
-
-
-def _partition(logp: np.ndarray) -> float:
-    m = float(logp.max())
-    return float(np.exp(m) * np.sum(_exp_shifted(logp, m)))
-
-
-def _exp_shifted(logp: np.ndarray, shift: float) -> np.ndarray:
-    """exp(logp - shift), formed in the difference's own buffer."""
-    t = logp - shift
-    return np.exp(t, out=t)
+    return _gibbs(h)[0]
 
 
 def gibbs_distribution(h: LocalHamiltonian) -> ChainDistribution:
     """p^ell(x) = exp(-h^ell(x)) / Z, computed in the log domain."""
-    return _gibbs(h, -_energies(h).ravel())
+    return _gibbs(h)[1]
 
 
-def _gibbs(h: LocalHamiltonian, logp: np.ndarray) -> ChainDistribution:
+def _gibbs(h: LocalHamiltonian) -> tuple[float, ChainDistribution]:
+    """Z = e^m s and the Gibbs table exp(logp - (m + ln s)) from one pass over
+    the log-weights logp = -h^ell: m = max logp, s = sum exp(logp - m).  The
+    table is formed in the log-weights' own buffer."""
+    logp = -_energies(h).ravel()
     m = float(logp.max())
-    logz = m + float(np.log(np.sum(_exp_shifted(logp, m))))
-    return ChainDistribution._adopt(h.length, h.d, _exp_shifted(logp, logz))
+    t = logp - m
+    s = np.sum(np.exp(t, out=t))
+    del t
+    logp -= m + float(np.log(s))
+    return float(np.exp(m) * s), ChainDistribution._adopt(h.length, h.d, np.exp(logp, out=logp))
 
 
 def relative_entropy(p1: ChainDistribution, p2: ChainDistribution) -> float:
@@ -261,14 +257,14 @@ def _window_cmi(p: ChainDistribution, b_first: int, b_last: int, last: int) -> f
     return h_ab + h_bc - h_b - h_abc
 
 
-def _fit(p: ChainDistribution, ell: int) -> tuple[np.ndarray, float, list[float]]:
+def _fit(p: ChainDistribution, ell: int) -> tuple[float, float, list[float]]:
     """The range-ell fit of p, with h^ell and its energies built once: the
-    log-weights -h^ell(x) of every string (flat), S(p || p^ell) and the
-    sliding CMI terms I(1..k : k+ell+1 | k+1..k+ell), k = 1..length-ell-1."""
+    partition function Z of h^ell, S(p || p^ell) and the sliding CMI terms
+    I(1..k : k+ell+1 | k+1..k+ell), k = 1..length-ell-1."""
     h = local_hamiltonian(p, ell)
-    logp = -_energies(h).ravel()
     terms = [_window_cmi(p, k + 1, k + h.ell, k + h.ell + 1) for k in range(1, p.length - h.ell)]
-    return logp, relative_entropy(p, _gibbs(h, logp)), terms
+    z, q = _gibbs(h)
+    return z, relative_entropy(p, q), terms
 
 
 def cmi_decomposition_check(p: ChainDistribution, ell: int) -> tuple[float, float]:

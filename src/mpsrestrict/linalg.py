@@ -183,7 +183,7 @@ def shannon_entropy(p: np.ndarray | Sequence[float]) -> float:
     if least < -1e-10:
         raise InvalidDistribution(f"negative weight {least:.3e}")
     if abs(p.sum() - 1.0) > 1e-10:
-        raise InvalidDistribution(f"weights sum to {p.sum()!r}, not 1")
+        raise InvalidDistribution(f"weights sum to {float(p.sum())!r}, not 1")
     pos = p[p > 0.0] if least <= 0.0 else p
     terms = np.log(pos)  # then pos ln pos, in the log's own buffer
     terms *= pos

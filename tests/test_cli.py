@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracle
-from mpsrestrict import __version__
+from mpsrestrict import __version__, errors
 from mpsrestrict.cli import main
 from mpsrestrict.modelio import load_model
 from mpsrestrict.restriction import _CHUNK_STRINGS
@@ -22,6 +24,13 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "mpsrestrict" in capsys.readouterr().out
+
+
+def test_the_package_version_is_pyprojects():
+    """One version: pyproject's (read with a regex, as Python 3.10 has no
+    tomllib) is the one ``--version`` and every report show."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'(?m)^version\s*=\s*"([^"]+)"$', text) == [__version__]
 
 
 @pytest.mark.parametrize(
@@ -270,11 +279,84 @@ def test_exit_code_bad_model(tmp_path):
     [
         (["--builtin", "aklt", "--geometry", "2,x,2"], "--geometry entries must be integers, got '2,x,2'"),
         (["--builtin", "markov", "--p", "0.8,x;0.3,0.7"], "--p expects rows like '0.8,0.2;0.3,0.7'"),
+        # a given --p is parsed whatever its text, not read as the default matrix
+        (["--builtin", "markov", "--p", ""], "--p expects rows like '0.8,0.2;0.3,0.7', got ''\n"),
     ],
 )
 def test_a_malformed_flag_value_exits_3_with_its_message(flags, message, capsys):
     assert main(["analyze", *flags, "--nmax", "2"]) == 3
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--builtin", "damping", "--gamma", "0.5"], ["--builtin", "jordan", "--dim", "4"], ["--builtin", "clock", "--dim", "3"]],
+    ids=lambda flags: flags[1],
+)
+def test_an_omitted_builtin_flag_takes_the_constructors_default(flags, tmp_path):
+    given, omitted = tmp_path / "given.json", tmp_path / "omitted.json"
+    assert main(["analyze", *flags, "--nmax", "2", "--out", str(given)]) == 0
+    assert main(["analyze", *flags[:2], "--nmax", "2", "--out", str(omitted)]) == 0
+    assert given.read_bytes() == omitted.read_bytes()
+
+
+# flags each family does not take, and the message
+STRAY_FLAGS = {
+    "aklt-dim": (["--builtin", "aklt", "--dim", "5"], "--dim does not apply to builtin 'aklt'"),
+    "clock-gamma": (["--builtin", "clock", "--gamma", "0.2"], "--gamma does not apply to builtin 'clock'"),
+    "damping-p": (["--builtin", "damping", "--p", "0.5,0.5;0.5,0.5"], "--p does not apply to builtin 'damping'"),
+    "model-dim": (["--model", "m.json", "--dim", "3"], "--dim does not apply to --model"),
+}
+
+
+@pytest.mark.parametrize("verb", ["analyze", "sample"])
+@pytest.mark.parametrize("case", sorted(STRAY_FLAGS))
+def test_a_stray_builtin_flag_exits_3_naming_it_before_any_model_work(verb, case, tmp_path, monkeypatch, capsys):
+    """No family is built, no file loaded and nothing walked or sampled, and
+    an existing --out keeps its bytes."""
+    from mpsrestrict import cli
+    from mpsrestrict.models import BUILTINS
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("model work before the flags were checked")
+
+    _forbid_enumeration(monkeypatch)
+    monkeypatch.setattr(cli, "load_model", forbidden)
+    monkeypatch.setattr(cli, "sample_trajectories", forbidden)
+    for name, family in BUILTINS.items():  # each keeps its signature
+        monkeypatch.setitem(BUILTINS, name, functools.wraps(family)(lambda *a, **k: forbidden()))
+    flags, message = STRAY_FLAGS[case]
+    out = tmp_path / "out.txt"
+    out.write_text("as it was\n")
+    assert main([verb, *flags, "--nmax", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert out.read_text() == "as it was\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MpsRestrictError)],
+    ids=lambda c: c.__name__,
+)
+def test_every_error_class_carries_the_exit_code_main_returns(cls, monkeypatch, capsys):
+    """2 is the guard's alone, the internal failures give 4, and ``main``
+    returns the code of whatever a verb raises."""
+    from mpsrestrict import cli
+
+    assert cls.exit_code in (2, 3, 4)
+    assert (cls.exit_code == 2) == issubclass(cls, errors.EnumerationTooLarge)
+    internal = (errors.NumericalInconsistency, errors.NonConvergent, errors.SearchBudgetExceeded, errors.CompletionFailed)
+    if cls in internal:
+        assert cls.exit_code == 4
+
+    def raises(args):
+        # built without __init__, whose arguments differ between classes
+        raise cls.__new__(cls, "the verb failed")
+
+    monkeypatch.setattr(cli, "cmd_check", raises)
+    assert main(["check", "m.json"]) == cls.exit_code
+    assert capsys.readouterr().err == "error: the verb failed\n"
 
 
 def test_generate_check_analyze_pipeline(tmp_path, capsys):
@@ -669,10 +751,11 @@ def test_a_gibbs_chain_under_three_sites_names_its_geometry(geometry, sites, mon
 
 def test_the_gibbs_block_holds_few_tables():
     """The fit of the 10-site valence-bond table of --geometry 3,4,3 (which
-    has zero strings, so it is smoothed first) peaks within 5.5 of its
-    tables: the smoothed table, the log-weights, the Gibbs table and the log
-    ratio with one temporary.  Copies of each, and the expression
-    temporaries of the energies and entropies, took 7.1."""
+    has zero strings, so it is smoothed first) peaks within 4.5 of its
+    tables: the smoothed table, the Gibbs table formed in the log-weights'
+    buffer, and the log ratio with one temporary.  Copies of each, and the
+    expression temporaries of the energies and entropies, took 7.1; a Gibbs
+    table beside the log-weights took 5.0."""
     from mpsrestrict import cli
     from mpsrestrict.models import aklt
     from mpsrestrict.restriction import RestrictionContext, window_distribution
@@ -686,7 +769,7 @@ def test_the_gibbs_block_holds_few_tables():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * table.table.nbytes
+    assert peak <= 4.5 * table.table.nbytes
     assert block["sites"] == 10 and block["smoothing_eps"] == 1e-8
 
 

@@ -182,6 +182,17 @@ def test_relative_entropy_known_value():
     assert relative_entropy(p1, p1) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_relative_entropy_of_a_p1_with_zeros_sums_over_its_support():
+    """0 ln 0 = 0: the strings where p1 vanishes drop out, bit for bit."""
+    t = _random_dist(4, 2, seed=5).table.copy()
+    t[[0, 3, 9]] = 0.0
+    p1 = ChainDistribution(length=4, d=2, table=t / t.sum())
+    p2 = _random_dist(4, 2, seed=6, floor=1e-3)
+    keep = p1.table > 0.0
+    a, b = p1.table[keep], p2.table[keep]
+    assert relative_entropy(p1, p2) == float(np.sum(a * (np.log(a) - np.log(b))))
+
+
 def test_relative_entropy_requires_positive_reference():
     p1 = ChainDistribution(length=1, d=2, table=np.array([0.5, 0.5]))
     p2 = ChainDistribution(length=1, d=2, table=np.array([1.0, 0.0]))

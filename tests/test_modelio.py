@@ -159,6 +159,28 @@ def test_load_rejects_what_the_shared_contract_rejects(tmp_path, mutate, fragmen
     assert main(["analyze", "--model", str(path), "--nmax", "2"]) == 3
 
 
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda d: [d], "model file must contain a JSON object"),
+        (lambda d: {**d, "boundaries": {"L": d["boundaries"]["L"]}}, "'boundaries' must carry vectors 'L' and 'R'"),
+        (lambda d: {**d, "geometry": [1, 2, 1]}, "'geometry' must be an object"),
+    ],
+    ids=["list", "no-R", "list-geometry"],
+)
+def test_check_names_a_malformed_block(tmp_path, mutate, message, capsys):
+    """A document that is no object, boundaries without R and a geometry
+    that is no object each exit 3 with their message."""
+    from mpsrestrict.cli import main
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(mutate(_full_model(path))))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_model(path)
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_resaving_the_golden_model_rewrites_it_byte_for_byte(tmp_path):
     golden = Path(__file__).parent / "golden" / "haar_d3_d3_finite_model.json"
     mf = load_model(golden)
