@@ -4,7 +4,8 @@ Every contract failure raises a named subclass of :class:`MpsRestrictError`,
 so callers can tell bad input, the guard and internal inconsistencies apart
 without string matching.  Each class carries its CLI exit code as
 ``exit_code``: 3 (bad input, such as OutOfRange) unless it says otherwise,
-2 for the guard's EnumerationTooLarge alone, 4 for internal failures.
+2 for the guard's EnumerationTooLarge alone, and 4 for the three internal
+failures, NumericalInconsistency, NonConvergent and CompletionFailed.
 """
 
 from __future__ import annotations
@@ -115,12 +116,6 @@ class NonPositiveMarginal(MpsRestrictError):
 
 
 # ---------------------------------------------------------------- purity
-
-
-class SearchBudgetExceeded(MpsRestrictError):
-    """Subspace search exceeded its node budget."""
-
-    exit_code = 4
 
 
 class FNotContractive(MpsRestrictError):

@@ -34,7 +34,6 @@ from .errors import (
     DimensionTooSmall,
     EvenDimension,
     NumericalInconsistency,
-    SearchBudgetExceeded,
 )
 from .linalg import _check_length, _check_tol, _psd_rank
 from .linalg import clock_shift_basis, exterior_square
@@ -68,7 +67,6 @@ __all__ = [
 
 _STATUSES = ("SatisfiedCertified", "SatisfiedUpToN", "ViolatedUpToN", "Undetermined")
 _INVARIANT_TOL = 1e-12  # largest ||(1 - P) A_x P|| of an invariant range(P)
-_SEARCH_BUDGET = 200_000  # most staircase nodes one length's search may visit
 _W_MARGIN = 1e-9  # how far below 1 a w(m) must fall to rule out a dark subspace
 
 
@@ -76,21 +74,16 @@ _W_MARGIN = 1e-9  # how far below 1 a w(m) must fall to rule out a dark subspace
 class CorrectableReport:
     """Largest scalar-compression subspace found per product length.
 
-    ``max_ranks[k]`` is the found maximal rank at length n = k+1 (a certified
-    lower bound on the true maximum; the eigenspace-refinement search is exact
-    on eigenspace-aligned families).  Ranks are non-increasing in n, and
-    every length after the first rank-1 one repeats its projector.
+    ``max_ranks[k]`` is the rank the search found at length n = k+1: a lower
+    bound on the true maximum (exact at D <= 2 and on eigenspace-aligned
+    families), which a longer length's search can exceed.  Every length
+    after the first rank-1 one repeats its projector.
     """
 
     n_max: int
     max_ranks: tuple[int, ...]
     projectors: tuple[np.ndarray, ...]
     residuals: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        r = self.max_ranks
-        if any(r[i + 1] > r[i] for i in range(len(r) - 1)):
-            raise NumericalInconsistency(f"correctable ranks increased: {r}")
 
 
 @dataclass(frozen=True)
@@ -234,18 +227,17 @@ def _max_scalar_subspace(
     compression and eigh per stack, and branches on the first failing
     product in lexicographic order, so at most one stack is held.  The
     engine leaves out exact-zero products, which pass the test with residual
-    0, so the first failing product is the same.  Returns (rank, projector,
-    residual).
+    0, so the first failing product is the same.  A node passes, has rank 1,
+    or splits into eigen-clusters that partition it, so the visited
+    subspaces are nested or orthogonal: at most 2D - 1 of them, and at most
+    D - 1 of rank >= 2, the only ones that walk the products.  Returns
+    (rank, projector, residual).
     """
     eye = np.eye(K.D, dtype=complex)
-    best_rank, best_resid, nodes = 0, 0.0, 0
-    best_basis: np.ndarray | None = None
+    best_rank, best_basis, best_resid = 0, eye, 0.0
 
     def dfs(B: np.ndarray) -> None:
-        nonlocal best_rank, best_basis, best_resid, nodes
-        nodes += 1
-        if nodes > _SEARCH_BUDGET:
-            raise SearchBudgetExceeded(f"subspace search exceeded {_SEARCH_BUDGET} nodes")
+        nonlocal best_rank, best_basis, best_resid
         r = B.shape[1]
         if r == 1:  # every compression is 1x1, so scalar with residual exactly 0
             best_rank, best_basis, best_resid = 1, B, 0.0
@@ -268,8 +260,6 @@ def _max_scalar_subspace(
         best_rank, best_basis, best_resid = r, B, worst
 
     dfs(eye)
-    if best_basis is None:  # cannot happen: rank-1 subspaces are always scalar
-        raise NumericalInconsistency("subspace search found nothing")
     P = best_basis @ best_basis.conj().T
     return best_rank, (P + P.conj().T) / 2.0, best_resid
 
@@ -281,25 +271,23 @@ def correctable_subspace(
     ``_max_scalar_subspace`` search per length, up to the first length whose
     search finds rank 1.
 
-    The ranks cannot increase with n: sum_x A_x^dag A_x = 1 makes W^dag W of
-    a length-n string the sum of the Gram matrices of its d extensions, so a
-    subspace scalar for every length-(n+1) product is scalar at length n.  A
-    rank is never below 1, so every length after the first rank-1 one gets
-    rank 1, that length's projector and residual 0.0 (a 1x1 compression is
-    exactly scalar) without a search.  Any rank-1 projector is correct
-    there; an exhaustive search could report another.
+    Each rank is a lower bound on that length's true maximum, and a longer
+    length's search can find more than a shorter one's (at D >= 3 and a
+    loose tol it does).  Every 1x1 compression is exactly scalar, so rank 1
+    is a lower bound at every length: each length after the first rank-1
+    one gets rank 1, that length's projector and residual 0.0 without a
+    search.  Any rank-1 projector is correct there; an exhaustive search
+    could report another.
 
-    A length whose search visits more than _SEARCH_BUDGET = 200,000 nodes
-    raises SearchBudgetExceeded.  Raises OutOfRange unless n_max is an
-    integer >= 1 and tol a finite number >= 0, and EnumerationTooLarge when
-    d^n_max exceeds the guard.
+    Raises OutOfRange unless n_max is an integer >= 1 and tol a finite
+    number >= 0, and EnumerationTooLarge when d^n_max exceeds the guard.
     """
     n_max = _check_length(n_max, "n_max")
     _check_guard(K.d, n_max, guard)
     _check_tol(tol)
     steps = []
     for n in range(1, n_max + 1):
-        if not steps or steps[-1][0] > 1:  # rank 1 decides every later length
+        if not steps or steps[-1][0] > 1:  # rank 1 is a lower bound at every length
             step = _max_scalar_subspace(K, n, tol, guard)
         steps.append(step)
     return CorrectableReport(

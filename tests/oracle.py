@@ -20,7 +20,7 @@ import itertools
 import numpy as np
 
 from mpsrestrict import trajectories
-from mpsrestrict.errors import NumericalInconsistency, SearchBudgetExceeded, ZeroProbabilityPath
+from mpsrestrict.errors import ZeroProbabilityPath
 from mpsrestrict.linalg import exterior_square
 from mpsrestrict.purity import _eig_clusters
 from mpsrestrict.restriction import RestrictionContext, RestrictionSummary, _capped_norm2
@@ -194,7 +194,7 @@ def dfs_scan(ctx: RestrictionContext, n: int) -> RestrictionSummary:
     )
 
 
-def max_scalar_subspace(products, D: int, tol: float, budget: int):
+def max_scalar_subspace(products, D: int, tol: float):
     """Depth-first eigenspace refinement for the largest scalar subspace.
 
     Starts from the full space; whenever a compression B^dag M B fails the
@@ -204,15 +204,11 @@ def max_scalar_subspace(products, D: int, tol: float, budget: int):
     """
     scales = [max(float(np.linalg.norm(M, 2)), 1e-300) for M in products]
     best_rank = 0
-    best_basis = None
+    best_basis = np.eye(D, dtype=complex)
     best_resid = 0.0
-    nodes = 0
 
     def dfs(B: np.ndarray) -> None:
-        nonlocal best_rank, best_basis, best_resid, nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(f"subspace search exceeded {budget} nodes")
+        nonlocal best_rank, best_basis, best_resid
         r = B.shape[1]
         if r <= best_rank:
             return
@@ -233,15 +229,13 @@ def max_scalar_subspace(products, D: int, tol: float, budget: int):
         best_resid = worst
 
     dfs(np.eye(D, dtype=complex))
-    if best_basis is None:  # cannot happen: rank-1 subspaces are always scalar
-        raise NumericalInconsistency("subspace search found nothing")
     P = best_basis @ best_basis.conj().T
     return best_rank, (P + P.conj().T) / 2.0, best_resid
 
 
-def correctable(K, n_max: int, tol: float = 1e-8, budget: int = 200_000):
+def correctable(K, n_max: int, tol: float = 1e-8):
     """(ranks, projectors, residuals) of the staircase for n = 1..n_max."""
-    steps = [max_scalar_subspace(product_set(K, n), K.D, tol, budget) for n in range(1, n_max + 1)]
+    steps = [max_scalar_subspace(product_set(K, n), K.D, tol) for n in range(1, n_max + 1)]
     return tuple(zip(*steps))
 
 

@@ -46,6 +46,8 @@ def test_kraus_family_shape_checks():
         KrausFamily(ops=np.zeros((2, 2, 3)))
     with pytest.raises(ShapeMismatch):
         KrausFamily(ops=np.full((1, 2, 2), np.nan))
+    with pytest.raises(ShapeMismatch, match="d >= 1"):
+        KrausFamily(ops=np.zeros((0, 2, 2)))
 
 
 def test_boundary_pair_requires_unit_norm():

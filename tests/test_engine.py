@@ -2,6 +2,7 @@
 recursive walk it replaced."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -607,6 +608,36 @@ def test_correctable_subspace_matches_the_list_search(name):
     assert all(P is rep.projectors[stop - 1] for P in rep.projectors[stop:])
 
 
+@pytest.mark.parametrize("tol", [1e-8, 1e-3, 0.5])
+def test_a_staircase_search_walks_the_products_at_most_d_minus_one_times(tol, monkeypatch):
+    """A node passes, has rank 1 or splits into eigen-clusters that partition
+    it, so one length's search visits nested or orthogonal subspaces: at most
+    2D - 1 nodes, and at most D - 1 of rank >= 2, the only ones that walk.
+    This bounds every search, so it needs no node budget."""
+    walks = []
+    real_products, real_search = purity._products, purity._max_scalar_subspace
+
+    def products(*args):
+        walks[-1][1] += 1
+        return real_products(*args)
+
+    def search(K, n, *args):
+        walks.append([K.D, 0])
+        return real_search(K, n, *args)
+
+    monkeypatch.setattr(purity, "_products", products)
+    monkeypatch.setattr(purity, "_max_scalar_subspace", search)
+    families = [(make(), n_max) for make, n_max in STAIRCASE_FAMILIES.values()]
+    families += [
+        (dark_block_family(r, s, d, seed), 5)
+        for r, s, d, seed in itertools.product((2, 3), (0, 1, 2), (1, 2, 3), (0, 53, 126, 391))
+    ]
+    for K, n_max in families:
+        correctable_subspace(K, n_max, tol=tol)
+    assert all(count <= D - 1 for D, count in walks), walks
+    assert any(count == D - 1 for D, count in walks if D >= 3)  # the bound is reached
+
+
 def _real_family(D: int, d: int, seed: int) -> KrausFamily:
     """A real isometry from the QR of a Gaussian (d D) x D matrix."""
     Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((d * D, D)))[0]
@@ -614,8 +645,8 @@ def _real_family(D: int, d: int, seed: int) -> KrausFamily:
 
 
 def _check_ranks_never_rise(K: KrausFamily, n_max: int, tol: float) -> None:
-    """The lemma the staircase's stop rests on: the oracle, which searches
-    every length, finds non-increasing ranks, and the staircase gives them."""
+    """The oracle, which searches every length, finds non-increasing ranks,
+    and the staircase, which stops at its first rank-1 length, gives them."""
     ranks = oracle.correctable(K, n_max, tol)[0]
     assert all(a >= b for a, b in zip(ranks, ranks[1:])), ranks
     assert correctable_subspace(K, n_max, tol=tol).max_ranks == ranks

@@ -141,6 +141,29 @@ def test_every_private_name_is_read_in_the_package():
     assert not unread, f"private names never read in src: {unread}"
 
 
+def _error_classes(tree: ast.Module) -> list[str]:
+    """The classes errors.py derives from MpsRestrictError, directly or
+    through another of its classes."""
+    classes = ["MpsRestrictError"]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id in classes for b in node.bases):
+            classes.append(node.name)
+    return classes[1:]
+
+
+def test_every_error_class_is_named_by_code_outside_errors():
+    """An error class that no code of the package raises, passes or catches,
+    such as the error of a check that was deleted, is deleted with it.  Only
+    code counts: an import, a docstring or a comment naming the class does
+    not."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    read = {name for module, tree in trees.items() if module != "errors.py" for name in _reads(tree)}
+    classes = _error_classes(trees["errors.py"])
+    assert len(classes) >= 20
+    dead = [name for name in classes if name not in read]
+    assert not dead, f"error classes no code outside errors.py names: {dead}"
+
+
 # The modules whose ``__all__`` the package re-exports, and the public names,
 # pinned so that a name joining or leaving the package is a visible change.
 REEXPORTED = ("chain", "gibbs", "linalg", "models", "modelio", "purity", "restriction", "trajectories")

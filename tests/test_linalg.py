@@ -77,6 +77,11 @@ def test_spectrum_requires_descending_order():
         Spectrum(values=np.array([0.1, 0.9]))
 
 
+def test_spectrum_values_must_be_a_flat_vector():
+    with pytest.raises(ShapeMismatch, match="flat vector"):
+        Spectrum(values=np.zeros((2, 2)))
+
+
 def test_von_neumann_entropy_values():
     assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(np.log(2), abs=1e-12)
     assert von_neumann_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
@@ -227,6 +232,14 @@ def test_gram_matrix_and_rank():
     assert gram_rank([P0, P1, np.array([[0, 1], [0, 0]], dtype=complex)]) == 3
     with pytest.raises(ShapeMismatch):
         gram_matrix([P0, np.eye(3)])
+    for gram in (gram_matrix, gram_rank):
+        with pytest.raises(ShapeMismatch, match="at least one operator"):
+            gram([])
+
+
+def test_clock_shift_basis_needs_two_dimensions():
+    with pytest.raises(DimensionTooSmall):
+        clock_shift_basis(1)
 
 
 def test_gram_rank_of_zero_operators_is_zero():

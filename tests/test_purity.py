@@ -17,7 +17,6 @@ from mpsrestrict.errors import (
     NotDensityOperator,
     NumericalInconsistency,
     OutOfRange,
-    SearchBudgetExceeded,
 )
 from mpsrestrict import purity, restriction
 from mpsrestrict.linalg import clock_shift_basis, exterior_square, gram_rank
@@ -171,11 +170,22 @@ def test_correctable_staircase_jordan():
     assert max(rep.residuals) <= 1e-8
 
 
-def test_correctable_staircase_search_budget(monkeypatch):
-    # jordan products have degenerate spectra, so the refinement must branch
-    monkeypatch.setattr(purity, "_SEARCH_BUDGET", 1)
-    with pytest.raises(SearchBudgetExceeded):
-        correctable_subspace(jordan(4), 2)
+def test_correctable_staircase_reports_rising_ranks_as_found():
+    """At D >= 3 and a loose tol the search is a lower bound, and a longer
+    length's search can find more than a shorter one's."""
+    rep = correctable_subspace(dark_block_family(3, 1, 2, 53), 5, tol=1e-3)
+    assert rep.max_ranks == (2, 2, 2, 3, 3)
+    for P, r in zip(rep.projectors, rep.max_ranks):
+        assert np.trace(P).real == pytest.approx(r, abs=1e-8)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 0.5])
+@pytest.mark.parametrize("d, seed", [(2, 53), (2, 126), (2, 391), (3, 53), (3, 126), (3, 391)])
+def test_a_rising_staircase_still_gives_a_verdict(d, seed, tol):
+    v = purity_verdict(dark_block_family(3, 1, d, seed), 5, tol=tol)
+    ranks = v.correctable_ranks
+    assert any(b > a for a, b in zip(ranks, ranks[1:])), ranks
+    assert v.status == "Undetermined"
 
 
 def test_correctable_staircase_accepts_a_rank_one_node_without_a_walk(monkeypatch):
@@ -191,9 +201,10 @@ def test_correctable_staircase_accepts_a_rank_one_node_without_a_walk(monkeypatc
 
 
 def test_the_staircase_stops_searching_at_its_first_rank_one_length(monkeypatch):
-    """Ranks never rise with n and never fall below 1, so the first rank-1
-    length decides every later one: AKLT reaches rank 1 at n = 1, jordan(4)
-    at n = 4, and clock(3), whose ranks stay at 3, searches every length."""
+    """A 1x1 compression is exactly scalar, so rank 1 is a lower bound at
+    every length and the first rank-1 length decides every later one: AKLT
+    reaches rank 1 at n = 1, jordan(4) at n = 4, and clock(3), whose ranks
+    stay at 3, searches every length."""
     calls = []
     real = purity._max_scalar_subspace
     monkeypatch.setattr(purity, "_max_scalar_subspace", lambda K, n, *a: calls.append(n) or real(K, n, *a))
@@ -435,6 +446,8 @@ def test_constructive_family_rejects_bad_dimensions():
         constructive_purity_family(4)
     with pytest.raises(DimensionTooSmall):
         constructive_purity_family(3, d=4)
+    with pytest.raises(DimensionTooSmall):
+        constructive_purity_family(1)
 
 
 def test_submultiplicativity_enforced():
@@ -566,15 +579,22 @@ def test_eig_clusters_split_at_the_largest_gap_when_no_gap_clears_the_tolerance(
     assert purity._eig_clusters(np.array([1.0, 1.0, 1.0 + 5e-9]), 1e-8) == [slice(0, 2), slice(2, 3)]
 
 
-def test_correctable_report_rejects_increasing_ranks():
-    from mpsrestrict.purity import CorrectableReport
-
-    with pytest.raises(NumericalInconsistency):
-        CorrectableReport(
-            n_max=2,
-            max_ranks=(1, 2),
-            projectors=(np.eye(2), np.eye(2)),
-            residuals=(0.0, 0.0),
+@pytest.mark.parametrize(
+    "status, passed_at, message",
+    [("Bogus", 1, "unknown status 'Bogus'"), ("SatisfiedCertified", None, "requires a span pass")],
+)
+def test_purity_verdict_rejects_an_unknown_status_and_a_certificate_without_a_span_pass(
+    status, passed_at, message
+):
+    with pytest.raises(ValueError, match=message):
+        purity.PurityVerdict(
+            status=status,
+            evidence="",
+            n_max=1,
+            span_passed_at=passed_at,
+            span_ranks=(1,),
+            correctable_ranks=None,
+            w_fitted_rate=None,
         )
 
 

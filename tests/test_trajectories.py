@@ -260,6 +260,14 @@ def test_sample_trajectories_raises_where_the_scalar_loop_does(monkeypatch):
     assert outcomes.tolist() == [[3, 3]]
 
 
+def test_sample_trajectories_rejects_a_first_step_with_no_weight():
+    """The zero family passes its normalization check only at atol >= 1, and
+    none of its first steps has weight."""
+    K = KrausFamily(ops=np.zeros((2, 2, 2)), atol=2.0)
+    with pytest.raises(ZeroProbabilityPath, match=r"all continuations of \(\) have zero weight"):
+        sample_trajectories(K, 3, 0, [0, 1])
+
+
 def test_sample_trajectories_of_no_stream_are_empty():
     outcomes, m_ops, probs = sample_trajectories(aklt(), 3, 0, [])
     assert outcomes.shape == probs.shape == (0, 3) and m_ops.shape == (0, 3, 2, 2)
