@@ -21,7 +21,9 @@ it does not take, or any with ``--model``, exits 3 before any model work.
 ``analyze`` chooses its context once: the stationary context, or the bare
 boundary context (sigma = |L><L|, F^dag F = |R><R|) when the model file
 carries boundaries.  One ``window_distributions`` walk gives the Gibbs
-chain's table and every per-n row's window table, and one call of the
+chain's table and every window table the per-n rows read (in stationary
+mode one per length, whose entropies give the classical CMI; in finite mode
+each row's chain table, whose marginals give it), and one call of the
 private ``_cmi_rows`` (``restriction.cmi_report`` is its one-row call) scans
 every block, so the CLI and the library compute the same numbers.
 
@@ -79,6 +81,7 @@ from .restriction import (
     DEFAULT_GUARD,
     RestrictionContext,
     _check_guard,
+    _cmi_lengths,
     _cmi_rows,
     window_distributions,
 )
@@ -277,10 +280,12 @@ def _analyze_text(args: argparse.Namespace) -> str:
     tol = float(args.tol)
     _check_tol(tol)
 
-    # One walk gives the Gibbs chain's table and every row's.  The Gibbs
-    # table is taken first, so no raw table outlives its row.
+    # One walk gives the Gibbs chain's table and every table the rows read
+    # (in stationary mode every window length 1..a+nmax+c, whose entropies
+    # give the classical CMI).  The Gibbs table is taken first, so no raw
+    # table outlives its row.
     blocks = [ChainGeometry(len_a, n, len_c) for n in range(1, nmax + 1)]
-    tables = window_distributions(ctx, [gibbs_sites] + [g.total for g in blocks], guard=guard)
+    tables = window_distributions(ctx, [gibbs_sites] + _cmi_lengths(ctx, blocks), guard=guard)
     gibbs = _gibbs_block(next(tables), ell)
     reports = _cmi_rows(ctx, blocks, tables, guard)
     w = w_series(K, nmax, guard=guard)

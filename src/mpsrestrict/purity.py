@@ -23,6 +23,7 @@ five-block family whose length-(2D-1) products certifiably span.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -86,14 +87,28 @@ class CorrectableReport:
     residuals: tuple[float, ...]
 
 
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """The least-squares slope of ys against xs in closed form,
+    sum (x - mx)(y - my) / sum (x - mx)^2, with the means and both sums
+    taken by ``math.fsum``; NaN when the xs are all equal, as for one point.
+    It calls no BLAS or LAPACK kernel, so its bits are the same on every
+    CPU core."""
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    if sxx == 0.0:
+        return float("nan")
+    return math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+
+
 @dataclass(frozen=True)
 class DecaySeries:
     """(n, value) pairs with fitted and Fekete rate estimates.
 
     ``fitted_rate`` is the least-squares slope of ln v against n over the
-    strictly positive entries; ``fekete_rate`` is min_n ln v(n) / n, an upper
-    bound on the asymptotic rate for submultiplicative series.  A series with
-    no positive entry carries rate -inf and the ``all_zero`` flag.
+    strictly positive entries (``_slope``: NaN for one entry);
+    ``fekete_rate`` is min_n ln v(n) / n, an upper bound on the asymptotic
+    rate for submultiplicative series.  A series with no positive entry
+    carries rate -inf and the ``all_zero`` flag.
     """
 
     values: tuple[tuple[int, float], ...]
@@ -110,7 +125,7 @@ class DecaySeries:
             ns = np.array([n for n, _ in pos], dtype=float)
             logs = np.log([v for _, v in pos])
             fekete = float(np.min(logs / ns))
-            fitted = float(np.polyfit(ns, logs, 1)[0]) if len(pos) > 1 else float("nan")
+            fitted = _slope(ns.tolist(), logs.tolist())
         all_zero = all(v <= 0.0 for _, v in vals)
         return cls(values=vals, fitted_rate=fitted, fekete_rate=fekete, all_zero=all_zero)
 

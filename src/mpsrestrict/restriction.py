@@ -46,11 +46,13 @@ has the bits of its own product alone.  ``_nu12`` is the one nu1 nu2 of a
 string product, given the eigenvalues of its Gram matrices, besides the
 SVD whose values ``w_series`` reports: the scans' f (so ``f_series``) and
 the check route of ``w_series`` (so ``purification_statistic``) take it.
-``_cmi_rows`` sets the classical CMI of each window table against the
-quantum CMI of its block, with the window sites folded into the
-environments once and every block scanned from one walk (``_scans``);
-``cmi_report`` is its one-row call, and ``analyze`` takes all its rows from
-one call.
+``_cmi_rows`` sets the classical CMI of each block against the quantum
+CMI of its block, with the window sites folded into the environments once
+and every block scanned from one walk (``_scans``).  In the stationary
+context it takes the classical CMI from the entropies of the window tables
+of each length, which ``_cmi_lengths`` names; elsewhere from the marginals
+of each row's table.  ``cmi_report`` is its one-row call, and ``analyze``
+takes all its rows from one call.
 
 A family records the raw sums of w and of each context's scans per length
 (``KrausFamily._sums``), and ``_recorded`` is that record's one reader and
@@ -86,7 +88,15 @@ from .errors import (
     ZeroProbabilityString,
 )
 from .gibbs import ChainDistribution, _window_cmi
-from .linalg import Spectrum, _check_density, _check_length, _check_square, _integral, exterior_square
+from .linalg import (
+    Spectrum,
+    _check_density,
+    _check_length,
+    _check_square,
+    _integral,
+    exterior_square,
+    shannon_entropy,
+)
 
 __all__ = [
     "RestrictionContext",
@@ -166,6 +176,17 @@ class RestrictionContext:
         """F as the walks apply it, or None when F is exactly the identity,
         as in the stationary context: multiplying by it would change no bit."""
         return None if np.array_equal(self.f_op, np.eye(self.kraus.D)) else self.f_op
+
+    @cached_property
+    def _stationary(self) -> bool:
+        """Whether this is exactly the stationary context: F exactly the
+        identity and sigma exactly the family's fixed point rho.  Then every
+        transfer step leaves the environments as they are, so the window
+        sites fold into nothing (``_absorb_windows``) and the marginal of a
+        window table on a sub-window is that sub-window's own table
+        (``_cmi_rows``).  F is read first, so a finite context with F != 1
+        never computes the fixed point."""
+        return self._cap is None and np.array_equal(self.sigma, self.kraus._fixed_point.rho)
 
     @cached_property
     def sqrt_sigma(self) -> np.ndarray:
@@ -781,7 +802,11 @@ def chain_distribution(
 
 
 def classical_cmi(p: ChainDistribution, geometry: ChainGeometry) -> float:
-    """I(A:C|B) = H(AB) + H(BC) - H(B) - H(ABC) from marginal entropies."""
+    """I(A:C|B) = H(AB) + H(BC) - H(B) - H(ABC) from the entropies of the
+    marginals of p, for any table: a stationary window table, a finite
+    chain's table or a smoothed one.  ``_cmi_rows`` takes the stationary
+    rows' entropies from the window tables of each length instead, which
+    are those marginals."""
     if geometry.total != p.length:
         raise GeometryMismatch(
             f"geometry covers {geometry.total} sites but distribution has {p.length}"
@@ -801,37 +826,60 @@ def _absorb_windows(
     and F'^dag F' = E*^{window_c}(F^dag F) on the right.  The chain is the
     same, so each K^2(n) of the folded context is that of the n + window_a +
     window_c sites of the given one.  Both maps leave the stationary context
-    invariant, so it is returned as it is rather than folded into itself,
-    which would only add rounding.
+    (``RestrictionContext._stationary``) invariant, so it is returned as it
+    is rather than folded into itself, which would only add rounding.
     """
-    if window_a == 0 and window_c == 0:
-        return ctx
-    if ctx._cap is None and np.array_equal(ctx.sigma, ctx.kraus._fixed_point.rho):
+    if (window_a == 0 and window_c == 0) or ctx._stationary:
         return ctx
     sigma = _iterate(ctx.kraus, ctx.sigma, window_a, adjoint=False)
     f2 = _iterate(ctx.kraus, ctx._f2, window_c, adjoint=True)
     return RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2))
 
 
+def _cmi_lengths(ctx: RestrictionContext, geoms: Sequence[ChainGeometry]) -> list[int]:
+    """The window lengths whose tables ``_cmi_rows`` takes for ``geoms``, in
+    the order it takes them: in the stationary context each distinct length
+    of a row's four windows b, a+b, b+c and a+b+c, ascending; in any other
+    context each row's a+b+c."""
+    if ctx._stationary:
+        return sorted({m for g in geoms for m in (g.len_b, g.len_a + g.len_b, g.len_b + g.len_c, g.total)})
+    return [g.total for g in geoms]
+
+
 def _cmi_rows(
     ctx: RestrictionContext, geoms: Sequence[ChainGeometry], dists: Iterable[ChainDistribution], guard: int
 ) -> list[CmiReport]:
-    """The CmiReport of each block of ``geoms`` given its window table, each
-    built as its table is taken.  The geometries share their window sites,
-    which are folded into the environments once; one walk scans every block."""
+    """The CmiReport of each block of ``geoms``, given the window tables of
+    ``_cmi_lengths(ctx, geoms)`` in its order.  The geometries share their
+    window sites, which are folded into the environments once; one walk
+    scans every block.
+
+    In the stationary context (``RestrictionContext._stationary``) the
+    marginal of a window table on a sub-window is that sub-window's own
+    table, so each length's entropy is taken once, from its table, and each
+    row's classical CMI is H(a+b) + H(b+c) - H(b) - H(a+b+c): no marginal is
+    summed, and each table is dropped once its entropy is taken.  Any other
+    context, a finite chain's or one whose sigma or F differs from the
+    stationary ones by a bit, takes ``classical_cmi`` of each row's table,
+    each row built as its table is taken."""
     inner = _absorb_windows(ctx, geoms[0].len_a, geoms[0].len_c)
     scans = _scans(inner, [g.len_b for g in geoms], guard)
+    if ctx._stationary:
+        h = {p.length: shannon_entropy(p.table) for p in dists}
+        classical = (h[g.len_a + g.len_b] + h[g.len_b + g.len_c] - h[g.len_b] - h[g.total] for g in geoms)
+    else:
+        classical = (classical_cmi(dist, geom) for dist, geom in zip(dists, geoms))
     return [
         CmiReport(
             n=geom.len_b,
-            classical_cmi=max(0.0, classical_cmi(dist, geom)),
+            classical_cmi=max(0.0, cmi),
             quantum_cmi=2.0 * scan.avg_entropy,
             avg_entropy=scan.avg_entropy,
             avg_purity_q=scan.avg_purity_q,
             p_sum=scan.p_sum,
             f=scan.f_value,
         )
-        for geom, dist, scan in zip(geoms, dists, [scans[g.len_b] for g in geoms])
+        for geom, cmi, scan in zip(geoms, classical, [scans[g.len_b] for g in geoms])
     ]
 
 
@@ -844,7 +892,11 @@ def cmi_report(
 ) -> CmiReport:
     """Assemble the per-block CMI report, with the block's p_sum and f.
 
-    The one-row call of ``_cmi_rows``.  The quantum side conditions on
+    The one-row call of ``_cmi_rows``, on the window tables it reads from
+    one walk: in the stationary context those of the n, window_a + n,
+    n + window_c and window_a + n + window_c sites, whose entropies give the
+    classical CMI; in any other context the window_a + n + window_c table,
+    whose marginals give it.  The quantum side conditions on
     everything outside the block, i.e. the window sites folded into the
     environments; the classical side probes only the ``window_a`` and
     ``window_c`` visible sites (discarding the environments), which can only
@@ -854,4 +906,5 @@ def cmi_report(
     whole chain.
     """
     geom = ChainGeometry(len_a=window_a, len_b=n, len_c=window_c)
-    return _cmi_rows(ctx, [geom], window_distributions(ctx, [geom.total], guard=guard), guard)[0]
+    dists = window_distributions(ctx, _cmi_lengths(ctx, [geom]), guard=guard)
+    return _cmi_rows(ctx, [geom], dists, guard)[0]

@@ -102,6 +102,49 @@ def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypat
     assert walks == [("window_distributions", sites), ("_scans", nmax), *w_walks]
 
 
+def test_stationary_analyze_takes_each_level_entropy_once(monkeypatch, capsys):
+    """Stationary rows read the window tables of every length 1..a+nmax+c
+    from the one walk that gives the Gibbs table, and take each length's
+    entropy once: no marginal is summed outside the Gibbs block."""
+    from mpsrestrict import cli, gibbs, restriction
+
+    requested, walks, entropies, stray = [], [], [], []
+    in_gibbs = [False]
+    tables, products, entropy = cli.window_distributions, restriction._products, restriction.shannon_entropy
+    block, marginal = cli._gibbs_block, gibbs.marginal
+
+    def spy_tables(ctx, lengths, guard):
+        requested.append(list(lengths))
+        return tables(ctx, lengths, guard=guard)
+
+    def spy_products(K, root, n, guard):
+        walks.append(sys._getframe(1).f_code.co_name)
+        return products(K, root, n, guard)
+
+    def spy_block(dist, ell):
+        in_gibbs[0] = True
+        try:
+            return block(dist, ell)
+        finally:
+            in_gibbs[0] = False
+
+    def spy_marginal(p, j, k):
+        if not in_gibbs[0]:
+            stray.append((p.length, j, k))
+        return marginal(p, j, k)
+
+    monkeypatch.setattr(cli, "window_distributions", spy_tables)
+    monkeypatch.setattr(restriction, "_products", spy_products)
+    monkeypatch.setattr(restriction, "shannon_entropy", lambda p: entropies.append(len(p)) or entropy(p))
+    monkeypatch.setattr(cli, "_gibbs_block", spy_block)
+    monkeypatch.setattr(gibbs, "marginal", spy_marginal)
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "8"]) == 0
+    assert requested == [[6] + list(range(1, 13))]
+    assert walks.count("window_distributions") == 1
+    assert entropies == [3**m for m in range(1, 13)]
+    assert stray == []
+
+
 def test_analyze_folds_the_window_sites_once(monkeypatch, capsys):
     """A finite chain's rows share their window sites, so analyze folds them
     into the environments once for all its blocks."""

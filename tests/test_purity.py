@@ -146,6 +146,28 @@ def test_estimate_rate_paths():
     assert fitted == float("-inf") and fekete == float("-inf")
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=40), st.floats(min_value=1e-300, max_value=1e300)),
+        min_size=2,
+        max_size=12,
+        unique_by=lambda pair: pair[0],
+    )
+)
+def test_the_fitted_rate_is_polyfits_slope(pairs):
+    """The closed-form slope over fsum sums is numpy's least-squares fit of
+    ln v against n on 2..12 distinct lengths, to 1e-12 relative; a slope
+    near 0 is compared on the scale max |ln v| / (max n - min n), to which
+    either fit rounds."""
+    fitted = DecaySeries.from_values(pairs).fitted_rate
+    ns = np.array([n for n, _ in pairs], dtype=float)
+    logs = np.log([v for _, v in pairs])
+    want = np.polyfit(ns, logs, 1)[0]
+    scale = max(abs(want), np.max(np.abs(logs)) / np.ptp(ns))
+    assert abs(fitted - want) <= 1e-12 * scale
+
+
 def test_decay_series_from_values():
     s = DecaySeries.from_values([(1, 0.5), (2, 0.25)])
     assert not s.all_zero

@@ -335,6 +335,66 @@ def test_stationary_context_is_not_folded_into_itself():
     assert _absorb_windows(near, 1, 0) is not near
 
 
+# --------------------------------------- stationary rows from the level tables
+
+_LEVEL_FAMILIES = {
+    "aklt": aklt,
+    "markov": markov,
+    "clock3": lambda: clock(3),
+    "damping0.5": lambda: damping(0.5),
+    "haar-D2-d2": lambda: haar_kraus(2, 2, seed=11),
+    "haar-D3-d2": lambda: haar_kraus(3, 2, seed=12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEVEL_FAMILIES))
+def test_stationary_cmi_report_is_classical_cmi_of_its_window_table(name):
+    """The level route (entropies of the window tables of each length)
+    gives the marginal route's classical CMI of the full window table, for
+    n = 1..6 while the window has at most 2^20 strings (for clock(3), whose
+    d is 9, up to n = 2 or 3)."""
+    ctx = RestrictionContext.stationary(_LEVEL_FAMILIES[name]())
+    assert ctx._stationary
+    for a, c in ((2, 2), (1, 2), (2, 1)):
+        for n in range(1, 7):
+            geom = ChainGeometry(a, n, c)
+            if ctx.kraus.d**geom.total > 2**20:
+                break
+            marginals = max(0.0, classical_cmi(window_distribution(ctx, geom.total), geom))
+            assert abs(cmi_report(ctx, n, a, c).classical_cmi - marginals) <= 1e-13, (a, n, c)
+
+
+def test_markov_rows_stay_at_rounding():
+    """A Markov chain has no classical CMI: the level route, which takes no
+    marginal, may leave a rounding residue, but none above 1e-14."""
+    ctx = RestrictionContext.stationary(markov())
+    for a, c in ((2, 2), (1, 2), (2, 1)):
+        for n in range(1, 6):
+            assert 0.0 <= cmi_report(ctx, n, a, c).classical_cmi <= 1e-14, (a, n, c)
+
+
+@pytest.mark.parametrize("moved", ["sigma", "F"])
+def test_a_context_one_ulp_off_stationary_keeps_the_marginal_route(moved, monkeypatch):
+    """sigma one ulp off rho, or F one ulp off the identity, is not the
+    stationary context: its rows take the marginals of each row's table,
+    bit for bit, and no level entropy."""
+    K = aklt()
+    sigma, f_op = np.array(K._fixed_point.rho), np.eye(2, dtype=complex)
+    if moved == "sigma":
+        sigma[0, 0] = np.nextafter(sigma[0, 0].real, 1.0)
+    else:
+        f_op[1, 1] = np.nextafter(1.0, 0.0)
+    ctx = RestrictionContext(kraus=K, sigma=sigma, f_op=f_op)
+    assert not ctx._stationary
+    levels = []
+    monkeypatch.setattr(restriction, "shannon_entropy", lambda p: levels.append(p) or 0.0)
+    for n in range(1, 5):
+        geom = ChainGeometry(2, n, 2)
+        marginals = max(0.0, classical_cmi(window_distribution(ctx, geom.total), geom))
+        assert cmi_report(ctx, n).classical_cmi == marginals, n
+    assert levels == []
+
+
 # ------------------------------------------------- the family's record of scans
 
 
