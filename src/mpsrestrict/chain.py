@@ -42,8 +42,8 @@ __all__ = [
     "renormalize",
 ]
 
-# Environments are computed by iterated channel application; this caps the
-# iteration count (cost O(n d D^3)) rather than forming D^2 x D^2 powers.
+# Every iteration of a transfer map (O(n d D^3) time, O(n D^2) memory) is
+# capped at this many steps (``_check_steps``); no D^2 x D^2 power is formed.
 _MAX_ENV_ITER = 10_000
 _FULL_RANK_TOL = 1e-10  # a fixed point has full rank if lambda_min(rho) exceeds this
 _PSD_TOL = 1e-10  # most negative eigenvalue sqrt_env clamps to zero
@@ -266,15 +266,23 @@ def fixed_point(K: KrausFamily) -> TransferFixedPoint:
     return TransferFixedPoint(rho=rho, gap=gap, primitive=primitive)
 
 
-def _iterate(K: KrausFamily, M: np.ndarray, n: int, adjoint: bool) -> np.ndarray:
-    n = _check_length(n, "iteration count", least=0)
+def _check_steps(n: int, what: str, least: int = 0) -> int:
+    """n as an int if it is an integer in [least, _MAX_ENV_ITER], else OutOfRange naming ``what``."""
+    n = _check_length(n, what, least)
     if n > _MAX_ENV_ITER:
-        raise OutOfRange(f"n = {n} exceeds the environment iteration cap {_MAX_ENV_ITER}")
-    out = np.asarray(M, dtype=complex)
+        raise OutOfRange(f"{what} = {n} exceeds the transfer iteration cap {_MAX_ENV_ITER}")
+    return n
+
+
+def _powers(K: KrausFamily, powers: list[np.ndarray], n: int, what: str, adjoint: bool = False) -> np.ndarray:
+    """powers[n], after extending [M, E(M), E^2(M), ...] (E* if ``adjoint``) to
+    its n-th entry: the one loop that iterates a transfer map.  n is checked
+    (``_check_steps``) before the first step, so a bad one extends nothing."""
+    n = _check_steps(n, what)
     step = transfer_adjoint_apply if adjoint else transfer_apply
-    for _ in range(n):
-        out = step(K, out)
-    return out
+    while len(powers) <= n:
+        powers.append(step(K, powers[-1]))
+    return powers[n]
 
 
 def _projector(K: KrausFamily, v: np.ndarray, what: str) -> np.ndarray:
@@ -287,12 +295,12 @@ def _projector(K: KrausFamily, v: np.ndarray, what: str) -> np.ndarray:
 
 def left_environment(K: KrausFamily, L: np.ndarray, n: int) -> np.ndarray:
     """sigma = E^n(|L><L|), the environment after n traced-out sites, of a finite L."""
-    return _iterate(K, _projector(K, L, "L"), n, adjoint=False)
+    return _powers(K, [_projector(K, L, "L")], n, "left environment length")
 
 
 def right_environment(K: KrausFamily, R: np.ndarray, n: int) -> np.ndarray:
     """F^dag F = E*^n(|R><R|) of a finite R; contractive as E* is unital, |R><R| <= 1."""
-    return _iterate(K, _projector(K, R, "R"), n, adjoint=True)
+    return _powers(K, [_projector(K, R, "R")], n, "right environment length", adjoint=True)
 
 
 def sqrt_env(M: np.ndarray) -> np.ndarray:

@@ -35,8 +35,8 @@ the rows already written stay written when a later block fails.
 
 Reports embed the library version, the seed and every guard that shaped the
 run.  All enumerations are deterministic and run in the calling thread.
-``analyze`` checks the number of outcomes (d >= 2), the enumeration guard,
-``--ell`` and ``--tol`` before it enumerates anything.  That one guard
+``analyze`` checks d >= 2 outcomes and the enumeration guard before it forms
+any environment, and ``--ell`` and ``--tol`` before any enumeration.  That one guard
 bounds every enumeration, so the purity verdict covers n = 1..nmax like the
 per-n rows.
 ``--threads`` is still accepted but selects nothing, so output bytes do not
@@ -247,26 +247,20 @@ def _analyze_text(args: argparse.Namespace) -> str:
     guard = int(args.guard)
     nmax = _check_length(args.nmax, "--nmax")
 
-    # The one mode choice.  A finite chain's K^2 is checked here over the
-    # chain of a one-site block, then over every chain a table covers.
+    # Fail before forming any environment: the largest tables are the last
+    # windowed block and the Gibbs chain.  Guard errors come before the --ell check.
     finite = boundaries is not None
-    if finite:
-        base = file_geometry if file_geometry is not None else flag_geometry
-        ctx = RestrictionContext.from_boundaries(
-            K, boundaries, ChainGeometry(len_a=0, len_b=base.len_a + 1 + base.len_c, len_c=0)
-        )
-    else:
-        base = flag_geometry
-        ctx = RestrictionContext.stationary(K)
+    base = file_geometry if finite and file_geometry is not None else flag_geometry
     len_a, len_c = base.len_a, base.len_c
-
-    fp = K._fixed_point  # computed once per family; the stationary sigma is its rho
-
-    # Fail before enumerating: the largest tables are the last windowed block
-    # and the Gibbs chain.  Guard errors come before the --ell check.
     gibbs_block = max(flag_geometry.total - len_a - len_c, 1)
     gibbs_sites = len_a + gibbs_block + len_c
     _check_guard(K.d, max(len_a + nmax + len_c, gibbs_sites), guard)
+
+    # The one mode choice.  A finite chain's K^2 is checked here over the
+    # chain of a one-site block, then over every chain a table covers.
+    bare = ChainGeometry(0, len_a + 1 + len_c, 0)
+    ctx = RestrictionContext.from_boundaries(K, boundaries, bare) if finite else RestrictionContext.stationary(K)
+    fp = K._fixed_point  # computed once per family; the stationary sigma is its rho
     ell = int(args.ell)
     if gibbs_sites < 3:
         raise ValueError(

@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .chain import KrausFamily, sqrt_env
+from .chain import KrausFamily, _check_steps, sqrt_env
 from .errors import (
     CompletionFailed,
     DimensionTooSmall,
@@ -190,9 +190,10 @@ def span_purity_test(K: KrausFamily, n_max: int) -> tuple[int | None, list[int]]
     vec, vec(A^dag M A) = T_x vec(M) for T_x = kron(A_x^dag, A_x^T), it
     follows the recursion S_{n+1} = sum_x T_x S_n T_x^dag from S_1.  So no
     string product is formed: the cost is O(n d D^6) time and O(d D^4)
-    memory at any length, and no enumeration guard applies.
+    memory, with no enumeration guard; n_max has the cap of every transfer
+    iteration, 10,000 (``chain._check_steps``), checked before the first step.
     """
-    n_max = _check_length(n_max, "n_max")
+    n_max = _check_steps(n_max, "n_max", least=1)
     D = K.D
     V = (_adjoint(K.ops) @ K.ops).reshape(K.d, D * D)
     S = V.T @ V.conj()

@@ -74,11 +74,10 @@ from .chain import (
     ChainGeometry,
     KrausFamily,
     _freeze,
-    _iterate,
+    _powers,
     left_environment,
     right_environment,
     sqrt_env,
-    transfer_apply,
 )
 from .errors import (
     EnumerationTooLarge,
@@ -195,20 +194,16 @@ class RestrictionContext:
 
     @cached_property
     def _envs(self) -> list[np.ndarray]:
-        """[sigma, E(sigma), E^2(sigma), ...], as far as ``k2_for`` has asked."""
+        """[sigma, E(sigma), E^2(sigma), ...] as far as asked, extended by ``chain._powers``."""
         return [np.asarray(self.sigma)]
 
     def k2_for(self, n: int) -> float:
-        """K^2(n) = Tr(F^dag F E^n(sigma)) for n >= 0; a bad length extends no environment.
+        """K^2(n) = Tr(F^dag F E^n(sigma)) for n in [0, 10,000]; a bad n extends no environment.
 
         Raises ValueError unless K^2(n) >= 1e-12: the length-n strings then
         carry no probability to normalize.
         """
-        n = _check_length(n, "block length", least=0)
-        envs = self._envs
-        while len(envs) <= n:
-            envs.append(transfer_apply(self.kraus, envs[-1]))
-        k2 = float(np.trace(self._f2 @ envs[n]).real)
+        k2 = float(np.trace(self._f2 @ _powers(self.kraus, self._envs, n, "block length")).real)
         if not k2 >= 1e-12:  # NaN fails every comparison
             raise ValueError(f"degenerate context: K^2({n}) = {k2!r} < 1e-12")
         return k2
@@ -828,11 +823,12 @@ def _absorb_windows(
     window_c sites of the given one.  Both maps leave the stationary context
     (``RestrictionContext._stationary``) invariant, so it is returned as it
     is rather than folded into itself, which would only add rounding.
+    sigma' is the context's own power of sigma (``_envs``), formed once.
     """
     if (window_a == 0 and window_c == 0) or ctx._stationary:
         return ctx
-    sigma = _iterate(ctx.kraus, ctx.sigma, window_a, adjoint=False)
-    f2 = _iterate(ctx.kraus, ctx._f2, window_c, adjoint=True)
+    sigma = _powers(ctx.kraus, ctx._envs, window_a, "window_a")
+    f2 = _powers(ctx.kraus, [ctx._f2], window_c, "window_c", adjoint=True)
     return RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2))
 
 

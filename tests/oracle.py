@@ -11,6 +11,8 @@ list of all d^n products, before it streamed them from the engine.
 package had before it drew all streams as one stack; the batch must
 reproduce it bit for bit.  ``sample_rows`` and ``sample_csv`` are the rows
 ``sample`` used to build as dicts from those trajectories, and their CSV.
+``powers`` is the plain loop of a transfer map whose bits every power the
+package forms must have.
 """
 
 from __future__ import annotations
@@ -35,6 +37,15 @@ def product(ops: np.ndarray, root: np.ndarray, xs) -> np.ndarray:
     for s in xs:
         P = ops[s] @ P
     return P
+
+
+def powers(step, K, M, n: int) -> np.ndarray:
+    """step (``transfer_apply`` or ``transfer_adjoint_apply``) applied n times
+    to M, one call at a time."""
+    out = np.asarray(M, dtype=complex)
+    for _ in range(n):
+        out = step(K, out)
+    return out
 
 
 def _k2(ctx: RestrictionContext, n: int) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from families import block_diagonal, code_d3, dark_block_family, near_pauli
 from mpsrestrict.chain import (
     BoundaryPair,
@@ -174,6 +175,46 @@ def test_environments_iterate_channel():
         left_environment(K, L, 10_001)
     with pytest.raises(OutOfRange):
         left_environment(K, L, -1)
+
+
+_ONE_LOOP_FAMILIES = {"aklt": aklt, "damping": lambda: damping(0.5), "haar-D3-d3": lambda: haar_kraus(3, 3, 1)}
+
+
+@pytest.mark.parametrize("family", _ONE_LOOP_FAMILIES)
+def test_environments_are_a_plain_transfer_loop_bit_for_bit(family):
+    """Both environments come from the one loop of the transfer map, which
+    makes the same calls in the same order as a plain loop."""
+    K = _ONE_LOOP_FAMILIES[family]()
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(K.D) + 1j * rng.standard_normal(K.D)
+    v /= np.linalg.norm(v)
+    P = np.outer(v, v.conj())
+    for n in (0, 1, 2, 7, 40):
+        assert np.array_equal(left_environment(K, v, n), oracle.powers(transfer_apply, K, P, n))
+        assert np.array_equal(right_environment(K, v, n), oracle.powers(transfer_adjoint_apply, K, P, n))
+
+
+@pytest.mark.parametrize("n", [10_001, 200_000, 10**7, 10**100])
+def test_every_environment_length_above_the_cap_fails_before_a_step(n, monkeypatch):
+    """One bound, checked before the first step: the message names the
+    caller's own length, and no transfer map is applied."""
+    from mpsrestrict import chain
+
+    monkeypatch.setattr(chain, "transfer_apply", lambda *a: pytest.fail("stepped"))
+    monkeypatch.setattr(chain, "transfer_adjoint_apply", lambda *a: pytest.fail("stepped"))
+    K, v = aklt(), np.array([1.0, 0.0])
+    with pytest.raises(OutOfRange, match="left environment length"):
+        left_environment(K, v, n)
+    with pytest.raises(OutOfRange, match="right environment length"):
+        right_environment(K, v, n)
+    with pytest.raises(OutOfRange):
+        normalization_k2(K, BoundaryPair(L=v, R=v), n)
+
+
+def test_the_cap_is_ten_thousand_steps():
+    K, v = damping(0.5), np.array([0.0, 1.0])
+    assert np.trace(left_environment(K, v, 10_000)).real == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.eigvalsh(right_environment(K, v, 10_000))[-1] <= 1.0 + 1e-12
 
 
 def test_sqrt_env():

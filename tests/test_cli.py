@@ -786,6 +786,22 @@ def test_analyze_guard_fails_before_enumerating(monkeypatch):
     assert main(["analyze", "--builtin", "aklt", "--nmax", "7", "--guard", "100000", "--ell", "5"]) == 2
 
 
+def test_finite_analyze_checks_the_guard_before_forming_an_environment(monkeypatch):
+    """A finite chain's context needs K^2 over its windows and a one-site
+    block, here 200,002 sites: the guard refuses the plan first, with no
+    step of the transfer map."""
+    import time
+
+    from mpsrestrict import chain
+
+    for name in ("transfer_apply", "transfer_adjoint_apply"):
+        monkeypatch.setattr(chain, name, lambda *a: pytest.fail("formed an environment"))
+    model = str(GOLDEN / "haar_d3_d3_finite_model.json")
+    start = time.perf_counter()
+    assert main(["analyze", "--model", model, "--geometry", "200000,1,0", "--nmax", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
 def test_analyze_bad_ell_fails_before_enumerating(monkeypatch):
     _forbid_enumeration(monkeypatch)
     assert main(["analyze", "--builtin", "aklt", "--nmax", "7", "--ell", "5"]) == 3

@@ -164,6 +164,27 @@ def test_every_error_class_is_named_by_code_outside_errors():
     assert not dead, f"error classes no code outside errors.py names: {dead}"
 
 
+def _readers(tree: ast.Module, names: set[str]) -> set[str]:
+    """The module-level definitions of tree (a class counting with its
+    methods, other statements as "<module>") whose code reads any of names."""
+    return {getattr(node, "name", "<module>") for node in tree.body if names & set(_reads(node))}
+
+
+def test_one_loop_and_one_bound_iterate_the_transfer_map():
+    """Every power of E or E* comes from ``chain._powers``, after the one
+    bound ``chain._check_steps``: no other code of the package applies a
+    transfer map, save ``fixed_point``'s residual, and no other code reads
+    the cap.  A second loop or a second cap fails here."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+
+    def readers(names):
+        return {(module, name) for module, tree in trees.items() for name in _readers(tree, names)}
+
+    assert readers({"transfer_apply", "transfer_adjoint_apply"}) == {("chain.py", "_powers"), ("chain.py", "fixed_point")}
+    assert readers({"_MAX_ENV_ITER"}) == {("chain.py", "_check_steps")}
+    assert readers({"_check_steps"}) == {("chain.py", "_powers"), ("purity.py", "span_purity_test")}
+
+
 # The modules whose ``__all__`` the package re-exports, and the public names,
 # pinned so that a name joining or leaving the package is a visible change.
 REEXPORTED = ("chain", "gibbs", "linalg", "models", "modelio", "purity", "restriction", "trajectories")

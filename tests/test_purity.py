@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from families import block_diagonal, code_d3, dark_block_family
-from mpsrestrict.chain import KrausFamily
+from mpsrestrict.chain import KrausFamily, sqrt_env
 from mpsrestrict.errors import (
     DimensionTooSmall,
     EnumerationTooLarge,
@@ -181,6 +182,65 @@ def test_span_purity_ranks():
     assert ranks == [2, 2, 2, 2]
     at, ranks = span_purity_test(haar_kraus(3, 5, 0), 4)
     assert at == 2 and ranks[1] == 9
+
+
+def test_span_purity_test_refuses_n_max_above_the_transfer_cap_at_once():
+    """n_max has the one bound of every transfer iteration: 10**7 used to
+    take minutes of doubled-map steps before it answered."""
+    import time
+
+    K = haar_kraus(4, 3, 1)
+    for n_max in (10_001, 10**7):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="n_max"):
+            span_purity_test(K, n_max)
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(OutOfRange):
+        span_purity_test(K, 0)
+
+
+# ------------------------------------------------ the D = 2 closed forms
+
+
+_D2_FAMILIES = {
+    "aklt": aklt,
+    "aklt-pauli": aklt_pauli,
+    "markov": markov,
+    "damping": lambda: damping(0.5),
+    **{f"haar-D2-d{d}-seed{seed}": functools.partial(haar_kraus, 2, d, seed) for d in (2, 3, 5) for seed in (0, 7)},
+}
+
+
+@pytest.mark.parametrize("family", _D2_FAMILIES)
+def test_d2_decay_series_are_powers_of_the_determinant_sum(family):
+    """At D = 2, nu1 nu2(W) = |det W| and the determinant is multiplicative,
+    so w(n) = s^n with s = sum_x |det A_x|, and the stationary f(n) =
+    |det sqrt(rho)| s^n: an oracle that forms no string product.  Where the
+    closed form is 0 the series is exactly 0.  Since |det A| = nu1 nu2 <=
+    (nu1^2 + nu2^2) / 2, s <= tr(sum_x A_x^dag A_x) / 2 = 1."""
+    K = _D2_FAMILIES[family]()
+    s = math.fsum(abs(np.linalg.det(A)) for A in K.ops)
+    rho = K._fixed_point.rho
+    root = abs(np.linalg.det(sqrt_env(rho)))
+    n_max = max(n for n in range(1, 9) if K.d**n <= 3**8)
+    w, f = w_series(K, n_max), f_series(K, rho, np.eye(2), n_max)
+    for n in range(1, n_max + 1):
+        for got, want in ((w.value_at(n), s**n), (f.value_at(n), root * s**n)):
+            assert got == 0.0 if want == 0.0 else abs(got - want) <= 1e-12 * want, (n, got, want)
+    assert s <= 1.0 + 1e-12
+    if family == "aklt-pauli":
+        assert s == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, seed", [(2, 1), (3, 5), (5, 2)])
+def test_a_d2_unitary_mixture_has_determinant_sum_one(d, seed):
+    """A_x = sqrt(c_x) U_x with unitary U_x: |det A_x| = c_x, so s = 1 and
+    w(n) = 1 at every n, the equality case of s <= 1."""
+    K = dark_block_family(2, 0, d, seed)
+    s = math.fsum(abs(np.linalg.det(A)) for A in K.ops)
+    assert s == pytest.approx(1.0, abs=1e-12)
+    w = w_series(K, 3)
+    assert all(abs(v - 1.0) <= 1e-12 for _, v in w.values)
 
 
 def test_correctable_staircase_jordan():

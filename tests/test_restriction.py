@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracle
 from mpsrestrict.chain import BoundaryPair, ChainGeometry
 from mpsrestrict.errors import (
     EnumerationTooLarge,
@@ -268,6 +269,91 @@ def test_k2_for_rejects_bad_lengths_before_the_cache():
             ctx.k2_for(n)
     assert [ctx.k2_for(n) for n in range(4)] == want
     assert len(ctx._envs) == 4
+
+
+_ONE_LOOP_FAMILIES = {"aklt": aklt, "damping": lambda: damping(0.5), "haar-D3-d3": lambda: haar_kraus(3, 3, 1)}
+
+
+def _finite_context(K, geometry=ChainGeometry(2, 1, 3)):
+    rng = np.random.default_rng(11)
+    L, R = (rng.standard_normal(K.D) + 1j * rng.standard_normal(K.D) for _ in range(2))
+    b = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
+    return RestrictionContext.from_boundaries(K, b, geometry)
+
+
+@pytest.mark.parametrize("family", _ONE_LOOP_FAMILIES)
+def test_k2_and_the_folded_windows_are_a_plain_transfer_loop_bit_for_bit(family):
+    """K^2(n) and the window fold take their powers from the one loop of the
+    transfer map, with the bits of a plain loop of ``transfer_apply`` (and
+    of ``transfer_adjoint_apply`` for F^dag F)."""
+    from mpsrestrict.chain import sqrt_env, transfer_adjoint_apply, transfer_apply
+    from mpsrestrict.restriction import _absorb_windows
+
+    ctx = _finite_context(_ONE_LOOP_FAMILIES[family]())
+    for n in (0, 1, 2, 5, 12):
+        want = float(np.trace(ctx._f2 @ oracle.powers(transfer_apply, ctx.kraus, ctx.sigma, n)).real)
+        assert ctx.k2_for(n) == want
+    fresh = _finite_context(ctx.kraus)
+    for a, c in ((1, 0), (0, 2), (3, 2), (20, 1)):
+        inner = _absorb_windows(fresh, a, c)
+        assert np.array_equal(inner.sigma, oracle.powers(transfer_apply, ctx.kraus, ctx.sigma, a))
+        f2 = oracle.powers(transfer_adjoint_apply, ctx.kraus, ctx._f2, c)
+        assert np.array_equal(inner.f_op, sqrt_env(f2))
+
+
+def test_absorb_windows_reads_the_left_power_the_context_holds(monkeypatch):
+    """E^{window_a}(sigma) is the context's own power: once K^2 of a longer
+    chain has formed it, the fold applies only the c adjoint steps."""
+    from mpsrestrict import chain
+    from mpsrestrict.restriction import _absorb_windows
+
+    ctx = _finite_context(haar_kraus(3, 3, 1))
+    ctx.k2_for(6)
+    held = list(ctx._envs)
+    steps = []
+    for name in ("transfer_apply", "transfer_adjoint_apply"):
+        real = getattr(chain, name)
+        monkeypatch.setattr(chain, name, lambda K, M, _real=real, _name=name: steps.append(_name) or _real(K, M))
+    inner = _absorb_windows(ctx, 4, 2)
+    assert steps == ["transfer_adjoint_apply"] * 2
+    assert inner.sigma is not held[4] and np.array_equal(inner.sigma, held[4])
+    assert len(ctx._envs) == 7 and all(x is y for x, y in zip(ctx._envs, held))
+    _absorb_windows(ctx, 9, 0)  # a longer fold extends the same list
+    assert steps.count("transfer_apply") == 3 and len(ctx._envs) == 10
+
+
+def test_k2_for_refuses_a_length_above_the_cap_before_a_step():
+    """The one bound of the transfer loop: 10,001 raises at once, naming the
+    block length, and leaves the environments as they were; 10,000 runs."""
+    import time
+
+    ctx = RestrictionContext.stationary(aklt())
+    ctx.k2_for(3)
+    held = list(ctx._envs)
+    for n in (10_001, 200_000, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="block length"):
+            ctx.k2_for(n)
+        assert time.perf_counter() - start < 0.1
+        assert len(ctx._envs) == len(held) and all(x is y for x, y in zip(ctx._envs, held))
+    assert ctx.k2_for(10_000) == pytest.approx(1.0, abs=1e-9)
+    assert len(ctx._envs) == 10_001
+
+
+def test_lengths_above_the_cap_raise_out_of_range_in_every_k2_caller():
+    """K^2 of more than 10,000 sites is refused by the one bound, for the
+    finite constructor and for single strings alike."""
+    K = damping(0.5)
+    e0 = np.array([1.0, 0.0])
+    with pytest.raises(OutOfRange):
+        RestrictionContext.from_boundaries(K, BoundaryPair(L=e0, R=e0), ChainGeometry(0, 10_001, 0))
+    with pytest.raises(OutOfRange):
+        RestrictionContext.from_boundaries(K, BoundaryPair(L=e0, R=e0), ChainGeometry(10_001, 1, 0))
+    ctx = RestrictionContext.stationary(K)
+    for observe in (string_probability, post_measurement_spectrum):
+        with pytest.raises(OutOfRange, match="block length"):
+            observe(ctx, [0] * 10_001)
+    assert string_probability(ctx, [0] * 10_000) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_window_distribution_rejects_a_degenerate_context():
