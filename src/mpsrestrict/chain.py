@@ -111,8 +111,8 @@ class KrausFamily:
     @cached_property
     def _sums(self) -> dict[tuple, dict[int, np.ndarray]]:
         """Per reduction and context, then per length n, the raw tree-order
-        sums over the d^n products: w's two of the bare products, and the
-        scan sums of each context, keyed by the exact bytes of its (sigma,
+        sums over the d^n products: w's two of the bare products (at D >= 3;
+        at D = 2 w is a closed form), and the scan sums of each context, keyed by the exact bytes of its (sigma,
         F).  ``restriction._recorded`` is its one reader and writer."""
         return {}
 

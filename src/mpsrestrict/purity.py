@@ -11,7 +11,8 @@ ordered list of certificates, ``_CERTIFICATES``, built on:
 * a branch-and-prune search for the largest scalar-compression subspace per
   length (the correctable-subspace staircase);
 * the decay series w(N) (sum over strings of the two largest singular values
-  of the bare products, recorded per family by ``restriction._recorded``),
+  of the bare products, recorded per family by ``restriction._recorded``;
+  at D = 2 the closed form s^N, s = sum_x |det A_x|, which walks nothing),
   which a rank-2 scalar subspace keeps >= 1.
 
 It also gives f(N) (the f column of ``restriction``'s scans: the same for the
@@ -426,16 +427,11 @@ def purity_verdict(
 
 
 def _check_norms(W: np.ndarray) -> np.ndarray:
-    """nu1 * nu2 of each product of a stack (k, D, D), D >= 2, by a route
-    independent of the SVD: the cross-check of ``w_series``.
-
-    At D = 2 it is |det W|, the product's one 2x2 minor (its exterior
-    square), with no LAPACK call.  At D >= 3 it is ``_nu12`` of one batched
-    eigvalsh of the Gram matrices W^dag W: their root where nu2 >= nu1 / 100,
-    else the norm of the exterior square.
+    """nu1 * nu2 of each product of a stack (k, D, D), D >= 3, by a route
+    independent of the SVD: the cross-check of ``w_series``.  It is ``_nu12``
+    of one batched eigvalsh of the Gram matrices W^dag W: their root where
+    nu2 >= nu1 / 100, else the norm of the exterior square.
     """
-    if W.shape[-1] == 2:  # the exterior square is 1 x 1: no eigensolver
-        return np.abs(exterior_square(W)[:, 0, 0])
     return _nu12(W, np.linalg.eigvalsh(_adjoint(W) @ W))
 
 
@@ -448,14 +444,20 @@ def _w_pair(K: KrausFamily, n: int, guard: int) -> tuple[float, float]:
     """The SVD and ``_check_norms`` tree-order sums of nu1 nu2 over the d^n
     bare products, after the length and guard checks (both 0 at D < 2).
 
-    The sums are read from the family's record (``_recorded``), where a
-    missing length is walked once.  The routes must agree to 1e-9
-    max(1, svd) on every call, recorded or not.
+    At D = 2, nu1 nu2 = |det W| and the determinant is multiplicative, so
+    both are s^n, s = sum_x |det A_x| (each the one minor of the exterior
+    square, added by ``math.fsum``): no product is formed and nothing is
+    recorded.  At D >= 3 the sums are read from the family's record
+    (``_recorded``), where a missing length is walked once, and the routes
+    must agree to 1e-9 max(1, svd) on every call, recorded or not.
     """
     n = _check_length(n, "string length")
     _check_guard(K.d, n, guard)
     if K.D < 2:  # a 1 x 1 product has no nu2: nothing to walk
         return 0.0, 0.0
+    if K.D == 2:
+        w = math.fsum(np.abs(exterior_square(K.ops)[:, 0, 0]).tolist()) ** n
+        return w, w
     eye = np.eye(K.D, dtype=complex)
     svd, check = (float(x) for x in _recorded(K, ("w",), eye, [n], guard, _w_leaf)[n])
     if abs(svd - check) > 1e-9 * max(1.0, svd):
@@ -468,17 +470,18 @@ def _w_pair(K: KrausFamily, n: int, guard: int) -> tuple[float, float]:
 def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySeries:
     """w(n) = sum over all d^n strings of nu1 * nu2 of A_{x_n}..A_{x_1}.
 
-    Computed by two independent routes from the same products, which must
-    agree to 1e-9 max(1, w(n)): the per-string SVD, whose values are
-    reported, and ``_check_norms``, which keeps each product's nu1 nu2 to
-    about 1e-11 relative, or O(eps) nu1^2 below its switch to the exterior
-    square.  The submultiplicative law w(n+m) <= w(n) w(m) is checked for
-    all pairs.
+    At D = 2 it is s^n in closed form (``_w_pair``), whose oracle is the
+    enumeration of the tests.  At D >= 3 it is computed by two independent
+    routes from the same products, which must agree to 1e-9 max(1, w(n)):
+    the per-string SVD, whose values are reported, and ``_check_norms``,
+    which keeps each product's nu1 nu2 to about 1e-11 relative, or O(eps)
+    nu1^2 below its switch to the exterior square.  The submultiplicative
+    law w(n+m) <= w(n) w(m) is checked for all pairs.
 
-    Each length is one walk, recorded on the family (``_recorded``), so a
-    later call walks only the lengths the record lacks.  The guard is
-    checked on n_max before any walk, and both checks run over every
-    returned length, recorded or not.
+    At D >= 3 each length is one walk, recorded on the family
+    (``_recorded``), so a later call walks only the lengths the record
+    lacks.  The guard is checked on n_max before any walk, and both checks
+    run over every returned length, recorded or not.
     """
     n_max = _check_length(n_max, "n_max")
     _check_guard(K.d, n_max, guard)

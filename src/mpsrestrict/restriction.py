@@ -22,12 +22,13 @@ of whole subtrees below consecutive prefixes, so its stacks come out in
 lexicographic order with each product's global string index.  A level grows
 with one BLAS call per prefix: the Kraus operators stacked as one (d*D x D)
 matrix times the prefix's product form all d children at once, and each
-child gets the bits of its own prefix's call, wherever the walk splits.  A
-product that is exactly zero is dropped where it appears, with its subtree,
-and the cap counts only the products kept.  The level-m nodes of a tree are
-the products of length m, so one walk can report several depths, each node
-by the run that grows it.  Only the walk knows how it splits; its readers
-see a stream of stacks and read any set of depths from one walk.
+child gets the bits of its own prefix's call, wherever the walk splits (at
+D = 2, of its own two multiply-adds).  A product that is exactly zero is
+dropped where it appears, with its subtree, and the cap counts only the
+products kept.  The level-m nodes of a tree are the products of length m,
+so one walk can report several depths, each node by the run that grows
+it.  Only the walk knows how it splits; its readers see a stream of stacks
+and read any set of depths from one walk.
 ``_string_tables`` fills each depth's table, placing each stack's rows by
 index and giving the dropped strings zero rows.  ``_string_sum`` adds each
 depth's per-string values in the order of a depth-first walk (each node
@@ -43,9 +44,11 @@ outcomes of any context for several window lengths from one walk
 that table for the bare boundary context); its leaf, ``_capped_norm2``, is
 the one squared norm of a string product and calls no BLAS, so each entry
 has the bits of its own product alone.  ``_nu12`` is the one nu1 nu2 of a
-string product, given the eigenvalues of its Gram matrices, besides the
-SVD whose values ``w_series`` reports: the scans' f (so ``f_series``) and
-the check route of ``w_series`` (so ``purification_statistic``) take it.
+string product at D >= 3, given the eigenvalues of its Gram matrices,
+besides the SVD whose values ``w_series`` reports: the scans' f (so
+``f_series``) and the check route of ``w_series`` take it.  At D = 2 the
+scans take the Gram's spectrum and f's nu1 nu2 = |det T| from the closed
+forms of ``_gram2``, with no LAPACK call.
 ``_cmi_rows`` sets the classical CMI of each block against the quantum
 CMI of its block, with the window sites folded into the environments once
 and every block scanned from one walk (``_scans``).  In the stationary
@@ -54,10 +57,11 @@ of each length, which ``_cmi_lengths`` names; elsewhere from the marginals
 of each row's table.  ``cmi_report`` is its one-row call, and ``analyze``
 takes all its rows from one call.
 
-A family records the raw sums of w and of each context's scans per length
-(``KrausFamily._sums``), and ``_recorded`` is that record's one reader and
-writer, so the decay series, the scans and the CMI rows walk only the
-lengths it lacks, from one tree, while every call still runs its checks.
+A family records the raw sums of w (at D >= 3) and of each context's scans
+per length (``KrausFamily._sums``), and ``_recorded`` is that record's one
+reader and writer, so the decay series, the scans and the CMI rows walk
+only the lengths it lacks, from one tree, while every call still runs its
+checks.
 """
 
 from __future__ import annotations
@@ -311,7 +315,11 @@ def _grow(
     i*d + s of the new stack is A_s @ stack[i], and the stack stays in
     lexicographic order with the first symbol most significant.  Each entry
     is a length-D dot product from the call of its own prefix, so its bits
-    do not depend on the other prefixes of the stack.  ``index`` holds each
+    do not depend on the other prefixes of the stack.  At D = 2 each child
+    is instead the two multiply-adds A_s[:, 0] P[0] + A_s[:, 1] P[1] of its
+    prefix P, elementwise over the whole stack with one temporary of its
+    size and no BLAS call, so its bits depend neither on the stack nor on
+    the BLAS core.  ``index`` holds each
     product's global index among the d^depth strings of its length: a range
     on a walk that does not prune, so that such a walk does no index
     arithmetic, and an array on one that does.  With ``prune``, a product
@@ -320,7 +328,13 @@ def _grow(
     """
     k, D, r = stack.shape
     d = stacked.shape[0] // D
-    stack = np.matmul(stacked, stack).reshape(k * d, D, r)
+    if D == 2:  # A_s[:, 0] P[0] + A_s[:, 1] P[1]: one temporary, no BLAS call
+        cols = stacked.reshape(d, 2, 2, 1)
+        grown = cols[:, :, 0] * stack[:, None, 0:1]
+        grown += cols[:, :, 1] * stack[:, None, 1:2]
+        stack = grown.reshape(k * d, 2, r)
+    else:
+        stack = np.matmul(stacked, stack).reshape(k * d, D, r)
     if not prune:
         return stack, range(index.start * d, index.stop * d)
     index = (index[:, None] * d + np.arange(d)).ravel()
@@ -594,6 +608,27 @@ def _nu12(W: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _gram2(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues of T T^dag and |det T| for a stack (k, 2, 2),
+    in closed form, with no LAPACK call.
+
+    With a, c the diagonal and b the off-diagonal entry of the Gram, lambda1
+    = m + r for m = (a + c) / 2 and r = hypot((a - c) / 2, |b|), and lambda2
+    = |det T| (|det T| / lambda1), 0 where lambda1 = 0, never m - r: that
+    cancels to an error of about eps lambda1, where this one errs by about
+    eps sqrt(lambda1 lambda2), and no square of |det T| underflows.  lambda2
+    is capped at lambda1, which it can pass by rounding where the two are
+    equal.  |det T| = nu1 nu2 is T's one 2x2 minor.
+    """
+    sq = T.real**2 + T.imag**2
+    a, c = sq[:, 0, 0] + sq[:, 0, 1], sq[:, 1, 0] + sq[:, 1, 1]
+    b = T[:, 0, 0] * T[:, 1, 0].conj() + T[:, 0, 1] * T[:, 1, 1].conj()
+    lam1 = (a + c) / 2.0 + np.hypot((a - c) / 2.0, np.abs(b))
+    det = np.abs(T[:, 0, 0] * T[:, 1, 1] - T[:, 0, 1] * T[:, 1, 0])
+    lam2 = det * np.divide(det, lam1, out=np.zeros_like(lam1), where=lam1 > 0.0)
+    return np.stack([np.minimum(lam2, lam1), lam1], axis=1), det
+
+
 def string_probability(ctx: RestrictionContext, x: Sequence[int]) -> float:
     """p(x) = ||F A_{x_N}..A_{x_1} sqrt(sigma)||_F^2 / K^2(N), non-negative;
     it rounds to zero only where it leaves the floats."""
@@ -644,9 +679,11 @@ def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, 
     The sums come from the family's record of its context's scans
     (``_recorded``), keyed by the exact bytes of the context's (sigma, F).
     Zero-probability strings (p < 1e-14 d^-n) contribute only to the raw
-    probability sum.  One eigvalsh of T T^dag per product gives the entropy
-    and the two eigenvalue sums, and ``_nu12`` takes f's nu1 nu2 from the
-    same eigenvalues."""
+    probability sum.  The eigenvalues of T T^dag of each product give the
+    entropy and the two eigenvalue sums: at D = 2 the closed forms of
+    ``_gram2``, whose |det T| is f's nu1 nu2, with no LAPACK call; at D >= 3
+    one eigvalsh per product, from whose eigenvalues ``_nu12`` takes f's
+    nu1 nu2."""
     ns = [_check_length(n, "string length") for n in ns]
     _check_guard(ctx.kraus.d, max(ns), guard)
     k2 = {n: ctx.k2_for(n) for n in ns}
@@ -655,13 +692,16 @@ def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, 
     def leaf(n: int, P: np.ndarray) -> np.ndarray:
         # rows [tr, tr*S, lam1, lam2, nu1*nu2], un-normalized
         T = P if cap is None else cap @ P
-        lam = np.linalg.eigvalsh(T @ _adjoint(T))
+        if T.shape[1] == 2:  # the closed forms: no LAPACK call
+            lam, nu12 = _gram2(T)
+        else:  # a 1 x 1 product has no nu2: its rows keep 0
+            lam = np.linalg.eigvalsh(T @ _adjoint(T))
+            nu12 = _nu12(T, lam) if lam.shape[1] > 1 else np.zeros(len(T))
         tr = lam.sum(axis=-1)
         rows = np.zeros((len(T), 5))
         rows[:, 0] = tr
         live = tr >= ldexp(*_zero_threshold(ctx.kraus.d, n)) * k2[n]
-        if lam.shape[1] > 1:  # a 1 x 1 product has no nu2: its rows keep 0
-            rows[live, 4] = _nu12(T, lam)[live]
+        rows[live, 4] = nu12[live]
         lam, tr = lam[live], tr[live]
         lam1 = lam[:, -1]
         lam2 = lam[:, -2] if lam.shape[1] > 1 else np.zeros_like(lam1)
@@ -823,13 +863,18 @@ def _absorb_windows(
     window_c sites of the given one.  Both maps leave the stationary context
     (``RestrictionContext._stationary``) invariant, so it is returned as it
     is rather than folded into itself, which would only add rounding.
-    sigma' is the context's own power of sigma (``_envs``), formed once.
+    sigma' is the context's own power of sigma (``_envs``), formed once, and
+    the folded context starts its environments from a copy of the given
+    one's from sigma' on: E^n(sigma') is the given context's E^{window_a + n}
+    (sigma) bit for bit, so no power is formed twice.
     """
     if (window_a == 0 and window_c == 0) or ctx._stationary:
         return ctx
     sigma = _powers(ctx.kraus, ctx._envs, window_a, "window_a")
     f2 = _powers(ctx.kraus, [ctx._f2], window_c, "window_c", adjoint=True)
-    return RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2))
+    folded = RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2))
+    folded.__dict__["_envs"] = ctx._envs[window_a:]  # sets the cached property
+    return folded
 
 
 def _cmi_lengths(ctx: RestrictionContext, geoms: Sequence[ChainGeometry]) -> list[int]:

@@ -8,7 +8,7 @@ the unconditional average at any step is 1/D.  Both identities are exposed
 as exact enumeration checks, along with the purification statistic
 E[sqrt(l1 l2)] * D: w(n) by the check route of ``w_series``, bit for bit,
 read through ``purity._w_pair`` from the family's record of both w sums,
-whose one owner is ``restriction._recorded``.
+whose one owner is ``restriction._recorded`` (at D = 2, w's closed form).
 
 ``sample_trajectories`` samples many trajectories as one batch: each step
 forms the continuations of every stream in one stacked product and weighs
@@ -218,6 +218,7 @@ def purification_statistic(K: KrausFamily, n: int, guard: int = DEFAULT_GUARD) -
     zero-probability path adds 0.  The statistic is therefore w(n) by the
     check route of ``w_series``: that route's sum as the family records it
     (``restriction._recorded``), read and checked against the SVD route by
-    ``purity._w_pair``.
+    ``purity._w_pair``.  At D = 2 that is the closed form s^n, s = sum_x
+    |det A_x|, and no path is enumerated.
     """
     return _w_pair(K, n, guard)[1]

@@ -4,7 +4,11 @@ Each function forms the string products one at a time with
 ``itertools.product`` and adds the per-string terms in lexicographic order,
 exactly as the definitions read.  They are slow and only serve the tests.
 ``dfs_scan`` is the recursive depth-first walk ``restriction_scan`` used to
-be, kept term for term: the engine must reproduce it bit for bit.
+be, kept term for term: the engine must reproduce it bit for bit.  At D = 2
+it, ``product`` and ``step`` take the engine's own kernels, written out per
+string: each product step is two multiply-adds, and each Gram's spectrum
+and nu1 nu2 are the closed forms of ``gram2``, which a property test holds
+to eigvalsh and the SVD.
 ``max_scalar_subspace`` is the correctable-subspace search as it ran over a
 list of all d^n products, before it streamed them from the engine.
 ``sample_trajectory`` is the one-trajectory, one-step-at-a-time sampler the
@@ -32,11 +36,33 @@ def strings(d: int, n: int):
     return itertools.product(range(d), repeat=n)
 
 
+def step(A: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """A @ P, as the engine forms it: at D = 2 the two multiply-adds
+    A[:, 0] P[0] + A[:, 1] P[1], elsewhere one matmul."""
+    if A.shape == (2, 2):
+        return np.multiply.outer(A[:, 0], P[0]) + np.multiply.outer(A[:, 1], P[1])
+    return A @ P
+
+
 def product(ops: np.ndarray, root: np.ndarray, xs) -> np.ndarray:
     P = root
     for s in xs:
-        P = ops[s] @ P
+        P = step(ops[s], P)
     return P
+
+
+def gram2(T: np.ndarray) -> tuple[np.ndarray, float]:
+    """The ascending eigenvalues of T T^dag and |det T| of one 2 x 2 T, by
+    the closed forms of the engine's D = 2 scans, operation for operation:
+    lambda1 = m + r and lambda2 = |det T| (|det T| / lambda1), 0 where
+    lambda1 = 0, and at most lambda1."""
+    sq = T.real**2 + T.imag**2
+    a, c = sq[0, 0] + sq[0, 1], sq[1, 0] + sq[1, 1]
+    b = T[None, 0, 0] * T[None, 1, 0].conj() + T[None, 0, 1] * T[None, 1, 1].conj()
+    lam1 = (a + c) / 2.0 + np.hypot((a - c) / 2.0, np.abs(b[0]))
+    det = np.abs(T[None, 0, 0] * T[None, 1, 1] - T[None, 0, 1] * T[None, 1, 0])[0]
+    lam2 = det * (det / lam1) if lam1 > 0.0 else 0.0
+    return np.array([min(lam2, lam1), lam1]), det
 
 
 def powers(step, K, M, n: int) -> np.ndarray:
@@ -159,7 +185,9 @@ def dfs_scan(ctx: RestrictionContext, n: int) -> RestrictionSummary:
     """The recursive depth-first walk, with the arithmetic of the package's
     former ``_scan_chunk`` kept operation for operation, but for f's nu1 nu2:
     that takes the Gram root only where lambda2 >= 1e-4 lambda1, and the
-    norm of the exterior square below, as the scans' leaf does."""
+    norm of the exterior square below, as the scans' leaf does.  At D = 2
+    the products grow by ``step`` and the spectra and f's nu1 nu2 = |det T|
+    come from ``gram2``, as in the engine."""
     d = ctx.kraus.d
     k2 = ctx.k2_for(n)
     tr_floor = 1e-14 * d ** (-n) * k2
@@ -170,7 +198,10 @@ def dfs_scan(ctx: RestrictionContext, n: int) -> RestrictionSummary:
         acc = np.zeros(5)
         if depth_left == 0:
             T = P if f_op is None else f_op @ P
-            lam = np.linalg.eigvalsh(T @ T.conj().T)
+            if T.shape == (2, 2):
+                lam, det = gram2(T)
+            else:
+                lam = np.linalg.eigvalsh(T @ T.conj().T)
             tr = float(lam.sum())
             acc[0] = tr
             if tr >= tr_floor:
@@ -183,6 +214,8 @@ def dfs_scan(ctx: RestrictionContext, n: int) -> RestrictionSummary:
                 acc[3] = max(lam2, 0.0)
                 if lam.size < 2:
                     acc[4] = 0.0
+                elif T.shape == (2, 2):  # |det T|, the closed form's nu1 nu2
+                    acc[4] = float(det)
                 elif lam2 >= 1e-4 * lam1:  # the Gram root, above the switch
                     acc[4] = float(np.sqrt(lam1 * lam2))
                 else:  # the norm of the exterior square, below it
@@ -191,7 +224,7 @@ def dfs_scan(ctx: RestrictionContext, n: int) -> RestrictionSummary:
                     acc[4] = float(np.sqrt(max(top, 0.0)))
             return acc
         for s in range(d):
-            acc += walk(ctx.kraus.ops[s] @ P, depth_left - 1)
+            acc += walk(step(ctx.kraus.ops[s], P), depth_left - 1)
         return acc
 
     acc = walk(ctx.sqrt_sigma, n)

@@ -80,7 +80,9 @@ def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypat
     """The rows' window tables (a+1+c .. a+nmax+c sites) and the Gibbs
     chain's come from one walk of the product tree to the longest window,
     every row's scan from one walk to the longest block, and each length
-    of w from one walk; the restriction module walks no other tree."""
+    of w from one walk at D >= 3 (the finite model) and from none at D = 2
+    (AKLT), where w is the determinant sum; the restriction module walks no
+    other tree."""
     import sys
 
     from mpsrestrict import restriction
@@ -98,7 +100,7 @@ def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypat
     monkeypatch.setattr(restriction, "_products", counted)
     assert main(["analyze", *flags]) == 0
     nmax = int(flags[-1])
-    w_walks = [("_w_pair", n) for n in range(1, nmax + 1)]
+    w_walks = [] if "aklt" in flags else [("_w_pair", n) for n in range(1, nmax + 1)]
     assert walks == [("window_distributions", sites), ("_scans", nmax), *w_walks]
 
 
@@ -802,6 +804,29 @@ def test_finite_analyze_checks_the_guard_before_forming_an_environment(monkeypat
     assert time.perf_counter() - start < 1.0
 
 
+def test_finite_analyze_forms_each_transfer_power_once(monkeypatch, capsys):
+    """A finite chain of geometry 2,2,2 and nmax 3 steps the transfer map 8
+    times: 5 for the bare context's check of K^2 over 2 + 1 + 2 sites, 1
+    for the fixed point's residual and 2 more for the 7-site window table.
+    The scans of the rows fold the 2 left window sites into sigma' =
+    E^2(sigma), and their powers E^n(sigma'), n <= 3, are the bare
+    context's E^{2+n}(sigma), which the folded context starts from: they
+    step the map no more (3 more steps before)."""
+    from mpsrestrict import chain
+
+    calls = []
+    step = chain.transfer_apply
+
+    def counted(K, M):
+        calls.append(1)
+        return step(K, M)
+
+    monkeypatch.setattr(chain, "transfer_apply", counted)
+    model = str(GOLDEN / "haar_d3_d3_finite_model.json")
+    assert main(["analyze", "--model", model, "--nmax", "3", "--geometry", "2,2,2"]) == 0
+    assert len(calls) == 8
+
+
 def test_analyze_bad_ell_fails_before_enumerating(monkeypatch):
     _forbid_enumeration(monkeypatch)
     assert main(["analyze", "--builtin", "aklt", "--nmax", "7", "--ell", "5"]) == 3
@@ -877,9 +902,10 @@ def test_analyze_purity_covers_nmax_past_twenty_thousand_strings(tmp_path):
 
 
 def test_analyze_enumerates_the_decay_series_once(monkeypatch, tmp_path):
-    """Each length of w is walked once, and the scans of the rows once: the
-    verdict fits the w(1..6) that the rows' series recorded on the family,
-    with the bits of the verdict that walks w(1..6) itself."""
+    """The scans of the rows are walked once, and at D = 2 no length of w is
+    walked at all, since w is the determinant sum: the verdict fits the
+    w(1..6) of the rows' series, with the bits of the verdict run on its
+    own."""
     from mpsrestrict import purity, restriction
     from mpsrestrict.models import aklt
 
@@ -894,7 +920,7 @@ def test_analyze_enumerates_the_decay_series_once(monkeypatch, tmp_path):
     monkeypatch.setattr(restriction, "_string_sum", counted)
     out = tmp_path / "r.json"
     assert main(["analyze", "--builtin", "aklt", "--nmax", "8", "--out", str(out)]) == 0
-    assert walks == [(False, list(range(1, 9)))] + [(True, [n]) for n in range(1, 9)]
+    assert walks == [(False, list(range(1, 9)))]
     rep = json.loads(out.read_text())
     assert rep["purity"] == {
         "status": want.status,

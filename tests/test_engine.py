@@ -399,25 +399,26 @@ def test_w_series_bounds_the_exterior_square_slices_of_rank_one_products(caller,
 
 
 def test_w_series_streams_its_rows():
-    """The 2^15 leaves of a dense D = 2 family give 512 KB of w rows, 16
+    """The 2^16 leaves of a dense D = 3 family give 1 MB of w rows, over 14
     stacks' worth of products.  The engine reduces each run's rows before it
     forms the next, so the series peaks below 8 stacks, and a walk that
-    collected every row before reducing would fail here."""
-    K = haar_kraus(2, 2, seed=1)
-    stack_bytes = _CHUNK_STRINGS * 2 * 2 * 16
-    assert 2**15 * 2 * 8 == 16 * stack_bytes
+    collected every row before reducing would fail here.  (At D = 2, w is a
+    closed form that walks nothing.)"""
+    K = haar_kraus(3, 2, seed=1)
+    stack_bytes = _CHUNK_STRINGS * 3 * 3 * 16
+    assert 2**16 * 2 * 8 > 14 * stack_bytes
     tracemalloc.start()
     try:
-        w = w_series(K, 15)
+        w = w_series(K, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * stack_bytes
     products = K.ops
-    for _ in range(14):
-        products = np.matmul(K.ops[None], products[:, None]).reshape(-1, 2, 2)
+    for _ in range(15):
+        products = np.matmul(K.ops[None], products[:, None]).reshape(-1, 3, 3)
     s = np.linalg.svd(products, compute_uv=False)
-    assert w.value_at(15) == oracle.tree_sum(s[:, 0] * s[:, 1], 2)
+    assert w.value_at(16) == oracle.tree_sum(s[:, 0] * s[:, 1], 2)
 
 
 def test_one_walk_scans_stream_their_rows():

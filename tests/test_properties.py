@@ -191,6 +191,16 @@ def _longest(K: KrausFamily, cap: int) -> int:
     return max(m for m in range(1, cap + 1) if K.d**m <= 729 or m == 1)
 
 
+def _dense_levels(K: KrausFamily, root: np.ndarray, n: int) -> dict[int, np.ndarray]:
+    """Every product of each length 0..n in lexicographic order, each formed
+    from its prefix alone by ``oracle.step``: the two multiply-adds at D = 2,
+    one matmul elsewhere."""
+    dense = {0: root[None]}
+    for m in range(1, n + 1):
+        dense[m] = np.array([oracle.step(A, P) for P in dense[m - 1] for A in K.ops])
+    return dense
+
+
 SPLITS = st.fixed_dictionaries(
     {
         "family": st.sampled_from(["haar"] + sorted(SPARSE_FAMILIES)),
@@ -218,9 +228,7 @@ def test_split_walks_give_the_dense_table_and_its_tree_sum_bit_for_bit(case):
     root = np.eye(K.D, dtype=complex)
     if case["vector"]:
         root = np.ones((K.D, 1), dtype=complex) / np.sqrt(K.D)
-    dense = {0: root[None]}
-    for m in range(1, n + 1):
-        dense[m] = np.matmul(K.ops[None], dense[m - 1][:, None]).reshape(-1, *root.shape)
+    dense = _dense_levels(K, root, n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(restriction, "_CHUNK_STRINGS", case["cap"])
         for leaf in (lambda W: _capped_norm2(None, W), lambda W: _adjoint(W) @ W):
@@ -235,7 +243,6 @@ def test_split_walks_give_the_dense_table_and_its_tree_sum_bit_for_bit(case):
 
 KERNEL = st.fixed_dictionaries(
     {
-        "D": st.integers(min_value=1, max_value=8),
         "d": st.integers(min_value=1, max_value=5),
         "k": st.integers(min_value=1, max_value=12),
         "vector": st.booleans(),
@@ -250,14 +257,11 @@ KERNEL = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=200, deadline=2000)
-@given(KERNEL)
-def test_grow_forms_each_child_as_its_own_product_bit_for_bit(case):
-    """Row i*d + s of a grown stack is ops[s] @ stack[i] with the same bits,
-    whatever the stack's length or strides, so one BLAS call per prefix
-    gives each product the bits of its own pair.  A pruned walk keeps the
-    non-zero children in that order, with their global indices."""
-    D, d, k = case["D"], case["d"], case["k"]
+def _check_grow(case, D: int) -> None:
+    """Row i*d + s of a grown stack has the bits of ``oracle.step(ops[s],
+    stack[i])``, whatever the stack's length or strides, and a pruned walk
+    keeps the non-zero children in that order, with their global indices."""
+    d, k = case["d"], case["k"]
     r = 1 if case["vector"] else D
     rng = np.random.default_rng(case["seed"])
     ops = rng.standard_normal((d, D, D)) + 1j * rng.standard_normal((d, D, D))
@@ -270,7 +274,7 @@ def test_grow_forms_each_child_as_its_own_product_bit_for_bit(case):
         "strided-columns": base[:k, :, ::2][:, :, :r],
     }[case["layout"]]
     stack[[i for i in case["zero_prefixes"] if i < k]] = 0.0
-    children = [(i * d + s, ops[s] @ stack[i]) for i in range(k) for s in range(d)]
+    children = [(i * d + s, oracle.step(ops[s], stack[i])) for i in range(k) for s in range(d)]
     stacked = ops.reshape(d * D, D)
 
     grown, index = _grow(stacked, stack, range(k), prune=False)
@@ -286,6 +290,25 @@ def test_grow_forms_each_child_as_its_own_product_bit_for_bit(case):
     assert grown.shape == (len(kept), D, r)
     for row, (_, child) in zip(grown, kept):
         assert row.tobytes() == child.tobytes()
+
+
+@settings(max_examples=200, deadline=2000)
+@given(case=KERNEL, D=st.sampled_from([1, 3, 4, 5, 6, 7, 8]))
+def test_grow_forms_each_child_as_its_own_product_bit_for_bit(case, D):
+    """Away from D = 2, row i*d + s of a grown stack is ops[s] @ stack[i]
+    with the same bits, so one BLAS call per prefix gives each product the
+    bits of its own pair.  The bits are those of the BLAS core: this pin
+    holds under the core it was recorded with."""
+    _check_grow(case, D)
+
+
+@settings(max_examples=200, deadline=2000)
+@given(case=KERNEL)
+def test_grow_forms_each_d2_child_by_two_multiply_adds_bit_for_bit(case):
+    """At D = 2, row i*d + s of a grown stack is ops[s][:, 0] stack[i][0] +
+    ops[s][:, 1] stack[i][1] with the same bits, however the stack is laid
+    out.  No BLAS call forms it, so the pin holds under every BLAS core."""
+    _check_grow(case, 2)
 
 
 LEAF = st.fixed_dictionaries(
@@ -376,9 +399,7 @@ def test_one_walk_gives_every_window_table_bit_for_bit(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(restriction, "_CHUNK_STRINGS", case["cap"])
         tree = _products(K, root, max(lengths), guard=K.d ** max(lengths))
-        dense = {0: root[None]}
-        for m in range(1, max(lengths) + 1):
-            dense[m] = np.matmul(K.ops[None], dense[m - 1][:, None]).reshape(-1, *root.shape)
+        dense = _dense_levels(K, root, max(lengths))
         seen = {m: [] for m in lengths}
         for m, index, stack in tree.levels(lengths):
             assert np.array_equal(stack, dense[m][index]), m
@@ -455,6 +476,53 @@ def test_the_check_route_keeps_nu1_nu2_across_its_switch(D, log_ratio, log_scale
     assert abs(got - want) <= 1e-10 * want + 1e-14 * scale**2
 
 
+GRAMS = st.fixed_dictionaries(
+    {
+        # tiny: entries near 1e-81, so |det T| is near 1e-162 and its square
+        # underflows
+        "kind": st.sampled_from(["generic", "rank-1", "zero", "equal", "tiny"]),
+        "k": st.integers(min_value=1, max_value=40),
+        "log_scale": st.floats(min_value=-3.0, max_value=3.0),
+        "seed": st.integers(min_value=0, max_value=10**6),
+    }
+)
+
+
+@settings(max_examples=200, deadline=2000)
+@given(GRAMS)
+def test_the_d2_closed_forms_are_the_gram_spectrum_and_nu1_nu2(case):
+    """The scans' closed forms at D = 2 give the two eigenvalues of T T^dag
+    within 16 eps lambda1 of eigvalsh of the formed Gram, and |det T| within
+    8 eps lambda1 of nu1 nu2 from the SVD, on Grams of rank 2, rank 1 and 0,
+    with equal eigenvalues, and at a scale where |det T|^2 underflows:
+    lambda2 = |det T| (|det T| / lambda1) keeps it.  Against a 50-digit
+    reference the closed forms erred by at most 3.5 eps lambda1 and
+    eigvalsh by 5.3, and the two sides differed by up to 9.1 here."""
+    rng = np.random.default_rng(case["seed"])
+    k, scale = case["k"], 10.0 ** case["log_scale"]
+    ginibre = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
+    u, v = (rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2)) for _ in range(2))
+    T = {
+        "generic": scale * ginibre,
+        "rank-1": scale * u[:, :, None] * v[:, None, :].conj(),
+        "zero": np.zeros((k, 2, 2), dtype=complex),
+        "equal": scale * np.stack([purity._haar_unitary(2, rng) for _ in range(k)]),
+        "tiny": 1e-81 * ginibre,
+    }[case["kind"]]
+    lam, det = restriction._gram2(T)
+    want = np.linalg.eigvalsh(T @ _adjoint(T))
+    nu = np.linalg.svd(T, compute_uv=False)
+    eps_lam1 = np.finfo(float).eps * want[:, -1]
+    assert lam.shape == want.shape and det.shape == (k,)
+    assert np.all(np.abs(lam - want) <= 16 * eps_lam1[:, None])
+    assert np.all(np.abs(det - nu[:, 0] * nu[:, 1]) <= 8 * eps_lam1)
+    assert np.all(lam >= 0.0) and np.all(lam[:, 0] <= lam[:, 1])
+    if case["kind"] == "tiny":  # so the bound above holds only for a lambda2 kept from underflow
+        assert np.all(det**2 < np.finfo(float).tiny) and np.all(lam[:, 0] > 0.0)
+    if case["kind"] == "zero":
+        assert not lam.any() and not det.any()
+
+
 def _renormalized_rank_one() -> KrausFamily:
     """renormalize of three complex rank-1 3 x 3 outer products from default_rng(3)."""
     rng = np.random.default_rng(3)
@@ -472,9 +540,13 @@ RANK_DEFICIENT = {
 
 @pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
 def test_rank_deficient_products_take_the_exterior_square(name, monkeypatch):
-    """On families with rank-deficient products the routes of w_series
-    agree, and every product with 0 < nu2 < nu1 / 200 had its exterior
-    square formed; at D >= 3 no product with nu2 > nu1 / 50 did."""
+    """On D >= 3 families with rank-deficient products the routes of
+    w_series agree, every product with 0 < nu2 < nu1 / 200 had its exterior
+    square formed, and no product with nu2 > nu1 / 50 did.  At D = 2
+    (damping, whose A_1 has rank 1) w is s^n and forms no product: the only
+    exterior square formed is that of the d operators, whose minors are s's
+    terms, and w(n) is the oracle's per-string SVD sum within 1e-12
+    relative."""
     K = RANK_DEFICIENT[name]()
     low, near, formed = [], [], []
     check, minors = purity._check_norms, restriction.exterior_square
@@ -483,7 +555,7 @@ def test_rank_deficient_products_take_the_exterior_square(name, monkeypatch):
         s = np.linalg.svd(W, compute_uv=False)
         ratio = np.divide(s[:, 1], s[:, 0], out=np.ones(len(W)), where=s[:, 0] > 0.0)
         low.append(int(np.count_nonzero(ratio < 5e-3)))
-        near.append(int(np.count_nonzero(ratio < 2e-2)) if K.D > 2 else len(W))
+        near.append(int(np.count_nonzero(ratio < 2e-2)))
         return check(W)
 
     def spy_minors(O):
@@ -491,11 +563,16 @@ def test_rank_deficient_products_take_the_exterior_square(name, monkeypatch):
         return minors(O)
 
     monkeypatch.setattr(purity, "_check_norms", spy_check)
-    # the kernel forms the squares at D >= 3, the |det| of _check_norms at D = 2
+    # the kernel forms the squares at D >= 3, s's minors are taken at D = 2
     monkeypatch.setattr(restriction, "exterior_square", spy_minors)
     monkeypatch.setattr(purity, "exterior_square", spy_minors)
-    w_series(K, 5)  # raises NumericalInconsistency if the routes disagree
-    assert 0 < sum(low) <= sum(formed) <= sum(near)
+    w = w_series(K, 5)  # raises NumericalInconsistency if the routes disagree
+    if K.D == 2:
+        assert low == [] and set(formed) == {K.d}
+        for (n, got), want in zip(w.values, oracle.w_values(K, 5)):
+            assert abs(got - want) <= 1e-12 * want, n
+    else:
+        assert 0 < sum(low) <= sum(formed) <= sum(near)
 
 
 @pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
@@ -552,28 +629,40 @@ def _record(K: KrausFamily) -> dict:
     return {key: {n: s.tolist() for n, s in sums.items()} for key, sums in K._sums.items()}
 
 
+def _spy(monkeypatch, name: str, modules) -> list:
+    """The second argument of every call of ``name`` in ``modules``, as the
+    real function runs."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(RECORD_FAMILIES))
 def test_the_recorded_w_sums_are_the_walked_ones_bit_for_bit(name, monkeypatch):
-    """A family records the two sums of every length w_series walks.  The
-    statistic read from that record is the one walked on a fresh family,
-    and both are w_series' check-route sum; a shorter w_series read from
-    the record is a fresh one, and neither read forms a product."""
+    """A D >= 3 family records the two sums of every length w_series walks.
+    The statistic read from that record is the one walked on a fresh
+    family, and both are w_series' check-route sum; a shorter w_series read
+    from the record is a fresh one, and neither read forms a product.  A
+    D = 2 family records nothing, since w is s^n: the statistic is w_series'
+    value, and neither forms a product either."""
     make, n = RECORD_FAMILIES[name]
     walked = purification_statistic(make(), n)
     fresh = [w_series(make(), m).values for m in range(1, n + 1)]
     K = make()
     w_series(K, n)
-    assert K._sums["w",][n][1] == walked
+    if K.D == 2:
+        assert K._sums == {} and walked == fresh[-1][-1][1]
+    else:
+        assert K._sums["w",][n][1] == walked
 
-    sums = []
-    real = restriction._string_sum
-
-    def spy(*args):
-        sums.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(restriction, "_string_sum", spy)
-    monkeypatch.setattr(trajectories, "_string_sum", spy)
+    sums = _spy(monkeypatch, "_string_sum", [restriction, trajectories])
     assert purification_statistic(K, n) == walked
     assert [w_series(K, m).values for m in range(1, n + 1)] == fresh
     assert sums == []
@@ -581,26 +670,29 @@ def test_the_recorded_w_sums_are_the_walked_ones_bit_for_bit(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(RECORD_FAMILIES))
 def test_the_statistic_records_both_sums_for_w_series(name, monkeypatch):
-    """On a fresh family the statistic walks length n with both routes and
-    records the pair a fresh w_series records, so a later w_series walks
-    only the shorter lengths and returns the fresh series bit for bit."""
+    """On a fresh D >= 3 family the statistic walks length n with both
+    routes and records the pair a fresh w_series records, so a later
+    w_series walks only the shorter lengths and returns the fresh series bit
+    for bit.  On a fresh D = 2 family the statistic and w_series both read
+    s^n from the operators: ``_products`` is never called, in any module
+    that holds it, and nothing is recorded."""
     make, n = RECORD_FAMILIES[name]
     fresh = make()
     want = w_series(fresh, n)
     K = make()
-    assert purification_statistic(K, n) == fresh._sums["w",][n][1]
-    assert _record(K) == {("w",): {n: _record(fresh)["w",][n]}}
+    products = _spy(monkeypatch, "_products", [restriction, purity, trajectories])
+    stat = purification_statistic(K, n)
+    if K.D == 2:
+        assert stat == want.value_at(n) and K._sums == {} == fresh._sums
+    else:
+        assert stat == fresh._sums["w",][n][1]
+        assert _record(K) == {("w",): {n: _record(fresh)["w",][n]}}
 
-    walks = []
-    real = restriction._string_sum
-
-    def spy(*args):
-        walks.append(args[1])
-        return real(*args)
-
-    monkeypatch.setattr(restriction, "_string_sum", spy)
+    walks = _spy(monkeypatch, "_string_sum", [restriction])
     assert w_series(K, n) == want
-    assert walks == [[m] for m in range(1, n)]
+    assert walks == ([] if K.D == 2 else [[m] for m in range(1, n)])
+    if K.D == 2:
+        assert products == []
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_FAMILIES))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from families import block_diagonal, code_d3, dark_block_family
 from mpsrestrict.chain import KrausFamily, sqrt_env
 from mpsrestrict.errors import (
@@ -214,19 +215,25 @@ _D2_FAMILIES = {
 @pytest.mark.parametrize("family", _D2_FAMILIES)
 def test_d2_decay_series_are_powers_of_the_determinant_sum(family):
     """At D = 2, nu1 nu2(W) = |det W| and the determinant is multiplicative,
-    so w(n) = s^n with s = sum_x |det A_x|, and the stationary f(n) =
-    |det sqrt(rho)| s^n: an oracle that forms no string product.  Where the
-    closed form is 0 the series is exactly 0.  Since |det A| = nu1 nu2 <=
-    (nu1^2 + nu2^2) / 2, s <= tr(sum_x A_x^dag A_x) / 2 = 1."""
+    so w(n) = s^n with s = sum_x |det A_x|, which ``w_series`` and the
+    purification statistic report in closed form.  Their oracle is the
+    enumeration: the per-string SVD sum of ``oracle.w_values``, within 1e-12
+    relative, and exactly 0 where that sum is.  The stationary f(n), which
+    the scans enumerate, is the closed form |det sqrt(rho)| s^n.  Since
+    |det A| = nu1 nu2 <= (nu1^2 + nu2^2) / 2, s <= tr(sum_x A_x^dag A_x) / 2
+    = 1."""
     K = _D2_FAMILIES[family]()
     s = math.fsum(abs(np.linalg.det(A)) for A in K.ops)
     rho = K._fixed_point.rho
     root = abs(np.linalg.det(sqrt_env(rho)))
     n_max = max(n for n in range(1, 9) if K.d**n <= 3**8)
     w, f = w_series(K, n_max), f_series(K, rho, np.eye(2), n_max)
-    for n in range(1, n_max + 1):
-        for got, want in ((w.value_at(n), s**n), (f.value_at(n), root * s**n)):
+    enumerated = oracle.w_values(K, n_max)
+    for n, want in enumerate(enumerated, start=1):
+        for got in (w.value_at(n), purification_statistic(K, n)):
             assert got == 0.0 if want == 0.0 else abs(got - want) <= 1e-12 * want, (n, got, want)
+        got, want = f.value_at(n), root * s**n
+        assert got == 0.0 if want == 0.0 else abs(got - want) <= 1e-12 * want, (n, got, want)
     assert s <= 1.0 + 1e-12
     if family == "aklt-pauli":
         assert s == pytest.approx(1.0, abs=1e-12)
@@ -605,14 +612,18 @@ def test_a_corrupted_wedge_route_is_an_inconsistency(monkeypatch):
         w_series(_skewed_family(0.005), 4)
 
 
-def test_a_corrupted_determinant_is_an_inconsistency(monkeypatch):
-    """At D = 2 the check route is |det W|, the one minor of the exterior
-    square, for every product: off by one part in 1e6 it makes w_series
-    raise on AKLT (w(1) = 1/3)."""
+def test_a_corrupted_determinant_moves_w_off_the_enumeration(monkeypatch):
+    """At D = 2 w is s^n, with s the sum of the operators' one 2x2 minors,
+    and no product is formed: the minors are taken of the d operators alone.
+    Minors off by one part in 1e6 move every w(n) of AKLT by n parts in 1e6,
+    far outside the 1e-12 within which the enumeration of
+    ``oracle.w_values`` pins it."""
+    want = oracle.w_values(aklt(), 4)
     formed = _count_wedges(monkeypatch, corrupt=1e-6)
-    with pytest.raises(NumericalInconsistency, match="routes disagree"):
-        w_series(aklt(), 4)
-    assert formed[0] == 3  # the three products of length 1
+    w = w_series(aklt(), 4)
+    assert formed and set(formed) == {3}
+    for (n, got), exact in zip(w.values, want):
+        assert abs(got / exact - (1.0 + 1e-6) ** n) <= 1e-12, n
 
 
 def test_corrupted_gram_eigenvalues_are_an_inconsistency(monkeypatch):
