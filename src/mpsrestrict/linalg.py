@@ -88,10 +88,13 @@ def _check_length(n: Any, what: str, least: int = 1) -> int:
     return int(n)
 
 
-def _check_tol(tol: float, what: str = "tol") -> None:
+def _check_tol(tol: Any, what: str = "tol") -> float:
+    """tol as a float if it is a finite real number >= 0 (not a bool), else OutOfRange."""
     # NaN or inf would pass every comparison against it, a negative one none
-    if not 0.0 <= tol < float("inf"):
+    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+    if not (real and 0.0 <= tol < float("inf")):
         raise OutOfRange(f"{what} must be a finite number >= 0, got {tol!r}")
+    return float(tol)
 
 
 def _as_matrix(M: Any, what: str = "matrix", error: type = ShapeMismatch) -> np.ndarray:
@@ -192,8 +195,8 @@ def shannon_entropy(p: np.ndarray | Sequence[float]) -> float:
 
 def binary_entropy(t: float) -> float:
     """H_B(t) = -t ln t - (1-t) ln(1-t), with H_B(0) = H_B(1) = 0."""
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
+    t = _check_tol(t, "t")
+    if t > 1.0:
         raise OutOfRange(f"binary_entropy needs t in [0, 1], got {t!r}")
     out = 0.0
     if 0.0 < t:
@@ -208,8 +211,8 @@ def g_func(t: float) -> float:
 
     Dominates the binary entropy: H_B(t) <= g(t) on [0, 1].
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
+    t = _check_tol(t, "t")
+    if t > 1.0:
         raise OutOfRange(f"g_func needs t in [0, 1], got {t!r}")
     if t == 0.0:
         return 0.0

@@ -6,7 +6,7 @@ import numpy as np
 
 from .chain import KrausFamily
 from .errors import InvalidDistribution, OutOfRange
-from .linalg import _check_length, _check_square
+from .linalg import _check_length, _check_square, _check_tol
 
 __all__ = [
     "aklt",
@@ -110,8 +110,8 @@ def damping(gamma: float = 0.5) -> KrausFamily:
     The transfer fixed point |0><0| is rank-deficient (non-primitive family);
     the dressed decay series falls off like (1 - gamma)^(N/2).
     """
-    g = float(gamma)
-    if not 0.0 <= g <= 1.0:
+    g = _check_tol(gamma, "gamma")
+    if g > 1.0:
         raise OutOfRange(f"gamma must lie in [0, 1], got {g}")
     a0 = np.diag([1.0, np.sqrt(1.0 - g)]).astype(complex)
     a1 = np.zeros((2, 2), dtype=complex)

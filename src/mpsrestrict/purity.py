@@ -37,8 +37,7 @@ from .errors import (
     EvenDimension,
     NumericalInconsistency,
 )
-from .linalg import _check_length, _check_tol, _psd_rank
-from .linalg import clock_shift_basis, exterior_square
+from .linalg import _check_length, _check_tol, _psd_rank, clock_shift_basis
 from .restriction import (
     DEFAULT_GUARD,
     RestrictionContext,
@@ -48,6 +47,7 @@ from .restriction import (
     _products,
     _recorded,
     _scans,
+    _spectra,
     _string_tables,
 )
 
@@ -426,27 +426,20 @@ def purity_verdict(
 # ----------------------------------------------------------------- decay series
 
 
-def _check_norms(W: np.ndarray) -> np.ndarray:
-    """nu1 * nu2 of each product of a stack (k, D, D), D >= 3, by a route
-    independent of the SVD: the cross-check of ``w_series``.  It is ``_nu12``
-    of one batched eigvalsh of the Gram matrices W^dag W: their root where
-    nu2 >= nu1 / 100, else the norm of the exterior square.
-    """
-    return _nu12(W, np.linalg.eigvalsh(_adjoint(W) @ W))
-
-
 def _w_leaf(_: int, W: np.ndarray) -> np.ndarray:
+    """nu1 nu2 of each product of a stack (k, D, D), D >= 3, by the SVD and by
+    the check route: ``_nu12`` of one batched eigvalsh of the Grams W^dag W."""
     s = np.linalg.svd(W, compute_uv=False)
-    return np.stack([s[:, 0] * s[:, 1], _check_norms(W)], axis=1)
+    return np.stack([s[:, 0] * s[:, 1], _nu12(W, np.linalg.eigvalsh(_adjoint(W) @ W))], axis=1)
 
 
 def _w_pair(K: KrausFamily, n: int, guard: int) -> tuple[float, float]:
-    """The SVD and ``_check_norms`` tree-order sums of nu1 nu2 over the d^n
-    bare products, after the length and guard checks (both 0 at D < 2).
+    """The tree-order sums of ``_w_leaf``'s two nu1 nu2 over the d^n bare
+    products, after the length and guard checks (both 0 at D < 2).
 
     At D = 2, nu1 nu2 = |det W| and the determinant is multiplicative, so
-    both are s^n, s = sum_x |det A_x| (each the one minor of the exterior
-    square, added by ``math.fsum``): no product is formed and nothing is
+    both are s^n, s = sum_x |det A_x| (``_spectra`` of the d operators,
+    added by ``math.fsum``): no product is formed and nothing is
     recorded.  At D >= 3 the sums are read from the family's record
     (``_recorded``), where a missing length is walked once, and the routes
     must agree to 1e-9 max(1, svd) on every call, recorded or not.
@@ -456,7 +449,7 @@ def _w_pair(K: KrausFamily, n: int, guard: int) -> tuple[float, float]:
     if K.D < 2:  # a 1 x 1 product has no nu2: nothing to walk
         return 0.0, 0.0
     if K.D == 2:
-        w = math.fsum(np.abs(exterior_square(K.ops)[:, 0, 0]).tolist()) ** n
+        w = math.fsum(_spectra(K.ops)[1].tolist()) ** n
         return w, w
     eye = np.eye(K.D, dtype=complex)
     svd, check = (float(x) for x in _recorded(K, ("w",), eye, [n], guard, _w_leaf)[n])
@@ -473,10 +466,10 @@ def w_series(K: KrausFamily, n_max: int, guard: int = DEFAULT_GUARD) -> DecaySer
     At D = 2 it is s^n in closed form (``_w_pair``), whose oracle is the
     enumeration of the tests.  At D >= 3 it is computed by two independent
     routes from the same products, which must agree to 1e-9 max(1, w(n)):
-    the per-string SVD, whose values are reported, and ``_check_norms``,
-    which keeps each product's nu1 nu2 to about 1e-11 relative, or O(eps)
-    nu1^2 below its switch to the exterior square.  The submultiplicative
-    law w(n+m) <= w(n) w(m) is checked for all pairs.
+    the per-string SVD, whose values are reported, and the check route of
+    ``_w_leaf``, which keeps each product's nu1 nu2 to about 1e-11
+    relative, or O(eps) nu1^2 below its switch to the exterior square.  The
+    submultiplicative law w(n+m) <= w(n) w(m) is checked for all pairs.
 
     At D >= 3 each length is one walk, recorded on the family
     (``_recorded``), so a later call walks only the lengths the record

@@ -43,12 +43,11 @@ outcomes of any context for several window lengths from one walk
 (``window_distribution`` is its one-length call, and ``chain_distribution``
 that table for the bare boundary context); its leaf, ``_capped_norm2``, is
 the one squared norm of a string product and calls no BLAS, so each entry
-has the bits of its own product alone.  ``_nu12`` is the one nu1 nu2 of a
-string product at D >= 3, given the eigenvalues of its Gram matrices,
-besides the SVD whose values ``w_series`` reports: the scans' f (so
-``f_series``) and the check route of ``w_series`` take it.  At D = 2 the
-scans take the Gram's spectrum and f's nu1 nu2 = |det T| from the closed
-forms of ``_gram2``, with no LAPACK call.
+has the bits of its own product alone.  ``_spectra`` is the one spectrum
+of a string product's Gram T T^dag and its one nu1 nu2 besides the SVD
+that ``w_series`` reports (closed forms at D = 2, with no LAPACK call; at
+D >= 3 ``_nu12``, also w's check route): the scans (so f and
+``f_series``), ``post_measurement_spectrum`` and w's s at D = 2 take it.
 ``_cmi_rows`` sets the classical CMI of each block against the quantum
 CMI of its block, with the window sites folded into the environments once
 and every block scanned from one walk (``_scans``).  In the stationary
@@ -608,18 +607,24 @@ def _nu12(W: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _gram2(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending eigenvalues of T T^dag and |det T| for a stack (k, 2, 2),
-    in closed form, with no LAPACK call.
+def _spectra(T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues of T T^dag and nu1 nu2 of each product of
+    a stack (k, D, D).
 
-    With a, c the diagonal and b the off-diagonal entry of the Gram, lambda1
-    = m + r for m = (a + c) / 2 and r = hypot((a - c) / 2, |b|), and lambda2
-    = |det T| (|det T| / lambda1), 0 where lambda1 = 0, never m - r: that
-    cancels to an error of about eps lambda1, where this one errs by about
-    eps sqrt(lambda1 lambda2), and no square of |det T| underflows.  lambda2
-    is capped at lambda1, which it can pass by rounding where the two are
-    equal.  |det T| = nu1 nu2 is T's one 2x2 minor.
+    At D = 2 both are closed forms, with no LAPACK call.  With a, c the
+    diagonal and b the off-diagonal entry of the Gram, lambda1 = m + r for
+    m = (a + c) / 2 and r = hypot((a - c) / 2, |b|), and lambda2 = |det T|
+    (|det T| / lambda1), 0 where lambda1 = 0, never m - r: that cancels to
+    an error of about eps lambda1, where this one errs by about eps
+    sqrt(lambda1 lambda2), and no square of |det T| underflows.  lambda2 is
+    capped at lambda1, which it can pass by rounding where the two are
+    equal.  nu1 nu2 = |det T| is T's one 2x2 minor.  At D >= 3 the
+    eigenvalues are one batched eigvalsh, from which ``_nu12`` takes nu1
+    nu2; a 1 x 1 product has no nu2, and its nu1 nu2 is 0.
     """
+    if T.shape[-1] != 2:
+        lam = np.linalg.eigvalsh(T @ _adjoint(T))
+        return lam, _nu12(T, lam) if lam.shape[1] > 1 else np.zeros(len(T))
     sq = T.real**2 + T.imag**2
     a, c = sq[:, 0, 0] + sq[:, 0, 1], sq[:, 1, 0] + sq[:, 1, 1]
     b = T[:, 0, 0] * T[:, 1, 0].conj() + T[:, 0, 1] * T[:, 1, 1].conj()
@@ -643,7 +648,7 @@ def post_measurement_spectrum(ctx: RestrictionContext, x: Sequence[int]) -> Spec
     xs, P, e = _string_product(ctx.kraus.ops, ctx.sqrt_sigma, x)
     k2 = ctx.k2_for(len(xs))
     T = P if ctx._cap is None else ctx._cap @ P
-    lam = np.linalg.eigvalsh(T @ T.conj().T)
+    lam = _spectra(T[None])[0][0]
     tr = float(lam.sum())
     t, s = _zero_threshold(ctx.kraus.d, len(xs))
     (mp, ep), (mt, et) = frexp(tr / k2), frexp(t)
@@ -679,11 +684,10 @@ def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, 
     The sums come from the family's record of its context's scans
     (``_recorded``), keyed by the exact bytes of the context's (sigma, F).
     Zero-probability strings (p < 1e-14 d^-n) contribute only to the raw
-    probability sum.  The eigenvalues of T T^dag of each product give the
-    entropy and the two eigenvalue sums: at D = 2 the closed forms of
-    ``_gram2``, whose |det T| is f's nu1 nu2, with no LAPACK call; at D >= 3
-    one eigvalsh per product, from whose eigenvalues ``_nu12`` takes f's
-    nu1 nu2."""
+    probability sum.  ``_spectra`` gives the eigenvalues of T T^dag of each
+    product, whence the entropy and the two eigenvalue sums, and f's nu1
+    nu2: closed forms at D = 2, with no LAPACK call, and one eigvalsh per
+    product at D >= 3."""
     ns = [_check_length(n, "string length") for n in ns]
     _check_guard(ctx.kraus.d, max(ns), guard)
     k2 = {n: ctx.k2_for(n) for n in ns}
@@ -692,11 +696,7 @@ def _scans(ctx: RestrictionContext, ns: Iterable[int], guard: int) -> dict[int, 
     def leaf(n: int, P: np.ndarray) -> np.ndarray:
         # rows [tr, tr*S, lam1, lam2, nu1*nu2], un-normalized
         T = P if cap is None else cap @ P
-        if T.shape[1] == 2:  # the closed forms: no LAPACK call
-            lam, nu12 = _gram2(T)
-        else:  # a 1 x 1 product has no nu2: its rows keep 0
-            lam = np.linalg.eigvalsh(T @ _adjoint(T))
-            nu12 = _nu12(T, lam) if lam.shape[1] > 1 else np.zeros(len(T))
+        lam, nu12 = _spectra(T)
         tr = lam.sum(axis=-1)
         rows = np.zeros((len(T), 5))
         rows[:, 0] = tr

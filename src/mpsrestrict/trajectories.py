@@ -89,14 +89,15 @@ def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Conditional weights under _WEIGHT_CUTOFF are dropped and the rest
     renormalized; the outcome is the number of cumulative weights <= u
-    (a right-sided search), capped at d - 1 against a last cumulative
-    weight that rounds below 1.
+    (a right-sided search), capped at the last outcome of positive weight
+    against a last cumulative weight that rounds below 1.
     """
     cond = weights / weights.sum(axis=1, keepdims=True)
     cond[cond < _WEIGHT_CUTOFF] = 0.0
     cond = cond / cond.sum(axis=1, keepdims=True)
     below = np.cumsum(cond, axis=1) <= u[:, None]
-    return np.minimum(below.sum(axis=1), weights.shape[1] - 1)
+    last = cond.shape[1] - 1 - np.argmax(cond[:, ::-1] > 0.0, axis=1)
+    return np.minimum(below.sum(axis=1), last)
 
 
 def sample_trajectories(

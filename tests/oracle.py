@@ -307,7 +307,7 @@ def sample_trajectory(K, n: int, seed: int, stream: int = 0) -> trajectories.Mar
         cond[cond < trajectories._WEIGHT_CUTOFF] = 0.0
         cond = cond / cond.sum()
         y = int(np.searchsorted(np.cumsum(cond), rng.random(), side="right"))
-        y = min(y, K.d - 1)
+        y = min(y, int(np.flatnonzero(cond)[-1]))  # never a dropped outcome
         W = K.ops[y] @ W
         tr = float(_capped_norm2(None, W[None])[0])
         if tr <= 0.0:

@@ -17,7 +17,9 @@ from mpsrestrict.chain import (
     transfer_apply,
     transfer_matrix,
 )
+from mpsrestrict.cli import main
 from mpsrestrict.errors import (
+    NonConvergent,
     NotLeftNormalized,
     NotPSD,
     OutOfRange,
@@ -114,6 +116,30 @@ def test_fixed_point_damping_not_primitive():
     fp = fixed_point(damping(0.5))
     assert np.allclose(fp.rho, np.diag([1.0, 0.0]), atol=1e-10)
     assert not fp.primitive
+
+
+# an eigensolver that fails one check of fixed_point, and that check's words
+_BROKEN_EIG = {
+    # no eigenvalue within 1e-8 of 1
+    "no-fixed-eigenvalue": (lambda vals, vecs: (vals / 2.0, vecs), "no transfer eigenvalue"),
+    # the fixed eigenvector moved off the fixed space, so E(rho) != rho
+    "wrong-fixed-vector": (lambda vals, vecs: (vals, vecs + 0.1), "exceeds 1e-9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_EIG))
+def test_a_failed_fixed_point_is_non_convergent(case, monkeypatch, tmp_path):
+    """Each check of ``fixed_point`` raises NonConvergent on an eigensolver
+    that fails it, and ``analyze`` exits with 4, the code of an internal
+    failure."""
+    broken, match = _BROKEN_EIG[case]
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda T: broken(*eig(T)))
+    with pytest.raises(NonConvergent, match=match):
+        fixed_point(aklt())
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--builtin", "aklt", "--nmax", "2", "--out", str(out)]) == 4
+    assert not out.exists()
 
 
 def test_fixed_point_clock_replacement():

@@ -330,6 +330,34 @@ def test_nan_scalars_are_rejected():
             fn(nan)
 
 
+# every public entry point that takes a tolerance or a scalar in [0, 1], as a
+# call on it, with the name its error gives the argument
+SCALAR_ENTRY_POINTS = {
+    "purity_verdict-tol": (lambda v: purity_verdict(_K, 3, tol=v), "tol"),
+    "KrausFamily-atol": (lambda v: KrausFamily(ops=_K.ops, atol=v), "atol"),
+    "g_func-t": (g_func, "t"),
+    "binary_entropy-t": (binary_entropy, "t"),
+    "damping-gamma": (damping, "gamma"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [True, False, None, "0.5", 0.5 + 0j, np.bool_(True)])
+def test_a_scalar_that_is_not_a_real_number_is_out_of_range(name, value):
+    """A bool is not read as 0 or 1, and None, a string or a complex number
+    raises the named error, naming the argument, not a TypeError."""
+    call, what = SCALAR_ENTRY_POINTS[name]
+    with pytest.raises(OutOfRange, match=what):
+        call(value)
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ENTRY_POINTS))
+def test_a_real_scalar_of_any_type_is_accepted(name):
+    call, _ = SCALAR_ENTRY_POINTS[name]
+    for value in (0, 0.5, np.float64(0.5), np.float32(0.5), np.int64(1)):
+        call(value)
+
+
 _FINITE_MODEL = str(Path(__file__).parent / "golden" / "haar_d3_d3_finite_model.json")
 
 

@@ -220,3 +220,23 @@ def test_each_public_name_has_one_owner():
             assert getattr(mpsrestrict, name) is getattr(owner, name), f"{module}.{name}"
     assert len(mpsrestrict.__all__) == len(set(mpsrestrict.__all__))
     assert set(mpsrestrict.__all__) == PUBLIC
+
+
+def test_one_kernel_takes_each_string_products_spectrum_and_nu1_nu2():
+    """The spectrum of a string product's Gram T T^dag and its nu1 nu2
+    come from ``restriction._spectra`` (closed forms at D = 2), which the
+    scans, ``post_measurement_spectrum`` and w's closed form read; its
+    D >= 3 nu1 nu2 and w's check route are ``_nu12``, the one reader of
+    the exterior square.  A second eigvalsh dispatch or |det| fails here."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+
+    def readers(names):
+        return {(module, name) for module, tree in trees.items() for name in _readers(tree, names)}
+
+    assert readers({"_spectra"}) == {
+        ("restriction.py", "_scans"),
+        ("restriction.py", "post_measurement_spectrum"),
+        ("purity.py", "_w_pair"),
+    }
+    assert readers({"_nu12"}) == {("restriction.py", "_spectra"), ("purity.py", "_w_leaf")}
+    assert readers({"exterior_square"}) == {("restriction.py", "_nu12")}

@@ -472,7 +472,7 @@ def test_the_check_route_keeps_nu1_nu2_across_its_switch(D, log_ratio, log_scale
     for gram in (W.conj().T @ W, W @ W.conj().T):
         got = restriction._nu12(W[None], np.linalg.eigvalsh(gram)[None])[0]
         assert abs(got - want) <= 1e-10 * want + 1e-14 * scale**2
-    got = purity._check_norms(W[None])[0]
+    got = purity._w_leaf(1, W[None])[0, 1]
     assert abs(got - want) <= 1e-10 * want + 1e-14 * scale**2
 
 
@@ -509,7 +509,7 @@ def test_the_d2_closed_forms_are_the_gram_spectrum_and_nu1_nu2(case):
         "equal": scale * np.stack([purity._haar_unitary(2, rng) for _ in range(k)]),
         "tiny": 1e-81 * ginibre,
     }[case["kind"]]
-    lam, det = restriction._gram2(T)
+    lam, det = restriction._spectra(T)
     want = np.linalg.eigvalsh(T @ _adjoint(T))
     nu = np.linalg.svd(T, compute_uv=False)
     eps_lam1 = np.finfo(float).eps * want[:, -1]
@@ -544,31 +544,36 @@ def test_rank_deficient_products_take_the_exterior_square(name, monkeypatch):
     w_series agree, every product with 0 < nu2 < nu1 / 200 had its exterior
     square formed, and no product with nu2 > nu1 / 50 did.  At D = 2
     (damping, whose A_1 has rank 1) w is s^n and forms no product: the only
-    exterior square formed is that of the d operators, whose minors are s's
-    terms, and w(n) is the oracle's per-string SVD sum within 1e-12
-    relative."""
+    spectra taken are those of the d operators, whose |det| are s's terms,
+    no exterior square is formed, and w(n) is the oracle's per-string SVD
+    sum within 1e-12 relative."""
     K = RANK_DEFICIENT[name]()
-    low, near, formed = [], [], []
-    check, minors = purity._check_norms, restriction.exterior_square
+    low, near, formed, spectra = [], [], [], []
+    check, minors, closed = purity._nu12, restriction.exterior_square, purity._spectra
 
-    def spy_check(W):
+    def spy_check(W, lam):
         s = np.linalg.svd(W, compute_uv=False)
         ratio = np.divide(s[:, 1], s[:, 0], out=np.ones(len(W)), where=s[:, 0] > 0.0)
         low.append(int(np.count_nonzero(ratio < 5e-3)))
         near.append(int(np.count_nonzero(ratio < 2e-2)))
-        return check(W)
+        return check(W, lam)
 
     def spy_minors(O):
         formed.append(len(O))
         return minors(O)
 
-    monkeypatch.setattr(purity, "_check_norms", spy_check)
-    # the kernel forms the squares at D >= 3, s's minors are taken at D = 2
+    def spy_spectra(T):
+        spectra.append(len(T))
+        return closed(T)
+
+    # w's check route takes the kernel, which forms the squares, at D >= 3;
+    # at D = 2 s's terms are the closed forms' |det| of the d operators
+    monkeypatch.setattr(purity, "_nu12", spy_check)
     monkeypatch.setattr(restriction, "exterior_square", spy_minors)
-    monkeypatch.setattr(purity, "exterior_square", spy_minors)
+    monkeypatch.setattr(purity, "_spectra", spy_spectra)
     w = w_series(K, 5)  # raises NumericalInconsistency if the routes disagree
     if K.D == 2:
-        assert low == [] and set(formed) == {K.d}
+        assert low == [] and formed == [] and set(spectra) == {K.d}
         for (n, got), want in zip(w.values, oracle.w_values(K, 5)):
             assert abs(got - want) <= 1e-12 * want, n
     else:

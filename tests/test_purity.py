@@ -582,8 +582,7 @@ def _skewed_family(ratio: float) -> KrausFamily:
 
 def _count_wedges(monkeypatch, corrupt: float = 0.0) -> list[int]:
     """Count the products whose exterior square w's check route forms (in the
-    nu1 nu2 kernel at D >= 3, as |det| at D = 2), and scale their minors by
-    1 + corrupt."""
+    nu1 nu2 kernel, at D >= 3), and scale their minors by 1 + corrupt."""
     formed = []
     minors = restriction.exterior_square
 
@@ -592,7 +591,6 @@ def _count_wedges(monkeypatch, corrupt: float = 0.0) -> list[int]:
         return minors(O) * (1.0 + corrupt)
 
     monkeypatch.setattr(restriction, "exterior_square", spy)
-    monkeypatch.setattr(purity, "exterior_square", spy)
     return formed
 
 
@@ -613,13 +611,21 @@ def test_a_corrupted_wedge_route_is_an_inconsistency(monkeypatch):
 
 
 def test_a_corrupted_determinant_moves_w_off_the_enumeration(monkeypatch):
-    """At D = 2 w is s^n, with s the sum of the operators' one 2x2 minors,
-    and no product is formed: the minors are taken of the d operators alone.
-    Minors off by one part in 1e6 move every w(n) of AKLT by n parts in 1e6,
-    far outside the 1e-12 within which the enumeration of
+    """At D = 2 w is s^n, with s the sum of the operators' |det|, and no
+    product is formed: ``_spectra`` takes the d operators alone.
+    Determinants off by one part in 1e6 move every w(n) of AKLT by n parts
+    in 1e6, far outside the 1e-12 within which the enumeration of
     ``oracle.w_values`` pins it."""
     want = oracle.w_values(aklt(), 4)
-    formed = _count_wedges(monkeypatch, corrupt=1e-6)
+    formed = []
+    spectra = purity._spectra
+
+    def corrupted(T):
+        formed.append(len(T))
+        lam, det = spectra(T)
+        return lam, det * (1.0 + 1e-6)
+
+    monkeypatch.setattr(purity, "_spectra", corrupted)
     w = w_series(aklt(), 4)
     assert formed and set(formed) == {3}
     for (n, got), exact in zip(w.values, want):

@@ -123,6 +123,30 @@ def test_post_measurement_isospectral_routes(aklt_ctx):
     assert np.allclose(spec.values, np.clip(outer[::-1], 0, None) / outer.sum(), atol=1e-12)
 
 
+@pytest.mark.parametrize("context", ["stationary", "finite"])
+def test_post_measurement_spectrum_at_d2_is_the_closed_forms(context):
+    """At D = 2 the post-measurement spectrum is ``_spectra`` of the
+    string's product T, normalized, bit for bit: no LAPACK call.  eigvalsh
+    of the formed T T^dag, normalized, is within 16 eps of it, the bound of
+    the closed forms against eigvalsh relative to lambda1 <= Tr."""
+    K = haar_kraus(2, 3, seed=5)
+    if context == "stationary":
+        ctx = RestrictionContext.stationary(K)
+    else:
+        L, R = np.array([1.0, 0.0]), np.array([1.0, 1j]) / np.sqrt(2.0)
+        ctx = RestrictionContext.from_boundaries(K, BoundaryPair(L=L, R=R), ChainGeometry(1, 2, 1))
+    eps = np.finfo(float).eps
+    for n in range(1, 4):
+        for xs in itertools.product(range(K.d), repeat=n):
+            got = post_measurement_spectrum(ctx, xs).values
+            _, P, _ = restriction._string_product(K.ops, ctx.sqrt_sigma, xs)
+            T = P if ctx._cap is None else ctx._cap @ P
+            lam = restriction._spectra(T[None])[0][0]
+            assert np.array_equal(got, np.clip(lam[::-1] / float(lam.sum()), 0.0, None)), xs
+            want = np.linalg.eigvalsh(T @ T.conj().T)[::-1]
+            assert np.all(np.abs(got - want / want.sum()) <= 16 * eps), xs
+
+
 def test_scan_matches_naive_loop(aklt_ctx):
     n = 3
     s = restriction_scan(aklt_ctx, n)

@@ -244,20 +244,42 @@ def test_sample_trajectories_draws_on_the_edges_as_the_scalar_loop(monkeypatch, 
     _assert_is_the_oracle(K, 3, 0, [0, 1], outcomes, m_ops, probs)
 
 
-def test_sample_trajectories_raises_where_the_scalar_loop_does(monkeypatch):
+def test_sample_trajectories_caps_where_the_scalar_loop_does(monkeypatch):
     # seven equal weights and a zero one: at steps 1 and 2 the cumulative
     # weights end below 1, so the largest double below 1 is capped onto the
-    # zero operator
+    # last outcome of positive weight, 6, not onto the zero operator
     K = KrausFamily(ops=np.array([np.eye(2) / np.sqrt(7.0)] * 7 + [np.zeros((2, 2))]))
     last = np.nextafter(1.0, 0.0)
     draws = [[0.5, last], [0.5, 0.5]]
     monkeypatch.setattr(trajectories, "_rng_for", lambda seed, stream: _FixedDraws(draws[stream]))
-    with pytest.raises(ZeroProbabilityPath, match="zero-weight branch 7"):
-        oracle.sample_trajectory(K, 2, 0, 0)
-    with pytest.raises(ZeroProbabilityPath, match="zero-weight branch 7"):
-        sample_trajectories(K, 2, 0, [1, 0])
-    outcomes, _, _ = sample_trajectories(K, 2, 0, [1])
-    assert outcomes.tolist() == [[3, 3]]
+    outcomes, m_ops, probs = sample_trajectories(K, 2, 0, [0, 1])
+    assert outcomes.tolist() == [[3, 6], [3, 3]]
+    _assert_is_the_oracle(K, 2, 0, [0, 1], outcomes, m_ops, probs)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.9704494067485071, 0.07140859705348279, 0.0], [0.7827604679261685, 0.2512675781710818, 1e-17]],
+    ids=["zero", "cut"],
+)
+def test_a_uniform_past_the_rounded_sum_draws_no_dropped_outcome(weights):
+    """The conditional weights' cumulative sum rounds below 1, and the last
+    outcome's weight is 0 or under _WEIGHT_CUTOFF: the largest uniform below
+    1 draws the last outcome of positive weight."""
+    assert trajectories._draw(np.array([weights]), np.array([np.nextafter(1.0, 0.0)])).tolist() == [1]
+
+
+def test_a_family_with_a_zero_operator_samples_no_zero_weight_branch(monkeypatch):
+    """haar_kraus(2, 2, 25) and a zero operator, with every uniform the
+    largest double below 1: at step 2 the cumulative weights end below 1,
+    and both samplers cap the draw at outcome 1, where a cap at d - 1 drew
+    the zero operator and raised ZeroProbabilityPath."""
+    K = KrausFamily(ops=np.concatenate([haar_kraus(2, 2, 25).ops, np.zeros((1, 2, 2))]))
+    last = np.nextafter(1.0, 0.0)
+    monkeypatch.setattr(trajectories, "_rng_for", lambda seed, stream: _FixedDraws([last] * 6))
+    outcomes, m_ops, probs = sample_trajectories(K, 6, 0, [0])
+    assert outcomes.tolist() == [[1] * 6]
+    _assert_is_the_oracle(K, 6, 0, [0], outcomes, m_ops, probs)
 
 
 def test_sample_trajectories_rejects_a_first_step_with_no_weight():
