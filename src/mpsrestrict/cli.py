@@ -20,12 +20,13 @@ it does not take, or any with ``--model``, exits 3 before any model work.
 
 ``analyze`` chooses its context once: the stationary context, or the bare
 boundary context (sigma = |L><L|, F^dag F = |R><R|) when the model file
-carries boundaries.  One ``window_distributions`` walk gives the Gibbs
-chain's table and every window table the per-n rows read (in stationary
-mode one per length, whose entropies give the classical CMI; in finite mode
-each row's chain table, whose marginals give it), and one call of the
-private ``_cmi_rows`` (``restriction.cmi_report`` is its one-row call) scans
-every block, so the CLI and the library compute the same numbers.
+carries boundaries.  One walk gives the Gibbs chain's table and every
+window table the per-n rows read (in stationary mode the raw table of each
+length, ``restriction._window_tables``, whose entropies give the classical
+CMI; in finite mode each row's ``window_distributions`` table, whose
+marginals give it), and one call of the private ``_cmi_rows``
+(``restriction.cmi_report`` is its one-row call) scans every block, so the
+CLI and the library compute the same numbers.
 
 ``analyze``, ``sample`` and ``generate`` open their destination (``--out``,
 else stdout) before any model work, so a bad path fails at once, and a file
@@ -64,7 +65,7 @@ import numpy as np
 from . import __version__
 from .chain import ChainGeometry, _normalization_residual
 from .errors import DimensionTooSmall, MpsRestrictError
-from .gibbs import _fit
+from .gibbs import ChainDistribution, _fit
 from .linalg import _check_length, _check_tol
 from .models import BUILTINS
 from .modelio import _model_text, load_model
@@ -83,6 +84,7 @@ from .restriction import (
     _check_guard,
     _cmi_lengths,
     _cmi_rows,
+    _window_tables,
     window_distributions,
 )
 from .trajectories import sample_trajectories
@@ -274,13 +276,19 @@ def _analyze_text(args: argparse.Namespace) -> str:
     tol = float(args.tol)
     _check_tol(tol)
 
-    # One walk gives the Gibbs chain's table and every table the rows read
-    # (in stationary mode every window length 1..a+nmax+c, whose entropies
-    # give the classical CMI).  The Gibbs table is taken first, so no raw
-    # table outlives its row.
+    # One walk gives the Gibbs chain's table, taken first, and every table
+    # the rows read: in stationary mode the raw table of each length
+    # 1..a+nmax+c, whose entropy they take, so the Gibbs chain adopts a copy
+    # of a length they also read; in finite mode each row's distribution.
     blocks = [ChainGeometry(len_a, n, len_c) for n in range(1, nmax + 1)]
-    tables = window_distributions(ctx, [gibbs_sites] + _cmi_lengths(ctx, blocks), guard=guard)
-    gibbs = _gibbs_block(next(tables), ell)
+    lengths = [gibbs_sites] + _cmi_lengths(ctx, blocks)
+    if ctx._stationary:
+        tables = _window_tables(ctx, lengths, guard)
+        raw = tables[gibbs_sites].copy() if gibbs_sites in lengths[1:] else tables.pop(gibbs_sites)
+        gibbs = _gibbs_block(ChainDistribution._adopt(gibbs_sites, K.d, raw), ell)
+    else:
+        tables = window_distributions(ctx, lengths, guard)
+        gibbs = _gibbs_block(next(tables), ell)
     reports = _cmi_rows(ctx, blocks, tables, guard)
     w = w_series(K, nmax, guard=guard)
     rows = [{**asdict(r), "w": w.value_at(r.n)} for r in reports]

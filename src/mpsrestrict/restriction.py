@@ -38,10 +38,11 @@ into the level above.  Since x + 0.0 == x, skipping the dropped strings
 changes no sum.  Results do not depend on the splitting or the pruning and
 are deterministic bit for bit.
 
-There is one path of each kind.  ``window_distributions`` tabulates the
-outcomes of any context for several window lengths from one walk
-(``window_distribution`` is its one-length call, and ``chain_distribution``
-that table for the bare boundary context); its leaf, ``_capped_norm2``, is
+There is one path of each kind.  ``_window_tables`` tabulates the
+outcomes of any context for several window lengths from one walk, and
+``window_distributions`` adopts each raw table (``window_distribution`` is
+its one-length call, and ``chain_distribution`` that table for the bare
+boundary context); the leaf, ``_capped_norm2``, is
 the one squared norm of a string product and calls no BLAS, so each entry
 has the bits of its own product alone.  ``_spectra`` is the one spectrum
 of a string product's Gram T T^dag and its one nu1 nu2 besides the SVD
@@ -51,10 +52,10 @@ D >= 3 ``_nu12``, also w's check route): the scans (so f and
 ``_cmi_rows`` sets the classical CMI of each block against the quantum
 CMI of its block, with the window sites folded into the environments once
 and every block scanned from one walk (``_scans``).  In the stationary
-context it takes the classical CMI from the entropies of the window tables
-of each length, which ``_cmi_lengths`` names; elsewhere from the marginals
-of each row's table.  ``cmi_report`` is its one-row call, and ``analyze``
-takes all its rows from one call.
+context it takes the classical CMI from the entropies of the raw window
+tables of each length, which ``_cmi_lengths`` names; elsewhere from the
+marginals of each row's table.  ``cmi_report`` is its one-row call, and
+``analyze`` takes all its rows from one call.
 
 A family records the raw sums of w (at D >= 3) and of each context's scans
 per length (``KrausFamily._sums``), and ``_recorded`` is that record's one
@@ -149,7 +150,9 @@ class RestrictionContext:
     @classmethod
     def stationary(cls, kraus: KrausFamily) -> "RestrictionContext":
         """Infinite-chain mode: sigma = the family's fixed point rho
-        (``KrausFamily._fixed_point``, computed once), F = identity, K^2 = 1."""
+        (``KrausFamily._fixed_point``, computed once), F = identity.  K^2(n)
+        is still iterated: it is 1 only up to about n times the family's
+        normalization residual, which the default atol lets reach 1e-10."""
         return cls(kraus=kraus, sigma=kraus._fixed_point.rho, f_op=np.eye(kraus.D, dtype=complex))
 
     @classmethod
@@ -761,25 +764,19 @@ def _range_factor(M: np.ndarray) -> np.ndarray | None:
     return None if keep.all() else U[:, keep] * np.sqrt(lam[keep])
 
 
-def window_distributions(
+def _window_tables(
     ctx: RestrictionContext, lengths: Iterable[int], guard: int = DEFAULT_GUARD
-) -> Iterator[ChainDistribution]:
-    """The ``window_distribution`` of each of ``lengths``, in order, from
-    one walk of the product tree to the longest.
-
-    The level-m nodes of that tree are the products of the m-site window, so
-    one walk fills every table.  Each entry is ||cap P||_F^2 / K^2(m) of its
-    string's product P, from one BLAS-free kernel per stack
-    (``_capped_norm2``).  The lengths, then the guard (on the
-    longest) and K^2 of each length are checked and the walk runs when this
-    is called.  Each ChainDistribution is built when its length is first
-    taken, by normalizing its raw table in place, so no table is held twice;
-    a length listed again gives the same (immutable) distribution, and it is
-    dropped once its last entry of ``lengths`` has been taken.
-    """
+) -> dict[int, np.ndarray]:
+    """The raw window table of each distinct length of ``lengths``, keyed
+    by length, from one walk of the product tree to the longest, whose
+    level-m nodes are the products of the m-site window.  Each entry is
+    ||cap P||_F^2 / K^2(m) of its string's product P (``_capped_norm2``).
+    The lengths, then the guard (on the longest) and K^2 of each length
+    are checked before the walk.  The one table path: ``window_distributions``
+    adopts these tables; stationary ``_cmi_rows`` takes their entropies."""
     lengths = [_check_length(m, "string length") for m in lengths]
     if not lengths:
-        return iter(())
+        return {}
     root = _range_factor(ctx.sigma)
     root = ctx.sqrt_sigma if root is None else root
     cap = ctx._cap
@@ -788,7 +785,22 @@ def window_distributions(
         cap = cap if Y is None else _adjoint(Y)
     tree = _products(ctx.kraus, root, max(lengths), guard)
     k2 = {m: ctx.k2_for(m) for m in lengths}
-    tables = _string_tables(tree, k2, lambda m, P: _capped_norm2(cap, P) / k2[m])
+    return _string_tables(tree, k2, lambda m, P: _capped_norm2(cap, P) / k2[m])
+
+
+def window_distributions(
+    ctx: RestrictionContext, lengths: Iterable[int], guard: int = DEFAULT_GUARD
+) -> Iterator[ChainDistribution]:
+    """The ``window_distribution`` of each of ``lengths``, in order, from
+    the raw tables of one walk (``_window_tables``, run when this is called).
+
+    Each ChainDistribution is built when its length is first taken, by
+    normalizing its raw table in place, so no table is held twice; a length
+    listed again gives the same (immutable) distribution, and it is dropped
+    once its last entry of ``lengths`` has been taken.
+    """
+    lengths = [_check_length(m, "string length") for m in lengths]
+    tables = _window_tables(ctx, lengths, guard)
     last = {m: i for i, m in enumerate(lengths)}
 
     def taken() -> Iterator[ChainDistribution]:
@@ -840,8 +852,8 @@ def classical_cmi(p: ChainDistribution, geometry: ChainGeometry) -> float:
     """I(A:C|B) = H(AB) + H(BC) - H(B) - H(ABC) from the entropies of the
     marginals of p, for any table: a stationary window table, a finite
     chain's table or a smoothed one.  ``_cmi_rows`` takes the stationary
-    rows' entropies from the window tables of each length instead, which
-    are those marginals."""
+    rows' entropies from the raw window tables of each length instead,
+    which are those marginals."""
     if geometry.total != p.length:
         raise GeometryMismatch(
             f"geometry covers {geometry.total} sites but distribution has {p.length}"
@@ -888,28 +900,31 @@ def _cmi_lengths(ctx: RestrictionContext, geoms: Sequence[ChainGeometry]) -> lis
 
 
 def _cmi_rows(
-    ctx: RestrictionContext, geoms: Sequence[ChainGeometry], dists: Iterable[ChainDistribution], guard: int
+    ctx: RestrictionContext, geoms: Sequence[ChainGeometry], tables: dict | Iterable[ChainDistribution], guard: int
 ) -> list[CmiReport]:
     """The CmiReport of each block of ``geoms``, given the window tables of
-    ``_cmi_lengths(ctx, geoms)`` in its order.  The geometries share their
-    window sites, which are folded into the environments once; one walk
-    scans every block.
+    ``_cmi_lengths(ctx, geoms)``: in the stationary context the raw tables
+    by length (``_window_tables``; it pops each one it reads), in any other
+    context their distributions in that order (``window_distributions``).
+    The geometries share their window sites, which are folded into the
+    environments once; one walk scans every block.
 
     In the stationary context (``RestrictionContext._stationary``) the
     marginal of a window table on a sub-window is that sub-window's own
-    table, so each length's entropy is taken once, from its table, and each
-    row's classical CMI is H(a+b) + H(b+c) - H(b) - H(a+b+c): no marginal is
-    summed, and each table is dropped once its entropy is taken.  Any other
-    context, a finite chain's or one whose sigma or F differs from the
-    stationary ones by a bit, takes ``classical_cmi`` of each row's table,
-    each row built as its table is taken."""
+    table, so each length's entropy is taken once, from its raw table, and
+    each row's classical CMI is H(a+b) + H(b+c) - H(b) - H(a+b+c): no
+    marginal is summed, no distribution is built, and each table is dropped
+    once its entropy is taken.  Any other context, a finite chain's or one
+    whose sigma or F differs from the stationary ones by a bit, takes
+    ``classical_cmi`` of each row's table, each row built as its table is
+    taken."""
     inner = _absorb_windows(ctx, geoms[0].len_a, geoms[0].len_c)
     scans = _scans(inner, [g.len_b for g in geoms], guard)
     if ctx._stationary:
-        h = {p.length: shannon_entropy(p.table) for p in dists}
+        h = {m: shannon_entropy(tables.pop(m)) for m in _cmi_lengths(ctx, geoms)}
         classical = (h[g.len_a + g.len_b] + h[g.len_b + g.len_c] - h[g.len_b] - h[g.total] for g in geoms)
     else:
-        classical = (classical_cmi(dist, geom) for dist, geom in zip(dists, geoms))
+        classical = (classical_cmi(dist, geom) for dist, geom in zip(tables, geoms))
     return [
         CmiReport(
             n=geom.len_b,
@@ -935,9 +950,9 @@ def cmi_report(
 
     The one-row call of ``_cmi_rows``, on the window tables it reads from
     one walk: in the stationary context those of the n, window_a + n,
-    n + window_c and window_a + n + window_c sites, whose entropies give the
-    classical CMI; in any other context the window_a + n + window_c table,
-    whose marginals give it.  The quantum side conditions on
+    n + window_c and window_a + n + window_c sites, whose raw tables'
+    entropies give the classical CMI; in any other context the window_a +
+    n + window_c table, whose marginals give it.  The quantum side conditions on
     everything outside the block, i.e. the window sites folded into the
     environments; the classical side probes only the ``window_a`` and
     ``window_c`` visible sites (discarding the environments), which can only
@@ -947,5 +962,6 @@ def cmi_report(
     whole chain.
     """
     geom = ChainGeometry(len_a=window_a, len_b=n, len_c=window_c)
-    dists = window_distributions(ctx, _cmi_lengths(ctx, [geom]), guard=guard)
-    return _cmi_rows(ctx, [geom], dists, guard)[0]
+    tabulate = _window_tables if ctx._stationary else window_distributions
+    tables = tabulate(ctx, _cmi_lengths(ctx, [geom]), guard)
+    return _cmi_rows(ctx, [geom], tables, guard)[0]

@@ -101,19 +101,24 @@ def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypat
     assert main(["analyze", *flags]) == 0
     nmax = int(flags[-1])
     w_walks = [] if "aklt" in flags else [("_w_pair", n) for n in range(1, nmax + 1)]
-    assert walks == [("window_distributions", sites), ("_scans", nmax), *w_walks]
+    assert walks == [("_window_tables", sites), ("_scans", nmax), *w_walks]
 
 
 def test_stationary_analyze_takes_each_level_entropy_once(monkeypatch, capsys):
-    """Stationary rows read the window tables of every length 1..a+nmax+c
-    from the one walk that gives the Gibbs table, and take each length's
-    entropy once: no marginal is summed outside the Gibbs block."""
+    """Stationary rows read the raw window tables of every length
+    1..a+nmax+c from the one walk that gives the Gibbs table, and take each
+    length's entropy once: no marginal is summed outside the Gibbs block,
+    and no level table becomes a ChainDistribution.  Only the Gibbs chain's
+    table, its smoothed copy and the fit's Gibbs table are adopted; the
+    6-site level, which the Gibbs chain shares, takes its entropy from its
+    raw (still writeable) table, not from the one the Gibbs block adopted."""
     from mpsrestrict import cli, gibbs, restriction
 
-    requested, walks, entropies, stray = [], [], [], []
+    requested, walks, entropies, stray, adopted = [], [], [], [], []
     in_gibbs = [False]
-    tables, products, entropy = cli.window_distributions, restriction._products, restriction.shannon_entropy
+    tables, products, entropy = cli._window_tables, restriction._products, restriction.shannon_entropy
     block, marginal = cli._gibbs_block, gibbs.marginal
+    adopt = gibbs.ChainDistribution.__dict__["_adopt"].__func__
 
     def spy_tables(ctx, lengths, guard):
         requested.append(list(lengths))
@@ -135,16 +140,26 @@ def test_stationary_analyze_takes_each_level_entropy_once(monkeypatch, capsys):
             stray.append((p.length, j, k))
         return marginal(p, j, k)
 
-    monkeypatch.setattr(cli, "window_distributions", spy_tables)
+    def spy_entropy(p):
+        entropies.append((len(p), p.flags.writeable))
+        return entropy(p)
+
+    def spy_adopt(cls, length, d, table, smoothing_eps=None):
+        adopted.append((length, in_gibbs[0]))
+        return adopt(cls, length, d, table, smoothing_eps)
+
+    monkeypatch.setattr(cli, "_window_tables", spy_tables)
     monkeypatch.setattr(restriction, "_products", spy_products)
-    monkeypatch.setattr(restriction, "shannon_entropy", lambda p: entropies.append(len(p)) or entropy(p))
+    monkeypatch.setattr(restriction, "shannon_entropy", spy_entropy)
     monkeypatch.setattr(cli, "_gibbs_block", spy_block)
     monkeypatch.setattr(gibbs, "marginal", spy_marginal)
+    monkeypatch.setattr(gibbs.ChainDistribution, "_adopt", classmethod(spy_adopt))
     assert main(["analyze", "--builtin", "aklt", "--nmax", "8"]) == 0
     assert requested == [[6] + list(range(1, 13))]
-    assert walks.count("window_distributions") == 1
-    assert entropies == [3**m for m in range(1, 13)]
+    assert walks.count("_window_tables") == 1
+    assert entropies == [(3**m, True) for m in range(1, 13)]
     assert stray == []
+    assert adopted == [(6, False), (6, True), (6, True)]
 
 
 def test_analyze_folds_the_window_sites_once(monkeypatch, capsys):
@@ -774,7 +789,7 @@ def _forbid_enumeration(monkeypatch):
         raise AssertionError("analyze enumerated before validating its plan")
 
     # analyze enumerates only through these
-    for name in ("window_distributions", "_cmi_rows", "w_series", "purity_verdict"):
+    for name in ("_window_tables", "window_distributions", "_cmi_rows", "w_series", "purity_verdict"):
         monkeypatch.setattr(cli, name, enumerated)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
-from mpsrestrict.chain import BoundaryPair, ChainGeometry
+from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily, _normalization_residual
 from mpsrestrict.errors import (
     EnumerationTooLarge,
     GeometryMismatch,
@@ -472,6 +472,25 @@ def test_stationary_cmi_report_is_classical_cmi_of_its_window_table(name):
                 break
             marginals = max(0.0, classical_cmi(window_distribution(ctx, geom.total), geom))
             assert abs(cmi_report(ctx, n, a, c).classical_cmi - marginals) <= 1e-13, (a, n, c)
+
+
+def test_the_stationary_k2_is_iterated_and_the_level_route_reads_it():
+    """The stationary K^2(n) is 1 only up to about n times the family's
+    normalization residual, so the level tables are divided by the iterated
+    K^2, not by 1.  On a Haar family scaled by sqrt(1 + 4.5e-11), which the
+    family's atol of 1e-10 accepts, K^2(12) - 1 exceeds the 1e-10 sum
+    check of ``shannon_entropy`` that a 12-site level table divided by 1
+    would fail; divided by K^2, the level route still gives the marginal
+    route's classical CMI."""
+    K = KrausFamily(haar_kraus(3, 3, seed=1).ops * np.sqrt(1 + 4.5e-11))
+    assert 1e-11 < _normalization_residual(K.ops) < 1e-10
+    ctx = RestrictionContext.stationary(K)
+    assert ctx._stationary
+    assert ctx.k2_for(12) - 1.0 > 1e-10
+    for n in range(1, 6):
+        geom = ChainGeometry(2, n, 2)
+        marginals = max(0.0, classical_cmi(window_distribution(ctx, geom.total), geom))
+        assert abs(cmi_report(ctx, n).classical_cmi - marginals) <= 1e-13, n
 
 
 def test_markov_rows_stay_at_rounding():
