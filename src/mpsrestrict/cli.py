@@ -20,13 +20,13 @@ it does not take, or any with ``--model``, exits 3 before any model work.
 
 ``analyze`` chooses its context once: the stationary context, or the bare
 boundary context (sigma = |L><L|, F^dag F = |R><R|) when the model file
-carries boundaries.  One walk gives the Gibbs chain's table and every
-window table the per-n rows read (in stationary mode the raw table of each
-length, ``restriction._window_tables``, whose entropies give the classical
-CMI; in finite mode each row's ``window_distributions`` table, whose
-marginals give it), and one call of the private ``_cmi_rows``
-(``restriction.cmi_report`` is its one-row call) scans every block, so the
-CLI and the library compute the same numbers.
+carries boundaries.  Then a model file's geometry sets the window sites a
+and c alone, and the fit chain keeps ``--geometry``'s a+b+c sites; the
+report records the a, fit block and c the run used.  One call of the private
+``restriction._cmi_rows`` (``cmi_report`` is its one-row call) gives every
+per-n row and the Gibbs chain's fit, from one walk of the window tables and
+one scan of the blocks, so the CLI and the library compute the same
+numbers; how the rows read their tables is that module's choice.
 
 ``analyze``, ``sample`` and ``generate`` open their destination (``--out``,
 else stdout) before any model work, so a bad path fails at once, and a file
@@ -65,7 +65,7 @@ import numpy as np
 from . import __version__
 from .chain import ChainGeometry, _normalization_residual
 from .errors import DimensionTooSmall, MpsRestrictError
-from .gibbs import ChainDistribution, _fit
+from .gibbs import _fit
 from .linalg import _check_length, _check_tol
 from .models import BUILTINS
 from .modelio import _model_text, load_model
@@ -82,10 +82,7 @@ from .restriction import (
     DEFAULT_GUARD,
     RestrictionContext,
     _check_guard,
-    _cmi_lengths,
     _cmi_rows,
-    _window_tables,
-    window_distributions,
 )
 from .trajectories import sample_trajectories
 
@@ -276,20 +273,9 @@ def _analyze_text(args: argparse.Namespace) -> str:
     tol = float(args.tol)
     _check_tol(tol)
 
-    # One walk gives the Gibbs chain's table, taken first, and every table
-    # the rows read: in stationary mode the raw table of each length
-    # 1..a+nmax+c, whose entropy they take, so the Gibbs chain adopts a copy
-    # of a length they also read; in finite mode each row's distribution.
+    # One call gives every row and the Gibbs chain's fit, from one walk.
     blocks = [ChainGeometry(len_a, n, len_c) for n in range(1, nmax + 1)]
-    lengths = [gibbs_sites] + _cmi_lengths(ctx, blocks)
-    if ctx._stationary:
-        tables = _window_tables(ctx, lengths, guard)
-        raw = tables[gibbs_sites].copy() if gibbs_sites in lengths[1:] else tables.pop(gibbs_sites)
-        gibbs = _gibbs_block(ChainDistribution._adopt(gibbs_sites, K.d, raw), ell)
-    else:
-        tables = window_distributions(ctx, lengths, guard)
-        gibbs = _gibbs_block(next(tables), ell)
-    reports = _cmi_rows(ctx, blocks, tables, guard)
+    reports, gibbs = _cmi_rows(ctx, blocks, guard, gibbs_sites, lambda p: _gibbs_block(p, ell))
     w = w_series(K, nmax, guard=guard)
     rows = [{**asdict(r), "w": w.value_at(r.n)} for r in reports]
     f_ser = DecaySeries.from_values((r["n"], r["f"]) for r in rows)
@@ -308,7 +294,7 @@ def _analyze_text(args: argparse.Namespace) -> str:
             "enumeration": guard,
             "nmax": nmax,
             "ell": ell,
-            "geometry": [flag_geometry.len_a, flag_geometry.len_b, flag_geometry.len_c],
+            "geometry": [len_a, gibbs_block, len_c],
             "tol": tol,
         },
         "model": {
@@ -499,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument(
         "--geometry",
         default="2,2,2",
-        help="a,b,c window sites: a/c flank the block for classical CMI, a+b+c is the fit chain",
+        help="a,b,c window sites: a/c flank the block for classical CMI (a model file's geometry, "
+        "with boundaries, sets them instead), a+b+c is the fit chain",
     )
     pa.add_argument("--threads", type=int, default=1, help="ignored (kept for compatibility): enumeration runs in one thread")
     pa.set_defaults(func=cmd_analyze)

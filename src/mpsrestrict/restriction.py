@@ -51,11 +51,12 @@ D >= 3 ``_nu12``, also w's check route): the scans (so f and
 ``f_series``), ``post_measurement_spectrum`` and w's s at D = 2 take it.
 ``_cmi_rows`` sets the classical CMI of each block against the quantum
 CMI of its block, with the window sites folded into the environments once
-and every block scanned from one walk (``_scans``).  In the stationary
-context it takes the classical CMI from the entropies of the raw window
-tables of each length, which ``_cmi_lengths`` names; elsewhere from the
-marginals of each row's table.  ``cmi_report`` is its one-row call, and
-``analyze`` takes all its rows from one call.
+and every block scanned from one walk (``_scans``).  It owns the table
+route: it walks the window tables itself (``_window_tables``), and in the
+stationary context takes the classical CMI from the entropies of the raw
+table of each length, elsewhere from the marginals of each row's table.
+``cmi_report`` is its one-row call, and ``analyze`` takes all its rows and
+its Gibbs chain's fit from one call.
 
 A family records the raw sums of w (at D >= 3) and of each context's scans
 per length (``KrausFamily._sums``), and ``_recorded`` is that record's one
@@ -773,7 +774,7 @@ def _window_tables(
     ||cap P||_F^2 / K^2(m) of its string's product P (``_capped_norm2``).
     The lengths, then the guard (on the longest) and K^2 of each length
     are checked before the walk.  The one table path: ``window_distributions``
-    adopts these tables; stationary ``_cmi_rows`` takes their entropies."""
+    adopts these tables, and ``_cmi_rows`` reads them on either route."""
     lengths = [_check_length(m, "string length") for m in lengths]
     if not lengths:
         return {}
@@ -794,23 +795,13 @@ def window_distributions(
     """The ``window_distribution`` of each of ``lengths``, in order, from
     the raw tables of one walk (``_window_tables``, run when this is called).
 
-    Each ChainDistribution is built when its length is first taken, by
-    normalizing its raw table in place, so no table is held twice; a length
-    listed again gives the same (immutable) distribution, and it is dropped
-    once its last entry of ``lengths`` has been taken.
+    Each distinct length's raw table is adopted once, normalized in place,
+    so no table is held twice, and a length listed again gives the same
+    (immutable) distribution.
     """
-    lengths = [_check_length(m, "string length") for m in lengths]
-    tables = _window_tables(ctx, lengths, guard)
-    last = {m: i for i, m in enumerate(lengths)}
-
-    def taken() -> Iterator[ChainDistribution]:
-        made: dict[int, ChainDistribution] = {}
-        for i, m in enumerate(lengths):
-            if m not in made:  # the distribution adopts the raw table it pops
-                made[m] = ChainDistribution._adopt(m, ctx.kraus.d, tables.pop(m))
-            yield made[m] if i < last[m] else made.pop(m)
-
-    return taken()
+    lengths = list(lengths)
+    made = {m: ChainDistribution._adopt(m, ctx.kraus.d, t) for m, t in _window_tables(ctx, lengths, guard).items()}
+    return iter([made[m] for m in lengths])
 
 
 def window_distribution(
@@ -889,42 +880,55 @@ def _absorb_windows(
     return folded
 
 
-def _cmi_lengths(ctx: RestrictionContext, geoms: Sequence[ChainGeometry]) -> list[int]:
-    """The window lengths whose tables ``_cmi_rows`` takes for ``geoms``, in
-    the order it takes them: in the stationary context each distinct length
-    of a row's four windows b, a+b, b+c and a+b+c, ascending; in any other
-    context each row's a+b+c."""
-    if ctx._stationary:
-        return sorted({m for g in geoms for m in (g.len_b, g.len_a + g.len_b, g.len_b + g.len_c, g.total)})
-    return [g.total for g in geoms]
-
-
 def _cmi_rows(
-    ctx: RestrictionContext, geoms: Sequence[ChainGeometry], tables: dict | Iterable[ChainDistribution], guard: int
-) -> list[CmiReport]:
-    """The CmiReport of each block of ``geoms``, given the window tables of
-    ``_cmi_lengths(ctx, geoms)``: in the stationary context the raw tables
-    by length (``_window_tables``; it pops each one it reads), in any other
-    context their distributions in that order (``window_distributions``).
-    The geometries share their window sites, which are folded into the
-    environments once; one walk scans every block.
+    ctx: RestrictionContext,
+    geoms: Sequence[ChainGeometry],
+    guard: int,
+    gibbs: int | None = None,
+    fit: Callable[[ChainDistribution], object] = lambda p: p,
+) -> tuple[list[CmiReport], object]:
+    """The CmiReport of each block of ``geoms``, and ``fit`` of the
+    distribution of the Gibbs chain of ``gibbs`` sites (None without
+    ``gibbs``).  The geometries share
+    their window sites, which are folded into the environments once, and
+    have distinct blocks; one walk (``_window_tables``) gives the Gibbs
+    chain's table and every window table the rows read, and one walk scans
+    every block.
 
     In the stationary context (``RestrictionContext._stationary``) the
     marginal of a window table on a sub-window is that sub-window's own
-    table, so each length's entropy is taken once, from its raw table, and
-    each row's classical CMI is H(a+b) + H(b+c) - H(b) - H(a+b+c): no
-    marginal is summed, no distribution is built, and each table is dropped
-    once its entropy is taken.  Any other context, a finite chain's or one
-    whose sigma or F differs from the stationary ones by a bit, takes
-    ``classical_cmi`` of each row's table, each row built as its table is
-    taken."""
+    table, so the rows read the table of each distinct length of their four
+    windows b, a+b, b+c and a+b+c, and each row's classical CMI is H(a+b) +
+    H(b+c) - H(b) - H(a+b+c): each length's entropy is taken once, from its
+    raw table, which is then dropped, before the Gibbs chain adopts its own
+    table in place.  No marginal is summed and no level table becomes a
+    distribution.  Any other context, a finite chain's or one whose sigma or
+    F differs from the stationary ones by a bit, reads each row's a+b+c
+    table: the Gibbs chain's is adopted and fitted first, then each row's
+    is adopted as the row reads it and dropped after it (the row of the
+    Gibbs chain's length reads that distribution), and the row takes
+    ``classical_cmi`` of it."""
+    if ctx._stationary:
+        reads = sorted({m for g in geoms for m in (g.len_b, g.len_a + g.len_b, g.len_b + g.len_c, g.total)})
+    else:
+        reads = [g.total for g in geoms]
+    tables = _window_tables(ctx, ([] if gibbs is None else [gibbs]) + reads, guard)
+
+    def adopt(m: int) -> ChainDistribution:  # in place, dropping the raw table
+        return ChainDistribution._adopt(m, ctx.kraus.d, tables.pop(m))
+
+    if ctx._stationary:  # the Gibbs table outlives the level entropies
+        h = {m: shannon_entropy(tables[m] if m == gibbs else tables.pop(m)) for m in reads}
+        classical = [h[g.len_a + g.len_b] + h[g.len_b + g.len_c] - h[g.len_b] - h[g.total] for g in geoms]
+        fitted = None if gibbs is None else fit(adopt(gibbs))
+    else:  # the Gibbs chain is fitted first; the row of its length reads its distribution
+        p = None if gibbs is None else adopt(gibbs)
+        fitted = None if p is None else fit(p)
+        shared = {gibbs: p} if gibbs in reads else {}
+        del p
+        classical = [classical_cmi(shared.pop(g.total) if g.total in shared else adopt(g.total), g) for g in geoms]
     inner = _absorb_windows(ctx, geoms[0].len_a, geoms[0].len_c)
     scans = _scans(inner, [g.len_b for g in geoms], guard)
-    if ctx._stationary:
-        h = {m: shannon_entropy(tables.pop(m)) for m in _cmi_lengths(ctx, geoms)}
-        classical = (h[g.len_a + g.len_b] + h[g.len_b + g.len_c] - h[g.len_b] - h[g.total] for g in geoms)
-    else:
-        classical = (classical_cmi(dist, geom) for dist, geom in zip(tables, geoms))
     return [
         CmiReport(
             n=geom.len_b,
@@ -936,7 +940,7 @@ def _cmi_rows(
             f=scan.f_value,
         )
         for geom, cmi, scan in zip(geoms, classical, [scans[g.len_b] for g in geoms])
-    ]
+    ], fitted
 
 
 def cmi_report(
@@ -948,7 +952,7 @@ def cmi_report(
 ) -> CmiReport:
     """Assemble the per-block CMI report, with the block's p_sum and f.
 
-    The one-row call of ``_cmi_rows``, on the window tables it reads from
+    The one-row call of ``_cmi_rows``, which reads its window tables from
     one walk: in the stationary context those of the n, window_a + n,
     n + window_c and window_a + n + window_c sites, whose raw tables'
     entropies give the classical CMI; in any other context the window_a +
@@ -962,6 +966,4 @@ def cmi_report(
     whole chain.
     """
     geom = ChainGeometry(len_a=window_a, len_b=n, len_c=window_c)
-    tabulate = _window_tables if ctx._stationary else window_distributions
-    tables = tabulate(ctx, _cmi_lengths(ctx, [geom]), guard)
-    return _cmi_rows(ctx, [geom], tables, guard)[0]
+    return _cmi_rows(ctx, [geom], guard)[0][0]

@@ -116,7 +116,7 @@ def test_stationary_analyze_takes_each_level_entropy_once(monkeypatch, capsys):
 
     requested, walks, entropies, stray, adopted = [], [], [], [], []
     in_gibbs = [False]
-    tables, products, entropy = cli._window_tables, restriction._products, restriction.shannon_entropy
+    tables, products, entropy = restriction._window_tables, restriction._products, restriction.shannon_entropy
     block, marginal = cli._gibbs_block, gibbs.marginal
     adopt = gibbs.ChainDistribution.__dict__["_adopt"].__func__
 
@@ -148,7 +148,7 @@ def test_stationary_analyze_takes_each_level_entropy_once(monkeypatch, capsys):
         adopted.append((length, in_gibbs[0]))
         return adopt(cls, length, d, table, smoothing_eps)
 
-    monkeypatch.setattr(cli, "_window_tables", spy_tables)
+    monkeypatch.setattr(restriction, "_window_tables", spy_tables)
     monkeypatch.setattr(restriction, "_products", spy_products)
     monkeypatch.setattr(restriction, "shannon_entropy", spy_entropy)
     monkeypatch.setattr(cli, "_gibbs_block", spy_block)
@@ -160,6 +160,60 @@ def test_stationary_analyze_takes_each_level_entropy_once(monkeypatch, capsys):
     assert entropies == [(3**m, True) for m in range(1, 13)]
     assert stray == []
     assert adopted == [(6, False), (6, True), (6, True)]
+
+
+def test_finite_analyze_adopts_each_table_once(tmp_path, monkeypatch, capsys):
+    """Finite rows read each row's a+b+c table from the one walk that gives
+    the Gibbs table: each of 5..8 sites is adopted once, in place, from the
+    walk's own raw table (no copy), and the 6-site row reads the very
+    distribution the Gibbs chain was fitted on."""
+    from mpsrestrict import cli, gibbs, restriction
+    from mpsrestrict.chain import BoundaryPair
+    from mpsrestrict.modelio import save_model
+    from mpsrestrict.purity import haar_kraus
+
+    rng = np.random.default_rng(40)
+    L, R = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+    model = tmp_path / "m.json"
+    save_model(model, haar_kraus(3, 5, seed=40), boundaries=BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R)))
+
+    raw, adopted, fitted, rows = [], [], [], []
+    in_gibbs = [False]
+    tables, block, cmi = restriction._window_tables, cli._gibbs_block, restriction.classical_cmi
+    adopt = gibbs.ChainDistribution.__dict__["_adopt"].__func__
+
+    def spy_tables(ctx, lengths, guard):
+        out = tables(ctx, lengths, guard=guard)
+        raw.extend(out.values())
+        return out
+
+    def spy_block(dist, ell):
+        fitted.append(dist)
+        in_gibbs[0] = True
+        try:
+            return block(dist, ell)
+        finally:
+            in_gibbs[0] = False
+
+    def spy_adopt(cls, length, d, table, smoothing_eps=None):
+        if not in_gibbs[0]:
+            adopted.append((length, any(table is t for t in raw)))
+        return adopt(cls, length, d, table, smoothing_eps)
+
+    def spy_cmi(p, geometry):
+        rows.append(p)
+        return cmi(p, geometry)
+
+    monkeypatch.setattr(restriction, "_window_tables", spy_tables)
+    monkeypatch.setattr(cli, "_gibbs_block", spy_block)
+    monkeypatch.setattr(gibbs.ChainDistribution, "_adopt", classmethod(spy_adopt))
+    monkeypatch.setattr(restriction, "classical_cmi", spy_cmi)
+    assert main(["analyze", "--model", str(model), "--nmax", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "finite"
+    assert sorted(len(t) for t in raw) == [5**m for m in range(5, 9)]
+    assert adopted == [(6, True), (5, True), (7, True), (8, True)]
+    assert [p.length for p in rows] == [5, 6, 7, 8]
+    assert len(fitted) == 1 and rows[1] is fitted[0]
 
 
 def test_analyze_folds_the_window_sites_once(monkeypatch, capsys):
@@ -302,6 +356,23 @@ def test_analyze_finite_model(tmp_path, capsys):
     for row in rep["per_n"]:
         assert row["p_sum"] == pytest.approx(1.0, abs=1e-10)
         assert row["classical_cmi"] <= row["quantum_cmi"] + 1e-9
+
+
+def test_analyze_records_the_geometry_it_applies(tmp_path):
+    """A model file's geometry sets the window sites a and c, and the fit
+    chain keeps --geometry's a+b+c sites, so the report records the windows
+    and the Gibbs block the run used, not the flag's value."""
+    from mpsrestrict.chain import BoundaryPair, ChainGeometry
+    from mpsrestrict.modelio import save_model
+    from mpsrestrict.purity import haar_kraus
+
+    v = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    model, out = tmp_path / "m.json", tmp_path / "r.json"
+    save_model(model, haar_kraus(2, 3, seed=3), boundaries=BoundaryPair(L=v, R=v), geometry=ChainGeometry(1, 3, 1))
+    assert main(["analyze", "--model", str(model), "--nmax", "2", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["guards"]["geometry"] == [1, 4, 1]
+    assert rep["gibbs"]["sites"] == 6
 
 
 def test_exit_code_guard():
@@ -789,7 +860,7 @@ def _forbid_enumeration(monkeypatch):
         raise AssertionError("analyze enumerated before validating its plan")
 
     # analyze enumerates only through these
-    for name in ("_window_tables", "window_distributions", "_cmi_rows", "w_series", "purity_verdict"):
+    for name in ("_cmi_rows", "w_series", "purity_verdict"):
         monkeypatch.setattr(cli, name, enumerated)
 
 

@@ -240,3 +240,18 @@ def test_one_kernel_takes_each_string_products_spectrum_and_nu1_nu2():
     }
     assert readers({"_nu12"}) == {("restriction.py", "_spectra"), ("purity.py", "_w_leaf")}
     assert readers({"exterior_square"}) == {("restriction.py", "_nu12")}
+
+
+def test_the_restriction_module_owns_the_cmi_table_route():
+    """Whether the rows take level entropies (the stationary context) or the
+    marginals of each row's table, and the one walk that gives their tables,
+    are decided inside ``restriction`` alone: ``_cmi_rows`` picks the route,
+    and the CLI imports neither table path."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+
+    def readers(names):
+        return {(module, name) for module, tree in trees.items() for name in _readers(tree, names)}
+
+    assert readers({"_stationary"}) == {("restriction.py", "_absorb_windows"), ("restriction.py", "_cmi_rows")}
+    assert readers({"_window_tables"}) == {("restriction.py", "window_distributions"), ("restriction.py", "_cmi_rows")}
+    assert not {"_window_tables", "window_distributions"} & {name for name, _ in _imported(trees["cli.py"])}
