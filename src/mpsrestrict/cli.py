@@ -24,9 +24,9 @@ carries boundaries.  Then a model file's geometry sets the window sites a
 and c alone, and the fit chain keeps ``--geometry``'s a+b+c sites; the
 report records the a, fit block and c the run used.  One call of the private
 ``restriction._cmi_rows`` (``cmi_report`` is its one-row call) gives every
-per-n row and the Gibbs chain's fit, from one walk of the window tables and
-one scan of the blocks, so the CLI and the library compute the same
-numbers; how the rows read their tables is that module's choice.
+per-n row and the Gibbs chain's fit, from one walk per distinct window
+context and one scan of the blocks, so the CLI and the library compute the
+same numbers; how the rows read their windows is that module's choice.
 
 ``analyze``, ``sample`` and ``generate`` open their destination (``--out``,
 else stdout) before any model work, so a bad path fails at once, and a file
@@ -273,7 +273,7 @@ def _analyze_text(args: argparse.Namespace) -> str:
     tol = float(args.tol)
     _check_tol(tol)
 
-    # One call gives every row and the Gibbs chain's fit, from one walk.
+    # One call gives every row and the Gibbs chain's fit.
     blocks = [ChainGeometry(len_a, n, len_c) for n in range(1, nmax + 1)]
     reports, gibbs = _cmi_rows(ctx, blocks, guard, gibbs_sites, lambda p: _gibbs_block(p, ell))
     w = w_series(K, nmax, guard=guard)

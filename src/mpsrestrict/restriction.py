@@ -28,35 +28,41 @@ dropped where it appears, with its subtree, and the cap counts only the
 products kept.  The level-m nodes of a tree are the products of length m,
 so one walk can report several depths, each node by the run that grows
 it.  Only the walk knows how it splits; its readers see a stream of stacks
-and read any set of depths from one walk.
-``_string_tables`` fills each depth's table, placing each stack's rows by
-index and giving the dropped strings zero rows.  ``_string_sum`` adds each
-depth's per-string values in the order of a depth-first walk (each node
-sums its d children in symbol order, starting from zero), each level
-holding its nodes up to the stack cap, then summing its complete families
-into the level above.  Since x + 0.0 == x, skipping the dropped strings
-changes no sum.  Results do not depend on the splitting or the pruning and
-are deterministic bit for bit.
+and read any set of depths from one walk.  ``_batches`` joins each depth's
+stacks up to the stack cap, and ``_string_tables`` fills each depth's
+table from those batches, placing each batch's rows by index and giving
+the dropped strings zero rows.  ``_string_sum`` adds each depth's
+per-string values in the order of a depth-first walk (each node sums its d
+children in symbol order, starting from zero), each level holding its
+nodes up to the stack cap, then summing its complete families into the
+level above.  Since x + 0.0 == x, skipping the dropped strings changes no
+sum.  Results do not depend on the splitting or the pruning and are
+deterministic bit for bit.
 
-There is one path of each kind.  ``_window_tables`` tabulates the
-outcomes of any context for several window lengths from one walk, and
-``window_distributions`` adopts each raw table (``window_distribution`` is
-its one-length call, and ``chain_distribution`` that table for the bare
-boundary context); the leaf, ``_capped_norm2``, is
-the one squared norm of a string product and calls no BLAS, so each entry
-has the bits of its own product alone.  ``_spectra`` is the one spectrum
-of a string product's Gram T T^dag and its one nu1 nu2 besides the SVD
-that ``w_series`` reports (closed forms at D = 2, with no LAPACK call; at
-D >= 3 ``_nu12``, also w's check route): the scans (so f and
-``f_series``), ``post_measurement_spectrum`` and w's s at D = 2 take it.
-``_cmi_rows`` sets the classical CMI of each block against the quantum
-CMI of its block, with the window sites folded into the environments once
-and every block scanned from one walk (``_scans``).  It owns the table
-route: it walks the window tables itself (``_window_tables``), and in the
-stationary context takes the classical CMI from the entropies of the raw
-table of each length, elsewhere from the marginals of each row's table.
-``cmi_report`` is its one-row call, and ``analyze`` takes all its rows and
-its Gibbs chain's fit from one call.
+There is one path of each kind.  ``_window_walk`` reads the outcomes of
+any context for several window lengths from one walk: it streams the
+Shannon entropy of some (``_StreamedEntropy``: ``math.fsum`` over fixed
+blocks of d^k strings, one numpy sum each, with no table) and fills the
+raw table of others, which ``window_distributions`` adopts
+(``window_distribution`` is its one-length call, and
+``chain_distribution`` that table for the bare boundary context).  The
+leaf, ``_capped_norm2``, is the one squared norm of a string product and
+calls no BLAS, so each entry has the bits of its own product alone.
+``_spectra`` is the one spectrum of a string product's Gram T T^dag and
+its one nu1 nu2 besides the SVD that ``w_series`` reports (closed forms at
+D = 2, with no LAPACK call; at D >= 3 ``_nu12``, also w's check route):
+the scans (so f and ``f_series``), ``post_measurement_spectrum`` and w's s
+at D = 2 take it.  ``_cmi_rows`` sets the classical CMI of each block
+against the quantum CMI of its block, one way in every context: H(a+b) +
+H(b+c) - H(b) - H(a+b+c), four streamed window entropies of the context
+and of its three folds (``_absorb_windows``), each distinct context walked
+once (the stationary context is its own fold, so it is walked once in
+all), and every block scanned from one walk of the fold with both windows
+(``_scans``).  The given context's walk also fills the Gibbs chain's
+table, the only table the rows form.  ``cmi_report`` is its one-row call,
+and ``analyze`` takes all its rows and its Gibbs chain's fit from one
+call; the public ``classical_cmi``, from the entropies of a table's
+marginals, is its oracle.
 
 A family records the raw sums of w (at D >= 3) and of each context's scans
 per length (``KrausFamily._sums``), and ``_recorded`` is that record's one
@@ -69,7 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, frexp, inf, ldexp
+from math import comb, frexp, fsum, inf, ldexp
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -88,6 +94,7 @@ from .errors import (
     EnumerationTooLarge,
     FNotContractive,
     GeometryMismatch,
+    InvalidDistribution,
     SymbolOutOfRange,
     ZeroProbabilityString,
 )
@@ -99,7 +106,6 @@ from .linalg import (
     _check_square,
     _integral,
     exterior_square,
-    shannon_entropy,
 )
 
 __all__ = [
@@ -124,6 +130,7 @@ DEFAULT_GUARD = 2_000_000  # max d^n strings per enumeration; overridable everyw
 _CHUNK_STRINGS = 512  # most square products held at once; bounds peak memory
 _GRAM_SWITCH = 1e-4  # least lambda2 / lambda1 whose Gram root _nu12 takes
 _PRINTED_DIGITS = 40  # most digits of a d^n that a guard error writes in decimal
+_ENTROPY_BLOCK = 2**15  # most strings in one block of a streamed entropy's partial sums
 
 
 @dataclass(frozen=True)
@@ -188,10 +195,10 @@ class RestrictionContext:
         """Whether this is exactly the stationary context: F exactly the
         identity and sigma exactly the family's fixed point rho.  Then every
         transfer step leaves the environments as they are, so the window
-        sites fold into nothing (``_absorb_windows``) and the marginal of a
-        window table on a sub-window is that sub-window's own table
-        (``_cmi_rows``).  F is read first, so a finite context with F != 1
-        never computes the fixed point."""
+        sites fold into nothing (``_absorb_windows``): the context is its
+        own fold, and ``_cmi_rows`` walks it once for all four windows.  F
+        is read first, so a finite context with F != 1 never computes the
+        fixed point."""
         return self._cap is None and np.array_equal(self.sigma, self.kraus._fixed_point.rho)
 
     @cached_property
@@ -477,7 +484,7 @@ def _string_sum(
     length of the per-string rows leaf(depth, stack), from one walk.
 
     Each level of each depth's tree holds its nodes up to the tree's cap, as
-    ``_string_tables`` joins a depth's stacks, then sums every complete
+    ``_batches`` joins a depth's stacks, then sums every complete
     family into its parent (``_tree_reduce``), a node of the level above;
     the last family waits for the rest of its children unless its last
     symbol has come.  When the walk ends, the levels close bottom-up.  So
@@ -534,45 +541,57 @@ def _joined(
     return index, np.concatenate([s for _, s in parts])
 
 
+def _batches(
+    tree: _Tree, depths: Iterable[int]
+) -> Iterator[tuple[int, range | np.ndarray, np.ndarray]]:
+    """(depth, index, stack) for the stacks of each of ``depths``, from one
+    walk, each depth's consecutive stacks joined up to the tree's cap.
+
+    The runs below a deep split hold few nodes of a shallower depth each, so
+    a depth's stacks are held until the next would pass the cap, then go out
+    as one: products are per string, so joining changes no bit.  Each
+    depth's batches come in lexicographic order."""
+    held: dict[int, list] = {m: [] for m in depths}
+    count = dict.fromkeys(held, 0)
+    for m, index, stack in tree.levels(held):
+        if count[m] and count[m] + len(stack) > tree.cap:
+            yield (m, *_joined(held[m]))
+            held[m], count[m] = [], 0
+        held[m].append((index, stack))
+        count[m] += len(stack)
+    for m in held:
+        if held[m]:
+            yield (m, *_joined(held[m]))
+
+
+def _at(index: range | np.ndarray) -> slice | np.ndarray:
+    """The positions of a batch's strings in their depth's table."""
+    return slice(index.start, index.stop) if isinstance(index, range) else index
+
+
 def _string_tables(
     tree: _Tree, depths: Iterable[int], leaf: Callable[[int, np.ndarray], np.ndarray]
 ) -> dict[int, np.ndarray]:
     """For each of ``depths``, the per-string rows leaf(depth, stack) of all
     strings of that length in one lexicographic table, from one walk.
 
-    Each stack's rows are placed by global index; the rows of the zero
-    products left out of the walk are zero.  The runs below a deep split
-    hold few nodes of a shallower depth each, so a depth's stacks are joined
-    up to the tree's cap before the leaf sees them: rows are per product, so
-    joining changes no bit.  The row shape is that of leaf(depth,
-    tree.empty), as for ``_string_sum``.
+    The leaf sees each depth's joined batches (``_batches``), whose rows are
+    placed by global index; the rows of the zero products left out of the
+    walk are zero.  The row shape is that of leaf(depth, tree.empty), as for
+    ``_string_sum``.
     """
     tables = {}
     for m in set(depths):
         empty = leaf(m, tree.empty)
         tables[m] = np.zeros((tree.d**m,) + empty.shape[1:], dtype=empty.dtype)
-    held: dict[int, list] = {m: [] for m in tables}
-    count = dict.fromkeys(tables, 0)
-
-    def place(m: int) -> None:
-        index, stack = _joined(held[m])
-        tables[m][slice(index.start, index.stop) if isinstance(index, range) else index] = leaf(m, stack)
-        held[m], count[m] = [], 0
-
-    for m, index, stack in tree.levels(tables):
-        if count[m] and count[m] + len(stack) > tree.cap:
-            place(m)
-        held[m].append((index, stack))
-        count[m] += len(stack)
-    for m in tables:
-        if held[m]:
-            place(m)
+    for m, index, stack in _batches(tree, tables):
+        tables[m][_at(index)] = leaf(m, stack)
     return tables
 
 
 def _capped_norm2(cap: np.ndarray | None, P: np.ndarray) -> np.ndarray:
     """||cap @ P[i]||_F^2 for every product of a stack (||P[i]||_F^2 with no
-    cap), in plain einsum loops that call no BLAS: the window tables,
+    cap), in plain einsum loops that call no BLAS: the window walks,
     ``string_probability``, the sampler's weights and
     ``martingale_step_check`` all take it.  The loops reduce each row
     over its own entries alone, so a row's bits depend only on its product
@@ -765,42 +784,119 @@ def _range_factor(M: np.ndarray) -> np.ndarray | None:
     return None if keep.all() else U[:, keep] * np.sqrt(lam[keep])
 
 
-def _window_tables(
-    ctx: RestrictionContext, lengths: Iterable[int], guard: int = DEFAULT_GUARD
-) -> dict[int, np.ndarray]:
-    """The raw window table of each distinct length of ``lengths``, keyed
-    by length, from one walk of the product tree to the longest, whose
-    level-m nodes are the products of the m-site window.  Each entry is
-    ||cap P||_F^2 / K^2(m) of its string's product P (``_capped_norm2``).
-    The lengths, then the guard (on the longest) and K^2 of each length
-    are checked before the walk.  The one table path: ``window_distributions``
-    adopts these tables, and ``_cmi_rows`` reads them on either route."""
-    lengths = [_check_length(m, "string length") for m in lengths]
-    if not lengths:
-        return {}
+class _StreamedEntropy:
+    """H = -sum p ln p of one window length, from its entries p as a walk
+    yields them, with no table.
+
+    The reduction order is fixed: the d^m strings are cut into blocks of d^k
+    consecutive strings in lexicographic order, k the largest with d^k <=
+    _ENTROPY_BLOCK; each block's kept entries (p > 0), in order, give sum p
+    and sum p ln p as one numpy sum each, and ``math.fsum`` adds the blocks'
+    partials.  A block is summed once the walk has passed it, so the
+    entropy depends neither on how the walk splits, nor on its depth, nor
+    on which other lengths share it, nor on whether it prunes (a pruned
+    string's p is 0, and is not kept).  The checks of ``shannon_entropy``
+    run on the streamed entries: each p finite and >= -1e-10, and |sum p -
+    1| <= 1e-10, each raising InvalidDistribution.
+    """
+
+    def __init__(self, d: int) -> None:
+        self.size = 1  # d^k
+        while self.size * d <= _ENTROPY_BLOCK:
+            self.size *= d
+        self.block, self.held = 0, []  # the open block and its entries so far
+        self.mass, self.plogp = [], []  # the partials of the blocks summed
+
+    def add(self, index: range | np.ndarray, p: np.ndarray) -> None:
+        """The entries p of the strings ``index``, increasing and after every
+        string added before."""
+        first, last = index[0] // self.size, index[-1] // self.size
+        pieces = [p]
+        if first < last:
+            starts = np.arange(first + 1, last + 1) * self.size
+            cuts = starts - index.start if isinstance(index, range) else np.searchsorted(index, starts)
+            pieces = np.split(p, cuts)
+        for block, piece in zip(range(first, last + 1), pieces):
+            if len(piece):
+                if block != self.block:
+                    self._close()
+                    self.block = block
+                self.held.append(piece)
+
+    def _close(self) -> None:
+        if not self.held:
+            return
+        p = np.concatenate(self.held)
+        self.held = []
+        if not np.all(np.isfinite(p)):
+            raise InvalidDistribution("weights must be a non-empty finite vector")
+        least = p.min()
+        if least < -1e-10:
+            raise InvalidDistribution(f"negative weight {least:.3e}")
+        if not least > 0.0:
+            p = p[p > 0.0]
+        terms = np.log(p)  # then p ln p, in the log's own buffer
+        terms *= p
+        self.mass.append(np.sum(p))
+        self.plogp.append(np.sum(terms))
+
+    def entropy(self) -> float:
+        self._close()
+        mass = fsum(self.mass)
+        if abs(mass - 1.0) > 1e-10:
+            raise InvalidDistribution(f"weights sum to {mass!r}, not 1")
+        return -fsum(self.plogp)
+
+
+def _window_walk(
+    ctx: RestrictionContext, entropies: Iterable[int], tables: Iterable[int], guard: int
+) -> tuple[dict[int, float], dict[int, np.ndarray]]:
+    """The entropy of each length of ``entropies`` (``_StreamedEntropy``)
+    and the raw window table of each length of ``tables``, keyed by length,
+    from one walk of the product tree to the longest, whose level-m nodes
+    are the products of the m-site window.  The walk runs from the root X
+    to the cap Y of ``window_distribution``, and each entry is ||Y P||_F^2
+    / K^2(m) of its string's product P (``_capped_norm2``); only the
+    lengths of ``tables`` form a d^m table.  The lengths, then the guard
+    (on the longest) and K^2 of each length are checked before the walk.
+    The one window path: ``window_distributions`` adopts its tables, and
+    ``_cmi_rows`` reads its entropies and the Gibbs chain's table."""
+    entropies = [_check_length(m, "string length") for m in entropies]
+    tables = [_check_length(m, "string length") for m in tables]
+    if not entropies + tables:
+        return {}, {}
     root = _range_factor(ctx.sigma)
     root = ctx.sqrt_sigma if root is None else root
     cap = ctx._cap
     if cap is not None:
         Y = _range_factor(ctx._f2)
         cap = cap if Y is None else _adjoint(Y)
-    tree = _products(ctx.kraus, root, max(lengths), guard)
-    k2 = {m: ctx.k2_for(m) for m in lengths}
-    return _string_tables(tree, k2, lambda m, P: _capped_norm2(cap, P) / k2[m])
+    tree = _products(ctx.kraus, root, max(entropies + tables), guard)
+    k2 = {m: ctx.k2_for(m) for m in entropies + tables}
+    streams = {m: _StreamedEntropy(tree.d) for m in entropies}
+    raw = {m: np.zeros(tree.d**m) for m in tables}
+    for m, index, stack in _batches(tree, k2):
+        p = _capped_norm2(cap, stack) / k2[m]
+        if m in raw:
+            raw[m][_at(index)] = p
+        if m in streams:
+            streams[m].add(index, p)
+    return {m: s.entropy() for m, s in streams.items()}, raw
 
 
 def window_distributions(
     ctx: RestrictionContext, lengths: Iterable[int], guard: int = DEFAULT_GUARD
 ) -> Iterator[ChainDistribution]:
     """The ``window_distribution`` of each of ``lengths``, in order, from
-    the raw tables of one walk (``_window_tables``, run when this is called).
+    the raw tables of one walk (``_window_walk``, run when this is called).
 
     Each distinct length's raw table is adopted once, normalized in place,
     so no table is held twice, and a length listed again gives the same
     (immutable) distribution.
     """
     lengths = list(lengths)
-    made = {m: ChainDistribution._adopt(m, ctx.kraus.d, t) for m, t in _window_tables(ctx, lengths, guard).items()}
+    raw = _window_walk(ctx, [], lengths, guard)[1]
+    made = {m: ChainDistribution._adopt(m, ctx.kraus.d, t) for m, t in raw.items()}
     return iter([made[m] for m in lengths])
 
 
@@ -842,9 +938,9 @@ def chain_distribution(
 def classical_cmi(p: ChainDistribution, geometry: ChainGeometry) -> float:
     """I(A:C|B) = H(AB) + H(BC) - H(B) - H(ABC) from the entropies of the
     marginals of p, for any table: a stationary window table, a finite
-    chain's table or a smoothed one.  ``_cmi_rows`` takes the stationary
-    rows' entropies from the raw window tables of each length instead,
-    which are those marginals."""
+    chain's table or a smoothed one.  ``_cmi_rows`` forms no table: it
+    streams the entropies of those marginals as window entropies of folded
+    contexts, and this is their oracle."""
     if geometry.total != p.length:
         raise GeometryMismatch(
             f"geometry covers {geometry.total} sites but distribution has {p.length}"
@@ -889,46 +985,43 @@ def _cmi_rows(
 ) -> tuple[list[CmiReport], object]:
     """The CmiReport of each block of ``geoms``, and ``fit`` of the
     distribution of the Gibbs chain of ``gibbs`` sites (None without
-    ``gibbs``).  The geometries share
-    their window sites, which are folded into the environments once, and
-    have distinct blocks; one walk (``_window_tables``) gives the Gibbs
-    chain's table and every window table the rows read, and one walk scans
-    every block.
+    ``gibbs``).  The geometries share their window sites a and c and have
+    distinct blocks.
 
-    In the stationary context (``RestrictionContext._stationary``) the
-    marginal of a window table on a sub-window is that sub-window's own
-    table, so the rows read the table of each distinct length of their four
-    windows b, a+b, b+c and a+b+c, and each row's classical CMI is H(a+b) +
-    H(b+c) - H(b) - H(a+b+c): each length's entropy is taken once, from its
-    raw table, which is then dropped, before the Gibbs chain adopts its own
-    table in place.  No marginal is summed and no level table becomes a
-    distribution.  Any other context, a finite chain's or one whose sigma or
-    F differs from the stationary ones by a bit, reads each row's a+b+c
-    table: the Gibbs chain's is adopted and fitted first, then each row's
-    is adopted as the row reads it and dropped after it (the row of the
-    Gibbs chain's length reads that distribution), and the row takes
-    ``classical_cmi`` of it."""
-    if ctx._stationary:
-        reads = sorted({m for g in geoms for m in (g.len_b, g.len_a + g.len_b, g.len_b + g.len_c, g.total)})
-    else:
-        reads = [g.total for g in geoms]
-    tables = _window_tables(ctx, ([] if gibbs is None else [gibbs]) + reads, guard)
+    Each row's classical CMI is H(a+b) + H(b+c) - H(b) - H(a+b+c), four
+    streamed window entropies (``_window_walk``).  A marginal of the
+    context's a+b+c table is the window table of a folded context: with
+    sigma_a = E^a(sigma) and F_c = sqrt(E*^c(F^dag F)), H(a+b) is the
+    (a+b)-site entropy of (sigma, F_c), H(b+c) the (b+c)-site one of
+    (sigma_a, F), H(b) the b-site one of (sigma_a, F_c), and H(a+b+c) the
+    context's own, each K^2 being the context's K^2(a+b+c).
+    ``_absorb_windows`` forms each fold once, and each distinct context is
+    walked once for all the lengths it gives, the given context first: in
+    the stationary context every fold is the context itself, so there is
+    one walk.  The given context's walk also fills the Gibbs chain's raw
+    table, which is adopted in place and fitted before the other walks, and
+    no other table is formed.  (sigma_a, F_c) is also the quantum side's
+    context, and one walk scans every block (``_scans``)."""
+    a, c = geoms[0].len_a, geoms[0].len_c
+    longest = max([g.total for g in geoms] + ([] if gibbs is None else [gibbs]))
+    _check_guard(ctx.kraus.d, longest, guard)
+    ctx.k2_for(longest)  # the environments the folds start from, formed once
+    folds = {(0, 0): ctx} | {w: _absorb_windows(ctx, *w) for w in ((0, c), (a, 0), (a, c))}
+    walks: dict[int, tuple[RestrictionContext, set[int]]] = {}  # each distinct context, with its lengths
+    for (wa, wc), fold in folds.items():
+        walks.setdefault(id(fold), (fold, set()))[1].update(g.total - wa - wc for g in geoms)
+    h, fitted = {}, None
+    for fold, lengths in walks.values():
+        tables = [gibbs] if fold is ctx and gibbs is not None else []
+        h[id(fold)], raw = _window_walk(fold, sorted(lengths), tables, guard)
+        if raw:  # adopted in place and dropped once fitted
+            fitted = fit(ChainDistribution._adopt(gibbs, ctx.kraus.d, raw.pop(gibbs)))
 
-    def adopt(m: int) -> ChainDistribution:  # in place, dropping the raw table
-        return ChainDistribution._adopt(m, ctx.kraus.d, tables.pop(m))
+    def entropy(g: ChainGeometry, wa: int, wc: int) -> float:
+        return h[id(folds[wa, wc])][g.total - wa - wc]
 
-    if ctx._stationary:  # the Gibbs table outlives the level entropies
-        h = {m: shannon_entropy(tables[m] if m == gibbs else tables.pop(m)) for m in reads}
-        classical = [h[g.len_a + g.len_b] + h[g.len_b + g.len_c] - h[g.len_b] - h[g.total] for g in geoms]
-        fitted = None if gibbs is None else fit(adopt(gibbs))
-    else:  # the Gibbs chain is fitted first; the row of its length reads its distribution
-        p = None if gibbs is None else adopt(gibbs)
-        fitted = None if p is None else fit(p)
-        shared = {gibbs: p} if gibbs in reads else {}
-        del p
-        classical = [classical_cmi(shared.pop(g.total) if g.total in shared else adopt(g.total), g) for g in geoms]
-    inner = _absorb_windows(ctx, geoms[0].len_a, geoms[0].len_c)
-    scans = _scans(inner, [g.len_b for g in geoms], guard)
+    classical = [entropy(g, 0, c) + entropy(g, a, 0) - entropy(g, a, c) - entropy(g, 0, 0) for g in geoms]
+    scans = _scans(folds[a, c], [g.len_b for g in geoms], guard)
     return [
         CmiReport(
             n=geom.len_b,
@@ -952,18 +1045,16 @@ def cmi_report(
 ) -> CmiReport:
     """Assemble the per-block CMI report, with the block's p_sum and f.
 
-    The one-row call of ``_cmi_rows``, which reads its window tables from
-    one walk: in the stationary context those of the n, window_a + n,
-    n + window_c and window_a + n + window_c sites, whose raw tables'
-    entropies give the classical CMI; in any other context the window_a +
-    n + window_c table, whose marginals give it.  The quantum side conditions on
+    The one-row call of ``_cmi_rows``, whose four streamed window entropies
+    give the classical CMI of the window_a + n + window_c sites with no
+    table: one walk in the stationary context, one per distinct folded
+    context elsewhere.  The quantum side conditions on
     everything outside the block, i.e. the window sites folded into the
     environments; the classical side probes only the ``window_a`` and
     ``window_c`` visible sites (discarding the environments), which can only
     lower the classical CMI, so the ordering classical <= quantum is
     preserved.  For the bare boundary context of a finite chain the window
-    table is the chain's full table, so the classical side is that of the
-    whole chain.
+    is the whole chain, so the classical side is that of the whole chain.
     """
     geom = ChainGeometry(len_a=window_a, len_b=n, len_c=window_c)
     return _cmi_rows(ctx, [geom], guard)[0][0]

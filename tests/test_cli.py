@@ -77,14 +77,15 @@ def test_analyze_finite_golden_report(tmp_path, monkeypatch):
     ],
 )
 def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypatch, capsys):
-    """The rows' window tables (a+1+c .. a+nmax+c sites) and the Gibbs
-    chain's come from one walk of the product tree to the longest window,
-    every row's scan from one walk to the longest block, and each length
-    of w from one walk at D >= 3 (the finite model) and from none at D = 2
-    (AKLT), where w is the determinant sum; the restriction module walks no
-    other tree."""
-    import sys
-
+    """The one window table analyze forms, the Gibbs chain's, comes from the
+    walk of the given context to the longest window (a+nmax+c sites), which
+    also streams that context's row entropies.  A finite chain (here a = c
+    = 2) walks each of its three folded contexts once more, to a+nmax,
+    nmax+c and nmax sites; the stationary context is its own fold and is
+    walked once.  Every row's scan comes from one walk to the longest
+    block, and each length of w from one walk at D >= 3 (the finite model)
+    and from none at D = 2 (AKLT), where w is the determinant sum; the
+    restriction module walks no other tree."""
     from mpsrestrict import restriction
 
     walks = []
@@ -100,33 +101,31 @@ def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypat
     monkeypatch.setattr(restriction, "_products", counted)
     assert main(["analyze", *flags]) == 0
     nmax = int(flags[-1])
-    w_walks = [] if "aklt" in flags else [("_w_pair", n) for n in range(1, nmax + 1)]
-    assert walks == [("_window_tables", sites), ("_scans", nmax), *w_walks]
+    finite = "aklt" not in flags
+    windows = [sites, sites - 2, sites - 2, sites - 4] if finite else [sites]
+    w_walks = [("_w_pair", n) for n in range(1, nmax + 1)] if finite else []
+    assert walks == [*(("_window_walk", m) for m in windows), ("_scans", nmax), *w_walks]
 
 
-def test_stationary_analyze_takes_each_level_entropy_once(monkeypatch, capsys):
-    """Stationary rows read the raw window tables of every length
-    1..a+nmax+c from the one walk that gives the Gibbs table, and take each
-    length's entropy once: no marginal is summed outside the Gibbs block,
-    and no level table becomes a ChainDistribution.  Only the Gibbs chain's
-    table, its smoothed copy and the fit's Gibbs table are adopted; the
-    6-site level, which the Gibbs chain shares, takes its entropy from its
-    raw (still writeable) table, not from the one the Gibbs block adopted."""
+def _spy_window_walks(monkeypatch, argv: list[str]) -> tuple[list, list]:
+    """Run ``argv``, check that no (context, length) entropy is taken twice,
+    and return each window walk as (context, entropy lengths, table
+    lengths) and each adopted table as (length, inside the Gibbs block, a
+    raw table of a walk)."""
     from mpsrestrict import cli, gibbs, restriction
 
-    requested, walks, entropies, stray, adopted = [], [], [], [], []
+    walks, adopted, taken, raw = [], [], [], []
     in_gibbs = [False]
-    tables, products, entropy = restriction._window_tables, restriction._products, restriction.shannon_entropy
-    block, marginal = cli._gibbs_block, gibbs.marginal
+    walk, block = restriction._window_walk, cli._gibbs_block
     adopt = gibbs.ChainDistribution.__dict__["_adopt"].__func__
+    entropy = restriction._StreamedEntropy.entropy
 
-    def spy_tables(ctx, lengths, guard):
-        requested.append(list(lengths))
-        return tables(ctx, lengths, guard=guard)
-
-    def spy_products(K, root, n, guard):
-        walks.append(sys._getframe(1).f_code.co_name)
-        return products(K, root, n, guard)
+    def spy_walk(ctx, entropies, tables, guard):
+        h, out = walk(ctx, entropies, tables, guard)
+        walks.append((ctx, list(h), list(out)))
+        taken.extend((ctx, m) for m in h)
+        raw.extend(out.values())
+        return h, out
 
     def spy_block(dist, ell):
         in_gibbs[0] = True
@@ -135,39 +134,43 @@ def test_stationary_analyze_takes_each_level_entropy_once(monkeypatch, capsys):
         finally:
             in_gibbs[0] = False
 
-    def spy_marginal(p, j, k):
-        if not in_gibbs[0]:
-            stray.append((p.length, j, k))
-        return marginal(p, j, k)
-
-    def spy_entropy(p):
-        entropies.append((len(p), p.flags.writeable))
-        return entropy(p)
-
     def spy_adopt(cls, length, d, table, smoothing_eps=None):
-        adopted.append((length, in_gibbs[0]))
+        adopted.append((length, in_gibbs[0], any(table is t for t in raw)))
         return adopt(cls, length, d, table, smoothing_eps)
 
-    monkeypatch.setattr(restriction, "_window_tables", spy_tables)
-    monkeypatch.setattr(restriction, "_products", spy_products)
-    monkeypatch.setattr(restriction, "shannon_entropy", spy_entropy)
+    def spy_entropy(self):
+        spy_entropy.calls += 1
+        return entropy(self)
+
+    spy_entropy.calls = 0
+    monkeypatch.setattr(restriction, "_window_walk", spy_walk)
     monkeypatch.setattr(cli, "_gibbs_block", spy_block)
-    monkeypatch.setattr(gibbs, "marginal", spy_marginal)
     monkeypatch.setattr(gibbs.ChainDistribution, "_adopt", classmethod(spy_adopt))
-    assert main(["analyze", "--builtin", "aklt", "--nmax", "8"]) == 0
-    assert requested == [[6] + list(range(1, 13))]
-    assert walks.count("_window_tables") == 1
-    assert entropies == [(3**m, True) for m in range(1, 13)]
-    assert stray == []
-    assert adopted == [(6, False), (6, True), (6, True)]
+    monkeypatch.setattr(restriction._StreamedEntropy, "entropy", spy_entropy)
+    assert main(argv) == 0
+    assert spy_entropy.calls == len(taken) == len({(id(ctx), m) for ctx, m in taken})
+    return walks, adopted
+
+
+def test_stationary_analyze_takes_each_level_entropy_once(monkeypatch, capsys):
+    """The stationary context is its own fold, so analyze walks it once:
+    that walk streams the entropy of each length 1..a+nmax+c once and fills
+    the one table, the Gibbs chain's 6 sites, which the Gibbs block adopts
+    in place from the walk's raw table.  Nothing else is adopted but the
+    block's smoothed copy and its fit's Gibbs table."""
+    walks, adopted = _spy_window_walks(monkeypatch, ["analyze", "--builtin", "aklt", "--nmax", "8"])
+    assert [(h, t) for _, h, t in walks] == [(list(range(1, 13)), [6])]
+    assert adopted == [(6, False, True), (6, True, False), (6, True, False)]
 
 
 def test_finite_analyze_adopts_each_table_once(tmp_path, monkeypatch, capsys):
-    """Finite rows read each row's a+b+c table from the one walk that gives
-    the Gibbs table: each of 5..8 sites is adopted once, in place, from the
-    walk's own raw table (no copy), and the 6-site row reads the very
-    distribution the Gibbs chain was fitted on."""
-    from mpsrestrict import cli, gibbs, restriction
+    """Finite rows walk four distinct contexts once each, the given one
+    first: it streams the a+b+c entropies (5..8 sites) and fills the Gibbs
+    chain's table, the one table adopted, in place.  The folds (sigma, F_c),
+    (sigma_a, F) and (sigma_a, F_c) stream the a+b, b+c and b entropies
+    (3..6, 3..6 and 1..4 sites) and form no table, and the last is the
+    context the scans read."""
+    from mpsrestrict import restriction
     from mpsrestrict.chain import BoundaryPair
     from mpsrestrict.modelio import save_model
     from mpsrestrict.purity import haar_kraus
@@ -176,49 +179,52 @@ def test_finite_analyze_adopts_each_table_once(tmp_path, monkeypatch, capsys):
     L, R = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
     model = tmp_path / "m.json"
     save_model(model, haar_kraus(3, 5, seed=40), boundaries=BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R)))
-
-    raw, adopted, fitted, rows = [], [], [], []
-    in_gibbs = [False]
-    tables, block, cmi = restriction._window_tables, cli._gibbs_block, restriction.classical_cmi
-    adopt = gibbs.ChainDistribution.__dict__["_adopt"].__func__
-
-    def spy_tables(ctx, lengths, guard):
-        out = tables(ctx, lengths, guard=guard)
-        raw.extend(out.values())
-        return out
-
-    def spy_block(dist, ell):
-        fitted.append(dist)
-        in_gibbs[0] = True
-        try:
-            return block(dist, ell)
-        finally:
-            in_gibbs[0] = False
-
-    def spy_adopt(cls, length, d, table, smoothing_eps=None):
-        if not in_gibbs[0]:
-            adopted.append((length, any(table is t for t in raw)))
-        return adopt(cls, length, d, table, smoothing_eps)
-
-    def spy_cmi(p, geometry):
-        rows.append(p)
-        return cmi(p, geometry)
-
-    monkeypatch.setattr(restriction, "_window_tables", spy_tables)
-    monkeypatch.setattr(cli, "_gibbs_block", spy_block)
-    monkeypatch.setattr(gibbs.ChainDistribution, "_adopt", classmethod(spy_adopt))
-    monkeypatch.setattr(restriction, "classical_cmi", spy_cmi)
-    assert main(["analyze", "--model", str(model), "--nmax", "4"]) == 0
+    scanned = []
+    scans = restriction._scans
+    monkeypatch.setattr(restriction, "_scans", lambda ctx, ns, guard: scanned.append(ctx) or scans(ctx, ns, guard))
+    walks, adopted = _spy_window_walks(monkeypatch, ["analyze", "--model", str(model), "--nmax", "4"])
     assert json.loads(capsys.readouterr().out)["mode"] == "finite"
-    assert sorted(len(t) for t in raw) == [5**m for m in range(5, 9)]
-    assert adopted == [(6, True), (5, True), (7, True), (8, True)]
-    assert [p.length for p in rows] == [5, 6, 7, 8]
-    assert len(fitted) == 1 and rows[1] is fitted[0]
+    assert [(h, t) for _, h, t in walks] == [([5, 6, 7, 8], [6]), ([3, 4, 5, 6], []), ([3, 4, 5, 6], []), ([1, 2, 3, 4], [])]
+    contexts = [ctx for ctx, _, _ in walks]
+    assert len({id(ctx) for ctx in contexts}) == 4
+    assert scanned == [contexts[3]]
+    assert adopted == [(6, False, True), (6, True, False)]
+
+
+@pytest.mark.parametrize("source", ["aklt", "haar-D3-d5-boundaries"])
+def test_analyze_peaks_below_two_megabytes(source, tmp_path):
+    """With every row entropy streamed and the Gibbs chain's table the one
+    table formed, a whole analyze run stays below 2 MB traced: the
+    valence-bond chain at --nmax 8 (a 12-site walk; 6.75 MB with a table
+    per length) and a Haar D3 d5 chain with boundaries at --nmax 4 (four
+    walks to 8, 6, 6 and 4 sites; 6.30 MB with a table per row)."""
+    from mpsrestrict.chain import BoundaryPair
+    from mpsrestrict.modelio import save_model
+    from mpsrestrict.purity import haar_kraus
+
+    if source == "aklt":
+        argv = ["analyze", "--builtin", "aklt", "--nmax", "8"]
+    else:
+        rng = np.random.default_rng(41)
+        L, R = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+        ends = BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R))
+        save_model(tmp_path / "m.json", haar_kraus(3, 5, seed=41), boundaries=ends)
+        argv = ["analyze", "--model", str(tmp_path / "m.json"), "--nmax", "4"]
+    argv += ["--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0  # imports and first-call caches, untraced
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_analyze_folds_the_window_sites_once(monkeypatch, capsys):
-    """A finite chain's rows share their window sites, so analyze folds them
-    into the environments once for all its blocks."""
+    """A finite chain's rows share their window sites, so analyze folds
+    them into the environments once for all its blocks: each of the three
+    folds (0, c), (a, 0) and (a, c) is formed once."""
     from mpsrestrict import restriction
 
     folds = []
@@ -231,7 +237,7 @@ def test_analyze_folds_the_window_sites_once(monkeypatch, capsys):
     monkeypatch.setattr(restriction, "_absorb_windows", counted)
     model = str(GOLDEN / "haar_d3_d3_finite_model.json")
     assert main(["analyze", "--model", model, "--nmax", "3", "--geometry", "1,2,2"]) == 0
-    assert folds == [(1, 2)]
+    assert folds == [(0, 2), (1, 0), (1, 2)]
 
 
 @pytest.mark.parametrize(

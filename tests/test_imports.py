@@ -243,15 +243,21 @@ def test_one_kernel_takes_each_string_products_spectrum_and_nu1_nu2():
 
 
 def test_the_restriction_module_owns_the_cmi_table_route():
-    """Whether the rows take level entropies (the stationary context) or the
-    marginals of each row's table, and the one walk that gives their tables,
-    are decided inside ``restriction`` alone: ``_cmi_rows`` picks the route,
-    and the CLI imports neither table path."""
+    """The rows' classical CMI has one path, inside ``restriction`` alone:
+    ``_cmi_rows`` takes four streamed window entropies from the walks of
+    ``_window_walk``, the one window path, which ``window_distributions``
+    also reads for its tables.  No route is picked: ``_stationary`` is read
+    only where the stationary context is its own fold.  The walk's entropy
+    is the one ``_StreamedEntropy``, and one generator, ``_batches``, joins
+    a depth's stacks for it and for ``_string_tables``.  The CLI imports
+    no window path."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
 
     def readers(names):
         return {(module, name) for module, tree in trees.items() for name in _readers(tree, names)}
 
-    assert readers({"_stationary"}) == {("restriction.py", "_absorb_windows"), ("restriction.py", "_cmi_rows")}
-    assert readers({"_window_tables"}) == {("restriction.py", "window_distributions"), ("restriction.py", "_cmi_rows")}
-    assert not {"_window_tables", "window_distributions"} & {name for name, _ in _imported(trees["cli.py"])}
+    assert readers({"_stationary"}) == {("restriction.py", "_absorb_windows")}
+    assert readers({"_window_walk"}) == {("restriction.py", "window_distributions"), ("restriction.py", "_cmi_rows")}
+    assert readers({"_StreamedEntropy"}) == {("restriction.py", "_window_walk")}
+    assert readers({"_batches"}) == {("restriction.py", "_string_tables"), ("restriction.py", "_window_walk")}
+    assert not {"_window_walk", "window_distributions"} & {name for name, _ in _imported(trees["cli.py"])}

@@ -1,23 +1,28 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import families
 import oracle
 from mpsrestrict.chain import BoundaryPair, ChainGeometry, KrausFamily, _normalization_residual
 from mpsrestrict.errors import (
     EnumerationTooLarge,
     GeometryMismatch,
+    InvalidDistribution,
     OutOfRange,
     SymbolOutOfRange,
     ZeroProbabilityString,
 )
 from mpsrestrict import purity, restriction
 from mpsrestrict.gibbs import marginal
-from mpsrestrict.models import aklt, clock, damping, markov
+from mpsrestrict.linalg import shannon_entropy
+from mpsrestrict.models import BUILTINS, aklt, clock, damping, jordan, markov
 from mpsrestrict.purity import f_series, haar_kraus
 from mpsrestrict.restriction import (
+    DEFAULT_GUARD,
     CmiReport,
     RestrictionContext,
     average_entropy,
@@ -445,7 +450,7 @@ def test_stationary_context_is_not_folded_into_itself():
     assert _absorb_windows(near, 1, 0) is not near
 
 
-# --------------------------------------- stationary rows from the level tables
+# ---------------------------------- stationary rows from the streamed entropies
 
 _LEVEL_FAMILIES = {
     "aklt": aklt,
@@ -459,8 +464,8 @@ _LEVEL_FAMILIES = {
 
 @pytest.mark.parametrize("name", sorted(_LEVEL_FAMILIES))
 def test_stationary_cmi_report_is_classical_cmi_of_its_window_table(name):
-    """The level route (entropies of the window tables of each length)
-    gives the marginal route's classical CMI of the full window table, for
+    """The streamed window entropies of each length give the marginal
+    oracle's classical CMI of the full window table, for
     n = 1..6 while the window has at most 2^20 strings (for clock(3), whose
     d is 9, up to n = 2 or 3)."""
     ctx = RestrictionContext.stationary(_LEVEL_FAMILIES[name]())
@@ -476,12 +481,13 @@ def test_stationary_cmi_report_is_classical_cmi_of_its_window_table(name):
 
 def test_the_stationary_k2_is_iterated_and_the_level_route_reads_it():
     """The stationary K^2(n) is 1 only up to about n times the family's
-    normalization residual, so the level tables are divided by the iterated
-    K^2, not by 1.  On a Haar family scaled by sqrt(1 + 4.5e-11), which the
-    family's atol of 1e-10 accepts, K^2(12) - 1 exceeds the 1e-10 sum
-    check of ``shannon_entropy`` that a 12-site level table divided by 1
-    would fail; divided by K^2, the level route still gives the marginal
-    route's classical CMI."""
+    normalization residual, so the streamed window entries are divided by
+    the iterated K^2, not by 1.  On a Haar family scaled by sqrt(1 +
+    4.5e-11), which the family's atol of 1e-10 accepts, K^2(12) - 1 exceeds
+    1e-10, so a 12-site window's entries divided by 1 would fail the sum
+    check that the streamed entropies keep from ``shannon_entropy``;
+    divided by K^2, the rows still give the marginal oracle's classical
+    CMI."""
     K = KrausFamily(haar_kraus(3, 3, seed=1).ops * np.sqrt(1 + 4.5e-11))
     assert 1e-11 < _normalization_residual(K.ops) < 1e-10
     ctx = RestrictionContext.stationary(K)
@@ -494,8 +500,8 @@ def test_the_stationary_k2_is_iterated_and_the_level_route_reads_it():
 
 
 def test_markov_rows_stay_at_rounding():
-    """A Markov chain has no classical CMI: the level route, which takes no
-    marginal, may leave a rounding residue, but none above 1e-14."""
+    """A Markov chain has no classical CMI: the streamed entropies, which
+    take no marginal, may leave a rounding residue, but none above 1e-14."""
     ctx = RestrictionContext.stationary(markov())
     for a, c in ((2, 2), (1, 2), (2, 1)):
         for n in range(1, 6):
@@ -503,10 +509,11 @@ def test_markov_rows_stay_at_rounding():
 
 
 @pytest.mark.parametrize("moved", ["sigma", "F"])
-def test_a_context_one_ulp_off_stationary_keeps_the_marginal_route(moved, monkeypatch):
+def test_a_context_one_ulp_off_stationary_agrees_with_the_marginal_oracle(moved, monkeypatch):
     """sigma one ulp off rho, or F one ulp off the identity, is not the
-    stationary context: its rows take the marginals of each row's table,
-    bit for bit, and no level entropy."""
+    stationary context: its windows fold into three other contexts, so each
+    row walks four, and its classical CMI is the marginal oracle's of the
+    row's table to 1e-13 all the same."""
     K = aklt()
     sigma, f_op = np.array(K._fixed_point.rho), np.eye(2, dtype=complex)
     if moved == "sigma":
@@ -515,13 +522,157 @@ def test_a_context_one_ulp_off_stationary_keeps_the_marginal_route(moved, monkey
         f_op[1, 1] = np.nextafter(1.0, 0.0)
     ctx = RestrictionContext(kraus=K, sigma=sigma, f_op=f_op)
     assert not ctx._stationary
-    levels = []
-    monkeypatch.setattr(restriction, "shannon_entropy", lambda p: levels.append(p) or 0.0)
+    walked = []
+    walk = restriction._window_walk
+    monkeypatch.setattr(restriction, "_window_walk", lambda c, *args: walked.append(c) or walk(c, *args))
     for n in range(1, 5):
         geom = ChainGeometry(2, n, 2)
         marginals = max(0.0, classical_cmi(window_distribution(ctx, geom.total), geom))
-        assert cmi_report(ctx, n).classical_cmi == marginals, n
-    assert levels == []
+        assert abs(cmi_report(ctx, n).classical_cmi - marginals) <= 1e-13, n
+    assert len(walked) == 4 * 4 + 4  # four per row, and one per window_distribution
+
+
+# ------------------------------------------ streamed window entropies (_window_walk)
+
+
+def _finite_haar_contexts() -> dict[str, RestrictionContext]:
+    """The Haar D3 d5 chain with boundaries: its bare context (a vector root
+    and a rank-1 cap) and, at windows (1, 1), (2, 2) and (1, 3), its folds
+    (sigma, F_c) (a vector root and a full cap), (sigma_a, F) (a square
+    root and a rank-1 cap) and (sigma_a, F_c) (a square root and a full
+    cap)."""
+    rng = np.random.default_rng(9)
+    L, R = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+    bare = RestrictionContext.from_boundaries(
+        haar_kraus(3, 5, seed=9),
+        BoundaryPair(L=L / np.linalg.norm(L), R=R / np.linalg.norm(R)),
+        ChainGeometry(0, 5, 0),
+    )
+    contexts = {"haar-D3-d5-bare": bare}
+    for a, c in ((1, 1), (2, 2), (1, 3)):
+        for wa, wc in ((0, c), (a, 0), (a, c)):
+            contexts[f"haar-D3-d5-fold-{wa}-{wc}"] = restriction._absorb_windows(bare, wa, wc)
+    return contexts
+
+
+_ENTROPY_FAMILIES = {
+    **{f"builtin-{name}": family for name, family in BUILTINS.items()},
+    "block-diagonal": families.block_diagonal,
+    "near-pauli": families.near_pauli,
+    "code-d3": families.code_d3,
+    "dark-block": lambda: families.dark_block_family(2, 1, 3, 5),
+}
+
+
+def _entropy_context(name: str) -> RestrictionContext:
+    if name.startswith("haar-D3-d5"):
+        return _finite_haar_contexts()[name]
+    return RestrictionContext.stationary(_ENTROPY_FAMILIES[name]())
+
+
+_ENTROPY_CONTEXTS = sorted(_ENTROPY_FAMILIES) + sorted(_finite_haar_contexts())
+
+
+def _past_one_block(d: int) -> int:
+    """k + 1 for the largest k with d^k <= 2^15: the shortest window of
+    more than one block of a streamed entropy."""
+    return next(m for m in itertools.count(1) if d**m > 2**15)
+
+
+@pytest.mark.parametrize("name", _ENTROPY_CONTEXTS)
+def test_streamed_window_entropies_are_the_tables_entropies(name):
+    """Each streamed window entropy is shannon_entropy of its window
+    distribution to 1e-13, up to the shortest window of more than one block
+    of d^k strings; and it is the same bits whatever the tree's depth and
+    whichever other lengths, entropies or a table, share its walk."""
+    ctx = _entropy_context(name)
+    top = _past_one_block(ctx.kraus.d)
+    lengths = list(range(1, top + 1))
+    shared = restriction._window_walk(ctx, lengths, [], DEFAULT_GUARD)[0]
+    for m in lengths:
+        assert abs(shared[m] - shannon_entropy(window_distribution(ctx, m).as_array())) <= 1e-13, m
+        assert restriction._window_walk(ctx, [m], [], DEFAULT_GUARD)[0] == {m: shared[m]}, m
+    beside_a_table = restriction._window_walk(ctx, [1, top - 1], [top], DEFAULT_GUARD)[0]
+    assert beside_a_table == {1: shared[1], top - 1: shared[top - 1]}
+
+
+@pytest.mark.parametrize("family", [aklt, markov, lambda: damping(0.5), lambda: jordan(4)])
+def test_a_pruned_walk_streams_the_dense_walks_entropies(family):
+    """A pruned walk leaves out the zero products that a dense one keeps as
+    zero entries, and neither is kept in a block's sums, so the entropies
+    are the same bits; the dense twin is the same family walked without
+    looking for zeros."""
+    K = family()
+    dense = KrausFamily(K.ops)
+    dense.__dict__["_singular"] = False  # sets the cached property
+    assert K._singular
+    ctxs = [RestrictionContext.stationary(k) for k in (K, dense)]
+    assert np.array_equal(ctxs[0].sigma, ctxs[1].sigma)
+    top = _past_one_block(K.d)
+    pruned, full = (restriction._window_walk(c, range(1, top + 1), [], DEFAULT_GUARD)[0] for c in ctxs)
+    assert pruned == full
+
+
+@pytest.mark.parametrize("name", ["builtin-aklt", "haar-D3-d5-fold-2-2"])
+def test_the_entropy_is_fsum_over_fixed_blocks_of_one_numpy_sum_each(name):
+    """The reduction order, pinned bit for bit: blocks of d^k consecutive
+    strings, k the largest with d^k <= 2^15; per block, sum p and sum p ln p
+    over its entries p > 0, each as one numpy sum; math.fsum over blocks."""
+    ctx = _entropy_context(name)
+    d = ctx.kraus.d
+    m = _past_one_block(d) + 1
+    k = m - 2
+    h, raw = restriction._window_walk(ctx, [m], [m], DEFAULT_GUARD)
+    mass, plogp = [], []
+    for block in raw[m].reshape(-1, d**k):
+        p = block[block > 0.0]
+        mass.append(np.sum(p))
+        plogp.append(np.sum(p * np.log(p)))
+    assert abs(math.fsum(mass) - 1.0) <= 1e-10
+    assert h[m] == -math.fsum(plogp)
+
+
+def test_the_streamed_entropy_keeps_shannon_entropys_checks():
+    """A NaN or infinite entry, an entry below -1e-10 and a mass off 1 by
+    more than 1e-10 each raise InvalidDistribution, as shannon_entropy does
+    on a table; an entry of -1e-10, which is not kept, and a mass off by
+    1e-11 pass."""
+
+    def streamed(*entries: float) -> float:
+        s = restriction._StreamedEntropy(2)
+        s.add(range(len(entries)), np.array(entries))
+        return s.entropy()
+
+    for entries, message in [
+        ((0.5, np.nan, 0.5), "finite"),
+        ((0.5, np.inf, 0.5), "finite"),
+        ((0.5, -2e-10, 0.5), "negative"),
+        ((0.5, 0.5 - 2e-10), "sum"),
+    ]:
+        with pytest.raises(InvalidDistribution, match=message):
+            streamed(*entries)
+        with pytest.raises(InvalidDistribution, match=message):
+            shannon_entropy(np.array(entries))
+    assert streamed(0.5, -1e-10, 0.5) == shannon_entropy(np.array([0.5, 0.5]))
+    assert streamed(0.5, 0.5 - 1e-11) == pytest.approx(np.log(2.0), abs=1e-10)
+
+
+@pytest.mark.parametrize("route", ["stationary", "finite"])
+def test_a_window_mass_off_by_more_than_1e_10_is_rejected(route, monkeypatch):
+    """K^2 scaled by 1 + 1e-9 leaves every window's mass about 1e-9 short
+    of 1, which the streamed entropies' sum check rejects on either route
+    with InvalidDistribution."""
+    K = haar_kraus(3, 3, seed=1)
+    if route == "stationary":
+        ctx = RestrictionContext.stationary(K)
+    else:
+        ends = BoundaryPair(L=np.array([1.0, 0, 0]), R=np.ones(3) / np.sqrt(3))
+        ctx = RestrictionContext.from_boundaries(K, ends, ChainGeometry(2, 2, 2))
+    assert cmi_report(ctx, 2).classical_cmi >= 0.0
+    k2_for = RestrictionContext.k2_for
+    monkeypatch.setattr(RestrictionContext, "k2_for", lambda self, n: k2_for(self, n) * (1 + 1e-9))
+    with pytest.raises(InvalidDistribution, match="sum"):
+        cmi_report(ctx, 2)
 
 
 # ------------------------------------------------- the family's record of scans
