@@ -170,27 +170,36 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     """
     rho = _check_density(rho, "density operator")
     lam = np.clip(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), 0.0, 1.0)
-    pos = lam[lam > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    return float(-_plogp_sums(lam)[1])
 
 
-def shannon_entropy(p: np.ndarray | Sequence[float]) -> float:
-    """H(p) = -sum p ln p in nats, with 0 ln 0 := 0.
+def _plogp_sums(p: np.ndarray) -> tuple[float, float]:
+    """(sum p, sum p ln p) over the entries p > 0 of a flat float vector, in
+    order, each as one numpy sum: the ``p ln p`` of ``shannon_entropy``,
+    ``von_neumann_entropy`` and ``restriction``'s streamed window entropies.
 
-    Beside p it holds one temporary of p's size (and a subset of p's
-    positive entries only when some entry is not positive)."""
-    p = np.asarray(p, dtype=float).ravel()
+    InvalidDistribution unless p is non-empty and finite with no entry below
+    -1e-10.  Beside p it holds one temporary of p's size (and a subset of
+    p's positive entries only when some entry is not positive)."""
     if p.size == 0 or not np.all(np.isfinite(p)):
         raise InvalidDistribution("weights must be a non-empty finite vector")
     least = np.min(p)
     if least < -1e-10:
         raise InvalidDistribution(f"negative weight {least:.3e}")
-    if abs(p.sum() - 1.0) > 1e-10:
-        raise InvalidDistribution(f"weights sum to {float(p.sum())!r}, not 1")
     pos = p[p > 0.0] if least <= 0.0 else p
     terms = np.log(pos)  # then pos ln pos, in the log's own buffer
     terms *= pos
-    return float(-np.sum(terms))
+    return np.sum(pos), np.sum(terms)
+
+
+def shannon_entropy(p: np.ndarray | Sequence[float]) -> float:
+    """H(p) = -sum p ln p in nats, with 0 ln 0 := 0 (``_plogp_sums``), for
+    weights that sum to 1 within 1e-10."""
+    p = np.asarray(p, dtype=float).ravel()
+    plogp = _plogp_sums(p)[1]
+    if abs(p.sum() - 1.0) > 1e-10:
+        raise InvalidDistribution(f"weights sum to {float(p.sum())!r}, not 1")
+    return float(-plogp)
 
 
 def binary_entropy(t: float) -> float:

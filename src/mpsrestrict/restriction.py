@@ -41,11 +41,11 @@ deterministic bit for bit.
 
 There is one path of each kind.  ``_window_walk`` reads the outcomes of
 any context for several window lengths from one walk: it streams the
-Shannon entropy of some (``_StreamedEntropy``: ``math.fsum`` over fixed
+Shannon entropy of each (``_StreamedEntropy``: ``math.fsum`` over fixed
 blocks of d^k strings, one numpy sum each, with no table) and fills the
-raw table of others, which ``window_distributions`` adopts
-(``window_distribution`` is its one-length call, and
-``chain_distribution`` that table for the bare boundary context).  The
+raw table of at most one, which ``window_distribution`` adopts
+(``chain_distribution`` is that table for the bare boundary context); a
+caller that wants several tables takes each from its own walk.  The
 leaf, ``_capped_norm2``, is the one squared norm of a string product and
 calls no BLAS, so each entry has the bits of its own product alone.
 ``_spectra`` is the one spectrum of a string product's Gram T T^dag and
@@ -59,7 +59,7 @@ and of its three folds (``_absorb_windows``), each distinct context walked
 once (the stationary context is its own fold, so it is walked once in
 all), and every block scanned from one walk of the fold with both windows
 (``_scans``).  The given context's walk also fills the Gibbs chain's
-table, the only table the rows form.  ``cmi_report`` is its one-row call,
+table, the one table the rows form.  ``cmi_report`` is its one-row call,
 and ``analyze`` takes all its rows and its Gibbs chain's fit from one
 call; the public ``classical_cmi``, from the entropies of a table's
 marginals, is its oracle.
@@ -105,6 +105,7 @@ from .linalg import (
     _check_length,
     _check_square,
     _integral,
+    _plogp_sums,
     exterior_square,
 )
 
@@ -120,7 +121,6 @@ __all__ = [
     "average_purity_q",
     "restriction_scan",
     "window_distribution",
-    "window_distributions",
     "chain_distribution",
     "classical_cmi",
     "cmi_report",
@@ -140,8 +140,9 @@ class RestrictionContext:
     The D x D density operator sigma and contraction F are stored as frozen
     copies, so a caller that changes its own arrays changes no context.
     Each operator derived from them is formed once, when first read: F^dag F,
-    the walks' cap F, sqrt(sigma) and the environments E^n(sigma), from which
-    ``k2_for`` takes K^2(N), so probabilities sum to 1 exactly for every N.
+    the walks' cap F, sqrt(sigma), the environments E^n(sigma), from which
+    ``k2_for`` takes K^2(N), so probabilities sum to 1 exactly for every N,
+    and the right powers E*^n(F^dag F) that the window folds read.
     """
 
     kraus: KrausFamily
@@ -210,6 +211,11 @@ class RestrictionContext:
     def _envs(self) -> list[np.ndarray]:
         """[sigma, E(sigma), E^2(sigma), ...] as far as asked, extended by ``chain._powers``."""
         return [np.asarray(self.sigma)]
+
+    @cached_property
+    def _rights(self) -> list[np.ndarray]:
+        """[F^dag F, E*(F^dag F), E*^2(F^dag F), ...] as far as asked, extended by ``chain._powers``."""
+        return [self._f2]
 
     def k2_for(self, n: int) -> float:
         """K^2(n) = Tr(F^dag F E^n(sigma)) for n in [0, 10,000]; a bad n extends no environment.
@@ -791,13 +797,14 @@ class _StreamedEntropy:
     The reduction order is fixed: the d^m strings are cut into blocks of d^k
     consecutive strings in lexicographic order, k the largest with d^k <=
     _ENTROPY_BLOCK; each block's kept entries (p > 0), in order, give sum p
-    and sum p ln p as one numpy sum each, and ``math.fsum`` adds the blocks'
-    partials.  A block is summed once the walk has passed it, so the
-    entropy depends neither on how the walk splits, nor on its depth, nor
-    on which other lengths share it, nor on whether it prunes (a pruned
-    string's p is 0, and is not kept).  The checks of ``shannon_entropy``
-    run on the streamed entries: each p finite and >= -1e-10, and |sum p -
-    1| <= 1e-10, each raising InvalidDistribution.
+    and sum p ln p as one numpy sum each (``linalg._plogp_sums``), and
+    ``math.fsum`` adds the blocks' partials.  A block is summed once the
+    walk has passed it, so the entropy depends neither on how the walk
+    splits, nor on its depth, nor on which other lengths share it, nor on
+    whether it prunes (a pruned string's p is 0, and is not kept).  The
+    checks of ``shannon_entropy`` run on the streamed entries: each p finite
+    and >= -1e-10 (``_plogp_sums``), and |sum p - 1| <= 1e-10, each raising
+    InvalidDistribution.
     """
 
     def __init__(self, d: int) -> None:
@@ -827,18 +834,10 @@ class _StreamedEntropy:
         if not self.held:
             return
         p = np.concatenate(self.held)
-        self.held = []
-        if not np.all(np.isfinite(p)):
-            raise InvalidDistribution("weights must be a non-empty finite vector")
-        least = p.min()
-        if least < -1e-10:
-            raise InvalidDistribution(f"negative weight {least:.3e}")
-        if not least > 0.0:
-            p = p[p > 0.0]
-        terms = np.log(p)  # then p ln p, in the log's own buffer
-        terms *= p
-        self.mass.append(np.sum(p))
-        self.plogp.append(np.sum(terms))
+        self.held = []  # the pieces go before the log's buffer is formed
+        mass, plogp = _plogp_sums(p)
+        self.mass.append(mass)
+        self.plogp.append(plogp)
 
     def entropy(self) -> float:
         self._close()
@@ -849,55 +848,39 @@ class _StreamedEntropy:
 
 
 def _window_walk(
-    ctx: RestrictionContext, entropies: Iterable[int], tables: Iterable[int], guard: int
-) -> tuple[dict[int, float], dict[int, np.ndarray]]:
-    """The entropy of each length of ``entropies`` (``_StreamedEntropy``)
-    and the raw window table of each length of ``tables``, keyed by length,
-    from one walk of the product tree to the longest, whose level-m nodes
-    are the products of the m-site window.  The walk runs from the root X
-    to the cap Y of ``window_distribution``, and each entry is ||Y P||_F^2
-    / K^2(m) of its string's product P (``_capped_norm2``); only the
-    lengths of ``tables`` form a d^m table.  The lengths, then the guard
-    (on the longest) and K^2 of each length are checked before the walk.
-    The one window path: ``window_distributions`` adopts its tables, and
-    ``_cmi_rows`` reads its entropies and the Gibbs chain's table."""
+    ctx: RestrictionContext, entropies: Iterable[int], table: int | None, guard: int
+) -> tuple[dict[int, float], np.ndarray | None]:
+    """The entropy of each length of ``entropies`` (``_StreamedEntropy``),
+    keyed by length, and the raw window table of the length ``table`` (None
+    with no table), from one walk of the product tree to the longest, whose
+    level-m nodes are the products of the m-site window.  The walk runs from
+    the root X to the cap Y of ``window_distribution``, and each entry is
+    ||Y P||_F^2 / K^2(m) of its string's product P (``_capped_norm2``); only
+    ``table`` forms a d^m table.  The lengths, then the guard (on the
+    longest) and K^2 of each length are checked before the walk.  The one
+    window path: ``window_distribution`` adopts its table, and ``_cmi_rows``
+    reads its entropies and the Gibbs chain's table."""
     entropies = [_check_length(m, "string length") for m in entropies]
-    tables = [_check_length(m, "string length") for m in tables]
-    if not entropies + tables:
-        return {}, {}
+    if table is not None:
+        table = _check_length(table, "string length")
+    lengths = entropies if table is None else entropies + [table]
     root = _range_factor(ctx.sigma)
     root = ctx.sqrt_sigma if root is None else root
     cap = ctx._cap
     if cap is not None:
         Y = _range_factor(ctx._f2)
         cap = cap if Y is None else _adjoint(Y)
-    tree = _products(ctx.kraus, root, max(entropies + tables), guard)
-    k2 = {m: ctx.k2_for(m) for m in entropies + tables}
+    tree = _products(ctx.kraus, root, max(lengths), guard)
+    k2 = {m: ctx.k2_for(m) for m in lengths}
     streams = {m: _StreamedEntropy(tree.d) for m in entropies}
-    raw = {m: np.zeros(tree.d**m) for m in tables}
+    raw = None if table is None else np.zeros(tree.d**table)
     for m, index, stack in _batches(tree, k2):
         p = _capped_norm2(cap, stack) / k2[m]
-        if m in raw:
-            raw[m][_at(index)] = p
+        if m == table:
+            raw[_at(index)] = p
         if m in streams:
             streams[m].add(index, p)
     return {m: s.entropy() for m, s in streams.items()}, raw
-
-
-def window_distributions(
-    ctx: RestrictionContext, lengths: Iterable[int], guard: int = DEFAULT_GUARD
-) -> Iterator[ChainDistribution]:
-    """The ``window_distribution`` of each of ``lengths``, in order, from
-    the raw tables of one walk (``_window_walk``, run when this is called).
-
-    Each distinct length's raw table is adopted once, normalized in place,
-    so no table is held twice, and a length listed again gives the same
-    (immutable) distribution.
-    """
-    lengths = list(lengths)
-    raw = _window_walk(ctx, [], lengths, guard)[1]
-    made = {m: ChainDistribution._adopt(m, ctx.kraus.d, t) for m, t in raw.items()}
-    return iter([made[m] for m in lengths])
 
 
 def window_distribution(
@@ -912,9 +895,11 @@ def window_distribution(
     themselves (an identity F is skipped); for the pure boundaries of a
     finite chain the walk runs on vectors.  Each entry is ||Y P||_F^2 /
     K^2(m) of its string's product P, with no BLAS call.  Raises ValueError
-    if K^2(m) < 1e-12.  The one-length call of ``window_distributions``.
+    if K^2(m) < 1e-12.  The table is the raw one of its own walk
+    (``_window_walk``), adopted in place, so no table is held twice.
     """
-    return next(window_distributions(ctx, [m], guard=guard))
+    m = _check_length(m, "string length")
+    return ChainDistribution._adopt(m, ctx.kraus.d, _window_walk(ctx, [], m, guard)[1])
 
 
 def chain_distribution(
@@ -925,8 +910,9 @@ def chain_distribution(
 ) -> ChainDistribution:
     """Full-chain restriction p(x) = |<R| A_{x_n}..A_{x_1} |L>|^2 / K^2.
 
-    The window table of the bare boundary context; raises ValueError for
-    degenerate boundaries (K^2 < 1e-12).
+    The window table of the bare boundary context, as ``window_distribution``
+    adopts it from one walk that forms this table alone; raises ValueError
+    for degenerate boundaries (K^2 < 1e-12).
     """
     n = geometry.total if isinstance(geometry, ChainGeometry) else geometry
     n = _check_length(n, "chain length")
@@ -962,15 +948,16 @@ def _absorb_windows(
     window_c sites of the given one.  Both maps leave the stationary context
     (``RestrictionContext._stationary``) invariant, so it is returned as it
     is rather than folded into itself, which would only add rounding.
-    sigma' is the context's own power of sigma (``_envs``), formed once, and
-    the folded context starts its environments from a copy of the given
-    one's from sigma' on: E^n(sigma') is the given context's E^{window_a + n}
-    (sigma) bit for bit, so no power is formed twice.
+    sigma' and F'^dag F' are the context's own powers of sigma (``_envs``)
+    and of F^dag F (``_rights``), each formed once however many folds read
+    it, and the folded context starts its environments from a copy of the
+    given one's from sigma' on: E^n(sigma') is the given context's
+    E^{window_a + n}(sigma) bit for bit, so no power is formed twice.
     """
     if (window_a == 0 and window_c == 0) or ctx._stationary:
         return ctx
     sigma = _powers(ctx.kraus, ctx._envs, window_a, "window_a")
-    f2 = _powers(ctx.kraus, [ctx._f2], window_c, "window_c", adjoint=True)
+    f2 = _powers(ctx.kraus, ctx._rights, window_c, "window_c", adjoint=True)
     folded = RestrictionContext(kraus=ctx.kraus, sigma=sigma, f_op=sqrt_env(f2))
     folded.__dict__["_envs"] = ctx._envs[window_a:]  # sets the cached property
     return folded
@@ -998,9 +985,9 @@ def _cmi_rows(
     ``_absorb_windows`` forms each fold once, and each distinct context is
     walked once for all the lengths it gives, the given context first: in
     the stationary context every fold is the context itself, so there is
-    one walk.  The given context's walk also fills the Gibbs chain's raw
-    table, which is adopted in place and fitted before the other walks, and
-    no other table is formed.  (sigma_a, F_c) is also the quantum side's
+    one walk.  The given context's walk also fills the one table the rows
+    form, the Gibbs chain's raw table, which is adopted in place and fitted
+    before the other walks.  (sigma_a, F_c) is also the quantum side's
     context, and one walk scans every block (``_scans``)."""
     a, c = geoms[0].len_a, geoms[0].len_c
     longest = max([g.total for g in geoms] + ([] if gibbs is None else [gibbs]))
@@ -1012,10 +999,10 @@ def _cmi_rows(
         walks.setdefault(id(fold), (fold, set()))[1].update(g.total - wa - wc for g in geoms)
     h, fitted = {}, None
     for fold, lengths in walks.values():
-        tables = [gibbs] if fold is ctx and gibbs is not None else []
-        h[id(fold)], raw = _window_walk(fold, sorted(lengths), tables, guard)
-        if raw:  # adopted in place and dropped once fitted
-            fitted = fit(ChainDistribution._adopt(gibbs, ctx.kraus.d, raw.pop(gibbs)))
+        h[id(fold)], raw = _window_walk(fold, sorted(lengths), gibbs if fold is ctx else None, guard)
+        if raw is not None:  # adopted in place and dropped once fitted
+            fitted = fit(ChainDistribution._adopt(gibbs, ctx.kraus.d, raw))
+            del raw
 
     def entropy(g: ChainGeometry, wa: int, wc: int) -> float:
         return h[id(folds[wa, wc])][g.total - wa - wc]

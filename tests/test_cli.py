@@ -109,8 +109,8 @@ def test_analyze_builds_every_window_table_from_one_walk(flags, sites, monkeypat
 
 def _spy_window_walks(monkeypatch, argv: list[str]) -> tuple[list, list]:
     """Run ``argv``, check that no (context, length) entropy is taken twice,
-    and return each window walk as (context, entropy lengths, table
-    lengths) and each adopted table as (length, inside the Gibbs block, a
+    and return each window walk as (context, entropy lengths, table length
+    or None) and each adopted table as (length, inside the Gibbs block, a
     raw table of a walk)."""
     from mpsrestrict import cli, gibbs, restriction
 
@@ -120,11 +120,12 @@ def _spy_window_walks(monkeypatch, argv: list[str]) -> tuple[list, list]:
     adopt = gibbs.ChainDistribution.__dict__["_adopt"].__func__
     entropy = restriction._StreamedEntropy.entropy
 
-    def spy_walk(ctx, entropies, tables, guard):
-        h, out = walk(ctx, entropies, tables, guard)
-        walks.append((ctx, list(h), list(out)))
+    def spy_walk(ctx, entropies, table, guard):
+        h, out = walk(ctx, entropies, table, guard)
+        assert (out is None) == (table is None)
+        walks.append((ctx, list(h), table))
         taken.extend((ctx, m) for m in h)
-        raw.extend(out.values())
+        raw.append(out)
         return h, out
 
     def spy_block(dist, ell):
@@ -159,7 +160,7 @@ def test_stationary_analyze_takes_each_level_entropy_once(monkeypatch, capsys):
     in place from the walk's raw table.  Nothing else is adopted but the
     block's smoothed copy and its fit's Gibbs table."""
     walks, adopted = _spy_window_walks(monkeypatch, ["analyze", "--builtin", "aklt", "--nmax", "8"])
-    assert [(h, t) for _, h, t in walks] == [(list(range(1, 13)), [6])]
+    assert [(h, t) for _, h, t in walks] == [(list(range(1, 13)), 6)]
     assert adopted == [(6, False, True), (6, True, False), (6, True, False)]
 
 
@@ -184,7 +185,7 @@ def test_finite_analyze_adopts_each_table_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(restriction, "_scans", lambda ctx, ns, guard: scanned.append(ctx) or scans(ctx, ns, guard))
     walks, adopted = _spy_window_walks(monkeypatch, ["analyze", "--model", str(model), "--nmax", "4"])
     assert json.loads(capsys.readouterr().out)["mode"] == "finite"
-    assert [(h, t) for _, h, t in walks] == [([5, 6, 7, 8], [6]), ([3, 4, 5, 6], []), ([3, 4, 5, 6], []), ([1, 2, 3, 4], [])]
+    assert [(h, t) for _, h, t in walks] == [([5, 6, 7, 8], 6), ([3, 4, 5, 6], None), ([3, 4, 5, 6], None), ([1, 2, 3, 4], None)]
     contexts = [ctx for ctx, _, _ in walks]
     assert len({id(ctx) for ctx in contexts}) == 4
     assert scanned == [contexts[3]]
@@ -903,20 +904,19 @@ def test_finite_analyze_forms_each_transfer_power_once(monkeypatch, capsys):
     The scans of the rows fold the 2 left window sites into sigma' =
     E^2(sigma), and their powers E^n(sigma'), n <= 3, are the bare
     context's E^{2+n}(sigma), which the folded context starts from: they
-    step the map no more (3 more steps before)."""
+    step the map no more (3 more steps before).  The adjoint map steps 2
+    times, for the bare context's E*^2(F^dag F), which the folds (0, 2)
+    and (2, 2) both read (4 steps before, 2 per fold)."""
     from mpsrestrict import chain
 
     calls = []
-    step = chain.transfer_apply
-
-    def counted(K, M):
-        calls.append(1)
-        return step(K, M)
-
-    monkeypatch.setattr(chain, "transfer_apply", counted)
+    for name in ("transfer_apply", "transfer_adjoint_apply"):
+        step = getattr(chain, name)
+        monkeypatch.setattr(chain, name, lambda K, M, _step=step, _name=name: calls.append(_name) or _step(K, M))
     model = str(GOLDEN / "haar_d3_d3_finite_model.json")
     assert main(["analyze", "--model", model, "--nmax", "3", "--geometry", "2,2,2"]) == 0
-    assert len(calls) == 8
+    assert calls.count("transfer_apply") == 8
+    assert calls.count("transfer_adjoint_apply") == 2
 
 
 def test_analyze_bad_ell_fails_before_enumerating(monkeypatch):

@@ -39,7 +39,6 @@ from mpsrestrict.restriction import (
     chain_distribution,
     restriction_scan,
     window_distribution,
-    window_distributions,
 )
 from mpsrestrict.trajectories import mean_m_check, purification_statistic
 
@@ -209,51 +208,22 @@ def test_tables_join_a_levels_small_stacks_up_to_the_cap():
     assert np.array_equal(tables[8], alone[8])
 
 
-def test_window_distributions_hold_no_more_than_one_table_built_alone():
-    """``analyze --builtin aklt --nmax 8`` takes its window tables of 5..12
-    sites from one walk, so the smaller raw tables (half a 12-site table in
-    all) are held together.  They must not raise the peak: the walk and all
-    eight ChainDistributions stay below the 12-site table built on its own
-    the way it used to be, raw table, clipped copy and quotient at once."""
+def test_window_distribution_adopts_its_raw_table():
+    """The ChainDistribution normalizes its walk's raw table in place, so
+    the walk and the 12-site distribution of the valence-bond chain peak
+    within 1.2 times the raw table's bytes: a clipped copy of the table
+    would take as many bytes again."""
     ctx = RestrictionContext.stationary(aklt())
-    ctx.k2_for(12)  # the cached environments are not the tables' memory
-    assert list(window_distributions(ctx, [])) == []
+    ctx.k2_for(12)  # the cached environments are not the table's memory
+    raw_bytes = 8 * 3**12
     tracemalloc.start()
     try:
-        dists = list(window_distributions(ctx, range(5, 13)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 8 * 3**12
-    assert [p.length for p in dists] == list(range(5, 13))
-
-
-def test_window_distributions_adopt_their_raw_tables():
-    """Each ChainDistribution normalizes its raw table in place, so the walk
-    and all eight distributions of 5..12 sites on the valence-bond chain
-    peak within 1.2 times their raw tables' bytes: a clipped copy of the
-    12-site table alone would take a further 0.67 of them."""
-    ctx = RestrictionContext.stationary(aklt())
-    ctx.k2_for(12)  # the cached environments are not the tables' memory
-    raw_bytes = sum(8 * 3**m for m in range(5, 13))
-    tracemalloc.start()
-    try:
-        dists = list(window_distributions(ctx, range(5, 13)))
+        p = window_distribution(ctx, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * raw_bytes
-    assert sum(p.table.nbytes for p in dists) == raw_bytes
-
-
-def test_a_length_listed_twice_gives_one_distribution():
-    """The Gibbs chain and a block of the same size share one table: the
-    same read-only object, bit for bit that of the length taken alone."""
-    ctx = RestrictionContext.stationary(haar_kraus(2, 3, seed=2))
-    first, other, again = window_distributions(ctx, [6, 4, 6])
-    assert first is again and other.length == 4
-    assert not first.table.flags.writeable
-    assert np.array_equal(first.table, window_distribution(ctx, 6).table)
+    assert p.table.nbytes == raw_bytes
 
 
 def test_classical_cmi_holds_one_temporary_of_its_table():

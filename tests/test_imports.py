@@ -203,7 +203,7 @@ PUBLIC = set(
     purity_verdict w_series f_series estimate_rate haar_kraus build_r_operator constructive_purity_family
     RestrictionContext CmiReport RestrictionSummary DEFAULT_GUARD string_probability
     post_measurement_spectrum average_entropy quantum_cmi average_purity_q restriction_scan
-    window_distribution window_distributions chain_distribution classical_cmi cmi_report
+    window_distribution chain_distribution classical_cmi cmi_report
     MartingaleTrace sample_trajectory sample_trajectories martingale_step_check mean_m_check
     purification_statistic
     """.split()
@@ -245,11 +245,13 @@ def test_one_kernel_takes_each_string_products_spectrum_and_nu1_nu2():
 def test_the_restriction_module_owns_the_cmi_table_route():
     """The rows' classical CMI has one path, inside ``restriction`` alone:
     ``_cmi_rows`` takes four streamed window entropies from the walks of
-    ``_window_walk``, the one window path, which ``window_distributions``
-    also reads for its tables.  No route is picked: ``_stationary`` is read
-    only where the stationary context is its own fold.  The walk's entropy
-    is the one ``_StreamedEntropy``, and one generator, ``_batches``, joins
-    a depth's stacks for it and for ``_string_tables``.  The CLI imports
+    ``_window_walk``, the one window path, which ``window_distribution``
+    also reads for its one table.  No route is picked: ``_stationary`` is
+    read only where the stationary context is its own fold.  The walk's
+    entropy is the one ``_StreamedEntropy``, and one generator,
+    ``_batches``, joins a depth's stacks for it and for ``_string_tables``.
+    Each entropy's sums, of the streamed blocks and of the Shannon and von
+    Neumann entropies, are the one ``linalg._plogp_sums``.  The CLI imports
     no window path."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
 
@@ -257,7 +259,45 @@ def test_the_restriction_module_owns_the_cmi_table_route():
         return {(module, name) for module, tree in trees.items() for name in _readers(tree, names)}
 
     assert readers({"_stationary"}) == {("restriction.py", "_absorb_windows")}
-    assert readers({"_window_walk"}) == {("restriction.py", "window_distributions"), ("restriction.py", "_cmi_rows")}
+    assert readers({"_window_walk"}) == {("restriction.py", "window_distribution"), ("restriction.py", "_cmi_rows")}
     assert readers({"_StreamedEntropy"}) == {("restriction.py", "_window_walk")}
     assert readers({"_batches"}) == {("restriction.py", "_string_tables"), ("restriction.py", "_window_walk")}
-    assert not {"_window_walk", "window_distributions"} & {name for name, _ in _imported(trees["cli.py"])}
+    assert readers({"_plogp_sums"}) == {
+        ("linalg.py", "von_neumann_entropy"),
+        ("linalg.py", "shannon_entropy"),
+        ("restriction.py", "_StreamedEntropy"),
+    }
+    assert not {"_window_walk", "window_distribution"} & {name for name, _ in _imported(trees["cli.py"])}
+
+
+def _literal(tree: ast.Module, name: str) -> ast.expr:
+    """The value a module-level assignment, annotated or not, binds to name."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return node.value
+    raise AssertionError(f"no module-level assignment of {name}")
+
+
+def test_the_names_the_benchmark_traces_are_the_packages():
+    """perfbench/tracer.py wraps package functions by name and binds their
+    parameters by name, so a function or parameter that is retired or
+    renamed fails here, read from the tracer's source with no import: each
+    ``module.name`` of ``TRACED`` and ``CLI_VERBS`` is a module-level
+    function of that module, and each ``_COUNTERS`` entry's counter (such as
+    ``_table("m")``) names a parameter of its function."""
+    tracer = ast.parse((PACKAGE.parent.parent / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    functions = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                functions[f"{path.stem}.{node.name}"] = {a.arg for a in args}
+    traced = [e.value for name in ("TRACED", "CLI_VERBS") for e in _literal(tracer, name).elts]
+    assert len(traced) >= 19
+    assert [name for name in traced if name not in functions] == []
+    counters = _literal(tracer, "_COUNTERS")
+    bound = {key.value: [a.value for a in call.args] for key, call in zip(counters.keys, counters.values)}
+    assert len(bound) >= 9 and all(len(params) == 1 for params in bound.values())
+    for name, (param,) in bound.items():
+        assert param in functions.get(name, ()), f"{name} has no parameter {param!r}"

@@ -126,6 +126,18 @@ def test_shannon_entropy_is_the_masked_sum_bit_for_bit(weights, zero_frac, seed)
     assert np.array_equal(shannon_entropy(p.reshape(1, -1)), _entropy_reference(p))
 
 
+@pytest.mark.parametrize("D, rank", [(2, 1), (3, 3), (4, 2), (6, 6)])
+def test_von_neumann_entropy_is_the_masked_sum_bit_for_bit(D, rank):
+    """Full rank or not, the entropy has the bits of the masked product of
+    the clipped spectrum, summed as before."""
+    rng = np.random.default_rng([D, rank])
+    X = rng.standard_normal((D, rank)) + 1j * rng.standard_normal((D, rank))
+    rho = X @ X.conj().T
+    rho /= np.trace(rho).real
+    lam = np.clip(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0), 0.0, 1.0)
+    assert von_neumann_entropy(rho) == _entropy_reference(lam)
+
+
 @pytest.mark.parametrize(
     "p, message",
     [

@@ -332,7 +332,9 @@ def test_k2_and_the_folded_windows_are_a_plain_transfer_loop_bit_for_bit(family)
 
 def test_absorb_windows_reads_the_left_power_the_context_holds(monkeypatch):
     """E^{window_a}(sigma) is the context's own power: once K^2 of a longer
-    chain has formed it, the fold applies only the c adjoint steps."""
+    chain has formed it, the fold applies only the c adjoint steps.  And
+    E*^{window_c}(F^dag F) is the context's own power too, so a second fold
+    with the same window_c applies no adjoint step."""
     from mpsrestrict import chain
     from mpsrestrict.restriction import _absorb_windows
 
@@ -349,6 +351,9 @@ def test_absorb_windows_reads_the_left_power_the_context_holds(monkeypatch):
     assert len(ctx._envs) == 7 and all(x is y for x, y in zip(ctx._envs, held))
     _absorb_windows(ctx, 9, 0)  # a longer fold extends the same list
     assert steps.count("transfer_apply") == 3 and len(ctx._envs) == 10
+    again = _absorb_windows(ctx, 0, 2)
+    assert steps.count("transfer_adjoint_apply") == 2 and len(ctx._rights) == 3
+    assert np.array_equal(again.f_op, inner.f_op)
 
 
 def test_k2_for_refuses_a_length_above_the_cap_before_a_step():
@@ -584,15 +589,15 @@ def test_streamed_window_entropies_are_the_tables_entropies(name):
     """Each streamed window entropy is shannon_entropy of its window
     distribution to 1e-13, up to the shortest window of more than one block
     of d^k strings; and it is the same bits whatever the tree's depth and
-    whichever other lengths, entropies or a table, share its walk."""
+    whichever other lengths, entropies or the table, share its walk."""
     ctx = _entropy_context(name)
     top = _past_one_block(ctx.kraus.d)
     lengths = list(range(1, top + 1))
-    shared = restriction._window_walk(ctx, lengths, [], DEFAULT_GUARD)[0]
+    shared = restriction._window_walk(ctx, lengths, None, DEFAULT_GUARD)[0]
     for m in lengths:
         assert abs(shared[m] - shannon_entropy(window_distribution(ctx, m).as_array())) <= 1e-13, m
-        assert restriction._window_walk(ctx, [m], [], DEFAULT_GUARD)[0] == {m: shared[m]}, m
-    beside_a_table = restriction._window_walk(ctx, [1, top - 1], [top], DEFAULT_GUARD)[0]
+        assert restriction._window_walk(ctx, [m], None, DEFAULT_GUARD)[0] == {m: shared[m]}, m
+    beside_a_table = restriction._window_walk(ctx, [1, top - 1], top, DEFAULT_GUARD)[0]
     assert beside_a_table == {1: shared[1], top - 1: shared[top - 1]}
 
 
@@ -609,7 +614,7 @@ def test_a_pruned_walk_streams_the_dense_walks_entropies(family):
     ctxs = [RestrictionContext.stationary(k) for k in (K, dense)]
     assert np.array_equal(ctxs[0].sigma, ctxs[1].sigma)
     top = _past_one_block(K.d)
-    pruned, full = (restriction._window_walk(c, range(1, top + 1), [], DEFAULT_GUARD)[0] for c in ctxs)
+    pruned, full = (restriction._window_walk(c, range(1, top + 1), None, DEFAULT_GUARD)[0] for c in ctxs)
     assert pruned == full
 
 
@@ -622,9 +627,9 @@ def test_the_entropy_is_fsum_over_fixed_blocks_of_one_numpy_sum_each(name):
     d = ctx.kraus.d
     m = _past_one_block(d) + 1
     k = m - 2
-    h, raw = restriction._window_walk(ctx, [m], [m], DEFAULT_GUARD)
+    h, raw = restriction._window_walk(ctx, [m], m, DEFAULT_GUARD)
     mass, plogp = [], []
-    for block in raw[m].reshape(-1, d**k):
+    for block in raw.reshape(-1, d**k):
         p = block[block > 0.0]
         mass.append(np.sum(p))
         plogp.append(np.sum(p * np.log(p)))
