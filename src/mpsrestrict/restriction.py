@@ -371,8 +371,8 @@ class _Tree:
     walk, each depth in lexicographic order.  ``stack`` holds non-zero
     products and ``index`` (a range on a dense walk, an index array on a
     pruned one) their positions among the d^m strings of their length.
-    Every product left out is exactly zero.  Only ``_run`` knows how the
-    walk splits.
+    Every product left out is exactly zero.  Only ``levels``, which sets
+    each depth's budget of products, and ``_run`` know how the walk splits.
     """
 
     stacked: np.ndarray  # (d*D, D): the Kraus operators, A_s in row block s
@@ -391,26 +391,37 @@ class _Tree:
         return self.root[None][:0]
 
     def _run(
-        self, stack: np.ndarray, index: range | np.ndarray, top: int, depths: frozenset[int]
+        self,
+        stack: np.ndarray,
+        index: range | np.ndarray,
+        top: int,
+        depths: frozenset[int],
+        budget: tuple[int, ...],
     ) -> Iterator[tuple[int, range | np.ndarray, np.ndarray]]:
         """(depth, index, stack) for each non-empty level of ``depths`` below
         the prefixes ``stack`` of length ``top``: the levels this run grows,
-        as it grows them, then those of its sub-runs, in order."""
+        as it grows them, then those of its sub-runs, in order.
+
+        The run grows one level, then each next level that fits that
+        depth's ``budget``.  Where one does not, a dense run, whose subtree
+        sizes are known, splits its stack into sub-runs of as many whole
+        subtrees as fill the budget of the next listed depth t (or n), step
+        = budget[t] // d^(t - depth) prefixes each, and a pruned run into
+        sub-runs of as many prefixes as can all grow one more level.  So
+        each stack this run grows holds at most its depth's budget, or the d
+        children of one prefix."""
         d, n = self.d, self.n
         depth = top
-        # a run grows at least one level, then while the next level fits
-        while depth < n and len(stack) and (depth == top or len(stack) * d <= self.cap):
+        while depth < n and len(stack) and (depth == top or len(stack) * d <= budget[depth + 1]):
             stack, index = _grow(self.stacked, stack, index, self.prune)
             depth += 1
             if depth in depths and len(stack):
                 yield depth, index, stack
         if depth < n:
-            # A dense subtree's size is known, so a run takes as many whole
-            # subtrees as fit; a pruned run takes as many prefixes as can all
-            # grow one more level.
-            step = max(1, self.cap // d ** (1 if self.prune else n - depth))
+            t = depth + 1 if self.prune else min((m for m in depths if m > depth), default=n)
+            step = max(1, budget[t] // d ** (t - depth))
             for i in range(0, len(stack), step):
-                yield from self._run(stack[i : i + step], index[i : i + step], depth, depths)
+                yield from self._run(stack[i : i + step], index[i : i + step], depth, depths, budget)
 
     def levels(self, depths: Iterable[int]) -> Iterator[tuple[int, range | np.ndarray, np.ndarray]]:
         """(depth, index, stack) for the stacks of each of ``depths`` (in
@@ -420,9 +431,28 @@ class _Tree:
         it, never by the runs below it.  A run yields its own levels as it
         grows them, then its sub-runs' levels, so the stacks of each depth
         come in lexicographic order.
+
+        Each depth has a budget of products, and the runs are sized by the
+        budget of the next listed depth (``_run``), so a listed depth's
+        stacks come near its budget.  Every depth's budget is the cap,
+        except on a dense walk that lists more than three depths: there the
+        three deepest listed depths keep the cap, and each shallower listed
+        depth has half the budget of the listed depth below it, at least 1.
+        A walk of one depth, and a pruned walk, keep the cap at every depth
+        and split by it alone.  The pending runs hold one stack per depth,
+        each of at most max(d, budget) products, so the stacks alive at once
+        hold at most the sum of max(d, budget) over the depths 1..n.  The
+        halving keeps the budgets of the shallower listed depths within one
+        cap in sum, but for the floor of 1.
         """
+        depths = frozenset(depths)
+        budget = [self.cap] * (self.n + 1)
+        if not self.prune:  # the three deepest listed depths keep the cap
+            listed = sorted(depths, reverse=True)
+            for deeper, m in zip(listed[2:], listed[3:]):
+                budget[m] = max(1, budget[deeper] // 2)
         index = np.zeros(1, dtype=np.int64) if self.prune else range(1)
-        return self._run(self.root[None], index, 0, frozenset(depths))
+        return self._run(self.root[None], index, 0, depths, tuple(budget))
 
 
 def _products(K: KrausFamily, root: np.ndarray, n: int, guard: int) -> _Tree:
@@ -431,11 +461,13 @@ def _products(K: KrausFamily, root: np.ndarray, n: int, guard: int) -> _Tree:
     The length n (an integer >= 1), then the guard, which counts all d^n
     strings, are checked when this is called, before any product is formed.
     The walk grows the products breadth-first while the next level fits
-    under the cap of _CHUNK_STRINGS * D / r products of a D x r root, so
-    every stack fits in as much memory as _CHUNK_STRINGS square products,
-    and a vector walk (r = 1) takes D times as many strings at once.  When
-    the next level does not fit, the walk splits its stack into runs of
-    consecutive prefixes and continues each run in turn, so the stacks come
+    its depth's budget, at most the cap of _CHUNK_STRINGS * D / r products
+    of a D x r root, so every stack fits in as much memory as
+    _CHUNK_STRINGS square products, and a vector walk (r = 1) takes D times
+    as many strings at once.  When the next level does not fit, the walk
+    splits its stack into runs of consecutive prefixes, each as many whole
+    subtrees as fill the budget of the next depth the caller lists
+    (``_Tree.levels``), and continues each run in turn, so the stacks come
     out in lexicographic order and each run is a set of whole subtrees.
 
     Exact-zero subtrees are skipped: a zero product has only zero
@@ -553,10 +585,12 @@ def _batches(
     """(depth, index, stack) for the stacks of each of ``depths``, from one
     walk, each depth's consecutive stacks joined up to the tree's cap.
 
-    The runs below a deep split hold few nodes of a shallower depth each, so
-    a depth's stacks are held until the next would pass the cap, then go out
-    as one: products are per string, so joining changes no bit.  Each
-    depth's batches come in lexicographic order."""
+    The walk sizes its runs by the next listed depth's budget, so a
+    shallower listed depth of a dense walk, whose budget is below the cap,
+    and the last run of a split come in stacks short of the cap.  A depth's
+    stacks are held until the next would pass the cap, then go out as one:
+    products are per string, so joining changes no bit.  Each depth's
+    batches come in lexicographic order."""
     held: dict[int, list] = {m: [] for m in depths}
     count = dict.fromkeys(held, 0)
     for m, index, stack in tree.levels(held):

@@ -182,30 +182,74 @@ def test_one_walk_reports_each_aklt_level_once():
 
 
 def test_tables_join_a_levels_small_stacks_up_to_the_cap():
-    """On a dense vector walk of 5^8 strings each run below the split at
-    depth 4 holds two prefixes, so depth 5 comes in 313 stacks of at most
-    10 nodes.  The table path joins them up to the cap of 1536 nodes, so
-    the leaf runs 3 times at depth 5, with the table of the run-by-run
-    leaves bit for bit.  The leaves (1250 per run) are left as they come."""
+    """A finite window walk of 5^8 strings lists depths 5..8 of a dense
+    vector tree, whose budgets are 768, 1536, 1536 and 1536 nodes.  Sized by
+    them, depth 5 comes in 5 stacks of at most 765 nodes and depth 6 in 13
+    of at most 1535, some of them 755 or fewer.  The table path joins a
+    depth's stacks up to the cap of 1536 nodes, so the leaf runs 3 times at
+    depth 5 and 12 times at depth 6, with the table of the run-by-run
+    leaves bit for bit.  No two consecutive stacks of depths 7 and 8 fit
+    under the cap, so those go out as they come."""
     K = haar_kraus(3, 5, seed=1)
     root = np.ones((3, 1), dtype=complex) / np.sqrt(3)
     tree = _products(K, root, 8, guard=5**8)
     assert tree.cap == 1536
-    assert len([s for m, _, s in tree.levels([5]) if m == 5]) == 313
-    calls = {5: 0, 8: 0}
+    depths = [5, 6, 7, 8]
+    sizes = {m: [] for m in depths}
+    for m, _, W in tree.levels(depths):
+        sizes[m].append(len(W))
+    assert {m: len(s) for m, s in sizes.items()} == {5: 5, 6: 13, 7: 54, 8: 258}
+    assert {m: max(s) for m, s in sizes.items()} == {5: 765, 6: 1535, 7: 1535, 8: 1535}
+    calls = dict.fromkeys(depths, 0)
 
     def leaf(m, W):
         calls[m] += len(W) > 0
         return _capped_norm2(None, W)
 
-    tables = _string_tables(tree, [5, 8], leaf)
-    assert calls == {5: 3, 8: 313}
+    tables = _string_tables(tree, depths, leaf)
+    assert calls == {5: 3, 6: 12, 7: 54, 8: 258}
     want = np.zeros(5**5)
-    for m, index, W in tree.levels([5]):
-        want[index] = _capped_norm2(None, W)
+    for m, index, W in tree.levels(depths):
+        if m == 5:
+            want[index] = _capped_norm2(None, W)
     assert np.array_equal(tables[5], want)
     alone = _string_tables(_products(K, root, 8, guard=5**8), [8], lambda _, W: _capped_norm2(None, W))
     assert np.array_equal(tables[8], alone[8])
+
+
+def test_the_walk_sizes_its_runs_by_the_next_listed_depth(monkeypatch):
+    """The walk shapes, read from counts alone.  A walk of one depth splits
+    by the cap: the w(9) walk of a D4 d3 family grows 169 stacks into 41
+    leaf stacks, and the pruned 12-site AKLT walk grows 64.  The finite
+    window walk of a D3 d5 chain's bare context (a vector root; entropies
+    of 5..8 sites and the 6-site table) sizes each run by the budget of the
+    next listed depth, and grows at most 400 stacks: runs sized by the
+    deepest depth, two prefixes each, would grow 1256."""
+    grows = [0]
+    grow = restriction._grow
+
+    def spy(*args):
+        grows[0] += 1
+        return grow(*args)
+
+    monkeypatch.setattr(restriction, "_grow", spy)
+    K = haar_kraus(4, 3, seed=1)
+    assert len(_leaf_stacks(_products(K, np.eye(4, dtype=complex), 9, guard=3**9))) == 41
+    assert grows[0] == 169
+
+    grows[0] = 0
+    ctx = RestrictionContext.stationary(aklt())
+    assert len(_leaf_stacks(_products(ctx.kraus, ctx.sqrt_sigma, 12, guard=3**12))) == 28
+    assert grows[0] == 64
+
+    grows[0] = 0
+    K = haar_kraus(3, 5, seed=1)
+    rng = np.random.default_rng(1)
+    ends = BoundaryPair(L=_unit(rng, 3), R=_unit(rng, 3))
+    bare = RestrictionContext.from_boundaries(K, ends, ChainGeometry(0, 8, 0))
+    _, raw = restriction._window_walk(bare, [5, 6, 7, 8], 6, guard=5**8)
+    assert raw.shape == (5**6,)
+    assert grows[0] <= 400
 
 
 def test_window_distribution_adopts_its_raw_table():

@@ -5,9 +5,11 @@ engine skips, the engine against the oracle and the dense walk.  Over both,
 the submultiplicativity of w and the sandwich of Q between the second
 eigenvalues."""
 
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -238,6 +240,58 @@ def test_split_walks_give_the_dense_table_and_its_tree_sum_bit_for_bit(case):
                 table = leaf(dense[m])
                 assert np.array_equal(tables[m], table), m
                 assert sums[m].tobytes() == oracle.tree_sum(table, K.d).tobytes(), m
+
+
+def _check_budgets(tree, depths: list[int]) -> None:
+    """Walk ``depths`` of ``tree`` and check each yielded stack against its
+    depth's budget, and the stacks alive after each grow against their sum."""
+    n, d = tree.n, tree.d
+    budget = dict.fromkeys(range(1, n + 1), tree.cap)
+    if not tree.prune:
+        deepest_first = sorted(depths, reverse=True)
+        budget.update({m: max(1, tree.cap >> max(0, i - 2)) for i, m in enumerate(deepest_first)})
+    formed, alive = [], []
+    grow = restriction._grow
+
+    def spy(*args):
+        stack, index = grow(*args)
+        formed.append(weakref.ref(stack))
+        alive.append(sum(len(W) for W in (ref() for ref in formed) if W is not None))
+        return stack, index
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(restriction, "_grow", spy)
+        for m, index, stack in tree.levels(depths):
+            assert len(stack) <= max(d, budget[m]), (m, depths)
+            del index, stack  # the caller holds no stack while the walk goes on
+    assert max(alive) <= sum(max(d, budget[m]) for m in range(1, n + 1)), depths
+
+
+@LIMITS
+@given(SPLITS)
+# the first run of a dense d = 3 walk fits 9 products under the cap of 12,
+# but not under the budget of 6 that depth 2 of 1..5 has
+@example({"family": "haar", "D": 2, "d": 3, "seed": 1, "vector": False, "cap": 12, "n": 5, "depths": {5}})
+def test_each_listed_depth_keeps_its_budget_and_pending_runs_one_stack_per_depth(case):
+    """The i-th deepest listed depth of a dense walk (i from 0) has the
+    budget max(1, cap >> max(0, i - 2)): the three deepest the cap, each
+    shallower one half the next.  Every other depth, and every depth of a
+    pruned walk, has the cap.  Each stack yielded at a listed depth holds at
+    most its budget, or the d children of one prefix.  After each grow the
+    stacks alive hold no more than one stack per depth: the sum over depths
+    1..n of max(d, budget).  Each case walks the drawn family and a dense
+    Haar family of its D and d, for its own depths and for all of 1..n,
+    whose shallow budgets are the smallest."""
+    for K in (_bounded_family(case), haar_kraus(case["D"], case["d"], case["seed"])):
+        n = min(case["n"], _longest(K, 6))
+        root = np.eye(K.D, dtype=complex)
+        if case["vector"]:
+            root = np.ones((K.D, 1), dtype=complex) / np.sqrt(K.D)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(restriction, "_CHUNK_STRINGS", case["cap"])
+            tree = _products(K, root, n, guard=K.d**n)
+        _check_budgets(tree, sorted(m for m in case["depths"] if m <= n) or [n])
+        _check_budgets(tree, list(range(1, n + 1)))
 
 
 KERNEL = st.fixed_dictionaries(
